@@ -36,7 +36,7 @@ from scipy.special import ndtri
 
 from . import _rng
 from .errors import InvalidInputError, InvalidRangeError, NotTranslatableError
-from .lattice import LatticeArray, validate_index, validate_shape
+from .lattice import LatticeArray, _map_blocks, validate_index, validate_shape
 
 _VARIANTS = ("iid_symmetric", "product_rademacher", "decoupled_product", "moving_average", "zero")
 _DISTS = ("rademacher", "gaussian", "weibull_symmetric")
@@ -375,7 +375,6 @@ def orthomartingale_check(
     replicas: int = 2000,
     axes=None,
     sites=None,
-    batch: int = 512,
 ) -> OrthomartingaleResult:
     """Monte Carlo battery for one-direction conditional centering.
 
@@ -403,13 +402,10 @@ def orthomartingale_check(
 
     tests = ("const", "sign", "clip")
     keys = [(a, s, t) for a in axes for s in sites for t in tests]
-    sums = {k: 0.0 for k in keys}
-    sq_sums = {k: 0.0 for k in keys}
 
-    done = 0
-    while done < replicas:
-        take = min(batch, replicas - done)
-        fields = generate_batch(spec, shape, seed.master, seed.replica + done, take)
+    def work(start, count):
+        fields = generate_batch(spec, shape, seed.master, seed.replica + start, count)
+        out = []
         for a in axes:
             for s in sites:
                 x_here = fields[(slice(None),) + tuple(c - 1 for c in s)]
@@ -425,15 +421,16 @@ def orthomartingale_check(
                         vals = x_here * np.sign(past)
                     else:
                         vals = x_here * np.clip(past, -1.0, 1.0)
-                    sums[(a, s, t)] += float(vals.sum())
-                    sq_sums[(a, s, t)] += float((vals * vals).sum())
-        done += take
+                    out.append((vals.sum(), (vals * vals).sum()))
+        return np.array(out)
+
+    totals = sum(_map_blocks(work, replicas, 1))
 
     rows = []
     passed = True
-    for a, s, t in keys:
-        mean = sums[(a, s, t)] / replicas
-        var = max(0.0, sq_sums[(a, s, t)] / replicas - mean * mean)
+    for (a, s, t), (total, sq_total) in zip(keys, totals.tolist()):
+        mean = total / replicas
+        var = max(0.0, sq_total / replicas - mean * mean)
         se = math.sqrt(var / replicas)
         z = 0.0 if se == 0.0 else mean / se
         if abs(z) > 4.0:

@@ -3,9 +3,10 @@
 Every experiment is described by an ExperimentConfig (JSON round-trip
 safe) and produces a Report whose payload is a pure function of the
 config.  Replicas are counter-addressed through the generator layer, so
-the same config yields the same numbers no matter how many worker
-threads run the blocks; reductions walk the block list in index order
-and verdict logic only looks at precomputed intervals.
+the same config yields the same numbers no matter how many threads run
+the replica blocks of the lattice layer's driver; reductions walk the
+blocks in index order and verdict logic only looks at precomputed
+intervals.
 
 Reports separate the reproducible payload (config echo, rows, verdicts,
 constants trace, tolerances) from the timing block (timestamp, wall
@@ -18,7 +19,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from datetime import datetime, timezone
 
@@ -36,11 +36,10 @@ from .generators import (
     spec_to_json,
     spec_variance,
 )
-from .lattice import validate_shape, volume
+from .lattice import _map_blocks, batch_prefix, padded_prefix, validate_shape, volume
 from .stats import wilson_interval
 from .sumprocess import from_field
 
-_BLOCK = 64  # replicas per unit of work; fixed so threading cannot regroup
 _KS_ALLOWANCE = 0.015
 
 EXPERIMENTS = (
@@ -235,44 +234,22 @@ def _finish(experiment, config, verdict, rows, t0, constants=None, tolerances=No
     )
 
 
-# ------------------------------------------------- block-parallel driver
-
-
-def _blocks(total: int):
-    return [(start, min(_BLOCK, total - start)) for start in range(0, total, _BLOCK)]
-
-
-def _map_blocks(fn, total: int, threads: int) -> list:
-    """Run fn(start, count) over fixed replica blocks; results come back
-    in block order regardless of thread scheduling."""
-    plan = _blocks(total)
-    if threads <= 1:
-        return [fn(start, count) for start, count in plan]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(fn, start, count) for start, count in plan]
-        return [f.result() for f in futures]
-
-
-def _batch_prefix(fields: np.ndarray) -> np.ndarray:
-    out = fields
-    for axis in range(1, out.ndim):
-        out = np.cumsum(out, axis=axis)
-    return out
+# ---------------------------------------------------- replica reductions
 
 
 def _replica_stats(spec, shape, seed, replicas, threads):
-    """Per-replica (max |partial sum|, |full sum|, max |last-slab prefix|)."""
+    """Per-replica (max |partial sum|, |full sum|, max |last-slab prefix|),
+    returned as copies so no view keeps its block's prefix array alive."""
 
     def work(start, count):
-        prefix = _batch_prefix(generate_batch(spec, shape, seed, start, count))
-        absp = np.abs(prefix)
-        axes = tuple(range(1, absp.ndim))
-        m_all = absp.max(axis=axes)
-        end = absp[(slice(None),) + (-1,) * (absp.ndim - 1)]
+        absp = batch_prefix(generate_batch(spec, shape, seed, start, count))
+        np.abs(absp, out=absp)
+        m_all = absp.max(axis=tuple(range(1, absp.ndim)))
+        end = absp[(slice(None),) + (-1,) * (absp.ndim - 1)].copy()
         if absp.ndim > 2:
             slab = absp[..., -1].max(axis=tuple(range(1, absp.ndim - 1)))
         else:
-            slab = absp[:, -1]
+            slab = absp[:, -1].copy()
         return m_all, end, slab
 
     parts = _map_blocks(work, replicas, threads)
@@ -393,11 +370,7 @@ def brownian_sheet_sim(resolution, seed: int, replicas: int = 1, threads: int = 
     spec = iid_gaussian(len(res), sigma=sigma)
 
     def work(start, count):
-        prefix = _batch_prefix(generate_batch(spec, res, seed, start, count))
-        shape = (count,) + tuple(r + 1 for r in res)
-        padded = np.zeros(shape)
-        padded[(slice(None),) + tuple(slice(1, None) for _ in res)] = prefix
-        return padded
+        return padded_prefix(batch_prefix(generate_batch(spec, res, seed, start, count)), lead=1)
 
     return np.concatenate(_map_blocks(work, replicas, threads))
 
@@ -455,8 +428,10 @@ def fdd_compare(config: ExperimentConfig, t=None) -> Report:
     sigma2 = spec_variance(config.generator) * math.prod(point)
 
     def work(start, count):
-        prefix = _batch_prefix(generate_batch(config.generator, shape, config.seed, start, count))
-        return prefix[(slice(None),) + tuple(kq - 1 for kq in k)]
+        # counter-mode sites: the box [1, k] alone holds the same values
+        # as that box of the full lattice, and its far corner is S_k
+        prefix = batch_prefix(generate_batch(config.generator, k, config.seed, start, count))
+        return prefix[(slice(None),) + (-1,) * len(k)].copy()
 
     samples = np.concatenate(_map_blocks(work, config.replicas, config.threads))
     samples = np.sort(samples) / math.sqrt(volume(shape))
@@ -520,7 +495,7 @@ def tightness_experiment(config: ExperimentConfig) -> Report:
     rho = _modulus_from_dict(config.modulus, len(m))
     result = holder.tightness_sum_estimate(
         config.generator, rho, config.eps, config.axis_q, config.j_from, m,
-        config.replicas, config.seed,
+        config.replicas, config.seed, config.threads,
     )
     rows = [r.to_dict() for r in result.rows]
     sums = {str(j): result.tail_sum(j) for j in range(config.j_from, m[config.axis_q - 1] + 1)}

@@ -41,7 +41,7 @@ from .errors import (
     NoParentsError,
     TooLargeError,
 )
-from .lattice import max_cells, prefix_sum
+from .lattice import _map_blocks, batch_prefix, max_cells
 from .stats import wilson_interval
 
 # ---------------------------------------------------------------- moduli
@@ -347,7 +347,7 @@ def tightness_sum_estimate(
     m,
     replicas: int,
     seed: int,
-    batch: int = 256,
+    threads: int = 1,
 ) -> TightnessResult:
     """Monte Carlo estimate of the dyadic tightness sum
 
@@ -375,19 +375,14 @@ def tightness_sum_estimate(
     for j in range(j_from, m[q - 1] + 1):
         shape = tuple(2 ** (mu - j) if u == q - 1 else 2**mu for u, mu in enumerate(m))
         threshold = eps * modulus_eval(rho, 2.0**-j) * sqrt_full
-        hits = 0
-        done = 0
-        while done < replicas:
-            take = min(batch, replicas - done)
-            fields = generators.generate_batch(
-                spec, shape, seed, j * replicas + done, take
-            )
-            prefixes = fields.copy()
-            for axis in range(1, fields.ndim):
-                np.cumsum(prefixes, axis=axis, out=prefixes)
-            peaks = np.abs(prefixes).max(axis=tuple(range(1, fields.ndim)))
-            hits += int(np.count_nonzero(peaks > threshold))
-            done += take
+
+        def work(start, count):
+            fields = generators.generate_batch(spec, shape, seed, j * replicas + start, count)
+            absp = batch_prefix(fields)
+            peaks = np.abs(absp, out=absp).max(axis=tuple(range(1, absp.ndim)))
+            return int(np.count_nonzero(peaks > threshold))
+
+        hits = sum(_map_blocks(work, replicas, threads))
         p_hat = hits / replicas
         lo, hi = wilson_interval(hits, replicas)
         rows.append(

@@ -1,4 +1,5 @@
-"""Rectangular-lattice core: multi-indices, prefix sums, box sums.
+"""Rectangular-lattice core: multi-indices, prefix sums, box sums, and
+the replica block driver.
 
 Conventions used by the whole package live here.  A lattice of shape
 n = (n_1, ..., n_d) holds one value per site i with 1 <= i_q <= n_q,
@@ -9,6 +10,9 @@ Internally everything is a plain 0-based numpy array.
 The prefix array S has S[i] = sum over the box [1, i].  Cumulative
 passes run axis by axis in axis order, accumulating in float64, so a
 given field always produces the bit-identical prefix array.
+
+Every Monte Carlo replica loop runs through _map_blocks in fixed blocks
+of _BLOCK replicas, with results in block order whatever the threads.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 import math
 import operator
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +31,7 @@ MultiIndex = tuple  # d-tuple of 1-based ints
 
 DEFAULT_MAX_CELLS = 1 << 28
 _ENV_MAX_CELLS = "ORTHOFIELD_MAX_CELLS"
+_BLOCK = 64  # replicas per unit of work; fixed so threading cannot regroup
 
 
 def max_cells() -> int:
@@ -121,21 +127,39 @@ def _as_values(field) -> np.ndarray:
     return arr
 
 
+def batch_prefix(fields: np.ndarray) -> np.ndarray:
+    """Prefix sums of a batch of fields, replica axis first, computed in
+    place: fields[r, i] becomes the sum of fields[r] over the box [1, i]."""
+    for axis in range(1, fields.ndim):
+        np.cumsum(fields, axis=axis, out=fields)
+    return fields
+
+
 def prefix_sum(field) -> np.ndarray:
     """S[i] = sum of the field over the box [1, i], axis-by-axis cumsum."""
-    out = _as_values(field).astype(np.float64, copy=True)
-    for axis in range(out.ndim):
-        np.cumsum(out, axis=axis, out=out)
-    return out
+    return batch_prefix(_as_values(field).astype(np.float64, copy=True)[None])[0]
 
 
-def padded_prefix(prefix: np.ndarray) -> np.ndarray:
+def padded_prefix(prefix: np.ndarray, lead: int = 0) -> np.ndarray:
     """Prefix array with an explicit zero face glued on at index 0 of
-    every axis, so box sums can index lo-1 without branching."""
+    every axis after the first `lead` (replica) axes, so box sums can
+    index lo-1 without branching."""
     prefix = np.asarray(prefix, dtype=np.float64)
-    out = np.zeros(tuple(n + 1 for n in prefix.shape), dtype=np.float64)
-    out[tuple(slice(1, None) for _ in prefix.shape)] = prefix
+    out = np.zeros(prefix.shape[:lead] + tuple(n + 1 for n in prefix.shape[lead:]))
+    out[(slice(None),) * lead + (slice(1, None),) * (prefix.ndim - lead)] = prefix
     return out
+
+
+def _map_blocks(fn, total: int, threads: int) -> list:
+    """Run fn(start, count) over consecutive blocks of at most _BLOCK
+    replicas covering [0, total); results come back in block order
+    regardless of thread scheduling."""
+    plan = [(start, min(_BLOCK, total - start)) for start in range(0, total, _BLOCK)]
+    if threads <= 1:
+        return [fn(start, count) for start, count in plan]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        futures = [pool.submit(fn, start, count) for start, count in plan]
+        return [f.result() for f in futures]
 
 
 def max_abs_prefix(field) -> float:

@@ -1,9 +1,11 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from orthofield import lattice
 from orthofield import (
     ExperimentConfig,
     InvalidInputError,
@@ -22,10 +24,11 @@ from orthofield import (
     product_rademacher,
     run_experiment,
     sheet_cov_check,
+    tightness_experiment,
     verify_bound,
     zero_field,
 )
-from orthofield.harness import constants_experiment, exponent_fit_experiment
+from orthofield.harness import _replica_stats, constants_experiment, exponent_fit_experiment
 
 
 def test_config_round_trip():
@@ -87,15 +90,52 @@ def test_mc_deviation_monotone_tail():
     assert all(a >= b for a, b in zip(p, p[1:]))
 
 
-def test_thread_count_does_not_change_payload():
-    base = dict(
-        experiment="deviation", generator=iid_gaussian(2), shape=(16, 16),
-        x_grid=(0.5, 1.0), replicas=256, seed=9,
-    )
-    one = mc_deviation(ExperimentConfig(threads=1, **base))
-    four = mc_deviation(ExperimentConfig(threads=4, **base))
-    assert one.canonical_json() == four.canonical_json()
-    assert "threads" not in one.payload()["config"]
+def test_thread_count_does_not_change_payload(monkeypatch):
+    # neither the thread count nor the replica block size may move a byte
+    modulus = {"c": math.exp(4.0), "L": {"kind": "iter_log"}}
+    cases = [
+        (mc_deviation, dict(experiment="deviation", generator=iid_gaussian(2), shape=(16, 16),
+                            x_grid=(0.5, 1.0), replicas=256, seed=9)),
+        (fdd_compare, dict(experiment="fdd", generator=iid_gaussian(2), shape=(16, 16),
+                           t_point=(0.5, 0.75), replicas=256, seed=9)),
+        (tightness_experiment, dict(experiment="tightness", generator=iid_gaussian(2),
+                                    exponents=(5, 5), eps=0.3, axis_q=1, j_from=1,
+                                    replicas=150, seed=9, modulus=modulus)),
+        (sheet_cov_check, dict(experiment="sheet-cov", shape=(8, 8), replicas=300, seed=9,
+                               pairs=4)),
+    ]
+    for runner, base in cases:
+        payloads = set()
+        for block, threads in [(64, 1), (64, 4), (7, 1), (7, 3)]:
+            monkeypatch.setattr(lattice, "_BLOCK", block)
+            rep = runner(ExperimentConfig(threads=threads, **base))
+            assert "threads" not in rep.payload()["config"]
+            payloads.add(rep.canonical_json())
+        assert len(payloads) == 1, base["experiment"]
+
+
+@pytest.mark.parametrize("stat", ["deviation", "fdd"])
+def test_replica_blocks_do_not_retain_prefix_memory(stat):
+    # per-replica results must not keep their block's 64x64 prefix alive,
+    # so the peak may not grow with the replica count
+    def run(replicas):
+        if stat == "deviation":
+            _replica_stats(iid_rademacher(2), (64, 64), 3, replicas, 1)
+        else:
+            fdd_compare(ExperimentConfig(experiment="fdd", generator=iid_rademacher(2),
+                                         shape=(64, 64), t_point=(1.0, 1.0),
+                                         replicas=replicas, seed=3))
+
+    block_bytes = lattice._BLOCK * 64 * 64 * 8
+    peaks = []
+    for replicas in (256, 2048):
+        tracemalloc.start()
+        try:
+            run(replicas)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 2 * block_bytes, peaks
 
 
 def test_verify_bound_vacuous_grid_passes():

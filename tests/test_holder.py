@@ -238,10 +238,14 @@ def test_tightness_tail_sums_strictly_decrease_when_hit():
 
 
 def test_tightness_deterministic():
+    # 150 replicas make three blocks, so the threaded run really splits them
     rho = modulus(math.exp(4.0), 2, iter_log())
-    a = tightness_sum_estimate(iid_gaussian(2), rho, 0.3, 2, 1, (5, 5), 100, seed=9)
-    b = tightness_sum_estimate(iid_gaussian(2), rho, 0.3, 2, 1, (5, 5), 100, seed=9)
-    assert a.to_dict() == b.to_dict()
+    a = tightness_sum_estimate(iid_gaussian(2), rho, 0.3, 2, 1, (5, 5), 150, seed=9)
+    b = tightness_sum_estimate(iid_gaussian(2), rho, 0.3, 2, 1, (5, 5), 150, seed=9)
+    c = tightness_sum_estimate(iid_gaussian(2), rho, 0.3, 2, 1, (5, 5), 150, seed=9,
+                               threads=3)
+    assert a.to_dict() == b.to_dict() == c.to_dict()
+    assert any(r.hits > 0 for r in a.rows)
     assert a.rows[0].shape == (32, 16)
 
 

@@ -1,6 +1,9 @@
+import threading
+
 import numpy as np
 import pytest
 
+from orthofield import lattice
 from orthofield import (
     InvalidInputError,
     LatticeArray,
@@ -113,6 +116,31 @@ def test_padded_prefix_zero_face():
     padded = padded_prefix(prefix_sum([[1.0, 2.0], [3.0, 4.0]]))
     assert padded.shape == (3, 3)
     assert np.all(padded[0, :] == 0) and np.all(padded[:, 0] == 0)
+    # the batched routine gives each replica the single-field sums and zero face
+    fields = np.random.default_rng(3).standard_normal((5, 4, 3))
+    want = np.stack([padded_prefix(prefix_sum(f)) for f in fields])
+    in_place = fields.copy()
+    assert lattice.batch_prefix(in_place) is in_place
+    assert np.array_equal(padded_prefix(in_place, lead=1), want)
+
+
+def test_map_blocks_returns_block_order_under_threads(monkeypatch):
+    monkeypatch.setattr(lattice, "_BLOCK", 3)
+    plan = [(0, 3), (3, 3), (6, 3), (9, 1)]
+    assert lattice._map_blocks(lambda start, count: (start, count), 10, 1) == plan
+    # each block waits for the one after it, so the blocks finish in reverse
+    done = {start: threading.Event() for start, _ in plan}
+    finished = []
+
+    def work(start, count):
+        if start + 3 in done:
+            assert done[start + 3].wait(timeout=10)
+        finished.append(start)
+        done[start].set()
+        return start, count
+
+    assert lattice._map_blocks(work, 10, 4) == plan
+    assert finished == [9, 6, 3, 0]
 
 
 def test_volume_and_dominated():
