@@ -20,8 +20,12 @@ a grid sup over a log-spaced t in [1, 1e8], with a stabilization check
 on the running sup over the last decade.  The substitution that
 produces I(t) also reaches a sliver t < 1 because min_u f_{d/2}(u) < 1;
 its Jacobian factor 1/(f f)^2 is majorized there by M = (min f f)^(-2),
-which is the extra factor carried into B.  All realized (K, M) pairs
-are recorded per level so reports can reproduce the trace.
+which is the extra factor carried into B.  The only numeric step in
+I(t) is the outer quadrature over v: the section boundaries are level
+sets of f_q, solved exactly with the Lambert W function, so the inner
+integral over u is exact.  M is closed form too, since
+min f_q = e^(q - 1/2) (2q)^(-q).  All realized (K, M) pairs are
+recorded per level so reports can reproduce the trace.
 
 Everything here evaluates formulas; nothing is fitted to data except
 the explicit envelope-fit helper.  Logs are natural throughout.
@@ -34,8 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
-from scipy.special import erfc
+from scipy.special import erfc, lambertw
 
 from .errors import (
     InsufficientDataError,
@@ -206,35 +209,34 @@ def _poly_exp_integral(deg: int, x_lo: float, x_hi: float) -> float:
     return anti(x_hi) - anti(x_lo)
 
 
-def _solve_shape_level(q: float, s: float, x_lo: float, x_hi: float, rising: bool) -> float:
-    """Bisect ln t in [x_lo, x_hi] for f_q(e^x) = s on a monotone branch."""
-    for _ in range(80):
-        mid = 0.5 * (x_lo + x_hi)
-        val = math.exp(mid) * (1.0 + 2.0 * mid) ** (-q)
-        if (val < s) == rising:
-            x_lo = mid
-        else:
-            x_hi = mid
-    return 0.5 * (x_lo + x_hi)
+def _level_x(q: float, s: float, rising: bool) -> float:
+    """x = ln t with f_q(e^x) = s, for q >= 1/2 and s >= min f_q.
+
+    With 1 + 2x = -2q W the level set becomes W e^W = z, z = -exp(-a - 1),
+    a = (ln s - ln min f_q) / q; the branch W_{-1} gives the rising root
+    and W_0 the falling one (Corless et al., "On the Lambert W function",
+    1996).  scipy's lambertw loses accuracy and returns NaN next to the
+    branch point z = -1/e, so there W comes from its branch-point series
+    in p = -+sqrt(2 (1 + e z)).
+    """
+    a = (math.log(s) - math.log(_shape_fn_min(q))) / q
+    p2 = -2.0 * math.expm1(-a)
+    if p2 < 1e-5:
+        p = -math.sqrt(p2) if rising else math.sqrt(p2)
+        w_plus_1 = p - p * p / 3.0 + 11.0 * p**3 / 72.0 - 43.0 * p**4 / 540.0
+    else:
+        w_plus_1 = lambertw(-math.exp(-a - 1.0), -1 if rising else 0).real + 1.0
+    # x = -q W - 1/2, written around the minimizer x* = q - 1/2
+    return q - 0.5 - q * w_plus_1
 
 
 def _inner_mass(d: int, s: float) -> float:
     """int over {u >= 1 : f_{d/2}(u) < s} of f_{d/2}(u)^(-2) du (exact)."""
     q = d / 2.0
-    f_min = _shape_fn_min(q)
-    if s <= f_min:
+    if s <= _shape_fn_min(q):
         return 0.0
-    x_star = max(0.0, (2.0 * q - 1.0) / 2.0)
-    # upper endpoint on the rising branch
-    hi = max(x_star + 1.0, 1.0)
-    while math.exp(hi) * (1.0 + 2.0 * hi) ** (-q) <= s:
-        hi *= 2.0
-    x_hi = _solve_shape_level(q, s, x_star, hi, rising=True)
-    if s >= 1.0:
-        x_lo = 0.0
-    else:
-        x_lo = _solve_shape_level(q, s, 0.0, x_star, rising=False)
-    return _poly_exp_integral(d, x_lo, x_hi)
+    x_lo = 0.0 if s >= 1.0 else _level_x(q, s, rising=False)
+    return _poly_exp_integral(d, x_lo, _level_x(q, s, rising=True))
 
 
 def I_integral(t: float, dprev: int) -> float:
@@ -251,11 +253,7 @@ def I_integral(t: float, dprev: int) -> float:
     s_cap = t / f_min_u
     if s_cap <= 1.0:
         return 0.0
-    hi = 1.0
-    while math.exp(hi) * (1.0 + 2.0 * hi) ** (-0.5) <= s_cap:
-        hi *= 2.0
-    x_max = _solve_shape_level(0.5, s_cap, 0.0, hi, rising=True)
-    v_max = math.exp(x_max)
+    v_max = math.exp(_level_x(0.5, s_cap, rising=True))
 
     def integrand(v: float) -> float:
         lv = math.log(v)
@@ -268,10 +266,7 @@ def I_integral(t: float, dprev: int) -> float:
     # kink where the u-section boundary changes character (s crosses 1)
     points = []
     if t > 1.0:
-        hi = 1.0
-        while math.exp(hi) * (1.0 + 2.0 * hi) ** (-0.5) <= t:
-            hi *= 2.0
-        v_kink = math.exp(_solve_shape_level(0.5, t, 0.0, hi, rising=True))
+        v_kink = math.exp(_level_x(0.5, t, rising=True))
         if 1.0 < v_kink < v_max:
             points.append(v_kink)
     val, err = quad(
@@ -279,7 +274,9 @@ def I_integral(t: float, dprev: int) -> float:
         epsabs=_ABS_FLOOR, epsrel=_REL_TOL,
     )
     if not math.isfinite(val) or err > 10.0 * max(_ABS_FLOOR, abs(val) * _REL_TOL * 10.0):
-        raise NumericFailureError("I(t) quadrature did not converge at t=%g, d=%d" % (t, d))
+        raise NumericFailureError(
+            "I(t) quadrature did not converge at t=%g, d=%d (error estimate %g)" % (t, d, err)
+        )
     return float(val)
 
 
@@ -315,21 +312,12 @@ def _level_K(d: int) -> _LevelTrace:
         raise NumericFailureError(
             "grid sup for K_%d still moving over the last decade (%.3f%%)" % (d, 100 * drift)
         )
-    # the sliver majorant: 1 / (min over u, v >= 1 of f_{d/2}(u) f_{1/2}(v))^2,
-    # realized by numeric minimization (f_{1/2} has its minimum 1 at v = 1)
-    opt = minimize_scalar(
-        lambda x: math.exp(x) * (1.0 + 2.0 * x) ** (-d / 2.0),
-        bounds=(0.0, 20.0),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    if not opt.success:
-        raise NumericFailureError("minimizing f_{%g/2} failed" % d)
-    t_min = float(opt.fun)
+    # the sliver majorant 1 / (min over u, v >= 1 of f_{d/2}(u) f_{1/2}(v))^2
+    # in closed form (f_{1/2} has its minimum 1 at v = 1)
     return _LevelTrace(
         level=d,
         K=1.05 * sup_full,
-        M=t_min**-2.0,
+        M=_shape_fn_min(d / 2.0) ** -2.0,
         t_at_sup=float(ts[int(np.argmax(ratios))]),
         last_decade_drift=drift,
     )
@@ -344,7 +332,8 @@ def recurse_constants(d: int) -> BoundConstants:
         p_d  = p_{d-1} + 2
         B_d  = 4 B_{d-1} K_d M_d
 
-    with (K_d, M_d) realized numerically per level and recorded."""
+    with K_d realized numerically and M_d in closed form, both recorded
+    per level."""
     if not 1 <= d <= 6:
         raise InvalidRangeError("constants recursion is computed for 1 <= d <= 6")
     if d in _constants_cache:

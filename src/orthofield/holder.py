@@ -155,9 +155,8 @@ class DyadicSite:
     def __post_init__(self):
         if self.j < 0:
             raise InvalidSiteError("level must be >= 0")
-        top = 1 << self.j
-        k = tuple(int(v) for v in self.k)
-        if any(not 0 <= v <= top for v in k):
+        k = tuple(map(int, self.k))
+        if k and (min(k) < 0 or max(k) > 1 << self.j):
             raise InvalidSiteError("site %r outside level-%d grid" % (k, self.j))
         object.__setattr__(self, "k", k)
 
@@ -205,7 +204,7 @@ def _level_k_array(j: int, d: int) -> np.ndarray:
 
 def dyadic_sites(j: int, d: int) -> list:
     """V_j as DyadicSite objects (use the array form in hot loops)."""
-    return [DyadicSite(j, tuple(row)) for row in _level_k_array(j, d)]
+    return [DyadicSite(j, row) for row in _level_k_array(j, d).tolist()]
 
 
 def pyramid_eval(site: DyadicSite, t):
@@ -216,9 +215,12 @@ def pyramid_eval(site: DyadicSite, t):
     if pts.shape[1] != len(site.k):
         raise InvalidInputError("points have dimension %d, site has %d"
                                 % (pts.shape[1], len(site.k)))
+    # one contiguous row per coordinate: numpy reduces over the d rows
+    # elementwise, several times faster than along the short axis of (m, d)
     y = pts * float(1 << site.j) - np.asarray(site.k, dtype=np.float64)
-    pos = np.maximum(0.0, y.max(axis=1))
-    neg = np.maximum(0.0, -y.min(axis=1))
+    y = np.ascontiguousarray(y.T)
+    pos = np.maximum(0.0, y.max(axis=0))
+    neg = np.maximum(0.0, -y.min(axis=0))
     out = np.maximum(0.0, 1.0 - pos - neg)
     return float(out[0]) if single else out
 

@@ -29,6 +29,7 @@ from orthofield import (
     unit_tail,
     weibull_envelope,
 )
+from orthofield.bounds import _level_x, _shape_fn_min
 
 E9 = math.exp(9.0)
 
@@ -64,6 +65,54 @@ def brute_I(t, dprev, n=3000):
     w_u = fu**-2.0 * du
     mask = np.outer(fv, fu) < t
     return float((w_v[:, None] * w_u[None, :] * mask).sum())
+
+
+def bisect_level_x(q, s, rising):
+    """ln t with f_q(t) = s by bisection on one monotone branch of f_q;
+    the rising bracket is found by doubling its upper end."""
+    x_star = max(0.0, q - 0.5)
+    if rising:
+        x_lo, x_hi = x_star, x_star + 1.0
+        while math.exp(x_hi) * (1.0 + 2.0 * x_hi) ** (-q) <= s:
+            x_hi *= 2.0
+    else:
+        x_lo, x_hi = 0.0, x_star
+    for _ in range(80):
+        mid = 0.5 * (x_lo + x_hi)
+        val = math.exp(mid) * (1.0 + 2.0 * mid) ** (-q)
+        if (val < s) == rising:
+            x_lo = mid
+        else:
+            x_hi = mid
+    return 0.5 * (x_lo + x_hi)
+
+
+# ------------------------------------------------------------ level sets
+
+
+@pytest.mark.parametrize("q", [0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+def test_level_x_closed_form_matches_bisection(q):
+    f_min = _shape_fn_min(q)
+    x_star = max(0.0, q - 0.5)
+    near = f_min * (1.0 + np.geomspace(1e-15, 1e-6, 28, endpoint=False))
+    far = np.geomspace(f_min * (1.0 + 1e-6), 1e9, 200)
+    for s in np.concatenate([near, far]).tolist():
+        # f_{1/2} has no falling branch on t >= 1, and the falling root
+        # leaves t >= 1 once s > f_q(1) = 1
+        for rising in (True, False) if q > 0.5 and s < 1.0 else (True,):
+            x = _level_x(q, s, rising)
+            assert math.isfinite(x), (s, rising)
+            assert (x >= x_star) if rising else (x <= x_star), (s, rising, x)
+            residual = x - q * math.log1p(2.0 * x) - math.log(s)
+            assert abs(residual) <= 1e-13 * max(1.0, abs(math.log(s))), (s, rising, residual)
+            want = bisect_level_x(q, s, rising)
+            if s >= f_min * (1.0 + 1e-6):
+                # relative in the root t = e^x
+                assert math.exp(x) == pytest.approx(math.exp(want), rel=1e-12), (s, rising)
+            else:
+                # next to the minimum the root is conditioned like
+                # sqrt(s - f_min); the bisection is no better
+                assert abs(x - want) <= 1e-7, (s, rising)
 
 
 # -------------------------------------------------------- planar integral
@@ -139,7 +188,7 @@ def test_constants_sliver_majorant_closed_form():
     rows = dict((lvl, M) for lvl, K, M, _, _ in recurse_constants(6).K_levels)
     for d in range(2, 7):
         want = (math.exp((d - 1) / 2.0) * d ** (-d / 2.0)) ** -2.0
-        assert rows[d] == pytest.approx(want, rel=1e-9)
+        assert rows[d] == want
 
 
 def test_constants_grid_sup_stabilized():
