@@ -52,6 +52,9 @@ def main(argv=None) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             print("config error: %s" % exc, file=sys.stderr)
             return 1
+        if not isinstance(data, dict):
+            print("config error: the top level must be a JSON object", file=sys.stderr)
+            return 1
     if data.get("experiment", args.experiment) != args.experiment:
         print("config is for experiment %r, not %r" % (data["experiment"], args.experiment),
               file=sys.stderr)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field as dc_field
 from datetime import datetime, timezone
@@ -97,12 +98,29 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise InvalidInputError("unknown experiment %r" % (self.experiment,))
+        for name in ("replicas", "seed", "threads"):
+            val = getattr(self, name)
+            if not isinstance(val, numbers.Integral) or isinstance(val, bool):
+                raise InvalidInputError("%s must be an integer, not %r" % (name, val))
+        for name in ("shape", "shapes", "exponents", "x_grid", "t_point", "window", "band"):
+            val = getattr(self, name)
+            if val is not None and not isinstance(val, (list, tuple)):
+                raise InvalidInputError("%s must be a list, not %r" % (name, val))
+        for name in ("bound", "modulus", "tail", "svarying"):
+            val = getattr(self, name)
+            if val is not None and not isinstance(val, dict):
+                raise InvalidInputError("%s must be a JSON object, not %r" % (name, val))
         if self.replicas < 1:
             raise InvalidRangeError("replicas must be >= 1")
         if self.threads < 1:
             raise InvalidRangeError("threads must be >= 1")
         if self.x_grid is not None:
-            grid = tuple(float(x) for x in self.x_grid)
+            try:
+                grid = tuple(float(x) for x in self.x_grid)
+            except (TypeError, ValueError):
+                raise InvalidInputError(
+                    "x_grid must hold numbers, not %r" % (self.x_grid,)
+                ) from None
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise InvalidInputError("x_grid must be strictly increasing")
             object.__setattr__(self, "x_grid", grid)
@@ -171,7 +189,10 @@ def _modulus_from_dict(data: dict, d: int) -> holder.Modulus:
 
 
 def _tail_from_dict(data: dict) -> bounds.TailModel:
+    if not isinstance(data, dict):
+        raise InvalidInputError("tail must be a JSON object, not %r" % (data,))
     kind = data.get("kind")
+    _require_keys(data, "tail %r" % (kind,), *_TAIL_KEYS.get(kind, ()))
     if kind == "bounded":
         return bounds.bounded_by(float(data["K"]))
     if kind == "weibull":
@@ -286,6 +307,10 @@ def verify_bound(config: ExperimentConfig) -> Report:
     _require(config, "generator", "shape", "x_grid", "bound")
     shape = validate_shape(config.shape)
     kind = config.bound.get("kind")
+    if kind not in _BOUND_KEYS:
+        raise InvalidInputError("unknown bound kind %r" % (kind,))
+    _require_keys(config.bound, "bound %r" % (kind,), *_BOUND_KEYS[kind])
+    model = _tail_from_dict(config.bound["tail"]) if kind == "two-term" else None
     d = len(shape)
     consts = bounds.recurse_constants(d)
     m_all, end_abs, _ = _replica_stats(config.generator, shape, config.seed,
@@ -299,17 +324,13 @@ def verify_bound(config: ExperimentConfig) -> Report:
             extra = {}
         elif kind == "two-term":
             stat, threshold = m_all, x * math.sqrt(n_cells)
-            bv = bounds.thm1_rhs(
-                x, float(config.bound["y"]), _tail_from_dict(config.bound["tail"]), consts
-            )
+            bv = bounds.thm1_rhs(x, float(config.bound["y"]), model, consts)
             extra = {}
-        elif kind == "large-deviation":
+        else:  # large-deviation
             stat, threshold = end_abs, x * n_cells
             ld = bounds.thm2_rhs(x, shape, float(config.bound["gamma"]), d)
             bv = bounds.BoundValue(ld.value, ld.exp_term, ld.integral_term, ld.vacuous)
             extra = {"y_star": ld.y_star, "x_equiv": ld.x_equiv}
-        else:
-            raise InvalidInputError("unknown bound kind %r" % (kind,))
         hits = int(np.count_nonzero(stat > threshold))
         lo, hi = wilson_interval(hits, config.replicas)
         ok = bv.vacuous or hi <= bv.value
@@ -576,6 +597,17 @@ def _require(config: ExperimentConfig, *names):
     for name in names:
         if getattr(config, name) is None:
             raise InvalidInputError("experiment %r needs %r" % (config.experiment, name))
+
+
+# the keys each kind of bound and tail model reads from its JSON object
+_BOUND_KEYS = {"bounded": ("K",), "two-term": ("y", "tail"), "large-deviation": ("gamma",)}
+_TAIL_KEYS = {"bounded": ("K",), "weibull": ("gamma",), "gaussian_product": ("m",)}
+
+
+def _require_keys(data: dict, what: str, *keys):
+    missing = [key for key in keys if key not in data]
+    if missing:
+        raise InvalidInputError("%s needs %s" % (what, ", ".join(map(repr, missing))))
 
 
 _DISPATCH = {

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import erfc
+from scipy.integrate import quad
+from scipy.special import erfc, gammaincc
 
 from orthofield import (
     InsufficientDataError,
     InvalidInputError,
     InvalidRangeError,
     I_integral,
+    NumericFailureError,
     base_constants,
     bounded_by,
     bounded_rhs,
@@ -29,6 +31,7 @@ from orthofield import (
     unit_tail,
     weibull_envelope,
 )
+from orthofield import bounds
 from orthofield.bounds import _level_x, _shape_fn_min
 
 E9 = math.exp(9.0)
@@ -87,6 +90,39 @@ def bisect_level_x(q, s, rising):
     return 0.5 * (x_lo + x_hi)
 
 
+def tight_I(t, dprev):
+    """The planar integral by adaptive scalar quadrature in y = ln v,
+    split where the u-section leaves u = 1, with epsrel 1e-12.  The
+    inner mass uses bisected level sets and the incomplete gamma
+    function: -2^d e^(1/2) Gamma(d+1, x + 1/2) is an antiderivative of
+    (1+2x)^d e^-x."""
+    d = dprev + 1
+    q = d / 2.0
+    fmin_u = math.exp(q - 0.5) * (2 * q) ** -q
+    if t <= fmin_u:
+        return 0.0
+    norm = 2.0**d * math.exp(0.5) * math.gamma(d + 1)
+
+    def integrand(y):
+        s = t * math.sqrt(1.0 + 2.0 * y) * math.exp(-y)
+        if s <= fmin_u:
+            return 0.0
+        x_lo = bisect_level_x(q, s, rising=False) if s < 1.0 else 0.0
+        x_hi = bisect_level_x(q, s, rising=True)
+        mass = norm * (gammaincc(d + 1, x_lo + 0.5) - gammaincc(d + 1, x_hi + 0.5))
+        return math.log1p(math.exp(y)) ** (2 * dprev) * (1.0 + 2.0 * y) * mass
+
+    y_kink = bisect_level_x(0.5, t, rising=True) if t > 1.0 else 0.0
+    y_max = bisect_level_x(0.5, t / fmin_u, rising=True)
+    total = 0.0
+    for lo, hi in ((0.0, y_kink), (y_kink, y_max)):
+        if hi > lo:
+            val, err = quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-12, limit=200)
+            assert err <= 1e-11 * abs(val), (t, dprev, lo, hi, err)
+            total += val
+    return total
+
+
 # ------------------------------------------------------------ level sets
 
 
@@ -124,6 +160,50 @@ def test_level_x_closed_form_matches_bisection(q):
 )
 def test_I_integral_matches_riemann_oracle(dprev, t):
     assert I_integral(t, dprev) == pytest.approx(brute_I(t, dprev), rel=2e-3)
+
+
+@pytest.mark.parametrize(
+    "t,dprev",
+    [(0.9, 1), (1.0, 1), (5.0, 2), (1.7782794100389227e7, 3), (1e3, 4), (3.0, 5), (1e8, 5)],
+)
+def test_I_integral_matches_tight_oracle(t, dprev):
+    # (1.78e7, 3) is a grid point of K_4 where a single adaptive quad in v
+    # passed its own error check 4.8e-5 away from the oracle
+    assert I_integral(t, dprev) == pytest.approx(tight_I(t, dprev), rel=1e-9)
+
+
+def test_I_integral_array_matches_scalar_calls():
+    ts = np.logspace(-0.5, 8.0, 35)
+    for dprev in (1, 3, 5):
+        batch = I_integral(ts, dprev)
+        assert batch.shape == ts.shape
+        for t, got in zip(ts.tolist(), batch.tolist()):
+            assert I_integral(t, dprev) == got, (t, dprev)
+    assert I_integral(ts.reshape(5, 7), 2).shape == (5, 7)
+    with pytest.raises(InvalidRangeError):
+        I_integral(np.array([1.0, 0.0, 2.0]), 2)
+    with pytest.raises(InvalidRangeError):
+        I_integral(np.array([3.0, -1.0]), 1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 128])
+def test_gauss_legendre_rule_is_exact_to_degree_2n_minus_1(n):
+    nodes, weights = bounds._gauss_legendre01(n)
+    assert np.all((nodes > 0.0) & (nodes < 1.0)) and np.all(weights > 0.0)
+    for k in (0, 1, 2 * n - 2, 2 * n - 1):
+        assert weights @ nodes**k == pytest.approx(1.0 / (k + 1), rel=1e-13), k
+
+
+def test_I_integral_unconverged_rule_is_reported(monkeypatch):
+    # with 2 and 4 nodes the two rules disagree far beyond the tolerance;
+    # t = 0.2 lies below min f_2, where I vanishes under any rule
+    monkeypatch.setattr(bounds, "_GL_NODES", 2)
+    with pytest.raises(NumericFailureError) as info:
+        I_integral(np.array([0.2, 1.0e3]), 3)
+    message = str(info.value)
+    assert "t=1000" in message and "d=4" in message
+    estimate = float(message.split("error estimate ")[1].rstrip(")"))
+    assert estimate > 1e-6 * tight_I(1.0e3, 3)
 
 
 def test_I_integral_zero_below_threshold():
@@ -275,6 +355,15 @@ def test_thm1_rhs_pinned_value():
     assert out.integral_term == 0.0
     assert out.value == pytest.approx(math.exp(5.0), rel=1e-12)
     assert out.vacuous
+
+
+def test_thm1_rhs_unconverged_tail_integral_is_reported(monkeypatch):
+    consts = recurse_constants(2)
+    monkeypatch.setattr(bounds, "quad", lambda f, a, b, **kw: (2.0, 1e-3))
+    with pytest.raises(NumericFailureError) as info:
+        thm1_rhs(64.0, 16.0, weibull_envelope(1.0), consts)
+    message = str(info.value)
+    assert "scale=1" in message and "p=4" in message and "error estimate 0.001" in message
 
 
 def test_thm1_rhs_tail_term_positive_for_heavy_model():

@@ -49,6 +49,40 @@ def test_unknown_config_field_is_exit_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+TWO_TERM = {
+    "experiment": "verify-bound",
+    "generator": {"variant": "iid_symmetric", "d": 2, "params": {"dist": "rademacher"}},
+    "shape": [8, 8],
+    "x_grid": [2.0],
+    "replicas": 64,
+    "seed": 3,
+    "bound": {"kind": "two-term", "y": 16.0, "tail": {"kind": "bounded", "K": 1.0}},
+}
+
+
+@pytest.mark.parametrize(
+    "experiment,payload",
+    [
+        ("deviation", [1, 2]),
+        ("deviation", dict(DEVIATION, replicas="10")),
+        ("deviation", dict(DEVIATION, shape=5)),
+        ("deviation", dict(DEVIATION, x_grid=[1.0, "a"])),
+        ("verify-bound", dict(TWO_TERM, bound={"kind": "two-term",
+                                                "tail": {"kind": "bounded", "K": 1.0}})),
+        ("verify-bound", dict(TWO_TERM, bound={"kind": "two-term", "y": 16.0,
+                                                "tail": {"kind": "weibull"}})),
+    ],
+    ids=["top-level-list", "replicas-string", "shape-int", "x-grid-string",
+         "two-term-without-y", "weibull-tail-without-gamma"],
+)
+def test_malformed_config_is_one_line_exit_1(tmp_path, capsys, experiment, payload):
+    cfg = write_config(tmp_path, "bad.json", payload)
+    assert main([experiment, "--config", cfg]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "error" in err, err
+
+
 def test_usage_error_is_exit_1(capsys):
     assert main(["no-such-subcommand"]) == 1
     capsys.readouterr()
