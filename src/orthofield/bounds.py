@@ -52,6 +52,8 @@ from .errors import (
     InvalidInputError,
     InvalidRangeError,
     NumericFailureError,
+    check_kind,
+    check_number,
 )
 
 _E9 = math.exp(9.0)
@@ -99,6 +101,23 @@ def empirical_tail(samples) -> TailModel:
 def unit_tail() -> TailModel:
     """tail = 1 everywhere (testing hook for divergence detection)."""
     return TailModel("unit")
+
+
+_TAIL_KINDS = {"bounded": ("K",), "weibull": ("gamma",), "gaussian_product": ("m",), "unit": ()}
+
+
+def tail_from_dict(data: dict) -> TailModel:
+    """The model a JSON object describes: {"kind": "bounded", "K": k},
+    {"kind": "weibull", "gamma": g}, {"kind": "gaussian_product", "m": m}
+    or {"kind": "unit"}."""
+    kind = check_kind("tail model", data, _TAIL_KINDS)
+    if kind == "bounded":
+        return bounded_by(check_number("tail K", data["K"]))
+    if kind == "weibull":
+        return weibull_envelope(check_number("tail gamma", data["gamma"]))
+    if kind == "gaussian_product":
+        return gaussian_product(check_number("tail m", data["m"], integer=True))
+    return unit_tail()
 
 
 def _gauss_prod_tail(m: int, s: float) -> float:
@@ -180,15 +199,6 @@ def base_constants() -> BoundConstants:
     threshold factor into C = 1 / (2 sqrt(2)) with p = 2.
     """
     return BoundConstants(d=1, A=2.0, B=4.0, C=1.0 / (2.0 * math.sqrt(2.0)), p=2)
-
-
-def shape_fn(q: float, t):
-    """f_q(t) = t (1 + 2 ln t)^(-q) on t >= 1."""
-    arr = np.asarray(t, dtype=np.float64)
-    if np.any(arr < 1.0):
-        raise InvalidRangeError("f_q is used on t >= 1 only")
-    out = arr * (1.0 + 2.0 * np.log(arr)) ** (-q)
-    return out if out.ndim else float(out)
 
 
 def _shape_fn_min(q: float) -> float:

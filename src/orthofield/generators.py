@@ -35,7 +35,13 @@ from scipy.special import gammaincc
 from scipy.special import ndtri
 
 from . import _rng
-from .errors import InvalidInputError, InvalidRangeError, NotTranslatableError
+from .errors import (
+    InvalidInputError,
+    InvalidRangeError,
+    NotTranslatableError,
+    check_number,
+    check_object,
+)
 from .lattice import LatticeArray, _map_blocks, validate_index, validate_shape
 
 _VARIANTS = ("iid_symmetric", "product_rademacher", "decoupled_product", "moving_average", "zero")
@@ -73,30 +79,26 @@ class GeneratorSpec:
 
 
 def _make_spec(variant: str, d: int, **params) -> GeneratorSpec:
+    """The spec of one variant; a param the variant does not read is an error."""
     if variant not in _VARIANTS:
-        raise InvalidInputError("unknown generator variant %r" % variant)
-    if d < 1:
-        raise InvalidRangeError("field dimension must be >= 1, got %d" % d)
-    dist = params.get("dist")
+        raise InvalidInputError("unknown generator variant %r" % (variant,))
+    check_number("field dimension d", d, lo=1, integer=True)
+    read = {}
     if variant in ("iid_symmetric", "decoupled_product", "moving_average"):
+        read["dist"] = dist = params.pop("dist", None)
         if dist not in _DISTS:
             raise InvalidInputError("variant %r needs dist in %r, got %r" % (variant, _DISTS, dist))
         if dist == "gaussian":
-            sigma = float(params.setdefault("sigma", 1.0))
-            if sigma <= 0:
-                raise InvalidRangeError("gaussian sigma must be positive")
-            params["sigma"] = sigma
+            read["sigma"] = float(check_number(
+                "gaussian sigma", params.pop("sigma", 1.0), lo=0, above=True))
         if dist == "weibull_symmetric":
-            gamma = params.get("gamma")
-            if gamma is None or float(gamma) <= 0:
-                raise InvalidRangeError("weibull_symmetric needs gamma > 0")
-            params["gamma"] = float(gamma)
+            read["gamma"] = float(check_number(
+                "weibull_symmetric gamma", params.pop("gamma", None), lo=0, above=True))
     if variant == "moving_average":
-        axis = int(params.setdefault("axis", 1))
-        if not 1 <= axis <= d:
-            raise InvalidRangeError("moving_average axis %d outside 1..%d" % (axis, d))
-        params["axis"] = axis
-    return GeneratorSpec(variant, int(d), tuple(sorted(params.items())))
+        read["axis"] = int(check_number(
+            "moving_average axis", params.pop("axis", 1), lo=1, hi=d, integer=True))
+    check_object("generator %r params" % variant, params, optional=())
+    return GeneratorSpec(variant, int(d), tuple(sorted(read.items())))
 
 
 def iid_rademacher(d: int) -> GeneratorSpec:
@@ -134,15 +136,15 @@ def spec_to_json(spec: GeneratorSpec) -> str:
     )
 
 
-def spec_from_json(text: str) -> GeneratorSpec:
+def spec_from_json(text) -> GeneratorSpec:
+    """The spec a JSON text (or an already decoded object) describes."""
     try:
-        raw = json.loads(text) if isinstance(text, str) else dict(text)
-        variant = raw["variant"]
-        d = int(raw["d"])
-        params = dict(raw.get("params", {}))
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        raw = json.loads(text) if isinstance(text, str) else text
+    except json.JSONDecodeError as exc:
         raise InvalidInputError("malformed generator spec: %r" % (text,)) from exc
-    return _make_spec(variant, d, **params)
+    check_object("generator", raw, ("variant", "d"), ("params",))
+    params = check_object("generator params", raw.get("params", {}))
+    return _make_spec(raw["variant"], raw["d"], **params)
 
 
 def weibull_tail_sample(gamma: float, u):

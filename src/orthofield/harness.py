@@ -1,12 +1,12 @@
 """Monte Carlo experiment driver with machine-readable reports.
 
-Every experiment is described by an ExperimentConfig (JSON round-trip
-safe) and produces a Report whose payload is a pure function of the
-config.  Replicas are counter-addressed through the generator layer, so
-the same config yields the same numbers no matter how many threads run
-the replica blocks of the lattice layer's driver; reductions walk the
-blocks in index order and verdict logic only looks at precomputed
-intervals.
+Every experiment is described by an ExperimentConfig, checked against
+its row of _SCHEMA (the end of this module), and produces a Report
+whose payload is a pure function of the config.  Replicas are
+counter-addressed through the generator layer, so the same config
+yields the same numbers however many threads run the replica blocks of
+the lattice layer's driver; reductions walk the blocks in index order
+and verdict logic only looks at precomputed intervals.
 
 Reports separate the reproducible payload (config echo, rows, verdicts,
 constants trace, tolerances) from the timing block (timestamp, wall
@@ -16,19 +16,19 @@ which is what reproducibility comparisons hash.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-import numbers
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, make_dataclass
 from datetime import datetime, timezone
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtri
 
 from . import bounds, holder
-from ._rng import fold, mix64, stream_key, uniform01
-from .errors import InvalidInputError, InvalidRangeError
+from ._rng import fold, stream_key, uniform01
+from .errors import InvalidInputError, InvalidRangeError, check_kind, check_number, check_object
 from .generators import (
     GeneratorSpec,
     generate_batch,
@@ -38,171 +38,10 @@ from .generators import (
     spec_variance,
 )
 from .lattice import _map_blocks, batch_prefix, padded_prefix, validate_shape, volume
-from .stats import wilson_interval
+from .stats import ks_normal, wilson_interval
 from .sumprocess import from_field
 
 _KS_ALLOWANCE = 0.015
-
-EXPERIMENTS = (
-    "deviation",
-    "verify-bound",
-    "induction-check",
-    "tightness",
-    "fdd",
-    "sheet-cov",
-    "holder-norm",
-    "constants",
-    "lemma-checks",
-    "exponent-fit",
-)
-
-
-# ------------------------------------------------------------- config
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Declarative description of one experiment run.
-
-    Only the fields an experiment consumes need to be set; everything is
-    JSON-serializable so configs can live in files and report echoes."""
-
-    experiment: str
-    generator: GeneratorSpec = None
-    shape: tuple = None
-    shapes: tuple = None  # holder-norm: several lattice sizes
-    exponents: tuple = None  # tightness: dyadic exponents m
-    x_grid: tuple = None
-    eps: float = None
-    t_point: tuple = None
-    replicas: int = 1
-    seed: int = 0
-    threads: int = 1
-    bound: dict = None  # {"kind": bounded|two-term|large-deviation, ...}
-    modulus: dict = None  # {"c": float, "L": {"kind": ..., ...}}
-    tail: dict = None
-    svarying: dict = None
-    axis_q: int = None
-    j_from: int = None
-    j_max: int = None
-    k_max: int = None
-    d: int = None
-    gamma: float = None
-    window: tuple = None
-    grid_points: int = None
-    band: tuple = None
-    pairs: int = None
-    a: float = None
-    c: float = None
-
-    def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
-            raise InvalidInputError("unknown experiment %r" % (self.experiment,))
-        for name in ("replicas", "seed", "threads"):
-            val = getattr(self, name)
-            if not isinstance(val, numbers.Integral) or isinstance(val, bool):
-                raise InvalidInputError("%s must be an integer, not %r" % (name, val))
-        for name in ("shape", "shapes", "exponents", "x_grid", "t_point", "window", "band"):
-            val = getattr(self, name)
-            if val is not None and not isinstance(val, (list, tuple)):
-                raise InvalidInputError("%s must be a list, not %r" % (name, val))
-        for name in ("bound", "modulus", "tail", "svarying"):
-            val = getattr(self, name)
-            if val is not None and not isinstance(val, dict):
-                raise InvalidInputError("%s must be a JSON object, not %r" % (name, val))
-        if self.replicas < 1:
-            raise InvalidRangeError("replicas must be >= 1")
-        if self.threads < 1:
-            raise InvalidRangeError("threads must be >= 1")
-        if self.x_grid is not None:
-            try:
-                grid = tuple(float(x) for x in self.x_grid)
-            except (TypeError, ValueError):
-                raise InvalidInputError(
-                    "x_grid must hold numbers, not %r" % (self.x_grid,)
-                ) from None
-            if any(b <= a for a, b in zip(grid, grid[1:])):
-                raise InvalidInputError("x_grid must be strictly increasing")
-            object.__setattr__(self, "x_grid", grid)
-        for name in ("shape", "t_point", "exponents", "window", "band"):
-            val = getattr(self, name)
-            if val is not None:
-                object.__setattr__(self, name, tuple(val))
-        if self.shapes is not None:
-            object.__setattr__(self, "shapes", tuple(tuple(s) for s in self.shapes))
-
-    def to_dict(self) -> dict:
-        out = {"experiment": self.experiment, "replicas": self.replicas, "seed": self.seed,
-               "threads": self.threads}
-        if self.generator is not None:
-            out["generator"] = json.loads(spec_to_json(self.generator))
-        for name in ("shape", "shapes", "exponents", "x_grid", "eps", "t_point", "bound",
-                     "modulus", "tail", "svarying", "axis_q", "j_from", "j_max", "k_max",
-                     "d", "gamma", "window", "grid_points", "band", "pairs", "a", "c"):
-            val = getattr(self, name)
-            if val is not None:
-                out[name] = _jsonable(val)
-        return out
-
-
-def _jsonable(val):
-    if isinstance(val, tuple):
-        return [_jsonable(v) for v in val]
-    return val
-
-
-def config_from_dict(data: dict) -> ExperimentConfig:
-    data = dict(data)
-    known = set(ExperimentConfig.__dataclass_fields__)
-    unknown = set(data) - known
-    if unknown:
-        raise InvalidInputError("unknown config fields: %s" % ", ".join(sorted(unknown)))
-    if "generator" in data and data["generator"] is not None:
-        data["generator"] = spec_from_json(json.dumps(data["generator"]))
-    return ExperimentConfig(**data)
-
-
-def config_to_json(config: ExperimentConfig) -> str:
-    return json.dumps(config.to_dict(), sort_keys=True, indent=2)
-
-
-def config_from_json(text: str) -> ExperimentConfig:
-    return config_from_dict(json.loads(text))
-
-
-def _svarying_from_dict(data: dict) -> holder.SlowlyVarying:
-    kind = data.get("kind")
-    if kind == "log_power":
-        return holder.log_power(float(data.get("beta", 1.0)))
-    if kind == "iter_log":
-        return holder.iter_log()
-    if kind == "const":
-        return holder.const_factor(float(data.get("c0", 1.0)))
-    raise InvalidInputError("unknown slowly varying kind %r" % (kind,))
-
-
-def _modulus_from_dict(data: dict, d: int) -> holder.Modulus:
-    payload = dict(data)
-    payload.setdefault("d", d)
-    check = bool(payload.pop("check_increasing", True))
-    return holder.modulus_from_dict(payload, check_increasing=check)
-
-
-def _tail_from_dict(data: dict) -> bounds.TailModel:
-    if not isinstance(data, dict):
-        raise InvalidInputError("tail must be a JSON object, not %r" % (data,))
-    kind = data.get("kind")
-    _require_keys(data, "tail %r" % (kind,), *_TAIL_KEYS.get(kind, ()))
-    if kind == "bounded":
-        return bounds.bounded_by(float(data["K"]))
-    if kind == "weibull":
-        return bounds.weibull_envelope(float(data["gamma"]))
-    if kind == "gaussian_product":
-        return bounds.gaussian_product(int(data["m"]))
-    if kind == "unit":
-        return bounds.unit_tail()
-    raise InvalidInputError("unknown tail model kind %r" % (kind,))
-
 
 # ------------------------------------------------------------- report
 
@@ -283,11 +122,9 @@ def _replica_stats(spec, shape, seed, replicas, threads):
 def mc_deviation(config: ExperimentConfig) -> Report:
     """Estimate P{max |S_i| > x sqrt(|n|)} over the configured x grid."""
     t0 = time.perf_counter()
-    _require(config, "generator", "shape", "x_grid")
-    shape = validate_shape(config.shape)
-    m_all, _, _ = _replica_stats(config.generator, shape, config.seed, config.replicas,
+    m_all, _, _ = _replica_stats(config.generator, config.shape, config.seed, config.replicas,
                                  config.threads)
-    scale = math.sqrt(volume(shape))
+    scale = math.sqrt(volume(config.shape))
     rows = []
     for x in config.x_grid:
         hits = int(np.count_nonzero(m_all > x * scale))
@@ -304,13 +141,11 @@ def verify_bound(config: ExperimentConfig) -> Report:
     informative grid point (bound < 1); vacuous points are echoed but
     excluded from the verdict."""
     t0 = time.perf_counter()
-    _require(config, "generator", "shape", "x_grid", "bound")
-    shape = validate_shape(config.shape)
-    kind = config.bound.get("kind")
-    if kind not in _BOUND_KEYS:
-        raise InvalidInputError("unknown bound kind %r" % (kind,))
-    _require_keys(config.bound, "bound %r" % (kind,), *_BOUND_KEYS[kind])
-    model = _tail_from_dict(config.bound["tail"]) if kind == "two-term" else None
+    shape = config.shape
+    kind = check_kind("bound", config.bound, _BOUND_KINDS)
+    key = _BOUND_KINDS[kind][0]
+    param = _positive("bound " + key, config.bound[key])
+    model = bounds.tail_from_dict(config.bound["tail"]) if kind == "two-term" else None
     d = len(shape)
     consts = bounds.recurse_constants(d)
     m_all, end_abs, _ = _replica_stats(config.generator, shape, config.seed,
@@ -320,15 +155,15 @@ def verify_bound(config: ExperimentConfig) -> Report:
     for x in config.x_grid:
         if kind == "bounded":
             stat, threshold = m_all, x * math.sqrt(n_cells)
-            bv = bounds.bounded_rhs(x, float(config.bound["K"]), consts)
+            bv = bounds.bounded_rhs(x, param, consts)
             extra = {}
         elif kind == "two-term":
             stat, threshold = m_all, x * math.sqrt(n_cells)
-            bv = bounds.thm1_rhs(x, float(config.bound["y"]), model, consts)
+            bv = bounds.thm1_rhs(x, param, model, consts)
             extra = {}
         else:  # large-deviation
             stat, threshold = end_abs, x * n_cells
-            ld = bounds.thm2_rhs(x, shape, float(config.bound["gamma"]), d)
+            ld = bounds.thm2_rhs(x, shape, param, d)
             bv = bounds.BoundValue(ld.value, ld.exp_term, ld.integral_term, ld.vacuous)
             extra = {"y_star": ld.y_star, "x_equiv": ld.x_equiv}
         hits = int(np.count_nonzero(stat > threshold))
@@ -356,8 +191,7 @@ def induction_step_check(config: ExperimentConfig) -> Report:
     out.  The right side is the exact integral of the empirical step
     tail: mean over replicas of max(0, 2 M' / (x sqrt(|n|)) - 1)."""
     t0 = time.perf_counter()
-    _require(config, "generator", "shape", "x_grid")
-    shape = validate_shape(config.shape)
+    shape = config.shape
     if len(shape) < 2:
         raise InvalidRangeError("induction check needs d >= 2")
     m_all, _, m_slab = _replica_stats(config.generator, shape, config.seed,
@@ -401,15 +235,13 @@ def sheet_cov_check(config: ExperimentConfig) -> Report:
     of coordinate minima; PASS when every sampled pair is within 3
     standard errors."""
     t0 = time.perf_counter()
-    _require(config, "shape")
-    res = validate_shape(config.shape)
-    n_pairs = config.pairs or 10
+    res = config.shape
     sheets = brownian_sheet_sim(res, config.seed, config.replicas, config.threads)
     key = stream_key(config.seed, "sheet-pairs")
-    draws = uniform01(fold(key, np.arange(2 * len(res) * n_pairs, dtype=np.uint64)))
-    draws = draws.reshape(n_pairs, 2, len(res))
+    draws = uniform01(fold(key, np.arange(2 * len(res) * config.pairs, dtype=np.uint64)))
+    draws = draws.reshape(config.pairs, 2, len(res))
     rows = []
-    for idx in range(n_pairs):
+    for idx in range(config.pairs):
         nodes = []
         for side in range(2):
             nodes.append(tuple(1 + int(draws[idx, side, q] * res[q]) for q in range(len(res))))
@@ -427,7 +259,7 @@ def sheet_cov_check(config: ExperimentConfig) -> Report:
     return _finish("sheet-cov", config, verdict, rows, t0, tolerances={"z_max": 3.0})
 
 
-def fdd_compare(config: ExperimentConfig, t=None) -> Report:
+def fdd_compare(config: ExperimentConfig) -> Report:
     """Kolmogorov-Smirnov comparison of W_n(t) replicas against the
     centered normal with variance Var(X) prod t_q.
 
@@ -435,9 +267,8 @@ def fdd_compare(config: ExperimentConfig, t=None) -> Report:
     sampled value is an exact normalized partial sum; interpolated
     points would mix lattice cells and bias the test."""
     t0 = time.perf_counter()
-    _require(config, "generator", "shape")
-    shape = validate_shape(config.shape)
-    point = tuple(float(v) for v in (t if t is not None else config.t_point or ()))
+    shape = config.shape
+    point = tuple(float(v) for v in config.t_point)
     if len(point) != len(shape):
         raise InvalidInputError("t must have one coordinate per axis")
     k = []
@@ -455,12 +286,8 @@ def fdd_compare(config: ExperimentConfig, t=None) -> Report:
         return prefix[(slice(None),) + (-1,) * len(k)].copy()
 
     samples = np.concatenate(_map_blocks(work, config.replicas, config.threads))
-    samples = np.sort(samples) / math.sqrt(volume(shape))
-    n = samples.size
-    cdf = ndtr(samples / math.sqrt(sigma2))
-    steps = np.arange(1, n + 1) / n
-    ks = float(np.max(np.maximum(steps - cdf, cdf - (steps - 1.0 / n))))
-    threshold = 1.36 / math.sqrt(n) + _KS_ALLOWANCE
+    ks = ks_normal(samples / math.sqrt(volume(shape)), sigma2)
+    threshold = 1.36 / math.sqrt(samples.size) + _KS_ALLOWANCE
     verdict = "PASS" if ks <= threshold else "FAIL"
     rows = [{"t": list(point), "k": k, "ks_stat": ks, "threshold": threshold,
              "sigma2": sigma2, "ok": verdict == "PASS"}]
@@ -468,26 +295,16 @@ def fdd_compare(config: ExperimentConfig, t=None) -> Report:
                    tolerances={"ks": "1.36/sqrt(R) + %g" % _KS_ALLOWANCE})
 
 
-def holder_norm_of_Wn(config: ExperimentConfig, rho: holder.Modulus = None,
-                      j_max: int = None) -> Report:
+def holder_norm_of_Wn(config: ExperimentConfig) -> Report:
     """Distribution of the sequential norm of W_n across replicas, per
     lattice size; quantile stability across growing n is the tightness
     proxy reported."""
     t0 = time.perf_counter()
-    _require(config, "generator")
-    shape_list = config.shapes or ((config.shape and tuple(config.shape)),)
-    if shape_list[0] is None:
-        raise InvalidInputError("holder-norm needs shape or shapes")
     rows = []
-    for shape in shape_list:
-        shape = validate_shape(shape)
-        if rho is None:
-            if config.modulus is None:
-                raise InvalidInputError("holder-norm needs a modulus")
-            rho_s = _modulus_from_dict(config.modulus, len(shape))
-        else:
-            rho_s = rho
-        levels = j_max or config.j_max or max(int(math.ceil(math.log2(max(shape)))), 1)
+    for shape in config.shapes:
+        rho_s = holder.modulus_from_dict({"d": len(shape), **config.modulus})
+        finest = max(int(math.ceil(math.log2(max(shape)))), 1)
+        levels = finest if config.j_max is None else config.j_max
 
         def work(start, count, shape=shape, rho_s=rho_s, levels=levels):
             fields = generate_batch(config.generator, shape, config.seed, start, count)
@@ -511,9 +328,8 @@ def tightness_experiment(config: ExperimentConfig) -> Report:
     starting levels J; the reported sums are nonincreasing in J by
     construction (common replicas per level)."""
     t0 = time.perf_counter()
-    _require(config, "generator", "exponents", "eps", "axis_q", "j_from", "modulus")
-    m = tuple(int(v) for v in config.exponents)
-    rho = _modulus_from_dict(config.modulus, len(m))
+    m = config.exponents
+    rho = holder.modulus_from_dict({"d": len(m), **config.modulus})
     result = holder.tightness_sum_estimate(
         config.generator, rho, config.eps, config.axis_q, config.j_from, m,
         config.replicas, config.seed, config.threads,
@@ -526,8 +342,7 @@ def tightness_experiment(config: ExperimentConfig) -> Report:
 
 def constants_experiment(config: ExperimentConfig) -> Report:
     t0 = time.perf_counter()
-    d = config.d or 6
-    table = [bounds.recurse_constants(level).to_dict() for level in range(1, d + 1)]
+    table = [bounds.recurse_constants(level).to_dict() for level in range(1, config.d + 1)]
     drift_ok = all(row[4] <= 0.01 for level in table for row in level["K_levels"])
     return _finish("constants", config, "PASS" if drift_ok else "FAIL", table, t0,
                    constants=table[-1], tolerances={"last_decade_drift": 0.01})
@@ -538,17 +353,14 @@ def lemma_checks(config: ExperimentConfig) -> Report:
     factor L and one tail model; PASS when the comparison ratios are
     trend-free and both series converge."""
     t0 = time.perf_counter()
-    _require(config, "svarying", "tail")
-    L = _svarying_from_dict(config.svarying)
-    model = _tail_from_dict(config.tail)
-    k_max = config.k_max or 40
-    j_max = config.j_max or 40
-    ratios = bounds.lemma_svarying_partial_sum(L, k_max)
-    last = ratios["ratios"][-min(10, k_max):]
+    L = holder.svarying_from_dict(config.svarying)
+    model = bounds.tail_from_dict(config.tail)
+    ratios = bounds.lemma_svarying_partial_sum(L, config.k_max)
+    last = ratios["ratios"][-min(10, config.k_max):]
     slope = float(np.polyfit(np.arange(len(last)), last, 1)[0]) if len(last) > 1 else 0.0
     trend_free = slope <= 1e-3 * max(1.0, float(np.mean(last)))
-    wip = bounds.cond_wip_check(L, model, config.a or 1.0, j_max)
-    moments = bounds.lemma3_moment_sum(L, model, config.c or 1.0, j_max)
+    wip = bounds.cond_wip_check(L, model, config.a, config.j_max)
+    moments = bounds.lemma3_moment_sum(L, model, config.c, config.j_max)
     ok = trend_free and wip["converged"] and moments["converged"]
     rows = [
         {"check": "svarying_partial_sum", "C_L": ratios["C_L"], "last_slope": slope,
@@ -566,18 +378,12 @@ def exponent_fit_experiment(config: ExperimentConfig) -> Report:
     2/d, and the optional band turns the report into a verdict."""
     t0 = time.perf_counter()
     d = config.d
-    if d is None or d < 1:
-        raise InvalidInputError("exponent-fit needs d >= 1")
     key = stream_key(config.seed, "exponent-fit")
     prod = np.ones(config.replicas)
     for axis in range(d):
         h = fold(fold(key, np.uint64(axis)), np.arange(config.replicas, dtype=np.uint64))
         prod *= np.abs(ndtri(uniform01(h)))
-    fit = bounds.exponent_fit(
-        prod,
-        window=config.window or (0.90, 0.999),
-        grid_points=config.grid_points or 24,
-    )
+    fit = bounds.exponent_fit(prod, window=config.window, grid_points=config.grid_points)
     row = {"d": d, "gamma_hat": fit.gamma_hat, "target": 2.0 / d,
            "window": list(fit.window)}
     verdict = "INFO"
@@ -593,36 +399,140 @@ def _json_float(x: float):
     return x if math.isfinite(x) else ("inf" if x > 0 else "-inf")
 
 
-def _require(config: ExperimentConfig, *names):
-    for name in names:
-        if getattr(config, name) is None:
-            raise InvalidInputError("experiment %r needs %r" % (config.experiment, name))
+# ------------------------------------------------------------- config
 
 
-# the keys each kind of bound and tail model reads from its JSON object
-_BOUND_KEYS = {"bounded": ("K",), "two-term": ("y", "tail"), "large-deviation": ("gamma",)}
-_TAIL_KEYS = {"bounded": ("K",), "weibull": ("gamma",), "gaussian_product": ("m",)}
+def _integer(lo, hi=math.inf):
+    return functools.partial(check_number, lo=lo, hi=hi, integer=True)
 
 
-def _require_keys(data: dict, what: str, *keys):
-    missing = [key for key in keys if key not in data]
-    if missing:
-        raise InvalidInputError("%s needs %s" % (what, ", ".join(map(repr, missing))))
+_positive = functools.partial(check_number, lo=0, above=True)
 
 
-_DISPATCH = {
-    "deviation": mc_deviation,
-    "verify-bound": verify_bound,
-    "induction-check": induction_step_check,
-    "tightness": tightness_experiment,
-    "fdd": fdd_compare,
-    "sheet-cov": sheet_cov_check,
-    "holder-norm": holder_norm_of_Wn,
-    "constants": constants_experiment,
-    "lemma-checks": lemma_checks,
-    "exponent-fit": exponent_fit_experiment,
+def _list_of(item, n=None):
+    def check(name, value):
+        if not isinstance(value, (list, tuple)) or not value or n not in (None, len(value)):
+            raise InvalidInputError("%s must be a list of %s, not %r"
+                                    % (name, n or "1 or more", value))
+        return tuple(item(name, v) for v in value)
+    return check
+
+
+def _generator(name, value):
+    return value if isinstance(value, GeneratorSpec) else spec_from_json(json.dumps(value))
+
+
+def _shape(name, value):
+    return validate_shape(_list_of(_integer(1))(name, value))
+
+
+def _x_grid(name, value):
+    grid = tuple(float(x) for x in _list_of(check_number)(name, value))
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise InvalidInputError("x_grid must be strictly increasing")
+    return grid
+
+
+def _holder_shapes(config):
+    if config.shape is None:
+        raise InvalidInputError("experiment 'holder-norm' needs 'shape' or 'shapes'")
+    return (config.shape,)
+
+
+_REQUIRED = object()
+_GENERATOR, _SHAPE, _X_GRID, _OBJECT = (
+    (check, _REQUIRED) for check in (_generator, _shape, _x_grid, check_object))
+
+# Each experiment's runner and fields, a field as name: (check, default).
+# check(name, value as given) returns the value the runner reads or
+# raises; _REQUIRED marks a field without a default, and a callable
+# default is computed from the config.  The spec parsers read object
+# fields (bound, modulus, tail, svarying) when the experiment runs.
+_COMMON = {"replicas": (_integer(1), 1), "seed": (_integer(0, 2**64 - 1), 0),
+           "threads": (_integer(1), 1)}
+_SCHEMA = {
+    "deviation": (mc_deviation, {"generator": _GENERATOR, "shape": _SHAPE, "x_grid": _X_GRID}),
+    "verify-bound": (verify_bound, {"generator": _GENERATOR, "shape": _SHAPE, "x_grid": _X_GRID,
+                                    "bound": _OBJECT}),
+    "induction-check": (induction_step_check, {"generator": _GENERATOR, "shape": _SHAPE,
+                                               "x_grid": _X_GRID}),
+    "tightness": (tightness_experiment, {
+        "generator": _GENERATOR, "exponents": (_list_of(_integer(0)), _REQUIRED),
+        "eps": (_positive, _REQUIRED), "axis_q": (_integer(1), _REQUIRED),
+        "j_from": (_integer(0), _REQUIRED), "modulus": _OBJECT}),
+    "fdd": (fdd_compare, {"generator": _GENERATOR, "shape": _SHAPE,
+                          "t_point": (_list_of(check_number), _REQUIRED)}),
+    "sheet-cov": (sheet_cov_check, {"shape": _SHAPE, "pairs": (_integer(1), 10)}),
+    "holder-norm": (holder_norm_of_Wn, {
+        "generator": _GENERATOR, "shape": (_shape, None),
+        "shapes": (_list_of(_shape), _holder_shapes), "modulus": _OBJECT,
+        "j_max": (_integer(0), None)}),
+    "constants": (constants_experiment, {"d": (_integer(1, 6), 6)}),
+    "lemma-checks": (lemma_checks, {
+        "svarying": _OBJECT, "tail": _OBJECT, "k_max": (_integer(1), 40),
+        "j_max": (_integer(1), 40), "a": (_positive, 1.0), "c": (_positive, 1.0)}),
+    "exponent-fit": (exponent_fit_experiment, {
+        "d": (_integer(1), _REQUIRED), "window": (_list_of(check_number, 2), (0.90, 0.999)),
+        "grid_points": (_integer(4), 24), "band": (_list_of(check_number, 2), None)}),
 }
+EXPERIMENTS = tuple(_SCHEMA)
+_FIELD_NAMES = sorted(set(_COMMON).union(*(table for _, table in _SCHEMA.values())))
+
+
+def _validate(config):
+    if config.experiment not in EXPERIMENTS:
+        raise InvalidInputError("unknown experiment %r" % (config.experiment,))
+    table = {**_COMMON, **_SCHEMA[config.experiment][1]}
+    given = {name: getattr(config, name) for name in _FIELD_NAMES
+             if getattr(config, name) is not None}
+    check_object("experiment %r" % config.experiment, given, optional=table)
+    for name, (check, default) in table.items():
+        if name in given:
+            value = check(name, given[name])
+        elif default is _REQUIRED:
+            raise InvalidInputError("experiment %r needs %r" % (config.experiment, name))
+        else:
+            value = default(config) if callable(default) else default
+        object.__setattr__(config, name, value)
+    object.__setattr__(config, "given", tuple(given))
+
+
+def _to_dict(config) -> dict:
+    out = {"experiment": config.experiment, "replicas": config.replicas, "seed": config.seed,
+           "threads": config.threads, **{name: getattr(config, name) for name in config.given}}
+    if config.generator is not None:
+        out["generator"] = json.loads(spec_to_json(config.generator))
+    return out
+
+
+ExperimentConfig = make_dataclass(
+    "ExperimentConfig",
+    [("experiment", str, None)] + [(name, object, None) for name in _FIELD_NAMES]
+    + [("given", tuple, dc_field(default=(), init=False, repr=False, compare=False))],
+    namespace={"__module__": __name__, "__post_init__": _validate, "to_dict": _to_dict},
+    frozen=True,
+)
+ExperimentConfig.__doc__ = """One experiment run: its name and, as keywords, the fields _SCHEMA
+lists for it.  Validation fills in the defaults and keeps the names
+given in `given`, which the report echo (to_dict) holds with replicas
+and seed."""
+
+# the keys each kind of bound reads: one positive number, then two-term's tail
+_BOUND_KINDS = {"bounded": ("K",), "two-term": ("y", "tail"), "large-deviation": ("gamma",)}
+
+
+def config_from_dict(data: dict) -> ExperimentConfig:
+    check_object("config", data, optional=["experiment"] + _FIELD_NAMES)
+    return ExperimentConfig(**data)
+
+
+def config_to_json(config: ExperimentConfig) -> str:
+    return json.dumps(config.to_dict(), sort_keys=True, indent=2)
+
+
+def config_from_json(text: str) -> ExperimentConfig:
+    return config_from_dict(json.loads(text))
 
 
 def run_experiment(config: ExperimentConfig) -> Report:
-    return _DISPATCH[config.experiment](config)
+    return _SCHEMA[config.experiment][0](config)

@@ -40,6 +40,9 @@ from .errors import (
     InvalidSiteError,
     NoParentsError,
     TooLargeError,
+    check_kind,
+    check_number,
+    check_object,
 )
 from .lattice import _map_blocks, batch_prefix, max_cells
 from .stats import wilson_interval
@@ -99,18 +102,32 @@ class Modulus:
         return {"c": self.c, "d": self.d, "L": L}
 
 
-def modulus_from_dict(data: dict, check_increasing: bool = True) -> Modulus:
-    spec = data.get("L", {"kind": "const", "c0": 1.0})
-    kind = spec.get("kind")
+_SVARYING_KINDS = {"log_power": ("beta",), "iter_log": (), "const": ("c0",)}
+
+
+def svarying_from_dict(data: dict) -> SlowlyVarying:
+    """The factor a JSON object describes: {"kind": "log_power", "beta": b},
+    {"kind": "iter_log"} or {"kind": "const", "c0": c}, b and c
+    defaulting to 1."""
+    kind = check_kind("slowly varying factor", data, _SVARYING_KINDS, optional=True)
     if kind == "log_power":
-        L = log_power(float(spec.get("beta", 1.0)))
-    elif kind == "iter_log":
-        L = iter_log()
-    elif kind == "const":
-        L = const_factor(float(spec.get("c0", 1.0)))
-    else:
-        raise InvalidInputError("unknown slowly varying kind %r" % (kind,))
-    return modulus(float(data["c"]), int(data["d"]), L, check_increasing=check_increasing)
+        return log_power(check_number("log_power beta", data.get("beta", 1.0)))
+    if kind == "const":
+        return const_factor(check_number("const factor c0", data.get("c0", 1.0)))
+    return iter_log()
+
+
+def modulus_from_dict(data: dict, check_increasing: bool = True) -> Modulus:
+    """The modulus a JSON object describes: {"c": c, "d": d, "L": factor},
+    L defaulting to the constant 1; an optional boolean
+    "check_increasing" overrides the argument."""
+    check_object("modulus", data, ("c", "d"), ("L", "check_increasing"))
+    check = data.get("check_increasing", check_increasing)
+    if not isinstance(check, bool):
+        raise InvalidInputError("modulus check_increasing must be true or false, not %r" % (check,))
+    L = svarying_from_dict(data.get("L", {"kind": "const", "c0": 1.0}))
+    return modulus(check_number("modulus c", data["c"]),
+                   check_number("modulus d", data["d"], integer=True), L, check_increasing=check)
 
 
 def modulus(c: float, d: int, L: SlowlyVarying, check_increasing: bool = True,

@@ -32,6 +32,7 @@ MultiIndex = tuple  # d-tuple of 1-based ints
 DEFAULT_MAX_CELLS = 1 << 28
 _ENV_MAX_CELLS = "ORTHOFIELD_MAX_CELLS"
 _BLOCK = 64  # replicas per unit of work; fixed so threading cannot regroup
+_MAX_THREADS = 32  # worker threads one driver call starts at most
 
 
 def max_cells() -> int:
@@ -153,11 +154,13 @@ def padded_prefix(prefix: np.ndarray, lead: int = 0) -> np.ndarray:
 def _map_blocks(fn, total: int, threads: int) -> list:
     """Run fn(start, count) over consecutive blocks of at most _BLOCK
     replicas covering [0, total); results come back in block order
-    regardless of thread scheduling."""
+    regardless of thread scheduling.  At most _MAX_THREADS threads run,
+    and never more than there are blocks."""
     plan = [(start, min(_BLOCK, total - start)) for start in range(0, total, _BLOCK)]
-    if threads <= 1:
+    workers = min(threads, len(plan), _MAX_THREADS)
+    if workers <= 1:
         return [fn(start, count) for start, count in plan]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(fn, start, count) for start, count in plan]
         return [f.result() for f in futures]
 

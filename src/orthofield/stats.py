@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+from scipy.special import ndtr
+
 from .errors import InvalidInputError
 
 
@@ -23,3 +26,13 @@ def wilson_interval(hits: int, trials: int, z: float = 1.96) -> tuple:
     center = (p + z2 / (2.0 * trials)) / denom
     half = (z / denom) * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials * trials))
     return (max(0.0, center - half), min(1.0, center + half))
+
+
+def ks_normal(samples, sigma2: float) -> float:
+    """Kolmogorov-Smirnov distance between the empirical law of the
+    samples and the centered normal with variance sigma2."""
+    samples = np.sort(samples)
+    n = samples.size
+    cdf = ndtr(samples / math.sqrt(sigma2))
+    steps = np.arange(1, n + 1) / n
+    return float(np.max(np.maximum(steps - cdf, cdf - (steps - 1.0 / n))))

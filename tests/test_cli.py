@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -60,6 +61,18 @@ TWO_TERM = {
 }
 
 
+def _gen(dist="rademacher", variant="iid_symmetric", **params):
+    return {"variant": variant, "d": 2, "params": dict(params, dist=dist)}
+
+
+MODULUS = {"c": math.exp(4.0), "L": {"kind": "iter_log"}}
+TIGHTNESS = {"experiment": "tightness", "generator": _gen("gaussian"), "exponents": [3, 3],
+             "eps": 1.0, "axis_q": 1, "j_from": 1, "replicas": 8, "modulus": MODULUS}
+LEMMA = {"experiment": "lemma-checks", "svarying": {"kind": "log_power", "beta": 2.0},
+         "tail": {"kind": "weibull", "gamma": 1.0}, "k_max": 10, "j_max": 10}
+EXPONENT_FIT = {"experiment": "exponent-fit", "d": 1, "replicas": 2000}
+
+
 @pytest.mark.parametrize(
     "experiment,payload",
     [
@@ -71,9 +84,40 @@ TWO_TERM = {
                                                 "tail": {"kind": "bounded", "K": 1.0}})),
         ("verify-bound", dict(TWO_TERM, bound={"kind": "two-term", "y": 16.0,
                                                 "tail": {"kind": "weibull"}})),
+        ("deviation", dict(DEVIATION, generator=_gen("gaussian", sigma="x"))),
+        ("deviation", dict(DEVIATION, generator=_gen("weibull_symmetric", gamma="q"))),
+        ("deviation", dict(DEVIATION, generator=_gen(variant="moving_average", axis="q"))),
+        ("tightness", dict(TIGHTNESS, modulus={"c": "x"})),
+        ("tightness", dict(TIGHTNESS, modulus={"c": 55, "L": "x"})),
+        ("tightness", dict(TIGHTNESS, exponents=[3, "b"])),
+        ("holder-norm", {"experiment": "holder-norm", "generator": _gen(), "shapes": [8, 8],
+                         "modulus": MODULUS}),
+        ("lemma-checks", dict(LEMMA, svarying={"kind": "log_power", "beta": "x"})),
+        ("lemma-checks", dict(LEMMA, tail={"kind": "weibull", "gamma": "x"})),
+        ("lemma-checks", dict(LEMMA, k_max="x")),
+        ("exponent-fit", dict(EXPONENT_FIT, band=[1])),
+        ("exponent-fit", dict(EXPONENT_FIT, d="x")),
+        ("constants", {"d": 2.5}),
+        ("verify-bound", dict(TWO_TERM, bound={"kind": "bounded", "K": "x"})),
+        ("verify-bound", dict(TWO_TERM, bound={"kind": "two-term", "y": 16.0,
+                                                "tail": {"kind": "gaussian_product", "m": "x"}})),
+        # a falsy value read as "not given", or a field nobody reads
+        ("constants", {"d": 0}),
+        ("constants", {"d": -3}),
+        ("sheet-cov", {"shape": [4, 4], "replicas": 16, "pairs": 0}),
+        ("exponent-fit", dict(EXPONENT_FIT, grid_points=0)),
+        ("deviation", dict(DEVIATION, modulus=MODULUS)),
+        ("deviation", dict(DEVIATION, generator=_gen(sigma=1.0))),
     ],
     ids=["top-level-list", "replicas-string", "shape-int", "x-grid-string",
-         "two-term-without-y", "weibull-tail-without-gamma"],
+         "two-term-without-y", "weibull-tail-without-gamma",
+         "gaussian-sigma-string", "weibull-gamma-string", "moving-average-axis-string",
+         "modulus-c-string", "modulus-L-string", "exponents-string",
+         "shapes-not-nested", "svarying-beta-string", "tail-gamma-string", "k-max-string",
+         "band-one-value", "exponent-fit-d-string", "constants-d-float",
+         "bound-K-string", "gaussian-product-m-string",
+         "constants-d-zero", "constants-d-negative", "sheet-cov-pairs-zero",
+         "exponent-fit-grid-points-zero", "deviation-with-modulus", "rademacher-with-sigma"],
 )
 def test_malformed_config_is_one_line_exit_1(tmp_path, capsys, experiment, payload):
     cfg = write_config(tmp_path, "bad.json", payload)

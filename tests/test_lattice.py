@@ -1,4 +1,5 @@
 import threading
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -141,6 +142,34 @@ def test_map_blocks_returns_block_order_under_threads(monkeypatch):
 
     assert lattice._map_blocks(work, 10, 4) == plan
     assert finished == [9, 6, 3, 0]
+
+
+def test_map_blocks_caps_worker_threads(monkeypatch):
+    # a synchronous stand-in for the pool records the worker count it is
+    # asked for and starts no thread
+    requested = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(lattice, "ThreadPoolExecutor", RecordingPool)
+    counts = lattice._map_blocks(lambda start, count: count, 100000, 100000)
+    assert len(counts) == 1563 and sum(counts) == 100000
+    assert requested == [lattice._MAX_THREADS] and lattice._MAX_THREADS < 1563
+    assert len(lattice._map_blocks(lambda start, count: count, 3 * lattice._BLOCK, 100000)) == 3
+    assert requested[-1] == 3
 
 
 def test_volume_and_dominated():
