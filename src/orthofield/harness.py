@@ -39,7 +39,6 @@ from .generators import (
 )
 from .lattice import _map_blocks, batch_prefix, padded_prefix, validate_shape, volume
 from .stats import ks_normal, wilson_interval
-from .sumprocess import from_field
 
 _KS_ALLOWANCE = 0.015
 
@@ -307,12 +306,9 @@ def holder_norm_of_Wn(config: ExperimentConfig) -> Report:
         levels = finest if config.j_max is None else config.j_max
 
         def work(start, count, shape=shape, rho_s=rho_s, levels=levels):
-            fields = generate_batch(config.generator, shape, config.seed, start, count)
-            out = np.empty(count)
-            for i in range(count):
-                proc = from_field(fields[i])
-                out[i] = holder.seq_norm(holder.process_evaluator(proc), rho_s, levels).norm
-            return out
+            prefix = batch_prefix(generate_batch(config.generator, shape, config.seed, start,
+                                                 count))
+            return holder.grid_seq_norms(padded_prefix(prefix, lead=1), rho_s, levels)
 
         norms = np.concatenate(_map_blocks(work, config.replicas, config.threads))
         qs = np.quantile(norms, [0.25, 0.5, 0.75, 0.9])
@@ -434,8 +430,6 @@ def _x_grid(name, value):
 
 
 def _holder_shapes(config):
-    if config.shape is None:
-        raise InvalidInputError("experiment 'holder-norm' needs 'shape' or 'shapes'")
     return (config.shape,)
 
 
@@ -486,6 +480,10 @@ def _validate(config):
     given = {name: getattr(config, name) for name in _FIELD_NAMES
              if getattr(config, name) is not None}
     check_object("experiment %r" % config.experiment, given, optional=table)
+    # the one rule across fields: a field check sees one value at a time
+    if config.experiment == "holder-norm" and ("shape" in given) == ("shapes" in given):
+        raise InvalidInputError("experiment 'holder-norm' needs exactly one of 'shape' and "
+                                "'shapes'")
     for name, (check, default) in table.items():
         if name in given:
             value = check(name, given[name])

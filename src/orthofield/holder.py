@@ -23,6 +23,22 @@ partial-sum process of an (n_1, ..., n_d) lattice the truncation is
 exact once J_max covers log2(max n_q): beyond that resolution the
 process is multiaffine on every dyadic cell and new coefficients
 vanish in d = 1 / stay at rounding scale in the measured cases.
+
+seq_norm measures any vectorized evaluator x: (m, d) -> (m,) site by
+site; it is the definition, and the per-site objects it is built from
+(DyadicSite, dyadic_sites, level_set_count, vpm, pyramid_eval,
+schauder_coeff) are the terms the source paper states its results in,
+which the acceptance suite checks exactly.  grid_seq_norms is the same
+norm for the partial-sum process of a whole block of replicas: every
+level-j node and both its parents are nodes of the level-J_max dyadic
+grid, so W is evaluated once per grid node and level j is the grid's
+every 2^(J_max - j)-th node, its coefficients slice arithmetic.  The
+grid values use the 2^d-corner weighted sum of sumprocess.eval_W_batch
+with the same operations in the same order (per-axis base and frac,
+weights multiplied in axis order, corners added in mask order, the
+division by sqrt|n| last), so the norms equal seq_norm's bit for bit;
+a tensor product with per-axis interpolation matrices would add the
+same terms in another order and move the last bits.
 """
 
 from __future__ import annotations
@@ -44,7 +60,8 @@ from .errors import (
     check_number,
     check_object,
 )
-from .lattice import _map_blocks, batch_prefix, max_cells
+from . import lattice
+from .lattice import _map_blocks, batch_prefix, max_cells, volume
 from .stats import wilson_interval
 
 # ---------------------------------------------------------------- moduli
@@ -308,11 +325,94 @@ def seq_norm(x, rho: Modulus, j_max: int) -> SeqNormResult:
     return SeqNormResult(best, best_level, tuple(rows))
 
 
-def process_evaluator(process):
-    """Adapter: a PartialSumProcess as a vectorized [0,1]^d evaluator."""
-    from .sumprocess import eval_W_batch
+def _grid_values(padded: np.ndarray, J: int) -> np.ndarray:
+    """W of each replica on the level-J dyadic grid, (count, 2^J + 1, ...).
 
-    return lambda pts: eval_W_batch(process, pts)
+    The corner sum of sumprocess.eval_W_batch with its operation order,
+    per axis instead of per point: weights multiplied in axis order,
+    corners added in mask order, the division by sqrt|n| last."""
+    dims = padded.shape[1:]
+    t = np.arange((1 << J) + 1, dtype=np.float64) / (1 << J)
+    base, frac = [], []
+    for m in dims:
+        n = float(m - 1)
+        x = t * n
+        b = np.minimum(np.floor(x), n - 1.0)
+        np.maximum(b, 0.0, out=b)
+        frac.append(x - b)
+        base.append(b.astype(np.int64))
+    total = np.zeros((len(padded),) + (len(t),) * len(dims))
+    for mask in range(1 << len(dims)):
+        w = 1.0
+        idx = []
+        for q in range(len(dims)):
+            axis = (-1,) + (1,) * (len(dims) - 1 - q)
+            if mask >> q & 1:
+                idx.append(base[q] + 1)
+                w = w * frac[q].reshape(axis)
+            else:
+                idx.append(base[q])
+                w = w * (1.0 - frac[q]).reshape(axis)
+        corner = padded[(slice(None),) + np.ix_(*idx)]
+        corner *= w
+        total += corner
+        del corner  # the next gather must not meet this one alive
+    total /= math.sqrt(volume(m - 1 for m in dims))
+    return total
+
+
+def _grid_peaks(grid: np.ndarray, j: int, J: int) -> np.ndarray:
+    """max_{v in V_j} |lambda_{j,v}| of each replica from its level-J grid.
+
+    Level j is every 2^(J-j)-th node; for j >= 1 each nonzero parity
+    pattern (odd on the axes it marks, even on the rest) is one slice of
+    sites, and their parents v-+ are the same slice moved one node down
+    / up on the odd axes."""
+    d = grid.ndim - 1
+    level = grid[(slice(None),) + (slice(None, None, 1 << (J - j)),) * d]
+    axes = tuple(range(1, d + 1))
+    if j == 0:
+        return np.abs(level).max(axis=axes)
+    peak = np.zeros(len(grid))
+    even = slice(None, None, 2)
+    for pattern in range(1, 1 << d):
+        odd = [pattern >> q & 1 for q in range(d)]
+        c = (slice(None),) + tuple(slice(1, None, 2) if o else even for o in odd)
+        lo = (slice(None),) + tuple(slice(None, -1, 2) if o else even for o in odd)
+        hi = (slice(None),) + tuple(slice(2, None, 2) if o else even for o in odd)
+        coeffs = level[c] - 0.5 * (level[lo] + level[hi])
+        np.maximum(peak, np.abs(coeffs).max(axis=axes), out=peak)
+    return peak
+
+
+def grid_seq_norms(padded, rho: Modulus, j_max: int) -> np.ndarray:
+    """seq_norm(W, rho, j_max).norm of the partial-sum process W of each
+    replica in a block of padded prefix arrays (replica axis first, as
+    lattice.padded_prefix(prefix, lead=1) gives them), bit for bit.
+
+    W is evaluated once per node of the level-j_max dyadic grid, in
+    replica chunks whose grid stays within lattice._GRID_CELLS cells."""
+    padded = np.asarray(padded, dtype=np.float64)
+    d = padded.ndim - 1
+    if d != rho.d:
+        raise InvalidInputError("prefix arrays have dimension %d, modulus has %d" % (d, rho.d))
+    if j_max < 0:
+        raise InvalidRangeError("j_max must be >= 0")
+    cells = full_grid_count(j_max, d)
+    if cells > max_cells():
+        raise TooLargeError("level grid with %d nodes exceeds the cell cap" % cells)
+    scales = [modulus_eval(rho, 2.0**-j) for j in range(j_max + 1)]
+    step = max(1, lattice._GRID_CELLS // cells)
+    return np.concatenate([_chunk_norms(padded[start : start + step], scales)
+                           for start in range(0, len(padded), step)])
+
+
+def _chunk_norms(padded: np.ndarray, scales: list) -> np.ndarray:
+    """max_j peak_j / rho(2^-j), with scales[j] = rho(2^-j); the chunk's
+    grid is freed on return, before the next chunk builds its own."""
+    J = len(scales) - 1
+    grid = _grid_values(padded, J)
+    return np.max([_grid_peaks(grid, j, J) / s for j, s in enumerate(scales)], axis=0)
 
 
 # ------------------------------------------------------ tightness sums

@@ -33,6 +33,7 @@ DEFAULT_MAX_CELLS = 1 << 28
 _ENV_MAX_CELLS = "ORTHOFIELD_MAX_CELLS"
 _BLOCK = 64  # replicas per unit of work; fixed so threading cannot regroup
 _MAX_THREADS = 32  # worker threads one driver call starts at most
+_GRID_CELLS = 1 << 20  # dyadic-grid cells one chunk of holder.grid_seq_norms holds
 
 
 def max_cells() -> int:

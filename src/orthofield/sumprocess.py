@@ -10,7 +10,11 @@ Two evaluation routes are provided on purpose: eval_W contracts the
 raw field against per-axis weights over the support box (the defining
 sum, O(prod ceil(n_q t_q)) cells), while eval_W_batch interpolates the
 cached prefix array (O(2^d) per point).  They agree up to rounding and
-are cross-checked in the test suite; hot paths use the second.
+are cross-checked in the test suite.  Neither is on a Monte Carlo hot
+path: the holder-norm experiment evaluates W on a whole dyadic grid at
+once (holder.grid_seq_norms), with eval_W_batch's corner sum in its
+operation order, and the test suite holds it to eval_W_batch bit for
+bit.
 """
 
 from __future__ import annotations

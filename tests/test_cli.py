@@ -92,6 +92,8 @@ EXPONENT_FIT = {"experiment": "exponent-fit", "d": 1, "replicas": 2000}
         ("tightness", dict(TIGHTNESS, exponents=[3, "b"])),
         ("holder-norm", {"experiment": "holder-norm", "generator": _gen(), "shapes": [8, 8],
                          "modulus": MODULUS}),
+        ("holder-norm", {"experiment": "holder-norm", "generator": _gen(), "shape": [8, 8],
+                         "shapes": [[4, 4]], "modulus": MODULUS}),
         ("lemma-checks", dict(LEMMA, svarying={"kind": "log_power", "beta": "x"})),
         ("lemma-checks", dict(LEMMA, tail={"kind": "weibull", "gamma": "x"})),
         ("lemma-checks", dict(LEMMA, k_max="x")),
@@ -113,7 +115,7 @@ EXPONENT_FIT = {"experiment": "exponent-fit", "d": 1, "replicas": 2000}
          "two-term-without-y", "weibull-tail-without-gamma",
          "gaussian-sigma-string", "weibull-gamma-string", "moving-average-axis-string",
          "modulus-c-string", "modulus-L-string", "exponents-string",
-         "shapes-not-nested", "svarying-beta-string", "tail-gamma-string", "k-max-string",
+         "shapes-not-nested", "shape-and-shapes", "svarying-beta-string", "tail-gamma-string", "k-max-string",
          "band-one-value", "exponent-fit-d-string", "constants-d-float",
          "bound-K-string", "gaussian-product-m-string",
          "constants-d-zero", "constants-d-negative", "sheet-cov-pairs-zero",

@@ -103,6 +103,9 @@ def test_thread_count_does_not_change_payload(monkeypatch):
                                     replicas=150, seed=9, modulus=modulus)),
         (sheet_cov_check, dict(experiment="sheet-cov", shape=(8, 8), replicas=300, seed=9,
                                pairs=4)),
+        # finest level 3, so j_max 5 reads the grid two levels past it
+        (holder_norm_of_Wn, dict(experiment="holder-norm", generator=iid_gaussian(2),
+                                 shape=(5, 7), j_max=5, replicas=150, seed=9, modulus=modulus)),
     ]
     for runner, base in cases:
         payloads = set()
@@ -136,6 +139,30 @@ def test_replica_blocks_do_not_retain_prefix_memory(stat):
         finally:
             tracemalloc.stop()
     assert peaks[1] <= peaks[0] + 2 * block_bytes, peaks
+
+
+def test_holder_norm_memory_stays_within_grid_budget():
+    # j_max 8 on a 5x7 lattice (finest level 3) gives each replica a
+    # 257^2-node grid, so a block of 64 would hold 4.2 M nodes (34 MB) per
+    # array; the transform holds two arrays of at most _GRID_CELLS nodes
+    # at a time (plus smaller slices), and no block's arrays outlive it,
+    # so the peak holds whatever the replica count
+    def run(replicas):
+        holder_norm_of_Wn(ExperimentConfig(
+            experiment="holder-norm", generator=iid_gaussian(2), shape=(5, 7), j_max=8,
+            replicas=replicas, seed=3, modulus={"c": math.exp(6.0), "L": {"kind": "iter_log"}}))
+
+    budget_bytes = lattice._GRID_CELLS * 8
+    peaks = []
+    for replicas in (64, 192):
+        tracemalloc.start()
+        try:
+            run(replicas)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 3 * budget_bytes, peaks
+    assert peaks[1] <= peaks[0] + budget_bytes // 8, peaks
 
 
 def test_verify_bound_vacuous_grid_passes():

@@ -11,12 +11,18 @@ from orthofield import (
     InvalidSiteError,
     NoParentsError,
     SeedSpec,
+    TooLargeError,
     const_factor,
     dyadic_sites,
+    eval_W_batch,
     from_field,
     full_grid_count,
     generate,
+    generate_batch,
+    grid_seq_norms,
     iid_gaussian,
+    iid_rademacher,
+    iid_weibull,
     in_level_set,
     iter_log,
     level_set_count,
@@ -24,7 +30,6 @@ from orthofield import (
     modulus,
     modulus_eval,
     modulus_from_dict,
-    process_evaluator,
     pyramid_eval,
     schauder_coeff,
     seq_norm,
@@ -32,6 +37,13 @@ from orthofield import (
     vpm,
     zero_field,
 )
+from orthofield.lattice import batch_prefix, padded_prefix
+
+
+def process_evaluator(process):
+    """The oracle adapter: a PartialSumProcess as a vectorized [0,1]^d
+    evaluator for seq_norm."""
+    return lambda pts: eval_W_batch(process, pts)
 
 
 def test_modulus_pinned_value():
@@ -212,8 +224,6 @@ def test_process_evaluator_matches_direct_calls():
     p = from_field(field)
     ev = process_evaluator(p)
     pts = np.array([[0.0, 0.0], [0.5, 0.25], [1.0, 1.0]])
-    from orthofield import eval_W_batch
-
     assert np.array_equal(ev(pts), eval_W_batch(p, pts))
 
 
@@ -272,3 +282,48 @@ def test_seq_norm_scales_with_spike_height():
         field[7, 7] += height
         norms.append(seq_norm(process_evaluator(from_field(field)), rho, 3).norm)
     assert norms[0] < norms[1] < norms[2]
+
+
+@pytest.mark.parametrize("law", [iid_gaussian, iid_rademacher, lambda d: iid_weibull(d, 0.7)],
+                         ids=["gaussian", "rademacher", "weibull"])
+@pytest.mark.parametrize("shape", [(8, 8), (5, 7), (13,), (16,), (1, 9), (3, 4, 5), (2, 2, 2)],
+                         ids=lambda s: "x".join(map(str, s)))
+def test_grid_seq_norms_match_callable_oracle_bit_for_bit(law, shape):
+    # the dyadic-grid transform must reproduce seq_norm over eval_W_batch
+    # exactly, at level 0, the finest level and two levels past it
+    d = len(shape)
+    rho = modulus(math.exp(6.0), d, iter_log())
+    fields = np.concatenate([generate_batch(law(d), shape, 7, 0, 4), np.zeros((1,) + shape)])
+    padded = padded_prefix(batch_prefix(fields.copy()), lead=1)
+    finest = max(int(math.ceil(math.log2(max(shape)))), 1)
+    for j_max in (0, finest, finest + 2):
+        want = [seq_norm(process_evaluator(from_field(f)), rho, j_max).norm for f in fields]
+        got = grid_seq_norms(padded, rho, j_max)
+        assert np.array_equal(got, want), (j_max, got, want)
+    assert got[-1] == 0.0
+
+
+def test_grid_seq_norms_chunks_do_not_change_bits(monkeypatch):
+    from orthofield import lattice
+
+    rho = modulus(math.exp(6.0), 2, iter_log())
+    padded = padded_prefix(batch_prefix(generate_batch(iid_gaussian(2), (5, 7), 2, 0, 9)),
+                           lead=1)
+    whole = grid_seq_norms(padded, rho, 5)
+    for budget in (1, 33**2 * 2):  # one replica per chunk; two per chunk, the last alone
+        monkeypatch.setattr(lattice, "_GRID_CELLS", budget)
+        assert np.array_equal(grid_seq_norms(padded, rho, 5), whole)
+
+
+def test_grid_seq_norms_input_checks(monkeypatch):
+    rho = modulus(math.exp(6.0), 2, iter_log())
+    padded = padded_prefix(batch_prefix(np.ones((2, 4, 4))), lead=1)
+    with pytest.raises(InvalidRangeError):
+        grid_seq_norms(padded, rho, -1)
+    with pytest.raises(InvalidInputError):
+        grid_seq_norms(padded[:, 0], rho, 2)
+    # one replica's level-5 grid holds 33^2 = 1089 nodes
+    monkeypatch.setenv("ORTHOFIELD_MAX_CELLS", "1000")
+    with pytest.raises(TooLargeError):
+        grid_seq_norms(padded, rho, 5)
+    assert grid_seq_norms(padded, rho, 4).shape == (2,)
