@@ -228,6 +228,15 @@ def _base_key(spec: GeneratorSpec, master_seed: int, axis: int):
     return _rng.stream_key(master_seed, _VARIANT_TAG[spec.variant], dist_tag, axis)
 
 
+def _factor_streams(spec: GeneratorSpec, master_seed: int, reps: np.ndarray, coords) -> list:
+    """The per-axis factors of a product variant, one (count, n_q) array
+    per axis; the field is their outer product."""
+    dist = "rademacher" if spec.variant == "product_rademacher" else spec.param("dist")
+    return [_dist_values(_axis_hash(_base_key(spec, master_seed, q + 1), reps, coords[q]),
+                         dist, spec)
+            for q in range(spec.d)]
+
+
 def generate_batch(
     spec: GeneratorSpec,
     shape,
@@ -255,11 +264,8 @@ def generate_batch(
         return _dist_values(h, spec.param("dist"), spec)
 
     if spec.variant in ("product_rademacher", "decoupled_product"):
-        dist = "rademacher" if spec.variant == "product_rademacher" else spec.param("dist")
         out = np.ones((count,) + shape, dtype=np.float64)
-        for q in range(d):
-            h = _axis_hash(_base_key(spec, master_seed, q + 1), reps, coords[q])
-            vals = _dist_values(h, dist, spec)
+        for q, vals in enumerate(_factor_streams(spec, master_seed, reps, coords)):
             shape_q = [1] * (d + 1)
             shape_q[0] = count
             shape_q[q + 1] = shape[q]
@@ -315,14 +321,9 @@ def product_factor_streams(spec: GeneratorSpec, shape, seed: SeedSpec, offset=No
     shape = validate_shape(shape)
     if len(shape) != spec.d:
         raise InvalidInputError("spec has d=%d but shape is %r" % (spec.d, shape))
-    dist = "rademacher" if spec.variant == "product_rademacher" else spec.param("dist")
     reps = np.asarray([seed.replica], dtype=np.int64)
-    coords = _axis_coords(shape, offset)
-    out = []
-    for q in range(spec.d):
-        h = _axis_hash(_base_key(spec, seed.master, q + 1), reps, coords[q])
-        out.append(_dist_values(h, dist, spec)[0])
-    return out
+    return [vals[0] for vals in _factor_streams(spec, seed.master, reps,
+                                                 _axis_coords(shape, offset))]
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from .generators import (
     spec_to_json,
     spec_variance,
 )
-from .lattice import _map_blocks, batch_prefix, padded_prefix, validate_shape, volume
+from .lattice import _map_blocks, batch_prefix, batch_total, padded_prefix, validate_shape, volume
 from .stats import ks_normal, wilson_interval
 
 _KS_ALLOWANCE = 0.015
@@ -280,9 +280,8 @@ def fdd_compare(config: ExperimentConfig) -> Report:
 
     def work(start, count):
         # counter-mode sites: the box [1, k] alone holds the same values
-        # as that box of the full lattice, and its far corner is S_k
-        prefix = batch_prefix(generate_batch(config.generator, k, config.seed, start, count))
-        return prefix[(slice(None),) + (-1,) * len(k)].copy()
+        # as that box of the full lattice, and its total is S_k
+        return batch_total(generate_batch(config.generator, k, config.seed, start, count))
 
     samples = np.concatenate(_map_blocks(work, config.replicas, config.threads))
     ks = ks_normal(samples / math.sqrt(volume(shape)), sigma2)
@@ -301,7 +300,7 @@ def holder_norm_of_Wn(config: ExperimentConfig) -> Report:
     t0 = time.perf_counter()
     rows = []
     for shape in config.shapes:
-        rho_s = holder.modulus_from_dict({"d": len(shape), **config.modulus})
+        rho_s = holder.modulus_from_dict(config.modulus, len(shape))
         finest = max(int(math.ceil(math.log2(max(shape)))), 1)
         levels = finest if config.j_max is None else config.j_max
 
@@ -325,7 +324,7 @@ def tightness_experiment(config: ExperimentConfig) -> Report:
     construction (common replicas per level)."""
     t0 = time.perf_counter()
     m = config.exponents
-    rho = holder.modulus_from_dict({"d": len(m), **config.modulus})
+    rho = holder.modulus_from_dict(config.modulus, len(m))
     result = holder.tightness_sum_estimate(
         config.generator, rho, config.eps, config.axis_q, config.j_from, m,
         config.replicas, config.seed, config.threads,

@@ -31,14 +31,10 @@ schauder_coeff) are the terms the source paper states its results in,
 which the acceptance suite checks exactly.  grid_seq_norms is the same
 norm for the partial-sum process of a whole block of replicas: every
 level-j node and both its parents are nodes of the level-J_max dyadic
-grid, so W is evaluated once per grid node and level j is the grid's
-every 2^(J_max - j)-th node, its coefficients slice arithmetic.  The
-grid values use the 2^d-corner weighted sum of sumprocess.eval_W_batch
-with the same operations in the same order (per-axis base and frac,
-weights multiplied in axis order, corners added in mask order, the
-division by sqrt|n| last), so the norms equal seq_norm's bit for bit;
-a tensor product with per-axis interpolation matrices would add the
-same terms in another order and move the last bits.
+grid, so W is evaluated once per grid node (sumprocess.eval_W_grid)
+and level j is the grid's every 2^(J_max - j)-th node, its coefficients
+slice arithmetic.  eval_W_grid and eval_W_batch share one corner-sum
+kernel, so the norms equal seq_norm's over eval_W_batch bit for bit.
 """
 
 from __future__ import annotations
@@ -61,7 +57,8 @@ from .errors import (
     check_object,
 )
 from . import lattice
-from .lattice import _map_blocks, batch_prefix, max_cells, volume
+from .lattice import _map_blocks, batch_prefix, max_cells
+from .sumprocess import eval_W_grid
 from .stats import wilson_interval
 
 # ---------------------------------------------------------------- moduli
@@ -134,32 +131,29 @@ def svarying_from_dict(data: dict) -> SlowlyVarying:
     return iter_log()
 
 
-def modulus_from_dict(data: dict, check_increasing: bool = True) -> Modulus:
-    """The modulus a JSON object describes: {"c": c, "d": d, "L": factor},
-    L defaulting to the constant 1; an optional boolean
-    "check_increasing" overrides the argument."""
-    check_object("modulus", data, ("c", "d"), ("L", "check_increasing"))
-    check = data.get("check_increasing", check_increasing)
-    if not isinstance(check, bool):
-        raise InvalidInputError("modulus check_increasing must be true or false, not %r" % (check,))
+def modulus_from_dict(data: dict, d: int, check_increasing: bool = True) -> Modulus:
+    """The modulus in dimension d (the field's) that a JSON object
+    describes: {"c": c, "L": factor}, L defaulting to the constant 1."""
+    check_object("modulus", data, ("c",), ("L",))
     L = svarying_from_dict(data.get("L", {"kind": "const", "c0": 1.0}))
-    return modulus(check_number("modulus c", data["c"]),
-                   check_number("modulus d", data["d"], integer=True), L, check_increasing=check)
+    return modulus(check_number("modulus c", data["c"]), d, L, check_increasing=check_increasing)
 
 
-def modulus(c: float, d: int, L: SlowlyVarying, check_increasing: bool = True,
-            levels: int = 40) -> Modulus:
+_MODULUS_LEVELS = 40  # the finest dyadic level at which the package evaluates a modulus
+
+
+def modulus(c: float, d: int, L: SlowlyVarying, check_increasing: bool = True) -> Modulus:
     """Build a modulus, by default verifying it increases along the
-    dyadic grid h = 2^-j, j = 0..levels (the resolution at which the
-    package ever evaluates it).  Pass check_increasing=False to build
-    formula objects that are outside the increasing class."""
+    dyadic grid h = 2^-j, j = 0.._MODULUS_LEVELS.  Pass
+    check_increasing=False to build formula objects that are outside the
+    increasing class."""
     if c <= 1.0:
         raise InvalidRangeError("need c > 1 so ln(c/h) > 0 on (0, 1]")
     if d < 1:
         raise InvalidRangeError("dimension must be >= 1")
     rho = Modulus(float(c), int(d), L)
     if check_increasing:
-        values = [modulus_eval(rho, 2.0**-j) for j in range(levels + 1)]
+        values = [modulus_eval(rho, 2.0**-j) for j in range(_MODULUS_LEVELS + 1)]
         for a, b in zip(values[1:], values[:-1]):
             if not a < b:
                 raise DegenerateModulusError(
@@ -325,42 +319,6 @@ def seq_norm(x, rho: Modulus, j_max: int) -> SeqNormResult:
     return SeqNormResult(best, best_level, tuple(rows))
 
 
-def _grid_values(padded: np.ndarray, J: int) -> np.ndarray:
-    """W of each replica on the level-J dyadic grid, (count, 2^J + 1, ...).
-
-    The corner sum of sumprocess.eval_W_batch with its operation order,
-    per axis instead of per point: weights multiplied in axis order,
-    corners added in mask order, the division by sqrt|n| last."""
-    dims = padded.shape[1:]
-    t = np.arange((1 << J) + 1, dtype=np.float64) / (1 << J)
-    base, frac = [], []
-    for m in dims:
-        n = float(m - 1)
-        x = t * n
-        b = np.minimum(np.floor(x), n - 1.0)
-        np.maximum(b, 0.0, out=b)
-        frac.append(x - b)
-        base.append(b.astype(np.int64))
-    total = np.zeros((len(padded),) + (len(t),) * len(dims))
-    for mask in range(1 << len(dims)):
-        w = 1.0
-        idx = []
-        for q in range(len(dims)):
-            axis = (-1,) + (1,) * (len(dims) - 1 - q)
-            if mask >> q & 1:
-                idx.append(base[q] + 1)
-                w = w * frac[q].reshape(axis)
-            else:
-                idx.append(base[q])
-                w = w * (1.0 - frac[q]).reshape(axis)
-        corner = padded[(slice(None),) + np.ix_(*idx)]
-        corner *= w
-        total += corner
-        del corner  # the next gather must not meet this one alive
-    total /= math.sqrt(volume(m - 1 for m in dims))
-    return total
-
-
 def _grid_peaks(grid: np.ndarray, j: int, J: int) -> np.ndarray:
     """max_{v in V_j} |lambda_{j,v}| of each replica from its level-J grid.
 
@@ -411,7 +369,7 @@ def _chunk_norms(padded: np.ndarray, scales: list) -> np.ndarray:
     """max_j peak_j / rho(2^-j), with scales[j] = rho(2^-j); the chunk's
     grid is freed on return, before the next chunk builds its own."""
     J = len(scales) - 1
-    grid = _grid_values(padded, J)
+    grid = eval_W_grid(padded, J)
     return np.max([_grid_peaks(grid, j, J) / s for j, s in enumerate(scales)], axis=0)
 
 

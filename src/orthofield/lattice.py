@@ -9,7 +9,14 @@ Internally everything is a plain 0-based numpy array.
 
 The prefix array S has S[i] = sum over the box [1, i].  Cumulative
 passes run axis by axis in axis order, accumulating in float64, so a
-given field always produces the bit-identical prefix array.
+given field always produces the bit-identical prefix array, and
+batch_total its far corner S_n without building it.
+
+Every weighted sum over the 2^d corners of a box or cell of a padded
+prefix array runs through _corner_sum: rect_sum and both interpolating
+evaluators of sumprocess.  Its order is fixed (weights multiplied in
+axis order from 1.0, corners added in mask order into a zeroed total),
+so callers that pass the same weights get the same bits.
 
 Every Monte Carlo replica loop runs through _map_blocks in fixed blocks
 of _BLOCK replicas, with results in block order whatever the threads.
@@ -137,6 +144,20 @@ def batch_prefix(fields: np.ndarray) -> np.ndarray:
     return fields
 
 
+def batch_total(fields: np.ndarray) -> np.ndarray:
+    """Sum of each field of a batch (replica axis first) over its whole
+    box, equal bit for bit to the far corner of batch_prefix(fields):
+    axes are summed in axis order one slab at a time, as cumsum adds,
+    where np.sum would add pairwise along some axes.  The result is a
+    copy, so no block-sized array outlives the call."""
+    for _ in range(fields.ndim - 2):
+        acc = fields[:, 0].copy()
+        for i in range(1, fields.shape[1]):
+            acc += fields[:, i]
+        fields = acc
+    return np.cumsum(fields, axis=1)[:, -1].copy()
+
+
 def prefix_sum(field) -> np.ndarray:
     """S[i] = sum of the field over the box [1, i], axis-by-axis cumsum."""
     return batch_prefix(_as_values(field).astype(np.float64, copy=True)[None])[0]
@@ -171,26 +192,38 @@ def max_abs_prefix(field) -> float:
     return float(np.max(np.abs(prefix_sum(field))))
 
 
+def _corner_sum(padded: np.ndarray, first, second) -> np.ndarray:
+    """The 2^d-corner weighted sum over a block of padded prefix arrays
+    (replica axis first).  first[q] and second[q] are the (index, weight)
+    pairs of axis q where bit q of the mask is clear and set; indices are
+    integer arrays (so each gather is a copy) that broadcast with the
+    weights.  Each corner is scaled in place and freed before the next
+    gather, so at most two result-sized arrays are alive."""
+    shape = np.broadcast_shapes(*(np.shape(index) for index, _ in first))
+    total = np.zeros((len(padded),) + shape)
+    for mask in range(1 << len(first)):
+        w = 1.0
+        idx = []
+        for q, pair in enumerate(zip(first, second)):
+            index, weight = pair[mask >> q & 1]
+            idx.append(index)
+            w = w * weight
+        corner = padded[(slice(None),) + tuple(idx)]
+        corner *= w
+        total += corner
+        del corner  # the next gather must not meet this one alive
+    return total
+
+
 def rect_sum(prefix: np.ndarray, lo: MultiIndex, hi: MultiIndex) -> float:
     """Sum of the underlying field over the closed box [lo, hi] (1-based),
     recovered from the prefix array by inclusion-exclusion over the 2^d
     corners."""
     prefix = np.asarray(prefix, dtype=np.float64)
-    d = prefix.ndim
     lo = validate_index(lo, prefix.shape)
     hi = validate_index(hi, prefix.shape)
     if not dominated(lo, hi):
         raise InvalidInputError("rect_sum needs lo <= hi, got %r, %r" % (lo, hi))
-    padded = padded_prefix(prefix)
-    total = 0.0
-    for mask in range(1 << d):
-        corner = []
-        sign = 1.0
-        for q in range(d):
-            if mask >> q & 1:
-                corner.append(lo[q] - 1)
-                sign = -sign
-            else:
-                corner.append(hi[q])
-        total += sign * padded[tuple(corner)]
-    return float(total)
+    first = [(np.array(h), 1.0) for h in hi]
+    second = [(np.array(l - 1), -1.0) for l in lo]
+    return float(_corner_sum(padded_prefix(prefix)[None], first, second)[0])

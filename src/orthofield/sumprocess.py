@@ -10,11 +10,11 @@ Two evaluation routes are provided on purpose: eval_W contracts the
 raw field against per-axis weights over the support box (the defining
 sum, O(prod ceil(n_q t_q)) cells), while eval_W_batch interpolates the
 cached prefix array (O(2^d) per point).  They agree up to rounding and
-are cross-checked in the test suite.  Neither is on a Monte Carlo hot
-path: the holder-norm experiment evaluates W on a whole dyadic grid at
-once (holder.grid_seq_norms), with eval_W_batch's corner sum in its
-operation order, and the test suite holds it to eval_W_batch bit for
-bit.
+are cross-checked in the test suite.  eval_W_grid interpolates a whole
+block of prefix arrays on the level-J dyadic grid at once, which is
+what the holder-norm experiment measures.  Both interpolating
+evaluators locate each point's cell with one helper (_cell) and sum its
+2^d corners through lattice._corner_sum, so they agree bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ import numpy as np
 
 from .errors import InvalidInputError, InvalidRangeError
 from .lattice import (
-    LatticeArray,
+    _as_values,
+    _corner_sum,
     padded_prefix,
     prefix_sum,
     validate_index,
@@ -38,7 +39,6 @@ from .lattice import (
 @dataclass(frozen=True)
 class PartialSumProcess:
     field: np.ndarray
-    prefix: np.ndarray
     padded: np.ndarray
     sqrt_vol: float
 
@@ -52,13 +52,10 @@ class PartialSumProcess:
 
 
 def from_field(field) -> PartialSumProcess:
-    values = field.values if isinstance(field, LatticeArray) else np.asarray(field, np.float64)
-    validate_shape(values.shape)
-    prefix = prefix_sum(values)
+    values = _as_values(field)
     return PartialSumProcess(
         field=values,
-        prefix=prefix,
-        padded=padded_prefix(prefix),
+        padded=padded_prefix(prefix_sum(values)),
         sqrt_vol=math.sqrt(volume(values.shape)),
     )
 
@@ -98,6 +95,17 @@ def eval_W(p: PartialSumProcess, t) -> float:
     return float(acc) / p.sqrt_vol
 
 
+def _cell(t: np.ndarray, n: int) -> tuple:
+    """The corners of the grid cell holding each n t on one axis of n
+    cells: the (index, weight) pairs (base, 1 - frac) and (base + 1,
+    frac), base = clamp(floor(n t), 0, n - 1) and frac = n t - base."""
+    x = t * float(n)
+    base = np.maximum(np.minimum(np.floor(x), n - 1.0), 0.0)
+    frac = x - base
+    base = base.astype(np.int64)
+    return (base, 1.0 - frac), (base + 1, frac)
+
+
 def eval_W_batch(p: PartialSumProcess, points) -> np.ndarray:
     """W at many points via multiaffine interpolation of the prefix array."""
     pts = np.asarray(points, dtype=np.float64)
@@ -105,27 +113,22 @@ def eval_W_batch(p: PartialSumProcess, points) -> np.ndarray:
         raise InvalidInputError("points must have shape (m, %d)" % p.d)
     if np.any(pts < 0.0) or np.any(pts > 1.0):
         raise InvalidRangeError("points outside [0, 1]^%d" % p.d)
-    n = np.asarray(p.shape, dtype=np.float64)
-    x = pts * n
-    base = np.minimum(np.floor(x), n - 1.0)
-    np.maximum(base, 0.0, out=base)
-    frac = x - base
-    base = base.astype(np.int64)
-    flat = p.padded.ravel()
-    dims = p.padded.shape
-    total = np.zeros(pts.shape[0], dtype=np.float64)
-    for mask in range(1 << p.d):
-        w = np.ones(pts.shape[0], dtype=np.float64)
-        idx = []
-        for q in range(p.d):
-            if mask >> q & 1:
-                idx.append(base[:, q] + 1)
-                w = w * frac[:, q]
-            else:
-                idx.append(base[:, q])
-                w = w * (1.0 - frac[:, q])
-        total += w * flat[np.ravel_multi_index(tuple(idx), dims)]
-    return total / p.sqrt_vol
+    first, second = zip(*(_cell(pts[:, q], n) for q, n in enumerate(p.shape)))
+    return _corner_sum(p.padded[None], first, second)[0] / p.sqrt_vol
+
+
+def eval_W_grid(padded: np.ndarray, J: int) -> np.ndarray:
+    """W of each replica in a block of padded prefix arrays (replica axis
+    first) on the level-J dyadic grid, shape (count, 2^J + 1, ...): each
+    axis's nodes, shaped along that axis as np.ix_ would, go through the
+    cell location and corner sum of eval_W_batch."""
+    dims = padded.shape[1:]
+    t = np.arange((1 << J) + 1, dtype=np.float64) / (1 << J)
+    first, second = zip(*(_cell(t.reshape((-1,) + (1,) * (len(dims) - 1 - q)), m - 1)
+                          for q, m in enumerate(dims)))
+    total = _corner_sum(padded, first, second)
+    total /= math.sqrt(volume(m - 1 for m in dims))
+    return total
 
 
 def grid_value(p: PartialSumProcess, k) -> float:

@@ -90,6 +90,10 @@ EXPONENT_FIT = {"experiment": "exponent-fit", "d": 1, "replicas": 2000}
         ("tightness", dict(TIGHTNESS, modulus={"c": "x"})),
         ("tightness", dict(TIGHTNESS, modulus={"c": 55, "L": "x"})),
         ("tightness", dict(TIGHTNESS, exponents=[3, "b"])),
+        # the modulus takes its dimension from the field and always checks
+        # that it increases
+        ("tightness", dict(TIGHTNESS, modulus=dict(MODULUS, c=math.exp(6.0), d=3))),
+        ("tightness", dict(TIGHTNESS, modulus={"c": 1.01, "check_increasing": False})),
         ("holder-norm", {"experiment": "holder-norm", "generator": _gen(), "shapes": [8, 8],
                          "modulus": MODULUS}),
         ("holder-norm", {"experiment": "holder-norm", "generator": _gen(), "shape": [8, 8],
@@ -114,7 +118,8 @@ EXPONENT_FIT = {"experiment": "exponent-fit", "d": 1, "replicas": 2000}
     ids=["top-level-list", "replicas-string", "shape-int", "x-grid-string",
          "two-term-without-y", "weibull-tail-without-gamma",
          "gaussian-sigma-string", "weibull-gamma-string", "moving-average-axis-string",
-         "modulus-c-string", "modulus-L-string", "exponents-string",
+         "modulus-c-string", "modulus-L-string", "exponents-string", "modulus-d",
+         "modulus-check-increasing-false",
          "shapes-not-nested", "shape-and-shapes", "svarying-beta-string", "tail-gamma-string", "k-max-string",
          "band-one-value", "exponent-fit-d-string", "constants-d-float",
          "bound-K-string", "gaussian-product-m-string",

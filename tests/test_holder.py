@@ -30,7 +30,9 @@ from orthofield import (
     modulus,
     modulus_eval,
     modulus_from_dict,
+    prefix_sum,
     pyramid_eval,
+    rect_sum,
     schauder_coeff,
     seq_norm,
     tightness_sum_estimate,
@@ -38,6 +40,7 @@ from orthofield import (
     zero_field,
 )
 from orthofield.lattice import batch_prefix, padded_prefix
+from orthofield.sumprocess import eval_W_grid
 
 
 def process_evaluator(process):
@@ -92,12 +95,16 @@ def test_modulus_dict_round_trip():
         modulus(math.exp(9.0), 2, iter_log()),
         modulus(math.exp(6.0), 3, const_factor(2.0)),
     ):
-        back = modulus_from_dict(rho.to_dict())
-        assert back == rho
+        data = rho.to_dict()
+        assert modulus_from_dict(data, data.pop("d")) == rho
     bumpy = modulus(math.exp(4.0), 1, log_power(1.5), check_increasing=False)
-    assert modulus_from_dict(bumpy.to_dict(), check_increasing=False) == bumpy
-    with pytest.raises(InvalidInputError):
-        modulus_from_dict({"c": 55.0, "d": 2, "L": {"kind": "mystery"}})
+    data = bumpy.to_dict()
+    assert modulus_from_dict(data, data.pop("d"), check_increasing=False) == bumpy
+    # the dimension is the field's and the increasing check is not a config key
+    for bad in ({"c": 55.0, "L": {"kind": "mystery"}}, {"c": 55.0, "d": 2},
+                {"c": 55.0, "check_increasing": False}):
+        with pytest.raises(InvalidInputError):
+            modulus_from_dict(bad, 2)
 
 
 def test_level_set_count_matches_enumeration():
@@ -301,6 +308,45 @@ def test_grid_seq_norms_match_callable_oracle_bit_for_bit(law, shape):
         got = grid_seq_norms(padded, rho, j_max)
         assert np.array_equal(got, want), (j_max, got, want)
     assert got[-1] == 0.0
+
+
+def _same_bits(got, want):
+    return np.asarray(got, np.float64).tobytes() == np.asarray(want, np.float64).tobytes()
+
+
+def test_corner_sum_order_is_pinned():
+    # The oracle test above compares two callers of one corner-sum kernel,
+    # so it cannot see a change in the kernel's own order: weights
+    # multiplied in axis order, corners added in mask order.  These exact
+    # values pin it.  The field is built from IEEE + - * / alone, so they
+    # hold on any conforming platform; reversing the mask order or the
+    # axis order of the weight products changes some of them.
+    field = np.empty((3, 4, 5))
+    for i, j, k in np.ndindex(*field.shape):
+        field[i, j, k] = ((7 * i + 3 * j + 5 * k) % 11 - 5) / 3.0 + (i * j - k) / 7.0
+    prefix = prefix_sum(field)
+    boxes = [((1, 1, 1), (3, 4, 5)), ((2, 2, 3), (3, 4, 5)), ((2, 1, 2), (2, 3, 4)),
+             ((1, 3, 2), (3, 3, 5))]
+    assert _same_bits([rect_sum(prefix, lo, hi) for lo, hi in boxes],
+                      [-4.2857142857142865, 1.3333333333333306, -3.952380952380952,
+                       -3.1904761904761916])
+    pts = [[0.1, 0.27, 0.67], [0.1, 0.71, 0.93], [0.03, 0.27, 0.28], [1.0, 0.25, 0.6],
+           [0.0, 0.5, 1.0]]
+    assert _same_bits(eval_W_batch(from_field(field), pts),
+                      [-0.0300617278777052, -0.14424834259060332, -0.0203298428675779,
+                       -0.29508444542532686, 0.0])
+    padded = padded_prefix(prefix)[None]
+    want = np.zeros((3, 3, 3))
+    want[1, 1, 1:] = -0.11987805595403907, -0.4856598164291839
+    want[1, 2, 1:] = -0.10450907442146992, -0.7008255578851516
+    want[2, 1, 1:] = -0.2120919451494537, -0.9159912993411191
+    want[2, 2, 1:] = 0.21516574145596762, -0.5532833351724882
+    assert _same_bits(eval_W_grid(padded, 1)[0], want)
+    # the norm peaks at level 2 (0.0311), clear of level 1 (0.0300), so
+    # only the pinned coefficient peak and IEEE division count
+    rho = modulus(math.exp(6.0), 3, iter_log())
+    want = 0.611685464996251 / modulus_eval(rho, 0.25)
+    assert _same_bits(grid_seq_norms(padded, rho, 3), [want])
 
 
 def test_grid_seq_norms_chunks_do_not_change_bits(monkeypatch):

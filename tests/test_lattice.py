@@ -10,6 +10,10 @@ from orthofield import (
     LatticeArray,
     TooLargeError,
     dominated,
+    generate_batch,
+    iid_gaussian,
+    iid_rademacher,
+    iid_weibull,
     max_abs_prefix,
     max_cells,
     padded_prefix,
@@ -101,6 +105,22 @@ def test_rect_sum_matches_brute():
         lo = tuple(int(rng.integers(1, n + 1)) for n in shape)
         hi = tuple(int(rng.integers(l, n + 1)) for l, n in zip(lo, shape))
         assert rect_sum(pref, lo, hi) == brute_rect(field, lo, hi)
+
+
+@pytest.mark.parametrize("law", [iid_gaussian, iid_rademacher, lambda d: iid_weibull(d, 0.7)],
+                         ids=["gaussian", "rademacher", "weibull"])
+@pytest.mark.parametrize("shape", [(13,), (64, 1), (1000, 1), (8, 8), (5, 7), (100, 1, 1),
+                                   (3, 4, 5), (40, 5, 1, 2)],
+                         ids=lambda s: "x".join(map(str, s)))
+def test_batch_total_is_the_prefix_far_corner_bit_for_bit(law, shape):
+    # np.sum adds in another order (pairwise along a trailing unit axis,
+    # as for (64, 1), (1000, 1) and (100, 1, 1)) and differs in the last bits
+    corner = (slice(None),) + (-1,) * len(shape)
+    for count in (1, 7, 64):
+        fields = generate_batch(law(len(shape)), shape, 11, 0, count)
+        total = lattice.batch_total(fields)
+        assert total.shape == (count,) and total.base is None
+        assert np.array_equal(total, lattice.batch_prefix(fields)[corner])
 
 
 def test_prefix_round_trip():
