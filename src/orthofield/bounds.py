@@ -33,8 +33,9 @@ estimate.  M is closed form too, since min f_q = e^(q - 1/2) (2q)^(-q).
 All realized (K, M) pairs are recorded per level so reports can
 reproduce the trace.
 
-Everything here evaluates formulas; nothing is fitted to data except
-the explicit envelope-fit helper.  Logs are natural throughout.
+Everything here evaluates formulas; only exponent_fit fits data.  Logs
+are natural throughout.  unit_tail, whose moment integrals diverge, is
+kept as the lemma-checks tail kind "unit".
 """
 
 from __future__ import annotations
@@ -70,7 +71,6 @@ class TailModel:
 
     kind: str
     value: float = 0.0
-    samples: tuple = ()
 
 
 def bounded_by(k: float) -> TailModel:
@@ -89,13 +89,6 @@ def gaussian_product(m: int) -> TailModel:
     if m < 1:
         raise InvalidRangeError("need at least one factor")
     return TailModel("gaussian_product", value=float(m))
-
-
-def empirical_tail(samples) -> TailModel:
-    arr = np.sort(np.abs(np.asarray(samples, dtype=np.float64)))
-    if arr.size < 2:
-        raise InsufficientDataError("empirical tail needs at least 2 samples")
-    return TailModel("empirical", samples=tuple(arr.tolist()))
 
 
 def unit_tail() -> TailModel:
@@ -141,9 +134,6 @@ def tail_eval(model: TailModel, s):
         out = np.minimum(1.0, 2.0 * np.exp(-np.maximum(arr, 0.0) ** model.value))
     elif model.kind == "unit":
         out = np.ones_like(arr)
-    elif model.kind == "empirical":
-        samples = np.asarray(model.samples)
-        out = (samples.size - np.searchsorted(samples, arr, side="right")) / samples.size
     elif model.kind == "gaussian_product":
         out = np.vectorize(lambda v: _gauss_prod_tail(int(model.value), v))(arr)
     else:
@@ -158,8 +148,6 @@ def _tail_support(model: TailModel) -> float:
         return model.value
     if model.kind == "weibull":
         return (math.log(2.0 / _ABS_FLOOR) + 4.0) ** (1.0 / model.value)
-    if model.kind == "empirical":
-        return model.samples[-1]
     if model.kind == "gaussian_product":
         m = int(model.value)
         # product tail ~ exp(-m s^(2/m) / 2): invert at the floor
@@ -349,7 +337,6 @@ class _LevelTrace:
 _GRID_PER_DECADE = 20
 _T_MAX = 1.0e8
 _T_CHUNK = 16
-_constants_cache: dict = {}
 
 
 def _level_K(d: int) -> _LevelTrace:
@@ -395,38 +382,28 @@ def recurse_constants(d: int) -> BoundConstants:
         B_d  = 4 B_{d-1} K_d M_d
 
     with K_d realized numerically and M_d in closed form, both recorded
-    per level."""
+    per level.  Each level is computed once per process."""
     if not 1 <= d <= 6:
         raise InvalidRangeError("constants recursion is computed for 1 <= d <= 6")
-    if d in _constants_cache:
-        return _constants_cache[d]
-    consts = base_constants()
-    # each level divides C by 4 sqrt(2) = 2^(5/2); tracking the exponent
-    # in halves keeps dyadic values (1/16 at d=2) exact in floats
-    c_log2 = -1.5
-    levels = []
-    for level in range(2, d + 1):
-        c_log2 -= 2.5
-        if level in _constants_cache:
-            consts = _constants_cache[level]
-            levels = list(consts.K_levels)
-            continue
-        trace = _level_K(level)
-        levels.append(
-            (trace.level, trace.K, trace.M, trace.t_at_sup, trace.last_decade_drift)
-        )
-        a_raw = consts.A / 5.0 + 2.0 * consts.B
-        consts = BoundConstants(
-            d=level,
-            A=max(_E9, a_raw),
-            B=4.0 * consts.B * trace.K * trace.M,
-            C=2.0**c_log2,
-            p=consts.p + 2,
-            K_levels=tuple(levels),
-        )
-        _constants_cache[level] = consts
-    _constants_cache.setdefault(d, consts)
-    return _constants_cache[d]
+    return _constants(d)
+
+
+@functools.lru_cache(maxsize=None)
+def _constants(d: int) -> BoundConstants:
+    if d == 1:
+        return base_constants()
+    prev = _constants(d - 1)
+    trace = _level_K(d)
+    return BoundConstants(
+        d=d,
+        A=max(_E9, prev.A / 5.0 + 2.0 * prev.B),
+        B=4.0 * prev.B * trace.K * trace.M,
+        # C_1 / (4 sqrt(2))^(d-1) with C_1 = 2^(-3/2): a power of two, exact
+        C=2.0 ** (1 - 2.5 * d),
+        p=prev.p + 2,
+        K_levels=prev.K_levels
+        + ((trace.level, trace.K, trace.M, trace.t_at_sup, trace.last_decade_drift),),
+    )
 
 
 # ------------------------------------------------------- bound evaluators
@@ -439,34 +416,21 @@ class BoundValue:
     integral_term: float
     vacuous: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "exp_term": self.exp_term,
-            "integral_term": self.integral_term,
-            "vacuous": bool(self.vacuous),
-        }
 
-
-def _tail_integral(model: TailModel, scale: float, p: int) -> float:
-    """int_1^inf tail(scale * u) u (log(1+u))^p du with analytic truncation."""
+def _tail_integral(model: TailModel, scale: float, g, where: str) -> float:
+    """int_1^inf tail(scale * u) u g(u) du with analytic truncation; an
+    unconverged quadrature is reported with `where`, the term it is."""
     u_max = _tail_support(model) / scale
     if not math.isfinite(u_max):
         raise InvalidInputError("tail model %r has no integrable support" % model.kind)
     if u_max <= 1.0:
         return 0.0
-    if model.kind == "empirical":
-        # piecewise-constant tail: dense log-spaced trapezoid is exact
-        # enough (the integrand has one jump per sample)
-        grid = np.geomspace(1.0, u_max, 1 << 14)
-        vals = tail_eval(model, scale * grid) * grid * np.log1p(grid) ** p
-        return float(np.trapezoid(vals, grid))
-    integrand = lambda u: float(tail_eval(model, scale * u)) * u * math.log1p(u) ** p
+    integrand = lambda u: float(tail_eval(model, scale * u)) * u * g(u)
     val, err = quad(integrand, 1.0, u_max, limit=400, epsabs=_ABS_FLOOR, epsrel=_REL_TOL)
     if not (math.isfinite(val) and err <= max(_ABS_FLOOR, abs(val) * _REL_TOL)):
         raise NumericFailureError(
-            "tail integral did not converge at scale=%g, p=%d (error estimate %g)"
-            % (scale, p, err)
+            "tail integral did not converge at scale=%g, %s (error estimate %g)"
+            % (scale, where, err)
         )
     return float(val)
 
@@ -477,7 +441,9 @@ def thm1_rhs(x: float, y: float, model: TailModel, consts: BoundConstants) -> Bo
     if x <= 0 or y <= 0:
         raise InvalidRangeError("x and y must be positive")
     exp_term = consts.A * math.exp(-((x / y) ** (2.0 / consts.d)))
-    integral = consts.B * _tail_integral(model, y * consts.C, consts.p)
+    p = consts.p
+    integral = consts.B * _tail_integral(model, y * consts.C, lambda u: math.log1p(u) ** p,
+                                         "p=%d" % p)
     value = exp_term + integral
     return BoundValue(value, exp_term, integral, value >= 1.0)
 
@@ -503,16 +469,6 @@ class LargeDeviationValue:
     integral_term: float
     vacuous: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "y_star": self.y_star,
-            "x_equiv": self.x_equiv,
-            "exp_term": self.exp_term,
-            "integral_term": self.integral_term,
-            "vacuous": bool(self.vacuous),
-        }
-
 
 def thm2_rhs(x: float, shape, gamma: float, d: int) -> LargeDeviationValue:
     """Bound on P{|S_N| / |N| > x} under the exp(s^gamma) envelope.
@@ -536,28 +492,6 @@ def thm2_rhs(x: float, shape, gamma: float, d: int) -> LargeDeviationValue:
     return LargeDeviationValue(
         inner.value, y_star, x_equiv, inner.exp_term, inner.integral_term, inner.vacuous
     )
-
-
-def thm2_envelope_fit(gamma: float, d: int, shapes, x_grid) -> dict:
-    """Fit value <= C1 exp(-C2 |N|^(g/(2+dg)) x^(2g/(2+dg))) over a grid
-    and push C1 up until the envelope dominates every grid point."""
-    rows = []
-    for shape in shapes:
-        for x in x_grid:
-            bound = thm2_rhs(float(x), shape, gamma, d)
-            n_cells = math.prod(int(n) for n in shape)
-            expo = n_cells ** (gamma / (2.0 + d * gamma)) * float(x) ** (
-                2.0 * gamma / (2.0 + d * gamma)
-            )
-            rows.append((list(shape), float(x), expo, bound.value))
-    if len(rows) < 2:
-        raise InsufficientDataError("need at least two grid points to fit")
-    e = np.array([r[2] for r in rows])
-    logv = np.log([r[3] for r in rows])
-    slope, intercept = np.polyfit(e, logv, 1)
-    c2 = max(1e-12, -float(slope))
-    c1 = float(np.exp(np.max(logv + c2 * e)))
-    return {"C1": c1, "C2": c2, "rows": rows}
 
 
 # ------------------------------------------------ summability diagnostics
@@ -614,13 +548,7 @@ def lemma3_moment_sum(L: "SlowlyVarying", model: TailModel, c: float, j_max: int
             terms.append(math.inf)
             diverged.append(j)
             continue
-        u_max = _tail_support(model) / scale
-        if u_max <= 1.0:
-            terms.append(0.0)
-            continue
-        integrand = lambda u: float(tail_eval(model, scale * u)) * u * u
-        val, _ = quad(integrand, 1.0, u_max, limit=400, epsabs=_ABS_FLOOR, epsrel=_REL_TOL)
-        terms.append(2.0**j * float(val))
+        terms.append(2.0**j * _tail_integral(model, scale, lambda u: u, "j=%d" % j))
     finite = [t for t in terms if math.isfinite(t)]
     total = float(sum(finite)) if not diverged else math.inf
     tail_part = sum(t for t in terms[-min(10, len(terms)) :] if math.isfinite(t))
@@ -641,13 +569,6 @@ class ExponentFit:
     gamma_hat: float
     window: tuple
     grid: tuple  # (x, p_hat) pairs used in the fit
-
-    def to_dict(self) -> dict:
-        return {
-            "gamma_hat": self.gamma_hat,
-            "window": list(self.window),
-            "grid": [list(row) for row in self.grid],
-        }
 
 
 def exponent_fit(samples, window=(0.90, 0.999), grid_points: int = 24) -> ExponentFit:

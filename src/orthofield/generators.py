@@ -4,9 +4,15 @@ All variants produce centered fields whose value at a site is a pure
 function of (master seed, replica, variant stream, absolute site
 coordinates), see _rng.  That buys three things at once: replicas are
 reproducible under any batching, translated windows of the same
-infinite field can be evaluated directly (shift_field), and the
-product variants expose their per-axis factor streams exactly
-(decoupled_product_kernel).
+infinite field can be evaluated directly (shift_field, kept because
+the README's Determinism section relies on it), and the product
+variants derive their per-axis factor streams in one routine
+(_factor_streams), whose outer product is the field.
+
+Kept without a caller in the package: orthomartingale_check, the
+Monte Carlo conditional-centering screen behind the field classes
+below; zero_field, the all-zero control; and generate with its
+SeedSpec, the one-replica draw that shift_field moves to other windows.
 
 Variants
 --------
@@ -42,7 +48,7 @@ from .errors import (
     check_number,
     check_object,
 )
-from .lattice import LatticeArray, _map_blocks, validate_index, validate_shape
+from .lattice import LatticeArray, _map_blocks, validate_shape
 
 _VARIANTS = ("iid_symmetric", "product_rademacher", "decoupled_product", "moving_average", "zero")
 _DISTS = ("rademacher", "gaussian", "weibull_symmetric")
@@ -217,11 +223,6 @@ def _grid_hash(key, replicas: np.ndarray, coords) -> np.ndarray:
     return h
 
 
-def _axis_hash(key_q, replicas: np.ndarray, coords_q: np.ndarray) -> np.ndarray:
-    h = _rng.fold(key_q, replicas.reshape(-1, 1))
-    return _rng.fold(h, coords_q.reshape(1, -1))
-
-
 def _base_key(spec: GeneratorSpec, master_seed: int, axis: int):
     dist = spec.param("dist")
     dist_tag = _DIST_TAG.get(dist, 0)
@@ -232,7 +233,7 @@ def _factor_streams(spec: GeneratorSpec, master_seed: int, reps: np.ndarray, coo
     """The per-axis factors of a product variant, one (count, n_q) array
     per axis; the field is their outer product."""
     dist = "rademacher" if spec.variant == "product_rademacher" else spec.param("dist")
-    return [_dist_values(_axis_hash(_base_key(spec, master_seed, q + 1), reps, coords[q]),
+    return [_dist_values(_grid_hash(_base_key(spec, master_seed, q + 1), reps, [coords[q]]),
                          dist, spec)
             for q in range(spec.d)]
 
@@ -298,34 +299,6 @@ def shift_field(spec: GeneratorSpec, shape, seed: SeedSpec, k) -> LatticeArray:
     return LatticeArray(batch[0])
 
 
-def decoupled_product_kernel(*values):
-    """The degenerate product kernel h(x_1, ..., x_r) = prod x_q.
-
-    With centered inputs, conditioning on all but one factor leaves a
-    centered variable, which is the degeneracy making product fields
-    orthomartingale differences.  Accepts scalars or broadcastable
-    arrays (one entry per factor)."""
-    if not values:
-        raise InvalidInputError("kernel needs at least one factor")
-    out = np.asarray(values[0], dtype=np.float64)
-    for v in values[1:]:
-        out = out * np.asarray(v, dtype=np.float64)
-    return out if out.ndim else float(out)
-
-
-def product_factor_streams(spec: GeneratorSpec, shape, seed: SeedSpec, offset=None):
-    """Per-axis factor streams of a product variant; their outer product
-    is exactly generate()."""
-    if spec.variant not in ("product_rademacher", "decoupled_product"):
-        raise InvalidInputError("kernel is defined for product variants, not %r" % spec.variant)
-    shape = validate_shape(shape)
-    if len(shape) != spec.d:
-        raise InvalidInputError("spec has d=%d but shape is %r" % (spec.d, shape))
-    reps = np.asarray([seed.replica], dtype=np.int64)
-    return [vals[0] for vals in _factor_streams(spec, seed.master, reps,
-                                                 _axis_coords(shape, offset))]
-
-
 @dataclass(frozen=True)
 class MartingaleRow:
     axis: int
@@ -343,24 +316,6 @@ class OrthomartingaleResult:
     replicas: int
     z_threshold: float
 
-    def to_dict(self) -> dict:
-        return {
-            "passed": bool(self.passed),
-            "replicas": self.replicas,
-            "z_threshold": self.z_threshold,
-            "rows": [
-                {
-                    "axis": r.axis,
-                    "site": list(r.site),
-                    "test": r.test,
-                    "mean": r.mean,
-                    "se": r.se,
-                    "z": r.z,
-                }
-                for r in self.rows
-            ],
-        }
-
 
 def _default_check_sites(shape):
     corner = tuple(shape)
@@ -376,29 +331,24 @@ def orthomartingale_check(
     shape,
     seed: SeedSpec,
     replicas: int = 2000,
-    axes=None,
-    sites=None,
 ) -> OrthomartingaleResult:
     """Monte Carlo battery for one-direction conditional centering.
 
-    For each tested axis q and site i, estimates E[X_i g(past)] for
-    g in {1, sign(past sum), clipped past sum} where the past sum runs
-    over the box [1, i - e_q].  Each mean must sit within 4 standard
-    errors of zero.  The battery cannot prove the property; it is a
-    screen with an analytic negative control (moving_average fails on
-    its own axis because E[X_i X_{i-e_axis}] = Var(eps) > 0).
+    For each axis q and site i (the far corner and a middle site),
+    estimates E[X_i g(past)] for g in {1, sign(past sum), clipped past
+    sum} where the past sum runs over the box [1, i - e_q].  Each mean
+    must sit within 4 standard errors of zero.  The battery cannot prove
+    the property; it is a screen with an analytic negative control
+    (moving_average fails on its own axis because E[X_i X_{i-e_axis}] =
+    Var(eps) > 0).
     """
     shape = validate_shape(shape)
     if replicas < 1000:
         raise InvalidInputError("need at least 1000 replicas for the 4-se screen")
     d = spec.d
-    axes = list(range(1, d + 1)) if axes is None else [int(a) for a in axes]
-    sites = _default_check_sites(shape) if sites is None else [tuple(s) for s in sites]
-    for a in axes:
-        if not 1 <= a <= d:
-            raise InvalidInputError("axis %d outside 1..%d" % (a, d))
+    axes = range(1, d + 1)
+    sites = _default_check_sites(shape)
     for s in sites:
-        validate_index(s, shape)
         for a in axes:
             if s[a - 1] < 2:
                 raise InvalidInputError("site %r has empty past on axis %d" % (s, a))

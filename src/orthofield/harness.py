@@ -523,13 +523,5 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     return ExperimentConfig(**data)
 
 
-def config_to_json(config: ExperimentConfig) -> str:
-    return json.dumps(config.to_dict(), sort_keys=True, indent=2)
-
-
-def config_from_json(text: str) -> ExperimentConfig:
-    return config_from_dict(json.loads(text))
-
-
 def run_experiment(config: ExperimentConfig) -> Report:
     return _SCHEMA[config.experiment][0](config)

@@ -107,14 +107,6 @@ class Modulus:
     d: int
     L: SlowlyVarying
 
-    def to_dict(self) -> dict:
-        L = {"kind": self.L.kind}
-        if self.L.kind == "log_power":
-            L["beta"] = self.L.beta
-        elif self.L.kind == "const":
-            L["c0"] = self.L.c0
-        return {"c": self.c, "d": self.d, "L": L}
-
 
 _SVARYING_KINDS = {"log_power": ("beta",), "iter_log": (), "const": ("c0",)}
 
@@ -131,34 +123,31 @@ def svarying_from_dict(data: dict) -> SlowlyVarying:
     return iter_log()
 
 
-def modulus_from_dict(data: dict, d: int, check_increasing: bool = True) -> Modulus:
+def modulus_from_dict(data: dict, d: int) -> Modulus:
     """The modulus in dimension d (the field's) that a JSON object
     describes: {"c": c, "L": factor}, L defaulting to the constant 1."""
     check_object("modulus", data, ("c",), ("L",))
     L = svarying_from_dict(data.get("L", {"kind": "const", "c0": 1.0}))
-    return modulus(check_number("modulus c", data["c"]), d, L, check_increasing=check_increasing)
+    return modulus(check_number("modulus c", data["c"]), d, L)
 
 
 _MODULUS_LEVELS = 40  # the finest dyadic level at which the package evaluates a modulus
 
 
-def modulus(c: float, d: int, L: SlowlyVarying, check_increasing: bool = True) -> Modulus:
-    """Build a modulus, by default verifying it increases along the
-    dyadic grid h = 2^-j, j = 0.._MODULUS_LEVELS.  Pass
-    check_increasing=False to build formula objects that are outside the
-    increasing class."""
+def modulus(c: float, d: int, L: SlowlyVarying) -> Modulus:
+    """Build a modulus, verifying it increases along the dyadic grid
+    h = 2^-j, j = 0.._MODULUS_LEVELS."""
     if c <= 1.0:
         raise InvalidRangeError("need c > 1 so ln(c/h) > 0 on (0, 1]")
     if d < 1:
         raise InvalidRangeError("dimension must be >= 1")
     rho = Modulus(float(c), int(d), L)
-    if check_increasing:
-        values = [modulus_eval(rho, 2.0**-j) for j in range(_MODULUS_LEVELS + 1)]
-        for a, b in zip(values[1:], values[:-1]):
-            if not a < b:
-                raise DegenerateModulusError(
-                    "modulus is not increasing on the dyadic grid (c=%g too small?)" % c
-                )
+    values = [modulus_eval(rho, 2.0**-j) for j in range(_MODULUS_LEVELS + 1)]
+    for a, b in zip(values[1:], values[:-1]):
+        if not a < b:
+            raise DegenerateModulusError(
+                "modulus is not increasing on the dyadic grid (c=%g too small?)" % c
+            )
     return rho
 
 
@@ -293,13 +282,6 @@ class SeqNormResult:
     level: int
     per_level: tuple  # (j, max_abs_coeff, scaled) rows
 
-    def to_dict(self) -> dict:
-        return {
-            "norm": self.norm,
-            "level": self.level,
-            "per_level": [list(row) for row in self.per_level],
-        }
-
 
 def seq_norm(x, rho: Modulus, j_max: int) -> SeqNormResult:
     """Truncated coefficient seminorm of a vectorized evaluator."""
@@ -406,13 +388,6 @@ class TightnessResult:
 
     def tail_sum(self, j_from: int) -> float:
         return float(sum(r.scaled for r in self.rows if r.j >= j_from))
-
-    def to_dict(self) -> dict:
-        return {
-            "rows": [r.to_dict() for r in self.rows],
-            "total": self.total,
-            "replicas": self.replicas,
-        }
 
 
 def tightness_sum_estimate(

@@ -20,6 +20,9 @@ so callers that pass the same weights get the same bits.
 
 Every Monte Carlo replica loop runs through _map_blocks in fixed blocks
 of _BLOCK replicas, with results in block order whatever the threads.
+
+max_abs_prefix has no caller in the package; it stays because the exact
+arithmetic criterion (01) of the acceptance suite checks it.
 """
 
 from __future__ import annotations
@@ -218,12 +221,17 @@ def _corner_sum(padded: np.ndarray, first, second) -> np.ndarray:
 def rect_sum(prefix: np.ndarray, lo: MultiIndex, hi: MultiIndex) -> float:
     """Sum of the underlying field over the closed box [lo, hi] (1-based),
     recovered from the prefix array by inclusion-exclusion over the 2^d
-    corners."""
+    corners.  Only the corner entries are gathered and padded (S at
+    lo_q - 1 and hi_q on each axis, the zero face standing in for
+    lo_q = 1), so the cost does not grow with the prefix array."""
     prefix = np.asarray(prefix, dtype=np.float64)
     lo = validate_index(lo, prefix.shape)
     hi = validate_index(hi, prefix.shape)
     if not dominated(lo, hi):
         raise InvalidInputError("rect_sum needs lo <= hi, got %r, %r" % (lo, hi))
-    first = [(np.array(h), 1.0) for h in hi]
-    second = [(np.array(l - 1), -1.0) for l in lo]
-    return float(_corner_sum(padded_prefix(prefix)[None], first, second)[0])
+    rows = [[h - 1] if l == 1 else [l - 2, h - 1] for l, h in zip(lo, hi)]
+    corners = padded_prefix(prefix[np.ix_(*rows)])
+    # in the padded corner array S at hi_q is the last entry, S at lo_q - 1 the one before
+    first = [(np.array(len(r)), 1.0) for r in rows]
+    second = [(np.array(len(r) - 1), -1.0) for r in rows]
+    return float(_corner_sum(corners[None], first, second)[0])

@@ -9,9 +9,11 @@ from scipy.special import ndtr
 
 from .errors import InvalidInputError
 
+_Z = 1.96  # the normal quantile of a two-sided 95 percent interval
 
-def wilson_interval(hits: int, trials: int, z: float = 1.96) -> tuple:
-    """Wilson score interval for a binomial proportion.
+
+def wilson_interval(hits: int, trials: int) -> tuple:
+    """Wilson score interval (95 percent) for a binomial proportion.
 
     Preferred over the normal interval because it stays informative at
     zero observed hits, which is the common case for tail events.
@@ -21,10 +23,10 @@ def wilson_interval(hits: int, trials: int, z: float = 1.96) -> tuple:
     if not 0 <= hits <= trials:
         raise InvalidInputError("hits %d outside [0, %d]" % (hits, trials))
     p = hits / trials
-    z2 = z * z
+    z2 = _Z * _Z
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2.0 * trials)) / denom
-    half = (z / denom) * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials * trials))
+    half = (_Z / denom) * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials * trials))
     return (max(0.0, center - half), min(1.0, center + half))
 
 

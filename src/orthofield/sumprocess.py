@@ -15,6 +15,12 @@ block of prefix arrays on the level-J dyadic grid at once, which is
 what the holder-norm experiment measures.  Both interpolating
 evaluators locate each point's cell with one helper (_cell) and sum its
 2^d corners through lattice._corner_sum, so they agree bit for bit.
+
+The remaining helpers have no caller in the package and stay for these
+reasons: grid_value reads S_k / sqrt(|n|) exactly, which the exact
+arithmetic criterion (01) of the acceptance suite checks; delta_q is
+the increment of W along one axis, the README's "increments"; and
+lemma11_check is the slab inequality checker of criterion 06.
 """
 
 from __future__ import annotations
@@ -30,8 +36,6 @@ from .lattice import (
     _corner_sum,
     padded_prefix,
     prefix_sum,
-    validate_index,
-    validate_shape,
     volume,
 )
 
@@ -67,17 +71,6 @@ def _validate_point(t, d) -> np.ndarray:
     if np.any(t < 0.0) or np.any(t > 1.0):
         raise InvalidRangeError("point %r outside [0, 1]^%d" % (t, d))
     return t
-
-
-def overlap_volume(site, shape, t) -> float:
-    """Lebesgue volume of cell(site) intersected with prod_q [0, n_q t_q]."""
-    shape = validate_shape(shape)
-    site = validate_index(site, shape)
-    t = _validate_point(t, len(shape))
-    out = 1.0
-    for i_q, n_q, t_q in zip(site, shape, t):
-        out *= float(np.clip(n_q * t_q - (i_q - 1), 0.0, 1.0))
-    return out
 
 
 def eval_W(p: PartialSumProcess, t) -> float:
@@ -186,19 +179,8 @@ class Lemma11Result:
     ramp: float
     holds: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "block_term": self.block_term,
-            "slice_term": self.slice_term,
-            "indicator": self.indicator,
-            "ramp": self.ramp,
-            "holds": bool(self.holds),
-        }
 
-
-def lemma11_check(p: PartialSumProcess, t: float, t_prime: float, s_grid=None) -> Lemma11Result:
+def lemma11_check(p: PartialSumProcess, t: float, t_prime: float) -> Lemma11Result:
     """Deterministic increment bound along the first coordinate.
 
     lhs = sqrt(|n|) sup_s |W(t', s) - W(t, s)| (the sup over s is exact
@@ -213,14 +195,7 @@ def lemma11_check(p: PartialSumProcess, t: float, t_prime: float, s_grid=None) -
     if not 0.0 <= t < t_prime <= 1.0:
         raise InvalidRangeError("need 0 <= t < t' <= 1, got %r, %r" % (t, t_prime))
     n1 = p.shape[0]
-    rest = p.shape[1:]
-    if s_grid is None:
-        s_grid = _node_grid(rest)
-    else:
-        s_grid = np.asarray(s_grid, dtype=np.float64)
-        if s_grid.ndim != 2 or s_grid.shape[1] != p.d - 1:
-            raise InvalidInputError("s_grid must have shape (m, %d)" % (p.d - 1))
-
+    s_grid = _node_grid(p.shape[1:])
     pts_lo = np.column_stack([np.full(len(s_grid), t), s_grid])
     pts_hi = np.column_stack([np.full(len(s_grid), t_prime), s_grid])
     lhs = p.sqrt_vol * float(
@@ -246,32 +221,3 @@ def lemma11_check(p: PartialSumProcess, t: float, t_prime: float, s_grid=None) -
     holds = lhs <= rhs + 1e-9 * max(1.0, abs(rhs))
     return Lemma11Result(lhs, rhs, three_d * indicator * block_term,
                          three_d * ramp * slice_term, indicator, ramp, holds)
-
-
-def lipschitz_ratio(p: PartialSumProcess, pairs) -> float:
-    """Max over pairs of |W(t) - W(t')| divided by the coarse bound
-    sqrt(|n|) ||t - t'||_inf sum|X|.  Coincident pairs are skipped; an
-    all-zero field gives 0.
-
-    The normalized ratio stays at or below 1 whenever every axis has at
-    least two cells.  Shapes with unit axes in d >= 2 can push a corner
-    increment past the bound (see tests), so callers comparing against
-    1 should keep n_q >= 2.
-    """
-    pairs = list(pairs)
-    if not pairs:
-        raise InvalidInputError("need at least one (t, t') pair")
-    total_abs = float(np.sum(np.abs(p.field)))
-    if total_abs == 0.0:
-        return 0.0
-    best = 0.0
-    for t, t_prime in pairs:
-        t = _validate_point(t, p.d)
-        t_prime = _validate_point(t_prime, p.d)
-        sup_dist = float(np.max(np.abs(t - t_prime)))
-        if sup_dist == 0.0:
-            continue
-        vals = eval_W_batch(p, np.vstack([t, t_prime]))
-        ratio = float(abs(vals[0] - vals[1])) / (p.sqrt_vol * sup_dist * total_abs)
-        best = max(best, ratio)
-    return best

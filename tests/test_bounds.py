@@ -16,7 +16,6 @@ from orthofield import (
     bounded_rhs,
     cond_wip_check,
     const_factor,
-    empirical_tail,
     exponent_fit,
     gaussian_product,
     iter_log,
@@ -26,7 +25,6 @@ from orthofield import (
     recurse_constants,
     tail_eval,
     thm1_rhs,
-    thm2_envelope_fit,
     thm2_rhs,
     unit_tail,
     weibull_envelope,
@@ -314,17 +312,6 @@ def test_unit_tail_is_one_everywhere():
     assert tail_eval(model, 1e9) == 1.0
 
 
-def test_empirical_tail_matches_counting_loop():
-    rng = np.random.default_rng(2)
-    samples = rng.standard_normal(500)
-    model = empirical_tail(samples)
-    for s in (0.0, 0.3, 1.1, 5.0):
-        want = np.mean(np.abs(samples) > s)
-        assert tail_eval(model, s) == pytest.approx(want, abs=1e-12)
-    with pytest.raises(InsufficientDataError):
-        empirical_tail([1.0])
-
-
 def test_gaussian_product_single_factor_is_erfc():
     model = gaussian_product(1)
     for s in (0.1, 1.0, 2.5):
@@ -417,15 +404,6 @@ def test_thm2_rhs_input_validation():
         thm2_rhs(1.0, (4, 4, 4), 1.0, 2)
 
 
-def test_thm2_envelope_dominates_grid():
-    fit = thm2_envelope_fit(1.0, 2, [(16, 16), (32, 32)], [0.25, 0.5, 1.0])
-    assert fit["C1"] > 0 and fit["C2"] > 0
-    for shape, x, expo, value in fit["rows"]:
-        assert value <= fit["C1"] * math.exp(-fit["C2"] * expo) * (1.0 + 1e-9)
-    with pytest.raises(InsufficientDataError):
-        thm2_envelope_fit(1.0, 2, [(8, 8)], [])
-
-
 # -------------------------------------------------- summability diagnostics
 
 
@@ -458,6 +436,15 @@ def test_lemma3_moment_sum_converges_and_diverges():
     bad = lemma3_moment_sum(const_factor(1.0), unit_tail(), 1.0, 10)
     assert bad["diverged_levels"] and bad["total"] == math.inf
     assert not bad["converged"]
+
+
+def test_lemma3_unconverged_moment_term_is_reported(monkeypatch):
+    # the Lemma 3 terms go through the tail integral of thm1_rhs, which
+    # refuses a quadrature whose error estimate exceeds its tolerance
+    monkeypatch.setattr(bounds, "quad", lambda f, a, b, **kw: (2.0, 1e-3))
+    with pytest.raises(NumericFailureError) as info:
+        lemma3_moment_sum(log_power(3.0), weibull_envelope(1.0), 1.0, 30)
+    assert "j=1" in str(info.value) and "error estimate 0.001" in str(info.value)
 
 
 # ---------------------------------------------------------- exponent fit

@@ -10,7 +10,6 @@ from orthofield import (
     InvalidRangeError,
     SeedSpec,
     decoupled_product,
-    decoupled_product_kernel,
     generate,
     generate_batch,
     iid_gaussian,
@@ -18,15 +17,30 @@ from orthofield import (
     iid_weibull,
     moving_average,
     orthomartingale_check,
-    product_factor_streams,
     product_rademacher,
     shift_field,
     spec_from_json,
     spec_to_json,
     spec_variance,
+    validate_shape,
     weibull_tail_sample,
     zero_field,
 )
+from orthofield import generators
+
+
+def product_factor_streams(spec, shape, seed, offset=None):
+    """Per-axis factor streams of one replica of a product variant, from
+    the routine generate_batch multiplies out; their outer product is
+    exactly generate()."""
+    if spec.variant not in ("product_rademacher", "decoupled_product"):
+        raise InvalidInputError("kernel is defined for product variants, not %r" % spec.variant)
+    shape = validate_shape(shape)
+    if len(shape) != spec.d:
+        raise InvalidInputError("spec has d=%d but shape is %r" % (spec.d, shape))
+    reps = np.asarray([seed.replica], dtype=np.int64)
+    return [vals[0] for vals in generators._factor_streams(
+        spec, seed.master, reps, generators._axis_coords(shape, offset))]
 
 
 def test_weibull_inverse_map_pinned_median():
@@ -125,16 +139,6 @@ def test_product_factor_streams_rejects_iid():
         product_factor_streams(iid_rademacher(2), (3, 3), SeedSpec(1, 0))
 
 
-def test_decoupled_product_kernel_values():
-    assert decoupled_product_kernel(1.0, -1.0, 1.0) == -1.0
-    assert decoupled_product_kernel(0.0, 5.0) == 0.0
-    assert decoupled_product_kernel(3.0) == 3.0
-    got = decoupled_product_kernel(np.array([1.0, 2.0]), np.array([3.0, -4.0]))
-    assert np.array_equal(got, [3.0, -8.0])
-    with pytest.raises(InvalidInputError):
-        decoupled_product_kernel()
-
-
 def test_kernel_degeneracy_monte_carlo():
     # Freezing all factors but one leaves a centered variable: the
     # conditional mean over the free factor vanishes for every fixed
@@ -142,7 +146,7 @@ def test_kernel_degeneracy_monte_carlo():
     rng = np.random.default_rng(3)
     fixed = rng.choice([-1.0, 1.0], size=5)
     free = rng.choice([-1.0, 1.0], size=20000)
-    prods = decoupled_product_kernel(free, np.prod(fixed))
+    prods = free * np.prod(fixed)
     assert abs(np.mean(prods)) < 4.0 / math.sqrt(len(free))
 
 
@@ -204,26 +208,20 @@ def test_orthomartingale_check_negative_control():
     # A one-step moving average on axis 1 correlates with its own past
     # on that axis but stays centered against the other axis.
     spec = moving_average(2, axis=1)
-    bad = orthomartingale_check(spec, (4, 4), SeedSpec(7, 0), replicas=3000, axes=[1])
-    good = orthomartingale_check(spec, (4, 4), SeedSpec(7, 0), replicas=3000, axes=[2])
-    assert not bad.passed
-    assert good.passed
-    report = bad.to_dict()
-    assert report["passed"] is False
-    assert len(report["rows"]) == len(bad.rows)
+    res = orthomartingale_check(spec, (4, 4), SeedSpec(7, 0), replicas=3000)
+    assert not res.passed
+    assert any(abs(r.z) > res.z_threshold for r in res.rows if r.axis == 1)
+    assert all(abs(r.z) <= res.z_threshold for r in res.rows if r.axis == 2)
+    # two sites, three tests, on each of the two axes
+    assert len(res.rows) == 12
 
 
 def test_orthomartingale_check_input_validation():
     with pytest.raises(InvalidInputError):
         orthomartingale_check(iid_rademacher(2), (4, 4), SeedSpec(1, 0), replicas=10)
+    # an axis of extent 1 leaves the far corner with an empty past
     with pytest.raises(InvalidInputError):
-        orthomartingale_check(
-            iid_rademacher(2), (4, 4), SeedSpec(1, 0), replicas=2000, axes=[3]
-        )
-    with pytest.raises(InvalidInputError):
-        orthomartingale_check(
-            iid_rademacher(2), (4, 4), SeedSpec(1, 0), replicas=2000, sites=[(1, 1)]
-        )
+        orthomartingale_check(iid_rademacher(2), (4, 1), SeedSpec(1, 0), replicas=2000)
 
 
 def test_generate_shape_mismatch():

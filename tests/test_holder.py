@@ -9,6 +9,7 @@ from orthofield import (
     InvalidInputError,
     InvalidRangeError,
     InvalidSiteError,
+    Modulus,
     NoParentsError,
     SeedSpec,
     TooLargeError,
@@ -50,7 +51,7 @@ def process_evaluator(process):
 
 
 def test_modulus_pinned_value():
-    rho = modulus(math.e, 2, const_factor(1.0), check_increasing=False)
+    rho = Modulus(math.e, 2, const_factor(1.0))  # outside the increasing class
     # sqrt(1) * ln(e/1)^(2/2) * 1 = 1
     assert modulus_eval(rho, 1.0) == pytest.approx(1.0, rel=1e-15)
 
@@ -91,15 +92,14 @@ def test_slowly_varying_factors():
 
 
 def test_modulus_dict_round_trip():
-    for rho in (
-        modulus(math.exp(9.0), 2, iter_log()),
-        modulus(math.exp(6.0), 3, const_factor(2.0)),
+    for data, rho in (
+        ({"c": math.exp(9.0), "L": {"kind": "iter_log"}}, modulus(math.exp(9.0), 2, iter_log())),
+        ({"c": math.exp(6.0), "L": {"kind": "const", "c0": 2.0}},
+         modulus(math.exp(6.0), 3, const_factor(2.0))),
     ):
-        data = rho.to_dict()
-        assert modulus_from_dict(data, data.pop("d")) == rho
-    bumpy = modulus(math.exp(4.0), 1, log_power(1.5), check_increasing=False)
-    data = bumpy.to_dict()
-    assert modulus_from_dict(data, data.pop("d"), check_increasing=False) == bumpy
+        assert modulus_from_dict(data, rho.d) == rho
+    with pytest.raises(DegenerateModulusError):
+        modulus_from_dict({"c": math.exp(4.0), "L": {"kind": "log_power", "beta": 1.5}}, 1)
     # the dimension is the field's and the increasing check is not a config key
     for bad in ({"c": 55.0, "L": {"kind": "mystery"}}, {"c": 55.0, "d": 2},
                 {"c": 55.0, "check_increasing": False}):
@@ -261,7 +261,7 @@ def test_tightness_deterministic():
     b = tightness_sum_estimate(iid_gaussian(2), rho, 0.3, 2, 1, (5, 5), 150, seed=9)
     c = tightness_sum_estimate(iid_gaussian(2), rho, 0.3, 2, 1, (5, 5), 150, seed=9,
                                threads=3)
-    assert a.to_dict() == b.to_dict() == c.to_dict()
+    assert a == b == c
     assert any(r.hits > 0 for r in a.rows)
     assert a.rows[0].shape == (32, 16)
 

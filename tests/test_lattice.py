@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 from concurrent.futures import Future
 
 import numpy as np
@@ -105,6 +106,20 @@ def test_rect_sum_matches_brute():
         lo = tuple(int(rng.integers(1, n + 1)) for n in shape)
         hi = tuple(int(rng.integers(l, n + 1)) for l, n in zip(lo, shape))
         assert rect_sum(pref, lo, hi) == brute_rect(field, lo, hi)
+
+
+def test_rect_sum_memory_does_not_grow_with_the_prefix():
+    # one box on a 1024x1024 prefix (8 MB) gathers only its 2^d corners;
+    # a padded copy of the whole array would take about 8.4 MB
+    pref = prefix_sum(np.ones((1024, 1024)))
+    tracemalloc.start()
+    try:
+        got = rect_sum(pref, (300, 17), (900, 1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == 601.0 * 984.0
+    assert peak < 64 * 1024, peak
 
 
 @pytest.mark.parametrize("law", [iid_gaussian, iid_rademacher, lambda d: iid_weibull(d, 0.7)],

@@ -13,10 +13,51 @@ from orthofield import (
     from_field,
     grid_value,
     lemma11_check,
-    lipschitz_ratio,
-    overlap_volume,
+    validate_index,
+    validate_shape,
     volume,
 )
+from orthofield.sumprocess import _validate_point
+
+
+def overlap_volume(site, shape, t) -> float:
+    """Lebesgue volume of cell(site) intersected with prod_q [0, n_q t_q]."""
+    shape = validate_shape(shape)
+    site = validate_index(site, shape)
+    t = _validate_point(t, len(shape))
+    out = 1.0
+    for i_q, n_q, t_q in zip(site, shape, t):
+        out *= float(np.clip(n_q * t_q - (i_q - 1), 0.0, 1.0))
+    return out
+
+
+def lipschitz_ratio(p, pairs) -> float:
+    """Max over pairs of |W(t) - W(t')| divided by the coarse bound
+    sqrt(|n|) ||t - t'||_inf sum|X|.  Coincident pairs are skipped; an
+    all-zero field gives 0.
+
+    The normalized ratio stays at or below 1 whenever every axis has at
+    least two cells.  Shapes with unit axes in d >= 2 can push a corner
+    increment past the bound (test_lipschitz_bound_fails_on_unit_axes),
+    so comparisons against 1 keep n_q >= 2.
+    """
+    pairs = list(pairs)
+    if not pairs:
+        raise InvalidInputError("need at least one (t, t') pair")
+    total_abs = float(np.sum(np.abs(p.field)))
+    if total_abs == 0.0:
+        return 0.0
+    best = 0.0
+    for t, t_prime in pairs:
+        t = _validate_point(t, p.d)
+        t_prime = _validate_point(t_prime, p.d)
+        sup_dist = float(np.max(np.abs(t - t_prime)))
+        if sup_dist == 0.0:
+            continue
+        vals = eval_W_batch(p, np.vstack([t, t_prime]))
+        ratio = float(abs(vals[0] - vals[1])) / (p.sqrt_vol * sup_dist * total_abs)
+        best = max(best, ratio)
+    return best
 
 
 def brute_W(field, t):
