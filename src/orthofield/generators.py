@@ -9,6 +9,26 @@ the README's Determinism section relies on it), and the product
 variants derive their per-axis factor streams in one routine
 (_factor_streams), whose outer product is the field.
 
+replica_stats is the one block reduction of the Monte Carlo
+experiments: per replica it returns only the statistics of the partial
+sums S_k its caller reads, out of max_k |S_k| ("max"), the signed S_n
+("total") and max |S_k| over the last slab k_d = n_d ("slab").  iid and
+moving-average fields take the float path over the generated block:
+lattice.batch_prefix when "max" or "slab" is asked for, and
+lattice.batch_total when only "total" is.  Product fields factorize,
+S_k = prod_q P^(q)_(k_q) with P^(q) the cumulative sum of axis q's
+factor stream, so their statistics are products of per-axis ones,
+multiplied in axis order:
+
+    max   = prod_q max |P^(q)|
+    total = prod_q P^(q)_(n_q)
+    slab  = (prod_(q<d) max |P^(q)|) |P^(d)_(n_d)|
+
+which costs O(sum n_q) per replica instead of O(prod n_q).  With +-1
+factors every term is an exact integer, so Rademacher products give the
+float path's values bit for bit; Gaussian and Weibull decoupled products
+round differently, by a few 1e-15 x max |S| per replica.
+
 Kept without a caller in the package: orthomartingale_check, the
 Monte Carlo conditional-centering screen behind the field classes
 below; zero_field, the all-zero control; and generate with its
@@ -48,9 +68,11 @@ from .errors import (
     check_number,
     check_object,
 )
-from .lattice import LatticeArray, _map_blocks, validate_shape
+from .lattice import LatticeArray, _map_blocks, batch_prefix, batch_total, validate_shape
 
 _VARIANTS = ("iid_symmetric", "product_rademacher", "decoupled_product", "moving_average", "zero")
+_PRODUCTS = ("product_rademacher", "decoupled_product")
+_STATS = ("max", "total", "slab")
 _DISTS = ("rademacher", "gaussian", "weibull_symmetric")
 
 # stream labels folded into every key; distinct per (variant, dist) so
@@ -264,7 +286,7 @@ def generate_batch(
         h = _grid_hash(_base_key(spec, master_seed, 0), reps, coords)
         return _dist_values(h, spec.param("dist"), spec)
 
-    if spec.variant in ("product_rademacher", "decoupled_product"):
+    if spec.variant in _PRODUCTS:
         out = np.ones((count,) + shape, dtype=np.float64)
         for q, vals in enumerate(_factor_streams(spec, master_seed, reps, coords)):
             shape_q = [1] * (d + 1)
@@ -286,6 +308,54 @@ def generate_batch(
         return base[tuple(lead)] + base[tuple(lag)]
 
     raise NotTranslatableError("variant %r has no site-addressed form" % spec.variant)
+
+
+def _axis_product(factors) -> np.ndarray:
+    """The product of per-replica arrays, multiplied in axis order."""
+    out = factors[0].copy()
+    for f in factors[1:]:
+        out *= f
+    return out
+
+
+def replica_stats(spec: GeneratorSpec, shape, seed: int, start: int, count: int,
+                  stats) -> tuple:
+    """The partial-sum statistics named in stats (a subset of "max",
+    "total" and "slab", see the module docstring) of replicas
+    [start, start + count), one array of count values per name in that
+    order.  Every array is a copy, so none keeps a block-sized array
+    alive."""
+    stats = tuple(stats)
+    if not stats or any(name not in _STATS for name in stats):
+        raise InvalidInputError("stats must name some of %r, got %r" % (_STATS, stats))
+    shape = validate_shape(shape)
+    if len(shape) != spec.d:
+        raise InvalidInputError("spec has d=%d but shape is %r" % (spec.d, shape))
+    if count < 1:
+        raise InvalidInputError("count must be >= 1")
+
+    if spec.variant in _PRODUCTS:
+        reps = np.arange(start, start + count, dtype=np.int64)
+        prefixes = [np.cumsum(vals, axis=1)
+                    for vals in _factor_streams(spec, seed, reps, _axis_coords(shape, None))]
+        peaks = [np.abs(p).max(axis=1) for p in prefixes]
+        ends = [p[:, -1] for p in prefixes]
+        factors = {"max": peaks, "total": ends, "slab": peaks[:-1] + [np.abs(ends[-1])]}
+        return tuple(_axis_product(factors[name]) for name in stats)
+
+    fields = generate_batch(spec, shape, seed, start, count)
+    if stats == ("total",):
+        return (batch_total(fields),)
+    absp = batch_prefix(fields)
+    out = {}
+    if "total" in stats:
+        out["total"] = absp[(slice(None),) + (-1,) * len(shape)].copy()
+    np.abs(absp, out=absp)
+    if "max" in stats:
+        out["max"] = absp.max(axis=tuple(range(1, absp.ndim)))
+    if "slab" in stats:
+        out["slab"] = absp[..., -1].reshape(count, -1).max(axis=1)
+    return tuple(out[name] for name in stats)
 
 
 def generate(spec: GeneratorSpec, shape, seed: SeedSpec) -> LatticeArray:
@@ -343,6 +413,9 @@ def orthomartingale_check(
     Var(eps) > 0).
     """
     shape = validate_shape(shape)
+    if len(shape) != spec.d:
+        raise InvalidInputError("spec has d=%d but shape %r has d=%d"
+                                % (spec.d, shape, len(shape)))
     if replicas < 1000:
         raise InvalidInputError("need at least 1000 replicas for the 4-se screen")
     d = spec.d

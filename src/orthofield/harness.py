@@ -6,7 +6,12 @@ whose payload is a pure function of the config.  Replicas are
 counter-addressed through the generator layer, so the same config
 yields the same numbers however many threads run the replica blocks of
 the lattice layer's driver; reductions walk the blocks in index order
-and verdict logic only looks at precomputed intervals.
+and verdict logic only looks at precomputed intervals.  Each experiment
+asks the generator layer's one block reduction (replica_stats) for
+only the per-replica statistics it reads: deviation and the bounded and
+two-term bounds the maximum |S_k|, the large-deviation bound and fdd
+the total S_n, and induction-check the maximum and the last-slab
+maximum.
 
 Reports separate the reproducible payload (config echo, rows, verdicts,
 constants trace, tolerances) from the timing block (timestamp, wall
@@ -33,11 +38,12 @@ from .generators import (
     GeneratorSpec,
     generate_batch,
     iid_gaussian,
+    replica_stats,
     spec_from_json,
     spec_to_json,
     spec_variance,
 )
-from .lattice import _map_blocks, batch_prefix, batch_total, padded_prefix, validate_shape, volume
+from .lattice import _map_blocks, batch_prefix, padded_prefix, validate_shape, volume
 from .stats import ks_normal, wilson_interval
 
 _KS_ALLOWANCE = 0.015
@@ -96,23 +102,12 @@ def _finish(experiment, config, verdict, rows, t0, constants=None, tolerances=No
 # ---------------------------------------------------- replica reductions
 
 
-def _replica_stats(spec, shape, seed, replicas, threads):
-    """Per-replica (max |partial sum|, |full sum|, max |last-slab prefix|),
-    returned as copies so no view keeps its block's prefix array alive."""
-
-    def work(start, count):
-        absp = batch_prefix(generate_batch(spec, shape, seed, start, count))
-        np.abs(absp, out=absp)
-        m_all = absp.max(axis=tuple(range(1, absp.ndim)))
-        end = absp[(slice(None),) + (-1,) * (absp.ndim - 1)].copy()
-        if absp.ndim > 2:
-            slab = absp[..., -1].max(axis=tuple(range(1, absp.ndim - 1)))
-        else:
-            slab = absp[:, -1].copy()
-        return m_all, end, slab
-
+def _replica_stats(spec, shape, seed, replicas, threads, stats):
+    """replica_stats of every replica, one array per name in stats,
+    gathered from the blocks in block order."""
+    work = functools.partial(replica_stats, spec, shape, seed, stats=stats)
     parts = _map_blocks(work, replicas, threads)
-    return tuple(np.concatenate([p[i] for p in parts]) for i in range(3))
+    return tuple(np.concatenate([p[i] for p in parts]) for i in range(len(stats)))
 
 
 # --------------------------------------------------------- experiments
@@ -121,8 +116,8 @@ def _replica_stats(spec, shape, seed, replicas, threads):
 def mc_deviation(config: ExperimentConfig) -> Report:
     """Estimate P{max |S_i| > x sqrt(|n|)} over the configured x grid."""
     t0 = time.perf_counter()
-    m_all, _, _ = _replica_stats(config.generator, config.shape, config.seed, config.replicas,
-                                 config.threads)
+    m_all, = _replica_stats(config.generator, config.shape, config.seed, config.replicas,
+                            config.threads, ("max",))
     scale = math.sqrt(volume(config.shape))
     rows = []
     for x in config.x_grid:
@@ -147,21 +142,23 @@ def verify_bound(config: ExperimentConfig) -> Report:
     model = bounds.tail_from_dict(config.bound["tail"]) if kind == "two-term" else None
     d = len(shape)
     consts = bounds.recurse_constants(d)
-    m_all, end_abs, _ = _replica_stats(config.generator, shape, config.seed,
-                                       config.replicas, config.threads)
+    # large-deviation reads |S_n|, the other kinds max |S_k|
+    stat = np.abs(_replica_stats(config.generator, shape, config.seed, config.replicas,
+                                 config.threads, ("total",) if kind == "large-deviation"
+                                 else ("max",))[0])
     n_cells = volume(shape)
     rows = []
     for x in config.x_grid:
         if kind == "bounded":
-            stat, threshold = m_all, x * math.sqrt(n_cells)
+            threshold = x * math.sqrt(n_cells)
             bv = bounds.bounded_rhs(x, param, consts)
             extra = {}
         elif kind == "two-term":
-            stat, threshold = m_all, x * math.sqrt(n_cells)
+            threshold = x * math.sqrt(n_cells)
             bv = bounds.thm1_rhs(x, param, model, consts)
             extra = {}
         else:  # large-deviation
-            stat, threshold = end_abs, x * n_cells
+            threshold = x * n_cells
             ld = bounds.thm2_rhs(x, shape, param, d)
             bv = bounds.BoundValue(ld.value, ld.exp_term, ld.integral_term, ld.vacuous)
             extra = {"y_star": ld.y_star, "x_equiv": ld.x_equiv}
@@ -193,8 +190,8 @@ def induction_step_check(config: ExperimentConfig) -> Report:
     shape = config.shape
     if len(shape) < 2:
         raise InvalidRangeError("induction check needs d >= 2")
-    m_all, _, m_slab = _replica_stats(config.generator, shape, config.seed,
-                                      config.replicas, config.threads)
+    m_all, m_slab = _replica_stats(config.generator, shape, config.seed, config.replicas,
+                                   config.threads, ("max", "slab"))
     scale = math.sqrt(volume(shape))
     n = config.replicas
     rows = []
@@ -277,13 +274,10 @@ def fdd_compare(config: ExperimentConfig) -> Report:
             raise InvalidInputError("t must be grid aligned with 0 < t_q <= 1")
         k.append(int(round(k_q)))
     sigma2 = spec_variance(config.generator) * math.prod(point)
-
-    def work(start, count):
-        # counter-mode sites: the box [1, k] alone holds the same values
-        # as that box of the full lattice, and its total is S_k
-        return batch_total(generate_batch(config.generator, k, config.seed, start, count))
-
-    samples = np.concatenate(_map_blocks(work, config.replicas, config.threads))
+    # counter-mode sites: the box [1, k] alone holds the same values as
+    # that box of the full lattice, and its total is S_k
+    samples, = _replica_stats(config.generator, k, config.seed, config.replicas,
+                              config.threads, ("total",))
     ks = ks_normal(samples / math.sqrt(volume(shape)), sigma2)
     threshold = 1.36 / math.sqrt(samples.size) + _KS_ALLOWANCE
     verdict = "PASS" if ks <= threshold else "FAIL"

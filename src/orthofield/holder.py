@@ -57,7 +57,7 @@ from .errors import (
     check_object,
 )
 from . import lattice
-from .lattice import _map_blocks, batch_prefix, max_cells
+from .lattice import _map_blocks, max_cells
 from .sumprocess import eval_W_grid
 from .stats import wilson_interval
 
@@ -429,9 +429,8 @@ def tightness_sum_estimate(
         threshold = eps * modulus_eval(rho, 2.0**-j) * sqrt_full
 
         def work(start, count):
-            fields = generators.generate_batch(spec, shape, seed, j * replicas + start, count)
-            absp = batch_prefix(fields)
-            peaks = np.abs(absp, out=absp).max(axis=tuple(range(1, absp.ndim)))
+            peaks, = generators.replica_stats(spec, shape, seed, j * replicas + start, count,
+                                              ("max",))
             return int(np.count_nonzero(peaks > threshold))
 
         hits = sum(_map_blocks(work, replicas, threads))

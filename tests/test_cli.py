@@ -1,3 +1,4 @@
+import ctypes
 import json
 import math
 import subprocess
@@ -5,6 +6,7 @@ import sys
 
 import pytest
 
+from orthofield import cli
 from orthofield.cli import main
 
 
@@ -215,3 +217,36 @@ def test_console_script_runs(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] == "INFO"
+
+
+def test_allocator_policy_is_safe_to_miss(tmp_path, capsys, monkeypatch):
+    # without a C library to call, main runs the experiment unchanged
+    cfg = write_config(tmp_path, "vb.json", TWO_TERM)
+
+    def canonical():
+        assert main(["verify-bound", "--config", cfg]) == 0
+        report = json.loads(capsys.readouterr().out)
+        del report["timing"]
+        return json.dumps(report, sort_keys=True)
+
+    with_policy = canonical()
+    lookups = []
+
+    def no_libc():
+        lookups.append(True)
+        raise OSError("no C library")
+
+    monkeypatch.setattr(cli, "_libc", no_libc)
+    cli._set_allocator_policy.cache_clear()
+    try:
+        assert canonical() == with_policy
+    finally:
+        cli._set_allocator_policy.cache_clear()
+    assert lookups == [True]
+
+
+@pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "gnu_get_libc_version"),
+                    reason="the allocator policy is set on glibc only")
+def test_glibc_accepts_the_allocator_policy():
+    cli._set_allocator_policy.cache_clear()
+    assert cli._set_allocator_policy() is True

@@ -27,6 +27,7 @@ from orthofield import (
     zero_field,
 )
 from orthofield import generators
+from orthofield.lattice import _BLOCK, batch_prefix
 
 
 def product_factor_streams(spec, shape, seed, offset=None):
@@ -41,6 +42,17 @@ def product_factor_streams(spec, shape, seed, offset=None):
     reps = np.asarray([seed.replica], dtype=np.int64)
     return [vals[0] for vals in generators._factor_streams(
         spec, seed.master, reps, generators._axis_coords(shape, offset))]
+
+
+def float_path_stats(spec, shape, seed, start, count):
+    """The statistics replica_stats returns, read off the full prefix
+    array of the generated block: max |S_k|, the signed far corner S_n
+    and max |S_k| over the last slab k_d = n_d."""
+    prefix = batch_prefix(generate_batch(spec, shape, seed, start, count))
+    total = prefix[(slice(None),) + (-1,) * len(shape)].copy()
+    absp = np.abs(prefix)
+    return {"max": absp.reshape(count, -1).max(axis=1), "total": total,
+            "slab": absp[..., -1].reshape(count, -1).max(axis=1)}
 
 
 def test_weibull_inverse_map_pinned_median():
@@ -222,6 +234,65 @@ def test_orthomartingale_check_input_validation():
     # an axis of extent 1 leaves the far corner with an empty past
     with pytest.raises(InvalidInputError):
         orthomartingale_check(iid_rademacher(2), (4, 1), SeedSpec(1, 0), replicas=2000)
+
+
+def test_orthomartingale_check_rejects_shape_of_other_dimension():
+    with pytest.raises(InvalidInputError, match="d=3.*d=2"):
+        orthomartingale_check(iid_rademacher(3), (4, 4), SeedSpec(1, 0), replicas=1000)
+
+
+# a start and count off the block grid, so no block boundary is assumed
+_START, _COUNT = _BLOCK - 5, _BLOCK + 9
+_SHAPES = [(17,), (13, 7), (3, 4, 5), (64, 64)]
+
+
+@pytest.mark.parametrize("shape", _SHAPES, ids=lambda s: "x".join(map(str, s)))
+@pytest.mark.parametrize("variant", ["product_rademacher", "decoupled_product"])
+def test_product_stats_equal_float_path_exactly_for_rademacher(variant, shape):
+    # +-1 factors make every partial sum and product an exact integer
+    d = len(shape)
+    spec = product_rademacher(d) if variant == "product_rademacher" else decoupled_product(d)
+    want = float_path_stats(spec, shape, 8, _START, _COUNT)
+    stats = ("slab", "max", "total")
+    got = generators.replica_stats(spec, shape, 8, _START, _COUNT, stats)
+    for name, values in zip(stats, got):
+        assert values.shape == (_COUNT,)
+        assert np.array_equal(values, want[name]), name
+    assert np.any(want["slab"] < want["max"])  # the slab is not the whole box
+
+
+@pytest.mark.parametrize("shape", _SHAPES, ids=lambda s: "x".join(map(str, s)))
+@pytest.mark.parametrize("dist,params", [("gaussian", {"sigma": 1.5}),
+                                         ("weibull_symmetric", {"gamma": 0.7})])
+def test_product_stats_match_float_path_for_continuous_laws(dist, params, shape):
+    # only the rounding differs: within 1e-12 x max |S| of each replica,
+    # since a total near zero can move far more than 1e-12 relative
+    spec = decoupled_product(len(shape), dist=dist, **params)
+    want = float_path_stats(spec, shape, 8, _START, _COUNT)
+    got = dict(zip(want, generators.replica_stats(spec, shape, 8, _START, _COUNT, want)))
+    for name in want:
+        assert np.all(np.abs(got[name] - want[name]) <= 1e-12 * want["max"]), name
+
+
+@pytest.mark.parametrize("shape", _SHAPES[:3], ids=lambda s: "x".join(map(str, s)))
+@pytest.mark.parametrize("make", [iid_gaussian, lambda d: iid_weibull(d, 1.0), moving_average],
+                         ids=["gaussian", "weibull", "moving-average"])
+def test_field_stats_are_the_float_path_bit_for_bit(make, shape):
+    spec = make(len(shape))
+    want = float_path_stats(spec, shape, 8, _START, _COUNT)
+    total, = generators.replica_stats(spec, shape, 8, _START, _COUNT, ("total",))
+    assert np.array_equal(total, want["total"])
+    got = generators.replica_stats(spec, shape, 8, _START, _COUNT, ("max", "slab", "total"))
+    for name, values in zip(("max", "slab", "total"), got):
+        assert np.array_equal(values, want[name]), name
+
+
+def test_replica_stats_rejects_bad_requests():
+    for stats in ((), ("max", "mean")):
+        with pytest.raises(InvalidInputError):
+            generators.replica_stats(product_rademacher(2), (4, 4), 1, 0, 3, stats)
+    with pytest.raises(InvalidInputError):
+        generators.replica_stats(product_rademacher(2), (4,), 1, 0, 3, ("max",))
 
 
 def test_generate_shape_mismatch():

@@ -16,6 +16,7 @@ from orthofield import (
     holder_norm_of_Wn,
     iid_gaussian,
     iid_rademacher,
+    iid_weibull,
     induction_step_check,
     lemma_checks,
     mc_deviation,
@@ -104,6 +105,22 @@ def test_thread_count_does_not_change_payload(monkeypatch):
         # finest level 3, so j_max 5 reads the grid two levels past it
         (holder_norm_of_Wn, dict(experiment="holder-norm", generator=iid_gaussian(2),
                                  shape=(5, 7), j_max=5, replicas=150, seed=9, modulus=modulus)),
+        # the routes of generators.replica_stats: per-axis products for
+        # product fields, the total alone, the maximum with the slab
+        (verify_bound, dict(experiment="verify-bound", generator=product_rademacher(2),
+                            shape=(16, 16), x_grid=(2.0, 4.0), replicas=256, seed=9,
+                            bound={"kind": "bounded", "K": 1.0})),
+        (verify_bound, dict(experiment="verify-bound", generator=iid_weibull(2, 1.0),
+                            shape=(16, 16), x_grid=(0.05, 0.1), replicas=256, seed=9,
+                            bound={"kind": "large-deviation", "gamma": 1.0})),
+        (induction_step_check, dict(experiment="induction-check",
+                                    generator=product_rademacher(3), shape=(4, 5, 6),
+                                    x_grid=(0.5, 1.0), replicas=256, seed=9)),
+        (fdd_compare, dict(experiment="fdd", generator=product_rademacher(2), shape=(16, 16),
+                           t_point=(0.5, 0.75), replicas=256, seed=9)),
+        (tightness_experiment, dict(experiment="tightness", generator=product_rademacher(2),
+                                    exponents=(5, 5), eps=0.3, axis_q=1, j_from=1,
+                                    replicas=150, seed=9, modulus=modulus)),
     ]
     for runner, base in cases:
         payloads = set()
@@ -121,7 +138,8 @@ def test_replica_blocks_do_not_retain_prefix_memory(stat):
     # so the peak may not grow with the replica count
     def run(replicas):
         if stat == "deviation":
-            _replica_stats(iid_rademacher(2), (64, 64), 3, replicas, 1)
+            _replica_stats(iid_rademacher(2), (64, 64), 3, replicas, 1,
+                           ("max", "total", "slab"))
         else:
             fdd_compare(ExperimentConfig(experiment="fdd", generator=iid_rademacher(2),
                                          shape=(64, 64), t_point=(1.0, 1.0),
