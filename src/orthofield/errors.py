@@ -23,7 +23,8 @@ class InvalidRangeError(OrthofieldError, ValueError):
 
 
 class TooLargeError(OrthofieldError, ValueError):
-    """Requested lattice or site set exceeds the configured cell cap."""
+    """One replica's array (a lattice, a level grid, node pair draws)
+    would exceed the block budget, lattice._BLOCK_BYTES."""
 
 
 class NotTranslatableError(OrthofieldError, ValueError):

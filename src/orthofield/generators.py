@@ -68,7 +68,15 @@ from .errors import (
     check_number,
     check_object,
 )
-from .lattice import LatticeArray, _map_blocks, batch_prefix, batch_total, validate_shape
+from .lattice import (
+    LatticeArray,
+    _block_size,
+    _map_blocks,
+    batch_prefix,
+    batch_total,
+    validate_shape,
+    volume,
+)
 
 _VARIANTS = ("iid_symmetric", "product_rademacher", "decoupled_product", "moving_average", "zero")
 _PRODUCTS = ("product_rademacher", "decoupled_product")
@@ -450,7 +458,8 @@ def orthomartingale_check(
                     out.append((vals.sum(), (vals * vals).sum()))
         return np.array(out)
 
-    totals = sum(_map_blocks(work, replicas, 1))
+    blocks = range(0, replicas, _block_size(volume(shape), "lattice"))
+    totals = sum(_map_blocks(work, blocks, 1))
 
     rows = []
     passed = True

@@ -43,7 +43,14 @@ from .generators import (
     spec_to_json,
     spec_variance,
 )
-from .lattice import _map_blocks, batch_prefix, padded_prefix, validate_shape, volume
+from .lattice import (
+    _block_size,
+    _map_blocks,
+    batch_prefix,
+    padded_prefix,
+    validate_shape,
+    volume,
+)
 from .stats import ks_normal, wilson_interval
 
 _KS_ALLOWANCE = 0.015
@@ -106,7 +113,8 @@ def _replica_stats(spec, shape, seed, replicas, threads, stats):
     """replica_stats of every replica, one array per name in stats,
     gathered from the blocks in block order."""
     work = functools.partial(replica_stats, spec, shape, seed, stats=stats)
-    parts = _map_blocks(work, replicas, threads)
+    blocks = range(0, replicas, _block_size(volume(shape), "lattice"))
+    parts = _map_blocks(work, blocks, threads)
     return tuple(np.concatenate([p[i] for p in parts]) for i in range(len(stats)))
 
 
@@ -210,41 +218,50 @@ def induction_step_check(config: ExperimentConfig) -> Report:
                    tolerances={"margin": "2 * (se_lhs + se_rhs)"})
 
 
-def brownian_sheet_sim(resolution, seed: int, replicas: int = 1, threads: int = 1) -> np.ndarray:
-    """Sheets sampled at grid nodes k/res, one per replica.
+def _sheet_block(res, seed: int, start: int, count: int) -> np.ndarray:
+    """Brownian sheets of replicas [start, start + count) at the grid
+    nodes k/res, padded with the zero face (k_q = 0).
 
     Cell increments are independent centered Gaussians with variance
-    equal to the cell volume, prefix-summed and padded with the zero
-    face, so E[W(t) W(t')] = prod min(t_q, t'_q) at the nodes."""
+    equal to the cell volume, prefix-summed, so E[W(t) W(t')] =
+    prod min(t_q, t'_q) at the nodes."""
+    spec = iid_gaussian(len(res), sigma=math.sqrt(1.0 / volume(res)))
+    return padded_prefix(batch_prefix(generate_batch(spec, res, seed, start, count)), lead=1)
+
+
+def brownian_sheet_sim(resolution, seed: int, replicas: int = 1, threads: int = 1) -> np.ndarray:
+    """Sheets sampled at grid nodes k/res, one per replica (_sheet_block)."""
     res = validate_shape(resolution)
-    sigma = math.sqrt(1.0 / volume(res))
-    spec = iid_gaussian(len(res), sigma=sigma)
-
-    def work(start, count):
-        return padded_prefix(batch_prefix(generate_batch(spec, res, seed, start, count)), lead=1)
-
-    return np.concatenate(_map_blocks(work, replicas, threads))
+    work = functools.partial(_sheet_block, res, seed)
+    blocks = range(0, replicas, _block_size(volume(n + 1 for n in res), "padded lattice"))
+    return np.concatenate(_map_blocks(work, blocks, threads))
 
 
 def sheet_cov_check(config: ExperimentConfig) -> Report:
     """Empirical node covariance of simulated sheets against the product
     of coordinate minima; PASS when every sampled pair is within 3
-    standard errors."""
+    standard errors.  The node pairs are drawn first, and each block of
+    sheets keeps only its values at those nodes."""
     t0 = time.perf_counter()
     res = config.shape
-    sheets = brownian_sheet_sim(res, config.seed, config.replicas, config.threads)
+    d = len(res)
+    _block_size(2 * d * config.pairs, "node pair draws")
     key = stream_key(config.seed, "sheet-pairs")
-    draws = uniform01(fold(key, np.arange(2 * len(res) * config.pairs, dtype=np.uint64)))
-    draws = draws.reshape(config.pairs, 2, len(res))
+    draws = uniform01(fold(key, np.arange(2 * d * config.pairs, dtype=np.uint64)))
+    nodes = 1 + (draws.reshape(config.pairs, 2, d) * np.array(res)).astype(np.int64)
+    sites = (slice(None),) + tuple(nodes[:, :, q] for q in range(d))
+
+    def work(start, count):
+        return _sheet_block(res, config.seed, start, count)[sites]
+
+    # a block holds its padded sheets, then their (count, pairs, 2) node values
+    cells = max(volume(n + 1 for n in res), 2 * config.pairs)
+    blocks = range(0, config.replicas, _block_size(cells, "sheet block"))
+    values = np.concatenate(_map_blocks(work, blocks, config.threads))
     rows = []
     for idx in range(config.pairs):
-        nodes = []
-        for side in range(2):
-            nodes.append(tuple(1 + int(draws[idx, side, q] * res[q]) for q in range(len(res))))
-        k1, k2 = nodes
-        w1 = sheets[(slice(None),) + k1]
-        w2 = sheets[(slice(None),) + k2]
-        prod = w1 * w2
+        k1, k2 = (tuple(int(k) for k in nodes[idx, side]) for side in range(2))
+        prod = values[:, idx, 0] * values[:, idx, 1]
         emp = float(np.mean(prod))
         se = float(np.std(prod)) / math.sqrt(config.replicas)
         true = math.prod(min(a, b) / r for a, b, r in zip(k1, k2, res))
@@ -303,7 +320,10 @@ def holder_norm_of_Wn(config: ExperimentConfig) -> Report:
                                                  count))
             return holder.grid_seq_norms(padded_prefix(prefix, lead=1), rho_s, levels)
 
-        norms = np.concatenate(_map_blocks(work, config.replicas, config.threads))
+        # a block holds its padded prefix arrays and their level-j_max grids
+        cells = max(volume(n + 1 for n in shape), holder.full_grid_count(levels, len(shape)))
+        blocks = range(0, config.replicas, _block_size(cells, "level grid"))
+        norms = np.concatenate(_map_blocks(work, blocks, config.threads))
         qs = np.quantile(norms, [0.25, 0.5, 0.75, 0.9])
         rows.append({"shape": list(shape), "j_max": levels,
                      "q25": float(qs[0]), "median": float(qs[1]),

@@ -35,6 +35,11 @@ grid, so W is evaluated once per grid node (sumprocess.eval_W_grid)
 and level j is the grid's every 2^(J_max - j)-th node, its coefficients
 slice arithmetic.  eval_W_grid and eval_W_batch share one corner-sum
 kernel, so the norms equal seq_norm's over eval_W_batch bit for bit.
+A level grid is held to the block budget of the lattice layer
+(lattice._block_size) like a lattice: the holder-norm experiment sizes
+its replica blocks by the larger of its padded lattice and its
+level-J_max grid, so grid_seq_norms evaluates the whole block it is
+given at once.
 """
 
 from __future__ import annotations
@@ -51,13 +56,11 @@ from .errors import (
     InvalidRangeError,
     InvalidSiteError,
     NoParentsError,
-    TooLargeError,
     check_kind,
     check_number,
     check_object,
 )
-from . import lattice
-from .lattice import _map_blocks, max_cells
+from .lattice import _block_size, _map_blocks, volume
 from .sumprocess import eval_W_grid
 from .stats import wilson_interval
 
@@ -204,9 +207,7 @@ def _level_k_array(j: int, d: int) -> np.ndarray:
     """Integer k rows of V_j, shape (|V_j|, d)."""
     if j < 0 or d < 1:
         raise InvalidRangeError("need j >= 0 and d >= 1")
-    total = full_grid_count(j, d)
-    if total > max_cells():
-        raise TooLargeError("level grid with %d nodes exceeds the cell cap" % total)
+    _block_size(full_grid_count(j, d), "level grid")
     if j == 0:
         axes = [np.array([0, 1])] * d
     else:
@@ -330,29 +331,19 @@ def grid_seq_norms(padded, rho: Modulus, j_max: int) -> np.ndarray:
     replica in a block of padded prefix arrays (replica axis first, as
     lattice.padded_prefix(prefix, lead=1) gives them), bit for bit.
 
-    W is evaluated once per node of the level-j_max dyadic grid, in
-    replica chunks whose grid stays within lattice._GRID_CELLS cells."""
+    W is evaluated once per node of the level-j_max dyadic grid for the
+    whole block; a caller sizes the block so that its grid fits the
+    block budget (lattice._block_size)."""
     padded = np.asarray(padded, dtype=np.float64)
     d = padded.ndim - 1
     if d != rho.d:
         raise InvalidInputError("prefix arrays have dimension %d, modulus has %d" % (d, rho.d))
     if j_max < 0:
         raise InvalidRangeError("j_max must be >= 0")
-    cells = full_grid_count(j_max, d)
-    if cells > max_cells():
-        raise TooLargeError("level grid with %d nodes exceeds the cell cap" % cells)
+    _block_size(full_grid_count(j_max, d), "level grid")
     scales = [modulus_eval(rho, 2.0**-j) for j in range(j_max + 1)]
-    step = max(1, lattice._GRID_CELLS // cells)
-    return np.concatenate([_chunk_norms(padded[start : start + step], scales)
-                           for start in range(0, len(padded), step)])
-
-
-def _chunk_norms(padded: np.ndarray, scales: list) -> np.ndarray:
-    """max_j peak_j / rho(2^-j), with scales[j] = rho(2^-j); the chunk's
-    grid is freed on return, before the next chunk builds its own."""
-    J = len(scales) - 1
-    grid = eval_W_grid(padded, J)
-    return np.max([_grid_peaks(grid, j, J) / s for j, s in enumerate(scales)], axis=0)
+    grid = eval_W_grid(padded, j_max)
+    return np.max([_grid_peaks(grid, j, j_max) / s for j, s in enumerate(scales)], axis=0)
 
 
 # ------------------------------------------------------ tightness sums
@@ -422,6 +413,13 @@ def tightness_sum_estimate(
     if replicas < 1:
         raise InvalidInputError("replicas must be >= 1")
 
+    # the level-j_from lattice, of 2^(sum(m) - j_from) cells, is the
+    # largest one built, and the normalizer prod_u 2^(m_u / 2) overflows
+    # a float once sum(m) reaches 2048
+    _block_size(2 ** (sum(m) - j_from), "lattice")
+    if sum(m) >= 2048:
+        raise InvalidRangeError("exponents %r sum to %d; the normalizer 2^(sum / 2) needs "
+                                "a sum below 2048" % (m, sum(m)))
     sqrt_full = math.prod(2.0 ** (mu / 2.0) for mu in m)
     rows = []
     for j in range(j_from, m[q - 1] + 1):
@@ -433,7 +431,8 @@ def tightness_sum_estimate(
                                               ("max",))
             return int(np.count_nonzero(peaks > threshold))
 
-        hits = sum(_map_blocks(work, replicas, threads))
+        blocks = range(0, replicas, _block_size(volume(shape), "lattice"))
+        hits = sum(_map_blocks(work, blocks, threads))
         p_hat = hits / replicas
         lo, hi = wilson_interval(hits, replicas)
         rows.append(

@@ -18,8 +18,16 @@ evaluators of sumprocess.  Its order is fixed (weights multiplied in
 axis order from 1.0, corners added in mask order into a zeroed total),
 so callers that pass the same weights get the same bits.
 
-Every Monte Carlo replica loop runs through _map_blocks in fixed blocks
-of _BLOCK replicas, with results in block order whatever the threads.
+Every Monte Carlo replica loop runs through _map_blocks, with results
+in block order whatever the threads.  One memory budget sizes the
+blocks: _BLOCK_BYTES bounds the largest float64 array of one replica
+block.  _block_size turns a caller's cells per replica into replicas
+per block, min(_BLOCK, _BLOCK_BYTES // (8 * cells)), and rejects a
+single replica over the budget with TooLargeError; validate_shape puts
+every lattice through the same check, so one lattice holds at most
+_BLOCK_BYTES // 8 = 2^23 cells.  _BLOCK caps the replicas a block holds
+for small lattices, so the block plans of small experiments do not grow
+with the budget.
 
 max_abs_prefix has no caller in the package; it stays because the exact
 arithmetic criterion (01) of the acceptance suite checks it.
@@ -29,7 +37,6 @@ from __future__ import annotations
 
 import math
 import operator
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -39,27 +46,22 @@ from .errors import InvalidInputError, TooLargeError
 
 MultiIndex = tuple  # d-tuple of 1-based ints
 
-DEFAULT_MAX_CELLS = 1 << 28
-_ENV_MAX_CELLS = "ORTHOFIELD_MAX_CELLS"
-_BLOCK = 64  # replicas per unit of work; fixed so threading cannot regroup
+_BLOCK = 64  # replicas per block at most; the plan is fixed so threading cannot regroup
+_BLOCK_BYTES = 64 << 20  # bytes of the largest float64 array of one replica block
 _MAX_THREADS = 32  # worker threads one driver call starts at most
-_GRID_CELLS = 1 << 20  # dyadic-grid cells one chunk of holder.grid_seq_norms holds
 
 
-def max_cells() -> int:
-    """Cell cap for a single lattice, overridable via ORTHOFIELD_MAX_CELLS."""
-    raw = os.environ.get(_ENV_MAX_CELLS)
-    if raw is None:
-        return DEFAULT_MAX_CELLS
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise InvalidInputError(
-            "%s must be a positive integer, got %r" % (_ENV_MAX_CELLS, raw)
-        ) from exc
-    if cap <= 0:
-        raise InvalidInputError("%s must be positive, got %d" % (_ENV_MAX_CELLS, cap))
-    return cap
+def _block_size(cells: int, what: str) -> int:
+    """Replicas per block when the largest array of a block holds `cells`
+    float64 values per replica: min(_BLOCK, _BLOCK_BYTES // (8 * cells)).
+    Raises TooLargeError when one replica's array alone exceeds
+    _BLOCK_BYTES; `what` names that array in the message."""
+    size = min(_BLOCK, _BLOCK_BYTES // (8 * cells))
+    if size < 1:
+        count = "%d" % cells if cells < 1 << 64 else "about 2^%.0f" % math.log2(cells)
+        raise TooLargeError("%s of %s cells exceeds the block budget of %d cells (%d MiB)"
+                            % (what, count, _BLOCK_BYTES // 8, _BLOCK_BYTES >> 20))
+    return size
 
 
 def validate_shape(shape) -> tuple:
@@ -71,13 +73,7 @@ def validate_shape(shape) -> tuple:
         raise InvalidInputError("lattice needs at least one axis")
     if any(n < 1 for n in shape):
         raise InvalidInputError("every axis extent must be >= 1, got %r" % (shape,))
-    cells = volume(shape)
-    cap = max_cells()
-    if cells > cap:
-        raise TooLargeError(
-            "lattice with %d cells exceeds the cap of %d (raise %s to override)"
-            % (cells, cap, _ENV_MAX_CELLS)
-        )
+    _block_size(volume(shape), "lattice")
     return shape
 
 
@@ -176,12 +172,16 @@ def padded_prefix(prefix: np.ndarray, lead: int = 0) -> np.ndarray:
     return out
 
 
-def _map_blocks(fn, total: int, threads: int) -> list:
-    """Run fn(start, count) over consecutive blocks of at most _BLOCK
-    replicas covering [0, total); results come back in block order
-    regardless of thread scheduling.  At most _MAX_THREADS threads run,
-    and never more than there are blocks."""
-    plan = [(start, min(_BLOCK, total - start)) for start in range(0, total, _BLOCK)]
+def _map_blocks(fn, blocks: range, threads: int) -> list:
+    """Run fn(start, count) over the blocks whose starts `blocks` lists,
+    range(0, total, _block_size(cells, what)) for replicas [0, total);
+    each block but the last holds blocks.step replicas.  Results come
+    back in block order regardless of thread scheduling.  At most
+    _MAX_THREADS threads run, and never more than there are blocks.
+    The plan travels in the three positional arguments because the
+    tracer of perfbench/spans.py wraps _map_blocks as (fn, total, threads)
+    and forwards exactly those three."""
+    plan = [(start, min(blocks.step, blocks.stop - start)) for start in blocks]
     workers = min(threads, len(plan), _MAX_THREADS)
     if workers <= 1:
         return [fn(start, count) for start, count in plan]

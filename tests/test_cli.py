@@ -1,6 +1,8 @@
+import ast
 import ctypes
 import json
 import math
+import pathlib
 import subprocess
 import sys
 
@@ -116,6 +118,15 @@ EXPONENT_FIT = {"experiment": "exponent-fit", "d": 1, "replicas": 2000}
         ("exponent-fit", dict(EXPONENT_FIT, grid_points=0)),
         ("deviation", dict(DEVIATION, modulus=MODULUS)),
         ("deviation", dict(DEVIATION, generator=_gen(sigma=1.0))),
+        # over the block budget: a lattice, the largest tightness level
+        # (2^2999 x 8), the node pair draws, the level grid; then a
+        # tightness level that fits, but whose normalizer overflows a float
+        ("deviation", dict(DEVIATION, shape=[4096, 4096])),
+        ("tightness", dict(TIGHTNESS, exponents=[3000, 3])),
+        ("sheet-cov", {"shape": [4, 4], "replicas": 16, "pairs": 10**12}),
+        ("holder-norm", {"experiment": "holder-norm", "generator": _gen(), "shape": [8, 8],
+                         "modulus": MODULUS, "j_max": 2000}),
+        ("tightness", dict(TIGHTNESS, exponents=[3000, 3], j_from=3000)),
     ],
     ids=["top-level-list", "replicas-string", "shape-int", "x-grid-string",
          "two-term-without-y", "weibull-tail-without-gamma",
@@ -126,7 +137,9 @@ EXPONENT_FIT = {"experiment": "exponent-fit", "d": 1, "replicas": 2000}
          "band-one-value", "exponent-fit-d-string", "constants-d-float",
          "bound-K-string", "gaussian-product-m-string",
          "constants-d-zero", "constants-d-negative", "sheet-cov-pairs-zero",
-         "exponent-fit-grid-points-zero", "deviation-with-modulus", "rademacher-with-sigma"],
+         "exponent-fit-grid-points-zero", "deviation-with-modulus", "rademacher-with-sigma",
+         "lattice-over-budget", "tightness-exponents-3000", "sheet-cov-pairs-1e12",
+         "holder-j-max-2000", "tightness-normalizer-overflow"],
 )
 def test_malformed_config_is_one_line_exit_1(tmp_path, capsys, experiment, payload):
     cfg = write_config(tmp_path, "bad.json", payload)
@@ -134,6 +147,17 @@ def test_malformed_config_is_one_line_exit_1(tmp_path, capsys, experiment, paylo
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1 and "error" in err, err
+
+
+def test_no_module_reads_the_environment():
+    # a run is set by its config file and command line alone, so no
+    # module may read the process environment
+    for path in sorted(pathlib.Path(cli.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                  for alias in node.names}
+        assert not names & {"environ", "environb", "getenv", "getenvb"}, path.name
 
 
 def test_usage_error_is_exit_1(capsys):

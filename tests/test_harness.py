@@ -157,28 +157,42 @@ def test_replica_blocks_do_not_retain_prefix_memory(stat):
     assert peaks[1] <= peaks[0] + 2 * block_bytes, peaks
 
 
-def test_holder_norm_memory_stays_within_grid_budget():
-    # j_max 8 on a 5x7 lattice (finest level 3) gives each replica a
-    # 257^2-node grid, so a block of 64 would hold 4.2 M nodes (34 MB) per
-    # array; the transform holds two arrays of at most _GRID_CELLS nodes
-    # at a time (plus smaller slices), and no block's arrays outlive it,
-    # so the peak holds whatever the replica count
-    def run(replicas):
-        holder_norm_of_Wn(ExperimentConfig(
-            experiment="holder-norm", generator=iid_gaussian(2), shape=(5, 7), j_max=8,
-            replicas=replicas, seed=3, modulus={"c": math.exp(6.0), "L": {"kind": "iter_log"}}))
-
-    budget_bytes = lattice._GRID_CELLS * 8
-    peaks = []
-    for replicas in (64, 192):
+def test_block_budget_bounds_memory_and_keeps_payloads(monkeypatch):
+    # A budget of 2 MiB cuts every block below _BLOCK replicas: 16 of
+    # 128x128, 32 of 64x128 (the fdd box) and of 16x16x32, 16 at
+    # tightness level 0, 3 of the 257^2-node level-8 grid of holder-norm
+    # (5x7, finest level 3) and 27 padded 97x97 sheets.  The payloads
+    # must not move, and the peak must stay within three arrays of the
+    # budget: the counter-mode hash holds its input, a shifted copy and
+    # its result, and no other step holds more block-sized arrays at
+    # once.  A sixteenth of the budget covers per-replica results and the
+    # report.
+    modulus = {"c": math.exp(6.0), "L": {"kind": "iter_log"}}
+    cases = [
+        dict(experiment="deviation", generator=iid_rademacher(2), shape=(128, 128),
+             x_grid=(0.5, 1.0, 2.0), replicas=100, seed=4),
+        dict(experiment="fdd", generator=iid_gaussian(2), shape=(128, 128),
+             t_point=(0.5, 1.0), replicas=100, seed=4),
+        dict(experiment="induction-check", generator=iid_gaussian(3), shape=(16, 16, 32),
+             x_grid=(0.5, 1.0), replicas=100, seed=4),
+        dict(experiment="tightness", generator=iid_gaussian(2), exponents=(7, 7), eps=0.3,
+             axis_q=1, j_from=0, replicas=100, seed=4, modulus=modulus),
+        dict(experiment="holder-norm", generator=iid_gaussian(2), shape=(5, 7), j_max=8,
+             replicas=20, seed=4, modulus=modulus),
+        dict(experiment="sheet-cov", shape=(96, 96), replicas=100, seed=4, pairs=4),
+    ]
+    wants = [run_experiment(ExperimentConfig(**base)).canonical_json() for base in cases]
+    budget = 2 << 20
+    monkeypatch.setattr(lattice, "_BLOCK_BYTES", budget)
+    for base, want in zip(cases, wants):
         tracemalloc.start()
         try:
-            run(replicas)
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            got = run_experiment(ExperimentConfig(**base)).canonical_json()
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peaks[0] <= 3 * budget_bytes, peaks
-    assert peaks[1] <= peaks[0] + budget_bytes // 8, peaks
+        assert got == want, base["experiment"]
+        assert peak <= 3 * budget + budget // 16, (base["experiment"], peak)
 
 
 def test_verify_bound_vacuous_grid_passes():

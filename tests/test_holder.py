@@ -349,27 +349,17 @@ def test_corner_sum_order_is_pinned():
     assert _same_bits(grid_seq_norms(padded, rho, 3), [want])
 
 
-def test_grid_seq_norms_chunks_do_not_change_bits(monkeypatch):
+def test_grid_seq_norms_input_checks(monkeypatch):
     from orthofield import lattice
 
-    rho = modulus(math.exp(6.0), 2, iter_log())
-    padded = padded_prefix(batch_prefix(generate_batch(iid_gaussian(2), (5, 7), 2, 0, 9)),
-                           lead=1)
-    whole = grid_seq_norms(padded, rho, 5)
-    for budget in (1, 33**2 * 2):  # one replica per chunk; two per chunk, the last alone
-        monkeypatch.setattr(lattice, "_GRID_CELLS", budget)
-        assert np.array_equal(grid_seq_norms(padded, rho, 5), whole)
-
-
-def test_grid_seq_norms_input_checks(monkeypatch):
     rho = modulus(math.exp(6.0), 2, iter_log())
     padded = padded_prefix(batch_prefix(np.ones((2, 4, 4))), lead=1)
     with pytest.raises(InvalidRangeError):
         grid_seq_norms(padded, rho, -1)
     with pytest.raises(InvalidInputError):
         grid_seq_norms(padded[:, 0], rho, 2)
-    # one replica's level-5 grid holds 33^2 = 1089 nodes
-    monkeypatch.setenv("ORTHOFIELD_MAX_CELLS", "1000")
+    # one replica's level-5 grid holds 33^2 = 1089 nodes, over a budget of 1000
+    monkeypatch.setattr(lattice, "_BLOCK_BYTES", 8 * 1000)
     with pytest.raises(TooLargeError):
         grid_seq_norms(padded, rho, 5)
     assert grid_seq_norms(padded, rho, 4).shape == (2,)

@@ -16,7 +16,6 @@ from orthofield import (
     iid_rademacher,
     iid_weibull,
     max_abs_prefix,
-    max_cells,
     padded_prefix,
     prefix_sum,
     rect_sum,
@@ -160,10 +159,9 @@ def test_padded_prefix_zero_face():
     assert np.array_equal(padded_prefix(in_place, lead=1), want)
 
 
-def test_map_blocks_returns_block_order_under_threads(monkeypatch):
-    monkeypatch.setattr(lattice, "_BLOCK", 3)
+def test_map_blocks_returns_block_order_under_threads():
     plan = [(0, 3), (3, 3), (6, 3), (9, 1)]
-    assert lattice._map_blocks(lambda start, count: (start, count), 10, 1) == plan
+    assert lattice._map_blocks(lambda start, count: (start, count), range(0, 10, 3), 1) == plan
     # each block waits for the one after it, so the blocks finish in reverse
     done = {start: threading.Event() for start, _ in plan}
     finished = []
@@ -175,7 +173,7 @@ def test_map_blocks_returns_block_order_under_threads(monkeypatch):
         done[start].set()
         return start, count
 
-    assert lattice._map_blocks(work, 10, 4) == plan
+    assert lattice._map_blocks(work, range(0, 10, 3), 4) == plan
     assert finished == [9, 6, 3, 0]
 
 
@@ -200,10 +198,10 @@ def test_map_blocks_caps_worker_threads(monkeypatch):
             return future
 
     monkeypatch.setattr(lattice, "ThreadPoolExecutor", RecordingPool)
-    counts = lattice._map_blocks(lambda start, count: count, 100000, 100000)
+    counts = lattice._map_blocks(lambda start, count: count, range(0, 100000, 64), 100000)
     assert len(counts) == 1563 and sum(counts) == 100000
     assert requested == [lattice._MAX_THREADS] and lattice._MAX_THREADS < 1563
-    assert len(lattice._map_blocks(lambda start, count: count, 3 * lattice._BLOCK, 100000)) == 3
+    assert len(lattice._map_blocks(lambda start, count: count, range(0, 192, 64), 100000)) == 3
     assert requested[-1] == 3
 
 
@@ -223,6 +221,20 @@ def test_lattice_array_one_based_get():
         arr.get((3, 1))
 
 
+def test_block_size_follows_the_budget():
+    # at most _BLOCK replicas, else as many as fit _BLOCK_BYTES, and a
+    # lattice one replica of which is over the budget is rejected
+    assert lattice._BLOCK_BYTES == 64 << 20 and lattice._BLOCK == 64
+    assert lattice._block_size(16 * 16, "lattice") == 64
+    assert lattice._block_size(1024 * 1024, "lattice") == 8
+    assert lattice._block_size(1 << 23, "lattice") == 1
+    assert validate_shape((4096, 2048)) == (4096, 2048)
+    with pytest.raises(TooLargeError, match="lattice of 8392704 cells"):
+        validate_shape((4096, 2049))
+    with pytest.raises(TooLargeError):
+        lattice._block_size((1 << 23) + 1, "level grid")
+
+
 def test_validate_shape_rejects_bad_input():
     with pytest.raises(InvalidInputError):
         validate_shape(())
@@ -238,13 +250,3 @@ def test_validate_index():
         validate_index((1, 3), (2, 2))
     with pytest.raises(InvalidInputError):
         validate_index((1.5, 1), (2, 2))
-
-
-def test_cell_cap_env_override(monkeypatch):
-    monkeypatch.setenv("ORTHOFIELD_MAX_CELLS", "100")
-    assert max_cells() == 100
-    with pytest.raises(TooLargeError):
-        validate_shape((11, 10))
-    monkeypatch.setenv("ORTHOFIELD_MAX_CELLS", "not-a-number")
-    with pytest.raises(InvalidInputError):
-        max_cells()
