@@ -27,11 +27,29 @@ integral over u is exact.  The outer integral is a fixed Gauss-Legendre
 rule in y = ln v, evaluated for a whole array of t at once, on two
 panels split where the u-section leaves u = 1; on the second panel,
 where the inner mass vanishes like a square root at the end y_max,
-y = y_max - (y_max - y_kink) w^2 makes the integrand smooth in w.  The
-difference between the n- and 2n-node rules is each value's error
-estimate.  M is closed form too, since min f_q = e^(q - 1/2) (2q)^(-q).
+y = y_max - (y_max - y_kink) w^2 makes the integrand smooth in w.  M
+is closed form too, since min f_q = e^(q - 1/2) (2q)^(-q).
 All realized (K, M) pairs are recorded per level so reports can
 reproduce the trace.
+
+Every integral here is taken by one rule family, with one convergence
+test (_converged): the value at 2n nodes, its distance to the n-node
+value as the error estimate, and NumericFailureError when that exceeds
+max(_ABS_FLOOR, |value| _REL_TOL).  The tail integral of the two-term
+bound and of the Lemma 3 moments is a Gauss-Legendre rule in x = ln u
+over [0, ln u_max], u_max the point past which the tail is negligible,
+on panels split where the tail's min(1, .) switches (for the Weibull
+envelope at u = (ln 2)^(1/gamma) / scale).  The Gaussian-product tail
+P{|X_1...X_m| > s} = E[erfc(s e^-Y / sqrt 2)], Y = ln|X_1...X_(m-1)|,
+takes the density of Y by m - 2 discrete convolutions of the density of
+ln|X| on a uniform grid, and the expectation by the trapezoid rule on
+that grid, whose error decays exponentially in 1/h for an integrand
+that is smooth and decays fast at both ends (Trefethen and Weideman,
+"The exponentially convergent trapezoidal rule", SIAM Review 2014);
+the n and 2n rules are the steps 2h and h.  Tests pin it to the exact
+Meijer-G form of the product's distribution (Springer and Thompson,
+"The distribution of products of Beta, Gamma and Gaussian random
+variables", SIAM J. Appl. Math. 1970).
 
 Everything here evaluates formulas; only exponent_fit fits data.  Logs
 are natural throughout.  unit_tail, whose moment integrals diverge, is
@@ -42,10 +60,10 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import erfc, lambertw
 
 from .errors import (
@@ -60,6 +78,25 @@ from .errors import (
 _E9 = math.exp(9.0)
 _ABS_FLOOR = 1e-16
 _REL_TOL = 1e-6
+_LN_FLOAT_MAX = math.log(sys.float_info.max)
+
+
+def _converged(rule, n: int, what: str, where):
+    """rule(2 n), with its distance to rule(n) as the error estimate.
+
+    An estimate above max(_ABS_FLOOR, |value| _REL_TOL), or one that is
+    not finite, raises NumericFailureError naming `what` and where(i),
+    for i the flat index of the first such value; an overflow inside a
+    rule shows as such an estimate."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        val = np.asarray(rule(2 * n))
+        err = np.abs(val - rule(n))
+    bad = ~(err <= np.maximum(_ABS_FLOOR, np.abs(val) * _REL_TOL))
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise NumericFailureError("%s did not converge at %s (error estimate %g)"
+                                  % (what, where(i), err.flat[i]))
+    return val
 
 
 # ------------------------------------------------------------ tail models
@@ -85,9 +122,14 @@ def weibull_envelope(gamma: float) -> TailModel:
     return TailModel("weibull", value=float(gamma))
 
 
+# with m <= 16 the grid of ln|X_1...X_(m-1)| in _gauss_prod_tail stays
+# above -675, so e^-Y is finite
+_MAX_FACTORS = 16
+
+
 def gaussian_product(m: int) -> TailModel:
-    if m < 1:
-        raise InvalidRangeError("need at least one factor")
+    if not 1 <= m <= _MAX_FACTORS:
+        raise InvalidRangeError("need 1 to %d factors, not %r" % (_MAX_FACTORS, m))
     return TailModel("gaussian_product", value=float(m))
 
 
@@ -109,20 +151,37 @@ def tail_from_dict(data: dict) -> TailModel:
     if kind == "weibull":
         return weibull_envelope(check_number("tail gamma", data["gamma"]))
     if kind == "gaussian_product":
-        return gaussian_product(check_number("tail m", data["m"], integer=True))
+        return gaussian_product(check_number("tail m", data["m"], lo=1, hi=_MAX_FACTORS,
+                                                     integer=True))
     return unit_tail()
 
 
-def _gauss_prod_tail(m: int, s: float) -> float:
-    if s <= 0:
-        return 1.0
+_LN_Y_LO, _LN_Y_HI = -45.0, 3.0  # ln|X| for a standard normal X lies here but for e^-45 mass
+_PROD_STEPS = 600
+
+
+def _gauss_prod_tail(m: int, s):
+    """P{|X_1...X_m| > s} for independent standard normals, elementwise.
+
+    With Y = ln|X_1...X_(m-1)| the tail is E[erfc(s e^-Y / sqrt 2)].  The
+    density of ln|X|, sqrt(2/pi) e^(y - e^(2y)/2), is sampled on a uniform
+    grid and convolved with itself m - 2 times for the density of Y; the
+    expectation is then a trapezoid sum on that grid."""
+    s = np.asarray(np.maximum(s, 0.0))
     if m == 1:
-        return float(erfc(s / math.sqrt(2.0)))
-    inner = lambda x: 2.0 * math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi) * _gauss_prod_tail(
-        m - 1, s / x
-    )
-    val, _ = quad(inner, 0.0, np.inf, limit=200)
-    return float(min(1.0, val))
+        return erfc(s / math.sqrt(2.0))
+
+    def rule(n):
+        y, h = np.linspace(_LN_Y_LO, _LN_Y_HI, n + 1, retstep=True)
+        f = math.sqrt(2.0 / math.pi) * np.exp(y - 0.5 * np.exp(2.0 * y))
+        density = f
+        for _ in range(m - 2):
+            density = np.convolve(density, f) * h
+        y = np.linspace((m - 1) * _LN_Y_LO, (m - 1) * _LN_Y_HI, density.size)
+        return (erfc(s[..., None] * np.exp(-y) / math.sqrt(2.0)) * density).sum(axis=-1) * h
+
+    return np.minimum(1.0, _converged(rule, _PROD_STEPS, "Gaussian-product tail",
+                                      lambda i: "s=%g, m=%d" % (s.flat[i], m)))
 
 
 def tail_eval(model: TailModel, s):
@@ -135,24 +194,27 @@ def tail_eval(model: TailModel, s):
     elif model.kind == "unit":
         out = np.ones_like(arr)
     elif model.kind == "gaussian_product":
-        out = np.vectorize(lambda v: _gauss_prod_tail(int(model.value), v))(arr)
+        out = _gauss_prod_tail(int(model.value), arr)
     else:
         raise InvalidInputError("unknown tail model %r" % model.kind)
     out = np.asarray(out, dtype=np.float64)
     return out if out.ndim else float(out)
 
 
-def _tail_support(model: TailModel) -> float:
-    """A point beyond which the tail is numerically negligible."""
+def _tail_log_knots(model: TailModel) -> list:
+    """ln s where the tail's min(1, .) switches, if it does, then ln s at
+    a point beyond which the tail is numerically negligible."""
     if model.kind == "bounded":
-        return model.value
+        return [math.log(model.value)]
     if model.kind == "weibull":
-        return (math.log(2.0 / _ABS_FLOOR) + 4.0) ** (1.0 / model.value)
+        # 2 exp(-s^gamma) = 1, and a tail of e^-4 _ABS_FLOOR
+        return [math.log(math.log(2.0)) / model.value,
+                math.log(math.log(2.0 / _ABS_FLOOR) + 4.0) / model.value]
     if model.kind == "gaussian_product":
         m = int(model.value)
         # product tail ~ exp(-m s^(2/m) / 2): invert at the floor
-        return (2.0 * math.log(1.0 / _ABS_FLOOR) / m) ** (m / 2.0) + 10.0
-    return math.inf
+        return [math.log((2.0 * math.log(1.0 / _ABS_FLOOR) / m) ** (m / 2.0) + 10.0)]
+    return [math.inf]
 
 
 # --------------------------------------------------------- the constants
@@ -312,15 +374,8 @@ def I_integral(t, dprev: int):
     # y_kink = 0 for t <= 1
     y_max = _level_x(0.5, np.maximum(col / _shape_fn_min(d / 2.0), 1.0), rising=True)
     y_kink = _level_x(0.5, np.maximum(col, 1.0), rising=True)
-    val = _I_rule(col, d, y_kink, y_max, 2 * _GL_NODES)
-    err = np.abs(val - _I_rule(col, d, y_kink, y_max, _GL_NODES))
-    bad = ~(err <= np.maximum(_ABS_FLOOR, np.abs(val) * _REL_TOL))
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise NumericFailureError(
-            "I(t) quadrature did not converge at t=%g, d=%d (error estimate %g)"
-            % (col[i, 0], d, err[i])
-        )
+    val = _converged(lambda n: _I_rule(col, d, y_kink, y_max, n), _GL_NODES,
+                     "I(t) quadrature", lambda i: "t=%g, d=%d" % (col[i, 0], d))
     val = val.reshape(ts.shape)
     return val if val.ndim else float(val)
 
@@ -418,21 +473,34 @@ class BoundValue:
 
 
 def _tail_integral(model: TailModel, scale: float, g, where: str) -> float:
-    """int_1^inf tail(scale * u) u g(u) du with analytic truncation; an
-    unconverged quadrature is reported with `where`, the term it is."""
-    u_max = _tail_support(model) / scale
-    if not math.isfinite(u_max):
+    """int_1^inf tail(scale u) u g(u) du, for g vectorized, up to the
+    tail's negligible point u_max; an unconverged rule is reported with
+    `where`, the term it is.
+
+    The integral is taken in x = ln u over [0, ln u_max], split into
+    panels where the tail's min(1, .) switches, with the Gauss-Legendre
+    rules of I_integral on each panel."""
+    knots = [k - math.log(scale) for k in _tail_log_knots(model)]
+    x_max = knots[-1]
+    if x_max == math.inf:
         raise InvalidInputError("tail model %r has no integrable support" % model.kind)
-    if u_max <= 1.0:
+    if x_max > _LN_FLOAT_MAX:
+        raise InvalidRangeError("tail model %r reaches past u = e^%g, beyond the float range"
+                                % (model.kind, x_max))
+    if x_max <= 0.0:
         return 0.0
-    integrand = lambda u: float(tail_eval(model, scale * u)) * u * g(u)
-    val, err = quad(integrand, 1.0, u_max, limit=400, epsabs=_ABS_FLOOR, epsrel=_REL_TOL)
-    if not (math.isfinite(val) and err <= max(_ABS_FLOOR, abs(val) * _REL_TOL)):
-        raise NumericFailureError(
-            "tail integral did not converge at scale=%g, %s (error estimate %g)"
-            % (scale, where, err)
-        )
-    return float(val)
+    edges = [0.0] + [k for k in knots[:-1] if 0.0 < k < x_max] + [x_max]
+
+    def rule(n):
+        xi, wi = _gauss_legendre01(n)
+        total = 0.0
+        for lo, hi in zip(edges, edges[1:]):
+            u = np.exp(lo + (hi - lo) * xi)
+            total += (hi - lo) * np.sum(tail_eval(model, scale * u) * u * u * g(u) * wi)
+        return total
+
+    return float(_converged(rule, _GL_NODES, "tail integral",
+                            lambda i: "scale=%g, %s" % (scale, where)))
 
 
 def thm1_rhs(x: float, y: float, model: TailModel, consts: BoundConstants) -> BoundValue:
@@ -442,7 +510,7 @@ def thm1_rhs(x: float, y: float, model: TailModel, consts: BoundConstants) -> Bo
         raise InvalidRangeError("x and y must be positive")
     exp_term = consts.A * math.exp(-((x / y) ** (2.0 / consts.d)))
     p = consts.p
-    integral = consts.B * _tail_integral(model, y * consts.C, lambda u: math.log1p(u) ** p,
+    integral = consts.B * _tail_integral(model, y * consts.C, lambda u: np.log1p(u) ** p,
                                          "p=%d" % p)
     value = exp_term + integral
     return BoundValue(value, exp_term, integral, value >= 1.0)

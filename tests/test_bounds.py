@@ -318,6 +318,33 @@ def test_gaussian_product_single_factor_is_erfc():
         assert tail_eval(model, s) == pytest.approx(erfc(s / math.sqrt(2.0)), rel=1e-10)
     with pytest.raises(InvalidRangeError):
         gaussian_product(0)
+    with pytest.raises(InvalidRangeError):
+        gaussian_product(17)
+
+
+# P{|X_1...X_m| > s} = pi^(-m/2) G^{m+1,0}_{1,m+1}(s^2 / 2^m | 1; 1/2 ... 1/2, 0)
+# (Springer and Thompson, 1970), by mpmath's meijerg at 30 digits; at
+# m = 1 the identity gives erfc(s / sqrt 2)
+MEIJER_G_TAILS = {
+    2: {0.1: 0.78217134970251825, 1.0: 0.20899366300465233, 3.0: 0.019638597443093781,
+        10.0: 1.0832199329417658e-5, 30.0: 1.3361641560279399e-14},
+    3: {0.5: 0.2860650984995828, 3.0: 0.023136165170346197, 30.0: 1.4436041240839464e-7,
+        300.0: 8.7032697277007934e-31},
+    4: {0.5: 0.20543569991946963, 3.0: 0.021040603495099306, 30.0: 7.6878747266025586e-6,
+        300.0: 2.3724550458518854e-16},
+    6: {0.5: 0.11123176113028696, 3.0: 0.014313642832846783, 30.0: 7.7857049181228213e-5,
+        300.0: 1.2332880401039868e-9},
+}
+
+
+@pytest.mark.parametrize("m", sorted(MEIJER_G_TAILS))
+def test_gaussian_product_tail_pinned_to_meijer_g(m):
+    model = gaussian_product(m)
+    s = np.array(sorted(MEIJER_G_TAILS[m]))
+    want = np.array([MEIJER_G_TAILS[m][v] for v in s])
+    np.testing.assert_allclose(tail_eval(model, s), want, rtol=1e-8, atol=0.0)
+    for v, p in zip(s, want):
+        assert tail_eval(model, v) == pytest.approx(p, rel=1e-8)
 
 
 def test_gaussian_product_two_factors_against_monte_carlo():
@@ -345,12 +372,48 @@ def test_thm1_rhs_pinned_value():
 
 
 def test_thm1_rhs_unconverged_tail_integral_is_reported(monkeypatch):
+    # with 2 and 4 nodes the two rules disagree far beyond the tolerance
     consts = recurse_constants(2)
-    monkeypatch.setattr(bounds, "quad", lambda f, a, b, **kw: (2.0, 1e-3))
+    tight = thm1_rhs(64.0, 16.0, weibull_envelope(1.0), consts).integral_term / consts.B
+    monkeypatch.setattr(bounds, "_GL_NODES", 2)
     with pytest.raises(NumericFailureError) as info:
         thm1_rhs(64.0, 16.0, weibull_envelope(1.0), consts)
     message = str(info.value)
-    assert "scale=1" in message and "p=4" in message and "error estimate 0.001" in message
+    assert "scale=1" in message and "p=4" in message
+    estimate = float(message.split("error estimate ")[1].rstrip(")"))
+    assert estimate > 1e-6 * tight
+
+
+def _weibull_support(gamma):
+    # the point past which the production rule truncates: a tail of
+    # e^-4 times 1e-16
+    return (math.log(2.0 / 1e-16) + 4.0) ** (1.0 / gamma)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_tail_integral_against_adaptive_quad(d):
+    # oracle: adaptive quad in u at epsrel 1e-12 over the same support,
+    # told where the Weibull tail leaves min(1, .)
+    consts = recurse_constants(d)
+    p = consts.p
+    cases = [(bounded_by(1.0), 1.0, None), (bounded_by(3.0), 3.0, None)]
+    cases += [(weibull_envelope(g), _weibull_support(g), math.log(2.0) ** (1.0 / g))
+              for g in (0.5, 1.0, 2.0)]
+    checked = 0
+    for model, s_max, s_kink in cases:
+        for y in (0.25, 1.0, 4.0, 16.0, 100.0, 1000.0):
+            scale = y * consts.C
+            got = bounds._tail_integral(model, scale, lambda u: np.log1p(u) ** p, "p=%d" % p)
+            if s_max / scale <= 1.0:
+                assert got == 0.0
+                continue
+            points = [s_kink / scale] if s_kink and 1.0 < s_kink / scale < s_max / scale else None
+            want, _ = quad(lambda u: float(tail_eval(model, scale * u)) * u * math.log1p(u) ** p,
+                           1.0, s_max / scale, points=points, epsabs=0.0, epsrel=1e-12,
+                           limit=400)
+            assert got == pytest.approx(want, rel=1e-10), (model, y)
+            checked += 1
+    assert checked >= 20
 
 
 def test_thm1_rhs_tail_term_positive_for_heavy_model():
@@ -440,11 +503,15 @@ def test_lemma3_moment_sum_converges_and_diverges():
 
 def test_lemma3_unconverged_moment_term_is_reported(monkeypatch):
     # the Lemma 3 terms go through the tail integral of thm1_rhs, which
-    # refuses a quadrature whose error estimate exceeds its tolerance
-    monkeypatch.setattr(bounds, "quad", lambda f, a, b, **kw: (2.0, 1e-3))
+    # refuses a rule whose error estimate exceeds its tolerance
+    tight = lemma3_moment_sum(log_power(3.0), weibull_envelope(1.0), 1.0, 30)["terms"][0] / 2.0
+    monkeypatch.setattr(bounds, "_GL_NODES", 2)
     with pytest.raises(NumericFailureError) as info:
         lemma3_moment_sum(log_power(3.0), weibull_envelope(1.0), 1.0, 30)
-    assert "j=1" in str(info.value) and "error estimate 0.001" in str(info.value)
+    message = str(info.value)
+    assert "j=1" in message
+    estimate = float(message.split("error estimate ")[1].rstrip(")"))
+    assert estimate > 1e-6 * tight
 
 
 # ---------------------------------------------------------- exponent fit

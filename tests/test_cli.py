@@ -127,6 +127,15 @@ EXPONENT_FIT = {"experiment": "exponent-fit", "d": 1, "replicas": 2000}
         ("holder-norm", {"experiment": "holder-norm", "generator": _gen(), "shape": [8, 8],
                          "modulus": MODULUS, "j_max": 2000}),
         ("tightness", dict(TIGHTNESS, exponents=[3000, 3], j_from=3000)),
+        # a tail whose negligible point lies beyond the float range, one
+        # whose tail integral overflows; too many Gaussian factors
+        ("verify-bound", dict(TWO_TERM, bound={"kind": "two-term", "y": 16.0,
+                                                "tail": {"kind": "weibull", "gamma": 0.001}})),
+        ("verify-bound", dict(TWO_TERM, bound={"kind": "two-term", "y": 16.0,
+                                                "tail": {"kind": "weibull", "gamma": 0.01}})),
+        ("verify-bound", dict(TWO_TERM, bound={"kind": "large-deviation", "gamma": 1e-5})),
+        ("verify-bound", dict(TWO_TERM, bound={"kind": "two-term", "y": 16.0,
+                                                "tail": {"kind": "gaussian_product", "m": 5000}})),
     ],
     ids=["top-level-list", "replicas-string", "shape-int", "x-grid-string",
          "two-term-without-y", "weibull-tail-without-gamma",
@@ -139,7 +148,9 @@ EXPONENT_FIT = {"experiment": "exponent-fit", "d": 1, "replicas": 2000}
          "constants-d-zero", "constants-d-negative", "sheet-cov-pairs-zero",
          "exponent-fit-grid-points-zero", "deviation-with-modulus", "rademacher-with-sigma",
          "lattice-over-budget", "tightness-exponents-3000", "sheet-cov-pairs-1e12",
-         "holder-j-max-2000", "tightness-normalizer-overflow"],
+         "holder-j-max-2000", "tightness-normalizer-overflow",
+         "weibull-tail-gamma-1e-3", "weibull-tail-gamma-1e-2", "large-deviation-gamma-1e-5",
+         "gaussian-product-m-5000"],
 )
 def test_malformed_config_is_one_line_exit_1(tmp_path, capsys, experiment, payload):
     cfg = write_config(tmp_path, "bad.json", payload)
@@ -158,6 +169,16 @@ def test_no_module_reads_the_environment():
         names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                   for alias in node.names}
         assert not names & {"environ", "environb", "getenv", "getenvb"}, path.name
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # in a fresh interpreter, since the test modules import quad as an oracle
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    code = ("import sys; sys.path.insert(0, %r); import orthofield.cli; "
+            "print([m for m in sys.modules if m.startswith('scipy.integrate')])" % src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_usage_error_is_exit_1(capsys):
@@ -190,6 +211,21 @@ def test_fail_verdict_is_exit_2(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert json.loads(out)["verdict"] == "FAIL"
     assert "verdict: FAIL" in err
+
+
+def test_two_term_gaussian_product_tails_run(tmp_path, capsys):
+    # more Gaussian factors make a heavier tail and so a larger integral term
+    terms = []
+    for m in (3, 4, 6):
+        payload = dict(TWO_TERM, generator=dict(DEVIATION["generator"], d=3), shape=[4, 4, 4],
+                       x_grid=[1.0, 4.0], bound={"kind": "two-term", "y": 1.0,
+                                                 "tail": {"kind": "gaussian_product", "m": m}})
+        cfg = write_config(tmp_path, "vb%d.json" % m, payload)
+        assert main(["verify-bound", "--config", cfg]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert rows[0]["integral_term"] == rows[1]["integral_term"]
+        terms.append(rows[0]["integral_term"])
+    assert 0.0 < terms[0] < terms[1] < terms[2] < math.inf
 
 
 def test_pass_verdict_is_exit_0(tmp_path, capsys):
