@@ -84,13 +84,17 @@ _LN_FLOAT_MAX = math.log(sys.float_info.max)
 def _converged(rule, n: int, what: str, where):
     """rule(2 n), with its distance to rule(n) as the error estimate.
 
-    An estimate above max(_ABS_FLOOR, |value| _REL_TOL), or one that is
-    not finite, raises NumericFailureError naming `what` and where(i),
-    for i the flat index of the first such value; an overflow inside a
-    rule shows as such an estimate."""
+    An infinite value, one that overflows the float range, raises
+    InvalidRangeError; an estimate above max(_ABS_FLOOR, |value| _REL_TOL),
+    or one that is not finite, raises NumericFailureError.  Both name
+    `what` and where(i), for i the flat index of the first such value."""
     with np.errstate(over="ignore", invalid="ignore"):
         val = np.asarray(rule(2 * n))
         err = np.abs(val - rule(n))
+    over = np.isinf(val)
+    if np.any(over):
+        raise InvalidRangeError("%s exceeds the float range at %s"
+                                % (what, where(int(np.argmax(over)))))
     bad = ~(err <= np.maximum(_ABS_FLOOR, np.abs(val) * _REL_TOL))
     if np.any(bad):
         i = int(np.argmax(bad))
@@ -391,7 +395,6 @@ class _LevelTrace:
 
 _GRID_PER_DECADE = 20
 _T_MAX = 1.0e8
-_T_CHUNK = 16
 
 
 def _level_K(d: int) -> _LevelTrace:
@@ -400,10 +403,7 @@ def _level_K(d: int) -> _LevelTrace:
     p_d = 2 * d
     decades = int(round(math.log10(_T_MAX)))
     ts = np.logspace(0.0, math.log10(_T_MAX), decades * _GRID_PER_DECADE + 1)
-    # rows of _T_CHUNK grid points bound the size of the node arrays
-    I_vals = np.concatenate(
-        [I_integral(ts[i : i + _T_CHUNK], d - 1) for i in range(0, len(ts), _T_CHUNK)]
-    )
+    I_vals = I_integral(ts, d - 1)
     ratios = I_vals / np.log1p(ts) ** p_d
     running = np.maximum.accumulate(ratios)
     sup_full = float(running[-1])
@@ -503,17 +503,25 @@ def _tail_integral(model: TailModel, scale: float, g, where: str) -> float:
                             lambda i: "scale=%g, %s" % (scale, where)))
 
 
-def thm1_rhs(x: float, y: float, model: TailModel, consts: BoundConstants) -> BoundValue:
+def thm1_rhs(x, y: float, model: TailModel, consts: BoundConstants):
     """The two-term bound at deviation x (in units of sqrt(|n|)) and free
-    parameter y.  Values above 1 are reported as-is with vacuous=True."""
-    if x <= 0 or y <= 0:
+    parameter y.  Values above 1 are reported as-is with vacuous=True.
+    For a sequence of x it returns a list, one BoundValue per x, and
+    takes the integral term, which x does not enter, once."""
+    xs = [x] if np.ndim(x) == 0 else list(x)
+    if y <= 0 or any(v <= 0 for v in xs):
         raise InvalidRangeError("x and y must be positive")
-    exp_term = consts.A * math.exp(-((x / y) ** (2.0 / consts.d)))
-    p = consts.p
-    integral = consts.B * _tail_integral(model, y * consts.C, lambda u: np.log1p(u) ** p,
-                                         "p=%d" % p)
-    value = exp_term + integral
-    return BoundValue(value, exp_term, integral, value >= 1.0)
+    p, scale = consts.p, y * consts.C
+    integral = consts.B * _tail_integral(model, scale, lambda u: np.log1p(u) ** p, "p=%d" % p)
+    if math.isinf(integral):  # a finite tail integral times B
+        raise InvalidRangeError("integral term exceeds the float range at scale=%g, p=%d"
+                                % (scale, p))
+    out = []
+    for v in xs:
+        exp_term = consts.A * math.exp(-((v / y) ** (2.0 / consts.d)))
+        value = exp_term + integral
+        out.append(BoundValue(value, exp_term, integral, value >= 1.0))
+    return out if np.ndim(x) else out[0]
 
 
 def bounded_rhs(x: float, k: float, consts: BoundConstants) -> BoundValue:

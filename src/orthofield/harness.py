@@ -10,8 +10,8 @@ and verdict logic only looks at precomputed intervals.  Each experiment
 asks the generator layer's one block reduction (replica_stats) for
 only the per-replica statistics it reads: deviation and the bounded and
 two-term bounds the maximum |S_k|, the large-deviation bound and fdd
-the total S_n, and induction-check the maximum and the last-slab
-maximum.
+the total S_n, induction-check the maximum and the last-slab maximum,
+and tightness the maximum, once per dyadic level.
 
 Reports separate the reproducible payload (config echo, rows, verdicts,
 constants trace, tolerances) from the timing block (timestamp, wall
@@ -109,11 +109,11 @@ def _finish(experiment, config, verdict, rows, t0, constants=None, tolerances=No
 # ---------------------------------------------------- replica reductions
 
 
-def _replica_stats(spec, shape, seed, replicas, threads, stats):
-    """replica_stats of every replica, one array per name in stats,
-    gathered from the blocks in block order."""
+def _replica_stats(spec, shape, seed, replicas, threads, stats, first=0):
+    """replica_stats of replicas [first, first + replicas), one array per
+    name in stats, gathered from the blocks in block order."""
     work = functools.partial(replica_stats, spec, shape, seed, stats=stats)
-    blocks = range(0, replicas, _block_size(volume(shape), "lattice"))
+    blocks = range(first, first + replicas, _block_size(volume(shape), "lattice"))
     parts = _map_blocks(work, blocks, threads)
     return tuple(np.concatenate([p[i] for p in parts]) for i in range(len(stats)))
 
@@ -150,33 +150,28 @@ def verify_bound(config: ExperimentConfig) -> Report:
     model = bounds.tail_from_dict(config.bound["tail"]) if kind == "two-term" else None
     d = len(shape)
     consts = bounds.recurse_constants(d)
-    # large-deviation reads |S_n|, the other kinds max |S_k|
+    if kind == "bounded":
+        values = [bounds.bounded_rhs(x, param, consts) for x in config.x_grid]
+    elif kind == "two-term":  # one call, so the integral term (x-free) is taken once
+        values = bounds.thm1_rhs(config.x_grid, param, model, consts)
+    else:
+        values = [bounds.thm2_rhs(x, shape, param, d) for x in config.x_grid]
+    # large-deviation reads |S_n| against x |n|, the other kinds max |S_k|
+    # against x sqrt(|n|)
+    ld = kind == "large-deviation"
     stat = np.abs(_replica_stats(config.generator, shape, config.seed, config.replicas,
-                                 config.threads, ("total",) if kind == "large-deviation"
-                                 else ("max",))[0])
+                                 config.threads, ("total",) if ld else ("max",))[0])
     n_cells = volume(shape)
     rows = []
-    for x in config.x_grid:
-        if kind == "bounded":
-            threshold = x * math.sqrt(n_cells)
-            bv = bounds.bounded_rhs(x, param, consts)
-            extra = {}
-        elif kind == "two-term":
-            threshold = x * math.sqrt(n_cells)
-            bv = bounds.thm1_rhs(x, param, model, consts)
-            extra = {}
-        else:  # large-deviation
-            threshold = x * n_cells
-            ld = bounds.thm2_rhs(x, shape, param, d)
-            bv = bounds.BoundValue(ld.value, ld.exp_term, ld.integral_term, ld.vacuous)
-            extra = {"y_star": ld.y_star, "x_equiv": ld.x_equiv}
-        hits = int(np.count_nonzero(stat > threshold))
+    for x, bv in zip(config.x_grid, values):
+        hits = int(np.count_nonzero(stat > x * (n_cells if ld else math.sqrt(n_cells))))
         lo, hi = wilson_interval(hits, config.replicas)
         ok = bv.vacuous or hi <= bv.value
         row = {"x": x, "hits": hits, "p_hat": hits / config.replicas, "ci_lo": lo,
                "ci_hi": hi, "bound": bv.value, "exp_term": bv.exp_term,
                "integral_term": bv.integral_term, "vacuous": bv.vacuous, "ok": ok}
-        row.update(extra)
+        if ld:
+            row.update(y_star=bv.y_star, x_equiv=bv.x_equiv)
         rows.append(row)
     informative = [r for r in rows if not r["vacuous"]]
     verdict = "PASS" if all(r["ok"] for r in rows) else "FAIL"
@@ -333,19 +328,49 @@ def holder_norm_of_Wn(config: ExperimentConfig) -> Report:
 
 
 def tightness_experiment(config: ExperimentConfig) -> Report:
-    """Dyadic tail sums of the tightness criterion for a range of
-    starting levels J; the reported sums are nonincreasing in J by
-    construction (common replicas per level)."""
+    """Monte Carlo estimate of the dyadic tightness sum
+
+        sum_{j=J}^{m_q} 2^j P{ max_k |S_k| > eps rho(2^-j) prod_u 2^(m_u/2) }
+
+    where the max runs over the box with axis-q extent 2^(m_q - j) and
+    full extent 2^(m_u) on the other axes, and its tail sums for every
+    starting level J from j_from on; the sums are nonincreasing in J by
+    construction.  Level j reads replicas [j R, (j + 1) R) of the R
+    configured, so levels never share a field; the scaled standard error
+    is 2^j times the Wilson half-width, so zero-hit levels still carry an
+    honest width."""
     t0 = time.perf_counter()
-    m = config.exponents
+    m, q, j_from, n = config.exponents, config.axis_q, config.j_from, config.replicas
     rho = holder.modulus_from_dict(config.modulus, len(m))
-    result = holder.tightness_sum_estimate(
-        config.generator, rho, config.eps, config.axis_q, config.j_from, m,
-        config.replicas, config.seed, config.threads,
-    )
-    rows = [r.to_dict() for r in result.rows]
-    sums = {str(j): result.tail_sum(j) for j in range(config.j_from, m[config.axis_q - 1] + 1)}
-    rows.append({"tail_sums": sums, "total": result.total})
+    if len(m) != config.generator.d:
+        raise InvalidInputError("exponents %r do not match generator dimension %d"
+                                % (m, config.generator.d))
+    if q > len(m):
+        raise InvalidRangeError("axis_q=%d outside 1..%d" % (q, len(m)))
+    if j_from > m[q - 1]:
+        raise InvalidRangeError("need j_from <= m_q, got j_from=%d, m_q=%d" % (j_from, m[q - 1]))
+    # the level-j_from lattice, of 2^(sum(m) - j_from) cells, is the
+    # largest one built, and the normalizer prod_u 2^(m_u / 2) overflows
+    # a float once sum(m) reaches 2048
+    _block_size(2 ** (sum(m) - j_from), "lattice")
+    if sum(m) >= 2048:
+        raise InvalidRangeError("exponents %r sum to %d; the normalizer 2^(sum / 2) needs "
+                                "a sum below 2048" % (m, sum(m)))
+    sqrt_full = math.prod(2.0 ** (mu / 2.0) for mu in m)
+    rows = []
+    for j in range(j_from, m[q - 1] + 1):
+        shape = tuple(2 ** (mu - j) if u == q - 1 else 2**mu for u, mu in enumerate(m))
+        threshold = config.eps * holder.modulus_eval(rho, 2.0**-j) * sqrt_full
+        peaks, = _replica_stats(config.generator, shape, config.seed, n, config.threads,
+                                ("max",), first=j * n)
+        hits = int(np.count_nonzero(peaks > threshold))
+        lo, hi = wilson_interval(hits, n)
+        rows.append({"j": j, "shape": list(shape), "threshold": threshold, "hits": hits,
+                     "p_hat": hits / n, "scaled": 2.0**j * (hits / n),
+                     "scaled_se": 2.0**j * 0.5 * (hi - lo)})
+    scaled = [r["scaled"] for r in rows]
+    sums = {str(r["j"]): float(sum(scaled[i:])) for i, r in enumerate(rows)}
+    rows.append({"tail_sums": sums, "total": float(sum(scaled))})
     return _finish("tightness", config, "INFO", rows, t0)
 
 

@@ -44,12 +44,10 @@ given at once.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import generators
 from .errors import (
     DegenerateModulusError,
     InvalidInputError,
@@ -60,9 +58,8 @@ from .errors import (
     check_number,
     check_object,
 )
-from .lattice import _block_size, _map_blocks, volume
+from .lattice import _block_size
 from .sumprocess import eval_W_grid
-from .stats import wilson_interval
 
 # ---------------------------------------------------------------- moduli
 
@@ -344,107 +341,3 @@ def grid_seq_norms(padded, rho: Modulus, j_max: int) -> np.ndarray:
     scales = [modulus_eval(rho, 2.0**-j) for j in range(j_max + 1)]
     grid = eval_W_grid(padded, j_max)
     return np.max([_grid_peaks(grid, j, j_max) / s for j, s in enumerate(scales)], axis=0)
-
-
-# ------------------------------------------------------ tightness sums
-
-
-@dataclass(frozen=True)
-class TightnessRow:
-    j: int
-    shape: tuple
-    threshold: float
-    hits: int
-    p_hat: float
-    scaled: float
-    scaled_se: float
-
-    def to_dict(self) -> dict:
-        return {
-            "j": self.j,
-            "shape": list(self.shape),
-            "threshold": self.threshold,
-            "hits": self.hits,
-            "p_hat": self.p_hat,
-            "scaled": self.scaled,
-            "scaled_se": self.scaled_se,
-        }
-
-
-@dataclass(frozen=True)
-class TightnessResult:
-    rows: tuple
-    total: float
-    replicas: int
-
-    def tail_sum(self, j_from: int) -> float:
-        return float(sum(r.scaled for r in self.rows if r.j >= j_from))
-
-
-def tightness_sum_estimate(
-    spec,
-    rho: Modulus,
-    eps: float,
-    q: int,
-    j_from: int,
-    m,
-    replicas: int,
-    seed: int,
-    threads: int = 1,
-) -> TightnessResult:
-    """Monte Carlo estimate of the dyadic tightness sum
-
-        sum_{j=J}^{m_q} 2^j P{ max_k |S_k| > eps rho(2^-j) prod_u 2^(m_u/2) }
-
-    where the max runs over the box with axis-q extent 2^(m_q - j) and
-    full extent 2^(m_u) on the other axes.  Fresh fields per (j,
-    replica); the scaled standard error is 2^j times the Wilson
-    half-width, so zero-hit levels still carry an honest width.
-    """
-    m = tuple(int(v) for v in m)
-    if len(m) != spec.d:
-        raise InvalidInputError("m %r does not match generator dimension %d" % (m, spec.d))
-    if not 1 <= q <= spec.d:
-        raise InvalidRangeError("axis q=%d outside 1..%d" % (q, spec.d))
-    if eps <= 0:
-        raise InvalidRangeError("eps must be positive")
-    if not 0 <= j_from <= m[q - 1]:
-        raise InvalidRangeError("need 0 <= J <= m_q, got J=%d, m_q=%d" % (j_from, m[q - 1]))
-    if replicas < 1:
-        raise InvalidInputError("replicas must be >= 1")
-
-    # the level-j_from lattice, of 2^(sum(m) - j_from) cells, is the
-    # largest one built, and the normalizer prod_u 2^(m_u / 2) overflows
-    # a float once sum(m) reaches 2048
-    _block_size(2 ** (sum(m) - j_from), "lattice")
-    if sum(m) >= 2048:
-        raise InvalidRangeError("exponents %r sum to %d; the normalizer 2^(sum / 2) needs "
-                                "a sum below 2048" % (m, sum(m)))
-    sqrt_full = math.prod(2.0 ** (mu / 2.0) for mu in m)
-    rows = []
-    for j in range(j_from, m[q - 1] + 1):
-        shape = tuple(2 ** (mu - j) if u == q - 1 else 2**mu for u, mu in enumerate(m))
-        threshold = eps * modulus_eval(rho, 2.0**-j) * sqrt_full
-
-        def work(start, count):
-            peaks, = generators.replica_stats(spec, shape, seed, j * replicas + start, count,
-                                              ("max",))
-            return int(np.count_nonzero(peaks > threshold))
-
-        blocks = range(0, replicas, _block_size(volume(shape), "lattice"))
-        hits = sum(_map_blocks(work, blocks, threads))
-        p_hat = hits / replicas
-        lo, hi = wilson_interval(hits, replicas)
-        rows.append(
-            TightnessRow(
-                j=j,
-                shape=shape,
-                threshold=threshold,
-                hits=hits,
-                p_hat=p_hat,
-                scaled=(2.0**j) * p_hat,
-                scaled_se=(2.0**j) * 0.5 * (hi - lo),
-            )
-        )
-    total = float(sum(r.scaled for r in rows))
-    return TightnessResult(tuple(rows), total, replicas)

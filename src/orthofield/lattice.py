@@ -174,7 +174,8 @@ def padded_prefix(prefix: np.ndarray, lead: int = 0) -> np.ndarray:
 
 def _map_blocks(fn, blocks: range, threads: int) -> list:
     """Run fn(start, count) over the blocks whose starts `blocks` lists,
-    range(0, total, _block_size(cells, what)) for replicas [0, total);
+    range(first, stop, _block_size(cells, what)) for replicas
+    [first, stop);
     each block but the last holds blocks.step replicas.  Results come
     back in block order regardless of thread scheduling.  At most
     _MAX_THREADS threads run, and never more than there are blocks.

@@ -384,6 +384,31 @@ def test_thm1_rhs_unconverged_tail_integral_is_reported(monkeypatch):
     assert estimate > 1e-6 * tight
 
 
+def test_thm1_rhs_overflowing_tail_integral_is_reported():
+    # at y = 16 in d = 2 the Weibull tail integral for gamma = 0.01 lies
+    # beyond e^850 (its integrand in x = ln u peaks at 2x - e^(x/100) =
+    # 859.7), and at gamma = 0.0103 the integral is finite but B times it
+    # is not; gammas 0.02 and 0.05 keep finite, vacuous values
+    consts = recurse_constants(2)
+    for gamma, term in [(0.01, "tail integral"), (0.0103, "integral term")]:
+        with pytest.raises(InvalidRangeError) as info:
+            thm1_rhs(4.0, 16.0, weibull_envelope(gamma), consts)
+        message = str(info.value)
+        assert message.startswith(term) and "exceeds the float range" in message, message
+        assert "scale=1" in message and "p=4" in message
+    for gamma in (0.02, 0.05):
+        out = thm1_rhs(4.0, 16.0, weibull_envelope(gamma), consts)
+        assert out.vacuous and math.isfinite(out.value)
+
+
+def test_thm1_rhs_takes_a_grid_of_x():
+    consts = recurse_constants(2)
+    grid = thm1_rhs([2.0, 64.0], 16.0, weibull_envelope(1.0), consts)
+    assert grid == [thm1_rhs(x, 16.0, weibull_envelope(1.0), consts) for x in (2.0, 64.0)]
+    with pytest.raises(InvalidRangeError):
+        thm1_rhs([1.0, 0.0], 16.0, bounded_by(1.0), consts)
+
+
 def _weibull_support(gamma):
     # the point past which the production rule truncates: a tail of
     # e^-4 times 1e-16

@@ -171,6 +171,27 @@ def test_no_module_reads_the_environment():
         assert not names & {"environ", "environb", "getenv", "getenvb"}, path.name
 
 
+def test_regularity_layers_do_not_drive_replicas():
+    # holder and sumprocess measure the fields they are given; making
+    # replicas, running their blocks and reducing them belong to harness
+    package = pathlib.Path(cli.__file__).parent
+    for name in ("holder.py", "sumprocess.py"):
+        tree = ast.parse((package / name).read_text(encoding="utf-8"))
+        imported, names = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):  # from .m import a, or from . import m
+                imported.add((node.module or "").rpartition(".")[2])
+                imported |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.Import):
+                imported |= {alias.name.rpartition(".")[2] for alias in node.names}
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+        assert not imported & {"generators", "harness", "stats"}, name
+        assert "_map_blocks" not in imported | names, name
+
+
 def test_cli_import_leaves_out_scipy_integrate():
     # in a fresh interpreter, since the test modules import quad as an oracle
     src = str(pathlib.Path(cli.__file__).parents[1])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tracemalloc
@@ -5,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from orthofield import lattice
+from orthofield import bounds, lattice
 from orthofield import (
     ExperimentConfig,
     InvalidInputError,
@@ -232,6 +233,28 @@ def test_verify_bound_unknown_kind():
         verify_bound(cfg)
 
 
+def test_verify_bound_takes_the_two_term_integral_once(monkeypatch):
+    # the integral term depends on y and the tail alone, so a 10-point
+    # grid evaluates it once and every row carries that one value
+    calls = []
+    tail_integral = bounds._tail_integral
+
+    def counted(*args):
+        calls.append(args)
+        return tail_integral(*args)
+
+    monkeypatch.setattr(bounds, "_tail_integral", counted)
+    cfg = ExperimentConfig(
+        experiment="verify-bound", generator=iid_rademacher(2), shape=(8, 8),
+        x_grid=tuple(float(x) for x in range(1, 11)), replicas=20, seed=2,
+        bound={"kind": "two-term", "y": 4.0, "tail": {"kind": "weibull", "gamma": 1.0}},
+    )
+    rep = verify_bound(cfg)
+    assert len(calls) == 1
+    assert len({r["integral_term"] for r in rep.rows}) == 1
+    assert len({r["exp_term"] for r in rep.rows}) == 10
+
+
 def test_induction_check_needs_two_axes():
     cfg = ExperimentConfig(
         experiment="induction-check", generator=iid_gaussian(1), shape=(8,),
@@ -386,6 +409,64 @@ def test_exponent_fit_experiment_band_verdicts():
     assert passing.verdict == "PASS"
     failing = exponent_fit_experiment(ExperimentConfig(band=(3.0, 4.0), **base))
     assert failing.verdict == "FAIL"
+
+
+def _tightness(**fields):
+    base = dict(experiment="tightness", generator=iid_gaussian(2), axis_q=1, j_from=0,
+                modulus={"c": math.exp(4.0), "L": {"kind": "iter_log"}})
+    return tightness_experiment(ExperimentConfig(**{**base, **fields}))
+
+
+def test_tightness_zero_generator():
+    rep = _tightness(generator=zero_field(2), exponents=(4, 4), eps=1.0, replicas=50, seed=1)
+    assert rep.rows[-1]["total"] == 0.0
+    assert all(r["hits"] == 0 for r in rep.rows[:-1])
+
+
+def test_tightness_tail_sums_strictly_decrease_when_hit():
+    # Small eps makes the early levels exceed the threshold with
+    # appreciable probability, so each truncation strictly drops until
+    # the sums hit zero.
+    rep = _tightness(exponents=(6, 6), eps=0.2, replicas=300, seed=5)
+    sums = rep.rows[-1]["tail_sums"]
+    tails = [sums[str(j)] for j in range(7)]
+    assert rep.rows[0]["hits"] > 0
+    for j in range(5):
+        assert tails[j] > tails[j + 1]
+    assert tails[5] == 0.0
+
+
+def test_tightness_deterministic():
+    # 150 replicas make three blocks, so the threaded run really splits them
+    base = dict(exponents=(5, 5), eps=0.3, axis_q=2, j_from=1, replicas=150, seed=9)
+    a, b, c = (_tightness(threads=threads, **base) for threads in (1, 1, 3))
+    assert a.canonical_json() == b.canonical_json() == c.canonical_json()
+    assert any(r["hits"] > 0 for r in a.rows[:-1])
+    assert a.rows[0]["shape"] == [32, 16]
+
+
+def test_tightness_input_validation():
+    base = dict(exponents=(4, 4), eps=1.0, replicas=10, seed=1)
+    for bad, error in [(dict(eps=0.0), InvalidRangeError), (dict(axis_q=3), InvalidRangeError),
+                       (dict(j_from=5), InvalidRangeError),
+                       (dict(exponents=(4,)), InvalidInputError)]:
+        with pytest.raises(error):
+            _tightness(**{**base, **bad})
+
+
+@pytest.mark.parametrize("generator, exponents, axis_q, threads, digest", [
+    (iid_gaussian(2), (6, 6), 1, 2,
+     "3790aaf0c667be806bbf1a4e9e22611f88f6b8168c822b4523d3252f8f5fa1d7"),
+    (product_rademacher(3), (3, 4, 2), 2, 3,
+     "89b42f5ac541426285b63adf7299163679583995bd95c3444ded48fc073bf897"),
+])
+def test_tightness_payload_is_pinned(generator, exponents, axis_q, threads, digest):
+    # the levels read replicas [j R, (j + 1) R), so both the seeds of the
+    # fields and the order of the sums are pinned by these digests
+    rep = _tightness(generator=generator, exponents=exponents, axis_q=axis_q, threads=threads,
+                     eps=0.2, replicas=150, seed=909,
+                     modulus={"c": math.exp(6.0), "L": {"kind": "iter_log"}})
+    assert hashlib.sha256(rep.canonical_json().encode()).hexdigest() == digest
 
 
 def test_constants_experiment_passes():

@@ -36,9 +36,7 @@ from orthofield import (
     rect_sum,
     schauder_coeff,
     seq_norm,
-    tightness_sum_estimate,
     vpm,
-    zero_field,
 )
 from orthofield.lattice import batch_prefix, padded_prefix
 from orthofield.sumprocess import eval_W_grid
@@ -232,51 +230,6 @@ def test_process_evaluator_matches_direct_calls():
     ev = process_evaluator(p)
     pts = np.array([[0.0, 0.0], [0.5, 0.25], [1.0, 1.0]])
     assert np.array_equal(ev(pts), eval_W_batch(p, pts))
-
-
-def test_tightness_zero_generator():
-    rho = modulus(math.exp(4.0), 2, iter_log())
-    res = tightness_sum_estimate(zero_field(2), rho, 1.0, 1, 0, (4, 4), 50, seed=1)
-    assert res.total == 0.0
-    assert all(r.hits == 0 for r in res.rows)
-
-
-def test_tightness_tail_sums_strictly_decrease_when_hit():
-    # Small eps makes the early levels exceed the threshold with
-    # appreciable probability, so each truncation strictly drops until
-    # the sums hit zero.
-    rho = modulus(math.exp(4.0), 2, iter_log())
-    res = tightness_sum_estimate(iid_gaussian(2), rho, 0.2, 1, 0, (6, 6), 300, seed=5)
-    tails = [res.tail_sum(j) for j in range(8)]
-    assert res.rows[0].hits > 0
-    for j in range(5):
-        assert tails[j] > tails[j + 1]
-    assert tails[5] == 0.0
-
-
-def test_tightness_deterministic():
-    # 150 replicas make three blocks, so the threaded run really splits them
-    rho = modulus(math.exp(4.0), 2, iter_log())
-    a = tightness_sum_estimate(iid_gaussian(2), rho, 0.3, 2, 1, (5, 5), 150, seed=9)
-    b = tightness_sum_estimate(iid_gaussian(2), rho, 0.3, 2, 1, (5, 5), 150, seed=9)
-    c = tightness_sum_estimate(iid_gaussian(2), rho, 0.3, 2, 1, (5, 5), 150, seed=9,
-                               threads=3)
-    assert a == b == c
-    assert any(r.hits > 0 for r in a.rows)
-    assert a.rows[0].shape == (32, 16)
-
-
-def test_tightness_input_validation():
-    rho = modulus(math.exp(4.0), 2, iter_log())
-    spec = iid_gaussian(2)
-    with pytest.raises(InvalidRangeError):
-        tightness_sum_estimate(spec, rho, 0.0, 1, 0, (4, 4), 10, seed=1)
-    with pytest.raises(InvalidRangeError):
-        tightness_sum_estimate(spec, rho, 1.0, 3, 0, (4, 4), 10, seed=1)
-    with pytest.raises(InvalidRangeError):
-        tightness_sum_estimate(spec, rho, 1.0, 1, 5, (4, 4), 10, seed=1)
-    with pytest.raises(InvalidInputError):
-        tightness_sum_estimate(spec, rho, 1.0, 1, 0, (4,), 10, seed=1)
 
 
 def test_seq_norm_scales_with_spike_height():
