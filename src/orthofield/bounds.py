@@ -37,9 +37,10 @@ test (_converged): the value at 2n nodes, its distance to the n-node
 value as the error estimate, and NumericFailureError when that exceeds
 max(_ABS_FLOOR, |value| _REL_TOL).  The tail integral of the two-term
 bound and of the Lemma 3 moments is a Gauss-Legendre rule in x = ln u
-over [0, ln u_max], u_max the point past which the tail is negligible,
-on panels split where the tail's min(1, .) switches (for the Weibull
-envelope at u = (ln 2)^(1/gamma) / scale).  The Gaussian-product tail
+over [0, ln u_max], u_max the point past which the tail times its
+weight (u^2 (log(1+u))^p, or u^3 for Lemma 3) is negligible, on panels
+split where the tail's min(1, .) switches (for the Weibull envelope at
+u = (ln 2)^(1/gamma) / scale) and at most _PANEL_X long.  The Gaussian-product tail
 P{|X_1...X_m| > s} = E[erfc(s e^-Y / sqrt 2)], Y = ln|X_1...X_(m-1)|,
 takes the density of Y by m - 2 discrete convolutions of the density of
 ln|X| on a uniform grid, and the expectation by the trapezoid rule on
@@ -205,19 +206,26 @@ def tail_eval(model: TailModel, s):
     return out if out.ndim else float(out)
 
 
-def _tail_log_knots(model: TailModel) -> list:
-    """ln s where the tail's min(1, .) switches, if it does, then ln s at
-    a point beyond which the tail is numerically negligible."""
+# the level below which the integrand of a tail integral, in x = ln u,
+# counts as negligible
+_LN_NEGLIGIBLE = math.log(_ABS_FLOOR) - 4.0
+
+
+def _tail_log_knots(model: TailModel, level: float = _LN_NEGLIGIBLE) -> list:
+    """ln s where the tail's min(1, .) switches, if it does, then ln s
+    where ln tail(s) has fallen to `level`: ln K for bounded, whose tail
+    is 0 beyond K, and inf for unit, which never falls."""
     if model.kind == "bounded":
         return [math.log(model.value)]
     if model.kind == "weibull":
-        # 2 exp(-s^gamma) = 1, and a tail of e^-4 _ABS_FLOOR
+        # 2 exp(-s^gamma) = 1, and = e^level
         return [math.log(math.log(2.0)) / model.value,
-                math.log(math.log(2.0 / _ABS_FLOOR) + 4.0) / model.value]
+                math.log(math.log(2.0) - level) / model.value]
     if model.kind == "gaussian_product":
         m = int(model.value)
-        # product tail ~ exp(-m s^(2/m) / 2): invert at the floor
-        return [math.log((2.0 * math.log(1.0 / _ABS_FLOOR) / m) ** (m / 2.0) + 10.0)]
+        # the product tail's exponent is -m s^(2/m) / 2; its prefactor,
+        # at most e^2.6 (m = 16), is inside the e^-4 margin of _LN_NEGLIGIBLE
+        return [0.5 * m * math.log(-2.0 * level / m)]
     return [math.inf]
 
 
@@ -306,6 +314,11 @@ def _level_x(q: float, s, rising: bool):
 
 
 _GL_NODES = 64
+_CUTOFF_STEPS = 32  # fixed-point steps for the end of a tail integral
+# the longest panel of a tail integral in x = ln u: a Weibull integrand
+# with gamma near 0.01 peaks at x ~ 500 with a width of ~6, which one
+# 64-node panel over [0, x_max] does not resolve
+_PANEL_X = 32.0
 
 
 @functools.lru_cache(maxsize=4)
@@ -473,31 +486,43 @@ class BoundValue:
 
 
 def _tail_integral(model: TailModel, scale: float, g, where: str) -> float:
-    """int_1^inf tail(scale u) u g(u) du, for g vectorized, up to the
-    tail's negligible point u_max; an unconverged rule is reported with
-    `where`, the term it is.
+    """int_1^inf tail(scale u) u g(u) du, for g vectorized and increasing,
+    up to the point u_max = e^x_max past which its integrand in x = ln u,
+    tail(scale u) u^2 g(u), is negligible; an unconverged rule is
+    reported with `where`, the term it is.
 
-    The integral is taken in x = ln u over [0, ln u_max], split into
-    panels where the tail's min(1, .) switches, with the Gauss-Legendre
-    rules of I_integral on each panel."""
-    knots = [k - math.log(scale) for k in _tail_log_knots(model)]
-    x_max = knots[-1]
-    if x_max == math.inf:
+    x_max solves ln tail(scale e^x) = _LN_NEGLIGIBLE - ln(e^(2x) g(e^x)),
+    by fixed-point iteration from x = 0, which rises to it because both
+    sides grow with x; the weight grows polynomially in u and the tail
+    falls faster, so the steps shrink geometrically.  The integral is
+    taken over [0, x_max], split into panels where the tail's min(1, .)
+    switches and into equal ones at most _PANEL_X long, with the
+    Gauss-Legendre rules of I_integral on each panel."""
+    knots = _tail_log_knots(model)
+    if knots[-1] == math.inf:
         raise InvalidInputError("tail model %r has no integrable support" % model.kind)
-    if x_max > _LN_FLOAT_MAX:
-        raise InvalidRangeError("tail model %r reaches past u = e^%g, beyond the float range"
-                                % (model.kind, x_max))
+    x_max = 0.0
+    for _ in range(_CUTOFF_STEPS):
+        x = max(x_max, 0.0)
+        log_weight = 2.0 * x + math.log(g(math.exp(x)))
+        x_max = _tail_log_knots(model, _LN_NEGLIGIBLE - log_weight)[-1] - math.log(scale)
+        if x_max > _LN_FLOAT_MAX:
+            raise InvalidRangeError("tail integral exceeds the float range at scale=%g, %s: "
+                                    "its integrand is not negligible before u = e^%g"
+                                    % (scale, where, x_max))
     if x_max <= 0.0:
         return 0.0
-    edges = [0.0] + [k for k in knots[:-1] if 0.0 < k < x_max] + [x_max]
+    kinks = [k - math.log(scale) for k in knots[:-1]]
+    breaks = [0.0] + [k for k in kinks if 0.0 < k < x_max] + [x_max]
+    edges = np.concatenate([np.linspace(lo, hi, math.ceil((hi - lo) / _PANEL_X) + 1)[:-1]
+                            for lo, hi in zip(breaks, breaks[1:])] + [[x_max]])
+    lengths = np.diff(edges)
 
     def rule(n):
         xi, wi = _gauss_legendre01(n)
-        total = 0.0
-        for lo, hi in zip(edges, edges[1:]):
-            u = np.exp(lo + (hi - lo) * xi)
-            total += (hi - lo) * np.sum(tail_eval(model, scale * u) * u * u * g(u) * wi)
-        return total
+        u = np.exp(edges[:-1, None] + lengths[:, None] * xi)  # one row of nodes per panel
+        panels = np.sum(tail_eval(model, scale * u) * u * u * g(u) * wi, axis=1)
+        return float(np.sum(lengths * panels))
 
     return float(_converged(rule, _GL_NODES, "tail integral",
                             lambda i: "scale=%g, %s" % (scale, where)))
@@ -573,13 +598,22 @@ def thm2_rhs(x: float, shape, gamma: float, d: int) -> LargeDeviationValue:
 # ------------------------------------------------ summability diagnostics
 
 
+# the deepest dyadic level of the summability diagnostics: 2^j and the
+# sum 2^1 + ... + 2^j stay below the float maximum 2^1024
+_MAX_LEVEL = 1022
+
+
+def _check_levels(name: str, j_max: int):
+    if not 1 <= j_max <= _MAX_LEVEL:
+        raise InvalidRangeError("%s must be in 1..%d, not %r" % (name, _MAX_LEVEL, j_max))
+
+
 def cond_wip_check(L: "SlowlyVarying", model: TailModel, a: float, j_max: int) -> dict:
     """Partial sums of sum_j 2^j tail(L(2^j) * a); converged when the last
     ten levels contribute below 1e-12 of the total."""
     if a <= 0:
         raise InvalidRangeError("A must be positive")
-    if j_max < 1:
-        raise InvalidRangeError("j_max must be >= 1")
+    _check_levels("j_max", j_max)
     terms = []
     for j in range(1, j_max + 1):
         terms.append(2.0**j * float(tail_eval(model, float(L(2.0**j)) * a)))
@@ -598,8 +632,7 @@ def cond_wip_check(L: "SlowlyVarying", model: TailModel, a: float, j_max: int) -
 def lemma_svarying_partial_sum(L: "SlowlyVarying", k_max: int) -> dict:
     """Ratios r_k = (sum_{j<=k} 2^j / L(2^j)) / (2^k / L(2^k)); their max
     is the realized comparison constant."""
-    if k_max < 1:
-        raise InvalidRangeError("k_max must be >= 1")
+    _check_levels("k_max", k_max)
     ratios = []
     acc = 0.0
     for k in range(1, k_max + 1):
@@ -609,31 +642,27 @@ def lemma_svarying_partial_sum(L: "SlowlyVarying", k_max: int) -> dict:
 
 
 def lemma3_moment_sum(L: "SlowlyVarying", model: TailModel, c: float, j_max: int) -> dict:
-    """Partial sums of sum_j 2^j int_1^inf tail(L(2^j) u c) u^2 du, with a
-    per-term divergence probe (the integrand must decay beyond u^-3)."""
+    """Partial sums of sum_j 2^j int_1^inf tail(L(2^j) u c) u^2 du.  Every
+    term diverges when the tail never falls to a negligible level (unit,
+    the only such kind), and every other term is finite."""
     if c <= 0:
         raise InvalidRangeError("C must be positive")
-    if j_max < 1:
-        raise InvalidRangeError("j_max must be >= 1")
-    terms = []
-    diverged = []
-    for j in range(1, j_max + 1):
-        scale = float(L(2.0**j)) * c
-        probe = 1.0e6
-        if float(tail_eval(model, scale * probe)) * probe**3 >= 1e-6:
-            terms.append(math.inf)
-            diverged.append(j)
-            continue
-        terms.append(2.0**j * _tail_integral(model, scale, lambda u: u, "j=%d" % j))
-    finite = [t for t in terms if math.isfinite(t)]
-    total = float(sum(finite)) if not diverged else math.inf
-    tail_part = sum(t for t in terms[-min(10, len(terms)) :] if math.isfinite(t))
-    converged = not diverged and (total == 0.0 or tail_part <= 1e-9 * total)
+    _check_levels("j_max", j_max)
+    levels = range(1, j_max + 1)
+    if _tail_log_knots(model)[-1] == math.inf:
+        return {"terms": [math.inf] * j_max, "total": math.inf,
+                "diverged_levels": list(levels), "converged": False}
+    terms = [2.0**j * _tail_integral(model, float(L(2.0**j)) * c, lambda u: u, "j=%d" % j)
+             for j in levels]
+    total = float(sum(terms))
+    if math.isinf(total):
+        raise InvalidRangeError("the moment sum exceeds the float range by j=%d" % j_max)
+    tail_part = sum(terms[-min(10, len(terms)):])
     return {
         "terms": terms,
         "total": total,
-        "diverged_levels": diverged,
-        "converged": bool(converged),
+        "diverged_levels": [],
+        "converged": total == 0.0 or tail_part <= 1e-9 * total,
     }
 
 

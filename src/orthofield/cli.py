@@ -14,13 +14,15 @@ allocates and frees arrays of one replica block over and over, up to
 glibc's defaults serve an allocation above the mmap threshold with a
 fresh mapping and hand freed memory at the top of the heap back to the
 system above the trim threshold, so each block faults its pages in
-anew.  main raises the mmap threshold to 32 MB, the glibc maximum on
-64-bit machines, so block arrays come from the heap, and sets the trim
-threshold to 16 MB, so freed blocks are reused.  Both must be set:
+anew.  Both thresholds follow the block budget (lattice._BLOCK_BYTES,
+16 MiB, the most one block array holds): main raises the mmap
+threshold to twice the budget, 32 MiB, the glibc maximum on 64-bit
+machines, so block arrays come from the heap, and sets the trim
+threshold to the budget, so freed blocks are reused.  Both must be set:
 setting one switches off glibc's dynamic adjustment of the other.  On
 the Monte Carlo benchmark the mmap threshold alone was no faster than
 the defaults, and the trim threshold alone was slower.
-A 64 MB trim threshold was no faster, and up to the trim threshold of
+A 64 MiB trim threshold was no faster, and up to the trim threshold of
 freed memory stays resident, so the smaller value is kept.
 """
 
@@ -34,13 +36,14 @@ import sys
 
 from .errors import OrthofieldError
 from .harness import EXPERIMENTS, config_from_dict, run_experiment
+from .lattice import _BLOCK_BYTES
 
 
 # glibc mallopt parameters (malloc.h) and the values main sets, see the
 # module docstring; constants, not options
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
-_ALLOCATOR_POLICY = ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 16 << 20))
+_ALLOCATOR_POLICY = ((_M_MMAP_THRESHOLD, 2 * _BLOCK_BYTES), (_M_TRIM_THRESHOLD, _BLOCK_BYTES))
 
 
 def _libc():

@@ -27,10 +27,6 @@ class TooLargeError(OrthofieldError, ValueError):
     would exceed the block budget, lattice._BLOCK_BYTES."""
 
 
-class NotTranslatableError(OrthofieldError, ValueError):
-    """Generator variant does not support evaluation on shifted sites."""
-
-
 class NumericFailureError(OrthofieldError, RuntimeError):
     """A quadrature or grid sup did not converge / stabilize."""
 

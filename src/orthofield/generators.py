@@ -4,8 +4,8 @@ All variants produce centered fields whose value at a site is a pure
 function of (master seed, replica, variant stream, absolute site
 coordinates), see _rng.  That buys three things at once: replicas are
 reproducible under any batching, translated windows of the same
-infinite field can be evaluated directly (shift_field, kept because
-the README's Determinism section relies on it), and the product
+infinite field can be evaluated directly (generate_batch's offset,
+which the README's Determinism section relies on), and the product
 variants derive their per-axis factor streams in one routine
 (_factor_streams), whose outer product is the field.
 
@@ -29,10 +29,11 @@ factors every term is an exact integer, so Rademacher products give the
 float path's values bit for bit; Gaussian and Weibull decoupled products
 round differently, by a few 1e-15 x max |S| per replica.
 
-Kept without a caller in the package: orthomartingale_check, the
-Monte Carlo conditional-centering screen behind the field classes
-below; zero_field, the all-zero control; and generate with its
-SeedSpec, the one-replica draw that shift_field moves to other windows.
+generate_batch is the one way to draw fields: a single replica is
+generate_batch(spec, shape, seed, r, 1)[0].  Kept without a caller in
+the package: orthomartingale_check, the Monte Carlo
+conditional-centering screen behind the field classes below, and
+zero_field, the all-zero control a config can name.
 
 Variants
 --------
@@ -61,15 +62,8 @@ from scipy.special import gammaincc
 from scipy.special import ndtri
 
 from . import _rng
-from .errors import (
-    InvalidInputError,
-    InvalidRangeError,
-    NotTranslatableError,
-    check_number,
-    check_object,
-)
+from .errors import InvalidInputError, InvalidRangeError, check_number, check_object
 from .lattice import (
-    LatticeArray,
     _block_size,
     _map_blocks,
     batch_prefix,
@@ -87,18 +81,6 @@ _DISTS = ("rademacher", "gaussian", "weibull_symmetric")
 # different generators at the same master seed are not coupled
 _VARIANT_TAG = {name: 101 + k for k, name in enumerate(_VARIANTS)}
 _DIST_TAG = {name: 201 + k for k, name in enumerate(_DISTS)}
-
-
-@dataclass(frozen=True)
-class SeedSpec:
-    """Master seed plus replica index; replica streams never overlap."""
-
-    master: int
-    replica: int = 0
-
-    def __post_init__(self):
-        if self.replica < 0:
-            raise InvalidInputError("replica index must be >= 0")
 
 
 @dataclass(frozen=True, eq=True)
@@ -268,6 +250,19 @@ def _factor_streams(spec: GeneratorSpec, master_seed: int, reps: np.ndarray, coo
             for q in range(spec.d)]
 
 
+def _check_block(spec: GeneratorSpec, shape, start: int, count: int) -> tuple:
+    """The validated shape of a block of count >= 1 replicas from start >= 0
+    (a negative index would alias replica 2^64 + start in the hash)."""
+    shape = validate_shape(shape)
+    if len(shape) != spec.d:
+        raise InvalidInputError("spec has d=%d but shape is %r" % (spec.d, shape))
+    if start < 0:
+        raise InvalidInputError("replica start must be >= 0, got %r" % (start,))
+    if count < 1:
+        raise InvalidInputError("count must be >= 1")
+    return shape
+
+
 def generate_batch(
     spec: GeneratorSpec,
     shape,
@@ -277,12 +272,9 @@ def generate_batch(
     offset=None,
 ) -> np.ndarray:
     """Fields for replicas [replica_start, replica_start + count) as an
-    array of shape (count, n_1, ..., n_d)."""
-    shape = validate_shape(shape)
-    if len(shape) != spec.d:
-        raise InvalidInputError("spec has d=%d but shape is %r" % (spec.d, shape))
-    if count < 1:
-        raise InvalidInputError("count must be >= 1")
+    array of shape (count, n_1, ..., n_d).  With an offset k (one integer
+    per axis) the window is [1 + k, n + k] of the same infinite field."""
+    shape = _check_block(spec, shape, replica_start, count)
     reps = np.arange(replica_start, replica_start + count, dtype=np.int64)
     coords = _axis_coords(shape, offset)
     d = spec.d
@@ -315,7 +307,7 @@ def generate_batch(
         lag[axis + 1] = slice(0, -1)
         return base[tuple(lead)] + base[tuple(lag)]
 
-    raise NotTranslatableError("variant %r has no site-addressed form" % spec.variant)
+    raise InvalidInputError("unknown generator variant %r" % (spec.variant,))
 
 
 def _axis_product(factors) -> np.ndarray:
@@ -336,11 +328,7 @@ def replica_stats(spec: GeneratorSpec, shape, seed: int, start: int, count: int,
     stats = tuple(stats)
     if not stats or any(name not in _STATS for name in stats):
         raise InvalidInputError("stats must name some of %r, got %r" % (_STATS, stats))
-    shape = validate_shape(shape)
-    if len(shape) != spec.d:
-        raise InvalidInputError("spec has d=%d but shape is %r" % (spec.d, shape))
-    if count < 1:
-        raise InvalidInputError("count must be >= 1")
+    shape = _check_block(spec, shape, start, count)
 
     if spec.variant in _PRODUCTS:
         reps = np.arange(start, start + count, dtype=np.int64)
@@ -364,17 +352,6 @@ def replica_stats(spec: GeneratorSpec, shape, seed: int, start: int, count: int,
     if "slab" in stats:
         out["slab"] = absp[..., -1].reshape(count, -1).max(axis=1)
     return tuple(out[name] for name in stats)
-
-
-def generate(spec: GeneratorSpec, shape, seed: SeedSpec) -> LatticeArray:
-    batch = generate_batch(spec, shape, seed.master, seed.replica, 1)
-    return LatticeArray(batch[0])
-
-
-def shift_field(spec: GeneratorSpec, shape, seed: SeedSpec, k) -> LatticeArray:
-    """The same infinite field evaluated on the window [1+k, n+k]."""
-    batch = generate_batch(spec, shape, seed.master, seed.replica, 1, offset=k)
-    return LatticeArray(batch[0])
 
 
 @dataclass(frozen=True)
@@ -407,10 +384,11 @@ def _default_check_sites(shape):
 def orthomartingale_check(
     spec: GeneratorSpec,
     shape,
-    seed: SeedSpec,
+    seed: int,
     replicas: int = 2000,
 ) -> OrthomartingaleResult:
-    """Monte Carlo battery for one-direction conditional centering.
+    """Monte Carlo battery for one-direction conditional centering, over
+    replicas [0, replicas) of the master seed `seed`.
 
     For each axis q and site i (the far corner and a middle site),
     estimates E[X_i g(past)] for g in {1, sign(past sum), clipped past
@@ -438,7 +416,7 @@ def orthomartingale_check(
     keys = [(a, s, t) for a in axes for s in sites for t in tests]
 
     def work(start, count):
-        fields = generate_batch(spec, shape, seed.master, seed.replica + start, count)
+        fields = generate_batch(spec, shape, seed, start, count)
         out = []
         for a in axes:
             for s in sites:

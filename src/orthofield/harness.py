@@ -241,6 +241,7 @@ def sheet_cov_check(config: ExperimentConfig) -> Report:
     res = config.shape
     d = len(res)
     _block_size(2 * d * config.pairs, "node pair draws")
+    _block_size(2 * config.pairs * config.replicas, "sheet-cov node values")
     key = stream_key(config.seed, "sheet-pairs")
     draws = uniform01(fold(key, np.arange(2 * d * config.pairs, dtype=np.uint64)))
     nodes = 1 + (draws.reshape(config.pairs, 2, d) * np.array(res)).astype(np.int64)
@@ -349,13 +350,14 @@ def tightness_experiment(config: ExperimentConfig) -> Report:
         raise InvalidRangeError("axis_q=%d outside 1..%d" % (q, len(m)))
     if j_from > m[q - 1]:
         raise InvalidRangeError("need j_from <= m_q, got j_from=%d, m_q=%d" % (j_from, m[q - 1]))
-    # the level-j_from lattice, of 2^(sum(m) - j_from) cells, is the
-    # largest one built, and the normalizer prod_u 2^(m_u / 2) overflows
-    # a float once sum(m) reaches 2048
-    _block_size(2 ** (sum(m) - j_from), "lattice")
+    # the normalizer prod_u 2^(m_u / 2) overflows a float once sum(m)
+    # reaches 2048, and the level-j_from lattice, of 2^(sum(m) - j_from)
+    # cells, is the largest one built; the sum is compared first, so the
+    # cell count is never a huge integer
     if sum(m) >= 2048:
         raise InvalidRangeError("exponents %r sum to %d; the normalizer 2^(sum / 2) needs "
                                 "a sum below 2048" % (m, sum(m)))
+    _block_size(2 ** (sum(m) - j_from), "lattice")
     sqrt_full = math.prod(2.0 ** (mu / 2.0) for mu in m)
     rows = []
     for j in range(j_from, m[q - 1] + 1):
@@ -443,6 +445,16 @@ def _integer(lo, hi=math.inf):
 _positive = functools.partial(check_number, lo=0, above=True)
 
 
+def _budgeted(check, what):
+    """check, then the block budget on the float64 array of that many
+    values the field sizes (lattice._block_size)."""
+    def checked(name, value):
+        value = check(name, value)
+        _block_size(value, what)
+        return value
+    return checked
+
+
 def _list_of(item, n=None):
     def check(name, value):
         if not isinstance(value, (list, tuple)) or not value or n not in (None, len(value)):
@@ -480,8 +492,9 @@ _GENERATOR, _SHAPE, _X_GRID, _OBJECT = (
 # raises; _REQUIRED marks a field without a default, and a callable
 # default is computed from the config.  The spec parsers read object
 # fields (bound, modulus, tail, svarying) when the experiment runs.
-_COMMON = {"replicas": (_integer(1), 1), "seed": (_integer(0, 2**64 - 1), 0),
-           "threads": (_integer(1), 1)}
+# every experiment keeps at least one float64 per replica
+_COMMON = {"replicas": (_budgeted(_integer(1), "per-replica results"), 1),
+           "seed": (_integer(0, 2**64 - 1), 0), "threads": (_integer(1), 1)}
 _SCHEMA = {
     "deviation": (mc_deviation, {"generator": _GENERATOR, "shape": _SHAPE, "x_grid": _X_GRID}),
     "verify-bound": (verify_bound, {"generator": _GENERATOR, "shape": _SHAPE, "x_grid": _X_GRID,
@@ -498,14 +511,17 @@ _SCHEMA = {
     "holder-norm": (holder_norm_of_Wn, {
         "generator": _GENERATOR, "shape": (_shape, None),
         "shapes": (_list_of(_shape), _holder_shapes), "modulus": _OBJECT,
-        "j_max": (_integer(0), None)}),
+        "j_max": (_integer(0, holder._MODULUS_LEVELS), None)}),
     "constants": (constants_experiment, {"d": (_integer(1, 6), 6)}),
     "lemma-checks": (lemma_checks, {
-        "svarying": _OBJECT, "tail": _OBJECT, "k_max": (_integer(1), 40),
-        "j_max": (_integer(1), 40), "a": (_positive, 1.0), "c": (_positive, 1.0)}),
+        "svarying": _OBJECT, "tail": _OBJECT, "k_max": (_integer(1, bounds._MAX_LEVEL), 40),
+        "j_max": (_integer(1, bounds._MAX_LEVEL), 40), "a": (_positive, 1.0),
+        "c": (_positive, 1.0)}),
     "exponent-fit": (exponent_fit_experiment, {
-        "d": (_integer(1), _REQUIRED), "window": (_list_of(check_number, 2), (0.90, 0.999)),
-        "grid_points": (_integer(4), 24), "band": (_list_of(check_number, 2), None)}),
+        "d": (_integer(1, bounds._MAX_FACTORS), _REQUIRED),
+        "window": (_list_of(check_number, 2), (0.90, 0.999)),
+        "grid_points": (_budgeted(_integer(4), "exponent-fit grid"), 24),
+        "band": (_list_of(check_number, 2), None)}),
 }
 EXPERIMENTS = tuple(_SCHEMA)
 _FIELD_NAMES = sorted(set(_COMMON).union(*(table for _, table in _SCHEMA.values())))

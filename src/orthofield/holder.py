@@ -335,8 +335,10 @@ def grid_seq_norms(padded, rho: Modulus, j_max: int) -> np.ndarray:
     d = padded.ndim - 1
     if d != rho.d:
         raise InvalidInputError("prefix arrays have dimension %d, modulus has %d" % (d, rho.d))
-    if j_max < 0:
-        raise InvalidRangeError("j_max must be >= 0")
+    # compared before the grid's cell count is built
+    if not 0 <= j_max <= _MODULUS_LEVELS:
+        raise InvalidRangeError("j_max must be in 0..%d, the levels a modulus is checked on"
+                                % _MODULUS_LEVELS)
     _block_size(full_grid_count(j_max, d), "level grid")
     scales = [modulus_eval(rho, 2.0**-j) for j in range(j_max + 1)]
     grid = eval_W_grid(padded, j_max)

@@ -25,9 +25,13 @@ block.  _block_size turns a caller's cells per replica into replicas
 per block, min(_BLOCK, _BLOCK_BYTES // (8 * cells)), and rejects a
 single replica over the budget with TooLargeError; validate_shape puts
 every lattice through the same check, so one lattice holds at most
-_BLOCK_BYTES // 8 = 2^23 cells.  _BLOCK caps the replicas a block holds
-for small lattices, so the block plans of small experiments do not grow
-with the budget.
+_BLOCK_BYTES // 8 = 2^21 cells, and the harness checks an experiment's
+per-replica results against it too.  The budget, 16 MiB, is half of
+glibc's largest mmap threshold, which cli sets to twice the budget, so
+block arrays are reused from the heap instead of being mapped afresh
+for every block.  _BLOCK caps the replicas a block holds for small
+lattices, so the block plans of small experiments do not grow with the
+budget.
 
 max_abs_prefix has no caller in the package; it stays because the exact
 arithmetic criterion (01) of the acceptance suite checks it.
@@ -38,7 +42,6 @@ from __future__ import annotations
 import math
 import operator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +50,7 @@ from .errors import InvalidInputError, TooLargeError
 MultiIndex = tuple  # d-tuple of 1-based ints
 
 _BLOCK = 64  # replicas per block at most; the plan is fixed so threading cannot regroup
-_BLOCK_BYTES = 64 << 20  # bytes of the largest float64 array of one replica block
+_BLOCK_BYTES = 16 << 20  # bytes of the largest float64 array of one replica block
 _MAX_THREADS = 32  # worker threads one driver call starts at most
 
 
@@ -103,33 +106,8 @@ def validate_index(index: MultiIndex, shape) -> tuple:
     return index
 
 
-@dataclass(frozen=True)
-class LatticeArray:
-    """One float per lattice site, with 1-based accessors."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
-        validate_shape(arr.shape)
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def shape(self) -> tuple:
-        return self.values.shape
-
-    @property
-    def d(self) -> int:
-        return self.values.ndim
-
-    def get(self, index: MultiIndex) -> float:
-        index = validate_index(index, self.shape)
-        return float(self.values[tuple(k - 1 for k in index)])
-
-
 def _as_values(field) -> np.ndarray:
-    if isinstance(field, LatticeArray):
-        return field.values
+    """A field as a float64 array of a valid lattice shape."""
     arr = np.asarray(field, dtype=np.float64)
     validate_shape(arr.shape)
     return arr

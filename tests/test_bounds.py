@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import erfc, gammaincc
+from scipy.special import erfc, gamma, gammaincc
 
 from orthofield import (
     InsufficientDataError,
@@ -387,10 +387,11 @@ def test_thm1_rhs_unconverged_tail_integral_is_reported(monkeypatch):
 def test_thm1_rhs_overflowing_tail_integral_is_reported():
     # at y = 16 in d = 2 the Weibull tail integral for gamma = 0.01 lies
     # beyond e^850 (its integrand in x = ln u peaks at 2x - e^(x/100) =
-    # 859.7), and at gamma = 0.0103 the integral is finite but B times it
-    # is not; gammas 0.02 and 0.05 keep finite, vacuous values
+    # 859.7), and at gamma = 0.0121 the integral is finite (about e^706.6)
+    # but B (about e^6.25) times it is not; gammas 0.02 and 0.05 keep
+    # finite, vacuous values
     consts = recurse_constants(2)
-    for gamma, term in [(0.01, "tail integral"), (0.0103, "integral term")]:
+    for gamma, term in [(0.01, "tail integral"), (0.0121, "integral term")]:
         with pytest.raises(InvalidRangeError) as info:
             thm1_rhs(4.0, 16.0, weibull_envelope(gamma), consts)
         message = str(info.value)
@@ -410,15 +411,15 @@ def test_thm1_rhs_takes_a_grid_of_x():
 
 
 def _weibull_support(gamma):
-    # the point past which the production rule truncates: a tail of
-    # e^-4 times 1e-16
-    return (math.log(2.0 / 1e-16) + 4.0) ** (1.0 / gamma)
+    # a tail of e^-200: beyond it the heaviest weight checked here,
+    # u (log(1+u))^12 at u up to e^22, leaves the integrand below e^-140
+    return (math.log(2.0) + 200.0) ** (1.0 / gamma)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_tail_integral_against_adaptive_quad(d):
-    # oracle: adaptive quad in u at epsrel 1e-12 over the same support,
-    # told where the Weibull tail leaves min(1, .)
+    # oracle: adaptive quad in u at epsrel 1e-12 out to a negligible
+    # tail, told where the Weibull tail leaves min(1, .)
     consts = recurse_constants(d)
     p = consts.p
     cases = [(bounded_by(1.0), 1.0, None), (bounded_by(3.0), 3.0, None)]
@@ -439,6 +440,23 @@ def test_tail_integral_against_adaptive_quad(d):
             assert got == pytest.approx(want, rel=1e-10), (model, y)
             checked += 1
     assert checked >= 20
+
+
+def test_gaussian_product_tail_integral_reaches_its_negligible_point(monkeypatch):
+    # m = 16 and p = 12: the weight u^2 (log(1+u))^12 keeps the integrand
+    # large well past the point where the tail alone is negligible, so
+    # tripling ln u_max must leave the value where it is
+    model, p = gaussian_product(16), 12
+    got = bounds._tail_integral(model, 1.0, lambda u: np.log1p(u) ** p, "p=%d" % p)
+    knots = bounds._tail_log_knots
+
+    def tripled(*args):
+        out = knots(*args)
+        return out[:-1] + [3.0 * out[-1]]
+
+    monkeypatch.setattr(bounds, "_tail_log_knots", tripled)
+    longer = bounds._tail_integral(model, 1.0, lambda u: np.log1p(u) ** p, "p=%d" % p)
+    assert got == pytest.approx(longer, rel=1e-9, abs=0.0)
 
 
 def test_thm1_rhs_tail_term_positive_for_heavy_model():
@@ -524,6 +542,43 @@ def test_lemma3_moment_sum_converges_and_diverges():
     bad = lemma3_moment_sum(const_factor(1.0), unit_tail(), 1.0, 10)
     assert bad["diverged_levels"] and bad["total"] == math.inf
     assert not bad["converged"]
+
+
+@pytest.mark.parametrize("g", [0.05, 0.1, 0.15, 0.2])
+def test_lemma3_term_matches_the_weibull_closed_form(g):
+    # int_1^inf 2 e^(-u^g) u^2 du = (2/g) Gamma(3/g) Q(3/g, 1), with u^g = t;
+    # the integrand peaks near u = (3/g)^(1/g), far beyond the point where
+    # the tail alone is negligible
+    want = 2.0 / g * gamma(3.0 / g) * gammaincc(3.0 / g, 1.0)
+    out = lemma3_moment_sum(const_factor(1.0), weibull_envelope(g), 1.0, 2)
+    assert out["diverged_levels"] == [] and not out["converged"]
+    assert out["terms"] == [pytest.approx(2.0 ** j * want, rel=1e-7, abs=0.0) for j in (1, 2)]
+
+
+def test_lemma3_bounded_tail_terms_are_finite():
+    # |X| <= K: the term is 2^j int_1^U u^2 du = 2^j (U^3 - 1) / 3, U = K / (L c)
+    big = 1e7
+    out = lemma3_moment_sum(const_factor(1.0), bounded_by(big), 1.0, 5)
+    want = [2.0**j * (big**3 - 1.0) / 3.0 for j in range(1, 6)]
+    assert out["diverged_levels"] == []
+    assert out["terms"] == [pytest.approx(w, rel=1e-12) for w in want]
+    assert out["total"] == pytest.approx(sum(want), rel=1e-12)
+    # L(2^j) = j ln 2 grows past K = 3 from j = 5 on, where the terms vanish
+    out = lemma3_moment_sum(log_power(1.0), bounded_by(3.0), 1.0, 20)
+    assert out["terms"][4:] == [0.0] * 16 and out["converged"]
+
+
+def test_summability_levels_stay_in_the_float_range():
+    # 2^j and the sum of 2^1 .. 2^j stay finite up to level 1022
+    wip = cond_wip_check(const_factor(1.0), unit_tail(), 1.0, 1022)
+    assert math.isfinite(wip["total"]) and not wip["converged"]
+    ratios = lemma_svarying_partial_sum(const_factor(1.0), 1022)
+    assert math.isfinite(ratios["C_L"])
+    for check in (lambda j: cond_wip_check(const_factor(1.0), unit_tail(), 1.0, j),
+                  lambda j: lemma_svarying_partial_sum(const_factor(1.0), j),
+                  lambda j: lemma3_moment_sum(const_factor(1.0), unit_tail(), 1.0, j)):
+        with pytest.raises(InvalidRangeError):
+            check(1023)
 
 
 def test_lemma3_unconverged_moment_term_is_reported(monkeypatch):

@@ -136,6 +136,21 @@ EXPONENT_FIT = {"experiment": "exponent-fit", "d": 1, "replicas": 2000}
         ("verify-bound", dict(TWO_TERM, bound={"kind": "large-deviation", "gamma": 1e-5})),
         ("verify-bound", dict(TWO_TERM, bound={"kind": "two-term", "y": 16.0,
                                                 "tail": {"kind": "gaussian_product", "m": 5000}})),
+        # integer inputs bounded before they size an array, a loop or an
+        # exponent: 2^j and its partial sums past the float range, more
+        # Gaussian factors than the tails model, per-replica results and
+        # node values over the block budget, a level past those a modulus
+        # is checked on, and an exponent sum compared before 2^sum is built
+        ("lemma-checks", dict(LEMMA, j_max=1023)),
+        ("lemma-checks", dict(LEMMA, k_max=1024)),
+        ("exponent-fit", dict(EXPONENT_FIT, d=17)),
+        ("exponent-fit", dict(EXPONENT_FIT, replicas=10**11)),
+        ("exponent-fit", dict(EXPONENT_FIT, grid_points=4 * 10**9)),
+        ("deviation", dict(DEVIATION, replicas=2**21 + 1)),
+        ("sheet-cov", {"shape": [4, 4], "replicas": 1100, "pairs": 1000}),
+        ("holder-norm", {"experiment": "holder-norm", "generator": _gen(), "shape": [8, 8],
+                         "modulus": MODULUS, "j_max": 41}),
+        ("tightness", dict(TIGHTNESS, exponents=[10**18, 3])),
     ],
     ids=["top-level-list", "replicas-string", "shape-int", "x-grid-string",
          "two-term-without-y", "weibull-tail-without-gamma",
@@ -150,7 +165,10 @@ EXPONENT_FIT = {"experiment": "exponent-fit", "d": 1, "replicas": 2000}
          "lattice-over-budget", "tightness-exponents-3000", "sheet-cov-pairs-1e12",
          "holder-j-max-2000", "tightness-normalizer-overflow",
          "weibull-tail-gamma-1e-3", "weibull-tail-gamma-1e-2", "large-deviation-gamma-1e-5",
-         "gaussian-product-m-5000"],
+         "gaussian-product-m-5000", "lemma-j-max-1023", "lemma-k-max-1024",
+         "exponent-fit-d-17", "exponent-fit-replicas-1e11", "exponent-fit-grid-points-4e9",
+         "replicas-over-budget", "sheet-cov-node-values-over-budget", "holder-j-max-41",
+         "tightness-exponents-1e18"],
 )
 def test_malformed_config_is_one_line_exit_1(tmp_path, capsys, experiment, payload):
     cfg = write_config(tmp_path, "bad.json", payload)
@@ -331,3 +349,13 @@ def test_allocator_policy_is_safe_to_miss(tmp_path, capsys, monkeypatch):
 def test_glibc_accepts_the_allocator_policy():
     cli._set_allocator_policy.cache_clear()
     assert cli._set_allocator_policy() is True
+
+
+def test_block_arrays_stay_under_the_mmap_ceiling():
+    # glibc caps the mmap threshold at 32 MiB on 64-bit machines; a block
+    # budget above half of that would map and unmap block arrays afresh
+    from orthofield.lattice import _BLOCK_BYTES
+
+    assert 2 * _BLOCK_BYTES <= 32 << 20
+    assert cli._ALLOCATOR_POLICY == ((cli._M_MMAP_THRESHOLD, 2 * _BLOCK_BYTES),
+                                     (cli._M_TRIM_THRESHOLD, _BLOCK_BYTES))

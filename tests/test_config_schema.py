@@ -51,6 +51,9 @@ SMALL = {
 WRONG_TYPE = [None, True, "x", "", 2.5, -7, [], ["x"], [1.5], {}, {"kind": "x"}]
 # every integer field has a lower limit of 0 or more
 OUT_OF_RANGE = [-1, -(2**70)]
+# above every integer field's upper limit, or over the block budget, but
+# for threads, which only caps the worker count
+ABOVE_RANGE = 2**64
 
 
 def _paths(value, path=()):
@@ -85,7 +88,8 @@ def _run(experiment, config):
 
 @settings(max_examples=150, deadline=None, database=None, derandomize=True)
 @given(experiment=st.sampled_from(sorted(SMALL)),
-       mutation=st.sampled_from(["drop", "wrong-type", "unread", "out-of-range"]),
+       mutation=st.sampled_from(["drop", "wrong-type", "unread", "out-of-range",
+                                 "above-range"]),
        data=st.data())
 def test_mutated_config_never_escapes(experiment, mutation, data):
     config = json.loads(json.dumps(SMALL[experiment]))
@@ -104,7 +108,9 @@ def test_mutated_config_never_escapes(experiment, mutation, data):
         _set(config, where + (data.draw(st.sampled_from(unread)),), 1)
     else:
         ints = [p for p in _paths(config) if type(_get(config, p)) is int]
-        _set(config, data.draw(st.sampled_from(ints)), data.draw(st.sampled_from(OUT_OF_RANGE)))
+        value = ABOVE_RANGE if mutation == "above-range" else data.draw(
+            st.sampled_from(OUT_OF_RANGE))
+        _set(config, data.draw(st.sampled_from(ints)), value)
 
     rc, out, err = _run(experiment, config)
     assert rc in (0, 1, 2)

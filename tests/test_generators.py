@@ -8,9 +8,7 @@ from scipy.integrate import quad
 from orthofield import (
     InvalidInputError,
     InvalidRangeError,
-    SeedSpec,
     decoupled_product,
-    generate,
     generate_batch,
     iid_gaussian,
     iid_rademacher,
@@ -18,7 +16,6 @@ from orthofield import (
     moving_average,
     orthomartingale_check,
     product_rademacher,
-    shift_field,
     spec_from_json,
     spec_to_json,
     spec_variance,
@@ -30,18 +27,18 @@ from orthofield import generators
 from orthofield.lattice import _BLOCK, batch_prefix
 
 
-def product_factor_streams(spec, shape, seed, offset=None):
+def product_factor_streams(spec, shape, seed, replica, offset=None):
     """Per-axis factor streams of one replica of a product variant, from
     the routine generate_batch multiplies out; their outer product is
-    exactly generate()."""
+    exactly that replica's field."""
     if spec.variant not in ("product_rademacher", "decoupled_product"):
         raise InvalidInputError("kernel is defined for product variants, not %r" % spec.variant)
     shape = validate_shape(shape)
     if len(shape) != spec.d:
         raise InvalidInputError("spec has d=%d but shape is %r" % (spec.d, shape))
-    reps = np.asarray([seed.replica], dtype=np.int64)
+    reps = np.asarray([replica], dtype=np.int64)
     return [vals[0] for vals in generators._factor_streams(
-        spec, seed.master, reps, generators._axis_coords(shape, offset))]
+        spec, seed, reps, generators._axis_coords(shape, offset))]
 
 
 def float_path_stats(spec, shape, seed, start, count):
@@ -85,10 +82,10 @@ def test_weibull_sample_rejects_bad_input():
 
 def test_generate_deterministic_and_replica_streams():
     spec = iid_gaussian(2)
-    a = generate(spec, (5, 6), SeedSpec(42, 3)).values
-    b = generate(spec, (5, 6), SeedSpec(42, 3)).values
-    c = generate(spec, (5, 6), SeedSpec(42, 4)).values
-    d = generate(spec, (5, 6), SeedSpec(43, 3)).values
+    a = generate_batch(spec, (5, 6), 42, 3, 1)[0]
+    b = generate_batch(spec, (5, 6), 42, 3, 1)[0]
+    c = generate_batch(spec, (5, 6), 42, 4, 1)[0]
+    d = generate_batch(spec, (5, 6), 43, 3, 1)[0]
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
@@ -98,7 +95,7 @@ def test_generate_batch_rows_match_single_replicas():
     spec = product_rademacher(2)
     batch = generate_batch(spec, (4, 4), 9, 10, 5)
     for j in range(5):
-        single = generate(spec, (4, 4), SeedSpec(9, 10 + j)).values
+        single = generate_batch(spec, (4, 4), 9, 10 + j, 1)[0]
         assert np.array_equal(batch[j], single)
 
 
@@ -116,14 +113,13 @@ def test_shift_field_is_window_slice(spec):
     # Shifting the window by k must read the same infinite field: the
     # shifted (3, 4) block equals the corresponding slice of a larger
     # unshifted block.
-    seed = SeedSpec(2024, 1)
-    big = generate(spec, (7, 9), seed).values
-    shifted = shift_field(spec, (3, 4), seed, (2, 3)).values
+    big = generate_batch(spec, (7, 9), 2024, 1, 1)[0]
+    shifted = generate_batch(spec, (3, 4), 2024, 1, 1, offset=(2, 3))[0]
     assert np.array_equal(shifted, big[2:5, 3:7])
 
 
 def test_zero_field_generates_zeros():
-    arr = generate(zero_field(3), (2, 3, 2), SeedSpec(1, 0)).values
+    arr = generate_batch(zero_field(3), (2, 3, 2), 1, 0, 1)
     assert np.all(arr == 0.0)
 
 
@@ -138,17 +134,16 @@ def test_batch_centering():
 
 def test_product_factor_streams_outer_product():
     spec = decoupled_product(3, dist="gaussian", sigma=1.0)
-    seed = SeedSpec(5, 2)
-    streams = product_factor_streams(spec, (3, 4, 5), seed)
+    streams = product_factor_streams(spec, (3, 4, 5), 5, 2)
     assert [len(s) for s in streams] == [3, 4, 5]
     outer = np.einsum("i,j,k->ijk", *streams)
-    field = generate(spec, (3, 4, 5), seed).values
+    field = generate_batch(spec, (3, 4, 5), 5, 2, 1)[0]
     assert np.allclose(outer, field, rtol=1e-15)
 
 
 def test_product_factor_streams_rejects_iid():
     with pytest.raises(InvalidInputError):
-        product_factor_streams(iid_rademacher(2), (3, 3), SeedSpec(1, 0))
+        product_factor_streams(iid_rademacher(2), (3, 3), 1, 0)
 
 
 def test_kernel_degeneracy_monte_carlo():
@@ -212,7 +207,7 @@ def test_spec_variance_matches_monte_carlo():
 
 def test_orthomartingale_check_positive_controls():
     for spec in (iid_rademacher(2), product_rademacher(2), iid_gaussian(2)):
-        res = orthomartingale_check(spec, (4, 4), SeedSpec(11, 0), replicas=2000)
+        res = orthomartingale_check(spec, (4, 4), 11, replicas=2000)
         assert res.passed, spec.variant
 
 
@@ -220,7 +215,7 @@ def test_orthomartingale_check_negative_control():
     # A one-step moving average on axis 1 correlates with its own past
     # on that axis but stays centered against the other axis.
     spec = moving_average(2, axis=1)
-    res = orthomartingale_check(spec, (4, 4), SeedSpec(7, 0), replicas=3000)
+    res = orthomartingale_check(spec, (4, 4), 7, replicas=3000)
     assert not res.passed
     assert any(abs(r.z) > res.z_threshold for r in res.rows if r.axis == 1)
     assert all(abs(r.z) <= res.z_threshold for r in res.rows if r.axis == 2)
@@ -230,15 +225,15 @@ def test_orthomartingale_check_negative_control():
 
 def test_orthomartingale_check_input_validation():
     with pytest.raises(InvalidInputError):
-        orthomartingale_check(iid_rademacher(2), (4, 4), SeedSpec(1, 0), replicas=10)
+        orthomartingale_check(iid_rademacher(2), (4, 4), 1, replicas=10)
     # an axis of extent 1 leaves the far corner with an empty past
     with pytest.raises(InvalidInputError):
-        orthomartingale_check(iid_rademacher(2), (4, 1), SeedSpec(1, 0), replicas=2000)
+        orthomartingale_check(iid_rademacher(2), (4, 1), 1, replicas=2000)
 
 
 def test_orthomartingale_check_rejects_shape_of_other_dimension():
     with pytest.raises(InvalidInputError, match="d=3.*d=2"):
-        orthomartingale_check(iid_rademacher(3), (4, 4), SeedSpec(1, 0), replicas=1000)
+        orthomartingale_check(iid_rademacher(3), (4, 4), 1, replicas=1000)
 
 
 # a start and count off the block grid, so no block boundary is assumed
@@ -293,10 +288,19 @@ def test_replica_stats_rejects_bad_requests():
             generators.replica_stats(product_rademacher(2), (4, 4), 1, 0, 3, stats)
     with pytest.raises(InvalidInputError):
         generators.replica_stats(product_rademacher(2), (4,), 1, 0, 3, ("max",))
+    # replica -1 would alias replica 2^64 - 1 in the hash
+    for spec in (product_rademacher(2), iid_rademacher(2)):
+        with pytest.raises(InvalidInputError, match="replica start"):
+            generators.replica_stats(spec, (4, 4), 1, -1, 1, ("max",))
 
 
 def test_generate_shape_mismatch():
     with pytest.raises(InvalidInputError):
-        generate(iid_rademacher(2), (4,), SeedSpec(1, 0))
+        generate_batch(iid_rademacher(2), (4,), 1, 0, 1)
     with pytest.raises(InvalidInputError):
         generate_batch(iid_rademacher(1), (4,), 1, 0, 0)
+    with pytest.raises(InvalidInputError, match="replica start"):
+        generate_batch(iid_rademacher(1), (4,), 1, -1, 1)
+    # only a hand-built spec reaches an unknown variant
+    with pytest.raises(InvalidInputError, match="'no_such'"):
+        generate_batch(generators.GeneratorSpec("no_such", 1), (4,), 1, 0, 1)

@@ -11,14 +11,12 @@ from orthofield import (
     InvalidSiteError,
     Modulus,
     NoParentsError,
-    SeedSpec,
     TooLargeError,
     const_factor,
     dyadic_sites,
     eval_W_batch,
     from_field,
     full_grid_count,
-    generate,
     generate_batch,
     grid_seq_norms,
     iid_gaussian,
@@ -238,7 +236,7 @@ def test_seq_norm_scales_with_spike_height():
     rho = modulus(math.exp(6.0), 2, iter_log())
     norms = []
     for height in (1.0, 10.0, 100.0):
-        field = generate(iid_gaussian(2), (8, 8), SeedSpec(3, 0)).values.copy()
+        field = generate_batch(iid_gaussian(2), (8, 8), 3, 0, 1)[0]
         field[7, 7] += height
         norms.append(seq_norm(process_evaluator(from_field(field)), rho, 3).norm)
     assert norms[0] < norms[1] < norms[2]

@@ -8,7 +8,6 @@ import pytest
 from orthofield import lattice
 from orthofield import (
     InvalidInputError,
-    LatticeArray,
     TooLargeError,
     dominated,
     generate_batch,
@@ -211,28 +210,18 @@ def test_volume_and_dominated():
     assert not dominated((2, 1), (1, 3))
 
 
-def test_lattice_array_one_based_get():
-    arr = LatticeArray(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    assert arr.get((1, 2)) == 2.0
-    assert arr.get((2, 1)) == 3.0
-    with pytest.raises(InvalidInputError):
-        arr.get((0, 1))
-    with pytest.raises(InvalidInputError):
-        arr.get((3, 1))
-
-
 def test_block_size_follows_the_budget():
     # at most _BLOCK replicas, else as many as fit _BLOCK_BYTES, and a
     # lattice one replica of which is over the budget is rejected
-    assert lattice._BLOCK_BYTES == 64 << 20 and lattice._BLOCK == 64
+    assert lattice._BLOCK_BYTES == 16 << 20 and lattice._BLOCK == 64
     assert lattice._block_size(16 * 16, "lattice") == 64
-    assert lattice._block_size(1024 * 1024, "lattice") == 8
-    assert lattice._block_size(1 << 23, "lattice") == 1
-    assert validate_shape((4096, 2048)) == (4096, 2048)
-    with pytest.raises(TooLargeError, match="lattice of 8392704 cells"):
-        validate_shape((4096, 2049))
+    assert lattice._block_size(1024 * 1024, "lattice") == 2
+    assert lattice._block_size(1 << 21, "lattice") == 1
+    assert validate_shape((2048, 1024)) == (2048, 1024)
+    with pytest.raises(TooLargeError, match="lattice of 2099200 cells"):
+        validate_shape((2048, 1025))
     with pytest.raises(TooLargeError):
-        lattice._block_size((1 << 23) + 1, "level grid")
+        lattice._block_size((1 << 21) + 1, "level grid")
 
 
 def test_validate_shape_rejects_bad_input():

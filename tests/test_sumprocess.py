@@ -6,7 +6,6 @@ import pytest
 from orthofield import (
     InvalidInputError,
     InvalidRangeError,
-    LatticeArray,
     delta_q,
     eval_W,
     eval_W_batch,
@@ -82,13 +81,6 @@ def test_pinned_half_cell_value():
     # covered, so W = (1 + 0.5) / sqrt(2).
     p = from_field([1.0, 1.0])
     assert eval_W(p, (0.75,)) == pytest.approx(1.5 / math.sqrt(2.0), rel=1e-15)
-
-
-def test_from_field_accepts_lattice_array():
-    arr = LatticeArray(np.ones((2, 2)))
-    p = from_field(arr)
-    assert p.shape == (2, 2)
-    assert eval_W(p, (1.0, 1.0)) == pytest.approx(2.0, rel=1e-15)
 
 
 def test_eval_routes_match_brute_force():
