@@ -11,22 +11,34 @@ The word function is the splitmix64 finalizer chained over the input
 words.  Each fold is a bijection of the 64-bit state for any fixed
 word, with full avalanche, which is the standard construction for
 counter-mode streams (same family as the SeedSequence entropy mixer).
-All arithmetic is modular uint64; numpy array ops wrap silently, so
-inputs are normalized to (possibly 0-d) uint64 arrays.
+All arithmetic is modular uint64.  Stream keys and other scalar folds
+run on Python ints masked to 64 bits, which is cheaper than numpy's
+0-d arrays; array folds build one fresh array, (h + gamma) ^ word, and
+mix it in place with one scratch array, where numpy's uint64 ops wrap
+silently.
+
+The value maps overwrite the words they are given: sign_pm1 turns them
+into +-1.0 in the buffer the last fold produced, and uniform01 shifts
+them in place before its one conversion to float64, which the Gaussian
+and Weibull maps of generators then work on.  sign_pm1 reads only
+bit 63, which the finalizer's last step x ^= x >> 31 cannot change, so
+a fold with top=True leaves that step out.  Its "top-bit words" are
+right in bit 63 only: they may go to sign_pm1 or be counted by their
+top bit, never to uniform01.
 """
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
-_M1 = np.uint64(0xBF58476D1CE4E5B9)
-_M2 = np.uint64(0x94D049BB133111EB)
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_S30 = np.uint64(30)
-_S27 = np.uint64(27)
-_S31 = np.uint64(31)
-_S11 = np.uint64(11)
-_S63 = np.uint64(63)
+_MASK = (1 << 64) - 1
+_M1 = 0xBF58476D1CE4E5B9
+_M2 = 0x94D049BB133111EB
+_GAMMA = 0x9E3779B97F4A7C15
+_TOP = np.uint64(1 << 63)
+_ONE = np.uint64(0x3FF0000000000000)  # the bits of 1.0
 _INV53 = float(2.0**-53)
 
 
@@ -41,46 +53,86 @@ def _as_words(x) -> np.ndarray:
     return arr.astype(np.int64).view(np.uint64)
 
 
-def mix64(x: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):  # modular wraparound is the algorithm
-        x = x ^ (x >> _S30)
-        x = x * _M1
-        x = x ^ (x >> _S27)
-        x = x * _M2
-        return x ^ (x >> _S31)
+def _int_word(x) -> int:
+    """One integer as a Python int word, the scalar twin of _as_words:
+    integers in [-2^63, 2^64), negatives in two's complement."""
+    try:
+        x = operator.index(x)
+    except TypeError:
+        raise TypeError("rng words must be integers, got %r" % (x,)) from None
+    if not -(1 << 63) <= x <= _MASK:
+        raise TypeError("rng words must fit 64 bits, got %d" % x)
+    return x & _MASK
 
 
-def fold(h, word) -> np.ndarray:
+def _mix64_int(x: int) -> int:
+    """The splitmix64 finalizer of one word."""
+    x ^= x >> 30
+    x = x * _M1 & _MASK
+    x ^= x >> 27
+    x = x * _M2 & _MASK
+    return x ^ x >> 31
+
+
+def _fold_int(h: int, word: int) -> int:
+    return _mix64_int((h + _GAMMA & _MASK) ^ word)
+
+
+def fold(h, word, top: bool = False):
     """Absorb one word into the running hash.  Broadcasts, so callers
-    can fold a replica axis and then one coordinate axis at a time."""
-    with np.errstate(over="ignore"):
-        return mix64((_as_words(h) + _GAMMA) ^ _as_words(word))
+    can fold a replica axis and then one coordinate axis at a time.
+    The result is a fresh array (a uint64 scalar when h and word are
+    scalars); with top=True its words are top-bit words (see the module
+    docstring)."""
+    if np.ndim(h) == 0 and np.ndim(word) == 0:
+        return np.uint64(_fold_int(_int_word(h), _int_word(word)))
+    with np.errstate(over="ignore"):  # modular wraparound is the algorithm
+        x = (_as_words(h) + np.uint64(_GAMMA)) ^ _as_words(word)
+        t = np.empty_like(x)
+        np.right_shift(x, 30, out=t)
+        x ^= t
+        x *= np.uint64(_M1)
+        np.right_shift(x, 27, out=t)
+        x ^= t
+        x *= np.uint64(_M2)
+        if not top:
+            np.right_shift(x, 31, out=t)
+            x ^= t
+    return x
 
 
-def _label_word(label) -> np.uint64:
+def _label_word(label) -> int:
     """Short string labels hash through FNV-1a so stream names stay
     readable at call sites; integers pass through as words."""
     if isinstance(label, str):
         h = 0xCBF29CE484222325
         for byte in label.encode("utf-8"):
-            h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-        return np.uint64(h)
-    return _as_words(label)
+            h = ((h ^ byte) * 0x100000001B3) & _MASK
+        return h
+    return _int_word(label)
 
 
-def stream_key(master_seed: int, *labels) -> np.ndarray:
+def stream_key(master_seed: int, *labels) -> np.uint64:
     """Hash a master seed plus integer or string labels into a stream key."""
-    h = mix64(_as_words(master_seed) + _GAMMA)
+    h = _mix64_int(_int_word(master_seed) + _GAMMA & _MASK)
     for lab in labels:
-        h = fold(h, _label_word(lab))
-    return h
+        h = _fold_int(h, _label_word(lab))
+    return np.uint64(h)
 
 
 def uniform01(h: np.ndarray) -> np.ndarray:
-    """Map words to doubles in the open interval (0, 1)."""
-    return ((h >> _S11).astype(np.float64) + 0.5) * _INV53
+    """Map words to doubles in the open interval (0, 1).  Overwrites h."""
+    h >>= 11
+    u = h.astype(np.float64)
+    u += 0.5
+    u *= _INV53
+    return u
 
 
 def sign_pm1(h: np.ndarray) -> np.ndarray:
-    """Map words to +-1.0 from the top bit."""
-    return 1.0 - 2.0 * (h >> _S63).astype(np.float64)
+    """Map words (or top-bit words) to +-1.0 from the top bit, in place:
+    the top bit becomes the sign of 1.0, and the result is a float64
+    view of h."""
+    h &= _TOP
+    h |= _ONE
+    return h.view(np.float64)

@@ -608,6 +608,17 @@ def _check_levels(name: str, j_max: int):
         raise InvalidRangeError("%s must be in 1..%d, not %r" % (name, _MAX_LEVEL, j_max))
 
 
+def _factor_at_level(L: "SlowlyVarying", j: int) -> float:
+    """L(2^j), checked to be a positive float: a factor past the float
+    range would make 2^j / L(2^j) zero and L(2^j) * a infinite."""
+    with np.errstate(over="ignore"):
+        value = float(L(2.0**j))
+    if not 0.0 < value < math.inf:
+        raise InvalidRangeError("the slowly varying factor L(2^%d) = %r is not a positive float"
+                                % (j, value))
+    return value
+
+
 def cond_wip_check(L: "SlowlyVarying", model: TailModel, a: float, j_max: int) -> dict:
     """Partial sums of sum_j 2^j tail(L(2^j) * a); converged when the last
     ten levels contribute below 1e-12 of the total."""
@@ -616,7 +627,7 @@ def cond_wip_check(L: "SlowlyVarying", model: TailModel, a: float, j_max: int) -
     _check_levels("j_max", j_max)
     terms = []
     for j in range(1, j_max + 1):
-        terms.append(2.0**j * float(tail_eval(model, float(L(2.0**j)) * a)))
+        terms.append(2.0**j * float(tail_eval(model, _factor_at_level(L, j) * a)))
     partial = np.cumsum(terms)
     total = float(partial[-1])
     tail_part = float(sum(terms[-min(10, len(terms)) :]))
@@ -636,8 +647,11 @@ def lemma_svarying_partial_sum(L: "SlowlyVarying", k_max: int) -> dict:
     ratios = []
     acc = 0.0
     for k in range(1, k_max + 1):
-        acc += 2.0**k / float(L(2.0**k))
-        ratios.append(acc / (2.0**k / float(L(2.0**k))))
+        term = 2.0**k / _factor_at_level(L, k)
+        acc += term
+        if acc == math.inf:
+            raise InvalidRangeError("the sum of 2^j / L(2^j) exceeds the float range by j=%d" % k)
+        ratios.append(acc / term)
     return {"ratios": ratios, "C_L": max(ratios)}
 
 
@@ -652,7 +666,7 @@ def lemma3_moment_sum(L: "SlowlyVarying", model: TailModel, c: float, j_max: int
     if _tail_log_knots(model)[-1] == math.inf:
         return {"terms": [math.inf] * j_max, "total": math.inf,
                 "diverged_levels": list(levels), "converged": False}
-    terms = [2.0**j * _tail_integral(model, float(L(2.0**j)) * c, lambda u: u, "j=%d" % j)
+    terms = [2.0**j * _tail_integral(model, _factor_at_level(L, j) * c, lambda u: u, "j=%d" % j)
              for j in levels]
     total = float(sum(terms))
     if math.isinf(total):

@@ -15,10 +15,15 @@ sums S_k its caller reads, out of max_k |S_k| ("max"), the signed S_n
 ("total") and max |S_k| over the last slab k_d = n_d ("slab").  iid and
 moving-average fields take the float path over the generated block:
 lattice.batch_prefix when "max" or "slab" is asked for, and
-lattice.batch_total when only "total" is.  Product fields factorize,
-S_k = prod_q P^(q)_(k_q) with P^(q) the cumulative sum of axis q's
-factor stream, so their statistics are products of per-axis ones,
-multiplied in axis order:
+lattice.batch_total when only "total" is.  An iid Rademacher field's
+lone "total" is a sign count instead: S_n = cells - 2 #{sites of value
+-1}, read off the top bits of the block's hash words without mapping
+them to values.  Every partial sum of +-1 terms is an integer below
+2^53, so the count equals batch_total's sum bit for bit.
+
+Product fields factorize, S_k = prod_q P^(q)_(k_q) with P^(q) the
+cumulative sum of axis q's factor stream, so their statistics are
+products of per-axis ones, multiplied in axis order:
 
     max   = prod_q max |P^(q)|
     total = prod_q P^(q)_(n_q)
@@ -168,14 +173,26 @@ def spec_from_json(text) -> GeneratorSpec:
 def weibull_tail_sample(gamma: float, u):
     """Inverse-CDF map from uniform(0,1) to the symmetric law with
     P{|X| > s} = min(1, 2 exp(-s^gamma)).  Accepts arrays."""
-    if gamma <= 0:
+    if not gamma > 0:
         raise InvalidRangeError("gamma must be positive, got %r" % gamma)
-    arr = np.asarray(u, dtype=np.float64)
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
+    arr = np.array(u, dtype=np.float64)
+    if not np.all((arr > 0.0) & (arr < 1.0)):
         raise InvalidRangeError("u must lie strictly inside (0, 1)")
-    magnitude = (-np.log(np.minimum(arr, 1.0 - arr))) ** (1.0 / gamma)
-    out = np.where(arr >= 0.5, magnitude, -magnitude)
+    out = _weibull_values(arr.reshape(-1), float(gamma)).reshape(arr.shape)
     return out if out.ndim else float(out)
+
+
+def _weibull_values(u: np.ndarray, gamma: float) -> np.ndarray:
+    """weibull_tail_sample of the uniforms u, unchecked and in place:
+    the magnitude (-log min(u, 1 - u))^(1/gamma) takes one new array,
+    and u, shifted to u - 0.5, gives it its sign."""
+    m = np.subtract(1.0, u)
+    np.minimum(u, m, out=m)
+    np.log(m, out=m)
+    np.negative(m, out=m)
+    m **= 1.0 / gamma
+    u -= 0.5
+    return np.copysign(m, u, out=m)
 
 
 def spec_variance(spec: GeneratorSpec) -> float:
@@ -208,11 +225,17 @@ def _dist_variance(dist: str, spec: GeneratorSpec) -> float:
 
 
 def _dist_values(h: np.ndarray, dist: str, spec: GeneratorSpec) -> np.ndarray:
+    """The values of law dist from the hash words h, which it overwrites;
+    Rademacher words may be top-bit words (see _rng)."""
     if dist == "rademacher":
         return _rng.sign_pm1(h)
+    u = _rng.uniform01(h)
+    del h  # _draw hands the words over: freed here, before the next array
     if dist == "gaussian":
-        return float(spec.param("sigma")) * ndtri(_rng.uniform01(h))
-    return weibull_tail_sample(float(spec.param("gamma")), _rng.uniform01(h))
+        ndtri(u, out=u)
+        u *= float(spec.param("sigma"))
+        return u
+    return _weibull_values(u, float(spec.param("gamma")))
 
 
 def _axis_coords(shape, offset):
@@ -225,14 +248,23 @@ def _axis_coords(shape, offset):
     return [np.arange(1, n + 1, dtype=np.int64) + k for n, k in zip(shape, offset)]
 
 
-def _grid_hash(key, replicas: np.ndarray, coords) -> np.ndarray:
+def _grid_hash(key, replicas: np.ndarray, coords, top: bool = False) -> np.ndarray:
+    """The words of a block, replica axis first; top-bit words (see
+    _rng) when top is set."""
     d = len(coords)
     h = _rng.fold(key, replicas.reshape((-1,) + (1,) * d))
     for q, c in enumerate(coords):
         shape = [1] * (d + 1)
         shape[q + 1] = len(c)
-        h = _rng.fold(h, c.reshape(shape))
+        h = _rng.fold(h, c.reshape(shape), top and q == d - 1)
     return h
+
+
+def _draw(key, replicas: np.ndarray, coords, dist: str, spec: GeneratorSpec) -> np.ndarray:
+    """Values of law dist on a block, mapped from its words in place (see
+    _dist_values).  A Rademacher draw reads only the top bit, so its last
+    fold leaves out the step that cannot change it."""
+    return _dist_values(_grid_hash(key, replicas, coords, dist == "rademacher"), dist, spec)
 
 
 def _base_key(spec: GeneratorSpec, master_seed: int, axis: int):
@@ -245,8 +277,7 @@ def _factor_streams(spec: GeneratorSpec, master_seed: int, reps: np.ndarray, coo
     """The per-axis factors of a product variant, one (count, n_q) array
     per axis; the field is their outer product."""
     dist = "rademacher" if spec.variant == "product_rademacher" else spec.param("dist")
-    return [_dist_values(_grid_hash(_base_key(spec, master_seed, q + 1), reps, [coords[q]]),
-                         dist, spec)
+    return [_draw(_base_key(spec, master_seed, q + 1), reps, [coords[q]], dist, spec)
             for q in range(spec.d)]
 
 
@@ -283,8 +314,7 @@ def generate_batch(
         return np.zeros((count,) + shape, dtype=np.float64)
 
     if spec.variant == "iid_symmetric":
-        h = _grid_hash(_base_key(spec, master_seed, 0), reps, coords)
-        return _dist_values(h, spec.param("dist"), spec)
+        return _draw(_base_key(spec, master_seed, 0), reps, coords, spec.param("dist"), spec)
 
     if spec.variant in _PRODUCTS:
         out = np.ones((count,) + shape, dtype=np.float64)
@@ -299,8 +329,7 @@ def generate_batch(
         axis = int(spec.param("axis")) - 1
         ext_coords = list(coords)
         ext_coords[axis] = np.concatenate(([coords[axis][0] - 1], coords[axis]))
-        h = _grid_hash(_base_key(spec, master_seed, 0), reps, ext_coords)
-        base = _dist_values(h, spec.param("dist"), spec)
+        base = _draw(_base_key(spec, master_seed, 0), reps, ext_coords, spec.param("dist"), spec)
         lead = [slice(None)] * (d + 1)
         lag = [slice(None)] * (d + 1)
         lead[axis + 1] = slice(1, None)
@@ -338,6 +367,14 @@ def replica_stats(spec: GeneratorSpec, shape, seed: int, start: int, count: int,
         ends = [p[:, -1] for p in prefixes]
         factors = {"max": peaks, "total": ends, "slab": peaks[:-1] + [np.abs(ends[-1])]}
         return tuple(_axis_product(factors[name]) for name in stats)
+
+    if (stats == ("total",) and spec.variant == "iid_symmetric"
+            and spec.param("dist") == "rademacher"):
+        # the sign count of the module docstring
+        reps = np.arange(start, start + count, dtype=np.int64)
+        h = _grid_hash(_base_key(spec, seed, 0), reps, _axis_coords(shape, None), top=True)
+        h >>= 63
+        return (volume(shape) - 2.0 * h.reshape(count, -1).sum(axis=1),)
 
     fields = generate_batch(spec, shape, seed, start, count)
     if stats == ("total",):

@@ -54,6 +54,7 @@ from .errors import (
     InvalidRangeError,
     InvalidSiteError,
     NoParentsError,
+    TooLargeError,
     check_kind,
     check_number,
     check_object,
@@ -204,6 +205,11 @@ def _level_k_array(j: int, d: int) -> np.ndarray:
     """Integer k rows of V_j, shape (|V_j|, d)."""
     if j < 0 or d < 1:
         raise InvalidRangeError("need j >= 0 and d >= 1")
+    # j is bounded before (2^j + 1)^d, a huge integer for a huge j, is built;
+    # a grid of over 2^64 cells is over any budget
+    if j >= 64:
+        raise TooLargeError("level grid at j=%d has over 2^%d cells, beyond the block budget"
+                            % (j, j * d))
     _block_size(full_grid_count(j, d), "level grid")
     if j == 0:
         axes = [np.array([0, 1])] * d

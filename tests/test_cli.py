@@ -151,6 +151,12 @@ EXPONENT_FIT = {"experiment": "exponent-fit", "d": 1, "replicas": 2000}
         ("holder-norm", {"experiment": "holder-norm", "generator": _gen(), "shape": [8, 8],
                          "modulus": MODULUS, "j_max": 41}),
         ("tightness", dict(TIGHTNESS, exponents=[10**18, 3])),
+        # a slowly varying factor past the float range at level 8, and
+        # one so small that the sum of 2^j / L(2^j) overflows
+        ("lemma-checks", dict(LEMMA, svarying={"kind": "log_power", "beta": 400.0},
+                              tail={"kind": "bounded", "K": 1.0})),
+        ("lemma-checks", dict(LEMMA, svarying={"kind": "const", "c0": 1e-300},
+                              tail={"kind": "unit"}, k_max=1022)),
     ],
     ids=["top-level-list", "replicas-string", "shape-int", "x-grid-string",
          "two-term-without-y", "weibull-tail-without-gamma",
@@ -168,7 +174,8 @@ EXPONENT_FIT = {"experiment": "exponent-fit", "d": 1, "replicas": 2000}
          "gaussian-product-m-5000", "lemma-j-max-1023", "lemma-k-max-1024",
          "exponent-fit-d-17", "exponent-fit-replicas-1e11", "exponent-fit-grid-points-4e9",
          "replicas-over-budget", "sheet-cov-node-values-over-budget", "holder-j-max-41",
-         "tightness-exponents-1e18"],
+         "tightness-exponents-1e18", "lemma-log-power-beta-400",
+         "lemma-const-1e-300"],
 )
 def test_malformed_config_is_one_line_exit_1(tmp_path, capsys, experiment, payload):
     cfg = write_config(tmp_path, "bad.json", payload)

@@ -78,6 +78,18 @@ def test_weibull_sample_rejects_bad_input():
         weibull_tail_sample(1.0, 0.0)
     with pytest.raises(InvalidRangeError):
         weibull_tail_sample(1.0, np.array([0.3, 1.0]))
+    with pytest.raises(InvalidRangeError):
+        weibull_tail_sample(1.0, [0.3, math.nan])
+    with pytest.raises(InvalidRangeError):
+        weibull_tail_sample(math.nan, 0.3)
+
+
+def test_weibull_sample_leaves_its_input_alone():
+    u = np.array([0.2, 0.5, 0.9])
+    x = weibull_tail_sample(1.0, u)
+    assert np.array_equal(u, [0.2, 0.5, 0.9])
+    assert x[1] == math.log(2.0) and x[0] < 0.0 < x[2]
+    assert weibull_tail_sample(1.0, 0.2) == x[0]
 
 
 def test_generate_deterministic_and_replica_streams():
@@ -270,8 +282,9 @@ def test_product_stats_match_float_path_for_continuous_laws(dist, params, shape)
 
 
 @pytest.mark.parametrize("shape", _SHAPES[:3], ids=lambda s: "x".join(map(str, s)))
-@pytest.mark.parametrize("make", [iid_gaussian, lambda d: iid_weibull(d, 1.0), moving_average],
-                         ids=["gaussian", "weibull", "moving-average"])
+@pytest.mark.parametrize("make", [iid_rademacher, iid_gaussian, lambda d: iid_weibull(d, 1.0),
+                                  moving_average],
+                         ids=["rademacher", "gaussian", "weibull", "moving-average"])
 def test_field_stats_are_the_float_path_bit_for_bit(make, shape):
     spec = make(len(shape))
     want = float_path_stats(spec, shape, 8, _START, _COUNT)

@@ -21,6 +21,7 @@ from orthofield import (
     induction_step_check,
     lemma_checks,
     mc_deviation,
+    moving_average,
     product_rademacher,
     run_experiment,
     sheet_cov_check,
@@ -162,12 +163,13 @@ def test_block_budget_bounds_memory_and_keeps_payloads(monkeypatch):
     # A budget of 2 MiB cuts every block below _BLOCK replicas: 16 of
     # 128x128, 32 of 64x128 (the fdd box) and of 16x16x32, 16 at
     # tightness level 0, 3 of the 257^2-node level-8 grid of holder-norm
-    # (5x7, finest level 3) and 27 padded 97x97 sheets.  The payloads
-    # must not move, and the peak must stay within three arrays of the
-    # budget: the counter-mode hash holds its input, a shifted copy and
-    # its result, and no other step holds more block-sized arrays at
-    # once.  A sixteenth of the budget covers per-replica results and the
-    # report.
+    # (5x7, finest level 3), 27 padded 97x97 sheets, and 16 of 128x128
+    # for the Weibull fields.  The payloads must not move, and the peak
+    # must stay within three arrays of the budget: a fold holds its words
+    # and one scratch array, a value map the words and the values, and
+    # no step holds more block-sized arrays at once.  A sixteenth of the
+    # budget covers per-replica results, the report, and the one extra
+    # row of a moving average's extended axis.
     modulus = {"c": math.exp(6.0), "L": {"kind": "iter_log"}}
     cases = [
         dict(experiment="deviation", generator=iid_rademacher(2), shape=(128, 128),
@@ -181,6 +183,11 @@ def test_block_budget_bounds_memory_and_keeps_payloads(monkeypatch):
         dict(experiment="holder-norm", generator=iid_gaussian(2), shape=(5, 7), j_max=8,
              replicas=20, seed=4, modulus=modulus),
         dict(experiment="sheet-cov", shape=(96, 96), replicas=100, seed=4, pairs=4),
+        dict(experiment="deviation", generator=iid_weibull(2, 1.0), shape=(128, 128),
+             x_grid=(0.5, 1.0, 2.0), replicas=100, seed=4),
+        dict(experiment="deviation", generator=moving_average(2, dist="weibull_symmetric",
+                                                              gamma=1.0),
+             shape=(128, 128), x_grid=(0.5, 1.0, 2.0), replicas=100, seed=4),
     ]
     wants = [run_experiment(ExperimentConfig(**base)).canonical_json() for base in cases]
     budget = 2 << 20

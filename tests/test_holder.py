@@ -314,3 +314,14 @@ def test_grid_seq_norms_input_checks(monkeypatch):
     with pytest.raises(TooLargeError):
         grid_seq_norms(padded, rho, 5)
     assert grid_seq_norms(padded, rho, 4).shape == (2,)
+
+
+def test_huge_level_is_refused_before_its_grid_count(monkeypatch):
+    # (2^j + 1)^d is a huge integer for j = 10^7; j is bounded first
+    from orthofield import holder
+
+    counted = []
+    monkeypatch.setattr(holder, "full_grid_count", lambda j, d: counted.append(j))
+    with pytest.raises(TooLargeError, match="2\\^20000000 cells"):
+        dyadic_sites(10**7, 2)
+    assert counted == []
