@@ -11,11 +11,10 @@ The word function is the splitmix64 finalizer chained over the input
 words.  Each fold is a bijection of the 64-bit state for any fixed
 word, with full avalanche, which is the standard construction for
 counter-mode streams (same family as the SeedSequence entropy mixer).
-All arithmetic is modular uint64.  Stream keys and other scalar folds
-run on Python ints masked to 64 bits, which is cheaper than numpy's
-0-d arrays; array folds build one fresh array, (h + gamma) ^ word, and
-mix it in place with one scratch array, where numpy's uint64 ops wrap
-silently.
+All arithmetic is modular uint64.  Stream keys run on Python ints
+masked to 64 bits, which is cheaper than numpy's 0-d arrays; array
+folds build one fresh array, (h + gamma) ^ word, and mix it in place
+with one scratch array, where numpy's uint64 ops wrap silently.
 
 The value maps overwrite the words they are given: sign_pm1 turns them
 into +-1.0 in the buffer the last fold produced, and uniform01 shifts
@@ -81,11 +80,8 @@ def _fold_int(h: int, word: int) -> int:
 def fold(h, word, top: bool = False):
     """Absorb one word into the running hash.  Broadcasts, so callers
     can fold a replica axis and then one coordinate axis at a time.
-    The result is a fresh array (a uint64 scalar when h and word are
-    scalars); with top=True its words are top-bit words (see the module
-    docstring)."""
-    if np.ndim(h) == 0 and np.ndim(word) == 0:
-        return np.uint64(_fold_int(_int_word(h), _int_word(word)))
+    The result is a fresh array; with top=True its words are top-bit
+    words (see the module docstring)."""
     with np.errstate(over="ignore"):  # modular wraparound is the algorithm
         x = (_as_words(h) + np.uint64(_GAMMA)) ^ _as_words(word)
         t = np.empty_like(x)

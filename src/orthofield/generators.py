@@ -224,20 +224,6 @@ def _dist_variance(dist: str, spec: GeneratorSpec) -> float:
     return float(2.0 * math.gamma(a) * gammaincc(a, math.log(2.0)))
 
 
-def _dist_values(h: np.ndarray, dist: str, spec: GeneratorSpec) -> np.ndarray:
-    """The values of law dist from the hash words h, which it overwrites;
-    Rademacher words may be top-bit words (see _rng)."""
-    if dist == "rademacher":
-        return _rng.sign_pm1(h)
-    u = _rng.uniform01(h)
-    del h  # _draw hands the words over: freed here, before the next array
-    if dist == "gaussian":
-        ndtri(u, out=u)
-        u *= float(spec.param("sigma"))
-        return u
-    return _weibull_values(u, float(spec.param("gamma")))
-
-
 def _axis_coords(shape, offset):
     """Absolute 1-based coordinates per axis, shifted by the offset."""
     if offset is None:
@@ -261,10 +247,21 @@ def _grid_hash(key, replicas: np.ndarray, coords, top: bool = False) -> np.ndarr
 
 
 def _draw(key, replicas: np.ndarray, coords, dist: str, spec: GeneratorSpec) -> np.ndarray:
-    """Values of law dist on a block, mapped from its words in place (see
-    _dist_values).  A Rademacher draw reads only the top bit, so its last
-    fold leaves out the step that cannot change it."""
-    return _dist_values(_grid_hash(key, replicas, coords, dist == "rademacher"), dist, spec)
+    """Values of law dist on a block, mapped from its words in place.  A
+    Rademacher draw reads only the top bit, so its words are top-bit
+    words (see _rng).  The words are a local of this frame alone, so the
+    del frees them before the Gaussian or Weibull map makes its array."""
+    rademacher = dist == "rademacher"
+    h = _grid_hash(key, replicas, coords, rademacher)
+    if rademacher:
+        return _rng.sign_pm1(h)
+    u = _rng.uniform01(h)
+    del h
+    if dist == "gaussian":
+        ndtri(u, out=u)
+        u *= float(spec.param("sigma"))
+        return u
+    return _weibull_values(u, float(spec.param("gamma")))
 
 
 def _base_key(spec: GeneratorSpec, master_seed: int, axis: int):

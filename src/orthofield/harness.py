@@ -414,10 +414,10 @@ def exponent_fit_experiment(config: ExperimentConfig) -> Report:
     2/d, and the optional band turns the report into a verdict."""
     t0 = time.perf_counter()
     d = config.d
-    key = stream_key(config.seed, "exponent-fit")
     prod = np.ones(config.replicas)
     for axis in range(d):
-        h = fold(fold(key, np.uint64(axis)), np.arange(config.replicas, dtype=np.uint64))
+        h = fold(stream_key(config.seed, "exponent-fit", axis),
+                 np.arange(config.replicas, dtype=np.uint64))
         prod *= np.abs(ndtri(uniform01(h)))
     fit = bounds.exponent_fit(prod, window=config.window, grid_points=config.grid_points)
     row = {"d": d, "gamma_hat": fit.gamma_hat, "target": 2.0 / d,

@@ -205,11 +205,13 @@ def _level_k_array(j: int, d: int) -> np.ndarray:
     """Integer k rows of V_j, shape (|V_j|, d)."""
     if j < 0 or d < 1:
         raise InvalidRangeError("need j >= 0 and d >= 1")
-    # j is bounded before (2^j + 1)^d, a huge integer for a huge j, is built;
-    # a grid of over 2^64 cells is over any budget
-    if j >= 64:
-        raise TooLargeError("level grid at j=%d has over 2^%d cells, beyond the block budget"
-                            % (j, j * d))
+    # the grid has at least 2^(max(j, 1) d) cells; that exponent is bounded
+    # before (2^j + 1)^d, a huge integer for a huge j or d, is built, as a
+    # grid of 2^64 cells is over any budget
+    bits = max(j, 1) * d
+    if bits >= 64:
+        raise TooLargeError("level grid at j=%d, d=%d has at least 2^%d cells, beyond the "
+                            "block budget" % (j, d, bits))
     _block_size(full_grid_count(j, d), "level grid")
     if j == 0:
         axes = [np.array([0, 1])] * d

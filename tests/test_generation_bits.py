@@ -88,9 +88,6 @@ def test_stream_key_equals_the_array_fold(seed):
     for label in labels:
         h = _rng.fold(h, np.uint64(_rng._label_word(label)))
     assert int(_rng.stream_key(seed, *labels)) == int(h[0])
-    # a scalar fold runs on Python ints too
-    key = _rng.stream_key(seed)
-    assert int(_rng.fold(key, 5)) == int(_rng.fold(np.array([key]), 5)[0])
 
 
 @pytest.mark.parametrize("name", sorted(_MAKERS))

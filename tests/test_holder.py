@@ -317,11 +317,13 @@ def test_grid_seq_norms_input_checks(monkeypatch):
 
 
 def test_huge_level_is_refused_before_its_grid_count(monkeypatch):
-    # (2^j + 1)^d is a huge integer for j = 10^7; j is bounded first
+    # (2^j + 1)^d is a huge integer for a huge j or d; the exponent j d
+    # (d at j = 0, whose grid has 2^d cells) is bounded first
     from orthofield import holder
 
     counted = []
     monkeypatch.setattr(holder, "full_grid_count", lambda j, d: counted.append(j))
-    with pytest.raises(TooLargeError, match="2\\^20000000 cells"):
-        dyadic_sites(10**7, 2)
+    for j, d, bits in ((10**7, 2, 2 * 10**7), (40, 10**6, 4 * 10**7), (0, 10**6, 10**6)):
+        with pytest.raises(TooLargeError, match="at least 2\\^%d cells" % bits):
+            dyadic_sites(j, d)
     assert counted == []
