@@ -12,9 +12,14 @@ words.  Each fold is a bijection of the 64-bit state for any fixed
 word, with full avalanche, which is the standard construction for
 counter-mode streams (same family as the SeedSequence entropy mixer).
 All arithmetic is modular uint64.  Stream keys run on Python ints
-masked to 64 bits, which is cheaper than numpy's 0-d arrays; array
-folds build one fresh array, (h + gamma) ^ word, and mix it in place
-with one scratch array, where numpy's uint64 ops wrap silently.
+masked to 64 bits, which is cheaper than numpy's 0-d arrays.  An array
+fold of h (the running hash) and word computes mix64((h + gamma) ^ word),
+whose first step x ^= x >> 30 distributes over the xor: with
+a = h + gamma, x ^ (x >> 30) = (a ^ (a >> 30)) ^ (word ^ (word >> 30)).
+So the fold premixes a and word apart, on their own shapes (a replica
+column, one coordinate axis), and only the xor that broadcasts them
+and the steps after it run over the whole result, which it mixes in
+place with one scratch array, where numpy's uint64 ops wrap silently.
 
 The value maps overwrite the words they are given: sign_pm1 turns them
 into +-1.0 in the buffer the last fold produced, and uniform01 shifts
@@ -81,12 +86,16 @@ def fold(h, word, top: bool = False):
     """Absorb one word into the running hash.  Broadcasts, so callers
     can fold a replica axis and then one coordinate axis at a time.
     The result is a fresh array; with top=True its words are top-bit
-    words (see the module docstring)."""
+    words (see the module docstring).  h and word are premixed apart,
+    on their own shapes, before the xor that broadcasts them."""
     with np.errstate(over="ignore"):  # modular wraparound is the algorithm
-        x = (_as_words(h) + np.uint64(_GAMMA)) ^ _as_words(word)
+        a = _as_words(h) + np.uint64(_GAMMA)
+        a ^= a >> 30
+        w = _as_words(word)
+        w = w ^ (w >> 30)
+        x = a ^ w
+        del a, w  # a is result-sized where h is (a last axis of extent 1)
         t = np.empty_like(x)
-        np.right_shift(x, 30, out=t)
-        x ^= t
         x *= np.uint64(_M1)
         np.right_shift(x, 27, out=t)
         x ^= t

@@ -9,8 +9,9 @@ when a verdict is FAIL, 1 for anything that prevented a verdict
 Before the first experiment runs, main sets the process allocator
 policy once, where the C library is glibc (elsewhere it does nothing;
 no library module touches the allocator).  A Monte Carlo experiment
-allocates and frees arrays of one replica block over and over, up to
-8 MB each at the benchmark's largest block (64 replicas of 64x256).
+allocates and frees arrays of one replica block over and over: about
+1 MiB each (lattice._BLOCK_CELLS cells) on lattices of up to that many
+cells, and one replica's array, up to 16 MiB, on larger ones.
 glibc's defaults serve an allocation above the mmap threshold with a
 fresh mapping and hand freed memory at the top of the heap back to the
 system above the trim threshold, so each block faults its pages in

@@ -35,6 +35,7 @@ from . import bounds, holder
 from ._rng import fold, stream_key, uniform01
 from .errors import InvalidInputError, InvalidRangeError, check_kind, check_number, check_object
 from .generators import (
+    _PRODUCTS,
     GeneratorSpec,
     generate_batch,
     iid_gaussian,
@@ -111,9 +112,12 @@ def _finish(experiment, config, verdict, rows, t0, constants=None, tolerances=No
 
 def _replica_stats(spec, shape, seed, replicas, threads, stats, first=0):
     """replica_stats of replicas [first, first + replicas), one array per
-    name in stats, gathered from the blocks in block order."""
+    name in stats, gathered from the blocks in block order.  A product
+    field's block holds per-axis streams and their prefixes, sum n_q
+    cells per replica, and is sized by those."""
     work = functools.partial(replica_stats, spec, shape, seed, stats=stats)
-    blocks = range(first, first + replicas, _block_size(volume(shape), "lattice"))
+    cells = sum(shape) if spec.variant in _PRODUCTS else volume(shape)
+    blocks = range(first, first + replicas, _block_size(cells, "lattice"))
     parts = _map_blocks(work, blocks, threads)
     return tuple(np.concatenate([p[i] for p in parts]) for i in range(len(stats)))
 

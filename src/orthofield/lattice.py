@@ -19,19 +19,20 @@ axis order from 1.0, corners added in mask order into a zeroed total),
 so callers that pass the same weights get the same bits.
 
 Every Monte Carlo replica loop runs through _map_blocks, with results
-in block order whatever the threads.  One memory budget sizes the
-blocks: _BLOCK_BYTES bounds the largest float64 array of one replica
-block.  _block_size turns a caller's cells per replica into replicas
-per block, min(_BLOCK, _BLOCK_BYTES // (8 * cells)), and rejects a
-single replica over the budget with TooLargeError; validate_shape puts
-every lattice through the same check, so one lattice holds at most
-_BLOCK_BYTES // 8 = 2^21 cells, and the harness checks an experiment's
-per-replica results against it too.  The budget, 16 MiB, is half of
-glibc's largest mmap threshold, which cli sets to twice the budget, so
-block arrays are reused from the heap instead of being mapped afresh
-for every block.  _BLOCK caps the replicas a block holds for small
-lattices, so the block plans of small experiments do not grow with the
-budget.
+in block order whatever the threads.  Blocks are sized by cells:
+_block_size turns a caller's cells per replica into replicas per block,
+max(1, _BLOCK_CELLS // cells), so a block's largest float64 array
+holds about _BLOCK_CELLS cells (1 MiB; with the fold's scratch array
+it fits one core's 2 MiB L2 cache) whatever the lattice, and a lattice
+larger than that runs one replica per block.  One memory budget bounds
+a single replica: _BLOCK_BYTES caps the largest float64 array of one
+replica, _block_size rejects a replica over it with TooLargeError, and
+validate_shape puts every lattice through the same check, so one
+lattice holds at most _BLOCK_BYTES // 8 = 2^21 cells; the harness
+checks an experiment's per-replica results against it too.  The
+budget, 16 MiB, is half of glibc's largest mmap threshold, which cli
+sets to twice the budget, so block arrays are reused from the heap
+instead of being mapped afresh for every block.
 
 max_abs_prefix has no caller in the package; it stays because the exact
 arithmetic criterion (01) of the acceptance suite checks it.
@@ -49,22 +50,22 @@ from .errors import InvalidInputError, TooLargeError
 
 MultiIndex = tuple  # d-tuple of 1-based ints
 
-_BLOCK = 64  # replicas per block at most; the plan is fixed so threading cannot regroup
-_BLOCK_BYTES = 16 << 20  # bytes of the largest float64 array of one replica block
+_BLOCK_CELLS = 1 << 17  # float64 cells of the largest array of one block, one replica at least
+_BLOCK_BYTES = 16 << 20  # bytes of the largest float64 array of one replica
 _MAX_THREADS = 32  # worker threads one driver call starts at most
 
 
 def _block_size(cells: int, what: str) -> int:
     """Replicas per block when the largest array of a block holds `cells`
-    float64 values per replica: min(_BLOCK, _BLOCK_BYTES // (8 * cells)).
-    Raises TooLargeError when one replica's array alone exceeds
-    _BLOCK_BYTES; `what` names that array in the message."""
-    size = min(_BLOCK, _BLOCK_BYTES // (8 * cells))
-    if size < 1:
+    float64 values per replica: max(1, _BLOCK_CELLS // cells).  The plan
+    depends on cells alone, so threading cannot regroup it.  Raises
+    TooLargeError when one replica's array alone exceeds _BLOCK_BYTES;
+    `what` names that array in the message."""
+    if 8 * cells > _BLOCK_BYTES:
         count = "%d" % cells if cells < 1 << 64 else "about 2^%.0f" % math.log2(cells)
         raise TooLargeError("%s of %s cells exceeds the block budget of %d cells (%d MiB)"
                             % (what, count, _BLOCK_BYTES // 8, _BLOCK_BYTES >> 20))
-    return size
+    return max(1, _BLOCK_CELLS // cells)
 
 
 def validate_shape(shape) -> tuple:

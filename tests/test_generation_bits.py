@@ -90,19 +90,24 @@ def test_stream_key_equals_the_array_fold(seed):
     assert int(_rng.stream_key(seed, *labels)) == int(h[0])
 
 
+@pytest.mark.parametrize("shape", [(64, 64), (4096, 1), (1, 4096)], ids=lambda s: "%dx%d" % s)
 @pytest.mark.parametrize("name", sorted(_MAKERS))
-def test_a_block_holds_at_most_three_block_arrays(name):
-    # 64 replicas of 64x64: one block array is 2 MiB, and the extended
-    # axis of a moving average adds a sixty-fourth
+def test_a_block_holds_at_most_three_block_arrays(name, shape):
+    # 64 replicas of 4096 cells: one block array is 2 MiB, or twice that
+    # where a moving average extends an axis of extent 1, and the
+    # extended axis of 64x64 adds a sixty-fourth.  With a last axis of
+    # extent 1 the last fold's input is block-sized too, so three arrays
+    # (input, result, scratch) are alive there.
     spec = _MAKERS[name](2)
-    block = 64 * 64 * 64 * 8
+    axis = spec.param("axis")
+    block = 64 * 4096 * 8 * (2 if axis and shape[axis - 1] == 1 else 1)
     for stats in (None, ("total",), ("max", "total", "slab")):
         tracemalloc.start()
         try:
             if stats is None:
-                generate_batch(spec, (64, 64), 5, 0, 64)
+                generate_batch(spec, shape, 5, 0, 64)
             else:
-                replica_stats(spec, (64, 64), 5, 0, 64, stats)
+                replica_stats(spec, shape, 5, 0, 64, stats)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -24,7 +24,7 @@ from orthofield import (
     zero_field,
 )
 from orthofield import generators
-from orthofield.lattice import _BLOCK, batch_prefix
+from orthofield.lattice import _block_size, batch_prefix
 
 
 def product_factor_streams(spec, shape, seed, replica, offset=None):
@@ -248,9 +248,11 @@ def test_orthomartingale_check_rejects_shape_of_other_dimension():
         orthomartingale_check(iid_rademacher(3), (4, 4), 1, replicas=1000)
 
 
-# a start and count off the block grid, so no block boundary is assumed
-_START, _COUNT = _BLOCK - 5, _BLOCK + 9
 _SHAPES = [(17,), (13, 7), (3, 4, 5), (64, 64)]
+# a start and count off the block grid of the largest shape, the count
+# more than one of its blocks, so no block boundary is assumed
+_LARGEST_BLOCK = _block_size(64 * 64, "lattice")
+_START, _COUNT = _LARGEST_BLOCK - 5, _LARGEST_BLOCK + 9
 
 
 @pytest.mark.parametrize("shape", _SHAPES, ids=lambda s: "x".join(map(str, s)))

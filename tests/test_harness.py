@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from orthofield import bounds, lattice
+from orthofield import bounds, harness, lattice
 from orthofield import (
     ExperimentConfig,
     InvalidInputError,
@@ -124,14 +124,28 @@ def test_thread_count_does_not_change_payload(monkeypatch):
                                     exponents=(5, 5), eps=0.3, axis_q=1, j_from=1,
                                     replicas=150, seed=9, modulus=modulus)),
     ]
+    # the block plans each case runs, as (replicas per block, blocks, threads)
+    plans = []
+
+    def recording(fn, blocks, threads):
+        plans.append((blocks.step, len(blocks), threads))
+        return lattice._map_blocks(fn, blocks, threads)
+
+    monkeypatch.setattr(harness, "_map_blocks", recording)
     for runner, base in cases:
         payloads = set()
-        for block, threads in [(64, 1), (64, 4), (7, 1), (7, 3)]:
-            monkeypatch.setattr(lattice, "_BLOCK", block)
+        plans.clear()
+        # many replicas per block, a few, and one; 7 threads divide none
+        # of the replica counts, so some thread gets fewer blocks
+        for cells, threads in [(1 << 17, 1), (2000, 3), (1, 1), (1, 7)]:
+            monkeypatch.setattr(lattice, "_BLOCK_CELLS", cells)
             rep = runner(ExperimentConfig(threads=threads, **base))
             assert "threads" not in rep.payload()["config"]
             payloads.add(rep.canonical_json())
         assert len(payloads) == 1, base["experiment"]
+        steps = {step for step, _, _ in plans}
+        assert 1 in steps and max(steps) > 1, (base["experiment"], plans)
+        assert any(threads > 1 and count % threads for _, count, threads in plans), plans
 
 
 @pytest.mark.parametrize("stat", ["deviation", "fdd"])
@@ -147,7 +161,7 @@ def test_replica_blocks_do_not_retain_prefix_memory(stat):
                                          shape=(64, 64), t_point=(1.0, 1.0),
                                          replicas=replicas, seed=3))
 
-    block_bytes = lattice._BLOCK * 64 * 64 * 8
+    block_bytes = lattice._block_size(64 * 64, "lattice") * 64 * 64 * 8
     peaks = []
     for replicas in (256, 2048):
         tracemalloc.start()
@@ -160,16 +174,16 @@ def test_replica_blocks_do_not_retain_prefix_memory(stat):
 
 
 def test_block_budget_bounds_memory_and_keeps_payloads(monkeypatch):
-    # A budget of 2 MiB cuts every block below _BLOCK replicas: 16 of
-    # 128x128, 32 of 64x128 (the fdd box) and of 16x16x32, 16 at
-    # tightness level 0, 3 of the 257^2-node level-8 grid of holder-norm
-    # (5x7, finest level 3), 27 padded 97x97 sheets, and 16 of 128x128
-    # for the Weibull fields.  The payloads must not move, and the peak
-    # must stay within three arrays of the budget: a fold holds its words
-    # and one scratch array, a value map the words and the values, and
-    # no step holds more block-sized arrays at once.  A sixteenth of the
-    # budget covers per-replica results, the report, and the one extra
-    # row of a moving average's extended axis.
+    # Blocks of 2 MiB arrays, twice the default, under a budget of 2 MiB
+    # for one replica: 16 of 128x128, 32 of 64x128 (the fdd box) and of
+    # 16x16x32, 16 at tightness level 0, 3 of the 257^2-node level-8 grid
+    # of holder-norm (5x7, finest level 3), 27 padded 97x97 sheets, and
+    # 16 of 128x128 for the Weibull fields.  The payloads must not move,
+    # and the peak must stay within three arrays of 2 MiB: a fold holds
+    # its words and one scratch array, a value map the words and the
+    # values, and no step holds more block-sized arrays at once.  A
+    # sixteenth of the budget covers per-replica results, the report,
+    # and the one extra row of a moving average's extended axis.
     modulus = {"c": math.exp(6.0), "L": {"kind": "iter_log"}}
     cases = [
         dict(experiment="deviation", generator=iid_rademacher(2), shape=(128, 128),
@@ -191,6 +205,7 @@ def test_block_budget_bounds_memory_and_keeps_payloads(monkeypatch):
     ]
     wants = [run_experiment(ExperimentConfig(**base)).canonical_json() for base in cases]
     budget = 2 << 20
+    monkeypatch.setattr(lattice, "_BLOCK_CELLS", budget // 8)
     monkeypatch.setattr(lattice, "_BLOCK_BYTES", budget)
     for base, want in zip(cases, wants):
         tracemalloc.start()

@@ -211,11 +211,13 @@ def test_volume_and_dominated():
 
 
 def test_block_size_follows_the_budget():
-    # at most _BLOCK replicas, else as many as fit _BLOCK_BYTES, and a
-    # lattice one replica of which is over the budget is rejected
-    assert lattice._BLOCK_BYTES == 16 << 20 and lattice._BLOCK == 64
-    assert lattice._block_size(16 * 16, "lattice") == 64
-    assert lattice._block_size(1024 * 1024, "lattice") == 2
+    # as many replicas as fit _BLOCK_CELLS cells, one at least, and a
+    # lattice one replica of which is over _BLOCK_BYTES is rejected
+    assert lattice._BLOCK_BYTES == 16 << 20 and lattice._BLOCK_CELLS == 1 << 17
+    assert lattice._block_size(1, "lattice") == 1 << 17
+    assert lattice._block_size(64 * 64, "lattice") == 32
+    assert lattice._block_size(300, "lattice") == 436  # rounded down
+    assert lattice._block_size((1 << 17) + 1, "lattice") == 1
     assert lattice._block_size(1 << 21, "lattice") == 1
     assert validate_shape((2048, 1024)) == (2048, 1024)
     with pytest.raises(TooLargeError, match="lattice of 2099200 cells"):
