@@ -571,8 +571,9 @@ class LargeDeviationValue:
     vacuous: bool
 
 
-def thm2_rhs(x: float, shape, gamma: float, d: int) -> LargeDeviationValue:
-    """Bound on P{|S_N| / |N| > x} under the exp(s^gamma) envelope.
+def thm2_rhs(x: float, shape, gamma: float) -> LargeDeviationValue:
+    """Bound on P{|S_N| / |N| > x} under the exp(s^gamma) envelope, on a
+    lattice of the given shape (d = len(shape) axes).
 
     Applies the two-term bound at the equivalent normalized deviation
     x |N|^(1/2) with the optimizing y* = |N|^(1/(2+d gamma)) x^(2/(2+d gamma)),
@@ -583,8 +584,7 @@ def thm2_rhs(x: float, shape, gamma: float, d: int) -> LargeDeviationValue:
     if gamma <= 0:
         raise InvalidRangeError("gamma must be positive")
     shape = tuple(int(n) for n in shape)
-    if len(shape) != d:
-        raise InvalidInputError("shape %r does not match d=%d" % (shape, d))
+    d = len(shape)
     n_cells = math.prod(shape)
     consts = recurse_constants(d)
     y_star = n_cells ** (1.0 / (2.0 + d * gamma)) * x ** (2.0 / (2.0 + d * gamma))

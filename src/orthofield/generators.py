@@ -12,7 +12,9 @@ variants derive their per-axis factor streams in one routine
 replica_stats is the one block reduction of the Monte Carlo
 experiments: per replica it returns only the statistics of the partial
 sums S_k its caller reads, out of max_k |S_k| ("max"), the signed S_n
-("total") and max |S_k| over the last slab k_d = n_d ("slab").  iid and
+("total") and max |S_k| over the last slab k_d = n_d ("slab").  It runs
+any replica range in budgeted blocks of lattice._map_blocks, threaded
+or not, so a direct call holds no more memory than one block.  iid and
 moving-average fields take the float path over the generated block:
 lattice.batch_prefix when "max" or "slab" is asked for, and
 lattice.batch_total when only "total" is.  An iid Rademacher field's
@@ -345,17 +347,28 @@ def _axis_product(factors) -> np.ndarray:
 
 
 def replica_stats(spec: GeneratorSpec, shape, seed: int, start: int, count: int,
-                  stats) -> tuple:
+                  stats, threads: int = 1) -> tuple:
     """The partial-sum statistics named in stats (a subset of "max",
     "total" and "slab", see the module docstring) of replicas
     [start, start + count), one array of count values per name in that
-    order.  Every array is a copy, so none keeps a block-sized array
-    alive."""
+    order, gathered in block order from blocks run on up to `threads`
+    threads.  A block is sized by its largest array per replica: sum n_q
+    cells for the per-axis streams of a product field, |n| otherwise."""
     stats = tuple(stats)
     if not stats or any(name not in _STATS for name in stats):
         raise InvalidInputError("stats must name some of %r, got %r" % (_STATS, stats))
     shape = _check_block(spec, shape, start, count)
+    cells = sum(shape) if spec.variant in _PRODUCTS else volume(shape)
+    blocks = range(start, start + count, _block_size(cells, "lattice"))
+    parts = _map_blocks(lambda first, size: _block_stats(spec, shape, seed, first, size, stats),
+                        blocks, threads)
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
+
+def _block_stats(spec: GeneratorSpec, shape: tuple, seed: int, start: int, count: int,
+                 stats: tuple) -> tuple:
+    """replica_stats of one block, on checked inputs.  Every array is a
+    copy, so none keeps a block-sized array alive."""
     if spec.variant in _PRODUCTS:
         reps = np.arange(start, start + count, dtype=np.int64)
         prefixes = [np.cumsum(vals, axis=1)

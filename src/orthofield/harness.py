@@ -7,11 +7,13 @@ counter-addressed through the generator layer, so the same config
 yields the same numbers however many threads run the replica blocks of
 the lattice layer's driver; reductions walk the blocks in index order
 and verdict logic only looks at precomputed intervals.  Each experiment
-asks the generator layer's one block reduction (replica_stats) for
-only the per-replica statistics it reads: deviation and the bounded and
-two-term bounds the maximum |S_k|, the large-deviation bound and fdd
-the total S_n, induction-check the maximum and the last-slab maximum,
-and tightness the maximum, once per dyadic level.
+asks the generator layer's one replica reduction (replica_stats, which
+plans, threads and gathers its own blocks) for only the per-replica
+statistics it reads: deviation and the bounded and two-term bounds the
+maximum |S_k|, the large-deviation bound and fdd the total S_n,
+induction-check the maximum and the last-slab maximum, and tightness
+the maximum, once per dyadic level.  deviation, verify-bound and
+tightness count exceedances in one table (_exceedances).
 
 Reports separate the reproducible payload (config echo, rows, verdicts,
 constants trace, tolerances) from the timing block (timestamp, wall
@@ -35,7 +37,6 @@ from . import bounds, holder
 from ._rng import fold, stream_key, uniform01
 from .errors import InvalidInputError, InvalidRangeError, check_kind, check_number, check_object
 from .generators import (
-    _PRODUCTS,
     GeneratorSpec,
     generate_batch,
     iid_gaussian,
@@ -107,19 +108,15 @@ def _finish(experiment, config, verdict, rows, t0, constants=None, tolerances=No
     )
 
 
-# ---------------------------------------------------- replica reductions
-
-
-def _replica_stats(spec, shape, seed, replicas, threads, stats, first=0):
-    """replica_stats of replicas [first, first + replicas), one array per
-    name in stats, gathered from the blocks in block order.  A product
-    field's block holds per-axis streams and their prefixes, sum n_q
-    cells per replica, and is sized by those."""
-    work = functools.partial(replica_stats, spec, shape, seed, stats=stats)
-    cells = sum(shape) if spec.variant in _PRODUCTS else volume(shape)
-    blocks = range(first, first + replicas, _block_size(cells, "lattice"))
-    parts = _map_blocks(work, blocks, threads)
-    return tuple(np.concatenate([p[i] for p in parts]) for i in range(len(stats)))
+def _exceedances(values: np.ndarray, thresholds) -> list:
+    """Per threshold, the replicas whose value exceeds it: a row of
+    their count, their share and its Wilson interval."""
+    rows = []
+    for threshold in thresholds:
+        hits = int(np.count_nonzero(values > threshold))
+        lo, hi = wilson_interval(hits, values.size)
+        rows.append({"hits": hits, "p_hat": hits / values.size, "ci_lo": lo, "ci_hi": hi})
+    return rows
 
 
 # --------------------------------------------------------- experiments
@@ -128,15 +125,12 @@ def _replica_stats(spec, shape, seed, replicas, threads, stats, first=0):
 def mc_deviation(config: ExperimentConfig) -> Report:
     """Estimate P{max |S_i| > x sqrt(|n|)} over the configured x grid."""
     t0 = time.perf_counter()
-    m_all, = _replica_stats(config.generator, config.shape, config.seed, config.replicas,
-                            config.threads, ("max",))
+    m_all, = replica_stats(config.generator, config.shape, config.seed, 0, config.replicas,
+                           ("max",), config.threads)
     scale = math.sqrt(volume(config.shape))
-    rows = []
-    for x in config.x_grid:
-        hits = int(np.count_nonzero(m_all > x * scale))
-        lo, hi = wilson_interval(hits, config.replicas)
-        rows.append({"x": x, "hits": hits, "p_hat": hits / config.replicas,
-                     "ci_lo": lo, "ci_hi": hi})
+    rows = _exceedances(m_all, [x * scale for x in config.x_grid])
+    for row, x in zip(rows, config.x_grid):
+        row["x"] = x
     return _finish("deviation", config, "INFO", rows, t0)
 
 
@@ -159,24 +153,19 @@ def verify_bound(config: ExperimentConfig) -> Report:
     elif kind == "two-term":  # one call, so the integral term (x-free) is taken once
         values = bounds.thm1_rhs(config.x_grid, param, model, consts)
     else:
-        values = [bounds.thm2_rhs(x, shape, param, d) for x in config.x_grid]
+        values = [bounds.thm2_rhs(x, shape, param) for x in config.x_grid]
     # large-deviation reads |S_n| against x |n|, the other kinds max |S_k|
     # against x sqrt(|n|)
     ld = kind == "large-deviation"
-    stat = np.abs(_replica_stats(config.generator, shape, config.seed, config.replicas,
-                                 config.threads, ("total",) if ld else ("max",))[0])
-    n_cells = volume(shape)
-    rows = []
-    for x, bv in zip(config.x_grid, values):
-        hits = int(np.count_nonzero(stat > x * (n_cells if ld else math.sqrt(n_cells))))
-        lo, hi = wilson_interval(hits, config.replicas)
-        ok = bv.vacuous or hi <= bv.value
-        row = {"x": x, "hits": hits, "p_hat": hits / config.replicas, "ci_lo": lo,
-               "ci_hi": hi, "bound": bv.value, "exp_term": bv.exp_term,
-               "integral_term": bv.integral_term, "vacuous": bv.vacuous, "ok": ok}
+    stat = np.abs(replica_stats(config.generator, shape, config.seed, 0, config.replicas,
+                                ("total",) if ld else ("max",), config.threads)[0])
+    scale = volume(shape) if ld else math.sqrt(volume(shape))
+    rows = _exceedances(stat, [x * scale for x in config.x_grid])
+    for row, x, bv in zip(rows, config.x_grid, values):
+        row.update(x=x, bound=bv.value, exp_term=bv.exp_term, integral_term=bv.integral_term,
+                   vacuous=bv.vacuous, ok=bv.vacuous or row["ci_hi"] <= bv.value)
         if ld:
             row.update(y_star=bv.y_star, x_equiv=bv.x_equiv)
-        rows.append(row)
     informative = [r for r in rows if not r["vacuous"]]
     verdict = "PASS" if all(r["ok"] for r in rows) else "FAIL"
     counts = {"replicas": config.replicas, "informative_points": len(informative)}
@@ -197,8 +186,8 @@ def induction_step_check(config: ExperimentConfig) -> Report:
     shape = config.shape
     if len(shape) < 2:
         raise InvalidRangeError("induction check needs d >= 2")
-    m_all, m_slab = _replica_stats(config.generator, shape, config.seed, config.replicas,
-                                   config.threads, ("max", "slab"))
+    m_all, m_slab = replica_stats(config.generator, shape, config.seed, 0, config.replicas,
+                                  ("max", "slab"), config.threads)
     scale = math.sqrt(volume(shape))
     n = config.replicas
     rows = []
@@ -293,8 +282,8 @@ def fdd_compare(config: ExperimentConfig) -> Report:
     sigma2 = spec_variance(config.generator) * math.prod(point)
     # counter-mode sites: the box [1, k] alone holds the same values as
     # that box of the full lattice, and its total is S_k
-    samples, = _replica_stats(config.generator, k, config.seed, config.replicas,
-                              config.threads, ("total",))
+    samples, = replica_stats(config.generator, k, config.seed, 0, config.replicas,
+                             ("total",), config.threads)
     ks = ks_normal(samples / math.sqrt(volume(shape)), sigma2)
     threshold = 1.36 / math.sqrt(samples.size) + _KS_ALLOWANCE
     verdict = "PASS" if ks <= threshold else "FAIL"
@@ -367,13 +356,12 @@ def tightness_experiment(config: ExperimentConfig) -> Report:
     for j in range(j_from, m[q - 1] + 1):
         shape = tuple(2 ** (mu - j) if u == q - 1 else 2**mu for u, mu in enumerate(m))
         threshold = config.eps * holder.modulus_eval(rho, 2.0**-j) * sqrt_full
-        peaks, = _replica_stats(config.generator, shape, config.seed, n, config.threads,
-                                ("max",), first=j * n)
-        hits = int(np.count_nonzero(peaks > threshold))
-        lo, hi = wilson_interval(hits, n)
-        rows.append({"j": j, "shape": list(shape), "threshold": threshold, "hits": hits,
-                     "p_hat": hits / n, "scaled": 2.0**j * (hits / n),
-                     "scaled_se": 2.0**j * 0.5 * (hi - lo)})
+        peaks, = replica_stats(config.generator, shape, config.seed, j * n, n, ("max",),
+                               config.threads)
+        row, = _exceedances(peaks, [threshold])
+        lo, hi = row.pop("ci_lo"), row.pop("ci_hi")
+        rows.append({"j": j, "shape": list(shape), "threshold": threshold, **row,
+                     "scaled": 2.0**j * row["p_hat"], "scaled_se": 2.0**j * 0.5 * (hi - lo)})
     scaled = [r["scaled"] for r in rows]
     sums = {str(r["j"]): float(sum(scaled[i:])) for i, r in enumerate(rows)}
     rows.append({"tail_sums": sums, "total": float(sum(scaled))})
@@ -483,19 +471,15 @@ def _x_grid(name, value):
     return grid
 
 
-def _holder_shapes(config):
-    return (config.shape,)
-
-
 _REQUIRED = object()
 _GENERATOR, _SHAPE, _X_GRID, _OBJECT = (
     (check, _REQUIRED) for check in (_generator, _shape, _x_grid, check_object))
 
 # Each experiment's runner and fields, a field as name: (check, default).
 # check(name, value as given) returns the value the runner reads or
-# raises; _REQUIRED marks a field without a default, and a callable
-# default is computed from the config.  The spec parsers read object
-# fields (bound, modulus, tail, svarying) when the experiment runs.
+# raises; _REQUIRED marks a field without a default.  The spec parsers
+# read object fields (bound, modulus, tail, svarying) when the
+# experiment runs.
 # every experiment keeps at least one float64 per replica
 _COMMON = {"replicas": (_budgeted(_integer(1), "per-replica results"), 1),
            "seed": (_integer(0, 2**64 - 1), 0), "threads": (_integer(1), 1)}
@@ -513,8 +497,7 @@ _SCHEMA = {
                           "t_point": (_list_of(check_number), _REQUIRED)}),
     "sheet-cov": (sheet_cov_check, {"shape": _SHAPE, "pairs": (_integer(1), 10)}),
     "holder-norm": (holder_norm_of_Wn, {
-        "generator": _GENERATOR, "shape": (_shape, None),
-        "shapes": (_list_of(_shape), _holder_shapes), "modulus": _OBJECT,
+        "generator": _GENERATOR, "shapes": (_list_of(_shape), _REQUIRED), "modulus": _OBJECT,
         "j_max": (_integer(0, holder._MODULUS_LEVELS), None)}),
     "constants": (constants_experiment, {"d": (_integer(1, 6), 6)}),
     "lemma-checks": (lemma_checks, {
@@ -538,18 +521,10 @@ def _validate(config):
     given = {name: getattr(config, name) for name in _FIELD_NAMES
              if getattr(config, name) is not None}
     check_object("experiment %r" % config.experiment, given, optional=table)
-    # the one rule across fields: a field check sees one value at a time
-    if config.experiment == "holder-norm" and ("shape" in given) == ("shapes" in given):
-        raise InvalidInputError("experiment 'holder-norm' needs exactly one of 'shape' and "
-                                "'shapes'")
     for name, (check, default) in table.items():
-        if name in given:
-            value = check(name, given[name])
-        elif default is _REQUIRED:
+        if name not in given and default is _REQUIRED:
             raise InvalidInputError("experiment %r needs %r" % (config.experiment, name))
-        else:
-            value = default(config) if callable(default) else default
-        object.__setattr__(config, name, value)
+        object.__setattr__(config, name, check(name, given[name]) if name in given else default)
     object.__setattr__(config, "given", tuple(given))
 
 

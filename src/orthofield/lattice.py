@@ -126,11 +126,12 @@ def batch_total(fields: np.ndarray) -> np.ndarray:
     """Sum of each field of a batch (replica axis first) over its whole
     box, equal bit for bit to the far corner of batch_prefix(fields):
     axes are summed in axis order one slab at a time, as cumsum adds,
-    where np.sum would add pairwise along some axes.  The result is a
-    copy, so no block-sized array outlives the call."""
+    where np.sum would add pairwise along some axes.  An axis of extent 1
+    copies nothing, and the result is a copy, so no block-sized array
+    outlives the call."""
     for _ in range(fields.ndim - 2):
-        acc = fields[:, 0].copy()
-        for i in range(1, fields.shape[1]):
+        acc = fields[:, 0] if fields.shape[1] == 1 else fields[:, 0] + fields[:, 1]
+        for i in range(2, fields.shape[1]):
             acc += fields[:, i]
         fields = acc
     return np.cumsum(fields, axis=1)[:, -1].copy()
@@ -154,13 +155,14 @@ def padded_prefix(prefix: np.ndarray, lead: int = 0) -> np.ndarray:
 def _map_blocks(fn, blocks: range, threads: int) -> list:
     """Run fn(start, count) over the blocks whose starts `blocks` lists,
     range(first, stop, _block_size(cells, what)) for replicas
-    [first, stop);
-    each block but the last holds blocks.step replicas.  Results come
-    back in block order regardless of thread scheduling.  At most
-    _MAX_THREADS threads run, and never more than there are blocks.
-    The plan travels in the three positional arguments because the
-    tracer of perfbench/spans.py wraps _map_blocks as (fn, total, threads)
-    and forwards exactly those three."""
+    [first, stop); each block but the last holds blocks.step replicas.
+    Its callers: generators.replica_stats (every partial-sum statistic)
+    and orthomartingale_check, and the harness's sheet, sheet-cov and
+    holder-norm blocks.  Results come back in block order regardless of
+    thread scheduling.  At most _MAX_THREADS threads run, and never more
+    than there are blocks.  The plan travels in the three positional
+    arguments because the tracer of perfbench/spans.py wraps _map_blocks
+    as (fn, total, threads) and forwards exactly those three."""
     plan = [(start, min(blocks.step, blocks.stop - start)) for start in blocks]
     workers = min(threads, len(plan), _MAX_THREADS)
     if workers <= 1:

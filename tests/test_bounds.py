@@ -490,7 +490,7 @@ def test_thm2_rhs_exponent_identity():
     shape = (32, 32)
     n_cells = 32 * 32
     for x in (0.25, 0.5, 1.0):
-        out = thm2_rhs(x, shape, gamma, d)
+        out = thm2_rhs(x, shape, gamma)
         want_ratio = n_cells ** (gamma / (2.0 + d * gamma)) * x ** (
             2.0 * gamma / (2.0 + d * gamma)
         )
@@ -503,11 +503,12 @@ def test_thm2_rhs_exponent_identity():
 
 def test_thm2_rhs_input_validation():
     with pytest.raises(InvalidRangeError):
-        thm2_rhs(0.0, (4, 4), 1.0, 2)
+        thm2_rhs(0.0, (4, 4), 1.0)
     with pytest.raises(InvalidRangeError):
-        thm2_rhs(1.0, (4, 4), 0.0, 2)
-    with pytest.raises(InvalidInputError):
-        thm2_rhs(1.0, (4, 4, 4), 1.0, 2)
+        thm2_rhs(1.0, (4, 4), 0.0)
+    # the dimension is the shape's, and the constants exist for d <= 6 only
+    with pytest.raises(InvalidRangeError):
+        thm2_rhs(1.0, (2,) * 7, 1.0)
 
 
 # -------------------------------------------------- summability diagnostics

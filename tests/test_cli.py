@@ -100,6 +100,7 @@ EXPONENT_FIT = {"experiment": "exponent-fit", "d": 1, "replicas": 2000}
         ("tightness", dict(TIGHTNESS, modulus={"c": 1.01, "check_increasing": False})),
         ("holder-norm", {"experiment": "holder-norm", "generator": _gen(), "shapes": [8, 8],
                          "modulus": MODULUS}),
+        # holder-norm reads a list of shapes only
         ("holder-norm", {"experiment": "holder-norm", "generator": _gen(), "shape": [8, 8],
                          "shapes": [[4, 4]], "modulus": MODULUS}),
         ("lemma-checks", dict(LEMMA, svarying={"kind": "log_power", "beta": "x"})),
@@ -124,7 +125,7 @@ EXPONENT_FIT = {"experiment": "exponent-fit", "d": 1, "replicas": 2000}
         ("deviation", dict(DEVIATION, shape=[4096, 4096])),
         ("tightness", dict(TIGHTNESS, exponents=[3000, 3])),
         ("sheet-cov", {"shape": [4, 4], "replicas": 16, "pairs": 10**12}),
-        ("holder-norm", {"experiment": "holder-norm", "generator": _gen(), "shape": [8, 8],
+        ("holder-norm", {"experiment": "holder-norm", "generator": _gen(), "shapes": [[8, 8]],
                          "modulus": MODULUS, "j_max": 2000}),
         ("tightness", dict(TIGHTNESS, exponents=[3000, 3], j_from=3000)),
         # a tail whose negligible point lies beyond the float range, one
@@ -148,7 +149,7 @@ EXPONENT_FIT = {"experiment": "exponent-fit", "d": 1, "replicas": 2000}
         ("exponent-fit", dict(EXPONENT_FIT, grid_points=4 * 10**9)),
         ("deviation", dict(DEVIATION, replicas=2**21 + 1)),
         ("sheet-cov", {"shape": [4, 4], "replicas": 1100, "pairs": 1000}),
-        ("holder-norm", {"experiment": "holder-norm", "generator": _gen(), "shape": [8, 8],
+        ("holder-norm", {"experiment": "holder-norm", "generator": _gen(), "shapes": [[8, 8]],
                          "modulus": MODULUS, "j_max": 41}),
         ("tightness", dict(TIGHTNESS, exponents=[10**18, 3])),
         # a slowly varying factor past the float range at level 8, and
@@ -296,6 +297,15 @@ def test_out_file_receives_report(tmp_path, capsys):
     report = json.loads(out_path.read_text())
     assert report["experiment"] == "deviation"
     assert "timing" in report
+
+
+def test_unwritable_out_file_is_exit_1(tmp_path, capsys):
+    cfg = write_config(tmp_path, "dev.json", DEVIATION)
+    out_path = tmp_path / "no-such-dir" / "report.json"
+    assert main(["deviation", "--config", cfg, "--out", str(out_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and not out_path.exists()
+    assert len(err.splitlines()) == 1 and err.startswith("output error"), err
 
 
 def test_seed_override_changes_numbers_threads_do_not(tmp_path, capsys):

@@ -23,6 +23,7 @@ from orthofield import (
 )
 from orthofield import _rng
 from orthofield.generators import replica_stats
+from orthofield.lattice import _block_size
 
 _MAKERS = {
     "iid_rademacher": iid_rademacher,
@@ -90,25 +91,53 @@ def test_stream_key_equals_the_array_fold(seed):
     assert int(_rng.stream_key(seed, *labels)) == int(h[0])
 
 
+# one block of 4096-cell replicas, as replica_stats plans it
+_BLOCK = _block_size(4096, "lattice")
+_BLOCK_BYTES = _BLOCK * 4096 * 8
+
+
+def _peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("shape", [(64, 64), (4096, 1), (1, 4096)], ids=lambda s: "%dx%d" % s)
 @pytest.mark.parametrize("name", sorted(_MAKERS))
 def test_a_block_holds_at_most_three_block_arrays(name, shape):
-    # 64 replicas of 4096 cells: one block array is 2 MiB, or twice that
+    # one block of 4096-cell replicas: one block array, or twice that
     # where a moving average extends an axis of extent 1, and the
     # extended axis of 64x64 adds a sixty-fourth.  With a last axis of
     # extent 1 the last fold's input is block-sized too, so three arrays
-    # (input, result, scratch) are alive there.
+    # (input, result, scratch) are alive there.  An eighth of a block
+    # covers what a call holds once whatever its replicas, such as the
+    # site coordinates of an axis of 4096 or 4097 sites.
     spec = _MAKERS[name](2)
     axis = spec.param("axis")
-    block = 64 * 4096 * 8 * (2 if axis and shape[axis - 1] == 1 else 1)
+    block = _BLOCK_BYTES * (2 if axis and shape[axis - 1] == 1 else 1)
     for stats in (None, ("total",), ("max", "total", "slab")):
-        tracemalloc.start()
-        try:
-            if stats is None:
-                generate_batch(spec, shape, 5, 0, 64)
-            else:
-                replica_stats(spec, shape, 5, 0, 64, stats)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3 * block + block // 16, (stats, peak / block)
+        if stats is None:
+            peak = _peak(lambda: generate_batch(spec, shape, 5, 0, _BLOCK))
+        else:
+            peak = _peak(lambda: replica_stats(spec, shape, 5, 0, _BLOCK, stats))
+        assert peak <= 3 * block + _BLOCK_BYTES // 8, (stats, peak / block)
+
+
+@pytest.mark.parametrize("shape", [(64, 64), (1, 4096)], ids=lambda s: "%dx%d" % s)
+@pytest.mark.parametrize("name", ["iid_gaussian", "iid_rademacher", "iid_weibull", "zero"])
+def test_a_lone_total_holds_two_block_arrays(name, shape):
+    # the fold's words and scratch, or the values and the last axis's
+    # running sum: batch_total copies no block when the first lattice
+    # axis has extent 1
+    peak = _peak(lambda: replica_stats(_MAKERS[name](2), shape, 3, 0, _BLOCK, ("total",)))
+    assert peak <= 2.1 * _BLOCK_BYTES, peak / _BLOCK_BYTES
+
+
+def test_a_direct_call_is_bounded_by_its_blocks():
+    # 2000 replicas run in blocks of _BLOCK, so the peak is that of one
+    # block, not of one 2000-replica array (62 block arrays)
+    peak = _peak(lambda: replica_stats(iid_gaussian(2), (64, 64), 3, 0, 2000, ("max",)))
+    assert peak <= 3 * _BLOCK_BYTES, peak / _BLOCK_BYTES

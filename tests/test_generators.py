@@ -206,6 +206,10 @@ def test_spec_variance_against_quadrature():
     assert spec_variance(iid_gaussian(2, sigma=3.0)) == 9.0
     assert spec_variance(product_rademacher(5)) == 1.0
     assert spec_variance(moving_average(1, dist="gaussian", sigma=1.0)) == 2.0
+    # a decoupled product multiplies d independent factors of one law
+    assert spec_variance(decoupled_product(2, "gaussian", sigma=3.0)) == 81.0
+    weibull = spec_variance(iid_weibull(1, 0.7))
+    assert spec_variance(decoupled_product(3, "weibull_symmetric", gamma=0.7)) == weibull**3
     assert spec_variance(zero_field(2)) == 0.0
 
 

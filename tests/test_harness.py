@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from orthofield import bounds, harness, lattice
+from orthofield import bounds, generators, harness, lattice
 from orthofield import (
     ExperimentConfig,
     InvalidInputError,
@@ -29,7 +29,8 @@ from orthofield import (
     verify_bound,
     zero_field,
 )
-from orthofield.harness import _replica_stats, constants_experiment, exponent_fit_experiment
+from orthofield.generators import replica_stats
+from orthofield.harness import constants_experiment, exponent_fit_experiment
 
 
 def test_config_round_trip():
@@ -53,6 +54,9 @@ def test_config_rejects_bad_input():
         ExperimentConfig(experiment="no-such-experiment")
     with pytest.raises(InvalidInputError):
         ExperimentConfig(experiment="deviation", x_grid=(2.0, 1.0))
+    with pytest.raises(InvalidInputError, match="strictly increasing"):
+        ExperimentConfig(experiment="deviation", generator=iid_gaussian(2), shape=(4, 4),
+                         x_grid=(1.0, 1.0))
     with pytest.raises(InvalidRangeError):
         ExperimentConfig(experiment="deviation", replicas=0)
     with pytest.raises(InvalidRangeError):
@@ -106,7 +110,8 @@ def test_thread_count_does_not_change_payload(monkeypatch):
                                pairs=4)),
         # finest level 3, so j_max 5 reads the grid two levels past it
         (holder_norm_of_Wn, dict(experiment="holder-norm", generator=iid_gaussian(2),
-                                 shape=(5, 7), j_max=5, replicas=150, seed=9, modulus=modulus)),
+                                 shapes=((5, 7),), j_max=5, replicas=150, seed=9,
+                                 modulus=modulus)),
         # the routes of generators.replica_stats: per-axis products for
         # product fields, the total alone, the maximum with the slab
         (verify_bound, dict(experiment="verify-bound", generator=product_rademacher(2),
@@ -132,20 +137,40 @@ def test_thread_count_does_not_change_payload(monkeypatch):
         return lattice._map_blocks(fn, blocks, threads)
 
     monkeypatch.setattr(harness, "_map_blocks", recording)
+    monkeypatch.setattr(generators, "_map_blocks", recording)
+    # many replicas per block, a few, and one; 7 threads divide none
+    # of the replica counts, so some thread gets fewer blocks
+    settings = [(1 << 17, 1), (2000, 3), (1, 1), (1, 7)]
+
+    def check_plans(what):
+        steps = {step for step, _, _ in plans}
+        assert 1 in steps and max(steps) > 1, (what, plans)
+        assert any(threads > 1 and count % threads for _, count, threads in plans), plans
+
     for runner, base in cases:
         payloads = set()
         plans.clear()
-        # many replicas per block, a few, and one; 7 threads divide none
-        # of the replica counts, so some thread gets fewer blocks
-        for cells, threads in [(1 << 17, 1), (2000, 3), (1, 1), (1, 7)]:
+        for cells, threads in settings:
             monkeypatch.setattr(lattice, "_BLOCK_CELLS", cells)
             rep = runner(ExperimentConfig(threads=threads, **base))
             assert "threads" not in rep.payload()["config"]
             payloads.add(rep.canonical_json())
         assert len(payloads) == 1, base["experiment"]
-        steps = {step for step, _, _ in plans}
-        assert 1 in steps and max(steps) > 1, (base["experiment"], plans)
-        assert any(threads > 1 and count % threads for _, count, threads in plans), plans
+        check_plans(base["experiment"])
+    # the reduction itself, called directly from a start off every block
+    # grid: the float path, the sign count and the per-axis products
+    for spec, shape, stats in [(iid_gaussian(2), (16, 16), ("max", "total", "slab")),
+                               (iid_rademacher(2), (16, 16), ("total",)),
+                               (product_rademacher(3), (4, 5, 6), ("slab", "max", "total"))]:
+        results = set()
+        plans.clear()
+        for cells, threads in settings:
+            monkeypatch.setattr(lattice, "_BLOCK_CELLS", cells)
+            got = replica_stats(spec, shape, 9, 5, 256, stats, threads)
+            assert [values.shape for values in got] == [(256,)] * len(stats)
+            results.add(b"".join(values.tobytes() for values in got))
+        assert len(results) == 1, (spec, stats)
+        check_plans(spec)
 
 
 @pytest.mark.parametrize("stat", ["deviation", "fdd"])
@@ -154,8 +179,8 @@ def test_replica_blocks_do_not_retain_prefix_memory(stat):
     # so the peak may not grow with the replica count
     def run(replicas):
         if stat == "deviation":
-            _replica_stats(iid_rademacher(2), (64, 64), 3, replicas, 1,
-                           ("max", "total", "slab"))
+            replica_stats(iid_rademacher(2), (64, 64), 3, 0, replicas,
+                          ("max", "total", "slab"))
         else:
             fdd_compare(ExperimentConfig(experiment="fdd", generator=iid_rademacher(2),
                                          shape=(64, 64), t_point=(1.0, 1.0),
@@ -194,7 +219,7 @@ def test_block_budget_bounds_memory_and_keeps_payloads(monkeypatch):
              x_grid=(0.5, 1.0), replicas=100, seed=4),
         dict(experiment="tightness", generator=iid_gaussian(2), exponents=(7, 7), eps=0.3,
              axis_q=1, j_from=0, replicas=100, seed=4, modulus=modulus),
-        dict(experiment="holder-norm", generator=iid_gaussian(2), shape=(5, 7), j_max=8,
+        dict(experiment="holder-norm", generator=iid_gaussian(2), shapes=((5, 7),), j_max=8,
              replicas=20, seed=4, modulus=modulus),
         dict(experiment="sheet-cov", shape=(96, 96), replicas=100, seed=4, pairs=4),
         dict(experiment="deviation", generator=iid_weibull(2, 1.0), shape=(128, 128),
@@ -364,7 +389,7 @@ def test_fdd_flags_product_field():
 
 def test_holder_norm_zero_generator():
     cfg = ExperimentConfig(
-        experiment="holder-norm", generator=zero_field(2), shape=(8, 8),
+        experiment="holder-norm", generator=zero_field(2), shapes=((8, 8),),
         replicas=32, seed=1, modulus={"c": math.exp(6.0), "L": {"kind": "iter_log"}},
         j_max=3,
     )
@@ -378,7 +403,7 @@ def test_holder_norm_needs_modulus_and_shape():
         holder_norm_of_Wn(
             ExperimentConfig(
                 experiment="holder-norm", generator=iid_gaussian(2),
-                shape=(4, 4), replicas=8, seed=1,
+                shapes=((4, 4),), replicas=8, seed=1,
             )
         )
     with pytest.raises(InvalidInputError):

@@ -174,6 +174,8 @@ def test_schauder_coeff_annihilates_affine():
     for j in (1, 2, 3):
         for site in dyadic_sites(j, 2)[::7]:
             assert schauder_coeff(affine, site) == pytest.approx(0.0, abs=1e-12)
+    # a level-0 corner has no parents: its coefficient is the value there
+    assert schauder_coeff(affine, DyadicSite(0, (1, 0))) == 0.7 + 2.0
 
 
 def test_seq_norm_of_single_bump_is_one():

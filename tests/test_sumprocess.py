@@ -207,6 +207,20 @@ def test_lemma11_small_gap_drops_block_term():
     assert res.holds
 
 
+def test_lemma11_at_d1_and_at_snapped_grid_points():
+    # d = 1: the sup over s runs over the one empty node; for ones on 8
+    # sites lhs = S_5.6 - S_1.6 = 4 and rhs = 3 (S_5 - S_1 + 1) = 15
+    res = lemma11_check(from_field(np.ones(8)), 0.2, 0.7)
+    assert res.lhs == pytest.approx(4.0) and res.rhs == pytest.approx(15.0) and res.holds
+    # n t = 10 (1 - 0.9) = 0.9999999999999998 and 10 * 0.3 =
+    # 3.0000000000000004 are grid points reached through float
+    # arithmetic; they snap to 1 and 3, so the block holds sites 2 and 3
+    # (2 + 3 = 5), not sites 1 to 3
+    res = lemma11_check(from_field(np.arange(1.0, 11.0)), 1 - 0.9, 0.3)
+    assert res.indicator == 1 and res.block_term == 3.0 * 5.0
+    assert res.lhs == pytest.approx(5.0) and res.holds
+
+
 def test_lemma11_rejects_bad_range():
     p = from_field(np.ones((4, 4)))
     with pytest.raises(InvalidRangeError):
