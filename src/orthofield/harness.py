@@ -54,6 +54,7 @@ from .lattice import (
     volume,
 )
 from .stats import ks_normal, wilson_interval
+from .sumprocess import eval_W_grid
 
 _KS_ALLOWANCE = 0.015
 
@@ -305,9 +306,13 @@ def holder_norm_of_Wn(config: ExperimentConfig) -> Report:
         levels = finest if config.j_max is None else config.j_max
 
         def work(start, count, shape=shape, rho_s=rho_s, levels=levels):
-            prefix = batch_prefix(generate_batch(config.generator, shape, config.seed, start,
-                                                 count))
-            return holder.grid_seq_norms(padded_prefix(prefix, lead=1), rho_s, levels)
+            # grid_seq_norms with the block's own arrays: the prefix is freed
+            # once its padded copy is made, and that once the grid is
+            padded = padded_prefix(batch_prefix(generate_batch(
+                config.generator, shape, config.seed, start, count)), lead=1)
+            grid = eval_W_grid(padded, levels)
+            del padded
+            return holder._grid_norms(grid, rho_s, levels)
 
         # a block holds its padded prefix arrays and their level-j_max grids
         cells = max(volume(n + 1 for n in shape), holder.full_grid_count(levels, len(shape)))

@@ -33,13 +33,16 @@ norm for the partial-sum process of a whole block of replicas: every
 level-j node and both its parents are nodes of the level-J_max dyadic
 grid, so W is evaluated once per grid node (sumprocess.eval_W_grid)
 and level j is the grid's every 2^(J_max - j)-th node, its coefficients
-slice arithmetic.  eval_W_grid and eval_W_batch share one corner-sum
-kernel, so the norms equal seq_norm's over eval_W_batch bit for bit.
-A level grid is held to the block budget of the lattice layer
-(lattice._block_size) like a lattice: the holder-norm experiment sizes
-its replica blocks by the larger of its padded lattice and its
-level-J_max grid, so grid_seq_norms evaluates the whole block it is
-given at once.
+slice arithmetic, each parity slice's in one buffer.  eval_W_grid and
+eval_W_batch share one corner-sum kernel, so the norms equal
+seq_norm's over eval_W_batch bit for bit.  A level grid is held to the
+block budget of the lattice layer (lattice._block_size) like a
+lattice: the holder-norm experiment sizes its replica blocks by the
+larger of its padded lattice and its level-J_max grid, so
+grid_seq_norms evaluates the whole block it is given at once.  Those
+blocks own their arrays, so they run its two steps themselves
+(eval_W_grid, then _grid_norms) and free the padded prefix arrays in
+between; on an aligned lattice a block then peaks at about two arrays.
 """
 
 from __future__ import annotations
@@ -326,8 +329,13 @@ def _grid_peaks(grid: np.ndarray, j: int, J: int) -> np.ndarray:
         c = (slice(None),) + tuple(slice(1, None, 2) if o else even for o in odd)
         lo = (slice(None),) + tuple(slice(None, -1, 2) if o else even for o in odd)
         hi = (slice(None),) + tuple(slice(2, None, 2) if o else even for o in odd)
-        coeffs = level[c] - 0.5 * (level[lo] + level[hi])
-        np.maximum(peak, np.abs(coeffs).max(axis=axes), out=peak)
+        # one buffer: (lo + hi) * -0.5 + c has the bits of c - 0.5 * (lo + hi)
+        coeffs = level[lo] + level[hi]
+        coeffs *= -0.5
+        coeffs += level[c]
+        np.abs(coeffs, out=coeffs)
+        np.maximum(peak, coeffs.max(axis=axes), out=peak)
+        del coeffs  # the next slice's buffer must not meet this one alive
     return peak
 
 
@@ -337,7 +345,9 @@ def grid_seq_norms(padded, rho: Modulus, j_max: int) -> np.ndarray:
     lattice.padded_prefix(prefix, lead=1) gives them), bit for bit.
 
     W is evaluated once per node of the level-j_max dyadic grid for the
-    whole block; a caller sizes the block so that its grid fits the
+    whole block (sumprocess.eval_W_grid, which reads the nodes of an
+    aligned axis straight off the prefix), into a new array: padded is
+    left as it was.  A caller sizes the block so that its grid fits the
     block budget (lattice._block_size)."""
     padded = np.asarray(padded, dtype=np.float64)
     d = padded.ndim - 1
@@ -348,6 +358,12 @@ def grid_seq_norms(padded, rho: Modulus, j_max: int) -> np.ndarray:
         raise InvalidRangeError("j_max must be in 0..%d, the levels a modulus is checked on"
                                 % _MODULUS_LEVELS)
     _block_size(full_grid_count(j_max, d), "level grid")
+    return _grid_norms(eval_W_grid(padded, j_max), rho, j_max)
+
+
+def _grid_norms(grid: np.ndarray, rho: Modulus, j_max: int) -> np.ndarray:
+    """grid_seq_norms from the level-j_max grid of W itself, so that a
+    caller owning the padded prefix arrays (the holder-norm blocks) can
+    free them before the coefficients are built."""
     scales = [modulus_eval(rho, 2.0**-j) for j in range(j_max + 1)]
-    grid = eval_W_grid(padded, j_max)
     return np.max([_grid_peaks(grid, j, j_max) / s for j, s in enumerate(scales)], axis=0)

@@ -12,11 +12,12 @@ passes run axis by axis in axis order, accumulating in float64, so a
 given field always produces the bit-identical prefix array, and
 batch_total its far corner S_n without building it.
 
-Every weighted sum over the 2^d corners of a box or cell of a padded
+Every weighted sum over the corners of a box or cell of a padded
 prefix array runs through _corner_sum: rect_sum and both interpolating
-evaluators of sumprocess.  Its order is fixed (weights multiplied in
-axis order from 1.0, corners added in mask order into a zeroed total),
-so callers that pass the same weights get the same bits.
+evaluators of sumprocess.  An axis has two corners, or one where its
+nodes are lattice nodes.  The order is fixed (weights multiplied in
+axis order from 1.0, corners added in mask order as into a zeroed
+total), so callers that pass the same weights get the same bits.
 
 Every Monte Carlo replica loop runs through _map_blocks, with results
 in block order whatever the threads.  Blocks are sized by cells:
@@ -40,7 +41,9 @@ arithmetic criterion (01) of the acceptance suite checks it.
 
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
 import operator
 from concurrent.futures import ThreadPoolExecutor
 
@@ -126,11 +129,13 @@ def batch_total(fields: np.ndarray) -> np.ndarray:
     """Sum of each field of a batch (replica axis first) over its whole
     box, equal bit for bit to the far corner of batch_prefix(fields):
     axes are summed in axis order one slab at a time, as cumsum adds,
-    where np.sum would add pairwise along some axes.  An axis of extent 1
-    copies nothing, and the result is a copy, so no block-sized array
-    outlives the call."""
+    where np.sum would add pairwise along some axes.  Lattice axes of
+    extent 1 are dropped first, as summing over one changes nothing, so
+    no loop runs over slabs of one cell; the result is a copy, so no
+    block-sized array outlives the call."""
+    fields = fields.reshape(len(fields), *([n for n in fields.shape[1:] if n > 1] or [1]))
     for _ in range(fields.ndim - 2):
-        acc = fields[:, 0] if fields.shape[1] == 1 else fields[:, 0] + fields[:, 1]
+        acc = fields[:, 0] + fields[:, 1]
         for i in range(2, fields.shape[1]):
             acc += fields[:, i]
         fields = acc
@@ -162,7 +167,10 @@ def _map_blocks(fn, blocks: range, threads: int) -> list:
     thread scheduling.  At most _MAX_THREADS threads run, and never more
     than there are blocks.  The plan travels in the three positional
     arguments because the tracer of perfbench/spans.py wraps _map_blocks
-    as (fn, total, threads) and forwards exactly those three."""
+    as (fn, total, threads) and forwards exactly those three.  threads
+    must be an integer of at least 1, whoever calls."""
+    if isinstance(threads, bool) or not isinstance(threads, numbers.Integral) or threads < 1:
+        raise InvalidInputError("threads must be an integer >= 1, not %r" % (threads,))
     plan = [(start, min(blocks.step, blocks.stop - start)) for start in blocks]
     workers = min(threads, len(plan), _MAX_THREADS)
     if workers <= 1:
@@ -177,25 +185,29 @@ def max_abs_prefix(field) -> float:
     return float(np.max(np.abs(prefix_sum(field))))
 
 
-def _corner_sum(padded: np.ndarray, first, second) -> np.ndarray:
-    """The 2^d-corner weighted sum over a block of padded prefix arrays
-    (replica axis first).  first[q] and second[q] are the (index, weight)
-    pairs of axis q where bit q of the mask is clear and set; indices are
-    integer arrays (so each gather is a copy) that broadcast with the
-    weights.  Each corner is scaled in place and freed before the next
-    gather, so at most two result-sized arrays are alive."""
-    shape = np.broadcast_shapes(*(np.shape(index) for index, _ in first))
-    total = np.zeros((len(padded),) + shape)
-    for mask in range(1 << len(first)):
+def _corner_sum(padded: np.ndarray, corners) -> np.ndarray:
+    """The weighted sum over the corners of a box or cell of a block of
+    padded prefix arrays (replica axis first).  corners[q] holds the
+    (index, weight) pairs of axis q: two, the lower end first, or one for
+    an axis read straight off the lattice (weight 1.0).  Indices are
+    integer arrays (so each gather is a copy, never a view of padded)
+    that broadcast with the weights.  Weights multiply in axis order from
+    1.0, and corners add in mask order (bit q set takes axis q's second
+    pair) as into a zeroed total.  Each corner is scaled in place and
+    freed before the next gather, so at most two result-sized arrays are
+    alive, and one when no axis has two pairs."""
+    total = None
+    for choice in itertools.product(*corners[::-1]):  # axis 0 varies fastest
         w = 1.0
-        idx = []
-        for q, pair in enumerate(zip(first, second)):
-            index, weight = pair[mask >> q & 1]
-            idx.append(index)
+        for _, weight in reversed(choice):
             w = w * weight
-        corner = padded[(slice(None),) + tuple(idx)]
+        corner = padded[(slice(None),) + tuple(index for index, _ in reversed(choice))]
         corner *= w
-        total += corner
+        if total is None:
+            total = corner
+            total += 0.0  # as if added to zeros: -0.0 becomes +0.0
+        else:
+            total += corner
         del corner  # the next gather must not meet this one alive
     return total
 
@@ -214,6 +226,5 @@ def rect_sum(prefix: np.ndarray, lo: MultiIndex, hi: MultiIndex) -> float:
     rows = [[h - 1] if l == 1 else [l - 2, h - 1] for l, h in zip(lo, hi)]
     corners = padded_prefix(prefix[np.ix_(*rows)])
     # in the padded corner array S at hi_q is the last entry, S at lo_q - 1 the one before
-    first = [(np.array(len(r)), 1.0) for r in rows]
-    second = [(np.array(len(r) - 1), -1.0) for r in rows]
-    return float(_corner_sum(corners[None], first, second)[0])
+    pairs = [((np.array(len(r)), 1.0), (np.array(len(r) - 1), -1.0)) for r in rows]
+    return float(_corner_sum(corners[None], pairs)[0])

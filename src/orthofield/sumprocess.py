@@ -14,7 +14,13 @@ are cross-checked in the test suite.  eval_W_grid interpolates a whole
 block of prefix arrays on the level-J dyadic grid at once, which is
 what the holder-norm experiment measures.  Both interpolating
 evaluators locate each point's cell with one helper (_cell) and sum its
-2^d corners through lattice._corner_sum, so they agree bit for bit.
+corners through lattice._corner_sum, so they agree bit for bit.  On an
+axis of n cells that 2^J divides every level-J node is a lattice node,
+so eval_W_grid reads that axis straight off the prefix and interpolates
+only the others: 2^(axes not aligned) corners, not 2^d.  The corners it
+drops have weight 0.0 and would add only signed zeros, which change no
+sum that starts from a zeroed total, so its values are those of the
+full 2^d-corner sum bit for bit.
 
 The remaining helpers have no caller in the package and stay for these
 reasons: grid_value reads S_k / sqrt(|n|) exactly, which the exact
@@ -106,20 +112,29 @@ def eval_W_batch(p: PartialSumProcess, points) -> np.ndarray:
         raise InvalidInputError("points must have shape (m, %d)" % p.d)
     if np.any(pts < 0.0) or np.any(pts > 1.0):
         raise InvalidRangeError("points outside [0, 1]^%d" % p.d)
-    first, second = zip(*(_cell(pts[:, q], n) for q, n in enumerate(p.shape)))
-    return _corner_sum(p.padded[None], first, second)[0] / p.sqrt_vol
+    corners = [_cell(pts[:, q], n) for q, n in enumerate(p.shape)]
+    return _corner_sum(p.padded[None], corners)[0] / p.sqrt_vol
 
 
 def eval_W_grid(padded: np.ndarray, J: int) -> np.ndarray:
     """W of each replica in a block of padded prefix arrays (replica axis
-    first) on the level-J dyadic grid, shape (count, 2^J + 1, ...): each
-    axis's nodes, shaped along that axis as np.ix_ would, go through the
-    cell location and corner sum of eval_W_batch."""
+    first) on the level-J dyadic grid, shape (count, 2^J + 1, ...).  On
+    an axis of n cells that 2^J divides, node k / 2^J is lattice node
+    k n / 2^J, read straight off the prefix; every other axis's nodes go
+    through the cell location of eval_W_batch.  Each axis is shaped as
+    np.ix_ would shape it, and all go through the one corner sum, over
+    2^(axes not aligned) corners.  The grid is a new array, scaled in
+    place; padded is left as it was."""
     dims = padded.shape[1:]
-    t = np.arange((1 << J) + 1, dtype=np.float64) / (1 << J)
-    first, second = zip(*(_cell(t.reshape((-1,) + (1,) * (len(dims) - 1 - q)), m - 1)
-                          for q, m in enumerate(dims)))
-    total = _corner_sum(padded, first, second)
+    nodes = np.arange((1 << J) + 1)
+    corners = []
+    for q, m in enumerate(dims):
+        along = (-1,) + (1,) * (len(dims) - 1 - q)
+        if (m - 1) % (1 << J):
+            corners.append(_cell((nodes / (1 << J)).reshape(along), m - 1))
+        else:
+            corners.append(((nodes.reshape(along) * ((m - 1) >> J), 1.0),))
+    total = _corner_sum(padded, corners)
     total /= math.sqrt(volume(m - 1 for m in dims))
     return total
 

@@ -15,7 +15,9 @@ for at most 2e-5 of seed choices.
 The same exact laws also pin two things without sampling: the KS
 distance of the binomial total to its normal limit, against the
 allowance of the fdd check, and the domination of the walk's maximum
-tail by the bounded-increment bound at d = 1.
+tail by the bounded-increment bound at d = 1.  And they give the exact
+coverage of a Wilson interval at a known p, against which the share of
+replica groups whose interval covers p is checked.
 """
 
 import math
@@ -29,6 +31,7 @@ from scipy.stats import binom
 from orthofield import bounded_rhs, iid_rademacher, product_rademacher, recurse_constants
 from orthofield.generators import replica_stats
 from orthofield.harness import _KS_ALLOWANCE
+from orthofield.stats import wilson_interval
 
 _ALPHA = 1e-6
 _REPLICAS = 20000
@@ -157,3 +160,28 @@ def test_bounded_rhs_dominates_the_exact_walk_tail_at_d1():
         assert bv.value >= exact, (v, bv.value, exact)
     assert informative == 65 - 39  # x = 40/8 = 5.0 up to 65/8
     assert bounded_rhs(4.89, 1.0, consts).vacuous and not bounded_rhs(4.9, 1.0, consts).vacuous
+
+
+def test_wilson_intervals_cover_the_exact_p_at_their_exact_rate():
+    # On a 4x6 product Rademacher field p = P{max_k |S_k| > 6} = 37/128
+    # exactly.  A group of R replicas gives k ~ Bin(R, p) hits, and its
+    # Wilson interval covers p with the exact probability
+    # sum_k Bin(k; R, p) 1{p in wilson_interval(k, R)}, pinned here: near,
+    # not at, the nominal 95 percent, as the coverage of an interval for a
+    # discrete law oscillates with p and R.  The number of S independent
+    # groups that cover p is then Bin(S, coverage), checked two-sided at
+    # level 1e-6.  A 90 percent interval (z = 1.64) moves the coverage to
+    # 0.88, and a generator whose p is off moves the count.
+    shape, v, groups, size = (4, 6), 6, 2000, 50
+    peaks = [_marginal(_walk_law(n), lambda x: x[1]) for n in shape]
+    p = sum(q for m, q in _product_law(peaks).items() if m > v)
+    assert p == pytest.approx(37 / 128, abs=1e-15)
+    intervals = [wilson_interval(k, size) for k in range(size + 1)]
+    covers = np.array([lo <= p <= hi for lo, hi in intervals])
+    coverage = float(binom.pmf(np.arange(size + 1), size, p)[covers].sum())
+    assert coverage == pytest.approx(0.9404770, abs=1e-7)
+    values, = replica_stats(product_rademacher(2), shape, 31, 0, groups * size, ("max",))
+    hits = np.count_nonzero(values.reshape(groups, size) > v, axis=1)
+    covered = int(covers[hits].sum())
+    assert binom.cdf(covered, groups, coverage) > _ALPHA / 2, (covered, groups * coverage)
+    assert binom.sf(covered - 1, groups, coverage) > _ALPHA / 2, (covered, groups * coverage)

@@ -6,7 +6,6 @@ map or block reduction moves them."""
 
 import hashlib
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,18 +95,9 @@ _BLOCK = _block_size(4096, "lattice")
 _BLOCK_BYTES = _BLOCK * 4096 * 8
 
 
-def _peak(run) -> int:
-    tracemalloc.start()
-    try:
-        run()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("shape", [(64, 64), (4096, 1), (1, 4096)], ids=lambda s: "%dx%d" % s)
 @pytest.mark.parametrize("name", sorted(_MAKERS))
-def test_a_block_holds_at_most_three_block_arrays(name, shape):
+def test_a_block_holds_at_most_three_block_arrays(name, shape, peak_bytes):
     # one block of 4096-cell replicas: one block array, or twice that
     # where a moving average extends an axis of extent 1, and the
     # extended axis of 64x64 adds a sixty-fourth.  With a last axis of
@@ -120,24 +110,24 @@ def test_a_block_holds_at_most_three_block_arrays(name, shape):
     block = _BLOCK_BYTES * (2 if axis and shape[axis - 1] == 1 else 1)
     for stats in (None, ("total",), ("max", "total", "slab")):
         if stats is None:
-            peak = _peak(lambda: generate_batch(spec, shape, 5, 0, _BLOCK))
+            peak = peak_bytes(lambda: generate_batch(spec, shape, 5, 0, _BLOCK))
         else:
-            peak = _peak(lambda: replica_stats(spec, shape, 5, 0, _BLOCK, stats))
+            peak = peak_bytes(lambda: replica_stats(spec, shape, 5, 0, _BLOCK, stats))
         assert peak <= 3 * block + _BLOCK_BYTES // 8, (stats, peak / block)
 
 
 @pytest.mark.parametrize("shape", [(64, 64), (1, 4096)], ids=lambda s: "%dx%d" % s)
 @pytest.mark.parametrize("name", ["iid_gaussian", "iid_rademacher", "iid_weibull", "zero"])
-def test_a_lone_total_holds_two_block_arrays(name, shape):
+def test_a_lone_total_holds_two_block_arrays(name, shape, peak_bytes):
     # the fold's words and scratch, or the values and the last axis's
-    # running sum: batch_total copies no block when the first lattice
-    # axis has extent 1
-    peak = _peak(lambda: replica_stats(_MAKERS[name](2), shape, 3, 0, _BLOCK, ("total",)))
+    # running sum: batch_total drops a lattice axis of extent 1 rather
+    # than copy the block
+    peak = peak_bytes(lambda: replica_stats(_MAKERS[name](2), shape, 3, 0, _BLOCK, ("total",)))
     assert peak <= 2.1 * _BLOCK_BYTES, peak / _BLOCK_BYTES
 
 
-def test_a_direct_call_is_bounded_by_its_blocks():
+def test_a_direct_call_is_bounded_by_its_blocks(peak_bytes):
     # 2000 replicas run in blocks of _BLOCK, so the peak is that of one
     # block, not of one 2000-replica array (62 block arrays)
-    peak = _peak(lambda: replica_stats(iid_gaussian(2), (64, 64), 3, 0, 2000, ("max",)))
+    peak = peak_bytes(lambda: replica_stats(iid_gaussian(2), (64, 64), 3, 0, 2000, ("max",)))
     assert peak <= 3 * _BLOCK_BYTES, peak / _BLOCK_BYTES

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -174,7 +173,7 @@ def test_thread_count_does_not_change_payload(monkeypatch):
 
 
 @pytest.mark.parametrize("stat", ["deviation", "fdd"])
-def test_replica_blocks_do_not_retain_prefix_memory(stat):
+def test_replica_blocks_do_not_retain_prefix_memory(stat, peak_bytes):
     # per-replica results must not keep their block's 64x64 prefix alive,
     # so the peak may not grow with the replica count
     def run(replicas):
@@ -187,18 +186,11 @@ def test_replica_blocks_do_not_retain_prefix_memory(stat):
                                          replicas=replicas, seed=3))
 
     block_bytes = lattice._block_size(64 * 64, "lattice") * 64 * 64 * 8
-    peaks = []
-    for replicas in (256, 2048):
-        tracemalloc.start()
-        try:
-            run(replicas)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    peaks = [peak_bytes(lambda: run(replicas)) for replicas in (256, 2048)]
     assert peaks[1] <= peaks[0] + 2 * block_bytes, peaks
 
 
-def test_block_budget_bounds_memory_and_keeps_payloads(monkeypatch):
+def test_block_budget_bounds_memory_and_keeps_payloads(monkeypatch, peak_bytes):
     # Blocks of 2 MiB arrays, twice the default, under a budget of 2 MiB
     # for one replica: 16 of 128x128, 32 of 64x128 (the fdd box) and of
     # 16x16x32, 16 at tightness level 0, 3 of the 257^2-node level-8 grid
@@ -233,14 +225,59 @@ def test_block_budget_bounds_memory_and_keeps_payloads(monkeypatch):
     monkeypatch.setattr(lattice, "_BLOCK_CELLS", budget // 8)
     monkeypatch.setattr(lattice, "_BLOCK_BYTES", budget)
     for base, want in zip(cases, wants):
-        tracemalloc.start()
-        try:
-            got = run_experiment(ExperimentConfig(**base)).canonical_json()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert got == want, base["experiment"]
+        got = []
+        peak = peak_bytes(lambda: got.append(run_experiment(ExperimentConfig(**base))))
+        assert got[0].canonical_json() == want, base["experiment"]
         assert peak <= 3 * budget + budget // 16, (base["experiment"], peak)
+
+
+_MODULUS = {"c": math.exp(6.0), "L": {"kind": "iter_log"}}
+# Every Monte Carlo experiment, with the cells per replica of its block
+# arrays as README's Memory section counts them: the lattice, the sum of
+# the axis extents for a product field, the fdd box [1, k], the level
+# lattice of tightness (one level, as j_from = m_q), the padded sheet,
+# and for holder-norm the larger of the padded lattice and the level
+# grid.  Its bound in block arrays: README's three, and for holder-norm
+# 2.25 where every axis is aligned and the grid is read off the prefix,
+# and 2.58 on 24x40, whose grid is interpolated along both axes.
+_BLOCK_CASES = {
+    "deviation": (dict(experiment="deviation", generator=iid_gaussian(2), shape=(64, 64),
+                       x_grid=(0.5, 1.0)), 64 * 64, 3),
+    "verify-bound": (dict(experiment="verify-bound", generator=product_rademacher(2),
+                          shape=(64, 64), x_grid=(48.0, 96.0),
+                          bound={"kind": "bounded", "K": 1.0}), 64 + 64, 3),
+    "induction-check": (dict(experiment="induction-check", generator=iid_weibull(3, 1.0),
+                             shape=(16, 16, 16), x_grid=(0.5, 1.0)), 16**3, 3),
+    "tightness": (dict(experiment="tightness", generator=iid_gaussian(2), exponents=(6, 6),
+                       eps=0.3, axis_q=1, j_from=6, modulus=_MODULUS), 64, 3),
+    "fdd": (dict(experiment="fdd", generator=iid_rademacher(2), shape=(64, 64),
+                 t_point=(0.5, 1.0)), 32 * 64, 3),
+    "sheet-cov": (dict(experiment="sheet-cov", shape=(63, 63), pairs=10), 64 * 64, 3),
+    "holder-norm-8x8": (dict(experiment="holder-norm", generator=iid_gaussian(2),
+                             shapes=((8, 8),), modulus=_MODULUS), 9 * 9, 2.25),
+    "holder-norm-32x32": (dict(experiment="holder-norm", generator=iid_gaussian(2),
+                               shapes=((32, 32),), modulus=_MODULUS), 33 * 33, 2.25),
+    "holder-norm-24x40": (dict(experiment="holder-norm", generator=iid_gaussian(2),
+                               shapes=((24, 40),), modulus=_MODULUS), 65 * 65, 2.58),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BLOCK_CASES))
+def test_every_experiment_block_holds_at_most_three_block_arrays(name, peak_bytes):
+    # one block of replicas, so per-replica results are small beside it
+    base, cells, bound = _BLOCK_CASES[name]
+    config = ExperimentConfig(replicas=lattice._block_size(cells, "lattice"), seed=3, **base)
+    run_experiment(config)  # the first run fills caches, such as the constants table
+    arrays = peak_bytes(lambda: run_experiment(config)) / (8 * cells * config.replicas)
+    assert arrays <= bound, arrays
+
+
+@pytest.mark.parametrize("threads", [0, -3, 2.5, True, "2"])
+def test_block_driver_rejects_a_thread_count_that_is_not_a_count(threads):
+    for call in (lambda: replica_stats(iid_gaussian(2), (4, 4), 1, 0, 5, ("max",), threads),
+                 lambda: brownian_sheet_sim((4, 4), 1, 3, threads=threads)):
+        with pytest.raises(InvalidInputError, match="threads must be an integer >= 1"):
+            call()
 
 
 def test_verify_bound_vacuous_grid_passes():

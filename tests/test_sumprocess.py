@@ -16,7 +16,8 @@ from orthofield import (
     validate_shape,
     volume,
 )
-from orthofield.sumprocess import _validate_point
+from orthofield.lattice import batch_prefix, padded_prefix
+from orthofield.sumprocess import _validate_point, eval_W_grid
 
 
 def overlap_volume(site, shape, t) -> float:
@@ -109,6 +110,31 @@ def test_grid_identity():
             want = grid_value(p, k)
             got = eval_W(p, t)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (4, 12), (24, 40), (3, 5), (16,), (2, 4, 6)],
+                         ids=lambda s: "x".join(map(str, s)))
+def test_eval_W_grid_reads_aligned_axes_off_the_prefix(shape):
+    # An axis whose cells 2^J divides is read straight off the prefix and
+    # drops out of the corner sum; the values, signed zeros included, must
+    # stay those of eval_W_batch's 2^d corners at every node, and the
+    # caller's padded arrays must not change.  A replica of zeros times
+    # -1 puts a -0.0 under every weight of 0.0.
+    rng = np.random.default_rng(5)
+    fields = np.stack([rng.standard_normal(shape), -np.zeros(shape), np.zeros(shape)])
+    fields[2].flat[0] = -1.0
+    padded = padded_prefix(batch_prefix(fields.copy()), lead=1)
+    before = padded.tobytes()
+    for J in range(4):
+        grid = eval_W_grid(padded, J)
+        axes = [np.arange((1 << J) + 1) / (1 << J)] * len(shape)
+        nodes = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+        for field, got in zip(fields, grid):
+            want = eval_W_batch(from_field(field), nodes).reshape(got.shape)
+            assert got.tobytes() == want.tobytes(), (J, field.flat[0])
+        if all(n == 1 << J for n in shape):  # the padded prefix itself, -0.0 made +0.0
+            assert grid.tobytes() == ((padded + 0.0) / math.sqrt(volume(shape))).tobytes()
+    assert padded.tobytes() == before
 
 
 def test_multiaffine_midpoint_interpolation():
