@@ -304,10 +304,10 @@ def _level_x(q: float, s, rising: bool):
     """
     a = (np.log(np.asarray(s, dtype=np.float64)) - math.log(_shape_fn_min(q))) / q
     p2 = np.maximum(-2.0 * np.expm1(-a), 0.0)
-    p = -np.sqrt(p2) if rising else np.sqrt(p2)
-    series = p - p * p / 3.0 + 11.0 * p**3 / 72.0 - 43.0 * p**4 / 540.0
-    w_plus_1 = lambertw(-np.exp(-a - 1.0), -1 if rising else 0).real + 1.0
-    w_plus_1 = np.where(p2 < 1e-5, series, w_plus_1)
+    near = p2 < 1e-5
+    w_plus_1 = np.asarray(lambertw(-np.exp(-a - 1.0), -1 if rising else 0).real + 1.0)
+    p = -np.sqrt(p2[near]) if rising else np.sqrt(p2[near])
+    w_plus_1[near] = p - p * p / 3.0 + 11.0 * p**3 / 72.0 - 43.0 * p**4 / 540.0
     # x = -q W - 1/2, written around the minimizer x* = q - 1/2
     x = q - 0.5 - q * w_plus_1
     return x if x.ndim else float(x)

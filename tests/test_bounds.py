@@ -276,6 +276,21 @@ def test_constants_grid_sup_stabilized():
         assert drift <= 0.01
 
 
+def test_constants_d2_bits_are_pinned():
+    # every verify-bound payload at d = 2 embeds this table, so a change
+    # to the level sets or the I(t) rule that moves a bit here moves them
+    h = float.fromhex
+    assert recurse_constants(2).to_dict() == {
+        "d": 2,
+        "A": h("0x1.fa7157c470f82p+12"),
+        "B": h("0x1.03af8737e8f9dp+9"),
+        "C": h("0x1.0000000000000p-4"),
+        "p": 4,
+        "K_levels": [[2, h("0x1.60f30bf690c4ep+4"), h("0x1.78b56362cef37p+0"),
+                      h("0x1.68c0c59ab1564p+1"), 0.0]],
+    }
+
+
 def test_constants_cached_and_range_checked():
     assert recurse_constants(3) is recurse_constants(3)
     with pytest.raises(InvalidRangeError):
