@@ -22,12 +22,15 @@ produces I(t) also reaches a sliver t < 1 because min_u f_{d/2}(u) < 1;
 its Jacobian factor 1/(f f)^2 is majorized there by M = (min f f)^(-2),
 which is the extra factor carried into B.  The only numeric step in
 I(t) is the outer integral over v: the section boundaries are level
-sets of f_q, solved exactly with the Lambert W function, so the inner
-integral over u is exact.  The outer integral is a fixed Gauss-Legendre
-rule in y = ln v, evaluated for a whole array of t at once, on two
-panels split where the u-section leaves u = 1; on the second panel,
-where the inner mass vanishes like a square root at the end y_max,
-y = y_max - (y_max - y_kink) w^2 makes the integrand smooth in w.  M
+sets of f_q, whose roots are closed forms in the two real branches of
+the Lambert W function, evaluated to rounding in real arithmetic (a
+branch-point series, or a fixed number of Halley steps; _level_v), so
+the inner integral over u is exact.  The outer integral is a fixed
+Gauss-Legendre rule in y = ln v, evaluated for a whole array of t at
+once, on two panels split where the u-section leaves u = 1; on the
+second panel, where the inner mass vanishes like a square root at the
+end y_max, y = y_max - (y_max - y_kink) w^2 makes the integrand smooth
+in w.  M
 is closed form too, since min f_q = e^(q - 1/2) (2q)^(-q).
 All realized (K, M) pairs are recorded per level so reports can
 reproduce the trace.
@@ -65,7 +68,7 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, lambertw
+from scipy.special import erfc
 
 from .errors import (
     InsufficientDataError,
@@ -291,26 +294,111 @@ def _poly_exp_integral(deg: int, x_lo, x_hi):
     return out if out.ndim else float(out)
 
 
+# W + 1 next to the branch point z = -1/e of the Lambert W function is
+# p - p^2/3 + 11 p^3/72 - ... in p = -+sqrt(2 (1 + e z)) (Corless et al.,
+# "On the Lambert W function", Adv. Comput. Math. 5, 1996); these are its
+# coefficients of p^6 down to p.  Where p^2 < _BRANCH_P2, the first term
+# left out, 0.0153 p^7, is below 3e-19.
+_BRANCH_SERIES = (-221.0 / 8505.0, 769.0 / 17280.0, -43.0 / 540.0, 11.0 / 72.0,
+                  -1.0 / 3.0, 1.0)
+_BRANCH_P2 = 1e-5
+# from the starts of _level_v two steps leave at most 3e-10 relative error,
+# which the third cubes away
+_HALLEY_STEPS = 3
+
+
+def _level_v(a, rising: bool):
+    """v >= 0 (rising) or -1 < v <= 0 (falling) with v - log1p(v) = a,
+    for a >= 0 (an a below 0 gives v = 0); accepts arrays.
+
+    v = -(W + 1), with W_{-1} (rising) or W_0 (falling) at z = -exp(-a - 1),
+    where both branches are real.  Where p^2 = 2 (1 + e z) < _BRANCH_P2
+    the branch-point series gives v to rounding.  Elsewhere v takes
+    _HALLEY_STEPS Halley steps in real arithmetic, which these two real
+    branches allow (as in Fritsch, Shafer and Crowley, CACM 16, 1973,
+    Algorithm 443), started from that series for a < 1 and from the
+    large-a asymptote beyond.  The rising root iterates on v, from
+    v = a + log1p(a).  The falling root iterates on y = -log1p(v), which
+    solves y + expm1(-y) = a, from y = 1 + a; v = expm1(-y) keeps its
+    precision as v -> -1, where log1p(v) loses it."""
+    a = np.asarray(a, dtype=np.float64)
+    shape = a.shape
+    a = a.reshape(-1)
+    p = np.expm1(-a)
+    p *= -2.0
+    np.maximum(p, 0.0, out=p)  # p^2
+    far = p >= _BRANCH_P2
+    np.sqrt(p, out=p)
+    if rising:
+        np.negative(p, out=p)
+    # v = -(W + 1) from the series, by Horner's rule
+    v = np.full_like(p, -_BRANCH_SERIES[0])
+    for c in _BRANCH_SERIES[1:]:
+        v *= p
+        v -= c
+    v *= p
+    del p
+    # the Halley steps, on the entries off the series' mask only, each
+    # written as z -= f f' / (f'^2 - f f'' / 2) with its temporaries in place
+    a, w = a[far], v[far]
+    if rising:
+        # f(w) = w - log1p(w) - a, f' = w / (1 + w), f'' = 1 / (1 + w)^2,
+        # so z -= f (w + w^2) / (w^2 - f / 2)
+        asymptote = np.log1p(a)
+        asymptote += a
+        np.copyto(w, asymptote, where=a >= 1.0)
+        del asymptote
+        for _ in range(_HALLEY_STEPS):
+            f = np.log1p(w)
+            np.subtract(w, f, out=f)
+            f -= a
+            den = w * w
+            num = den + w
+            num *= f
+            f *= -0.5
+            den += f
+            num /= den
+            w -= num
+    else:
+        # f(y) = y + expm1(-y) - a with e = expm1(-y): f' = -e and
+        # f'' = 1 + e, so y += f e / (e^2 - f (1 + e) / 2)
+        y = np.log1p(w, out=w)
+        np.negative(y, out=y)
+        np.copyto(y, 1.0 + a, where=a >= 1.0)
+        for _ in range(_HALLEY_STEPS):
+            e = np.negative(y)
+            np.expm1(e, out=e)
+            f = y + e
+            f -= a
+            num = f * e
+            f += num
+            f *= -0.5
+            e *= e
+            e += f
+            num /= e
+            y += num
+        np.negative(y, out=y)
+        w = np.expm1(y, out=y)
+    v[far] = w
+    v = v.reshape(shape)
+    return v if v.ndim else float(v)
+
+
 def _level_x(q: float, s, rising: bool):
     """x = ln t with f_q(e^x) = s, for q >= 1/2 and s >= min f_q; accepts arrays.
 
-    With 1 + 2x = -2q W the level set becomes W e^W = z, z = -exp(-a - 1),
-    a = (ln s - ln min f_q) / q; the branch W_{-1} gives the rising root
-    and W_0 the falling one (Corless et al., "On the Lambert W function",
-    1996).  scipy's lambertw loses accuracy and returns NaN next to the
-    branch point z = -1/e, so there W comes from its branch-point series
-    in p = -+sqrt(2 (1 + e z)).  An s below min f_q by rounding only is
-    treated as the minimum.
+    Written around the minimizer x* = q - 1/2 as x = x* + q v, the level
+    set is v - log1p(v) = a with a = (ln s - ln min f_q) / q, solved by
+    _level_v; the rising root has v >= 0 and the falling one v <= 0.  An
+    s below min f_q by rounding only is treated as the minimum.
     """
-    a = (np.log(np.asarray(s, dtype=np.float64)) - math.log(_shape_fn_min(q))) / q
-    p2 = np.maximum(-2.0 * np.expm1(-a), 0.0)
-    near = p2 < 1e-5
-    w_plus_1 = np.asarray(lambertw(-np.exp(-a - 1.0), -1 if rising else 0).real + 1.0)
-    p = -np.sqrt(p2[near]) if rising else np.sqrt(p2[near])
-    w_plus_1[near] = p - p * p / 3.0 + 11.0 * p**3 / 72.0 - 43.0 * p**4 / 540.0
-    # x = -q W - 1/2, written around the minimizer x* = q - 1/2
-    x = q - 0.5 - q * w_plus_1
-    return x if x.ndim else float(x)
+    a = np.log(np.asarray(s, dtype=np.float64))
+    a -= math.log(_shape_fn_min(q))
+    a /= q
+    x = _level_v(a, rising)
+    x *= q
+    x += q - 0.5
+    return x
 
 
 _GL_NODES = 64

@@ -198,20 +198,32 @@ def _weibull_values(u: np.ndarray, gamma: float) -> np.ndarray:
 
 
 def spec_variance(spec: GeneratorSpec) -> float:
-    """Site variance of the field (product variants multiply across axes)."""
+    """Site variance of the field (product variants multiply across axes),
+    a positive float.  InvalidRangeError names the parameter when the
+    variance is 0 (the zero field) or not a positive float (a Gaussian
+    sigma whose square under- or overflows, or a Weibull gamma below
+    about 0.0117, where Gamma(1 + 2/gamma) overflows)."""
     dist = spec.param("dist")
     if spec.variant == "zero":
-        return 0.0
+        raise InvalidRangeError("generator variant 'zero' has site variance 0: "
+                                "its normal limit is degenerate")
     if spec.variant == "product_rademacher":
         return 1.0
-    var = _dist_variance(dist, spec)
-    if spec.variant == "iid_symmetric":
-        return var
-    if spec.variant == "decoupled_product":
-        return var**spec.d
-    if spec.variant == "moving_average":
-        return 2.0 * var
-    raise InvalidInputError("unknown variant %r" % spec.variant)
+    if spec.variant not in ("iid_symmetric", "decoupled_product", "moving_average"):
+        raise InvalidInputError("unknown variant %r" % spec.variant)
+    try:
+        var = _dist_variance(dist, spec)
+        if spec.variant == "decoupled_product":
+            var = var**spec.d
+        elif spec.variant == "moving_average":
+            var = 2.0 * var
+    except OverflowError:
+        var = math.inf
+    if not 0.0 < var < math.inf:
+        name = "sigma" if dist == "gaussian" else "gamma"
+        raise InvalidRangeError("%s %s %r gives a site variance of %r, not a positive float"
+                                % (dist, name, spec.param(name), var))
+    return var
 
 
 def _dist_variance(dist: str, spec: GeneratorSpec) -> float:

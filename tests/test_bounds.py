@@ -1,4 +1,6 @@
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from orthofield import (
     weibull_envelope,
 )
 from orthofield import bounds
-from orthofield.bounds import _level_x, _shape_fn_min
+from orthofield.bounds import _level_v, _level_x, _shape_fn_min
 
 E9 = math.exp(9.0)
 
@@ -147,6 +149,84 @@ def test_level_x_closed_form_matches_bisection(q):
                 # next to the minimum the root is conditioned like
                 # sqrt(s - f_min); the bisection is no better
                 assert abs(x - want) <= 1e-7, (s, rising)
+
+
+# (a, rising root, falling root) of v - log1p(v) = a, to 30 digits:
+# mpmath 1.3 findroot at 90 digits, each residual below 1e-80; pinned
+# here because mpmath is not a dependency.  The a are decimal literals
+# read as floats, and the roots are those of the float values.  Next to
+# a = 5.0000125e-6 (p^2 = 2 (1 - e^-a) = 1e-5) _level_v switches from the
+# branch-point series to Halley steps.
+LEVEL_V_REFS = [
+    ("1e-06", "1.41488030759236831039108909704e-3", "-1.41354697428866460580709792194e-3"),
+    ("2e-06", "2.00133355549630366215068984002e-3", "-1.99866688894815550659822557185e-3"),
+    ("3e-06", "2.45149015089815568490500237069e-3", "-2.44749015116482232607349419258e-3"),
+    ("4e-06", "2.83109441971522265051242019376e-3", "-2.82576108685596333129458173984e-3"),
+    ("4.5e-06", "3.0030007497000563308786439846e-3", "-2.99700075030005624501228887044e-3"),
+    ("4.9e-06", "3.13376268700108950878676862256e-3", "-3.12722935437916347263419556813e-3"),
+    ("4.99e-06", "3.16244134186065975483776140982e-3", "-3.15578800926510704582759880797e-3"),
+    ("4.999e-06", "3.16529496103286167702895721705e-3", "-3.15862962843997270038174413617e-3"),
+    ("4.9999e-06", "3.16558018191415558685795056771e-3", "-3.15891364932153324710809371387e-3"),
+    ("5.0000125e-06", "3.16561583272310678967097076459e-3", "-3.15894915013051778375531459113e-3"),
+    ("5.00002e-06", "3.16561820942947338179075287545e-3", "-3.15895151683688659740445872663e-3"),
+    ("5.0001e-06", "3.16564356085337032597323900252e-3", "-3.15897676159414057934651950937e-3"),
+    ("5.001e-06", "3.16592875042814106435235935235e-3", "-3.15926075116917801328963481636e-3"),
+    ("5.01e-06", "3.16877923894411290703743288387e-3", "-3.16209923968781945500153088046e-3"),
+    ("5.1e-06", "3.19714478904310675651895981896e-3", "-3.1903447898137732980127693931e-3"),
+    ("5.5e-06", "3.32029246998714168513128967003e-3", "-3.31295913755010449178860543528e-3"),
+    ("6e-06", "3.46810276930507524844295528085e-3", "-3.46010277037174171173214212634e-3"),
+    ("8e-06", "4.00533511016320014963622117003e-3", "-3.9946684453928292981488359267e-3"),
+    ("1e-05", "4.47880510470515431729395478035e-3", "-4.46547177433478300520814695975e-3"),
+    ("3e-05", "7.7659795890324555217016303725e-3", "-7.72597961569909679040255009574e-3"),
+    ("0.0001", "1.42088807098010143177221979877e-2", "-1.40755476727630366354558451081e-2"),
+    ("0.0003", "2.4695304344842715809571419125e-2", "-2.42953070114839844160697733053e-2"),
+    ("0.001", "4.53904959636925658651059814933e-2", "-4.40571922590480822121432920605e-2"),
+    ("0.003", "7.9472444193077066086967094939e-2", "-7.54727108343342117456651698966e-2"),
+    ("0.01", "1.48165122379394737483465923436e-1", "-1.34834751066834687201172833902e-1"),
+    ("0.03", "2.65344104769489540239101693121e-1", "-2.25370745912636397911140385534e-1"),
+    ("0.1", "5.16221161425022151607238399949e-1", "-3.83183168208294843693673465553e-1"),
+    ("0.3", "9.862468559702338762632660132e-1", "-5.88886886135423655581675791348e-1"),
+    ("0.5", "1.35767667394589905840458687704", "-6.98290437315663988465076766686e-1"),
+    ("0.9", "1.99791807163282326403785147653", "-8.21137407479876780390947497072e-1"),
+    ("0.99", "2.13151781049573105879817035335", "-8.39507391704167328206012430885e-1"),
+    ("1.0", "2.14619322062058258523706102852", "-8.41405660436960637846604658012e-1"),
+    ("1.01", "2.1608368039047402899452923172", "-8.43277304215696939316561623575e-1"),
+    ("1.1", "2.29127503978610461632787802093", "-8.59000756932256907067340302995e-1"),
+    ("1.5", "2.84739675103134039629578594096", "-9.10202929776183768551794862985e-1"),
+    ("2.0", "3.50524149579288336699862443214", "-9.47530902542285127590126388714e-1"),
+    ("3.0", "4.74903138601270155099097984403", "-9.8133937091131665754166472115e-1"),
+    ("5.0", "7.09071740515548459615806517541", "-9.97515080664850547007503921475e-1"),
+    ("10.0", "1.2610868638149875938404438134e+1", "-9.99983298020255956517073599963e-1"),
+    ("20.0", "2.31857642040408054818753088686e+1", "-9.99999999241743956633857100123e-1"),
+    ("50.0", "5.40074689755683338287294799537e+1", "-9.99999999999999999999929045258e-1"),
+    ("100.0", "1.04660228554849957033966849862e+2", "-1.0"),
+]
+
+
+def x_ref(q, v):
+    """x = q - 1/2 + q v, as _level_x assembles it, in 40-digit decimals."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        return Decimal(q) - Decimal("0.5") + Decimal(q) * Decimal(v)
+
+
+@pytest.mark.parametrize("q,rising", [(0.5, True)] + [(q, r) for q in (1.0, 1.5, 2.0, 2.5, 3.0)
+                                                      for r in (True, False)])
+def test_level_v_matches_pinned_roots(q, rising):
+    a = np.array([float(row[0]) for row in LEVEL_V_REFS])
+    want = [x_ref(q, row[1] if rising else row[2]) for row in LEVEL_V_REFS]
+    v_array = _level_v(a.reshape(6, 7), rising)
+    assert v_array.shape == (6, 7)
+    v_scalar = [_level_v(ai, rising) for ai in a.tolist()]
+    assert all(type(v) is float for v in v_scalar)
+    for got in (v_array.ravel().tolist(), v_scalar):
+        for ai, v, x in zip(a.tolist(), got, want):
+            # relative in x, and where |x| < 1 relative in t = e^x, which
+            # is how the quadrature uses the root: x = v / 2 at q = 1/2,
+            # and the falling root's x crosses 0, so neither can be
+            # relative in x there
+            err = abs(Decimal(q - 0.5 + q * v) - x)
+            assert err <= Decimal(1e-14) * max(1, abs(x)), (ai, v, x, err)
 
 
 # -------------------------------------------------------- planar integral

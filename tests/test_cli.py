@@ -70,6 +70,8 @@ def _gen(dist="rademacher", variant="iid_symmetric", **params):
 
 
 MODULUS = {"c": math.exp(4.0), "L": {"kind": "iter_log"}}
+FDD = {"experiment": "fdd", "generator": _gen(), "shape": [8, 8], "t_point": [0.5, 1.0],
+       "replicas": 64, "seed": 1}
 TIGHTNESS = {"experiment": "tightness", "generator": _gen("gaussian"), "exponents": [3, 3],
              "eps": 1.0, "axis_q": 1, "j_from": 1, "replicas": 8, "modulus": MODULUS}
 LEMMA = {"experiment": "lemma-checks", "svarying": {"kind": "log_power", "beta": 2.0},
@@ -158,6 +160,13 @@ EXPONENT_FIT = {"experiment": "exponent-fit", "d": 1, "replicas": 2000}
                               tail={"kind": "bounded", "K": 1.0})),
         ("lemma-checks", dict(LEMMA, svarying={"kind": "const", "c0": 1e-300},
                               tail={"kind": "unit"}, k_max=1022)),
+        # a site variance that is 0 or not a float: no normal limit to test
+        ("fdd", dict(FDD, generator={"variant": "zero", "d": 2})),
+        ("fdd", dict(FDD, generator=_gen("gaussian", sigma=1e-200))),
+        ("fdd", dict(FDD, generator=dict(_gen("gaussian", sigma=1e300), d=1), shape=[4096],
+                     t_point=[0.5])),
+        ("fdd", dict(FDD, generator=_gen("weibull_symmetric", gamma=0.01))),
+        ("fdd", dict(FDD, generator=_gen("weibull_symmetric", "moving_average", gamma=0.005))),
     ],
     ids=["top-level-list", "replicas-string", "shape-int", "x-grid-string",
          "two-term-without-y", "weibull-tail-without-gamma",
@@ -176,7 +185,8 @@ EXPONENT_FIT = {"experiment": "exponent-fit", "d": 1, "replicas": 2000}
          "exponent-fit-d-17", "exponent-fit-replicas-1e11", "exponent-fit-grid-points-4e9",
          "replicas-over-budget", "sheet-cov-node-values-over-budget", "holder-j-max-41",
          "tightness-exponents-1e18", "lemma-log-power-beta-400",
-         "lemma-const-1e-300"],
+         "lemma-const-1e-300", "fdd-zero-field", "fdd-sigma-1e-200", "fdd-sigma-1e300",
+         "fdd-weibull-gamma-0.01", "fdd-moving-average-gamma-0.005"],
 )
 def test_malformed_config_is_one_line_exit_1(tmp_path, capsys, experiment, payload):
     cfg = write_config(tmp_path, "bad.json", payload)

@@ -210,7 +210,22 @@ def test_spec_variance_against_quadrature():
     assert spec_variance(decoupled_product(2, "gaussian", sigma=3.0)) == 81.0
     weibull = spec_variance(iid_weibull(1, 0.7))
     assert spec_variance(decoupled_product(3, "weibull_symmetric", gamma=0.7)) == weibull**3
-    assert spec_variance(zero_field(2)) == 0.0
+
+
+@pytest.mark.parametrize(
+    "spec,name",
+    [(zero_field(2), "zero"), (iid_gaussian(2, sigma=1e-200), "sigma"),
+     (iid_gaussian(1, sigma=1e300), "sigma"), (iid_weibull(2, 0.01), "gamma"),
+     (moving_average(2, dist="weibull_symmetric", gamma=0.005), "gamma"),
+     (decoupled_product(4, "gaussian", sigma=1e100), "sigma")],
+    ids=["zero", "sigma-square-underflows", "sigma-square-overflows", "gamma-0.01",
+         "moving-average-gamma-0.005", "product-of-four-overflows"],
+)
+def test_spec_variance_is_a_positive_float_or_names_its_parameter(spec, name):
+    # the zero field's variance is 0, and the others are not floats:
+    # none of them has a normal limit fdd could test against
+    with pytest.raises(InvalidRangeError, match=name):
+        spec_variance(spec)
 
 
 def test_spec_variance_matches_monte_carlo():
