@@ -222,9 +222,9 @@ def test_level_v_matches_pinned_roots(q, rising):
     for got in (v_array.ravel().tolist(), v_scalar):
         for ai, v, x in zip(a.tolist(), got, want):
             # relative in x, and where |x| < 1 relative in t = e^x, which
-            # is how the quadrature uses the root: x = v / 2 at q = 1/2,
-            # and the falling root's x crosses 0, so neither can be
-            # relative in x there
+            # is how the quadrature uses the root: at q = 1/2, x = v / 2
+            # goes to 0 at the branch point, and the falling root's x
+            # crosses 0, where no float solver is relative in x
             err = abs(Decimal(q - 0.5 + q * v) - x)
             assert err <= Decimal(1e-14) * max(1, abs(x)), (ai, v, x, err)
 
