@@ -29,22 +29,18 @@ from .errors import (
     InsufficientDataError,
     InvalidInputError,
     InvalidRangeError,
-    InvalidSiteError,
-    NoParentsError,
     NumericFailureError,
     OrthofieldError,
     TooLargeError,
 )
 from .generators import (
     GeneratorSpec,
-    OrthomartingaleResult,
     decoupled_product,
     generate_batch,
     iid_gaussian,
     iid_rademacher,
     iid_weibull,
     moving_average,
-    orthomartingale_check,
     product_rademacher,
     spec_from_json,
     spec_to_json,
@@ -55,7 +51,6 @@ from .generators import (
 from .harness import (
     ExperimentConfig,
     Report,
-    brownian_sheet_sim,
     config_from_dict,
     constants_experiment,
     exponent_fit_experiment,
@@ -70,46 +65,18 @@ from .harness import (
     verify_bound,
 )
 from .holder import (
-    DyadicSite,
     Modulus,
-    SeqNormResult,
     SlowlyVarying,
     const_factor,
-    dyadic_sites,
     full_grid_count,
     grid_seq_norms,
-    in_level_set,
     iter_log,
-    level_set_count,
     log_power,
     modulus,
     modulus_eval,
     modulus_from_dict,
-    pyramid_eval,
-    schauder_coeff,
-    seq_norm,
-    vpm,
 )
-from .lattice import (
-    dominated,
-    max_abs_prefix,
-    padded_prefix,
-    prefix_sum,
-    rect_sum,
-    validate_index,
-    validate_shape,
-    volume,
-)
+from .lattice import padded_prefix, validate_shape, volume
 from .stats import wilson_interval
-from .sumprocess import (
-    Lemma11Result,
-    PartialSumProcess,
-    delta_q,
-    eval_W,
-    eval_W_batch,
-    from_field,
-    grid_value,
-    lemma11_check,
-)
 
 __version__ = "0.1.0"

@@ -2,7 +2,9 @@
 
 Every error raised on purpose derives from OrthofieldError so callers
 (and the command line driver) can separate "the input was bad" from a
-genuine crash.
+genuine crash.  Each class here is raised by package code; the dyadic
+site errors of the single-field test oracle (tests/single_field.py)
+derive from OrthofieldError there.
 """
 
 import math
@@ -37,14 +39,6 @@ class InsufficientDataError(OrthofieldError, ValueError):
 
 class DegenerateModulusError(OrthofieldError, ValueError):
     """Modulus is not increasing on (0, 1] at the checked resolution."""
-
-
-class InvalidSiteError(OrthofieldError, ValueError):
-    """Dyadic site outside its level grid, or not in the level set."""
-
-
-class NoParentsError(OrthofieldError, ValueError):
-    """Corner sites of a level-0 grid have no parent pair."""
 
 
 def check_object(what: str, data, required=(), optional=None) -> dict:

@@ -37,10 +37,10 @@ float path's values bit for bit; Gaussian and Weibull decoupled products
 round differently, by a few 1e-15 x max |S| per replica.
 
 generate_batch is the one way to draw fields: a single replica is
-generate_batch(spec, shape, seed, r, 1)[0].  Kept without a caller in
-the package: orthomartingale_check, the Monte Carlo
-conditional-centering screen behind the field classes below, and
-zero_field, the all-zero control a config can name.
+generate_batch(spec, shape, seed, r, 1)[0].  zero_field, the all-zero
+control a config can name, has no caller in the package.  The Monte
+Carlo conditional-centering screen behind the field classes below is a
+test oracle (tests/single_field.py).
 
 Variants
 --------
@@ -50,7 +50,7 @@ product_rademacher  X_i = prod_q eps^(q)_{i_q} with +-1 axis streams
 decoupled_product   same product structure with a configurable base law
 moving_average      X_i = eps_i + eps_{i-e_axis}; deliberately fails the
                     one-sided conditional-centering battery on that axis
-                    (negative control for orthomartingale_check)
+                    (the screen's negative control)
 zero                degenerate all-zero field (testing hook)
 
 The weibull_symmetric law has survival P{|X| > s} = min(1, 2 exp(-s^gamma)),
@@ -411,101 +411,3 @@ def _block_stats(spec: GeneratorSpec, shape: tuple, seed: int, start: int, count
     if "slab" in stats:
         out["slab"] = absp[..., -1].reshape(count, -1).max(axis=1)
     return tuple(out[name] for name in stats)
-
-
-@dataclass(frozen=True)
-class MartingaleRow:
-    axis: int
-    site: tuple
-    test: str
-    mean: float
-    se: float
-    z: float
-
-
-@dataclass(frozen=True)
-class OrthomartingaleResult:
-    rows: tuple
-    passed: bool
-    replicas: int
-    z_threshold: float
-
-
-def _default_check_sites(shape):
-    corner = tuple(shape)
-    mid = tuple(max(2, (n + 1) // 2) for n in shape)
-    sites = [corner]
-    if mid != corner:
-        sites.append(mid)
-    return sites
-
-
-def orthomartingale_check(
-    spec: GeneratorSpec,
-    shape,
-    seed: int,
-    replicas: int = 2000,
-) -> OrthomartingaleResult:
-    """Monte Carlo battery for one-direction conditional centering, over
-    replicas [0, replicas) of the master seed `seed`.
-
-    For each axis q and site i (the far corner and a middle site),
-    estimates E[X_i g(past)] for g in {1, sign(past sum), clipped past
-    sum} where the past sum runs over the box [1, i - e_q].  Each mean
-    must sit within 4 standard errors of zero.  The battery cannot prove
-    the property; it is a screen with an analytic negative control
-    (moving_average fails on its own axis because E[X_i X_{i-e_axis}] =
-    Var(eps) > 0).
-    """
-    shape = validate_shape(shape)
-    if len(shape) != spec.d:
-        raise InvalidInputError("spec has d=%d but shape %r has d=%d"
-                                % (spec.d, shape, len(shape)))
-    if replicas < 1000:
-        raise InvalidInputError("need at least 1000 replicas for the 4-se screen")
-    d = spec.d
-    axes = range(1, d + 1)
-    sites = _default_check_sites(shape)
-    for s in sites:
-        for a in axes:
-            if s[a - 1] < 2:
-                raise InvalidInputError("site %r has empty past on axis %d" % (s, a))
-
-    tests = ("const", "sign", "clip")
-    keys = [(a, s, t) for a in axes for s in sites for t in tests]
-
-    def work(start, count):
-        fields = generate_batch(spec, shape, seed, start, count)
-        out = []
-        for a in axes:
-            for s in sites:
-                x_here = fields[(slice(None),) + tuple(c - 1 for c in s)]
-                past_box = [slice(0, c) for c in s]
-                past_box[a - 1] = slice(0, s[a - 1] - 1)
-                past = fields[(slice(None),) + tuple(past_box)].sum(
-                    axis=tuple(range(1, d + 1))
-                )
-                for t in tests:
-                    if t == "const":
-                        vals = x_here
-                    elif t == "sign":
-                        vals = x_here * np.sign(past)
-                    else:
-                        vals = x_here * np.clip(past, -1.0, 1.0)
-                    out.append((vals.sum(), (vals * vals).sum()))
-        return np.array(out)
-
-    blocks = range(0, replicas, _block_size(volume(shape), "lattice"))
-    totals = sum(_map_blocks(work, blocks, 1))
-
-    rows = []
-    passed = True
-    for (a, s, t), (total, sq_total) in zip(keys, totals.tolist()):
-        mean = total / replicas
-        var = max(0.0, sq_total / replicas - mean * mean)
-        se = math.sqrt(var / replicas)
-        z = 0.0 if se == 0.0 else mean / se
-        if abs(z) > 4.0:
-            passed = False
-        rows.append(MartingaleRow(a, s, t, mean, se, z))
-    return OrthomartingaleResult(tuple(rows), passed, replicas, 4.0)

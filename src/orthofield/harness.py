@@ -218,14 +218,6 @@ def _sheet_block(res, seed: int, start: int, count: int) -> np.ndarray:
     return padded_prefix(batch_prefix(generate_batch(spec, res, seed, start, count)), lead=1)
 
 
-def brownian_sheet_sim(resolution, seed: int, replicas: int = 1, threads: int = 1) -> np.ndarray:
-    """Sheets sampled at grid nodes k/res, one per replica (_sheet_block)."""
-    res = validate_shape(resolution)
-    work = functools.partial(_sheet_block, res, seed)
-    blocks = range(0, replicas, _block_size(volume(n + 1 for n in res), "padded lattice"))
-    return np.concatenate(_map_blocks(work, blocks, threads))
-
-
 def sheet_cov_check(config: ExperimentConfig) -> Report:
     """Empirical node covariance of simulated sheets against the product
     of coordinate minima; PASS when every sampled pair is within 3
@@ -488,6 +480,11 @@ _GENERATOR, _SHAPE, _X_GRID, _OBJECT = (
 # every experiment keeps at least one float64 per replica
 _COMMON = {"replicas": (_budgeted(_integer(1), "per-replica results"), 1),
            "seed": (_integer(0, 2**64 - 1), 0), "threads": (_integer(1), 1)}
+# fdd and sheet-cov gate on sampled spreads, which one replica cannot
+# give: fdd's KS threshold 1.36 / sqrt(R) + _KS_ALLOWANCE is below 1, the
+# largest KS distance, only from R = 2, and sheet-cov's standard errors
+# are all 0 at R = 1
+_SPREAD_REPLICAS = (_budgeted(_integer(2), "per-replica results"), _REQUIRED)
 _SCHEMA = {
     "deviation": (mc_deviation, {"generator": _GENERATOR, "shape": _SHAPE, "x_grid": _X_GRID}),
     "verify-bound": (verify_bound, {"generator": _GENERATOR, "shape": _SHAPE, "x_grid": _X_GRID,
@@ -499,8 +496,10 @@ _SCHEMA = {
         "eps": (_positive, _REQUIRED), "axis_q": (_integer(1), _REQUIRED),
         "j_from": (_integer(0), _REQUIRED), "modulus": _OBJECT}),
     "fdd": (fdd_compare, {"generator": _GENERATOR, "shape": _SHAPE,
-                          "t_point": (_list_of(check_number), _REQUIRED)}),
-    "sheet-cov": (sheet_cov_check, {"shape": _SHAPE, "pairs": (_integer(1), 10)}),
+                          "t_point": (_list_of(check_number), _REQUIRED),
+                          "replicas": _SPREAD_REPLICAS}),
+    "sheet-cov": (sheet_cov_check, {"shape": _SHAPE, "pairs": (_integer(1), 10),
+                                    "replicas": _SPREAD_REPLICAS}),
     "holder-norm": (holder_norm_of_Wn, {
         "generator": _GENERATOR, "shapes": (_list_of(_shape), _REQUIRED), "modulus": _OBJECT,
         "j_max": (_integer(0, holder._MODULUS_LEVELS), None)}),

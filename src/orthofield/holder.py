@@ -9,14 +9,10 @@ measured through the coefficient seminorm
 where V_j are the new dyadic nodes at level j, lambda_{0,v}(x) = x(v),
 and for j >= 1 lambda_{j,v}(x) = x(v) - (x(v-) + x(v+)) / 2 with v-+
 the two neighbors obtained by moving every odd coordinate of v one
-step down / up at resolution 2^-j.  The pyramid function
-
-    Lambda(t) = max(0, 1 - max_{t_i > 0} t_i - max_{t_i < 0} (-t_i))
-
-(empty maxima read as zero) reproduces itself under these coefficients:
-its own level yields exactly 1 at its center node and coarser levels
-yield exactly 0.  At finer levels in d = 1 the coefficients vanish by
-affineness; in d >= 2 they are measured, not asserted.
+step down / up at resolution 2^-j.  These are the coefficients of
+the expansion in pyramid functions Lambda(2^j (t - v)); the pyramid
+basis, the dyadic sites and the site-by-site seminorm of any evaluator
+are the test oracle of tests/single_field.py.
 
 The level sets are truncated at a caller-chosen J_max.  For the
 partial-sum process of an (n_1, ..., n_d) lattice the truncation is
@@ -24,19 +20,15 @@ exact once J_max covers log2(max n_q): beyond that resolution the
 process is multiaffine on every dyadic cell and new coefficients
 vanish in d = 1 / stay at rounding scale in the measured cases.
 
-seq_norm measures any vectorized evaluator x: (m, d) -> (m,) site by
-site; it is the definition, and the per-site objects it is built from
-(DyadicSite, dyadic_sites, level_set_count, vpm, pyramid_eval,
-schauder_coeff) are the terms the source paper states its results in,
-which the acceptance suite checks exactly.  grid_seq_norms is the same
-norm for the partial-sum process of a whole block of replicas: every
-level-j node and both its parents are nodes of the level-J_max dyadic
-grid, so W is evaluated once per grid node (sumprocess.eval_W_grid)
-and level j is the grid's every 2^(J_max - j)-th node, its coefficients
-slice arithmetic, each parity slice's in one buffer.  eval_W_grid and
-eval_W_batch share one corner-sum kernel, so the norms equal
-seq_norm's over eval_W_batch bit for bit.  A level grid is held to the
-block budget of the lattice layer (lattice._block_size) like a
+grid_seq_norms gives that norm for the partial-sum process of each
+replica in a block: every level-j node and both its parents are nodes
+of the level-J_max dyadic grid, so W is evaluated once per grid node
+(sumprocess.eval_W_grid) and level j is the grid's every
+2^(J_max - j)-th node, its coefficients slice arithmetic, each parity
+slice's in one buffer.  The tests check it bit for bit against the
+site-by-site seminorm, whose evaluator of W shares eval_W_grid's
+corner-sum kernel.  A level grid is held to
+the block budget of the lattice layer (lattice._block_size) like a
 lattice: the holder-norm experiment sizes its replica blocks by the
 larger of its padded lattice and its level-J_max grid, so
 grid_seq_norms evaluates the whole block it is given at once.  Those
@@ -55,9 +47,6 @@ from .errors import (
     DegenerateModulusError,
     InvalidInputError,
     InvalidRangeError,
-    InvalidSiteError,
-    NoParentsError,
-    TooLargeError,
     check_kind,
     check_number,
     check_object,
@@ -166,148 +155,8 @@ def modulus_eval(rho: Modulus, h) -> float:
 # --------------------------------------------------------- dyadic levels
 
 
-@dataclass(frozen=True)
-class DyadicSite:
-    """Node k 2^-j of the level-j grid, stored as integers (j, k)."""
-
-    j: int
-    k: tuple
-
-    def __post_init__(self):
-        if self.j < 0:
-            raise InvalidSiteError("level must be >= 0")
-        k = tuple(map(int, self.k))
-        if k and (min(k) < 0 or max(k) > 1 << self.j):
-            raise InvalidSiteError("site %r outside level-%d grid" % (k, self.j))
-        object.__setattr__(self, "k", k)
-
-    @property
-    def coords(self) -> np.ndarray:
-        return np.asarray(self.k, dtype=np.float64) / (1 << self.j)
-
-
-def in_level_set(site: DyadicSite) -> bool:
-    """Membership in V_j: every corner at level 0, odd-coordinate nodes after."""
-    if site.j == 0:
-        return True
-    return any(v % 2 == 1 for v in site.k)
-
-
 def full_grid_count(j: int, d: int) -> int:
     return (2**j + 1) ** d
-
-
-def level_set_count(j: int, d: int) -> int:
-    """|V_j| = (2^j + 1)^d - (2^(j-1) + 1)^d for j >= 1, (2^0+1)^d at 0."""
-    if j == 0:
-        return 2**d
-    return full_grid_count(j, d) - full_grid_count(j - 1, d)
-
-
-def _level_k_array(j: int, d: int) -> np.ndarray:
-    """Integer k rows of V_j, shape (|V_j|, d)."""
-    if j < 0 or d < 1:
-        raise InvalidRangeError("need j >= 0 and d >= 1")
-    # the grid has at least 2^(max(j, 1) d) cells; that exponent is bounded
-    # before (2^j + 1)^d, a huge integer for a huge j or d, is built, as a
-    # grid of 2^64 cells is over any budget
-    bits = max(j, 1) * d
-    if bits >= 64:
-        raise TooLargeError("level grid at j=%d, d=%d has at least 2^%d cells, beyond the "
-                            "block budget" % (j, d, bits))
-    _block_size(full_grid_count(j, d), "level grid")
-    if j == 0:
-        axes = [np.array([0, 1])] * d
-    else:
-        axes = [np.arange(2**j + 1)] * d
-    mesh = np.meshgrid(*axes, indexing="ij")
-    k = np.stack([m.ravel() for m in mesh], axis=1)
-    if j == 0:
-        return k
-    keep = (k % 2 == 1).any(axis=1)
-    return k[keep]
-
-
-def dyadic_sites(j: int, d: int) -> list:
-    """V_j as DyadicSite objects (use the array form in hot loops)."""
-    return [DyadicSite(j, row) for row in _level_k_array(j, d).tolist()]
-
-
-def pyramid_eval(site: DyadicSite, t):
-    """Lambda(2^j (t - v)) for one site; t is a point or an (m, d) array."""
-    pts = np.asarray(t, dtype=np.float64)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    if pts.shape[1] != len(site.k):
-        raise InvalidInputError("points have dimension %d, site has %d"
-                                % (pts.shape[1], len(site.k)))
-    # one contiguous row per coordinate: numpy reduces over the d rows
-    # elementwise, several times faster than along the short axis of (m, d)
-    y = pts * float(1 << site.j) - np.asarray(site.k, dtype=np.float64)
-    y = np.ascontiguousarray(y.T)
-    pos = np.maximum(0.0, y.max(axis=0))
-    neg = np.maximum(0.0, -y.min(axis=0))
-    out = np.maximum(0.0, 1.0 - pos - neg)
-    return float(out[0]) if single else out
-
-
-def vpm(site: DyadicSite) -> tuple:
-    """The parent pair (v-, v+): odd coordinates move one grid step."""
-    if site.j == 0:
-        raise NoParentsError("level-0 corners have no parent pair")
-    if not in_level_set(site):
-        raise InvalidSiteError("site %r is not in V_%d" % (site.k, site.j))
-    lo = tuple(v - 1 if v % 2 == 1 else v for v in site.k)
-    hi = tuple(v + 1 if v % 2 == 1 else v for v in site.k)
-    return DyadicSite(site.j, lo), DyadicSite(site.j, hi)
-
-
-def schauder_coeff(x, site: DyadicSite) -> float:
-    """lambda_{j,v}(x) for a vectorized evaluator x: (m, d) -> (m,)."""
-    if site.j == 0:
-        return float(np.asarray(x(site.coords[None, :])).reshape(-1)[0])
-    lo, hi = vpm(site)
-    pts = np.stack([site.coords, lo.coords, hi.coords])
-    vals = np.asarray(x(pts), dtype=np.float64).reshape(-1)
-    return float(vals[0] - 0.5 * (vals[1] + vals[2]))
-
-
-def _level_coeffs(x, j: int, d: int) -> np.ndarray:
-    k = _level_k_array(j, d)
-    v = k.astype(np.float64) / (1 << j)
-    if j == 0:
-        return np.asarray(x(v), dtype=np.float64).reshape(-1)
-    odd = k % 2 == 1
-    lo = (k - odd).astype(np.float64) / (1 << j)
-    hi = (k + odd).astype(np.float64) / (1 << j)
-    vals = np.asarray(x(np.concatenate([v, lo, hi], axis=0)), dtype=np.float64)
-    m = len(k)
-    return vals[:m] - 0.5 * (vals[m : 2 * m] + vals[2 * m :])
-
-
-@dataclass(frozen=True)
-class SeqNormResult:
-    norm: float
-    level: int
-    per_level: tuple  # (j, max_abs_coeff, scaled) rows
-
-
-def seq_norm(x, rho: Modulus, j_max: int) -> SeqNormResult:
-    """Truncated coefficient seminorm of a vectorized evaluator."""
-    if j_max < 0:
-        raise InvalidRangeError("j_max must be >= 0")
-    rows = []
-    best = -1.0
-    best_level = 0
-    for j in range(j_max + 1):
-        coeffs = _level_coeffs(x, j, rho.d)
-        peak = float(np.max(np.abs(coeffs)))
-        scaled = peak / modulus_eval(rho, 2.0**-j)
-        rows.append((j, peak, scaled))
-        if scaled > best:
-            best = scaled
-            best_level = j
-    return SeqNormResult(best, best_level, tuple(rows))
 
 
 def _grid_peaks(grid: np.ndarray, j: int, J: int) -> np.ndarray:
@@ -340,9 +189,10 @@ def _grid_peaks(grid: np.ndarray, j: int, J: int) -> np.ndarray:
 
 
 def grid_seq_norms(padded, rho: Modulus, j_max: int) -> np.ndarray:
-    """seq_norm(W, rho, j_max).norm of the partial-sum process W of each
-    replica in a block of padded prefix arrays (replica axis first, as
-    lattice.padded_prefix(prefix, lead=1) gives them), bit for bit.
+    """The coefficient seminorm, truncated at level j_max, of the
+    partial-sum process W of each replica in a block of padded prefix
+    arrays (replica axis first, as lattice.padded_prefix(prefix, lead=1)
+    gives them).
 
     W is evaluated once per node of the level-j_max dyadic grid for the
     whole block (sumprocess.eval_W_grid, which reads the nodes of an

@@ -1,23 +1,24 @@
-"""Rectangular-lattice core: multi-indices, prefix sums, box sums, and
-the replica block driver.
+"""Rectangular-lattice core: shapes, prefix sums, corner sums, and the
+replica block driver.
 
 Conventions used by the whole package live here.  A lattice of shape
-n = (n_1, ..., n_d) holds one value per site i with 1 <= i_q <= n_q,
-and the public accessors are 1-based to match the coordinatewise
-partial order on indices (i <= j iff i_q <= j_q for every axis).
-Internally everything is a plain 0-based numpy array.
+n = (n_1, ..., n_d) holds one value per site i with 1 <= i_q <= n_q;
+internally everything is a plain 0-based numpy array, replica axis
+first.
 
-The prefix array S has S[i] = sum over the box [1, i].  Cumulative
-passes run axis by axis in axis order, accumulating in float64, so a
-given field always produces the bit-identical prefix array, and
-batch_total its far corner S_n without building it.
+The prefix array S has S[i] = sum over the box [1, i].  batch_prefix
+is the one prefix routine: its cumulative passes run axis by axis in
+axis order, accumulating in float64, so a given field always produces
+the bit-identical prefix array, and batch_total its far corner S_n
+without building it.
 
 Every weighted sum over the corners of a box or cell of a padded
-prefix array runs through _corner_sum: rect_sum and both interpolating
-evaluators of sumprocess.  An axis has two corners, or one where its
-nodes are lattice nodes.  The order is fixed (weights multiplied in
-axis order from 1.0, corners added in mask order as into a zeroed
-total), so callers that pass the same weights get the same bits.
+prefix array runs through _corner_sum: sumprocess.eval_W_grid, and in
+the tests the single-field box sums and evaluator of W it is checked
+against.  An axis has two corners, or one where its nodes are lattice
+nodes.  The order is fixed (weights multiplied in axis order from 1.0,
+corners added in mask order as into a zeroed total), so callers that
+pass the same weights get the same bits.
 
 Every Monte Carlo replica loop runs through _map_blocks, with results
 in block order whatever the threads.  Blocks are sized by cells:
@@ -34,9 +35,6 @@ checks an experiment's per-replica results against it too.  The
 budget, 16 MiB, is half of glibc's largest mmap threshold, which cli
 sets to twice the budget, so block arrays are reused from the heap
 instead of being mapped afresh for every block.
-
-max_abs_prefix has no caller in the package; it stays because the exact
-arithmetic criterion (01) of the acceptance suite checks it.
 """
 
 from __future__ import annotations
@@ -50,8 +48,6 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .errors import InvalidInputError, TooLargeError
-
-MultiIndex = tuple  # d-tuple of 1-based ints
 
 _BLOCK_CELLS = 1 << 17  # float64 cells of the largest array of one block, one replica at least
 _BLOCK_BYTES = 16 << 20  # bytes of the largest float64 array of one replica
@@ -88,35 +84,6 @@ def volume(shape) -> int:
     return int(math.prod(int(n) for n in shape))
 
 
-def dominated(i: MultiIndex, j: MultiIndex) -> bool:
-    """Coordinatewise order: i <= j on every axis."""
-    if len(i) != len(j):
-        raise InvalidInputError("indices of different dimension: %r vs %r" % (i, j))
-    return all(a <= b for a, b in zip(i, j))
-
-
-def validate_index(index: MultiIndex, shape) -> tuple:
-    try:
-        index = tuple(operator.index(k) for k in index)
-    except TypeError as exc:
-        raise InvalidInputError("lattice indices must be integers: %r" % (index,)) from exc
-    if len(index) != len(shape):
-        raise InvalidInputError(
-            "index %r has dimension %d, lattice has %d" % (index, len(index), len(shape))
-        )
-    for k, n in zip(index, shape):
-        if not 1 <= k <= n:
-            raise InvalidInputError("index %r outside lattice of shape %r" % (index, shape))
-    return index
-
-
-def _as_values(field) -> np.ndarray:
-    """A field as a float64 array of a valid lattice shape."""
-    arr = np.asarray(field, dtype=np.float64)
-    validate_shape(arr.shape)
-    return arr
-
-
 def batch_prefix(fields: np.ndarray) -> np.ndarray:
     """Prefix sums of a batch of fields, replica axis first, computed in
     place: fields[r, i] becomes the sum of fields[r] over the box [1, i]."""
@@ -142,11 +109,6 @@ def batch_total(fields: np.ndarray) -> np.ndarray:
     return np.cumsum(fields, axis=1)[:, -1].copy()
 
 
-def prefix_sum(field) -> np.ndarray:
-    """S[i] = sum of the field over the box [1, i], axis-by-axis cumsum."""
-    return batch_prefix(_as_values(field).astype(np.float64, copy=True)[None])[0]
-
-
 def padded_prefix(prefix: np.ndarray, lead: int = 0) -> np.ndarray:
     """Prefix array with an explicit zero face glued on at index 0 of
     every axis after the first `lead` (replica) axes, so box sums can
@@ -162,8 +124,7 @@ def _map_blocks(fn, blocks: range, threads: int) -> list:
     range(first, stop, _block_size(cells, what)) for replicas
     [first, stop); each block but the last holds blocks.step replicas.
     Its callers: generators.replica_stats (every partial-sum statistic)
-    and orthomartingale_check, and the harness's sheet, sheet-cov and
-    holder-norm blocks.  Results come back in block order regardless of
+    and the harness's sheet-cov and holder-norm blocks.  Results come back in block order regardless of
     thread scheduling.  At most _MAX_THREADS threads run, and never more
     than there are blocks.  The plan travels in the three positional
     arguments because the tracer of perfbench/spans.py wraps _map_blocks
@@ -180,16 +141,11 @@ def _map_blocks(fn, blocks: range, threads: int) -> list:
         return [f.result() for f in futures]
 
 
-def max_abs_prefix(field) -> float:
-    """max over 1 <= i <= n of |S_i|."""
-    return float(np.max(np.abs(prefix_sum(field))))
-
-
 def _corner_sum(padded: np.ndarray, corners) -> np.ndarray:
     """The weighted sum over the corners of a box or cell of a block of
     padded prefix arrays (replica axis first).  corners[q] holds the
-    (index, weight) pairs of axis q: two, the lower end first, or one for
-    an axis read straight off the lattice (weight 1.0).  Indices are
+    (index, weight) pairs of axis q: two, or one for an axis read
+    straight off the lattice (weight 1.0).  Indices are
     integer arrays (so each gather is a copy, never a view of padded)
     that broadcast with the weights.  Weights multiply in axis order from
     1.0, and corners add in mask order (bit q set takes axis q's second
@@ -210,21 +166,3 @@ def _corner_sum(padded: np.ndarray, corners) -> np.ndarray:
             total += corner
         del corner  # the next gather must not meet this one alive
     return total
-
-
-def rect_sum(prefix: np.ndarray, lo: MultiIndex, hi: MultiIndex) -> float:
-    """Sum of the underlying field over the closed box [lo, hi] (1-based),
-    recovered from the prefix array by inclusion-exclusion over the 2^d
-    corners.  Only the corner entries are gathered and padded (S at
-    lo_q - 1 and hi_q on each axis, the zero face standing in for
-    lo_q = 1), so the cost does not grow with the prefix array."""
-    prefix = np.asarray(prefix, dtype=np.float64)
-    lo = validate_index(lo, prefix.shape)
-    hi = validate_index(hi, prefix.shape)
-    if not dominated(lo, hi):
-        raise InvalidInputError("rect_sum needs lo <= hi, got %r, %r" % (lo, hi))
-    rows = [[h - 1] if l == 1 else [l - 2, h - 1] for l, h in zip(lo, hi)]
-    corners = padded_prefix(prefix[np.ix_(*rows)])
-    # in the padded corner array S at hi_q is the last entry, S at lo_q - 1 the one before
-    pairs = [((np.array(len(r)), 1.0), (np.array(len(r) - 1), -1.0)) for r in rows]
-    return float(_corner_sum(corners[None], pairs)[0])

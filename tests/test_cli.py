@@ -1,5 +1,6 @@
 import ast
 import ctypes
+import importlib
 import json
 import math
 import pathlib
@@ -167,6 +168,11 @@ EXPONENT_FIT = {"experiment": "exponent-fit", "d": 1, "replicas": 2000}
                      t_point=[0.5])),
         ("fdd", dict(FDD, generator=_gen("weibull_symmetric", gamma=0.01))),
         ("fdd", dict(FDD, generator=_gen("weibull_symmetric", "moving_average", gamma=0.005))),
+        # one replica, where the KS threshold is above 1 and every
+        # standard error is 0, so neither gate could fail
+        ("fdd", dict(FDD, generator={"variant": "product_rademacher", "d": 2}, shape=[64, 64],
+                     t_point=[1.0, 1.0], replicas=1)),
+        ("sheet-cov", {"shape": [8, 8], "seed": 3, "replicas": 1}),
     ],
     ids=["top-level-list", "replicas-string", "shape-int", "x-grid-string",
          "two-term-without-y", "weibull-tail-without-gamma",
@@ -186,7 +192,8 @@ EXPONENT_FIT = {"experiment": "exponent-fit", "d": 1, "replicas": 2000}
          "replicas-over-budget", "sheet-cov-node-values-over-budget", "holder-j-max-41",
          "tightness-exponents-1e18", "lemma-log-power-beta-400",
          "lemma-const-1e-300", "fdd-zero-field", "fdd-sigma-1e-200", "fdd-sigma-1e300",
-         "fdd-weibull-gamma-0.01", "fdd-moving-average-gamma-0.005"],
+         "fdd-weibull-gamma-0.01", "fdd-moving-average-gamma-0.005", "fdd-one-replica",
+         "sheet-cov-one-replica"],
 )
 def test_malformed_config_is_one_line_exit_1(tmp_path, capsys, experiment, payload):
     cfg = write_config(tmp_path, "bad.json", payload)
@@ -226,6 +233,41 @@ def test_regularity_layers_do_not_drive_replicas():
                 names.add(node.attr)
         assert not imported & {"generators", "harness", "stats"}, name
         assert "_map_blocks" not in imported | names, name
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # a name left behind when code moves out of a module; __init__.py
+    # imports only to export
+    for path in sorted(pathlib.Path(cli.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {alias.asname or alias.name for alias in node.names}
+            elif isinstance(node, ast.Import):
+                imported |= {(alias.asname or alias.name).partition(".")[0]
+                             for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, (path.name, sorted(imported - used))
+
+
+def test_package_leaves_the_single_field_oracle_to_the_tests():
+    # every function and class the oracle defines is gone from the package
+    # and from each of its modules
+    import orthofield
+    import single_field
+
+    package = pathlib.Path(cli.__file__).parent
+    modules = [orthofield] + [importlib.import_module("orthofield." + path.stem)
+                              for path in sorted(package.glob("*.py"))
+                              if path.name != "__init__.py"]
+    defined = [name for name, obj in vars(single_field).items()
+               if getattr(obj, "__module__", None) == single_field.__name__]
+    assert len(defined) >= 27
+    assert [(module.__name__, name) for module in modules for name in defined
+            if hasattr(module, name)] == []
 
 
 def test_cli_import_leaves_out_scipy_integrate():

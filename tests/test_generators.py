@@ -14,7 +14,6 @@ from orthofield import (
     iid_rademacher,
     iid_weibull,
     moving_average,
-    orthomartingale_check,
     product_rademacher,
     spec_from_json,
     spec_to_json,
@@ -25,6 +24,7 @@ from orthofield import (
 )
 from orthofield import generators
 from orthofield.lattice import _block_size, batch_prefix
+from single_field import orthomartingale_check
 
 
 def product_factor_streams(spec, shape, seed, replica, offset=None):

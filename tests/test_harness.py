@@ -10,7 +10,6 @@ from orthofield import (
     ExperimentConfig,
     InvalidInputError,
     InvalidRangeError,
-    brownian_sheet_sim,
     config_from_dict,
     fdd_compare,
     holder_norm_of_Wn,
@@ -30,6 +29,7 @@ from orthofield import (
 )
 from orthofield.generators import replica_stats
 from orthofield.harness import constants_experiment, exponent_fit_experiment
+from single_field import brownian_sheet_sim
 
 
 def test_config_round_trip():

@@ -5,39 +5,41 @@ import pytest
 
 from orthofield import (
     DegenerateModulusError,
-    DyadicSite,
     InvalidInputError,
     InvalidRangeError,
-    InvalidSiteError,
     Modulus,
-    NoParentsError,
     TooLargeError,
     const_factor,
-    dyadic_sites,
-    eval_W_batch,
-    from_field,
     full_grid_count,
     generate_batch,
     grid_seq_norms,
     iid_gaussian,
     iid_rademacher,
     iid_weibull,
-    in_level_set,
     iter_log,
-    level_set_count,
     log_power,
     modulus,
     modulus_eval,
     modulus_from_dict,
-    prefix_sum,
+)
+from orthofield.lattice import batch_prefix, padded_prefix
+from orthofield.sumprocess import eval_W_grid
+import single_field
+from single_field import (
+    DyadicSite,
+    InvalidSiteError,
+    NoParentsError,
+    dyadic_sites,
+    eval_W_batch,
+    from_field,
+    in_level_set,
+    level_set_count,
     pyramid_eval,
     rect_sum,
     schauder_coeff,
     seq_norm,
     vpm,
 )
-from orthofield.lattice import batch_prefix, padded_prefix
-from orthofield.sumprocess import eval_W_grid
 
 
 def process_evaluator(process):
@@ -277,7 +279,7 @@ def test_corner_sum_order_is_pinned():
     field = np.empty((3, 4, 5))
     for i, j, k in np.ndindex(*field.shape):
         field[i, j, k] = ((7 * i + 3 * j + 5 * k) % 11 - 5) / 3.0 + (i * j - k) / 7.0
-    prefix = prefix_sum(field)
+    prefix = batch_prefix(field[None].copy())[0]
     boxes = [((1, 1, 1), (3, 4, 5)), ((2, 2, 3), (3, 4, 5)), ((2, 1, 2), (2, 3, 4)),
              ((1, 3, 2), (3, 3, 5))]
     assert _same_bits([rect_sum(prefix, lo, hi) for lo, hi in boxes],
@@ -321,10 +323,8 @@ def test_grid_seq_norms_input_checks(monkeypatch):
 def test_huge_level_is_refused_before_its_grid_count(monkeypatch):
     # (2^j + 1)^d is a huge integer for a huge j or d; the exponent j d
     # (d at j = 0, whose grid has 2^d cells) is bounded first
-    from orthofield import holder
-
     counted = []
-    monkeypatch.setattr(holder, "full_grid_count", lambda j, d: counted.append(j))
+    monkeypatch.setattr(single_field, "full_grid_count", lambda j, d: counted.append(j))
     for j, d, bits in ((10**7, 2, 2 * 10**7), (40, 10**6, 4 * 10**7), (0, 10**6, 10**6)):
         with pytest.raises(TooLargeError, match="at least 2\\^%d cells" % bits):
             dyadic_sites(j, d)

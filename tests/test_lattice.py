@@ -8,19 +8,16 @@ from orthofield import lattice
 from orthofield import (
     InvalidInputError,
     TooLargeError,
-    dominated,
     generate_batch,
     iid_gaussian,
     iid_rademacher,
     iid_weibull,
-    max_abs_prefix,
     padded_prefix,
-    prefix_sum,
-    rect_sum,
-    validate_index,
     validate_shape,
     volume,
 )
+from orthofield.lattice import batch_prefix
+from single_field import dominated, rect_sum, validate_index
 
 
 # independent nested-loop oracles
@@ -58,7 +55,7 @@ def int_field(rng, shape):
 
 
 def test_prefix_pinned_example():
-    got = prefix_sum([[1.0, 2.0], [3.0, 4.0]])
+    got = batch_prefix(np.array([[[1.0, 2.0], [3.0, 4.0]]]))[0]
     assert np.array_equal(got, [[1.0, 3.0], [4.0, 10.0]])
 
 
@@ -66,31 +63,32 @@ def test_prefix_matches_brute_force_exactly():
     rng = np.random.default_rng(1234)
     for shape in random_shapes(rng, 200):
         field = int_field(rng, shape)
-        assert np.array_equal(prefix_sum(field), brute_prefix(field))
+        assert np.array_equal(batch_prefix(field[None].copy())[0], brute_prefix(field))
 
 
 def test_prefix_matches_brute_force_float():
     rng = np.random.default_rng(4321)
     for shape in random_shapes(rng, 60):
         field = rng.standard_normal(shape)
-        assert np.allclose(prefix_sum(field), brute_prefix(field), atol=1e-10)
+        assert np.allclose(batch_prefix(field[None].copy())[0], brute_prefix(field), atol=1e-10)
 
 
 def test_max_abs_prefix_pinned():
-    assert max_abs_prefix([[1.0, -2.0], [-3.0, 4.0]]) == 2.0
+    assert np.abs(batch_prefix(np.array([[[1.0, -2.0], [-3.0, 4.0]]]))).max() == 2.0
 
 
 def test_max_abs_prefix_matches_brute():
     rng = np.random.default_rng(77)
     for shape in random_shapes(rng, 50):
         field = int_field(rng, shape)
-        assert max_abs_prefix(field) == np.max(np.abs(brute_prefix(field)))
+        want = np.max(np.abs(brute_prefix(field)))
+        assert np.abs(batch_prefix(field[None])).max() == want
 
 
 def test_rect_sum_pinned():
     rng = np.random.default_rng(5)
     field = int_field(rng, (4, 5))
-    pref = prefix_sum(field)
+    pref = batch_prefix(field[None].copy())[0]
     want = brute_rect(field, (2, 2), (3, 4))
     assert rect_sum(pref, (2, 2), (3, 4)) == want
 
@@ -99,7 +97,7 @@ def test_rect_sum_matches_brute():
     rng = np.random.default_rng(99)
     for shape in random_shapes(rng, 60):
         field = int_field(rng, shape)
-        pref = prefix_sum(field)
+        pref = batch_prefix(field[None].copy())[0]
         lo = tuple(int(rng.integers(1, n + 1)) for n in shape)
         hi = tuple(int(rng.integers(l, n + 1)) for l, n in zip(lo, shape))
         assert rect_sum(pref, lo, hi) == brute_rect(field, lo, hi)
@@ -108,7 +106,7 @@ def test_rect_sum_matches_brute():
 def test_rect_sum_memory_does_not_grow_with_the_prefix(peak_bytes):
     # one box on a 1024x1024 prefix (8 MB) gathers only its 2^d corners;
     # a padded copy of the whole array would take about 8.4 MB
-    pref = prefix_sum(np.ones((1024, 1024)))
+    pref = batch_prefix(np.ones((1, 1024, 1024)))[0]
     peak = peak_bytes(lambda: rect_sum(pref, (300, 17), (900, 1000)))
     assert rect_sum(pref, (300, 17), (900, 1000)) == 601.0 * 984.0
     assert peak < 64 * 1024, peak
@@ -133,7 +131,7 @@ def test_batch_total_is_the_prefix_far_corner_bit_for_bit(law, shape):
 def test_prefix_round_trip():
     rng = np.random.default_rng(8)
     field = rng.standard_normal((4, 3, 5))
-    padded = padded_prefix(prefix_sum(field))
+    padded = padded_prefix(batch_prefix(field[None].copy())[0])
     recovered = padded.copy()
     for axis in range(3):
         recovered = np.diff(recovered, axis=axis)
@@ -141,14 +139,14 @@ def test_prefix_round_trip():
 
 
 def test_padded_prefix_zero_face():
-    padded = padded_prefix(prefix_sum([[1.0, 2.0], [3.0, 4.0]]))
+    padded = padded_prefix(batch_prefix(np.array([[[1.0, 2.0], [3.0, 4.0]]]))[0])
     assert padded.shape == (3, 3)
     assert np.all(padded[0, :] == 0) and np.all(padded[:, 0] == 0)
-    # the batched routine gives each replica the single-field sums and zero face
+    # a batch gives each replica its own sums and zero face
     fields = np.random.default_rng(3).standard_normal((5, 4, 3))
-    want = np.stack([padded_prefix(prefix_sum(f)) for f in fields])
+    want = np.stack([padded_prefix(batch_prefix(f[None].copy())[0]) for f in fields])
     in_place = fields.copy()
-    assert lattice.batch_prefix(in_place) is in_place
+    assert batch_prefix(in_place) is in_place
     assert np.array_equal(padded_prefix(in_place, lead=1), want)
 
 

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from orthofield import (
-    InvalidInputError,
-    InvalidRangeError,
+from orthofield import InvalidInputError, InvalidRangeError, validate_shape, volume
+from orthofield.lattice import batch_prefix, padded_prefix
+from orthofield.sumprocess import eval_W_grid
+from single_field import (
+    _validate_point,
     delta_q,
     eval_W,
     eval_W_batch,
@@ -13,11 +15,7 @@ from orthofield import (
     grid_value,
     lemma11_check,
     validate_index,
-    validate_shape,
-    volume,
 )
-from orthofield.lattice import batch_prefix, padded_prefix
-from orthofield.sumprocess import _validate_point, eval_W_grid
 
 
 def overlap_volume(site, shape, t) -> float:
