@@ -16,10 +16,13 @@ masked to 64 bits, which is cheaper than numpy's 0-d arrays.  An array
 fold of h (the running hash) and word computes mix64((h + gamma) ^ word),
 whose first step x ^= x >> 30 distributes over the xor: with
 a = h + gamma, x ^ (x >> 30) = (a ^ (a >> 30)) ^ (word ^ (word >> 30)).
-So the fold premixes a and word apart, on their own shapes (a replica
-column, one coordinate axis), and only the xor that broadcasts them
-and the steps after it run over the whole result, which it mixes in
-place with one scratch array, where numpy's uint64 ops wrap silently.
+So the fold premixes a and word apart (_premix_hash, _premix_word), on
+their own shapes (a replica column, one coordinate axis), and only the
+xor that broadcasts them and the steps after it run over the whole
+result, which it mixes in place with one scratch array, where numpy's
+uint64 ops wrap silently.  A caller that folds many blocks into the
+same words premixes both sides once and passes premixed=True; the
+fold then writes its result over a premixed h of the result's shape.
 
 The value maps overwrite the words they are given: sign_pm1 turns them
 into +-1.0 in the buffer the last fold produced, and uniform01 shifts
@@ -82,20 +85,39 @@ def _fold_int(h: int, word: int) -> int:
     return _mix64_int((h + _GAMMA & _MASK) ^ word)
 
 
-def fold(h, word, top: bool = False):
+def _premix_hash(h, out=None):
+    """The fold's first step on the running hash alone: a ^ (a >> 30)
+    with a = h + gamma (see the module docstring), written into out when
+    it is given (out=h premixes in place)."""
+    with np.errstate(over="ignore"):  # modular wraparound is the algorithm
+        a = np.add(_as_words(h), np.uint64(_GAMMA), out=out)
+    a ^= a >> 30
+    return a
+
+
+def _premix_word(word):
+    """The fold's first step on the absorbed word alone: w ^ (w >> 30)."""
+    w = _as_words(word)
+    return w ^ (w >> 30)
+
+
+def fold(h, word, top: bool = False, premixed: bool = False):
     """Absorb one word into the running hash.  Broadcasts, so callers
     can fold a replica axis and then one coordinate axis at a time.
-    The result is a fresh array; with top=True its words are top-bit
-    words (see the module docstring).  h and word are premixed apart,
-    on their own shapes, before the xor that broadcasts them."""
-    with np.errstate(over="ignore"):  # modular wraparound is the algorithm
-        a = _as_words(h) + np.uint64(_GAMMA)
-        a ^= a >> 30
-        w = _as_words(word)
-        w = w ^ (w >> 30)
-        x = a ^ w
-        del a, w  # a is result-sized where h is (a last axis of extent 1)
-        t = np.empty_like(x)
+    With top=True the result's words are top-bit words (see the module
+    docstring).  h and word are premixed apart, on their own shapes,
+    before the xor that broadcasts them; with premixed=True the caller
+    has done that (_premix_hash, _premix_word), and a premixed h of the
+    result's shape is overwritten by the result, so it must be words
+    the caller owns and reads no more.  Otherwise the result is a fresh
+    array."""
+    if not premixed:
+        h, word = _premix_hash(h), _premix_word(word)
+    shape = np.broadcast_shapes(np.shape(h), np.shape(word))
+    x = np.bitwise_xor(h, word, out=h if isinstance(h, np.ndarray) and h.shape == shape else None)
+    del h, word  # x may be h; a word of the result's shape goes before the scratch array
+    t = np.empty_like(x)
+    with np.errstate(over="ignore"):
         x *= np.uint64(_M1)
         np.right_shift(x, 27, out=t)
         x ^= t

@@ -13,10 +13,20 @@ replica_stats is the one block reduction of the Monte Carlo
 experiments: per replica it returns only the statistics of the partial
 sums S_k its caller reads, out of max_k |S_k| ("max"), the signed S_n
 ("total") and max |S_k| over the last slab k_d = n_d ("slab").  It runs
-any replica range in budgeted blocks of lattice._map_blocks, threaded
-or not, so a direct call holds no more memory than one block.  iid and
-moving-average fields take the float path over the generated block:
-lattice.batch_prefix when "max" or "slab" is asked for, and
+any replica range in budgeted blocks, threaded or not through
+lattice._map_blocks, so a direct call holds no more memory than one
+block and one span's row words.  The words of a block are one hash routine: _row_words folds the
+replica and every lattice axis but the last, and one last fold
+(_rng.fold with premixed=True) spreads them over the last axis.  Since
+every word is a pure function of its counters, an iid or moving-average
+field's blocks run in spans of whole blocks (lattice._span_size): a
+span folds the row words of all its replicas once, at most
+_BLOCK_CELLS // 8 of them, and each block then runs only its last fold,
+its value map and its reduction, so a block's numpy calls work on
+arrays of the block's size (apart from its per-replica results and
+batch_total's last-axis running sum), and two worker threads do not
+trade the interpreter lock over small arrays.  The values take the float
+path: lattice.batch_prefix when "max" or "slab" is asked for, and
 lattice.batch_total when only "total" is.  An iid Rademacher field's
 lone "total" is a sign count instead: S_n = cells - 2 #{sites of value
 -1}, read off the top bits of the block's hash words without mapping
@@ -73,6 +83,7 @@ from .errors import InvalidInputError, InvalidRangeError, check_number, check_ob
 from .lattice import (
     _block_size,
     _map_blocks,
+    _span_size,
     batch_prefix,
     batch_total,
     validate_shape,
@@ -248,34 +259,66 @@ def _axis_coords(shape, offset):
     return [np.arange(1, n + 1, dtype=np.int64) + k for n, k in zip(shape, offset)]
 
 
-def _grid_hash(key, replicas: np.ndarray, coords, top: bool = False) -> np.ndarray:
-    """The words of a block, replica axis first; top-bit words (see
-    _rng) when top is set."""
-    d = len(coords)
+def _site_coords(spec: GeneratorSpec, coords) -> list:
+    """The coordinates of the sites a block of spec's fields hashes: a
+    moving average's axis gains the site before its first one."""
+    if spec.variant != "moving_average":
+        return coords
+    q = int(spec.param("axis")) - 1
+    return coords[:q] + [np.concatenate(([coords[q][0] - 1], coords[q]))] + coords[q + 1:]
+
+
+def _row_words(key, replicas: np.ndarray, lead) -> np.ndarray:
+    """The running hash of a block of replicas before its last fold: the
+    replica words folded through the coordinates of every lattice axis
+    but the last (lead), of shape (count, n_1, ..., n_(d-1), 1), and
+    premixed in place for the last fold (see _rng).  The one hash of a
+    block is then _rng.fold(rows, _last_word(coords), top,
+    premixed=True), on all the rows or on those of a slice of the
+    replicas."""
+    d = len(lead) + 1
     h = _rng.fold(key, replicas.reshape((-1,) + (1,) * d))
-    for q, c in enumerate(coords):
+    for q, c in enumerate(lead):
         shape = [1] * (d + 1)
         shape[q + 1] = len(c)
-        h = _rng.fold(h, c.reshape(shape), top and q == d - 1)
-    return h
+        h = _rng.fold(h, c.reshape(shape))
+    return _rng._premix_hash(h, out=h)
 
 
-def _draw(key, replicas: np.ndarray, coords, dist: str, spec: GeneratorSpec) -> np.ndarray:
-    """Values of law dist on a block, mapped from its words in place.  A
+def _last_word(coords) -> np.ndarray:
+    """The last axis's coordinate words, premixed for the last fold."""
+    return _rng._premix_word(coords[-1].reshape((1,) * len(coords) + (-1,)))
+
+
+def _draw(rows: np.ndarray, last: np.ndarray, spec: GeneratorSpec) -> np.ndarray:
+    """A block of spec's iid or moving-average fields, or of one product
+    axis's factor streams, from its row words and last word: the last
+    fold, then the value map of the law, in place on the words.  A
     Rademacher draw reads only the top bit, so its words are top-bit
-    words (see _rng).  The words are a local of this frame alone, so the
-    del frees them before the Gaussian or Weibull map makes its array."""
-    rademacher = dist == "rademacher"
-    h = _grid_hash(key, replicas, coords, rademacher)
-    if rademacher:
-        return _rng.sign_pm1(h)
-    u = _rng.uniform01(h)
-    del h
-    if dist == "gaussian":
-        ndtri(u, out=u)
-        u *= float(spec.param("sigma"))
-        return u
-    return _weibull_values(u, float(spec.param("gamma")))
+    words (see _rng).  The caller hands the rows over: where the fold
+    runs in place on them (a last axis of extent 1), this frame then
+    holds the words alone, and the del frees them before the Gaussian or
+    Weibull map makes its array.  A moving average adds each site's
+    value to the one before it on the extended axis."""
+    dist = spec.param("dist", "rademacher")  # product_rademacher names no law
+    h = _rng.fold(rows, last, dist == "rademacher", premixed=True)
+    del rows
+    if dist == "rademacher":
+        vals = _rng.sign_pm1(h)
+    else:
+        vals = _rng.uniform01(h)
+        del h
+        if dist == "gaussian":
+            ndtri(vals, out=vals)
+            vals *= float(spec.param("sigma"))
+        else:
+            vals = _weibull_values(vals, float(spec.param("gamma")))
+    if spec.variant != "moving_average":
+        return vals
+    axis = int(spec.param("axis"))
+    lead = (slice(None),) * axis + (slice(1, None),)
+    lag = (slice(None),) * axis + (slice(0, -1),)
+    return vals[lead] + vals[lag]
 
 
 def _base_key(spec: GeneratorSpec, master_seed: int, axis: int):
@@ -284,12 +327,16 @@ def _base_key(spec: GeneratorSpec, master_seed: int, axis: int):
     return _rng.stream_key(master_seed, _VARIANT_TAG[spec.variant], dist_tag, axis)
 
 
-def _factor_streams(spec: GeneratorSpec, master_seed: int, reps: np.ndarray, coords) -> list:
+def _factor_words(spec: GeneratorSpec, master_seed: int, coords) -> list:
+    """The stream key and premixed last word of each axis of a product
+    variant, as _factor_streams takes them."""
+    return [(_base_key(spec, master_seed, q + 1), _last_word([c])) for q, c in enumerate(coords)]
+
+
+def _factor_streams(spec: GeneratorSpec, words, reps: np.ndarray) -> list:
     """The per-axis factors of a product variant, one (count, n_q) array
-    per axis; the field is their outer product."""
-    dist = "rademacher" if spec.variant == "product_rademacher" else spec.param("dist")
-    return [_draw(_base_key(spec, master_seed, q + 1), reps, [coords[q]], dist, spec)
-            for q in range(spec.d)]
+    per axis from its _factor_words; the field is their outer product."""
+    return [_draw(_row_words(key, reps, []), last, spec) for key, last in words]
 
 
 def _check_block(spec: GeneratorSpec, shape, start: int, count: int) -> tuple:
@@ -302,6 +349,8 @@ def _check_block(spec: GeneratorSpec, shape, start: int, count: int) -> tuple:
         raise InvalidInputError("replica start must be >= 0, got %r" % (start,))
     if count < 1:
         raise InvalidInputError("count must be >= 1")
+    if spec.variant not in _VARIANTS:
+        raise InvalidInputError("unknown generator variant %r" % (spec.variant,))
     return shape
 
 
@@ -319,35 +368,23 @@ def generate_batch(
     shape = _check_block(spec, shape, replica_start, count)
     reps = np.arange(replica_start, replica_start + count, dtype=np.int64)
     coords = _axis_coords(shape, offset)
-    d = spec.d
 
     if spec.variant == "zero":
         return np.zeros((count,) + shape, dtype=np.float64)
 
-    if spec.variant == "iid_symmetric":
-        return _draw(_base_key(spec, master_seed, 0), reps, coords, spec.param("dist"), spec)
-
     if spec.variant in _PRODUCTS:
+        words = _factor_words(spec, master_seed, coords)
         out = np.ones((count,) + shape, dtype=np.float64)
-        for q, vals in enumerate(_factor_streams(spec, master_seed, reps, coords)):
-            shape_q = [1] * (d + 1)
+        for q, vals in enumerate(_factor_streams(spec, words, reps)):
+            shape_q = [1] * (spec.d + 1)
             shape_q[0] = count
             shape_q[q + 1] = shape[q]
             out *= vals.reshape(shape_q)
         return out
 
-    if spec.variant == "moving_average":
-        axis = int(spec.param("axis")) - 1
-        ext_coords = list(coords)
-        ext_coords[axis] = np.concatenate(([coords[axis][0] - 1], coords[axis]))
-        base = _draw(_base_key(spec, master_seed, 0), reps, ext_coords, spec.param("dist"), spec)
-        lead = [slice(None)] * (d + 1)
-        lag = [slice(None)] * (d + 1)
-        lead[axis + 1] = slice(1, None)
-        lag[axis + 1] = slice(0, -1)
-        return base[tuple(lead)] + base[tuple(lag)]
-
-    raise InvalidInputError("unknown generator variant %r" % (spec.variant,))
+    coords = _site_coords(spec, coords)
+    return _draw(_row_words(_base_key(spec, master_seed, 0), reps, coords[:-1]),
+                 _last_word(coords), spec)
 
 
 def _axis_product(factors) -> np.ndarray:
@@ -363,51 +400,93 @@ def replica_stats(spec: GeneratorSpec, shape, seed: int, start: int, count: int,
     """The partial-sum statistics named in stats (a subset of "max",
     "total" and "slab", see the module docstring) of replicas
     [start, start + count), one array of count values per name in that
-    order, gathered in block order from blocks run on up to `threads`
+    order, gathered in block order from tasks run on up to `threads`
     threads.  A block is sized by its largest array per replica: sum n_q
-    cells for the per-axis streams of a product field, |n| otherwise."""
+    cells for the per-axis streams of a product field, |n| otherwise.
+    A product field's task is one block; an iid or moving-average
+    field's task is a span of blocks (lattice._span_size), which hashes
+    its row words once and then runs each block's last fold and
+    reduction.  The key, the coordinate words and the checks are taken
+    once per call."""
     stats = tuple(stats)
     if not stats or any(name not in _STATS for name in stats):
         raise InvalidInputError("stats must name some of %r, got %r" % (_STATS, stats))
     shape = _check_block(spec, shape, start, count)
-    cells = sum(shape) if spec.variant in _PRODUCTS else volume(shape)
-    blocks = range(start, start + count, _block_size(cells, "lattice"))
-    parts = _map_blocks(lambda first, size: _block_stats(spec, shape, seed, first, size, stats),
-                        blocks, threads)
+    coords = _axis_coords(shape, None)
+    if spec.variant in _PRODUCTS:
+        words = _factor_words(spec, seed, coords)
+        tasks = range(start, start + count, _block_size(sum(shape), "lattice"))
+        run = lambda first, size: _product_stats(spec, words, first, size, stats)
+    elif spec.variant == "zero":
+        tasks = range(start, start + count, _block_size(volume(shape), "lattice"))
+        run = lambda first, size: _field_stats(np.zeros((size,) + shape), stats)
+    else:
+        coords = _site_coords(spec, coords)
+        key, last = _base_key(spec, seed, 0), _last_word(coords)
+        block = _block_size(volume(shape), "lattice")
+        rows = volume(len(c) for c in coords[:-1])
+        tasks = range(start, start + count, _span_size(block, rows, count))
+        run = lambda first, size: _span_stats(spec, key, coords[:-1], last, block,
+                                              first, size, stats)
+    parts = _map_blocks(run, tasks, threads)
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
-def _block_stats(spec: GeneratorSpec, shape: tuple, seed: int, start: int, count: int,
-                 stats: tuple) -> tuple:
-    """replica_stats of one block, on checked inputs.  Every array is a
-    copy, so none keeps a block-sized array alive."""
-    if spec.variant in _PRODUCTS:
-        reps = np.arange(start, start + count, dtype=np.int64)
-        prefixes = [np.cumsum(vals, axis=1)
-                    for vals in _factor_streams(spec, seed, reps, _axis_coords(shape, None))]
-        peaks = [np.abs(p).max(axis=1) for p in prefixes]
-        ends = [p[:, -1] for p in prefixes]
-        factors = {"max": peaks, "total": ends, "slab": peaks[:-1] + [np.abs(ends[-1])]}
-        return tuple(_axis_product(factors[name]) for name in stats)
+def _product_stats(spec: GeneratorSpec, words, start: int, count: int, stats: tuple) -> tuple:
+    """replica_stats of one block of a product field, from the per-axis
+    prefixes of its factor streams."""
+    reps = np.arange(start, start + count, dtype=np.int64)
+    prefixes = [np.cumsum(vals, axis=1) for vals in _factor_streams(spec, words, reps)]
+    peaks = [np.abs(p).max(axis=1) for p in prefixes]
+    ends = [p[:, -1] for p in prefixes]
+    factors = {"max": peaks, "total": ends, "slab": peaks[:-1] + [np.abs(ends[-1])]}
+    return tuple(_axis_product(factors[name]) for name in stats)
 
-    if (stats == ("total",) and spec.variant == "iid_symmetric"
-            and spec.param("dist") == "rademacher"):
-        # the sign count of the module docstring
-        reps = np.arange(start, start + count, dtype=np.int64)
-        h = _grid_hash(_base_key(spec, seed, 0), reps, _axis_coords(shape, None), top=True)
-        h >>= 63
-        return (volume(shape) - 2.0 * h.reshape(count, -1).sum(axis=1),)
 
-    fields = generate_batch(spec, shape, seed, start, count)
+def _span_stats(spec: GeneratorSpec, key, lead, last, block: int, start: int, count: int,
+                stats: tuple) -> tuple:
+    """replica_stats of the span [start, start + count) of an iid or
+    moving-average field: its row words once, then per block of `block`
+    replicas the last fold, the values and their reduction.  An iid
+    Rademacher field's lone "total" is the sign count of the module
+    docstring, read off the top-bit words.  The span drops its own
+    reference to the rows, so a span of one block hands them over to
+    the block with its one view (see _draw)."""
+    rows = _row_words(key, np.arange(start, start + count, dtype=np.int64), lead)
+    views = [rows[lo:lo + block] for lo in range(0, count, block)]
+    del rows
+    signs = (stats == ("total",) and spec.variant == "iid_symmetric"
+             and spec.param("dist") == "rademacher")
+    parts = []
+    while views:
+        if signs:
+            parts.append(_sign_count(_rng.fold(views.pop(0), last, True, premixed=True)))
+        else:
+            parts.append(_field_stats(_draw(views.pop(0), last, spec), stats))
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+def _sign_count(h: np.ndarray) -> tuple:
+    """The total of a block of iid Rademacher fields from its top-bit
+    words: S_n = cells - 2 #{sites of value -1}."""
+    h >>= 63
+    h = h.reshape(len(h), -1)
+    return (h.shape[1] - 2.0 * h.sum(axis=1),)
+
+
+def _field_stats(fields: np.ndarray, stats: tuple) -> tuple:
+    """The statistics of a block of fields, over their prefix sums in
+    place or, for a lone "total", batch_total.  Every array is a copy,
+    so none keeps a block-sized array alive."""
     if stats == ("total",):
         return (batch_total(fields),)
     absp = batch_prefix(fields)
     out = {}
     if "total" in stats:
-        out["total"] = absp[(slice(None),) + (-1,) * len(shape)].copy()
+        out["total"] = absp[(slice(None),) + (-1,) * (absp.ndim - 1)].copy()
     np.abs(absp, out=absp)
     if "max" in stats:
         out["max"] = absp.max(axis=tuple(range(1, absp.ndim)))
     if "slab" in stats:
-        out["slab"] = absp[..., -1].reshape(count, -1).max(axis=1)
+        out["slab"] = absp[..., -1].reshape(len(absp), -1).max(axis=1)
     return tuple(out[name] for name in stats)

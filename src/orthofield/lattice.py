@@ -10,7 +10,8 @@ The prefix array S has S[i] = sum over the box [1, i].  batch_prefix
 is the one prefix routine: its cumulative passes run axis by axis in
 axis order, accumulating in float64, so a given field always produces
 the bit-identical prefix array, and batch_total its far corner S_n
-without building it.
+without building it, in one np.add.reduce per leading lattice axis,
+which adds that axis's slabs in index order as cumsum does.
 
 Every weighted sum over the corners of a box or cell of a padded
 prefix array runs through _corner_sum: sumprocess.eval_W_grid, and in
@@ -26,7 +27,13 @@ _block_size turns a caller's cells per replica into replicas per block,
 max(1, _BLOCK_CELLS // cells), so a block's largest float64 array
 holds about _BLOCK_CELLS cells (1 MiB; with the fold's scratch array
 it fits one core's 2 MiB L2 cache) whatever the lattice, and a lattice
-larger than that runs one replica per block.  One memory budget bounds
+larger than that runs one replica per block.  A loop whose blocks share
+work across the replicas may group them into spans of whole blocks
+(_span_size): generators.replica_stats hashes the words of every axis
+but the last once per span, at most _BLOCK_CELLS // 8 words (an eighth
+of a block) unless one block's own take more, and leaves at least
+min(blocks, 8) spans, so two threads still share the work of a short
+loop.  One memory budget bounds
 a single replica: _BLOCK_BYTES caps the largest float64 array of one
 replica, _block_size rejects a replica over it with TooLargeError, and
 validate_shape puts every lattice through the same check, so one
@@ -52,6 +59,7 @@ from .errors import InvalidInputError, TooLargeError
 _BLOCK_CELLS = 1 << 17  # float64 cells of the largest array of one block, one replica at least
 _BLOCK_BYTES = 16 << 20  # bytes of the largest float64 array of one replica
 _MAX_THREADS = 32  # worker threads one driver call starts at most
+_MIN_SPANS = 8  # spans a loop of that many blocks or more is cut into at least
 
 
 def _block_size(cells: int, what: str) -> int:
@@ -65,6 +73,19 @@ def _block_size(cells: int, what: str) -> int:
         raise TooLargeError("%s of %s cells exceeds the block budget of %d cells (%d MiB)"
                             % (what, count, _BLOCK_BYTES // 8, _BLOCK_BYTES >> 20))
     return max(1, _BLOCK_CELLS // cells)
+
+
+def _span_size(block: int, rows: int, count: int) -> int:
+    """Replicas per span of a loop over count replicas in blocks of
+    `block` replicas whose row words (the hash of every lattice axis but
+    the last) number `rows` per replica: whole blocks, as many as keep a
+    span's row words within _BLOCK_CELLS // 8 while leaving at least
+    min(blocks, _MIN_SPANS) spans, and one block at least, whose rows
+    (its cells over the last axis's extent) may exceed that bound.  Like
+    _block_size, the plan depends on cells and replicas alone, never on
+    the threads."""
+    blocks = -(-count // block)
+    return block * max(1, min(_BLOCK_CELLS // 8 // (block * rows), blocks // _MIN_SPANS))
 
 
 def validate_shape(shape) -> tuple:
@@ -95,17 +116,16 @@ def batch_prefix(fields: np.ndarray) -> np.ndarray:
 def batch_total(fields: np.ndarray) -> np.ndarray:
     """Sum of each field of a batch (replica axis first) over its whole
     box, equal bit for bit to the far corner of batch_prefix(fields):
-    axes are summed in axis order one slab at a time, as cumsum adds,
-    where np.sum would add pairwise along some axes.  Lattice axes of
-    extent 1 are dropped first, as summing over one changes nothing, so
-    no loop runs over slabs of one cell; the result is a copy, so no
-    block-sized array outlives the call."""
+    axes are summed in axis order, each in index order as cumsum adds,
+    where np.sum would add pairwise along some axes.  Each leading
+    lattice axis is summed by one np.add.reduce over it, which runs
+    along the axes after it and so adds its slabs one after another;
+    the last axis by cumsum.  Lattice axes of extent 1 are dropped
+    first, as summing over one changes nothing; the result is a copy, so
+    no block-sized array outlives the call."""
     fields = fields.reshape(len(fields), *([n for n in fields.shape[1:] if n > 1] or [1]))
-    for _ in range(fields.ndim - 2):
-        acc = fields[:, 0] + fields[:, 1]
-        for i in range(2, fields.shape[1]):
-            acc += fields[:, i]
-        fields = acc
+    while fields.ndim > 2:
+        fields = np.add.reduce(fields, axis=1)
     return np.cumsum(fields, axis=1)[:, -1].copy()
 
 
@@ -122,9 +142,11 @@ def padded_prefix(prefix: np.ndarray, lead: int = 0) -> np.ndarray:
 def _map_blocks(fn, blocks: range, threads: int) -> list:
     """Run fn(start, count) over the blocks whose starts `blocks` lists,
     range(first, stop, _block_size(cells, what)) for replicas
-    [first, stop); each block but the last holds blocks.step replicas.
-    Its callers: generators.replica_stats (every partial-sum statistic)
-    and the harness's sheet-cov and holder-norm blocks.  Results come back in block order regardless of
+    [first, stop), or spans of blocks (_span_size); each but the last
+    holds blocks.step replicas.  Its callers: generators.replica_stats
+    (every partial-sum statistic: a block per task for product fields, a
+    span for the others) and the harness's sheet-cov and holder-norm
+    blocks.  Results come back in block order regardless of
     thread scheduling.  At most _MAX_THREADS threads run, and never more
     than there are blocks.  The plan travels in the three positional
     arguments because the tracer of perfbench/spans.py wraps _map_blocks

@@ -37,8 +37,8 @@ def product_factor_streams(spec, shape, seed, replica, offset=None):
     if len(shape) != spec.d:
         raise InvalidInputError("spec has d=%d but shape is %r" % (spec.d, shape))
     reps = np.asarray([replica], dtype=np.int64)
-    return [vals[0] for vals in generators._factor_streams(
-        spec, seed, reps, generators._axis_coords(shape, offset))]
+    words = generators._factor_words(spec, seed, generators._axis_coords(shape, offset))
+    return [vals[0] for vals in generators._factor_streams(spec, words, reps)]
 
 
 def float_path_stats(spec, shape, seed, start, count):
@@ -314,6 +314,27 @@ def test_field_stats_are_the_float_path_bit_for_bit(make, shape):
     got = generators.replica_stats(spec, shape, 8, _START, _COUNT, ("max", "slab", "total"))
     for name, values in zip(("max", "slab", "total"), got):
         assert np.array_equal(values, want[name]), name
+
+
+@pytest.mark.parametrize("spec,shape,count", [(iid_gaussian(2), (32, 256), 400),
+                                              (iid_rademacher(2), (64, 64), 8192)],
+                         ids=["tightness-level", "verify-bound"])
+def test_spans_leave_every_thread_work(monkeypatch, spec, shape, count):
+    # a tightness level and a verify-bound run of the 2-thread Monte
+    # Carlo benchmark: spans of whole blocks, at least min(blocks, 8) of
+    # them, planned the same whatever the threads.  Spans sized by the
+    # row budget alone would put the 25 blocks of the level in one span,
+    # so on one thread.
+    plans = []
+    monkeypatch.setattr(generators, "_map_blocks",
+                        lambda fn, tasks, threads: plans.append(tasks) or [])
+    for threads in (1, 2):
+        generators.replica_stats(spec, shape, 3, 0, count, ("max",), threads)
+    block = _block_size(math.prod(shape), "lattice")
+    tasks = plans[0]
+    assert plans[1] == tasks and (tasks.start, tasks.stop) == (0, count)
+    assert tasks.step % block == 0
+    assert len(tasks) >= min(-(-count // block), 8), (tasks, block)
 
 
 def test_replica_stats_rejects_bad_requests():

@@ -157,10 +157,14 @@ def test_thread_count_does_not_change_payload(monkeypatch):
         assert len(payloads) == 1, base["experiment"]
         check_plans(base["experiment"])
     # the reduction itself, called directly from a start off every block
-    # grid: the float path, the sign count and the per-axis products
+    # grid: the float path, the sign count, the per-axis products, a
+    # lone total through batch_total, and the maximum over spans of
+    # several blocks (at 2000 cells, spans of two 7-replica blocks)
     for spec, shape, stats in [(iid_gaussian(2), (16, 16), ("max", "total", "slab")),
                                (iid_rademacher(2), (16, 16), ("total",)),
-                               (product_rademacher(3), (4, 5, 6), ("slab", "max", "total"))]:
+                               (product_rademacher(3), (4, 5, 6), ("slab", "max", "total")),
+                               (iid_weibull(2, 1.0), (16, 16), ("total",)),
+                               (iid_rademacher(2), (16, 16), ("max",))]:
         results = set()
         plans.clear()
         for cells, threads in settings:

@@ -115,7 +115,8 @@ def test_rect_sum_memory_does_not_grow_with_the_prefix(peak_bytes):
 @pytest.mark.parametrize("law", [iid_gaussian, iid_rademacher, lambda d: iid_weibull(d, 0.7)],
                          ids=["gaussian", "rademacher", "weibull"])
 @pytest.mark.parametrize("shape", [(13,), (64, 1), (1000, 1), (8, 8), (5, 7), (100, 1, 1),
-                                   (3, 4, 5), (40, 5, 1, 2), (4096, 1), (2, 1, 2048)],
+                                   (3, 4, 5), (40, 5, 1, 2), (4096, 1), (2, 1, 2048), (64, 64),
+                                   (8, 8, 8)],
                          ids=lambda s: "x".join(map(str, s)))
 def test_batch_total_is_the_prefix_far_corner_bit_for_bit(law, shape):
     # np.sum adds in another order (pairwise along a trailing unit axis,
