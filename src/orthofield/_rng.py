@@ -8,30 +8,31 @@ deterministically under any partition, and a field can be evaluated on
 translated sites without materializing the untranslated part.
 
 The word function is the splitmix64 finalizer chained over the input
-words.  Each fold is a bijection of the 64-bit state for any fixed
-word, with full avalanche, which is the standard construction for
+words: the fold of a word into the running hash h is
+mix64((h + gamma) ^ word), a bijection of the 64-bit state for any
+fixed word with full avalanche, which is the standard construction for
 counter-mode streams (same family as the SeedSequence entropy mixer).
-All arithmetic is modular uint64.  Stream keys run on Python ints
-masked to 64 bits, which is cheaper than numpy's 0-d arrays.  An array
-fold of h (the running hash) and word computes mix64((h + gamma) ^ word),
-whose first step x ^= x >> 30 distributes over the xor: with
-a = h + gamma, x ^ (x >> 30) = (a ^ (a >> 30)) ^ (word ^ (word >> 30)).
-So the fold premixes a and word apart (_premix_hash, _premix_word), on
-their own shapes (a replica column, one coordinate axis), and only the
-xor that broadcasts them and the steps after it run over the whole
-result, which it mixes in place with one scratch array, where numpy's
-uint64 ops wrap silently.  A caller that folds many blocks into the
-same words premixes both sides once and passes premixed=True; the
-fold then writes its result over a premixed h of the result's shape.
+All arithmetic is modular uint64 on arrays (0-d ones for a stream key),
+where numpy's ops wrap silently.  The finalizer's first step
+x ^= x >> 30 distributes over the xor: with a = h + gamma,
+x ^ (x >> 30) = (a ^ (a >> 30)) ^ (word ^ (word >> 30)).  So the two
+sides are premixed apart, on their own shapes, and only the xor that
+broadcasts them and the steps after it (_mix) run over the whole
+result, in place with one scratch array.
 
-The value maps overwrite the words they are given: sign_pm1 turns them
-into +-1.0 in the buffer the last fold produced, and uniform01 shifts
-them in place before its one conversion to float64, which the Gaussian
-and Weibull maps of generators then work on.  sign_pm1 reads only
-bit 63, which the finalizer's last step x ^= x >> 31 cannot change, so
-a fold with top=True leaves that step out.  Its "top-bit words" are
-right in bit 63 only: they may go to sign_pm1 or be counted by their
-top bit, never to uniform01.
+This module owns the hash of a replica block and its three contracts.
+Premix: fold premixes its two sides itself, while row_words (the
+replica and every lattice axis but the last) and last_word (the last
+axis) return premixed words, so a span premixes them once, and
+last_fold takes them as they are.  In place: last_fold writes over rows
+that already have the result's shape (a last axis of extent 1), so such
+rows are handed over; every other result is a fresh array.  Top bit:
+sign_pm1 and sign_total read only bit 63, which the finalizer's last
+step x ^= x >> 31 cannot change, so last_fold with top=True leaves that
+step out, and its "top-bit words" never go to uniform01.  The value
+maps overwrite the words they are given: sign_pm1 turns them into
++-1.0 in the last fold's buffer, and uniform01 shifts them in place
+before its one conversion to float64.
 """
 
 from __future__ import annotations
@@ -72,25 +73,10 @@ def _int_word(x) -> int:
     return x & _MASK
 
 
-def _mix64_int(x: int) -> int:
-    """The splitmix64 finalizer of one word."""
-    x ^= x >> 30
-    x = x * _M1 & _MASK
-    x ^= x >> 27
-    x = x * _M2 & _MASK
-    return x ^ x >> 31
-
-
-def _fold_int(h: int, word: int) -> int:
-    return _mix64_int((h + _GAMMA & _MASK) ^ word)
-
-
 def _premix_hash(h, out=None):
     """The fold's first step on the running hash alone: a ^ (a >> 30)
-    with a = h + gamma (see the module docstring), written into out when
-    it is given (out=h premixes in place)."""
-    with np.errstate(over="ignore"):  # modular wraparound is the algorithm
-        a = np.add(_as_words(h), np.uint64(_GAMMA), out=out)
+    with a = h + gamma, written into out when it is given."""
+    a = np.add(_as_words(h), np.uint64(_GAMMA), out=out)
     a ^= a >> 30
     return a
 
@@ -101,31 +87,54 @@ def _premix_word(word):
     return w ^ (w >> 30)
 
 
-def fold(h, word, top: bool = False, premixed: bool = False):
-    """Absorb one word into the running hash.  Broadcasts, so callers
-    can fold a replica axis and then one coordinate axis at a time.
-    With top=True the result's words are top-bit words (see the module
-    docstring).  h and word are premixed apart, on their own shapes,
-    before the xor that broadcasts them; with premixed=True the caller
-    has done that (_premix_hash, _premix_word), and a premixed h of the
-    result's shape is overwritten by the result, so it must be words
-    the caller owns and reads no more.  Otherwise the result is a fresh
-    array."""
-    if not premixed:
-        h, word = _premix_hash(h), _premix_word(word)
-    shape = np.broadcast_shapes(np.shape(h), np.shape(word))
-    x = np.bitwise_xor(h, word, out=h if isinstance(h, np.ndarray) and h.shape == shape else None)
-    del h, word  # x may be h; a word of the result's shape goes before the scratch array
+def _mix(x: np.ndarray, top: bool) -> np.ndarray:
+    """The finalizer's steps after the xor, in place on x with one
+    scratch array; top=True leaves out the last one (top-bit words)."""
     t = np.empty_like(x)
-    with np.errstate(over="ignore"):
-        x *= np.uint64(_M1)
-        np.right_shift(x, 27, out=t)
+    x *= np.uint64(_M1)
+    np.right_shift(x, 27, out=t)
+    x ^= t
+    x *= np.uint64(_M2)
+    if not top:
+        np.right_shift(x, 31, out=t)
         x ^= t
-        x *= np.uint64(_M2)
-        if not top:
-            np.right_shift(x, 31, out=t)
-            x ^= t
     return x
+
+
+def fold(h, word) -> np.ndarray:
+    """Absorb one word into the running hash, as a fresh array.
+    Broadcasts, so callers can fold a replica axis and then one
+    coordinate axis at a time."""
+    x = np.asarray(_premix_hash(h) ^ _premix_word(word))  # the premixes go before the scratch
+    return _mix(x, False)
+
+
+def row_words(key, replicas: np.ndarray, lead) -> np.ndarray:
+    """The replica words folded through the coordinates of every lattice
+    axis but the last (lead), of shape (count, n_1, ..., n_(d-1), 1),
+    premixed in place for last_fold."""
+    d = len(lead) + 1
+    h = fold(key, replicas.reshape((-1,) + (1,) * d))
+    for q, c in enumerate(lead):
+        shape = [1] * (d + 1)
+        shape[q + 1] = len(c)
+        h = fold(h, c.reshape(shape))
+    return _premix_hash(h, out=h)
+
+
+def last_word(coords) -> np.ndarray:
+    """The last axis's coordinate words, premixed for last_fold."""
+    return _premix_word(coords[-1].reshape((1,) * len(coords) + (-1,)))
+
+
+def last_fold(rows: np.ndarray, last: np.ndarray, top: bool) -> np.ndarray:
+    """The fold of last_word into row_words (or a slice of them), top-bit
+    words with top=True; in place exactly when the rows already have the
+    result's shape, a fresh array otherwise."""
+    inplace = rows.shape == np.broadcast_shapes(rows.shape, last.shape)
+    x = np.bitwise_xor(rows, last, out=rows if inplace else None)
+    del rows  # rows handed over in place go with the caller's last reference
+    return _mix(x, top)
 
 
 def _label_word(label) -> int:
@@ -140,11 +149,12 @@ def _label_word(label) -> int:
 
 
 def stream_key(master_seed: int, *labels) -> np.uint64:
-    """Hash a master seed plus integer or string labels into a stream key."""
-    h = _mix64_int(_int_word(master_seed) + _GAMMA & _MASK)
+    """Hash a master seed plus integer or string labels into a stream key:
+    mix64(seed + gamma), which is fold(seed, 0), then one fold per label."""
+    h = fold(np.uint64(_int_word(master_seed)), 0)
     for lab in labels:
-        h = _fold_int(h, _label_word(lab))
-    return np.uint64(h)
+        h = fold(h, np.uint64(_label_word(lab)))
+    return h[()]
 
 
 def uniform01(h: np.ndarray) -> np.ndarray:
@@ -163,3 +173,11 @@ def sign_pm1(h: np.ndarray) -> np.ndarray:
     h &= _TOP
     h |= _ONE
     return h.view(np.float64)
+
+
+def sign_total(h: np.ndarray) -> np.ndarray:
+    """Per replica (first axis), the sum of sign_pm1's values of h, read
+    off the top bits alone: cells - 2 #{top bit set}.  Overwrites h."""
+    h >>= 63
+    h = h.reshape(len(h), -1)
+    return h.shape[1] - 2.0 * h.sum(axis=1)

@@ -78,6 +78,7 @@ from .errors import (
     check_kind,
     check_number,
 )
+from .lattice import _block_size
 
 _E9 = math.exp(9.0)
 _ABS_FLOOR = 1e-16
@@ -168,16 +169,27 @@ _LN_Y_LO, _LN_Y_HI = -45.0, 3.0  # ln|X| for a standard normal X lies here but f
 _PROD_STEPS = 600
 
 
+def _by_rows(rule, rows: int, cells: int) -> np.ndarray:
+    """rule(sl) over slices sl of [0, rows), concatenated: a slice holds
+    as many rows of `cells` values as a replica block (lattice._block_size),
+    so rule's arrays stay within the block budget.  rule sums each row on
+    its own, so the slices do not change a bit of the result."""
+    step = _block_size(cells, "a row of a numeric rule")
+    return np.concatenate([rule(slice(lo, lo + step)) for lo in range(0, max(rows, 1), step)])
+
+
 def _gauss_prod_tail(m: int, s):
     """P{|X_1...X_m| > s} for independent standard normals, elementwise.
 
     With Y = ln|X_1...X_(m-1)| the tail is E[erfc(s e^-Y / sqrt 2)].  The
     density of ln|X|, sqrt(2/pi) e^(y - e^(2y)/2), is sampled on a uniform
     grid and convolved with itself m - 2 times for the density of Y; the
-    expectation is then a trapezoid sum on that grid."""
+    expectation is then a trapezoid sum on that grid, taken for the
+    values of s in row chunks (_by_rows)."""
     s = np.asarray(np.maximum(s, 0.0))
     if m == 1:
         return erfc(s / math.sqrt(2.0))
+    flat = s.reshape(-1)
 
     def rule(n):
         y, h = np.linspace(_LN_Y_LO, _LN_Y_HI, n + 1, retstep=True)
@@ -186,7 +198,10 @@ def _gauss_prod_tail(m: int, s):
         for _ in range(m - 2):
             density = np.convolve(density, f) * h
         y = np.linspace((m - 1) * _LN_Y_LO, (m - 1) * _LN_Y_HI, density.size)
-        return (erfc(s[..., None] * np.exp(-y) / math.sqrt(2.0)) * density).sum(axis=-1) * h
+        e = np.exp(-y)
+        return _by_rows(lambda rows: (erfc(flat[rows, None] * e / math.sqrt(2.0))
+                                      * density).sum(axis=-1) * h,
+                        flat.size, density.size).reshape(s.shape)
 
     return np.minimum(1.0, _converged(rule, _PROD_STEPS, "Gaussian-product tail",
                                       lambda i: "s=%g, m=%d" % (s.flat[i], m)))
@@ -465,7 +480,8 @@ def I_integral(t, dprev: int):
 
     Each value is the 2n-node rule of _I_rule (n = _GL_NODES); its
     distance to the n-node rule is the error estimate, which must stay
-    within max(_ABS_FLOOR, |I| _REL_TOL) at every t."""
+    within max(_ABS_FLOOR, |I| _REL_TOL) at every t.  The rules run over
+    slices of t (_by_rows); the 161-point grid of _level_K is one."""
     if not 1 <= dprev <= 5:
         raise InvalidRangeError("dprev must be in 1..5")
     ts = np.asarray(t, dtype=np.float64)
@@ -479,28 +495,24 @@ def I_integral(t, dprev: int):
     # y_kink = 0 for t <= 1
     y_max = _level_x(0.5, np.maximum(col / _shape_fn_min(d / 2.0), 1.0), rising=True)
     y_kink = _level_x(0.5, np.maximum(col, 1.0), rising=True)
-    val = _converged(lambda n: _I_rule(col, d, y_kink, y_max, n), _GL_NODES,
-                     "I(t) quadrature", lambda i: "t=%g, d=%d" % (col[i, 0], d))
+
+    def rule(n):
+        return _by_rows(lambda r: _I_rule(col[r], d, y_kink[r], y_max[r], n), len(col), n)
+
+    val = _converged(rule, _GL_NODES, "I(t) quadrature",
+                     lambda i: "t=%g, d=%d" % (col[i, 0], d))
     val = val.reshape(ts.shape)
     return val if val.ndim else float(val)
-
-
-@dataclass(frozen=True)
-class _LevelTrace:
-    level: int
-    K: float
-    M: float
-    t_at_sup: float
-    last_decade_drift: float
 
 
 _GRID_PER_DECADE = 20
 _T_MAX = 1.0e8
 
 
-def _level_K(d: int) -> _LevelTrace:
+def _level_K(d: int) -> tuple:
     """Realize K_d = 1.05 sup_grid I(t)/(log(1+t))^{p_d} plus the sliver
-    majorant M_d, with a running-sup stabilization check."""
+    majorant M_d, with a running-sup stabilization check; returns the
+    K_levels row (d, K_d, M_d, t at the sup, last-decade drift)."""
     p_d = 2 * d
     decades = int(round(math.log10(_T_MAX)))
     ts = np.logspace(0.0, math.log10(_T_MAX), decades * _GRID_PER_DECADE + 1)
@@ -519,13 +531,8 @@ def _level_K(d: int) -> _LevelTrace:
         )
     # the sliver majorant 1 / (min over u, v >= 1 of f_{d/2}(u) f_{1/2}(v))^2
     # in closed form (f_{1/2} has its minimum 1 at v = 1)
-    return _LevelTrace(
-        level=d,
-        K=1.05 * sup_full,
-        M=_shape_fn_min(d / 2.0) ** -2.0,
-        t_at_sup=float(ts[int(np.argmax(ratios))]),
-        last_decade_drift=drift,
-    )
+    return (d, 1.05 * sup_full, _shape_fn_min(d / 2.0) ** -2.0,
+            float(ts[int(np.argmax(ratios))]), drift)
 
 
 def recurse_constants(d: int) -> BoundConstants:
@@ -549,16 +556,16 @@ def _constants(d: int) -> BoundConstants:
     if d == 1:
         return base_constants()
     prev = _constants(d - 1)
-    trace = _level_K(d)
+    level = _level_K(d)
+    _, K, M = level[:3]
     return BoundConstants(
         d=d,
         A=max(_E9, prev.A / 5.0 + 2.0 * prev.B),
-        B=4.0 * prev.B * trace.K * trace.M,
+        B=4.0 * prev.B * K * M,
         # C_1 / (4 sqrt(2))^(d-1) with C_1 = 2^(-3/2): a power of two, exact
         C=2.0 ** (1 - 2.5 * d),
         p=prev.p + 2,
-        K_levels=prev.K_levels
-        + ((trace.level, trace.K, trace.M, trace.t_at_sup, trace.last_decade_drift),),
+        K_levels=prev.K_levels + (level,),
     )
 
 

@@ -77,6 +77,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every main call
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="orthofield", description=__doc__)
     sub = parser.add_subparsers(dest="experiment", required=True)

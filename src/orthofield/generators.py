@@ -15,9 +15,10 @@ sums S_k its caller reads, out of max_k |S_k| ("max"), the signed S_n
 ("total") and max |S_k| over the last slab k_d = n_d ("slab").  It runs
 any replica range in budgeted blocks, threaded or not through
 lattice._map_blocks, so a direct call holds no more memory than one
-block and one span's row words.  The words of a block are one hash routine: _row_words folds the
-replica and every lattice axis but the last, and one last fold
-(_rng.fold with premixed=True) spreads them over the last axis.  Since
+block and one span's row words.  The words of a block come from _rng,
+which owns the premix, in-place and top-bit contracts of the hash:
+_rng.row_words folds the replica and every lattice axis but the last,
+and _rng.last_fold spreads them over the last axis.  Since
 every word is a pure function of its counters, an iid or moving-average
 field's blocks run in spans of whole blocks (lattice._span_size): a
 span folds the row words of all its replicas once, at most
@@ -30,8 +31,9 @@ path: lattice.batch_prefix when "max" or "slab" is asked for, and
 lattice.batch_total when only "total" is.  An iid Rademacher field's
 lone "total" is a sign count instead: S_n = cells - 2 #{sites of value
 -1}, read off the top bits of the block's hash words without mapping
-them to values.  Every partial sum of +-1 terms is an integer below
-2^53, so the count equals batch_total's sum bit for bit.
+them to values (_rng.sign_total).  Every partial sum of +-1 terms is
+an integer below 2^53, so the count equals batch_total's sum bit for
+bit.
 
 Product fields factorize, S_k = prod_q P^(q)_(k_q) with P^(q) the
 cumulative sum of axis q's factor stream, so their statistics are
@@ -165,11 +167,12 @@ def zero_field(d: int) -> GeneratorSpec:
     return _make_spec("zero", d)
 
 
+def spec_to_dict(spec: GeneratorSpec) -> dict:
+    return {"variant": spec.variant, "d": spec.d, "params": dict(spec.params)}
+
+
 def spec_to_json(spec: GeneratorSpec) -> str:
-    return json.dumps(
-        {"variant": spec.variant, "d": spec.d, "params": dict(spec.params)},
-        sort_keys=True,
-    )
+    return json.dumps(spec_to_dict(spec), sort_keys=True)
 
 
 def spec_from_json(text) -> GeneratorSpec:
@@ -268,28 +271,6 @@ def _site_coords(spec: GeneratorSpec, coords) -> list:
     return coords[:q] + [np.concatenate(([coords[q][0] - 1], coords[q]))] + coords[q + 1:]
 
 
-def _row_words(key, replicas: np.ndarray, lead) -> np.ndarray:
-    """The running hash of a block of replicas before its last fold: the
-    replica words folded through the coordinates of every lattice axis
-    but the last (lead), of shape (count, n_1, ..., n_(d-1), 1), and
-    premixed in place for the last fold (see _rng).  The one hash of a
-    block is then _rng.fold(rows, _last_word(coords), top,
-    premixed=True), on all the rows or on those of a slice of the
-    replicas."""
-    d = len(lead) + 1
-    h = _rng.fold(key, replicas.reshape((-1,) + (1,) * d))
-    for q, c in enumerate(lead):
-        shape = [1] * (d + 1)
-        shape[q + 1] = len(c)
-        h = _rng.fold(h, c.reshape(shape))
-    return _rng._premix_hash(h, out=h)
-
-
-def _last_word(coords) -> np.ndarray:
-    """The last axis's coordinate words, premixed for the last fold."""
-    return _rng._premix_word(coords[-1].reshape((1,) * len(coords) + (-1,)))
-
-
 def _draw(rows: np.ndarray, last: np.ndarray, spec: GeneratorSpec) -> np.ndarray:
     """A block of spec's iid or moving-average fields, or of one product
     axis's factor streams, from its row words and last word: the last
@@ -301,7 +282,7 @@ def _draw(rows: np.ndarray, last: np.ndarray, spec: GeneratorSpec) -> np.ndarray
     Weibull map makes its array.  A moving average adds each site's
     value to the one before it on the extended axis."""
     dist = spec.param("dist", "rademacher")  # product_rademacher names no law
-    h = _rng.fold(rows, last, dist == "rademacher", premixed=True)
+    h = _rng.last_fold(rows, last, dist == "rademacher")
     del rows
     if dist == "rademacher":
         vals = _rng.sign_pm1(h)
@@ -330,13 +311,14 @@ def _base_key(spec: GeneratorSpec, master_seed: int, axis: int):
 def _factor_words(spec: GeneratorSpec, master_seed: int, coords) -> list:
     """The stream key and premixed last word of each axis of a product
     variant, as _factor_streams takes them."""
-    return [(_base_key(spec, master_seed, q + 1), _last_word([c])) for q, c in enumerate(coords)]
+    return [(_base_key(spec, master_seed, q + 1), _rng.last_word([c]))
+            for q, c in enumerate(coords)]
 
 
 def _factor_streams(spec: GeneratorSpec, words, reps: np.ndarray) -> list:
     """The per-axis factors of a product variant, one (count, n_q) array
     per axis from its _factor_words; the field is their outer product."""
-    return [_draw(_row_words(key, reps, []), last, spec) for key, last in words]
+    return [_draw(_rng.row_words(key, reps, []), last, spec) for key, last in words]
 
 
 def _check_block(spec: GeneratorSpec, shape, start: int, count: int) -> tuple:
@@ -383,8 +365,8 @@ def generate_batch(
         return out
 
     coords = _site_coords(spec, coords)
-    return _draw(_row_words(_base_key(spec, master_seed, 0), reps, coords[:-1]),
-                 _last_word(coords), spec)
+    return _draw(_rng.row_words(_base_key(spec, master_seed, 0), reps, coords[:-1]),
+                 _rng.last_word(coords), spec)
 
 
 def _axis_product(factors) -> np.ndarray:
@@ -422,7 +404,7 @@ def replica_stats(spec: GeneratorSpec, shape, seed: int, start: int, count: int,
         run = lambda first, size: _field_stats(np.zeros((size,) + shape), stats)
     else:
         coords = _site_coords(spec, coords)
-        key, last = _base_key(spec, seed, 0), _last_word(coords)
+        key, last = _base_key(spec, seed, 0), _rng.last_word(coords)
         block = _block_size(volume(shape), "lattice")
         rows = volume(len(c) for c in coords[:-1])
         tasks = range(start, start + count, _span_size(block, rows, count))
@@ -452,7 +434,7 @@ def _span_stats(spec: GeneratorSpec, key, lead, last, block: int, start: int, co
     docstring, read off the top-bit words.  The span drops its own
     reference to the rows, so a span of one block hands them over to
     the block with its one view (see _draw)."""
-    rows = _row_words(key, np.arange(start, start + count, dtype=np.int64), lead)
+    rows = _rng.row_words(key, np.arange(start, start + count, dtype=np.int64), lead)
     views = [rows[lo:lo + block] for lo in range(0, count, block)]
     del rows
     signs = (stats == ("total",) and spec.variant == "iid_symmetric"
@@ -460,18 +442,10 @@ def _span_stats(spec: GeneratorSpec, key, lead, last, block: int, start: int, co
     parts = []
     while views:
         if signs:
-            parts.append(_sign_count(_rng.fold(views.pop(0), last, True, premixed=True)))
+            parts.append((_rng.sign_total(_rng.last_fold(views.pop(0), last, True)),))
         else:
             parts.append(_field_stats(_draw(views.pop(0), last, spec), stats))
     return tuple(np.concatenate(column) for column in zip(*parts))
-
-
-def _sign_count(h: np.ndarray) -> tuple:
-    """The total of a block of iid Rademacher fields from its top-bit
-    words: S_n = cells - 2 #{sites of value -1}."""
-    h >>= 63
-    h = h.reshape(len(h), -1)
-    return (h.shape[1] - 2.0 * h.sum(axis=1),)
 
 
 def _field_stats(fields: np.ndarray, stats: tuple) -> tuple:

@@ -42,7 +42,7 @@ from .generators import (
     iid_gaussian,
     replica_stats,
     spec_from_json,
-    spec_to_json,
+    spec_to_dict,
     spec_variance,
 )
 from .lattice import (
@@ -454,7 +454,7 @@ def _list_of(item, n=None):
 
 
 def _generator(name, value):
-    return value if isinstance(value, GeneratorSpec) else spec_from_json(json.dumps(value))
+    return value if isinstance(value, GeneratorSpec) else spec_from_json(check_object(name, value))
 
 
 def _shape(name, value):
@@ -536,7 +536,7 @@ def _to_dict(config) -> dict:
     out = {"experiment": config.experiment, "replicas": config.replicas, "seed": config.seed,
            "threads": config.threads, **{name: getattr(config, name) for name in config.given}}
     if config.generator is not None:
-        out["generator"] = json.loads(spec_to_json(config.generator))
+        out["generator"] = spec_to_dict(config.generator)
     return out
 
 

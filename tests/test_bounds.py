@@ -31,7 +31,7 @@ from orthofield import (
     unit_tail,
     weibull_envelope,
 )
-from orthofield import bounds
+from orthofield import bounds, lattice
 from orthofield.bounds import _level_v, _level_x, _shape_fn_min
 
 E9 = math.exp(9.0)
@@ -262,6 +262,55 @@ def test_I_integral_array_matches_scalar_calls():
         I_integral(np.array([1.0, 0.0, 2.0]), 2)
     with pytest.raises(InvalidRangeError):
         I_integral(np.array([3.0, -1.0]), 1)
+
+
+def _rows_of(monkeypatch, name) -> list:
+    """Wrap bounds.<name> to record the rows of its first argument, one
+    entry per call."""
+    rows, fn = [], getattr(bounds, name)
+    monkeypatch.setattr(bounds, name, lambda x, *args: rows.append(len(x)) or fn(x, *args))
+    return rows
+
+
+def test_I_integral_in_row_chunks_gives_equal_bits(monkeypatch):
+    # a budget of 3 rows of the 2n = 128-node rule cuts 50 t into chunks
+    ts = np.logspace(-0.5, 8.0, 50)
+    whole = I_integral(ts, 2)
+    rows = _rows_of(monkeypatch, "_I_rule")
+    monkeypatch.setattr(lattice, "_BLOCK_CELLS", 3 * 128)
+    chunked = I_integral(ts, 2)
+    assert max(rows) == 6 and sum(rows) == 2 * len(ts)
+    assert chunked.tobytes() == whole.tobytes()
+
+
+def test_constants_grid_is_one_chunk(monkeypatch):
+    rows = _rows_of(monkeypatch, "_I_rule")
+    bounds._level_K(2)
+    assert rows == [161, 161]
+
+
+def test_gaussian_product_tail_in_row_chunks_gives_equal_bits(monkeypatch):
+    # m = 3 convolves to 2401 grid points at h, 1201 at 2h: a budget of
+    # 5 rows of 2401 cuts 120 values into chunks of 5 and of 9
+    s = np.linspace(0.05, 30.0, 120).reshape(4, 30)
+    whole = tail_eval(gaussian_product(3), s)
+    rows = _rows_of(monkeypatch, "erfc")
+    monkeypatch.setattr(lattice, "_BLOCK_CELLS", 5 * 2401)
+    chunked = tail_eval(gaussian_product(3), s)
+    assert max(rows) == 9 and sum(rows) == 2 * s.size
+    assert chunked.shape == s.shape and chunked.tobytes() == whole.tobytes()
+
+
+def test_gaussian_product_bound_stays_within_the_block_budget(peak_bytes):
+    # each (128, 18001) erfc panel of m = 16 was 18 MB unchunked
+    consts = recurse_constants(2)
+    assert peak_bytes(lambda: thm1_rhs([1.0], 16.0, gaussian_product(16), consts)) <= 8 << 20
+
+
+def test_I_integral_on_a_long_grid_stays_within_the_block_budget(peak_bytes):
+    # 10 001 t at once took 116 MB unchunked
+    ts = np.logspace(0.0, 8.0, 10001)
+    assert peak_bytes(lambda: I_integral(ts, 1)) <= 16 << 20
 
 
 @pytest.mark.parametrize("n", [2, 3, 64, 128])

@@ -173,6 +173,8 @@ EXPONENT_FIT = {"experiment": "exponent-fit", "d": 1, "replicas": 2000}
         ("fdd", dict(FDD, generator={"variant": "product_rademacher", "d": 2}, shape=[64, 64],
                      t_point=[1.0, 1.0], replicas=1)),
         ("sheet-cov", {"shape": [8, 8], "seed": 3, "replicas": 1}),
+        # a generator is a JSON object, not the text of one
+        ("deviation", dict(DEVIATION, generator=json.dumps(DEVIATION["generator"]))),
     ],
     ids=["top-level-list", "replicas-string", "shape-int", "x-grid-string",
          "two-term-without-y", "weibull-tail-without-gamma",
@@ -193,7 +195,7 @@ EXPONENT_FIT = {"experiment": "exponent-fit", "d": 1, "replicas": 2000}
          "tightness-exponents-1e18", "lemma-log-power-beta-400",
          "lemma-const-1e-300", "fdd-zero-field", "fdd-sigma-1e-200", "fdd-sigma-1e300",
          "fdd-weibull-gamma-0.01", "fdd-moving-average-gamma-0.005", "fdd-one-replica",
-         "sheet-cov-one-replica"],
+         "sheet-cov-one-replica", "generator-json-text"],
 )
 def test_malformed_config_is_one_line_exit_1(tmp_path, capsys, experiment, payload):
     cfg = write_config(tmp_path, "bad.json", payload)
@@ -278,6 +280,15 @@ def test_cli_import_leaves_out_scipy_integrate():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_parser_is_built_once_and_parses_each_call_afresh():
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    first = parser.parse_args(["deviation", "--seed", "3", "--threads", "2"])
+    again = parser.parse_args(["fdd"])
+    assert (first.experiment, first.seed, first.threads) == ("deviation", 3, 2)
+    assert (again.experiment, again.seed, again.threads, again.config) == ("fdd", None, None, None)
 
 
 def test_usage_error_is_exit_1(capsys):

@@ -28,6 +28,7 @@ from orthofield import (
 from orthofield import _rng
 from orthofield.generators import replica_stats
 from orthofield.lattice import _block_size
+import scalar_hash
 
 _MAKERS = {
     "iid_rademacher": iid_rademacher,
@@ -161,13 +162,16 @@ def test_pins_hold_at_lower_simd_levels(disabled, name, request):
 
 @pytest.mark.parametrize("seed", [0, -1, 2**63, 2**64 - 1])
 def test_stream_key_equals_the_array_fold(seed):
-    # stream_key runs on Python ints; the array fold of the same words,
-    # from mix64(seed + gamma) = fold(seed, 0) on, must give its bits
+    # stream_key on a seed, and the array fold of the same words from
+    # mix64(seed + gamma) = fold(seed, 0) on, against the scalar reference
     labels = ("sheet-pairs", 7, "exponent-fit")
+    words = [_rng._label_word(label) for label in labels]
+    want = scalar_hash.stream_key(seed & scalar_hash.MASK, *words)
     h = _rng.fold(np.array([seed]), 0)
-    for label in labels:
-        h = _rng.fold(h, np.uint64(_rng._label_word(label)))
-    assert int(_rng.stream_key(seed, *labels)) == int(h[0])
+    for word in words:
+        h = _rng.fold(h, np.uint64(word))
+    assert int(h[0]) == want
+    assert int(_rng.stream_key(seed, *labels)) == want
 
 
 # one block of 4096-cell replicas, as replica_stats plans it

@@ -1,11 +1,14 @@
-"""The array fold of _rng against its scalar twin, word by word."""
+"""The folds of _rng against the scalar reference, word by word."""
 
 import math
+import pathlib
+import warnings
 
 import numpy as np
 import pytest
 
 from orthofield import _rng
+import scalar_hash as ref
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -30,18 +33,76 @@ def _fold_operands(draw):
     return arrays
 
 
+def _premixed(a: np.ndarray, premix) -> np.ndarray:
+    """The uint64 array of premix of each word of a, by the reference."""
+    words = [premix(x & ref.MASK) for x in a.ravel().tolist()]
+    return np.array(words, dtype=np.uint64).reshape(a.shape)
+
+
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
 @given(operands=_fold_operands(), top=st.booleans())
 def test_fold_equals_the_scalar_fold(operands, top):
-    # the premixed array fold against _fold_int, word by word; top-bit
-    # words are right in bit 63 only
+    # fold, and last_fold of the reference's premixed words, against the
+    # reference fold word by word; top-bit words are right in bit 63 only
     h, word = operands
-    got = _rng.fold(h, word, top)
     hh, ww = np.broadcast_arrays(h, word)
-    assert np.shape(got) == hh.shape
-    for x, a, b in zip(np.ravel(got).tolist(), hh.ravel().tolist(), ww.ravel().tolist()):
-        want = _rng._fold_int(a & _rng._MASK, b & _rng._MASK)
+    want = [ref.fold(a & ref.MASK, b & ref.MASK)
+            for a, b in zip(hh.ravel().tolist(), ww.ravel().tolist())]
+    got = _rng.fold(h, word)
+    assert got.shape == hh.shape
+    assert got.ravel().tolist() == want
+    last = _rng.last_fold(_premixed(h, ref.premix_hash), _premixed(word, ref.premix_word), top)
+    assert last.shape == hh.shape
+    for x, w in zip(last.ravel().tolist(), want):
         if top:
-            assert x >> 63 == want >> 63
+            assert x >> 63 == w >> 63
         else:
-            assert x == want
+            assert x == w
+
+
+@pytest.mark.parametrize("rows_shape,last_shape,inplace", [
+    ((4, 1), (1, 1), True), ((4, 3), (1, 3), True), ((4, 1), (1, 3), False),
+    ((1, 1), (1, 3), False), ((2, 3, 1), (1, 1, 1), True), ((2, 3, 1), (1, 1, 5), False)])
+def test_last_fold_runs_in_place_exactly_when_rows_have_the_result_shape(
+        rows_shape, last_shape, inplace):
+    rows = np.arange(math.prod(rows_shape), dtype=np.uint64).reshape(rows_shape)
+    last = np.arange(7, 7 + math.prod(last_shape), dtype=np.uint64).reshape(last_shape)
+    before = rows.copy()
+    got = _rng.last_fold(rows, last, False)
+    assert np.shares_memory(got, rows) is inplace
+    if not inplace:
+        assert np.array_equal(rows, before)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+def test_stream_key_equals_the_reference(seed):
+    for labels in [(), (3,), ("sheet-pairs", 7, "exponent-fit"), (101, 201, 2**64 - 1)]:
+        key = _rng.stream_key(seed, *labels)
+        assert isinstance(key, np.uint64)
+        assert int(key) == ref.stream_key(seed, *map(_rng._label_word, labels))
+
+
+def test_folds_run_warning_free():
+    # every add and product wraps mod 2^64, on 0-d arrays too
+    big = np.array([2**64 - 1, 2**63, 5], dtype=np.uint64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        key = _rng.stream_key(2**64 - 1, "x", 2**64 - 1)
+        h = _rng.fold(key, big.reshape(-1, 1))
+        h = _rng.fold(h, np.array([[-1, 2**62]]))
+        rows = _rng.row_words(key, np.arange(3), [np.arange(-2, 3)])
+        last = _rng.last_word([np.arange(2), np.arange(4)])
+        for top in (False, True):
+            _rng.last_fold(rows.copy(), last, top)
+            _rng.last_fold(h.copy(), _rng.last_word([big[:2]]), top)
+
+
+def test_the_package_holds_one_finalizer():
+    # the scalar finalizer is the reference in tests/; the package mixes
+    # with one routine, whose first multiplier appears once in src/
+    package = pathlib.Path(_rng.__file__).parent
+    lines = [(path.name, line) for path in sorted(package.glob("*.py"))
+             for line in path.read_text(encoding="utf-8").splitlines()
+             if "0xbf58476d1ce4e5b9" in line.lower()]
+    assert lines == [("_rng.py", "_M1 = 0xBF58476D1CE4E5B9")]
+    assert not hasattr(_rng, "_mix64_int") and not hasattr(_rng, "_fold_int")
