@@ -75,7 +75,7 @@ from .errors import (
     InvalidInputError,
     InvalidRangeError,
     NumericFailureError,
-    check_kind,
+    build_kind,
     check_number,
 )
 from .lattice import _block_size
@@ -120,15 +120,11 @@ class TailModel:
 
 
 def bounded_by(k: float) -> TailModel:
-    if k <= 0:
-        raise InvalidRangeError("bound K must be positive")
-    return TailModel("bounded", value=float(k))
+    return TailModel("bounded", value=float(check_number("tail K", k, lo=0, above=True)))
 
 
 def weibull_envelope(gamma: float) -> TailModel:
-    if gamma <= 0:
-        raise InvalidRangeError("gamma must be positive")
-    return TailModel("weibull", value=float(gamma))
+    return TailModel("weibull", value=float(check_number("tail gamma", gamma, lo=0, above=True)))
 
 
 # with m <= 16 the grid of ln|X_1...X_(m-1)| in _gauss_prod_tail stays
@@ -137,9 +133,8 @@ _MAX_FACTORS = 16
 
 
 def gaussian_product(m: int) -> TailModel:
-    if not 1 <= m <= _MAX_FACTORS:
-        raise InvalidRangeError("need 1 to %d factors, not %r" % (_MAX_FACTORS, m))
-    return TailModel("gaussian_product", value=float(m))
+    return TailModel("gaussian_product",
+                     value=float(check_number("tail m", m, lo=1, hi=_MAX_FACTORS, integer=True)))
 
 
 def unit_tail() -> TailModel:
@@ -147,22 +142,16 @@ def unit_tail() -> TailModel:
     return TailModel("unit")
 
 
-_TAIL_KINDS = {"bounded": ("K",), "weibull": ("gamma",), "gaussian_product": ("m",), "unit": ()}
+# each kind's constructor, then the JSON keys of its arguments
+_TAIL_KINDS = {"bounded": (bounded_by, "K"), "weibull": (weibull_envelope, "gamma"),
+               "gaussian_product": (gaussian_product, "m"), "unit": (unit_tail,)}
 
 
 def tail_from_dict(data: dict) -> TailModel:
     """The model a JSON object describes: {"kind": "bounded", "K": k},
     {"kind": "weibull", "gamma": g}, {"kind": "gaussian_product", "m": m}
     or {"kind": "unit"}."""
-    kind = check_kind("tail model", data, _TAIL_KINDS)
-    if kind == "bounded":
-        return bounded_by(check_number("tail K", data["K"]))
-    if kind == "weibull":
-        return weibull_envelope(check_number("tail gamma", data["gamma"]))
-    if kind == "gaussian_product":
-        return gaussian_product(check_number("tail m", data["m"], lo=1, hi=_MAX_FACTORS,
-                                                     integer=True))
-    return unit_tail()
+    return build_kind("tail model", data, _TAIL_KINDS)
 
 
 _LN_Y_LO, _LN_Y_HI = -45.0, 3.0  # ln|X| for a standard normal X lies here but for e^-45 mass
@@ -482,11 +471,13 @@ def I_integral(t, dprev: int):
     distance to the n-node rule is the error estimate, which must stay
     within max(_ABS_FLOOR, |I| _REL_TOL) at every t.  The rules run over
     slices of t (_by_rows); the 161-point grid of _level_K is one."""
-    if not 1 <= dprev <= 5:
-        raise InvalidRangeError("dprev must be in 1..5")
-    ts = np.asarray(t, dtype=np.float64)
-    if not np.all(ts > 0):
-        raise InvalidRangeError("t must be positive")
+    check_number("dprev", dprev, lo=1, hi=5, integer=True)
+    ts = np.asarray(t)
+    if ts.dtype.kind not in "iuf":
+        raise InvalidInputError("t must be a number or an array of numbers, not %r" % (t,))
+    ts = ts.astype(np.float64)
+    if not np.all((ts > 0) & (ts < math.inf)):
+        raise InvalidRangeError("t must be positive and finite")
     d = dprev + 1
     col = ts.reshape(-1, 1)
     # f_{1/2} rises from 1 at y = ln v = 0: the u-section is nonempty while
@@ -546,9 +537,7 @@ def recurse_constants(d: int) -> BoundConstants:
 
     with K_d realized numerically and M_d in closed form, both recorded
     per level.  Each level is computed once per process."""
-    if not 1 <= d <= 6:
-        raise InvalidRangeError("constants recursion is computed for 1 <= d <= 6")
-    return _constants(d)
+    return _constants(int(check_number("constants dimension d", d, lo=1, hi=6, integer=True)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -623,14 +612,21 @@ def _tail_integral(model: TailModel, scale: float, g, where: str) -> float:
                             lambda i: "scale=%g, %s" % (scale, where)))
 
 
+def _exp_term(A: float, ratio: float, d: int) -> float:
+    """A exp(-ratio^(2/d)), 0 once ratio^(2/d) passes the float range."""
+    try:
+        return A * math.exp(-(ratio ** (2.0 / d)))
+    except OverflowError:
+        return 0.0
+
+
 def thm1_rhs(x, y: float, model: TailModel, consts: BoundConstants):
     """The two-term bound at deviation x (in units of sqrt(|n|)) and free
     parameter y.  Values above 1 are reported as-is with vacuous=True.
     For a sequence of x it returns a list, one BoundValue per x, and
     takes the integral term, which x does not enter, once."""
-    xs = [x] if np.ndim(x) == 0 else list(x)
-    if y <= 0 or any(v <= 0 for v in xs):
-        raise InvalidRangeError("x and y must be positive")
+    xs = [check_number("x", v, lo=0, above=True) for v in ([x] if np.ndim(x) == 0 else x)]
+    check_number("bound y", y, lo=0, above=True)
     p, scale = consts.p, y * consts.C
     integral = consts.B * _tail_integral(model, scale, lambda u: np.log1p(u) ** p, "p=%d" % p)
     if math.isinf(integral):  # a finite tail integral times B
@@ -638,7 +634,7 @@ def thm1_rhs(x, y: float, model: TailModel, consts: BoundConstants):
                                 % (scale, p))
     out = []
     for v in xs:
-        exp_term = consts.A * math.exp(-((v / y) ** (2.0 / consts.d)))
+        exp_term = _exp_term(consts.A, v / y, consts.d)
         value = exp_term + integral
         out.append(BoundValue(value, exp_term, integral, value >= 1.0))
     return out if np.ndim(x) else out[0]
@@ -647,12 +643,12 @@ def thm1_rhs(x, y: float, model: TailModel, consts: BoundConstants):
 def bounded_rhs(x: float, k: float, consts: BoundConstants) -> BoundValue:
     """Single-exponential form for |X| <= k at y = k / C; valid for
     x >= 3^(d/2) k / C, otherwise the trivial bound 1 with a flag."""
-    if x <= 0 or k <= 0:
-        raise InvalidRangeError("x and K must be positive")
+    check_number("x", x, lo=0, above=True)
+    check_number("bound K", k, lo=0, above=True)
     threshold = 3.0 ** (consts.d / 2.0) * k / consts.C
     if x < threshold:
         return BoundValue(1.0, 1.0, 0.0, True)
-    value = consts.A * math.exp(-((consts.C * x / k) ** (2.0 / consts.d)))
+    value = _exp_term(consts.A, consts.C * x / k, consts.d)
     return BoundValue(value, value, 0.0, value >= 1.0)
 
 
@@ -674,17 +670,16 @@ def thm2_rhs(x: float, shape, gamma: float) -> LargeDeviationValue:
     x |N|^(1/2) with the optimizing y* = |N|^(1/(2+d gamma)) x^(2/(2+d gamma)),
     which balances the two terms and yields the advertised stretched
     exponent gamma/(2 + d gamma) in |N|."""
-    if x <= 0:
-        raise InvalidRangeError("x must be positive")
-    if gamma <= 0:
-        raise InvalidRangeError("gamma must be positive")
-    shape = tuple(int(n) for n in shape)
+    check_number("x", x, lo=0, above=True)
+    # weibull_envelope(gamma), with gamma checked as the bound's
+    envelope = TailModel("weibull", float(check_number("bound gamma", gamma, lo=0, above=True)))
+    shape = tuple(check_number("shape extent", n, lo=1, integer=True) for n in shape)
     d = len(shape)
     n_cells = math.prod(shape)
     consts = recurse_constants(d)
     y_star = n_cells ** (1.0 / (2.0 + d * gamma)) * x ** (2.0 / (2.0 + d * gamma))
     x_equiv = x * math.sqrt(n_cells)
-    inner = thm1_rhs(x_equiv, y_star, weibull_envelope(gamma), consts)
+    inner = thm1_rhs(x_equiv, y_star, envelope, consts)
     return LargeDeviationValue(
         inner.value, y_star, x_equiv, inner.exp_term, inner.integral_term, inner.vacuous
     )
@@ -696,11 +691,6 @@ def thm2_rhs(x: float, shape, gamma: float) -> LargeDeviationValue:
 # the deepest dyadic level of the summability diagnostics: 2^j and the
 # sum 2^1 + ... + 2^j stay below the float maximum 2^1024
 _MAX_LEVEL = 1022
-
-
-def _check_levels(name: str, j_max: int):
-    if not 1 <= j_max <= _MAX_LEVEL:
-        raise InvalidRangeError("%s must be in 1..%d, not %r" % (name, _MAX_LEVEL, j_max))
 
 
 def _factor_at_level(L: "SlowlyVarying", j: int) -> float:
@@ -717,9 +707,8 @@ def _factor_at_level(L: "SlowlyVarying", j: int) -> float:
 def cond_wip_check(L: "SlowlyVarying", model: TailModel, a: float, j_max: int) -> dict:
     """Partial sums of sum_j 2^j tail(L(2^j) * a); converged when the last
     ten levels contribute below 1e-12 of the total."""
-    if a <= 0:
-        raise InvalidRangeError("A must be positive")
-    _check_levels("j_max", j_max)
+    check_number("a", a, lo=0, above=True)
+    check_number("j_max", j_max, lo=1, hi=_MAX_LEVEL, integer=True)
     terms = []
     for j in range(1, j_max + 1):
         terms.append(2.0**j * float(tail_eval(model, _factor_at_level(L, j) * a)))
@@ -738,7 +727,7 @@ def cond_wip_check(L: "SlowlyVarying", model: TailModel, a: float, j_max: int) -
 def lemma_svarying_partial_sum(L: "SlowlyVarying", k_max: int) -> dict:
     """Ratios r_k = (sum_{j<=k} 2^j / L(2^j)) / (2^k / L(2^k)); their max
     is the realized comparison constant."""
-    _check_levels("k_max", k_max)
+    check_number("k_max", k_max, lo=1, hi=_MAX_LEVEL, integer=True)
     ratios = []
     acc = 0.0
     for k in range(1, k_max + 1):
@@ -754,9 +743,8 @@ def lemma3_moment_sum(L: "SlowlyVarying", model: TailModel, c: float, j_max: int
     """Partial sums of sum_j 2^j int_1^inf tail(L(2^j) u c) u^2 du.  Every
     term diverges when the tail never falls to a negligible level (unit,
     the only such kind), and every other term is finite."""
-    if c <= 0:
-        raise InvalidRangeError("C must be positive")
-    _check_levels("j_max", j_max)
+    check_number("c", c, lo=0, above=True)
+    check_number("j_max", j_max, lo=1, hi=_MAX_LEVEL, integer=True)
     levels = range(1, j_max + 1)
     if _tail_log_knots(model)[-1] == math.inf:
         return {"terms": [math.inf] * j_max, "total": math.inf,
@@ -792,11 +780,10 @@ def exponent_fit(samples, window=(0.90, 0.999), grid_points: int = 24) -> Expone
     x grid between the two window quantiles.  Deeper windows are less
     biased when -log P carries slowly varying corrections; the caller
     chooses the depth its sample size supports."""
-    lo_q, hi_q = float(window[0]), float(window[1])
+    lo_q, hi_q = (float(check_number("window", window[i])) for i in (0, 1))
     if not 0.5 <= lo_q < hi_q < 1.0:
         raise InvalidRangeError("window must satisfy 0.5 <= lo < hi < 1")
-    if grid_points < 4:
-        raise InvalidInputError("need at least 4 grid points")
+    _block_size(check_number("grid_points", grid_points, lo=4, integer=True), "exponent-fit grid")
     mags = np.sort(np.abs(np.asarray(samples, dtype=np.float64)))
     n = mags.size
     if n < 1000:

@@ -1,4 +1,4 @@
-"""Exception taxonomy shared across the package, and the checks every JSON input parser uses.
+"""Exception taxonomy shared across the package, and the checks of every input field.
 
 Every error raised on purpose derives from OrthofieldError so callers
 (and the command line driver) can separate "the input was bad" from a
@@ -66,6 +66,17 @@ def check_kind(what: str, data, kinds: dict, optional=False) -> str:
     keys = ("kind",) + tuple(kinds[kind])
     check_object("%s %r" % (what, kind), data, keys[:1] if optional else keys, keys)
     return kind
+
+
+def build_kind(what: str, data, kinds: dict, default=None):
+    """What a JSON object of one of several kinds describes: kinds[kind]
+    is its constructor, then the keys of the constructor's arguments,
+    which it checks itself.  With a default every key may be left out,
+    and reads as the default."""
+    kind = check_kind(what, data, {k: keys for k, (_, *keys) in kinds.items()},
+                      optional=default is not None)
+    make, *keys = kinds[kind]
+    return make(*(data.get(key, default) for key in keys))
 
 
 def check_number(what: str, value, lo=-math.inf, hi=math.inf, integer=False, above=False):

@@ -144,8 +144,7 @@ def verify_bound(config: ExperimentConfig) -> Report:
     t0 = time.perf_counter()
     shape = config.shape
     kind = check_kind("bound", config.bound, _BOUND_KINDS)
-    key = _BOUND_KINDS[kind][0]
-    param = _positive("bound " + key, config.bound[key])
+    param = config.bound[_BOUND_KINDS[kind][0]]
     model = bounds.tail_from_dict(config.bound["tail"]) if kind == "two-term" else None
     d = len(shape)
     consts = bounds.recurse_constants(d)
@@ -552,7 +551,7 @@ lists for it.  Validation fills in the defaults and keeps the names
 given in `given`, which the report echo (to_dict) holds with replicas
 and seed."""
 
-# the keys each kind of bound reads: one positive number, then two-term's tail
+# the keys each kind of bound reads: its evaluator's number, then two-term's tail
 _BOUND_KINDS = {"bounded": ("K",), "two-term": ("y", "tail"), "large-deviation": ("gamma",)}
 
 

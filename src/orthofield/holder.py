@@ -47,11 +47,10 @@ from .errors import (
     DegenerateModulusError,
     InvalidInputError,
     InvalidRangeError,
-    check_kind,
+    build_kind,
     check_number,
     check_object,
 )
-from .lattice import _block_size
 from .sumprocess import eval_W_grid
 
 # ---------------------------------------------------------------- moduli
@@ -79,9 +78,7 @@ class SlowlyVarying:
 
 
 def log_power(beta: float) -> SlowlyVarying:
-    if beta < 0:
-        raise InvalidRangeError("log_power exponent must be >= 0")
-    return SlowlyVarying("log_power", beta=float(beta))
+    return SlowlyVarying("log_power", beta=float(check_number("log_power beta", beta, lo=0)))
 
 
 def iter_log() -> SlowlyVarying:
@@ -89,9 +86,7 @@ def iter_log() -> SlowlyVarying:
 
 
 def const_factor(c0: float) -> SlowlyVarying:
-    if c0 <= 0:
-        raise InvalidRangeError("const factor must be positive")
-    return SlowlyVarying("const", c0=float(c0))
+    return SlowlyVarying("const", c0=float(check_number("const factor c0", c0, lo=0, above=True)))
 
 
 @dataclass(frozen=True)
@@ -101,19 +96,16 @@ class Modulus:
     L: SlowlyVarying
 
 
-_SVARYING_KINDS = {"log_power": ("beta",), "iter_log": (), "const": ("c0",)}
+# each kind's constructor, then the JSON keys of its arguments
+_SVARYING_KINDS = {"log_power": (log_power, "beta"), "iter_log": (iter_log,),
+                   "const": (const_factor, "c0")}
 
 
 def svarying_from_dict(data: dict) -> SlowlyVarying:
     """The factor a JSON object describes: {"kind": "log_power", "beta": b},
     {"kind": "iter_log"} or {"kind": "const", "c0": c}, b and c
     defaulting to 1."""
-    kind = check_kind("slowly varying factor", data, _SVARYING_KINDS, optional=True)
-    if kind == "log_power":
-        return log_power(check_number("log_power beta", data.get("beta", 1.0)))
-    if kind == "const":
-        return const_factor(check_number("const factor c0", data.get("c0", 1.0)))
-    return iter_log()
+    return build_kind("slowly varying factor", data, _SVARYING_KINDS, default=1.0)
 
 
 def modulus_from_dict(data: dict, d: int) -> Modulus:
@@ -121,7 +113,7 @@ def modulus_from_dict(data: dict, d: int) -> Modulus:
     describes: {"c": c, "L": factor}, L defaulting to the constant 1."""
     check_object("modulus", data, ("c",), ("L",))
     L = svarying_from_dict(data.get("L", {"kind": "const", "c0": 1.0}))
-    return modulus(check_number("modulus c", data["c"]), d, L)
+    return modulus(data["c"], d, L)
 
 
 _MODULUS_LEVELS = 40  # the finest dyadic level at which the package evaluates a modulus
@@ -130,11 +122,9 @@ _MODULUS_LEVELS = 40  # the finest dyadic level at which the package evaluates a
 def modulus(c: float, d: int, L: SlowlyVarying) -> Modulus:
     """Build a modulus, verifying it increases along the dyadic grid
     h = 2^-j, j = 0.._MODULUS_LEVELS."""
-    if c <= 1.0:
-        raise InvalidRangeError("need c > 1 so ln(c/h) > 0 on (0, 1]")
-    if d < 1:
-        raise InvalidRangeError("dimension must be >= 1")
-    rho = Modulus(float(c), int(d), L)
+    # c > 1 so that ln(c/h) > 0 on (0, 1]
+    rho = Modulus(float(check_number("modulus c", c, lo=1, above=True)),
+                  int(check_number("modulus dimension d", d, lo=1, integer=True)), L)
     values = [modulus_eval(rho, 2.0**-j) for j in range(_MODULUS_LEVELS + 1)]
     for a, b in zip(values[1:], values[:-1]):
         if not a < b:
@@ -203,11 +193,8 @@ def grid_seq_norms(padded, rho: Modulus, j_max: int) -> np.ndarray:
     d = padded.ndim - 1
     if d != rho.d:
         raise InvalidInputError("prefix arrays have dimension %d, modulus has %d" % (d, rho.d))
-    # compared before the grid's cell count is built
-    if not 0 <= j_max <= _MODULUS_LEVELS:
-        raise InvalidRangeError("j_max must be in 0..%d, the levels a modulus is checked on"
-                                % _MODULUS_LEVELS)
-    _block_size(full_grid_count(j_max, d), "level grid")
+    # the levels a modulus is checked on; eval_W_grid checks the grid's own bounds
+    check_number("j_max", j_max, hi=_MODULUS_LEVELS)
     return _grid_norms(eval_W_grid(padded, j_max), rho, j_max)
 
 

@@ -25,7 +25,11 @@ import math
 
 import numpy as np
 
-from .lattice import _corner_sum, volume
+from .errors import check_number
+from .lattice import _block_size, _corner_sum, volume
+
+# the finest level J: the node indices 0..2^J stay within int64
+_MAX_J = 62
 
 
 def _cell(t: np.ndarray, n: int) -> tuple:
@@ -47,8 +51,12 @@ def eval_W_grid(padded: np.ndarray, J: int) -> np.ndarray:
     through _cell.  Each axis is shaped as
     np.ix_ would shape it, and all go through the one corner sum, over
     2^(axes not aligned) corners.  The grid is a new array, scaled in
-    place; padded is left as it was."""
+    place; padded is left as it was.  J is an integer in 0.._MAX_J,
+    checked before the grid's (2^J + 1)^d nodes are counted, and one
+    replica's grid must fit the block budget (lattice._block_size)."""
+    J = int(check_number("level J", J, lo=0, hi=_MAX_J, integer=True))
     dims = padded.shape[1:]
+    _block_size(((1 << J) + 1) ** len(dims), "level grid")
     nodes = np.arange((1 << J) + 1)
     corners = []
     for q, m in enumerate(dims):

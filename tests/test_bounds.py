@@ -9,7 +9,6 @@ from scipy.special import erfc, gamma, gammaincc
 
 from orthofield import (
     InsufficientDataError,
-    InvalidInputError,
     InvalidRangeError,
     I_integral,
     NumericFailureError,
@@ -769,5 +768,5 @@ def test_exponent_fit_window_and_data_errors():
         exponent_fit(samples[:100])
     with pytest.raises(InsufficientDataError):
         exponent_fit(np.ones(5000))
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidRangeError):
         exponent_fit(samples, grid_points=2)

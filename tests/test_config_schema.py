@@ -12,7 +12,7 @@ import tempfile
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from orthofield.cli import main  # noqa: E402
 from orthofield.harness import _COMMON, _FIELD_NAMES, _SCHEMA  # noqa: E402
@@ -54,6 +54,9 @@ OUT_OF_RANGE = [-1, -(2**70)]
 # above every integer field's upper limit, or over the block budget, but
 # for threads, which only caps the worker count
 ABOVE_RANGE = 2**64
+# what json.load, which the command line reads configs with, makes of
+# NaN, Infinity and -Infinity
+NON_FINITE = [math.nan, math.inf, -math.inf]
 
 
 def _paths(value, path=()):
@@ -89,7 +92,7 @@ def _run(experiment, config):
 @settings(max_examples=150, deadline=None, database=None, derandomize=True)
 @given(experiment=st.sampled_from(sorted(SMALL)),
        mutation=st.sampled_from(["drop", "wrong-type", "unread", "out-of-range",
-                                 "above-range"]),
+                                 "above-range", "non-finite"]),
        data=st.data())
 def test_mutated_config_never_escapes(experiment, mutation, data):
     config = json.loads(json.dumps(SMALL[experiment]))
@@ -106,6 +109,12 @@ def test_mutated_config_never_escapes(experiment, mutation, data):
         if where == ():
             unread += sorted(set(_FIELD_NAMES) - set(_COMMON) - set(_SCHEMA[experiment][1]))
         _set(config, where + (data.draw(st.sampled_from(unread)),), 1)
+    elif mutation == "non-finite":
+        # any float field, those of bound, tail, modulus, L, svarying and
+        # generator params included
+        floats = [p for p in _paths(config) if type(_get(config, p)) is float]
+        assume(floats)
+        _set(config, data.draw(st.sampled_from(floats)), data.draw(st.sampled_from(NON_FINITE)))
     else:
         ints = [p for p in _paths(config) if type(_get(config, p)) is int]
         value = ABOVE_RANGE if mutation == "above-range" else data.draw(
@@ -114,7 +123,7 @@ def test_mutated_config_never_escapes(experiment, mutation, data):
 
     rc, out, err = _run(experiment, config)
     assert rc in (0, 1, 2)
-    if mutation in ("unread", "out-of-range"):
+    if mutation in ("unread", "out-of-range", "non-finite"):
         assert rc == 1, (config, err)
     if rc == 1:
         assert out == "" and len(err.splitlines()) == 1, (config, err)
