@@ -158,9 +158,11 @@ def stream_key(master_seed: int, *labels) -> np.uint64:
 
 
 def uniform01(h: np.ndarray) -> np.ndarray:
-    """Map words to doubles in the open interval (0, 1).  Overwrites h."""
+    """Map words to doubles in the open interval (0, 1).  Overwrites h.
+    The shifted words are below 2^53, so they convert exactly, and as
+    int64, whose conversion numpy runs faster than uint64's."""
     h >>= 11
-    u = h.astype(np.float64)
+    u = h.view(np.int64).astype(np.float64)
     u += 0.5
     u *= _INV53
     return u

@@ -676,6 +676,9 @@ def thm2_rhs(x: float, shape, gamma: float) -> LargeDeviationValue:
     shape = tuple(check_number("shape extent", n, lo=1, integer=True) for n in shape)
     d = len(shape)
     n_cells = math.prod(shape)
+    if n_cells > sys.float_info.max:
+        raise InvalidRangeError("lattice of about 2^%.0f cells exceeds the float range"
+                                % math.log2(n_cells))
     consts = recurse_constants(d)
     y_star = n_cells ** (1.0 / (2.0 + d * gamma)) * x ** (2.0 / (2.0 + d * gamma))
     x_equiv = x * math.sqrt(n_cells)

@@ -35,6 +35,16 @@ them to values (_rng.sign_total).  Every partial sum of +-1 terms is
 an integer below 2^53, so the count equals batch_total's sum bit for
 bit.
 
+A caller that only asks whether max_k |S_k| exceeds thresholds t >= f
+may pass the floor f: the "max" column is then max(f, max_k |S_k|) on
+every route, which exceeds each such t exactly when max_k |S_k| does.
+An iid Rademacher field's lone "max" uses the floor as a screen.  With
+P_n and M_n the counts of +1 and -1 sites, every box sum lies in
+[-M_n, P_n], so max_k |S_k| <= max(P_n, M_n) = (|n| + |S_n|) / 2.  A
+block reads S_n off its top-bit words, as the lone "total" does, and
+writes f for every replica whose bound is at most f; only the replicas
+left open hash their row words again and take the float path.
+
 Product fields factorize, S_k = prod_q P^(q)_(k_q) with P^(q) the
 cumulative sum of axis q's factor stream, so their statistics are
 products of per-axis ones, multiplied in axis order:
@@ -74,6 +84,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -378,7 +389,7 @@ def _axis_product(factors) -> np.ndarray:
 
 
 def replica_stats(spec: GeneratorSpec, shape, seed: int, start: int, count: int,
-                  stats, threads: int = 1) -> tuple:
+                  stats, threads: int = 1, floor=None) -> tuple:
     """The partial-sum statistics named in stats (a subset of "max",
     "total" and "slab", see the module docstring) of replicas
     [start, start + count), one array of count values per name in that
@@ -389,10 +400,17 @@ def replica_stats(spec: GeneratorSpec, shape, seed: int, start: int, count: int,
     field's task is a span of blocks (lattice._span_size), which hashes
     its row words once and then runs each block's last fold and
     reduction.  The key, the coordinate words and the checks are taken
-    once per call."""
+    once per call.  With a floor (a number, not NaN) the "max" column
+    holds max(floor, max_k |S_k|), which exceeds any threshold t >= floor
+    exactly when max_k |S_k| does; an iid Rademacher field's lone "max"
+    then skips the prefix sums of replicas whose sign count bounds their
+    maximum by the floor (the module docstring's screen)."""
     stats = tuple(stats)
     if not stats or any(name not in _STATS for name in stats):
         raise InvalidInputError("stats must name some of %r, got %r" % (_STATS, stats))
+    if floor is not None and (isinstance(floor, bool) or not isinstance(floor, numbers.Real)
+                              or math.isnan(floor)):
+        raise InvalidInputError("floor must be a number, not %r" % (floor,))
     shape = _check_block(spec, shape, start, count)
     coords = _axis_coords(shape, None)
     if spec.variant in _PRODUCTS:
@@ -409,9 +427,13 @@ def replica_stats(spec: GeneratorSpec, shape, seed: int, start: int, count: int,
         rows = volume(len(c) for c in coords[:-1])
         tasks = range(start, start + count, _span_size(block, rows, count))
         run = lambda first, size: _span_stats(spec, key, coords[:-1], last, block,
-                                              first, size, stats)
+                                              first, size, stats, floor)
     parts = _map_blocks(run, tasks, threads)
-    return tuple(np.concatenate(column) for column in zip(*parts))
+    columns = tuple(np.concatenate(column) for column in zip(*parts))
+    if floor is not None and "max" in stats:
+        peaks = columns[stats.index("max")]
+        np.maximum(peaks, floor, out=peaks)
+    return columns
 
 
 def _product_stats(spec: GeneratorSpec, words, start: int, count: int, stats: tuple) -> tuple:
@@ -426,26 +448,52 @@ def _product_stats(spec: GeneratorSpec, words, start: int, count: int, stats: tu
 
 
 def _span_stats(spec: GeneratorSpec, key, lead, last, block: int, start: int, count: int,
-                stats: tuple) -> tuple:
+                stats: tuple, floor=None) -> tuple:
     """replica_stats of the span [start, start + count) of an iid or
     moving-average field: its row words once, then per block of `block`
     replicas the last fold, the values and their reduction.  An iid
     Rademacher field's lone "total" is the sign count of the module
-    docstring, read off the top-bit words.  The span drops its own
-    reference to the rows, so a span of one block hands them over to
-    the block with its one view (see _draw)."""
+    docstring, read off the top-bit words, and with a floor its lone
+    "max" runs _screened_max, the module docstring's screen.  The span
+    drops its own reference to the rows, so a span of one block hands
+    them over to the block with its one view (see _draw)."""
     rows = _rng.row_words(key, np.arange(start, start + count, dtype=np.int64), lead)
     views = [rows[lo:lo + block] for lo in range(0, count, block)]
     del rows
-    signs = (stats == ("total",) and spec.variant == "iid_symmetric"
-             and spec.param("dist") == "rademacher")
+    rademacher = spec.variant == "iid_symmetric" and spec.param("dist") == "rademacher"
+    signs = rademacher and stats == ("total",)
+    screen = rademacher and stats == ("max",) and floor is not None
     parts = []
-    while views:
+    for first in range(start, start + count, block):
         if signs:
             parts.append((_rng.sign_total(_rng.last_fold(views.pop(0), last, True)),))
+        elif screen:
+            parts.append((_screened_max(spec, key, lead, last, views.pop(0), first, floor),))
         else:
             parts.append(_field_stats(_draw(views.pop(0), last, spec), stats))
     return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+def _screened_max(spec: GeneratorSpec, key, lead, last, rows: np.ndarray, first: int,
+                  floor) -> np.ndarray:
+    """The "max" of a block of iid Rademacher replicas first, first + 1,
+    ... from their handed-over rows: the floor wherever the sign count's
+    bound (|n| + |S_n|) / 2 on max_k |S_k| is at most the floor, and the
+    float path's value for the replicas left open (replica_stats raises
+    those to the floor).  The open replicas' rows are hashed again from
+    the key, never read back: the last fold may have run in place on the
+    rows given."""
+    h = _rng.last_fold(rows, last, True)
+    del rows
+    bound = 0.5 * (h[0].size + np.abs(_rng.sign_total(h)))
+    del h
+    out = np.full(len(bound), floor, dtype=np.float64)
+    open_ = np.flatnonzero(bound > floor)
+    if open_.size:
+        reps = first + open_.astype(np.int64)
+        peaks, = _field_stats(_draw(_rng.row_words(key, reps, lead), last, spec), ("max",))
+        out[open_] = peaks
+    return out
 
 
 def _field_stats(fields: np.ndarray, stats: tuple) -> tuple:

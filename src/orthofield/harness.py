@@ -13,7 +13,11 @@ statistics it reads: deviation and the bounded and two-term bounds the
 maximum |S_k|, the large-deviation bound and fdd the total S_n,
 induction-check the maximum and the last-slab maximum, and tightness
 the maximum, once per dyadic level.  deviation, verify-bound and
-tightness count exceedances in one table (_exceedances).
+tightness count exceedances in one table (_exceedances), and hand
+replica_stats the smallest of their thresholds as the floor of the
+maximum: a maximum raised to that floor exceeds each threshold exactly
+when the maximum does, so the counts are the same, and an iid
+Rademacher field skips the prefix sums of replicas that cannot reach it.
 
 Reports separate the reproducible payload (config echo, rows, verdicts,
 constants trace, tolerances) from the timing block (timestamp, wall
@@ -126,10 +130,11 @@ def _exceedances(values: np.ndarray, thresholds) -> list:
 def mc_deviation(config: ExperimentConfig) -> Report:
     """Estimate P{max |S_i| > x sqrt(|n|)} over the configured x grid."""
     t0 = time.perf_counter()
-    m_all, = replica_stats(config.generator, config.shape, config.seed, 0, config.replicas,
-                           ("max",), config.threads)
     scale = math.sqrt(volume(config.shape))
-    rows = _exceedances(m_all, [x * scale for x in config.x_grid])
+    thresholds = [x * scale for x in config.x_grid]
+    m_all, = replica_stats(config.generator, config.shape, config.seed, 0, config.replicas,
+                           ("max",), config.threads, floor=min(thresholds))
+    rows = _exceedances(m_all, thresholds)
     for row, x in zip(rows, config.x_grid):
         row["x"] = x
     return _finish("deviation", config, "INFO", rows, t0)
@@ -157,10 +162,12 @@ def verify_bound(config: ExperimentConfig) -> Report:
     # large-deviation reads |S_n| against x |n|, the other kinds max |S_k|
     # against x sqrt(|n|)
     ld = kind == "large-deviation"
-    stat = np.abs(replica_stats(config.generator, shape, config.seed, 0, config.replicas,
-                                ("total",) if ld else ("max",), config.threads)[0])
     scale = volume(shape) if ld else math.sqrt(volume(shape))
-    rows = _exceedances(stat, [x * scale for x in config.x_grid])
+    thresholds = [x * scale for x in config.x_grid]
+    stat = np.abs(replica_stats(config.generator, shape, config.seed, 0, config.replicas,
+                                ("total",) if ld else ("max",), config.threads,
+                                floor=None if ld else min(thresholds))[0])
+    rows = _exceedances(stat, thresholds)
     for row, x, bv in zip(rows, config.x_grid, values):
         row.update(x=x, bound=bv.value, exp_term=bv.exp_term, integral_term=bv.integral_term,
                    vacuous=bv.vacuous, ok=bv.vacuous or row["ci_hi"] <= bv.value)
@@ -353,7 +360,7 @@ def tightness_experiment(config: ExperimentConfig) -> Report:
         shape = tuple(2 ** (mu - j) if u == q - 1 else 2**mu for u, mu in enumerate(m))
         threshold = config.eps * holder.modulus_eval(rho, 2.0**-j) * sqrt_full
         peaks, = replica_stats(config.generator, shape, config.seed, j * n, n, ("max",),
-                               config.threads)
+                               config.threads, floor=threshold)
         row, = _exceedances(peaks, [threshold])
         lo, hi = row.pop("ci_lo"), row.pop("ci_hi")
         rows.append({"j": j, "shape": list(shape), "threshold": threshold, **row,

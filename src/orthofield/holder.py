@@ -56,6 +56,17 @@ from .sumprocess import eval_W_grid
 # ---------------------------------------------------------------- moduli
 
 
+def _finite_array(what: str, x) -> np.ndarray:
+    """x (a number or an array) as float64 once every entry is a finite
+    integer or float: NaN, infinities, booleans and strings are an
+    InvalidInputError."""
+    arr = np.asarray(x)
+    if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
+        shown = repr(x) if arr.ndim == 0 else "an array of %s" % arr.dtype
+        raise InvalidInputError("%s must be finite numbers, not %s" % (what, shown))
+    return arr.astype(np.float64)
+
+
 @dataclass(frozen=True)
 class SlowlyVarying:
     kind: str
@@ -63,7 +74,7 @@ class SlowlyVarying:
     c0: float = 1.0
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=np.float64)
+        t = _finite_array("slowly varying factor argument t", t)
         if np.any(t < 1.0):
             raise InvalidRangeError("slowly varying factors are evaluated on t >= 1")
         if self.kind == "log_power":
@@ -135,7 +146,7 @@ def modulus(c: float, d: int, L: SlowlyVarying) -> Modulus:
 
 
 def modulus_eval(rho: Modulus, h) -> float:
-    h_arr = np.asarray(h, dtype=np.float64)
+    h_arr = _finite_array("modulus argument h", h)
     if np.any(h_arr <= 0.0) or np.any(h_arr > 1.0):
         raise InvalidRangeError("modulus is defined on h in (0, 1]")
     out = np.sqrt(h_arr) * np.log(rho.c / h_arr) ** (rho.d / 2.0) * rho.L(1.0 / h_arr)

@@ -337,10 +337,61 @@ def test_spans_leave_every_thread_work(monkeypatch, spec, shape, count):
     assert len(tasks) >= min(-(-count // block), 8), (tasks, block)
 
 
+# the shapes of the screen's routes: a last axis of extent 1, whose last
+# fold runs in place on the row words, and (2, 3), where the sign
+# count's bound (|n| + |S_n|) / 2 is often reached
+_SCREEN_SHAPES = [(64, 64), (4096,), (4096, 1), (8, 8, 8), (2, 3)]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("shape", _SCREEN_SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_floored_max_is_the_max_raised_to_the_floor(shape, threads):
+    spec, start, count = iid_rademacher(len(shape)), 11, 300
+    plain, total = generators.replica_stats(spec, shape, 8, start, count, ("max", "total"),
+                                            threads)
+    bound = (math.prod(shape) + np.abs(total)) / 2
+    assert np.all(plain <= bound)
+    # floors that leave every replica open, some of them, and none
+    floors = [bound.min() - 1.0, float(np.median(bound)), bound.max(), float(np.median(plain))]
+    assert 0 < np.count_nonzero(bound > floors[1]) < count
+    for floor in floors:
+        got, = generators.replica_stats(spec, shape, 8, start, count, ("max",), threads,
+                                        floor=floor)
+        assert np.array_equal(got, np.maximum(floor, plain)), floor
+
+
+@pytest.mark.parametrize("spec", [product_rademacher(2), iid_gaussian(2), moving_average(2),
+                                  zero_field(2), iid_rademacher(2)],
+                         ids=["product", "gaussian", "moving-average", "zero", "rademacher"])
+def test_floor_raises_only_the_max_column_on_every_route(spec):
+    stats = ("slab", "max", "total")
+    plain = generators.replica_stats(spec, (6, 5), 8, 3, 40, stats)
+    floor = float(np.median(plain[1]))
+    got = generators.replica_stats(spec, (6, 5), 8, 3, 40, stats, floor=floor)
+    for name, want, values in zip(stats, plain, got):
+        want = np.maximum(floor, want) if name == "max" else want
+        assert np.array_equal(values, want), name
+
+
+def test_screened_rademacher_blocks_skip_the_prefix_sums(monkeypatch):
+    # a +-1 field's maximum is at most (|n| + |S_n|) / 2, which for 64x64
+    # stays far below verify-bound's smallest threshold 48 * 64
+    def no_prefix(fields):
+        raise AssertionError("a screened block ran batch_prefix")
+
+    monkeypatch.setattr(generators, "batch_prefix", no_prefix)
+    got, = generators.replica_stats(iid_rademacher(2), (64, 64), 3, 0, 512, ("max",), 2,
+                                    floor=3072.0)
+    assert np.array_equal(got, np.full(512, 3072.0))
+
+
 def test_replica_stats_rejects_bad_requests():
     for stats in ((), ("max", "mean")):
         with pytest.raises(InvalidInputError):
             generators.replica_stats(product_rademacher(2), (4, 4), 1, 0, 3, stats)
+    for floor in (math.nan, "1", True):
+        with pytest.raises(InvalidInputError, match="floor"):
+            generators.replica_stats(iid_rademacher(2), (4, 4), 1, 0, 3, ("max",), floor=floor)
     with pytest.raises(InvalidInputError):
         generators.replica_stats(product_rademacher(2), (4,), 1, 0, 3, ("max",))
     # replica -1 would alias replica 2^64 - 1 in the hash

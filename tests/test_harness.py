@@ -94,6 +94,36 @@ def test_mc_deviation_monotone_tail():
     assert all(a >= b for a, b in zip(p, p[1:]))
 
 
+def test_floor_keeps_exceedance_payloads(monkeypatch):
+    # deviation, verify-bound and tightness hand replica_stats their
+    # smallest threshold as the floor of the maximum; on a 2x3 Rademacher
+    # lattice the sign count screens some replicas and not others, and
+    # the payload is the one the maxima without a floor give
+    rho = {"c": math.exp(4.0), "L": {"kind": "iter_log"}}
+    cases = [(mc_deviation, dict(experiment="deviation", shape=(2, 3), x_grid=(1.5, 2.0))),
+             (verify_bound, dict(experiment="verify-bound", shape=(2, 3), x_grid=(1.5, 2.0),
+                                 bound={"kind": "bounded", "K": 1.0})),
+             (tightness_experiment, dict(experiment="tightness", exponents=(1, 2), eps=0.3,
+                                         axis_q=1, j_from=0, modulus=rho))]
+    floors = []
+
+    def recording(*args, floor=None):
+        floors.append(floor)
+        return replica_stats(*args, floor=floor)
+
+    def unfloored(*args, floor=None):
+        return replica_stats(*args)
+
+    for runner, base in cases:
+        config = ExperimentConfig(generator=iid_rademacher(2), replicas=400, seed=5, **base)
+        monkeypatch.setattr(harness, "replica_stats", recording)
+        floored = runner(config).canonical_json()
+        monkeypatch.setattr(harness, "replica_stats", unfloored)
+        assert floored == runner(config).canonical_json(), base["experiment"]
+        assert any(row.get("hits") for row in json.loads(floored)["rows"]), floored
+    assert None not in floors and len(floors) == 4, floors
+
+
 def test_thread_count_does_not_change_payload(monkeypatch):
     # neither the thread count nor the replica block size may move a byte
     modulus = {"c": math.exp(4.0), "L": {"kind": "iter_log"}}
@@ -124,6 +154,10 @@ def test_thread_count_does_not_change_payload(monkeypatch):
                                     x_grid=(0.5, 1.0), replicas=256, seed=9)),
         (fdd_compare, dict(experiment="fdd", generator=product_rademacher(2), shape=(16, 16),
                            t_point=(0.5, 0.75), replicas=256, seed=9)),
+        # the sign-count screen, which leaves some replicas of a 2x3
+        # Rademacher lattice open at the floor 1.5 sqrt(6)
+        (mc_deviation, dict(experiment="deviation", generator=iid_rademacher(2), shape=(2, 3),
+                            x_grid=(1.5, 2.0), replicas=256, seed=9)),
         (tightness_experiment, dict(experiment="tightness", generator=product_rademacher(2),
                                     exponents=(5, 5), eps=0.3, axis_q=1, j_from=1,
                                     replicas=150, seed=9, modulus=modulus)),

@@ -26,6 +26,7 @@ from orthofield import (
     lemma_svarying_partial_sum,
     log_power,
     modulus,
+    modulus_eval,
     modulus_from_dict,
     recurse_constants,
     thm1_rhs,
@@ -78,6 +79,8 @@ ARGUMENTS = {
                                  [3]),
     "eval_W_grid J": (lambda v: eval_W_grid(PADDED, v), True, [-1, 63]),
     "grid_seq_norms j_max": (lambda v: grid_seq_norms(PADDED, RHO, v), True, [-1, 41]),
+    "slowly varying factor t": (iter_log(), False, [0.5]),
+    "modulus_eval h": (lambda v: modulus_eval(RHO, v), False, [0.0, 1.5]),
 }
 BAD = [math.nan, math.inf, -math.inf, True, "1"]
 
@@ -147,3 +150,16 @@ def test_exponential_term_past_the_float_range_is_zero():
     assert (value.value, value.exp_term, value.vacuous) == (0.0, 0.0, False)
     value = thm1_rhs(1e300, 1.0, WEIBULL, consts)
     assert value.exp_term == 0.0 and value.value == value.integral_term > 0.0
+
+
+def test_evaluators_reject_arrays_with_a_bad_entry():
+    for call in (iter_log(), log_power(2.0), lambda v: modulus_eval(RHO, v)):
+        for value in ([0.5, math.nan], np.array([True, False]), ["0.5"], [1, 2**70]):
+            with pytest.raises(InvalidInputError) as info:
+                call(value)
+            assert "\n" not in str(info.value)
+
+
+def test_thm2_rhs_rejects_a_lattice_past_the_float_range():
+    with pytest.raises(InvalidRangeError, match="float range"):
+        thm2_rhs(1.0, (10**200, 10**200), 1.0)
