@@ -52,17 +52,7 @@ from .harness import (
     ExperimentConfig,
     Report,
     config_from_dict,
-    constants_experiment,
-    exponent_fit_experiment,
-    fdd_compare,
-    holder_norm_of_Wn,
-    induction_step_check,
-    lemma_checks,
-    mc_deviation,
     run_experiment,
-    sheet_cov_check,
-    tightness_experiment,
-    verify_bound,
 )
 from .holder import (
     Modulus,

@@ -440,7 +440,7 @@ def _product_stats(spec: GeneratorSpec, words, start: int, count: int, stats: tu
     """replica_stats of one block of a product field, from the per-axis
     prefixes of its factor streams."""
     reps = np.arange(start, start + count, dtype=np.int64)
-    prefixes = [np.cumsum(vals, axis=1) for vals in _factor_streams(spec, words, reps)]
+    prefixes = [batch_prefix(vals) for vals in _factor_streams(spec, words, reps)]
     peaks = [np.abs(p).max(axis=1) for p in prefixes]
     ends = [p[:, -1] for p in prefixes]
     factors = {"max": peaks, "total": ends, "slab": peaks[:-1] + [np.abs(ends[-1])]}

@@ -1,19 +1,26 @@
 """Monte Carlo experiment driver with machine-readable reports.
 
 Every experiment is described by an ExperimentConfig, checked against
-its row of _SCHEMA (the end of this module), and produces a Report
-whose payload is a pure function of the config.  Replicas are
-counter-addressed through the generator layer, so the same config
-yields the same numbers however many threads run the replica blocks of
-the lattice layer's driver; reductions walk the blocks in index order
-and verdict logic only looks at precomputed intervals.  Each experiment
-asks the generator layer's one replica reduction (replica_stats, which
-plans, threads and gathers its own blocks) for only the per-replica
-statistics it reads: deviation and the bounded and two-term bounds the
-maximum |S_k|, the large-deviation bound and fdd the total S_n,
-induction-check the maximum and the last-slab maximum, and tightness
-the maximum, once per dyadic level.  deviation, verify-bound and
-tightness count exceedances in one table (_exceedances), and hand
+its row of _SCHEMA (the end of this module), and run by run_experiment,
+the one way to run one.  It calls the experiment's private runner,
+which returns only the payload parts it has (its rows and, where it has
+them, its constants, tolerances and counts), and builds the Report,
+whose payload is a pure function of the config.  The verdict comes from
+the rows by one rule: INFO when no row carries an "ok" key, otherwise
+PASS when every "ok" holds and FAIL when one does not.  The constants
+runner alone names its verdict (see _constants).
+
+Replicas are counter-addressed through the generator layer, so the same
+config yields the same numbers however many threads run the replica
+blocks of the lattice layer's driver; reductions walk the blocks in
+index order and a row's "ok" only looks at precomputed intervals.  Each
+experiment asks the generator layer's one replica reduction
+(replica_stats, which plans, threads and gathers its own blocks) for
+only the per-replica statistics it reads: deviation and the bounded and
+two-term bounds the maximum |S_k|, the large-deviation bound and fdd the
+total S_n, induction-check the maximum and the last-slab maximum, and
+tightness the maximum, once per dyadic level.  deviation, verify-bound
+and tightness count exceedances in one table (_exceedances), and hand
 replica_stats the smallest of their thresholds as the floor of the
 maximum: a maximum raised to that floor exceeds each threshold exactly
 when the maximum does, so the counts are the same, and an iid
@@ -97,22 +104,6 @@ class Report:
         return json.dumps(obj, sort_keys=True, indent=2)
 
 
-def _finish(experiment, config, verdict, rows, t0, constants=None, tolerances=None, counts=None):
-    echo = config.to_dict()
-    echo.pop("threads", None)  # execution resources must not change the payload
-    return Report(
-        experiment=experiment,
-        config=echo,
-        verdict=verdict,
-        rows=tuple(rows),
-        constants=constants,
-        tolerances=tolerances or {},
-        counts=counts or {"replicas": config.replicas},
-        wall_clock_s=time.perf_counter() - t0,
-        timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-    )
-
-
 def _exceedances(values: np.ndarray, thresholds) -> list:
     """Per threshold, the replicas whose value exceeds it: a row of
     their count, their share and its Wilson interval."""
@@ -127,9 +118,8 @@ def _exceedances(values: np.ndarray, thresholds) -> list:
 # --------------------------------------------------------- experiments
 
 
-def mc_deviation(config: ExperimentConfig) -> Report:
+def _deviation(config: ExperimentConfig) -> dict:
     """Estimate P{max |S_i| > x sqrt(|n|)} over the configured x grid."""
-    t0 = time.perf_counter()
     scale = math.sqrt(volume(config.shape))
     thresholds = [x * scale for x in config.x_grid]
     m_all, = replica_stats(config.generator, config.shape, config.seed, 0, config.replicas,
@@ -137,16 +127,15 @@ def mc_deviation(config: ExperimentConfig) -> Report:
     rows = _exceedances(m_all, thresholds)
     for row, x in zip(rows, config.x_grid):
         row["x"] = x
-    return _finish("deviation", config, "INFO", rows, t0)
+    return {"rows": rows}
 
 
-def verify_bound(config: ExperimentConfig) -> Report:
+def _verify_bound(config: ExperimentConfig) -> dict:
     """Overlay Monte Carlo tail estimates with the matching bound values.
 
-    PASS means the Wilson upper limit sits at or below the bound at every
-    informative grid point (bound < 1); vacuous points are echoed but
-    excluded from the verdict."""
-    t0 = time.perf_counter()
+    A row is ok when the Wilson upper limit sits at or below the bound,
+    or when the point is vacuous (bound >= 1): vacuous points are echoed
+    but cannot fail."""
     shape = config.shape
     kind = check_kind("bound", config.bound, _BOUND_KINDS)
     param = config.bound[_BOUND_KINDS[kind][0]]
@@ -173,14 +162,12 @@ def verify_bound(config: ExperimentConfig) -> Report:
                    vacuous=bv.vacuous, ok=bv.vacuous or row["ci_hi"] <= bv.value)
         if ld:
             row.update(y_star=bv.y_star, x_equiv=bv.x_equiv)
-    informative = [r for r in rows if not r["vacuous"]]
-    verdict = "PASS" if all(r["ok"] for r in rows) else "FAIL"
-    counts = {"replicas": config.replicas, "informative_points": len(informative)}
-    return _finish("verify-bound", config, verdict, rows, t0,
-                   constants=consts.to_dict(), counts=counts)
+    counts = {"replicas": config.replicas,
+              "informative_points": sum(not r["vacuous"] for r in rows)}
+    return {"rows": rows, "constants": consts.to_dict(), "counts": counts}
 
 
-def induction_step_check(config: ExperimentConfig) -> Report:
+def _induction_check(config: ExperimentConfig) -> dict:
     """Doob-step comparison: the full-lattice maximum tail should sit
     below the integrated tail of the last-slab maximum,
 
@@ -189,7 +176,6 @@ def induction_step_check(config: ExperimentConfig) -> Report:
     where M' maximizes over the first d-1 axes with the last axis summed
     out.  The right side is the exact integral of the empirical step
     tail: mean over replicas of max(0, 2 M' / (x sqrt(|n|)) - 1)."""
-    t0 = time.perf_counter()
     shape = config.shape
     if len(shape) < 2:
         raise InvalidRangeError("induction check needs d >= 2")
@@ -208,9 +194,7 @@ def induction_step_check(config: ExperimentConfig) -> Report:
         ok = p_lhs <= rhs + 2.0 * (se_lhs + se_rhs)
         rows.append({"x": x, "p_lhs": p_lhs, "se_lhs": se_lhs, "rhs": rhs,
                      "se_rhs": se_rhs, "ok": ok})
-    verdict = "PASS" if all(r["ok"] for r in rows) else "FAIL"
-    return _finish("induction-check", config, verdict, rows, t0,
-                   tolerances={"margin": "2 * (se_lhs + se_rhs)"})
+    return {"rows": rows, "tolerances": {"margin": "2 * (se_lhs + se_rhs)"}}
 
 
 def _sheet_block(res, seed: int, start: int, count: int) -> np.ndarray:
@@ -224,12 +208,11 @@ def _sheet_block(res, seed: int, start: int, count: int) -> np.ndarray:
     return padded_prefix(batch_prefix(generate_batch(spec, res, seed, start, count)), lead=1)
 
 
-def sheet_cov_check(config: ExperimentConfig) -> Report:
+def _sheet_cov(config: ExperimentConfig) -> dict:
     """Empirical node covariance of simulated sheets against the product
-    of coordinate minima; PASS when every sampled pair is within 3
-    standard errors.  The node pairs are drawn first, and each block of
-    sheets keeps only its values at those nodes."""
-    t0 = time.perf_counter()
+    of coordinate minima; a pair is ok within 3 standard errors.  The
+    node pairs are drawn first, and each block of sheets keeps only its
+    values at those nodes."""
     res = config.shape
     d = len(res)
     _block_size(2 * d * config.pairs, "node pair draws")
@@ -256,18 +239,16 @@ def sheet_cov_check(config: ExperimentConfig) -> Report:
         z = 0.0 if se == 0 else (emp - true) / se
         rows.append({"node_a": list(k1), "node_b": list(k2), "empirical": emp,
                      "expected": true, "se": se, "z": z, "ok": abs(z) <= 3.0})
-    verdict = "PASS" if all(r["ok"] for r in rows) else "FAIL"
-    return _finish("sheet-cov", config, verdict, rows, t0, tolerances={"z_max": 3.0})
+    return {"rows": rows, "tolerances": {"z_max": 3.0}}
 
 
-def fdd_compare(config: ExperimentConfig) -> Report:
+def _fdd(config: ExperimentConfig) -> dict:
     """Kolmogorov-Smirnov comparison of W_n(t) replicas against the
     centered normal with variance Var(X) prod t_q.
 
     t must be a lattice-aligned point (every n_q t_q an integer) so the
     sampled value is an exact normalized partial sum; interpolated
     points would mix lattice cells and bias the test."""
-    t0 = time.perf_counter()
     shape = config.shape
     point = tuple(float(v) for v in config.t_point)
     if len(point) != len(shape):
@@ -285,18 +266,15 @@ def fdd_compare(config: ExperimentConfig) -> Report:
                              ("total",), config.threads)
     ks = ks_normal(samples / math.sqrt(volume(shape)), sigma2)
     threshold = 1.36 / math.sqrt(samples.size) + _KS_ALLOWANCE
-    verdict = "PASS" if ks <= threshold else "FAIL"
     rows = [{"t": list(point), "k": k, "ks_stat": ks, "threshold": threshold,
-             "sigma2": sigma2, "ok": verdict == "PASS"}]
-    return _finish("fdd", config, verdict, rows, t0,
-                   tolerances={"ks": "1.36/sqrt(R) + %g" % _KS_ALLOWANCE})
+             "sigma2": sigma2, "ok": ks <= threshold}]
+    return {"rows": rows, "tolerances": {"ks": "1.36/sqrt(R) + %g" % _KS_ALLOWANCE}}
 
 
-def holder_norm_of_Wn(config: ExperimentConfig) -> Report:
+def _holder_norm(config: ExperimentConfig) -> dict:
     """Distribution of the sequential norm of W_n across replicas, per
     lattice size; quantile stability across growing n is the tightness
     proxy reported."""
-    t0 = time.perf_counter()
     rows = []
     for shape in config.shapes:
         rho_s = holder.modulus_from_dict(config.modulus, len(shape))
@@ -321,10 +299,10 @@ def holder_norm_of_Wn(config: ExperimentConfig) -> Report:
                      "q25": float(qs[0]), "median": float(qs[1]),
                      "q75": float(qs[2]), "q90": float(qs[3]),
                      "max": float(np.max(norms))})
-    return _finish("holder-norm", config, "INFO", rows, t0)
+    return {"rows": rows}
 
 
-def tightness_experiment(config: ExperimentConfig) -> Report:
+def _tightness(config: ExperimentConfig) -> dict:
     """Monte Carlo estimate of the dyadic tightness sum
 
         sum_{j=J}^{m_q} 2^j P{ max_k |S_k| > eps rho(2^-j) prod_u 2^(m_u/2) }
@@ -336,7 +314,6 @@ def tightness_experiment(config: ExperimentConfig) -> Report:
     configured, so levels never share a field; the scaled standard error
     is 2^j times the Wilson half-width, so zero-hit levels still carry an
     honest width."""
-    t0 = time.perf_counter()
     m, q, j_from, n = config.exponents, config.axis_q, config.j_from, config.replicas
     rho = holder.modulus_from_dict(config.modulus, len(m))
     if len(m) != config.generator.d:
@@ -368,22 +345,24 @@ def tightness_experiment(config: ExperimentConfig) -> Report:
     scaled = [r["scaled"] for r in rows]
     sums = {str(r["j"]): float(sum(scaled[i:])) for i, r in enumerate(rows)}
     rows.append({"tail_sums": sums, "total": float(sum(scaled))})
-    return _finish("tightness", config, "INFO", rows, t0)
+    return {"rows": rows}
 
 
-def constants_experiment(config: ExperimentConfig) -> Report:
-    t0 = time.perf_counter()
+def _constants(config: ExperimentConfig) -> dict:
+    """The constants table of levels 1..d, one row per level.  The rows
+    are level tables with no "ok", and the verdict is PASS by name: a
+    table exists only when bounds._level_K has found every level's
+    last-decade drift within 0.01, since it raises NumericFailureError
+    above that."""
     table = [bounds.recurse_constants(level).to_dict() for level in range(1, config.d + 1)]
-    drift_ok = all(row[4] <= 0.01 for level in table for row in level["K_levels"])
-    return _finish("constants", config, "PASS" if drift_ok else "FAIL", table, t0,
-                   constants=table[-1], tolerances={"last_decade_drift": 0.01})
+    return {"rows": table, "verdict": "PASS", "constants": table[-1],
+            "tolerances": {"last_decade_drift": 0.01}}
 
 
-def lemma_checks(config: ExperimentConfig) -> Report:
+def _lemma_checks(config: ExperimentConfig) -> dict:
     """Run the three slowly-varying summability diagnostics with one
-    factor L and one tail model; PASS when the comparison ratios are
-    trend-free and both series converge."""
-    t0 = time.perf_counter()
+    factor L and one tail model; their rows are ok when the comparison
+    ratios are trend-free and when each series converges."""
     L = holder.svarying_from_dict(config.svarying)
     model = bounds.tail_from_dict(config.tail)
     ratios = bounds.lemma_svarying_partial_sum(L, config.k_max)
@@ -392,7 +371,6 @@ def lemma_checks(config: ExperimentConfig) -> Report:
     trend_free = slope <= 1e-3 * max(1.0, float(np.mean(last)))
     wip = bounds.cond_wip_check(L, model, config.a, config.j_max)
     moments = bounds.lemma3_moment_sum(L, model, config.c, config.j_max)
-    ok = trend_free and wip["converged"] and moments["converged"]
     rows = [
         {"check": "svarying_partial_sum", "C_L": ratios["C_L"], "last_slope": slope,
          "ok": trend_free},
@@ -400,14 +378,13 @@ def lemma_checks(config: ExperimentConfig) -> Report:
         {"check": "moment_sum", "total": _json_float(moments["total"]),
          "diverged_levels": moments["diverged_levels"], "ok": moments["converged"]},
     ]
-    return _finish("lemma-checks", config, "PASS" if ok else "FAIL", rows, t0)
+    return {"rows": rows}
 
 
-def exponent_fit_experiment(config: ExperimentConfig) -> Report:
+def _exponent_fit(config: ExperimentConfig) -> dict:
     """Tail-exponent fit for the product of d independent standard
     normal magnitudes; the stretched-exponential rate should sit near
-    2/d, and the optional band turns the report into a verdict."""
-    t0 = time.perf_counter()
+    2/d, and the optional band gives the row its "ok"."""
     d = config.d
     prod = np.ones(config.replicas)
     for axis in range(d):
@@ -417,13 +394,10 @@ def exponent_fit_experiment(config: ExperimentConfig) -> Report:
     fit = bounds.exponent_fit(prod, window=config.window, grid_points=config.grid_points)
     row = {"d": d, "gamma_hat": fit.gamma_hat, "target": 2.0 / d,
            "window": list(fit.window)}
-    verdict = "INFO"
     if config.band is not None:
         lo, hi = config.band
-        row["band"] = [lo, hi]
-        row["ok"] = lo <= fit.gamma_hat <= hi
-        verdict = "PASS" if row["ok"] else "FAIL"
-    return _finish("exponent-fit", config, verdict, [row], t0)
+        row.update(band=[lo, hi], ok=lo <= fit.gamma_hat <= hi)
+    return {"rows": [row]}
 
 
 def _json_float(x: float):
@@ -468,7 +442,7 @@ def _shape(name, value):
 
 
 def _x_grid(name, value):
-    grid = tuple(float(x) for x in _list_of(check_number)(name, value))
+    grid = tuple(float(x) for x in _list_of(_positive)(name, value))
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise InvalidInputError("x_grid must be strictly increasing")
     return grid
@@ -492,29 +466,28 @@ _COMMON = {"replicas": (_budgeted(_integer(1), "per-replica results"), 1),
 # are all 0 at R = 1
 _SPREAD_REPLICAS = (_budgeted(_integer(2), "per-replica results"), _REQUIRED)
 _SCHEMA = {
-    "deviation": (mc_deviation, {"generator": _GENERATOR, "shape": _SHAPE, "x_grid": _X_GRID}),
-    "verify-bound": (verify_bound, {"generator": _GENERATOR, "shape": _SHAPE, "x_grid": _X_GRID,
-                                    "bound": _OBJECT}),
-    "induction-check": (induction_step_check, {"generator": _GENERATOR, "shape": _SHAPE,
-                                               "x_grid": _X_GRID}),
-    "tightness": (tightness_experiment, {
+    "deviation": (_deviation, {"generator": _GENERATOR, "shape": _SHAPE, "x_grid": _X_GRID}),
+    "verify-bound": (_verify_bound, {"generator": _GENERATOR, "shape": _SHAPE,
+                                     "x_grid": _X_GRID, "bound": _OBJECT}),
+    "induction-check": (_induction_check, {"generator": _GENERATOR, "shape": _SHAPE,
+                                           "x_grid": _X_GRID}),
+    "tightness": (_tightness, {
         "generator": _GENERATOR, "exponents": (_list_of(_integer(0)), _REQUIRED),
         "eps": (_positive, _REQUIRED), "axis_q": (_integer(1), _REQUIRED),
         "j_from": (_integer(0), _REQUIRED), "modulus": _OBJECT}),
-    "fdd": (fdd_compare, {"generator": _GENERATOR, "shape": _SHAPE,
-                          "t_point": (_list_of(check_number), _REQUIRED),
-                          "replicas": _SPREAD_REPLICAS}),
-    "sheet-cov": (sheet_cov_check, {"shape": _SHAPE, "pairs": (_integer(1), 10),
-                                    "replicas": _SPREAD_REPLICAS}),
-    "holder-norm": (holder_norm_of_Wn, {
+    "fdd": (_fdd, {"generator": _GENERATOR, "shape": _SHAPE,
+                   "t_point": (_list_of(check_number), _REQUIRED), "replicas": _SPREAD_REPLICAS}),
+    "sheet-cov": (_sheet_cov, {"shape": _SHAPE, "pairs": (_integer(1), 10),
+                               "replicas": _SPREAD_REPLICAS}),
+    "holder-norm": (_holder_norm, {
         "generator": _GENERATOR, "shapes": (_list_of(_shape), _REQUIRED), "modulus": _OBJECT,
         "j_max": (_integer(0, holder._MODULUS_LEVELS), None)}),
-    "constants": (constants_experiment, {"d": (_integer(1, 6), 6)}),
-    "lemma-checks": (lemma_checks, {
+    "constants": (_constants, {"d": (_integer(1, 6), 6)}),
+    "lemma-checks": (_lemma_checks, {
         "svarying": _OBJECT, "tail": _OBJECT, "k_max": (_integer(1, bounds._MAX_LEVEL), 40),
         "j_max": (_integer(1, bounds._MAX_LEVEL), 40), "a": (_positive, 1.0),
         "c": (_positive, 1.0)}),
-    "exponent-fit": (exponent_fit_experiment, {
+    "exponent-fit": (_exponent_fit, {
         "d": (_integer(1, bounds._MAX_FACTORS), _REQUIRED),
         "window": (_list_of(check_number, 2), (0.90, 0.999)),
         "grid_points": (_budgeted(_integer(4), "exponent-fit grid"), 24),
@@ -568,4 +541,17 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 
 def run_experiment(config: ExperimentConfig) -> Report:
-    return _SCHEMA[config.experiment][0](config)
+    """Run the experiment and build its report, with the verdict from
+    the rows (see the module docstring); the config echo leaves out
+    threads, since execution resources must not change the payload."""
+    t0 = time.perf_counter()
+    parts = {"counts": {"replicas": config.replicas}, **_SCHEMA[config.experiment][0](config)}
+    rows = tuple(parts.pop("rows"))
+    if "verdict" not in parts:
+        decided = [row["ok"] for row in rows if "ok" in row]
+        parts["verdict"] = "INFO" if not decided else "PASS" if all(decided) else "FAIL"
+    echo = config.to_dict()
+    del echo["threads"]
+    return Report(experiment=config.experiment, config=echo, rows=rows,
+                  wall_clock_s=time.perf_counter() - t0,
+                  timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"), **parts)

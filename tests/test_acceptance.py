@@ -14,26 +14,20 @@ import pytest
 from orthofield import (
     ExperimentConfig,
     cond_wip_check,
-    fdd_compare,
     full_grid_count,
     iid_gaussian,
     iid_rademacher,
     iid_weibull,
-    induction_step_check,
     lemma3_moment_sum,
     lemma_svarying_partial_sum,
     log_power,
     iter_log,
-    mc_deviation,
     product_rademacher,
     recurse_constants,
-    sheet_cov_check,
-    tightness_experiment,
+    run_experiment,
     unit_tail,
-    verify_bound,
     weibull_envelope,
 )
-from orthofield.harness import exponent_fit_experiment
 from orthofield.lattice import batch_prefix
 from single_field import (
     DyadicSite,
@@ -187,13 +181,13 @@ def test_criterion_03_bounded_tail_domination():
         x_grid=x_grid, replicas=100000, seed=101, threads=4,
         bound={"kind": "bounded", "K": 1.0},
     )
-    prod = verify_bound(prod_cfg)
+    prod = run_experiment(prod_cfg)
     iid_cfg = ExperimentConfig(
         experiment="verify-bound", generator=iid_rademacher(2), shape=(64, 64),
         x_grid=x_grid, replicas=100000, seed=101, threads=4,
         bound={"kind": "two-term", "y": 16.0, "tail": {"kind": "bounded", "K": 1.0}},
     )
-    iid = verify_bound(iid_cfg)
+    iid = run_experiment(iid_cfg)
     print(
         "ACCEPTANCE 3: %s/%s - product and iid Rademacher at 1e5 replicas, "
         "informative points %d/%d"
@@ -215,7 +209,7 @@ def test_criterion_04_large_deviation_domination():
             x_grid=(0.25, 0.5, 1.0), replicas=20000, seed=101, threads=4,
             bound={"kind": "large-deviation", "gamma": 1.0},
         )
-        rep = verify_bound(cfg)
+        rep = run_experiment(cfg)
         verdicts.append(rep.verdict)
         for row in rep.rows:
             assert row["ci_hi"] <= row["bound"], row
@@ -232,7 +226,7 @@ def test_criterion_05_doob_step_inequality():
             experiment="induction-check", generator=gen, shape=(32, 32),
             x_grid=x_grid, replicas=4000, seed=505, threads=4,
         )
-        rep = induction_step_check(cfg)
+        rep = run_experiment(cfg)
         verdicts.append(rep.verdict)
     print("ACCEPTANCE 5: %s - slab comparison on 10-point grid" % "/".join(verdicts))
     assert all(v == "PASS" for v in verdicts)
@@ -262,7 +256,7 @@ def test_criterion_07_exponent_bands():
             experiment="exponent-fit", d=d, replicas=1000000, seed=101,
             window=(0.999, 0.99999), band=band,
         )
-        rep = exponent_fit_experiment(cfg)
+        rep = run_experiment(cfg)
         results.append((d, rep.rows[0]["gamma_hat"], band, rep.verdict))
     print("ACCEPTANCE 7: " + "; ".join(
         "d=%d fit %.3f in [%.2f, %.2f] %s" % (d, g, b[0], b[1], v)
@@ -285,18 +279,18 @@ def test_criterion_08_fdd_and_sheet():
                 experiment="fdd", generator=gen, shape=shape, t_point=t,
                 replicas=10000, seed=808, threads=4,
             )
-            rep = fdd_compare(cfg)
+            rep = run_experiment(cfg)
             checks.append((gen.variant, t, rep.rows[0]["ks_stat"], rep.verdict))
     neg_cfg = ExperimentConfig(
         experiment="fdd", generator=product_rademacher(2), shape=(128, 128),
         t_point=(1.0, 1.0), replicas=10000, seed=808, threads=4,
     )
-    neg = fdd_compare(neg_cfg)
+    neg = run_experiment(neg_cfg)
     # each of the 10 pairs is gated at |z| <= 3 with no allowance for the
     # number of pairs, so a correct sheet FAILs at a rate up to the union
     # bound 10 x 2 (1 - Phi(3)) = 2.7 %; this config FAILs at 5 of the 400
     # seeds 1000-1399 (1.25 %), and seed 17 is not one of them
-    sheet = sheet_cov_check(ExperimentConfig(
+    sheet = run_experiment(ExperimentConfig(
         experiment="sheet-cov", shape=(8, 8), replicas=3000, seed=17, pairs=10,
     ))
     worst = max(ks for _, _, ks, _ in checks)
@@ -320,8 +314,8 @@ def test_criterion_09_tightness_sums():
         eps=1.0, axis_q=1, j_from=2, replicas=400, seed=909,
         modulus={"c": math.exp(4.0), "L": {"kind": "iter_log"}},
     )
-    one = tightness_experiment(ExperimentConfig(threads=1, **base))
-    eight = tightness_experiment(ExperimentConfig(threads=8, **base))
+    one = run_experiment(ExperimentConfig(threads=1, **base))
+    eight = run_experiment(ExperimentConfig(threads=8, **base))
     sums = one.rows[-1]["tail_sums"]
     seq = [sums[str(j)] for j in range(2, 6)]
     print(
@@ -370,10 +364,10 @@ def test_criterion_11_reproducibility():
         t_point=(1.0, 1.0), replicas=2000, seed=77,
     )
     outcomes = []
-    for base, runner in [(dev, mc_deviation), (fdd, fdd_compare)]:
-        one = runner(ExperimentConfig(threads=1, **base))
-        eight = runner(ExperimentConfig(threads=8, **base))
-        rerun = runner(ExperimentConfig(threads=1, **base))
+    for base in (dev, fdd):
+        one = run_experiment(ExperimentConfig(threads=1, **base))
+        eight = run_experiment(ExperimentConfig(threads=8, **base))
+        rerun = run_experiment(ExperimentConfig(threads=1, **base))
         outcomes.append(
             one.canonical_json() == eight.canonical_json() == rerun.canonical_json()
         )

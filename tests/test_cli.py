@@ -175,6 +175,12 @@ EXPONENT_FIT = {"experiment": "exponent-fit", "d": 1, "replicas": 2000}
         ("sheet-cov", {"shape": [8, 8], "seed": 3, "replicas": 1}),
         # a generator is a JSON object, not the text of one
         ("deviation", dict(DEVIATION, generator=json.dumps(DEVIATION["generator"]))),
+        # x is positive: at x = 0 the Doob step divides by 0, and below it
+        # no threshold x sqrt(|n|) means anything
+        ("induction-check", {"experiment": "induction-check", "generator": _gen(),
+                             "shape": [4, 4], "x_grid": [0.0, 1.0], "replicas": 50}),
+        ("deviation", dict(DEVIATION, x_grid=[-1.0, 1.0])),
+        ("verify-bound", dict(TWO_TERM, x_grid=[0.0])),
     ],
     ids=["top-level-list", "replicas-string", "shape-int", "x-grid-string",
          "two-term-without-y", "weibull-tail-without-gamma",
@@ -195,7 +201,8 @@ EXPONENT_FIT = {"experiment": "exponent-fit", "d": 1, "replicas": 2000}
          "tightness-exponents-1e18", "lemma-log-power-beta-400",
          "lemma-const-1e-300", "fdd-zero-field", "fdd-sigma-1e-200", "fdd-sigma-1e300",
          "fdd-weibull-gamma-0.01", "fdd-moving-average-gamma-0.005", "fdd-one-replica",
-         "sheet-cov-one-replica", "generator-json-text"],
+         "sheet-cov-one-replica", "generator-json-text", "induction-x-zero",
+         "deviation-x-negative", "verify-bound-x-zero"],
 )
 def test_malformed_config_is_one_line_exit_1(tmp_path, capsys, experiment, payload):
     cfg = write_config(tmp_path, "bad.json", payload)
@@ -235,6 +242,31 @@ def test_regularity_layers_do_not_drive_replicas():
                 names.add(node.attr)
         assert not imported & {"generators", "harness", "stats"}, name
         assert "_map_blocks" not in imported | names, name
+
+
+def test_one_function_builds_reports_and_derives_verdicts():
+    # run_experiment builds every Report and derives its verdict from the
+    # rows; the constants runner alone names its own (a PASS), so no other
+    # code in harness may spell a verdict, docstrings aside
+    package = pathlib.Path(cli.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {id(node): getattr(top, "name", None) for top in tree.body
+                 for node in ast.walk(top)}
+        docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                      if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                      and isinstance(node.body[0], ast.Expr)}
+        builds = {owner[id(node)] for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and "Report" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))}
+        spelled = {owner[id(node)] for node in ast.walk(tree)
+                   if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                   and id(node) not in docstrings
+                   and ("PASS" in node.value or "FAIL" in node.value)}
+        if path.name == "harness.py":
+            assert builds == {"run_experiment"}, builds
+            assert spelled == {"run_experiment", "_constants"}, spelled
+        else:
+            assert not builds, path.name
 
 
 def test_no_module_imports_a_name_it_never_uses():

@@ -11,24 +11,15 @@ from orthofield import (
     InvalidInputError,
     InvalidRangeError,
     config_from_dict,
-    fdd_compare,
-    holder_norm_of_Wn,
     iid_gaussian,
     iid_rademacher,
     iid_weibull,
-    induction_step_check,
-    lemma_checks,
-    mc_deviation,
     moving_average,
     product_rademacher,
     run_experiment,
-    sheet_cov_check,
-    tightness_experiment,
-    verify_bound,
     zero_field,
 )
 from orthofield.generators import replica_stats
-from orthofield.harness import constants_experiment, exponent_fit_experiment
 from single_field import brownian_sheet_sim
 
 
@@ -67,7 +58,7 @@ def test_mc_deviation_zero_generator():
         experiment="deviation", generator=zero_field(2), shape=(4, 4),
         x_grid=(0.1, 1.0), replicas=50, seed=1,
     )
-    rep = mc_deviation(cfg)
+    rep = run_experiment(cfg)
     assert rep.verdict == "INFO"
     assert all(r["p_hat"] == 0.0 for r in rep.rows)
 
@@ -79,7 +70,7 @@ def test_mc_deviation_single_cell_exact():
         experiment="deviation", generator=iid_rademacher(1), shape=(1,),
         x_grid=(0.5, 1.5), replicas=200, seed=2,
     )
-    rep = mc_deviation(cfg)
+    rep = run_experiment(cfg)
     assert rep.rows[0]["p_hat"] == 1.0
     assert rep.rows[1]["p_hat"] == 0.0
 
@@ -89,7 +80,7 @@ def test_mc_deviation_monotone_tail():
         experiment="deviation", generator=iid_gaussian(2), shape=(8, 8),
         x_grid=(0.25, 0.5, 1.0, 2.0), replicas=400, seed=3,
     )
-    rep = mc_deviation(cfg)
+    rep = run_experiment(cfg)
     p = [r["p_hat"] for r in rep.rows]
     assert all(a >= b for a, b in zip(p, p[1:]))
 
@@ -100,11 +91,11 @@ def test_floor_keeps_exceedance_payloads(monkeypatch):
     # lattice the sign count screens some replicas and not others, and
     # the payload is the one the maxima without a floor give
     rho = {"c": math.exp(4.0), "L": {"kind": "iter_log"}}
-    cases = [(mc_deviation, dict(experiment="deviation", shape=(2, 3), x_grid=(1.5, 2.0))),
-             (verify_bound, dict(experiment="verify-bound", shape=(2, 3), x_grid=(1.5, 2.0),
-                                 bound={"kind": "bounded", "K": 1.0})),
-             (tightness_experiment, dict(experiment="tightness", exponents=(1, 2), eps=0.3,
-                                         axis_q=1, j_from=0, modulus=rho))]
+    cases = [dict(experiment="deviation", shape=(2, 3), x_grid=(1.5, 2.0)),
+             dict(experiment="verify-bound", shape=(2, 3), x_grid=(1.5, 2.0),
+                  bound={"kind": "bounded", "K": 1.0}),
+             dict(experiment="tightness", exponents=(1, 2), eps=0.3, axis_q=1, j_from=0,
+                  modulus=rho)]
     floors = []
 
     def recording(*args, floor=None):
@@ -114,12 +105,12 @@ def test_floor_keeps_exceedance_payloads(monkeypatch):
     def unfloored(*args, floor=None):
         return replica_stats(*args)
 
-    for runner, base in cases:
+    for base in cases:
         config = ExperimentConfig(generator=iid_rademacher(2), replicas=400, seed=5, **base)
         monkeypatch.setattr(harness, "replica_stats", recording)
-        floored = runner(config).canonical_json()
+        floored = run_experiment(config).canonical_json()
         monkeypatch.setattr(harness, "replica_stats", unfloored)
-        assert floored == runner(config).canonical_json(), base["experiment"]
+        assert floored == run_experiment(config).canonical_json(), base["experiment"]
         assert any(row.get("hits") for row in json.loads(floored)["rows"]), floored
     assert None not in floors and len(floors) == 4, floors
 
@@ -128,39 +119,33 @@ def test_thread_count_does_not_change_payload(monkeypatch):
     # neither the thread count nor the replica block size may move a byte
     modulus = {"c": math.exp(4.0), "L": {"kind": "iter_log"}}
     cases = [
-        (mc_deviation, dict(experiment="deviation", generator=iid_gaussian(2), shape=(16, 16),
-                            x_grid=(0.5, 1.0), replicas=256, seed=9)),
-        (fdd_compare, dict(experiment="fdd", generator=iid_gaussian(2), shape=(16, 16),
-                           t_point=(0.5, 0.75), replicas=256, seed=9)),
-        (tightness_experiment, dict(experiment="tightness", generator=iid_gaussian(2),
-                                    exponents=(5, 5), eps=0.3, axis_q=1, j_from=1,
-                                    replicas=150, seed=9, modulus=modulus)),
-        (sheet_cov_check, dict(experiment="sheet-cov", shape=(8, 8), replicas=300, seed=9,
-                               pairs=4)),
+        dict(experiment="deviation", generator=iid_gaussian(2), shape=(16, 16),
+             x_grid=(0.5, 1.0), replicas=256, seed=9),
+        dict(experiment="fdd", generator=iid_gaussian(2), shape=(16, 16),
+             t_point=(0.5, 0.75), replicas=256, seed=9),
+        dict(experiment="tightness", generator=iid_gaussian(2), exponents=(5, 5), eps=0.3,
+             axis_q=1, j_from=1, replicas=150, seed=9, modulus=modulus),
+        dict(experiment="sheet-cov", shape=(8, 8), replicas=300, seed=9, pairs=4),
         # finest level 3, so j_max 5 reads the grid two levels past it
-        (holder_norm_of_Wn, dict(experiment="holder-norm", generator=iid_gaussian(2),
-                                 shapes=((5, 7),), j_max=5, replicas=150, seed=9,
-                                 modulus=modulus)),
+        dict(experiment="holder-norm", generator=iid_gaussian(2), shapes=((5, 7),), j_max=5,
+             replicas=150, seed=9, modulus=modulus),
         # the routes of generators.replica_stats: per-axis products for
         # product fields, the total alone, the maximum with the slab
-        (verify_bound, dict(experiment="verify-bound", generator=product_rademacher(2),
-                            shape=(16, 16), x_grid=(2.0, 4.0), replicas=256, seed=9,
-                            bound={"kind": "bounded", "K": 1.0})),
-        (verify_bound, dict(experiment="verify-bound", generator=iid_weibull(2, 1.0),
-                            shape=(16, 16), x_grid=(0.05, 0.1), replicas=256, seed=9,
-                            bound={"kind": "large-deviation", "gamma": 1.0})),
-        (induction_step_check, dict(experiment="induction-check",
-                                    generator=product_rademacher(3), shape=(4, 5, 6),
-                                    x_grid=(0.5, 1.0), replicas=256, seed=9)),
-        (fdd_compare, dict(experiment="fdd", generator=product_rademacher(2), shape=(16, 16),
-                           t_point=(0.5, 0.75), replicas=256, seed=9)),
+        dict(experiment="verify-bound", generator=product_rademacher(2), shape=(16, 16),
+             x_grid=(2.0, 4.0), replicas=256, seed=9, bound={"kind": "bounded", "K": 1.0}),
+        dict(experiment="verify-bound", generator=iid_weibull(2, 1.0), shape=(16, 16),
+             x_grid=(0.05, 0.1), replicas=256, seed=9,
+             bound={"kind": "large-deviation", "gamma": 1.0}),
+        dict(experiment="induction-check", generator=product_rademacher(3), shape=(4, 5, 6),
+             x_grid=(0.5, 1.0), replicas=256, seed=9),
+        dict(experiment="fdd", generator=product_rademacher(2), shape=(16, 16),
+             t_point=(0.5, 0.75), replicas=256, seed=9),
         # the sign-count screen, which leaves some replicas of a 2x3
         # Rademacher lattice open at the floor 1.5 sqrt(6)
-        (mc_deviation, dict(experiment="deviation", generator=iid_rademacher(2), shape=(2, 3),
-                            x_grid=(1.5, 2.0), replicas=256, seed=9)),
-        (tightness_experiment, dict(experiment="tightness", generator=product_rademacher(2),
-                                    exponents=(5, 5), eps=0.3, axis_q=1, j_from=1,
-                                    replicas=150, seed=9, modulus=modulus)),
+        dict(experiment="deviation", generator=iid_rademacher(2), shape=(2, 3),
+             x_grid=(1.5, 2.0), replicas=256, seed=9),
+        dict(experiment="tightness", generator=product_rademacher(2), exponents=(5, 5),
+             eps=0.3, axis_q=1, j_from=1, replicas=150, seed=9, modulus=modulus),
     ]
     # the block plans each case runs, as (replicas per block, blocks, threads)
     plans = []
@@ -180,12 +165,12 @@ def test_thread_count_does_not_change_payload(monkeypatch):
         assert 1 in steps and max(steps) > 1, (what, plans)
         assert any(threads > 1 and count % threads for _, count, threads in plans), plans
 
-    for runner, base in cases:
+    for base in cases:
         payloads = set()
         plans.clear()
         for cells, threads in settings:
             monkeypatch.setattr(lattice, "_BLOCK_CELLS", cells)
-            rep = runner(ExperimentConfig(threads=threads, **base))
+            rep = run_experiment(ExperimentConfig(threads=threads, **base))
             assert "threads" not in rep.payload()["config"]
             payloads.add(rep.canonical_json())
         assert len(payloads) == 1, base["experiment"]
@@ -219,7 +204,7 @@ def test_replica_blocks_do_not_retain_prefix_memory(stat, peak_bytes):
             replica_stats(iid_rademacher(2), (64, 64), 3, 0, replicas,
                           ("max", "total", "slab"))
         else:
-            fdd_compare(ExperimentConfig(experiment="fdd", generator=iid_rademacher(2),
+            run_experiment(ExperimentConfig(experiment="fdd", generator=iid_rademacher(2),
                                          shape=(64, 64), t_point=(1.0, 1.0),
                                          replicas=replicas, seed=3))
 
@@ -324,7 +309,7 @@ def test_verify_bound_vacuous_grid_passes():
         x_grid=(10.0, 20.0), replicas=100, seed=5,
         bound={"kind": "bounded", "K": 1.0},
     )
-    rep = verify_bound(cfg)
+    rep = run_experiment(cfg)
     assert rep.verdict == "PASS"
     assert all(r["vacuous"] for r in rep.rows)
     assert rep.counts["informative_points"] == 0
@@ -339,7 +324,7 @@ def test_verify_bound_detects_model_violation():
         x_grid=(2.0,), replicas=2000, seed=3,
         bound={"kind": "bounded", "K": 0.01},
     )
-    rep = verify_bound(cfg)
+    rep = run_experiment(cfg)
     assert rep.verdict == "FAIL"
     row = rep.rows[0]
     assert not row["vacuous"]
@@ -352,7 +337,7 @@ def test_verify_bound_unknown_kind():
         x_grid=(1.0,), replicas=10, seed=1, bound={"kind": "mystery"},
     )
     with pytest.raises(InvalidInputError):
-        verify_bound(cfg)
+        run_experiment(cfg)
 
 
 def test_verify_bound_takes_the_two_term_integral_once(monkeypatch):
@@ -371,7 +356,7 @@ def test_verify_bound_takes_the_two_term_integral_once(monkeypatch):
         x_grid=tuple(float(x) for x in range(1, 11)), replicas=20, seed=2,
         bound={"kind": "two-term", "y": 4.0, "tail": {"kind": "weibull", "gamma": 1.0}},
     )
-    rep = verify_bound(cfg)
+    rep = run_experiment(cfg)
     assert len(calls) == 1
     assert len({r["integral_term"] for r in rep.rows}) == 1
     assert len({r["exp_term"] for r in rep.rows}) == 10
@@ -383,7 +368,7 @@ def test_induction_check_needs_two_axes():
         x_grid=(1.0,), replicas=100, seed=1,
     )
     with pytest.raises(InvalidRangeError):
-        induction_step_check(cfg)
+        run_experiment(cfg)
 
 
 def test_induction_check_zero_field_and_gaussian():
@@ -391,12 +376,12 @@ def test_induction_check_zero_field_and_gaussian():
         experiment="induction-check", generator=zero_field(2), shape=(4, 4),
         x_grid=(1.0,), replicas=64, seed=1,
     )
-    assert induction_step_check(zero_cfg).verdict == "PASS"
+    assert run_experiment(zero_cfg).verdict == "PASS"
     cfg = ExperimentConfig(
         experiment="induction-check", generator=iid_gaussian(2), shape=(8, 8),
         x_grid=(0.5, 1.0, 2.0), replicas=1000, seed=21,
     )
-    rep = induction_step_check(cfg)
+    rep = run_experiment(cfg)
     assert rep.verdict == "PASS"
     for row in rep.rows:
         assert row["p_lhs"] <= row["rhs"] + 2.0 * (row["se_lhs"] + row["se_rhs"])
@@ -418,7 +403,7 @@ def test_sheet_cov_check_passes():
     cfg = ExperimentConfig(
         experiment="sheet-cov", shape=(8, 8), replicas=3000, seed=17, pairs=10,
     )
-    rep = sheet_cov_check(cfg)
+    rep = run_experiment(cfg)
     assert rep.verdict == "PASS"
     assert len(rep.rows) == 10
     for row in rep.rows:
@@ -431,13 +416,13 @@ def test_fdd_requires_grid_aligned_point():
         t_point=(0.35,), replicas=100, seed=1,
     )
     with pytest.raises(InvalidInputError):
-        fdd_compare(cfg)
+        run_experiment(cfg)
     zero = ExperimentConfig(
         experiment="fdd", generator=iid_gaussian(1), shape=(10,),
         t_point=(0.0,), replicas=100, seed=1,
     )
     with pytest.raises(InvalidInputError):
-        fdd_compare(zero)
+        run_experiment(zero)
 
 
 def test_fdd_gaussian_passes():
@@ -445,7 +430,7 @@ def test_fdd_gaussian_passes():
         experiment="fdd", generator=iid_gaussian(2), shape=(16, 16),
         t_point=(0.5, 1.0), replicas=4000, seed=11,
     )
-    rep = fdd_compare(cfg)
+    rep = run_experiment(cfg)
     assert rep.verdict == "PASS"
     assert rep.rows[0]["sigma2"] == pytest.approx(0.5)
 
@@ -457,7 +442,7 @@ def test_fdd_flags_product_field():
         experiment="fdd", generator=product_rademacher(2), shape=(64, 64),
         t_point=(1.0, 1.0), replicas=4000, seed=11,
     )
-    rep = fdd_compare(cfg)
+    rep = run_experiment(cfg)
     assert rep.verdict == "FAIL"
     assert rep.rows[0]["ks_stat"] > rep.rows[0]["threshold"]
 
@@ -468,21 +453,21 @@ def test_holder_norm_zero_generator():
         replicas=32, seed=1, modulus={"c": math.exp(6.0), "L": {"kind": "iter_log"}},
         j_max=3,
     )
-    rep = holder_norm_of_Wn(cfg)
+    rep = run_experiment(cfg)
     assert rep.verdict == "INFO"
     assert rep.rows[0]["max"] == 0.0
 
 
 def test_holder_norm_needs_modulus_and_shape():
     with pytest.raises(InvalidInputError):
-        holder_norm_of_Wn(
+        run_experiment(
             ExperimentConfig(
                 experiment="holder-norm", generator=iid_gaussian(2),
                 shapes=((4, 4),), replicas=8, seed=1,
             )
         )
     with pytest.raises(InvalidInputError):
-        holder_norm_of_Wn(
+        run_experiment(
             ExperimentConfig(
                 experiment="holder-norm", generator=iid_gaussian(2),
                 replicas=8, seed=1,
@@ -497,21 +482,21 @@ def test_holder_norm_quantiles_ordered_across_sizes():
         shapes=((4, 4), (8, 8)), replicas=64, seed=2,
         modulus={"c": math.exp(6.0), "L": {"kind": "iter_log"}}, j_max=2,
     )
-    rep = holder_norm_of_Wn(cfg)
+    rep = run_experiment(cfg)
     assert len(rep.rows) == 2
     for row in rep.rows:
         assert row["q25"] <= row["median"] <= row["q75"] <= row["q90"] <= row["max"]
 
 
 def test_lemma_checks_pass_and_fail():
-    good = lemma_checks(
+    good = run_experiment(
         ExperimentConfig(
             experiment="lemma-checks", svarying={"kind": "log_power", "beta": 2.0},
             tail={"kind": "weibull", "gamma": 1.0}, k_max=40, j_max=40,
         )
     )
     assert good.verdict == "PASS"
-    bad = lemma_checks(
+    bad = run_experiment(
         ExperimentConfig(
             experiment="lemma-checks", svarying={"kind": "const", "c0": 1.0},
             tail={"kind": "unit"}, k_max=20, j_max=20,
@@ -524,19 +509,19 @@ def test_lemma_checks_pass_and_fail():
 def test_exponent_fit_experiment_band_verdicts():
     base = dict(experiment="exponent-fit", d=1, replicas=200000, seed=101,
                 window=(0.995, 0.9995))
-    info = exponent_fit_experiment(ExperimentConfig(**base))
+    info = run_experiment(ExperimentConfig(**base))
     assert info.verdict == "INFO"
     assert 1.4 <= info.rows[0]["gamma_hat"] <= 2.6
-    passing = exponent_fit_experiment(ExperimentConfig(band=(1.4, 2.6), **base))
+    passing = run_experiment(ExperimentConfig(band=(1.4, 2.6), **base))
     assert passing.verdict == "PASS"
-    failing = exponent_fit_experiment(ExperimentConfig(band=(3.0, 4.0), **base))
+    failing = run_experiment(ExperimentConfig(band=(3.0, 4.0), **base))
     assert failing.verdict == "FAIL"
 
 
 def _tightness(**fields):
     base = dict(experiment="tightness", generator=iid_gaussian(2), axis_q=1, j_from=0,
                 modulus={"c": math.exp(4.0), "L": {"kind": "iter_log"}})
-    return tightness_experiment(ExperimentConfig(**{**base, **fields}))
+    return run_experiment(ExperimentConfig(**{**base, **fields}))
 
 
 def test_tightness_zero_generator():
@@ -576,23 +561,98 @@ def test_tightness_input_validation():
             _tightness(**{**base, **bad})
 
 
-@pytest.mark.parametrize("generator, exponents, axis_q, threads, digest", [
-    (iid_gaussian(2), (6, 6), 1, 2,
-     "3790aaf0c667be806bbf1a4e9e22611f88f6b8168c822b4523d3252f8f5fa1d7"),
-    (product_rademacher(3), (3, 4, 2), 2, 3,
-     "89b42f5ac541426285b63adf7299163679583995bd95c3444ded48fc073bf897"),
-])
-def test_tightness_payload_is_pinned(generator, exponents, axis_q, threads, digest):
+_PIN_MODULUS = {"c": math.exp(6.0), "L": {"kind": "iter_log"}}
+# One small config per experiment, with a PASS or FAIL case for each one
+# that decides, and the verdict and canonical payload digest it gave
+# before run_experiment built every report.  No Weibull field and no
+# constants level above 3, whose bytes move with numpy's SIMD level
+# (ROADMAP item 4); the exponent fit takes np.log of its grid and of its
+# tail, so its three digests hold at numpy's AVX-512 level only.
+_PINNED = {
+    "deviation": (dict(experiment="deviation", generator=iid_rademacher(2), shape=(8, 8),
+                       x_grid=(0.5, 1.0, 2.0), replicas=200, seed=1), "INFO",
+                  "ddf63c6a63d19c7082fd3f7745f756985d7aa9ee83e0b713b2de1e2c67bb271d"),
+    "verify-bound-bounded": (
+        dict(experiment="verify-bound", generator=iid_rademacher(2), shape=(8, 8),
+             x_grid=(2.0, 3.0), replicas=500, seed=3, bound={"kind": "bounded", "K": 0.01}),
+        "FAIL", "cf74f2a971fb99a14cdb6b4ee86fcfd55dc31ac13db18c1d58c55c709de284d7"),
+    "verify-bound-two-term": (
+        dict(experiment="verify-bound", generator=iid_gaussian(2), shape=(8, 8),
+             x_grid=(1.0, 2.0), replicas=200, seed=3,
+             bound={"kind": "two-term", "y": 16.0, "tail": {"kind": "bounded", "K": 1.0}}),
+        "PASS", "81fe76d1a67897fd7dca546ffb8c31ce6f87bc0b5007191ef00c4367be6daa46"),
+    "verify-bound-large-deviation": (
+        dict(experiment="verify-bound", generator=iid_gaussian(2), shape=(16, 16),
+             x_grid=(0.25, 0.5), replicas=200, seed=3,
+             bound={"kind": "large-deviation", "gamma": 1.0}),
+        "PASS", "106e7dd9bf6653d463467d8d4e6c01dd89bd4b352ce9ea902ad2f599881363eb"),
+    "induction-check": (
+        dict(experiment="induction-check", generator=iid_gaussian(2), shape=(8, 8),
+             x_grid=(0.5, 1.0, 2.0), replicas=300, seed=21),
+        "PASS", "5461eac4f978b019fc0f07864bbb32696cc6c63a9c8d0765eb3910fc3906eba5"),
+    "sheet-cov": (dict(experiment="sheet-cov", shape=(8, 8), replicas=300, seed=17, pairs=4),
+                  "PASS", "873d04094a62d08a648e4cbae75ac9fb26cb3050280c1943c4c1ad4a62b91664"),
+    # one cell per box, a +-1 law the normal limit is far from
+    "fdd-rademacher-cell": (
+        dict(experiment="fdd", generator=iid_rademacher(2), shape=(4, 4),
+             t_point=(0.25, 0.25), replicas=200, seed=4),
+        "FAIL", "2dfcdbfe96291c86cccab3dfb73454738128d7e4ce976a3a351b60329b000882"),
+    "fdd-gaussian": (
+        dict(experiment="fdd", generator=iid_gaussian(2), shape=(16, 16), t_point=(0.5, 1.0),
+             replicas=400, seed=11),
+        "PASS", "90682141f274a8487a8a97e5c0ca902e3ee1dee20903337369a7076339aa28af"),
+    "holder-norm": (
+        dict(experiment="holder-norm", generator=iid_gaussian(2), shapes=((8, 8), (4, 8)),
+             j_max=3, replicas=32, seed=2, modulus=_PIN_MODULUS),
+        "INFO", "620fa95de23ad3d565ccd63c19d85f7217e84a56826f04ca1040893495e8b5e1"),
     # the levels read replicas [j R, (j + 1) R), so both the seeds of the
-    # fields and the order of the sums are pinned by these digests
-    rep = _tightness(generator=generator, exponents=exponents, axis_q=axis_q, threads=threads,
-                     eps=0.2, replicas=150, seed=909,
-                     modulus={"c": math.exp(6.0), "L": {"kind": "iter_log"}})
+    # fields and the order of the sums are pinned
+    "tightness-gaussian": (
+        dict(experiment="tightness", generator=iid_gaussian(2), exponents=(6, 6), axis_q=1,
+             j_from=0, threads=2, eps=0.2, replicas=150, seed=909, modulus=_PIN_MODULUS),
+        "INFO", "3790aaf0c667be806bbf1a4e9e22611f88f6b8168c822b4523d3252f8f5fa1d7"),
+    "tightness-product": (
+        dict(experiment="tightness", generator=product_rademacher(3), exponents=(3, 4, 2),
+             axis_q=2, j_from=0, threads=3, eps=0.2, replicas=150, seed=909,
+             modulus=_PIN_MODULUS),
+        "INFO", "89b42f5ac541426285b63adf7299163679583995bd95c3444ded48fc073bf897"),
+    "constants": (dict(experiment="constants", d=2), "PASS",
+                  "062112cf868d20d2e70ee6ea1368b9fe09f01e8384ab6f85b2e1d33720c951df"),
+    "lemma-checks-converging": (
+        dict(experiment="lemma-checks", svarying={"kind": "const", "c0": 1.0},
+             tail={"kind": "bounded", "K": 0.5}, k_max=20, j_max=20),
+        "PASS", "64c98c67582a455e197d4971ebf99d3c5cdaee1ec555e0b662e9c633e80e9ce0"),
+    # trend-free ratios, but both series diverge: one ok row of three
+    "lemma-checks-diverging": (
+        dict(experiment="lemma-checks", svarying={"kind": "const", "c0": 1.0},
+             tail={"kind": "unit"}, k_max=20, j_max=20),
+        "FAIL", "a4dd44afa69d597bb7f09f1b02d7bba61026f1f155136b1e2f342923ac59b412"),
+    "exponent-fit": (dict(experiment="exponent-fit", d=2, replicas=5000, seed=101), "INFO",
+                     "b8a8e27e6edbce8715d03ff97761a0c236906f48b8ae613fde26a6e0b9e1d206"),
+    "exponent-fit-in-band": (
+        dict(experiment="exponent-fit", d=2, replicas=5000, seed=101, band=(0.5, 1.5)),
+        "PASS", "86e1d718ca42645ea41f81a54af1e808d1679e23b3bc46d96f1d3833312a2edd"),
+    "exponent-fit-off-band": (
+        dict(experiment="exponent-fit", d=2, replicas=5000, seed=101, band=(1.5, 2.5)),
+        "FAIL", "918cf988f0171679f8a76adab8317c14dc6f62ec307b993f60272c785147b019"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED))
+def test_payload_and_verdict_are_pinned(name):
+    base, verdict, digest = _PINNED[name]
+    rep = run_experiment(ExperimentConfig(**base))
     assert hashlib.sha256(rep.canonical_json().encode()).hexdigest() == digest
+    assert rep.verdict == verdict
+    # the one rule, which constants alone overrides with its stated PASS
+    decided = [row["ok"] for row in rep.rows if "ok" in row]
+    rule = "INFO" if not decided else "PASS" if all(decided) else "FAIL"
+    assert rep.verdict == ("PASS" if rep.experiment == "constants" else rule)
+    assert {case[0]["experiment"] for case in _PINNED.values()} == set(harness.EXPERIMENTS)
 
 
 def test_constants_experiment_passes():
-    rep = constants_experiment(ExperimentConfig(experiment="constants", d=3))
+    rep = run_experiment(ExperimentConfig(experiment="constants", d=3))
     assert rep.verdict == "PASS"
     assert len(rep.rows) == 3
     assert rep.constants["d"] == 3
@@ -603,7 +663,7 @@ def test_report_payload_excludes_timing():
         experiment="deviation", generator=zero_field(1), shape=(4,),
         x_grid=(1.0,), replicas=10, seed=1,
     )
-    rep = mc_deviation(cfg)
+    rep = run_experiment(cfg)
     payload = rep.payload()
     assert "timing" not in payload
     assert "wall_clock_s" not in payload
