@@ -7,7 +7,6 @@ from .bounds import (
     BoundValue,
     ExponentFit,
     I_integral,
-    LargeDeviationValue,
     TailModel,
     base_constants,
     bounded_by,
@@ -22,6 +21,7 @@ from .bounds import (
     thm1_rhs,
     thm2_rhs,
     unit_tail,
+    verify_values,
     weibull_envelope,
 )
 from .errors import (

@@ -55,7 +55,9 @@ Meijer-G form of the product's distribution (Springer and Thompson,
 "The distribution of products of Beta, Gamma and Gaussian random
 variables", SIAM J. Appl. Math. 1970).
 
-Everything here evaluates formulas; only exponent_fit fits data.  Logs
+Everything here evaluates formulas; only exponent_fit fits data.
+verify_values is the one parser of the verify-bound experiment's bound
+object, and names the replica statistic and scale it is read on.  Logs
 are natural throughout.  unit_tail, whose moment integrals diverge, is
 kept as the lemma-checks tail kind "unit".
 """
@@ -65,7 +67,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import erfc
@@ -76,9 +78,10 @@ from .errors import (
     InvalidRangeError,
     NumericFailureError,
     build_kind,
+    check_kind,
     check_number,
 )
-from .lattice import _block_size
+from .lattice import _block_size, volume
 
 _E9 = math.exp(9.0)
 _ABS_FLOOR = 1e-16
@@ -567,6 +570,8 @@ class BoundValue:
     exp_term: float
     integral_term: float
     vacuous: bool
+    y_star: float = None  # thm2_rhs's optimizing y and equivalent deviation
+    x_equiv: float = None
 
 
 def _tail_integral(model: TailModel, scale: float, g, where: str) -> float:
@@ -652,17 +657,7 @@ def bounded_rhs(x: float, k: float, consts: BoundConstants) -> BoundValue:
     return BoundValue(value, value, 0.0, value >= 1.0)
 
 
-@dataclass(frozen=True)
-class LargeDeviationValue:
-    value: float
-    y_star: float
-    x_equiv: float
-    exp_term: float
-    integral_term: float
-    vacuous: bool
-
-
-def thm2_rhs(x: float, shape, gamma: float) -> LargeDeviationValue:
+def thm2_rhs(x: float, shape, gamma: float) -> BoundValue:
     """Bound on P{|S_N| / |N| > x} under the exp(s^gamma) envelope, on a
     lattice of the given shape (d = len(shape) axes).
 
@@ -682,10 +677,32 @@ def thm2_rhs(x: float, shape, gamma: float) -> LargeDeviationValue:
     consts = recurse_constants(d)
     y_star = n_cells ** (1.0 / (2.0 + d * gamma)) * x ** (2.0 / (2.0 + d * gamma))
     x_equiv = x * math.sqrt(n_cells)
-    inner = thm1_rhs(x_equiv, y_star, envelope, consts)
-    return LargeDeviationValue(
-        inner.value, y_star, x_equiv, inner.exp_term, inner.integral_term, inner.vacuous
-    )
+    return replace(thm1_rhs(x_equiv, y_star, envelope, consts), y_star=y_star, x_equiv=x_equiv)
+
+
+# the keys each kind of bound reads: its evaluator's number, then two-term's tail
+_BOUND_KINDS = {"bounded": ("K",), "two-term": ("y", "tail"), "large-deviation": ("gamma",)}
+
+
+def verify_values(bound: dict, shape, x_grid) -> tuple:
+    """What verify-bound compares with, for a JSON bound object
+    ({"kind": "bounded", "K": k}, {"kind": "two-term", "y": y, "tail": tail}
+    or {"kind": "large-deviation", "gamma": g}) on a lattice of the given
+    shape: the replica statistic and the scale of x in it ("max", max |S_k|,
+    and sqrt(|n|); "total", S_n, and |n| for the large-deviation kind), the
+    constants of d = len(shape), and one BoundValue per x in x_grid from
+    the evaluator of the kind, which checks the bound's numbers."""
+    kind = check_kind("bound", bound, _BOUND_KINDS)
+    param = bound[_BOUND_KINDS[kind][0]]
+    model = tail_from_dict(bound["tail"]) if kind == "two-term" else None
+    consts = recurse_constants(len(shape))
+    if kind == "large-deviation":
+        return "total", volume(shape), consts, [thm2_rhs(x, shape, param) for x in x_grid]
+    if kind == "bounded":
+        values = [bounded_rhs(x, param, consts) for x in x_grid]
+    else:  # one call, so the integral term (x-free) is taken once
+        values = thm1_rhs(x_grid, param, model, consts)
+    return "max", math.sqrt(volume(shape)), consts, values
 
 
 # ------------------------------------------------ summability diagnostics

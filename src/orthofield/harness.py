@@ -16,15 +16,16 @@ blocks of the lattice layer's driver; reductions walk the blocks in
 index order and a row's "ok" only looks at precomputed intervals.  Each
 experiment asks the generator layer's one replica reduction
 (replica_stats, which plans, threads and gathers its own blocks) for
-only the per-replica statistics it reads: deviation and the bounded and
-two-term bounds the maximum |S_k|, the large-deviation bound and fdd the
+only the per-replica statistics it reads: deviation the maximum |S_k|,
+verify-bound the one bounds.verify_values names for its bound, fdd the
 total S_n, induction-check the maximum and the last-slab maximum, and
 tightness the maximum, once per dyadic level.  deviation, verify-bound
-and tightness count exceedances in one table (_exceedances), and hand
-replica_stats the smallest of their thresholds as the floor of the
-maximum: a maximum raised to that floor exceeds each threshold exactly
-when the maximum does, so the counts are the same, and an iid
-Rademacher field skips the prefix sums of replicas that cannot reach it.
+and tightness count exceedances in one table (_exceedances), and when
+they read the maximum hand replica_stats the smallest of their
+thresholds as its floor: a maximum raised to that floor exceeds each
+threshold exactly when the maximum does, so the counts are the same,
+and an iid Rademacher field skips the prefix sums of replicas that
+cannot reach it.
 
 Reports separate the reproducible payload (config echo, rows, verdicts,
 constants trace, tolerances) from the timing block (timestamp, wall
@@ -46,7 +47,7 @@ from scipy.special import ndtri
 
 from . import bounds, holder
 from ._rng import fold, stream_key, uniform01
-from .errors import InvalidInputError, InvalidRangeError, check_kind, check_number, check_object
+from .errors import InvalidInputError, InvalidRangeError, check_number, check_object
 from .generators import (
     GeneratorSpec,
     generate_batch,
@@ -65,7 +66,6 @@ from .lattice import (
     volume,
 )
 from .stats import ks_normal, wilson_interval
-from .sumprocess import eval_W_grid
 
 _KS_ALLOWANCE = 0.015
 
@@ -131,37 +131,24 @@ def _deviation(config: ExperimentConfig) -> dict:
 
 
 def _verify_bound(config: ExperimentConfig) -> dict:
-    """Overlay Monte Carlo tail estimates with the matching bound values.
+    """Overlay Monte Carlo tail estimates with the bound values, on the
+    statistic and scale of x that bounds.verify_values names.
 
     A row is ok when the Wilson upper limit sits at or below the bound,
     or when the point is vacuous (bound >= 1): vacuous points are echoed
     but cannot fail."""
-    shape = config.shape
-    kind = check_kind("bound", config.bound, _BOUND_KINDS)
-    param = config.bound[_BOUND_KINDS[kind][0]]
-    model = bounds.tail_from_dict(config.bound["tail"]) if kind == "two-term" else None
-    d = len(shape)
-    consts = bounds.recurse_constants(d)
-    if kind == "bounded":
-        values = [bounds.bounded_rhs(x, param, consts) for x in config.x_grid]
-    elif kind == "two-term":  # one call, so the integral term (x-free) is taken once
-        values = bounds.thm1_rhs(config.x_grid, param, model, consts)
-    else:
-        values = [bounds.thm2_rhs(x, shape, param) for x in config.x_grid]
-    # large-deviation reads |S_n| against x |n|, the other kinds max |S_k|
-    # against x sqrt(|n|)
-    ld = kind == "large-deviation"
-    scale = volume(shape) if ld else math.sqrt(volume(shape))
+    stat, scale, consts, values = bounds.verify_values(config.bound, config.shape, config.x_grid)
     thresholds = [x * scale for x in config.x_grid]
-    stat = np.abs(replica_stats(config.generator, shape, config.seed, 0, config.replicas,
-                                ("total",) if ld else ("max",), config.threads,
-                                floor=None if ld else min(thresholds))[0])
-    rows = _exceedances(stat, thresholds)
+    # replica_stats floors the maximum alone
+    floor = min(thresholds) if stat == "max" else None
+    samples = np.abs(replica_stats(config.generator, config.shape, config.seed, 0,
+                                   config.replicas, (stat,), config.threads, floor=floor)[0])
+    rows = _exceedances(samples, thresholds)
     for row, x, bv in zip(rows, config.x_grid, values):
         row.update(x=x, bound=bv.value, exp_term=bv.exp_term, integral_term=bv.integral_term,
                    vacuous=bv.vacuous, ok=bv.vacuous or row["ci_hi"] <= bv.value)
-        if ld:
-            row.update(y_star=bv.y_star, x_equiv=bv.x_equiv)
+        row.update((key, getattr(bv, key)) for key in ("y_star", "x_equiv")
+                   if getattr(bv, key) is not None)
     counts = {"replicas": config.replicas,
               "informative_points": sum(not r["vacuous"] for r in rows)}
     return {"rows": rows, "constants": consts.to_dict(), "counts": counts}
@@ -255,10 +242,12 @@ def _fdd(config: ExperimentConfig) -> dict:
         raise InvalidInputError("t must have one coordinate per axis")
     k = []
     for t_q, n_q in zip(point, shape):
-        k_q = t_q * n_q
-        if abs(k_q - round(k_q)) > 1e-9 or not 0 < t_q <= 1:
-            raise InvalidInputError("t must be grid aligned with 0 < t_q <= 1")
-        k.append(int(round(k_q)))
+        # the box [1, k] needs a node k_q >= 1 on every axis
+        k_q = round(t_q * n_q)
+        if abs(t_q * n_q - k_q) > 1e-9 or not (k_q >= 1 and t_q <= 1):
+            raise InvalidInputError("t must be grid aligned with 1 / n_q <= t_q <= 1, not %r"
+                                    % (list(point),))
+        k.append(k_q)
     sigma2 = spec_variance(config.generator) * math.prod(point)
     # counter-mode sites: the box [1, k] alone holds the same values as
     # that box of the full lattice, and its total is S_k
@@ -282,13 +271,10 @@ def _holder_norm(config: ExperimentConfig) -> dict:
         levels = finest if config.j_max is None else config.j_max
 
         def work(start, count, shape=shape, rho_s=rho_s, levels=levels):
-            # grid_seq_norms with the block's own arrays: the prefix is freed
-            # once its padded copy is made, and that once the grid is
-            padded = padded_prefix(batch_prefix(generate_batch(
-                config.generator, shape, config.seed, start, count)), lead=1)
-            grid = eval_W_grid(padded, levels)
-            del padded
-            return holder._grid_norms(grid, rho_s, levels)
+            # the padded prefix is handed over, so grid_seq_norms frees it
+            # once the grid is built
+            return holder.grid_seq_norms(padded_prefix(batch_prefix(generate_batch(
+                config.generator, shape, config.seed, start, count)), lead=1), rho_s, levels)
 
         # a block holds its padded prefix arrays and their level-j_max grids
         cells = max(volume(n + 1 for n in shape), holder.full_grid_count(levels, len(shape)))
@@ -441,6 +427,13 @@ def _shape(name, value):
     return validate_shape(_list_of(_integer(1))(name, value))
 
 
+def _band(name, value):
+    band = _list_of(check_number, 2)(name, value)
+    if not band[0] < band[1]:
+        raise InvalidInputError("band must be [lo, hi] with lo < hi, not %r" % (list(band),))
+    return band
+
+
 def _x_grid(name, value):
     grid = tuple(float(x) for x in _list_of(_positive)(name, value))
     if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -481,7 +474,7 @@ _SCHEMA = {
                                "replicas": _SPREAD_REPLICAS}),
     "holder-norm": (_holder_norm, {
         "generator": _GENERATOR, "shapes": (_list_of(_shape), _REQUIRED), "modulus": _OBJECT,
-        "j_max": (_integer(0, holder._MODULUS_LEVELS), None)}),
+        "j_max": (_integer(0, holder.MODULUS_LEVELS), None)}),
     "constants": (_constants, {"d": (_integer(1, 6), 6)}),
     "lemma-checks": (_lemma_checks, {
         "svarying": _OBJECT, "tail": _OBJECT, "k_max": (_integer(1, bounds._MAX_LEVEL), 40),
@@ -491,7 +484,7 @@ _SCHEMA = {
         "d": (_integer(1, bounds._MAX_FACTORS), _REQUIRED),
         "window": (_list_of(check_number, 2), (0.90, 0.999)),
         "grid_points": (_budgeted(_integer(4), "exponent-fit grid"), 24),
-        "band": (_list_of(check_number, 2), None)}),
+        "band": (_band, None)}),
 }
 EXPERIMENTS = tuple(_SCHEMA)
 _FIELD_NAMES = sorted(set(_COMMON).union(*(table for _, table in _SCHEMA.values())))
@@ -530,10 +523,6 @@ ExperimentConfig.__doc__ = """One experiment run: its name and, as keywords, the
 lists for it.  Validation fills in the defaults and keeps the names
 given in `given`, which the report echo (to_dict) holds with replicas
 and seed."""
-
-# the keys each kind of bound reads: its evaluator's number, then two-term's tail
-_BOUND_KINDS = {"bounded": ("K",), "two-term": ("y", "tail"), "large-deviation": ("gamma",)}
-
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     check_object("config", data, optional=["experiment"] + _FIELD_NAMES)

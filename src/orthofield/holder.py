@@ -27,14 +27,11 @@ of the level-J_max dyadic grid, so W is evaluated once per grid node
 2^(J_max - j)-th node, its coefficients slice arithmetic, each parity
 slice's in one buffer.  The tests check it bit for bit against the
 site-by-site seminorm, whose evaluator of W shares eval_W_grid's
-corner-sum kernel.  A level grid is held to
-the block budget of the lattice layer (lattice._block_size) like a
-lattice: the holder-norm experiment sizes its replica blocks by the
-larger of its padded lattice and its level-J_max grid, so
-grid_seq_norms evaluates the whole block it is given at once.  Those
-blocks own their arrays, so they run its two steps themselves
-(eval_W_grid, then _grid_norms) and free the padded prefix arrays in
-between; on an aligned lattice a block then peaks at about two arrays.
+corner-sum kernel.  A level grid is held to the block budget of the
+lattice layer (lattice._block_size) like a lattice, and grid_seq_norms
+evaluates the whole block it is given at once.  It drops its reference
+to the padded prefix arrays once the grid is built, so a caller that
+hands them over holds about two arrays at the peak, not three.
 """
 
 from __future__ import annotations
@@ -127,16 +124,16 @@ def modulus_from_dict(data: dict, d: int) -> Modulus:
     return modulus(data["c"], d, L)
 
 
-_MODULUS_LEVELS = 40  # the finest dyadic level at which the package evaluates a modulus
+MODULUS_LEVELS = 40  # the finest dyadic level at which the package evaluates a modulus
 
 
 def modulus(c: float, d: int, L: SlowlyVarying) -> Modulus:
     """Build a modulus, verifying it increases along the dyadic grid
-    h = 2^-j, j = 0.._MODULUS_LEVELS."""
+    h = 2^-j, j = 0..MODULUS_LEVELS."""
     # c > 1 so that ln(c/h) > 0 on (0, 1]
     rho = Modulus(float(check_number("modulus c", c, lo=1, above=True)),
                   int(check_number("modulus dimension d", d, lo=1, integer=True)), L)
-    values = [modulus_eval(rho, 2.0**-j) for j in range(_MODULUS_LEVELS + 1)]
+    values = [modulus_eval(rho, 2.0**-j) for j in range(MODULUS_LEVELS + 1)]
     for a, b in zip(values[1:], values[:-1]):
         if not a < b:
             raise DegenerateModulusError(
@@ -198,20 +195,16 @@ def grid_seq_norms(padded, rho: Modulus, j_max: int) -> np.ndarray:
     W is evaluated once per node of the level-j_max dyadic grid for the
     whole block (sumprocess.eval_W_grid, which reads the nodes of an
     aligned axis straight off the prefix), into a new array: padded is
-    left as it was.  A caller sizes the block so that its grid fits the
-    block budget (lattice._block_size)."""
+    left as it was, and freed before the coefficients are built when
+    the caller keeps no reference to it.  A caller sizes the block so
+    that its grid fits the block budget (lattice._block_size)."""
     padded = np.asarray(padded, dtype=np.float64)
     d = padded.ndim - 1
     if d != rho.d:
         raise InvalidInputError("prefix arrays have dimension %d, modulus has %d" % (d, rho.d))
     # the levels a modulus is checked on; eval_W_grid checks the grid's own bounds
-    check_number("j_max", j_max, hi=_MODULUS_LEVELS)
-    return _grid_norms(eval_W_grid(padded, j_max), rho, j_max)
-
-
-def _grid_norms(grid: np.ndarray, rho: Modulus, j_max: int) -> np.ndarray:
-    """grid_seq_norms from the level-j_max grid of W itself, so that a
-    caller owning the padded prefix arrays (the holder-norm blocks) can
-    free them before the coefficients are built."""
+    check_number("j_max", j_max, hi=MODULUS_LEVELS)
+    grid = eval_W_grid(padded, j_max)
+    del padded
     scales = [modulus_eval(rho, 2.0**-j) for j in range(j_max + 1)]
     return np.max([_grid_peaks(grid, j, j_max) / s for j, s in enumerate(scales)], axis=0)

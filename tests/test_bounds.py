@@ -9,6 +9,7 @@ from scipy.special import erfc, gamma, gammaincc
 
 from orthofield import (
     InsufficientDataError,
+    InvalidInputError,
     InvalidRangeError,
     I_integral,
     NumericFailureError,
@@ -28,6 +29,7 @@ from orthofield import (
     thm1_rhs,
     thm2_rhs,
     unit_tail,
+    verify_values,
     weibull_envelope,
 )
 from orthofield import bounds, lattice
@@ -657,6 +659,47 @@ def test_thm2_rhs_input_validation():
     # the dimension is the shape's, and the constants exist for d <= 6 only
     with pytest.raises(InvalidRangeError):
         thm2_rhs(1.0, (2,) * 7, 1.0)
+
+
+def test_verify_values_names_each_kind_statistic_and_scale():
+    # the bounded and two-term kinds bound max |S_k| at x sqrt(|n|), the
+    # large-deviation kind |S_n| at x |n|; each x gets its evaluator's value
+    x_grid, consts = (2.0, 64.0), recurse_constants(2)
+    weibull = {"kind": "weibull", "gamma": 1.0}
+    cases = [
+        ({"kind": "bounded", "K": 1.0}, "max", 8.0,
+         [bounded_rhs(x, 1.0, consts) for x in x_grid]),
+        ({"kind": "two-term", "y": 16.0, "tail": weibull}, "max", 8.0,
+         thm1_rhs(x_grid, 16.0, weibull_envelope(1.0), consts)),
+        ({"kind": "large-deviation", "gamma": 1.0}, "total", 64,
+         [thm2_rhs(x, (8, 8), 1.0) for x in x_grid]),
+    ]
+    for bound, stat, scale, values in cases:
+        assert verify_values(bound, (8, 8), x_grid) == (stat, scale, consts, values)
+        # thm2_rhs alone sets the optimizing y and the equivalent deviation
+        assert all((v.y_star is None) == (stat == "max") for v in values)
+        assert all((v.x_equiv is None) == (stat == "max") for v in values)
+
+
+@pytest.mark.parametrize("bound,d,error,message", [
+    ({"kind": "nope", "K": 1.0}, 2, InvalidInputError, "unknown bound kind 'nope'"),
+    ({"kind": "two-term", "y": 16.0}, 2, InvalidInputError, "bound 'two-term' needs 'tail'"),
+    ({"kind": "bounded", "K": 1.0, "y": 2.0}, 2, InvalidInputError,
+     "bound 'bounded' does not read 'y'"),
+    ({"kind": "bounded", "K": -1.0}, 2, InvalidRangeError, "bound K must be in (0, inf], not -1.0"),
+    ({"kind": "two-term", "y": 16.0, "tail": {"kind": "unit"}}, 2, InvalidInputError,
+     "tail model 'unit' has no integrable support"),
+    ({"kind": "large-deviation", "gamma": "1"}, 2, InvalidInputError,
+     "bound gamma must be a finite number, not '1'"),
+    ([1, 2], 2, InvalidInputError, "bound must be a JSON object, not [1, 2]"),
+    ({"kind": "bounded", "K": 1.0}, 7, InvalidRangeError,
+     "constants dimension d must be in [1, 6], not 7"),
+], ids=["unknown-kind", "missing-key", "extra-key", "K-negative", "unit-tail", "gamma-string",
+        "not-an-object", "d-7"])
+def test_verify_values_rejects_malformed_bounds(bound, d, error, message):
+    with pytest.raises(error) as info:
+        verify_values(bound, (2,) * d, (1.0, 2.0))
+    assert str(info.value) == message
 
 
 # -------------------------------------------------- summability diagnostics

@@ -181,6 +181,9 @@ EXPONENT_FIT = {"experiment": "exponent-fit", "d": 1, "replicas": 2000}
                              "shape": [4, 4], "x_grid": [0.0, 1.0], "replicas": 50}),
         ("deviation", dict(DEVIATION, x_grid=[-1.0, 1.0])),
         ("verify-bound", dict(TWO_TERM, x_grid=[0.0])),
+        # a band no fit can sit in, and a t that rounds to lattice node 0
+        ("exponent-fit", dict(EXPONENT_FIT, d=2, replicas=5000, seed=101, band=[1.5, 0.5])),
+        ("fdd", dict(FDD, shape=[4, 4], t_point=[1e-12, 1.0])),
     ],
     ids=["top-level-list", "replicas-string", "shape-int", "x-grid-string",
          "two-term-without-y", "weibull-tail-without-gamma",
@@ -202,7 +205,8 @@ EXPONENT_FIT = {"experiment": "exponent-fit", "d": 1, "replicas": 2000}
          "lemma-const-1e-300", "fdd-zero-field", "fdd-sigma-1e-200", "fdd-sigma-1e300",
          "fdd-weibull-gamma-0.01", "fdd-moving-average-gamma-0.005", "fdd-one-replica",
          "sheet-cov-one-replica", "generator-json-text", "induction-x-zero",
-         "deviation-x-negative", "verify-bound-x-zero"],
+         "deviation-x-negative", "verify-bound-x-zero", "exponent-fit-band-reversed",
+         "fdd-t-at-node-0"],
 )
 def test_malformed_config_is_one_line_exit_1(tmp_path, capsys, experiment, payload):
     cfg = write_config(tmp_path, "bad.json", payload)
@@ -242,6 +246,24 @@ def test_regularity_layers_do_not_drive_replicas():
                 names.add(node.attr)
         assert not imported & {"generators", "harness", "stats"}, name
         assert "_map_blocks" not in imported | names, name
+
+
+def test_harness_leaves_bound_kinds_and_norms_to_their_modules():
+    # bounds decides what each kind of bound compares against, and holder
+    # owns the norm pipeline, so harness spells no bound kind (docstrings
+    # aside) and reads no private holder name
+    tree = ast.parse((pathlib.Path(cli.__file__).parent / "harness.py").read_text(encoding="utf-8"))
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                  and isinstance(node.body[0], ast.Expr)}
+    spelled = {node.value for node in ast.walk(tree)
+               if isinstance(node, ast.Constant) and id(node) not in docstrings}
+    assert not spelled & {"bounded", "two-term", "large-deviation"}
+    private = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+               and isinstance(node.value, ast.Name) and node.value.id == "holder"
+               and node.attr.startswith("_")}
+    assert not private, private
+    assert "_BOUND_KINDS" not in {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
 
 def test_one_function_builds_reports_and_derives_verdicts():
