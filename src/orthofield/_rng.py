@@ -27,12 +27,13 @@ axis) return premixed words, so a span premixes them once, and
 last_fold takes them as they are.  In place: last_fold writes over rows
 that already have the result's shape (a last axis of extent 1), so such
 rows are handed over; every other result is a fresh array.  Top bit:
-sign_pm1 and sign_total read only bit 63, which the finalizer's last
-step x ^= x >> 31 cannot change, so last_fold with top=True leaves that
-step out, and its "top-bit words" never go to uniform01.  The value
-maps overwrite the words they are given: sign_pm1 turns them into
-+-1.0 in the last fold's buffer, and uniform01 shifts them in place
-before its one conversion to float64.
+the finalizer's last step x ^= x >> 31 leaves bits 33-63 unchanged, so
+last_fold with top=True leaves that step out.  Its "top-bit words" are
+exact in those bits alone: sign_pm1 and sign_total read bit 63, and the
+bracket screen of generators reads a bucket off the top 12 bits; they
+never go to uniform01.  The value maps overwrite the words they are
+given: sign_pm1 turns them into +-1.0 in the last fold's buffer, and
+uniform01 shifts them in place before its one conversion to float64.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ _GAMMA = 0x9E3779B97F4A7C15
 _TOP = np.uint64(1 << 63)
 _ONE = np.uint64(0x3FF0000000000000)  # the bits of 1.0
 _INV53 = float(2.0**-53)
+_BELOW_ONE = 1.0 - _INV53  # the largest double below 1.0
 
 
 def _as_words(x) -> np.ndarray:
@@ -158,14 +160,18 @@ def stream_key(master_seed: int, *labels) -> np.uint64:
 
 
 def uniform01(h: np.ndarray) -> np.ndarray:
-    """Map words to doubles in the open interval (0, 1).  Overwrites h.
-    The shifted words are below 2^53, so they convert exactly, and as
-    int64, whose conversion numpy runs faster than uint64's."""
+    """Map words to doubles in the open interval (0, 1), nondecreasing
+    in the word.  Overwrites h.  The shifted words k = h >> 11 are below
+    2^53, so they convert exactly, and as int64, whose conversion numpy
+    runs faster than uint64's.  (k + 0.5) 2^-53 rounds k + 0.5 to even
+    from k = 2^52 on, so k = 2^53 - 1, the top 2^11 words, would give
+    1.0; the clamp maps them to the double below 1.0 and moves no other
+    word."""
     h >>= 11
     u = h.view(np.int64).astype(np.float64)
     u += 0.5
     u *= _INV53
-    return u
+    return np.minimum(u, _BELOW_ONE, out=u)
 
 
 def sign_pm1(h: np.ndarray) -> np.ndarray:

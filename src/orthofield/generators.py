@@ -35,15 +35,36 @@ them to values (_rng.sign_total).  Every partial sum of +-1 terms is
 an integer below 2^53, so the count equals batch_total's sum bit for
 bit.
 
-A caller that only asks whether max_k |S_k| exceeds thresholds t >= f
-may pass the floor f: the "max" column is then max(f, max_k |S_k|) on
-every route, which exceeds each such t exactly when max_k |S_k| does.
-An iid Rademacher field's lone "max" uses the floor as a screen.  With
-P_n and M_n the counts of +1 and -1 sites, every box sum lies in
-[-M_n, P_n], so max_k |S_k| <= max(P_n, M_n) = (|n| + |S_n|) / 2.  A
-block reads S_n off its top-bit words, as the lone "total" does, and
-writes f for every replica whose bound is at most f; only the replicas
-left open hash their row words again and take the float path.
+A caller that only asks whether max_k |S_k|, or |S_n|, exceeds
+thresholds t >= f may pass the floor f: the "max" column is then
+max(f, max_k |S_k|) on every route, and a lone "total" is
+max(f, |S_n|), each of which exceeds every such t exactly when its
+statistic does.  An iid field's lone "max" or "total" uses the floor as
+a screen.  A block hashes top-bit words only (see _rng), bounds each
+replica's statistic from them, and writes f for every replica whose
+bound is at most f; only the replicas left open hash their row words
+again and take the float path, so every value keeps its bits.  Each law
+has its own bound:
+
+- Rademacher maximum: with P_n and M_n the counts of +1 and -1 sites,
+  every box sum lies in [-M_n, P_n], so max_k |S_k| <= max(P_n, M_n)
+  = (|n| + |S_n|) / 2, with S_n the sign count.  (A lone total is the
+  sign count itself.)
+- Gaussian and Weibull: a bracket table (_brackets), built once per
+  spec, holds for each bucket of words, their top _BUCKET_BITS bits, a
+  midpoint c and a half-width h with |x - c| <= h for the value x of
+  every word in it.  A block gathers each site's c and h, and with W
+  the replica's sum of h and v the table's largest |c| + h,
+
+      max_k |fl S_k(x)| <= max_k |fl S_k(c)| + W + eps,
+      eps = 2 g (2 |n| v + W + max_k |fl S_k(c)|),  g = (|n| + 2) 2^-53,
+
+  where fl S_k is a prefix sum as batch_prefix rounds it, and the same
+  holds for |S_n| as batch_total rounds it.  eps covers the rounding of
+  both prefix computations: any summation of |n| terms errs by at most
+  gamma_(|n|-1) times the sum of their magnitudes (Higham 2002, 4.2),
+  and |n| v bounds that sum for x and for c.  The screen costs a bucket
+  gather and a prefix sum of the midpoints, in place of ndtri or log.
 
 Product fields factorize, S_k = prod_q P^(q)_(k_q) with P^(q) the
 cumulative sum of axis q's factor stream, so their statistics are
@@ -82,6 +103,7 @@ the envelope class used by the large-deviation bound.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -112,6 +134,16 @@ _DISTS = ("rademacher", "gaussian", "weibull_symmetric")
 # different generators at the same master seed are not coupled
 _VARIANT_TAG = {name: 101 + k for k, name in enumerate(_VARIANTS)}
 _DIST_TAG = {name: 201 + k for k, name in enumerate(_DISTS)}
+
+# The bracket screen's buckets are the top 12 bits of a hash word; any
+# of the top 31 would be exact (see _rng: top-bit words keep bits 33-63).
+# The sum W of a replica's half-widths shrinks about fourfold per two
+# bits, and the two tables grow fourfold: at 10, 12 and 14 bits W is
+# about 132, 33 and 8 on a 64x256 Gaussian replica, with tables of 16,
+# 64 and 256 KiB.  At 12, W is small beside max_k |S_k| itself, and the
+# tables sit in L2 beside a block's 1 MiB arrays.
+_BUCKET_BITS = 12
+_BRACKET_ULPS = 16  # the half-widths' margin for value maps rounded out of order
 
 
 @dataclass(frozen=True, eq=True)
@@ -222,6 +254,16 @@ def _weibull_values(u: np.ndarray, gamma: float) -> np.ndarray:
     return np.copysign(m, u, out=m)
 
 
+def _law_values(u: np.ndarray, spec: GeneratorSpec) -> np.ndarray:
+    """The value map of spec's Gaussian or Weibull law on the uniforms u,
+    which it overwrites: sigma ndtri(u), or _weibull_values."""
+    if spec.param("dist") == "gaussian":
+        ndtri(u, out=u)
+        u *= float(spec.param("sigma"))
+        return u
+    return _weibull_values(u, float(spec.param("gamma")))
+
+
 def spec_variance(spec: GeneratorSpec) -> float:
     """Site variance of the field (product variants multiply across axes),
     a positive float.  InvalidRangeError names the parameter when the
@@ -300,11 +342,7 @@ def _draw(rows: np.ndarray, last: np.ndarray, spec: GeneratorSpec) -> np.ndarray
     else:
         vals = _rng.uniform01(h)
         del h
-        if dist == "gaussian":
-            ndtri(vals, out=vals)
-            vals *= float(spec.param("sigma"))
-        else:
-            vals = _weibull_values(vals, float(spec.param("gamma")))
+        vals = _law_values(vals, spec)
     if spec.variant != "moving_average":
         return vals
     axis = int(spec.param("axis"))
@@ -401,10 +439,19 @@ def replica_stats(spec: GeneratorSpec, shape, seed: int, start: int, count: int,
     its row words once and then runs each block's last fold and
     reduction.  The key, the coordinate words and the checks are taken
     once per call.  With a floor (a number, not NaN) the "max" column
-    holds max(floor, max_k |S_k|), which exceeds any threshold t >= floor
-    exactly when max_k |S_k| does; an iid Rademacher field's lone "max"
-    then skips the prefix sums of replicas whose sign count bounds their
-    maximum by the floor (the module docstring's screen)."""
+    holds max(floor, max_k |S_k|), and a lone "total" max(floor, |S_n|),
+    each of which exceeds any threshold t >= floor exactly when its
+    statistic does.  An iid field's lone "max" or "total" then skips the
+    value map and the prefix sums of every replica whose screen bound is
+    at most the floor (the module docstring's screen).  The bound is
+    sound: per replica, with fl S_k the float path's prefix sums,
+
+        max_k |fl S_k| <= (|n| + |S_n|) / 2               (Rademacher)
+        max_k |fl S_k(x)| <= max_k |fl S_k(c)| + W + eps  (Gaussian, Weibull)
+
+    and |fl S_n(x)| <= |fl S_n(c)| + W + eps for a lone total, with the
+    bracket midpoints c, their half-widths' sum W and the rounding term
+    eps of the module docstring."""
     stats = tuple(stats)
     if not stats or any(name not in _STATS for name in stats):
         raise InvalidInputError("stats must name some of %r, got %r" % (_STATS, stats))
@@ -430,8 +477,9 @@ def replica_stats(spec: GeneratorSpec, shape, seed: int, start: int, count: int,
                                               first, size, stats, floor)
     parts = _map_blocks(run, tasks, threads)
     columns = tuple(np.concatenate(column) for column in zip(*parts))
-    if floor is not None and "max" in stats:
-        peaks = columns[stats.index("max")]
+    if floor is not None and ("max" in stats or stats == ("total",)):
+        peaks = columns[stats.index("max") if "max" in stats else 0]
+        np.abs(peaks, out=peaks)  # the total's magnitude; the maximum has its own
         np.maximum(peaks, floor, out=peaks)
     return columns
 
@@ -453,47 +501,113 @@ def _span_stats(spec: GeneratorSpec, key, lead, last, block: int, start: int, co
     moving-average field: its row words once, then per block of `block`
     replicas the last fold, the values and their reduction.  An iid
     Rademacher field's lone "total" is the sign count of the module
-    docstring, read off the top-bit words, and with a floor its lone
-    "max" runs _screened_max, the module docstring's screen.  The span
-    drops its own reference to the rows, so a span of one block hands
-    them over to the block with its one view (see _draw)."""
+    docstring, read off the top-bit words.  With a floor, any other lone
+    "max" or "total" of an iid field is screened: _screen_bound bounds
+    each replica's statistic from its top-bit words, and _screened takes
+    the float path only for the replicas whose bound passes the floor.
+    An open replica pays for the screen and the float path, so once a
+    block clears fewer than 3/4 of its replicas, the rest of the span
+    takes the float path alone; the values are the same either way.
+    The span drops its own reference to the rows, so a span of one block
+    hands them over to the block with its one view (see _draw)."""
     rows = _rng.row_words(key, np.arange(start, start + count, dtype=np.int64), lead)
     views = [rows[lo:lo + block] for lo in range(0, count, block)]
     del rows
-    rademacher = spec.variant == "iid_symmetric" and spec.param("dist") == "rademacher"
-    signs = rademacher and stats == ("total",)
-    screen = rademacher and stats == ("max",) and floor is not None
+    iid = spec.variant == "iid_symmetric"
+    signs = iid and spec.param("dist") == "rademacher" and stats == ("total",)
+    screen = iid and not signs and floor is not None and stats in (("max",), ("total",))
     parts = []
     for first in range(start, start + count, block):
         if signs:
             parts.append((_rng.sign_total(_rng.last_fold(views.pop(0), last, True)),))
         elif screen:
-            parts.append((_screened_max(spec, key, lead, last, views.pop(0), first, floor),))
+            bound = _screen_bound(spec, views.pop(0), last, stats[0])
+            parts.append((_screened(spec, key, lead, last, first, bound, stats[0], floor),))
+            screen = 4 * np.count_nonzero(bound <= floor) >= 3 * len(bound)
         else:
             parts.append(_field_stats(_draw(views.pop(0), last, spec), stats))
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
-def _screened_max(spec: GeneratorSpec, key, lead, last, rows: np.ndarray, first: int,
-                  floor) -> np.ndarray:
-    """The "max" of a block of iid Rademacher replicas first, first + 1,
-    ... from their handed-over rows: the floor wherever the sign count's
-    bound (|n| + |S_n|) / 2 on max_k |S_k| is at most the floor, and the
-    float path's value for the replicas left open (replica_stats raises
-    those to the floor).  The open replicas' rows are hashed again from
-    the key, never read back: the last fold may have run in place on the
-    rows given."""
+def _screen_bound(spec: GeneratorSpec, rows: np.ndarray, last, stat: str) -> np.ndarray:
+    """Per replica of a block of an iid field, from its handed-over rows,
+    an upper bound on the float path's max_k |S_k| (stat "max") or |S_n|
+    ("total"), read off its top-bit words: the sign count's
+    (|n| + |S_n|) / 2 for a Rademacher maximum, and otherwise the bracket
+    bound of the module docstring.  The words' buckets are the top
+    _BUCKET_BITS bits, read as int64 so that np.take copies no index
+    array; each gather is dropped before the next block-sized array."""
     h = _rng.last_fold(rows, last, True)
     del rows
-    bound = 0.5 * (h[0].size + np.abs(_rng.sign_total(h)))
+    if spec.param("dist") == "rademacher":
+        return 0.5 * (h[0].size + np.abs(_rng.sign_total(h)))
+    mids, halves, vmax = _brackets(spec)
+    h >>= 64 - _BUCKET_BITS
+    buckets = h.view(np.int64)
     del h
+    widths = np.take(halves, buckets).reshape(len(buckets), -1).sum(axis=1)
+    mid = np.take(mids, buckets)
+    del buckets
+    return _bracket_bound(mid, widths, vmax, stat)
+
+
+def _screened(spec: GeneratorSpec, key, lead, last, first: int, bound: np.ndarray, stat: str,
+              floor) -> np.ndarray:
+    """The lone stat of a block of iid replicas first, first + 1, ...:
+    the floor wherever their bound is at most the floor, and the float
+    path's value for the replicas left open, a NaN bound among them
+    (replica_stats raises those to the floor).  The open replicas' rows
+    are hashed again from the key, never read back: the last fold may
+    have run in place on the rows given."""
     out = np.full(len(bound), floor, dtype=np.float64)
-    open_ = np.flatnonzero(bound > floor)
+    open_ = np.flatnonzero(~(bound <= floor))
     if open_.size:
         reps = first + open_.astype(np.int64)
-        peaks, = _field_stats(_draw(_rng.row_words(key, reps, lead), last, spec), ("max",))
-        out[open_] = peaks
+        values, = _field_stats(_draw(_rng.row_words(key, reps, lead), last, spec), (stat,))
+        out[open_] = values
     return out
+
+
+@functools.lru_cache(maxsize=32)
+def _brackets(spec: GeneratorSpec) -> tuple:
+    """The bracket table of an iid Gaussian or Weibull spec: for each
+    bucket of words (their top _BUCKET_BITS bits), a midpoint and a
+    half-width whose interval holds the value of every word in it, and
+    the largest magnitude v of any such interval.  The law's own value
+    map, nondecreasing in the word, is evaluated at the bucket's two
+    extreme words; the half-width gains _BRACKET_ULPS ulps of the larger
+    end's magnitude, times 1 / gamma for a Weibull law, whose power
+    multiplies the relative error of its log by 1 / gamma, so a value map
+    that rounds a few ulps out of order stays inside."""
+    buckets = np.arange(1 << _BUCKET_BITS, dtype=np.uint64) << np.uint64(64 - _BUCKET_BITS)
+    slack = _BRACKET_ULPS * 2.0**-52 * max(1.0, 1.0 / float(spec.param("gamma", 1.0)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo = _law_values(_rng.uniform01(buckets.copy()), spec)
+        hi = _law_values(_rng.uniform01(buckets | np.uint64((1 << (64 - _BUCKET_BITS)) - 1)),
+                         spec)
+        mid = 0.5 * (lo + hi)
+        half = np.maximum(hi - mid, mid - lo)
+        half += slack * np.maximum(np.abs(lo), np.abs(hi))
+        vmax = float(np.max(np.abs(mid) + half))
+    mid.flags.writeable = half.flags.writeable = False  # every caller shares the cached table
+    return mid, half, vmax
+
+
+def _bracket_bound(mid: np.ndarray, widths: np.ndarray, vmax: float, stat: str) -> np.ndarray:
+    """The bracket bound M + W + eps of the module docstring for each
+    replica of a block, from its midpoints (count, *shape), which it
+    overwrites, their half-widths' per-replica sums W, and the table's
+    largest magnitude v.  M is |S_n| for stat "total" as batch_total
+    rounds it, and max_k |S_k| as batch_prefix rounds it otherwise.
+    eps has a factor 2 to spare for the rounding of W, of eps and of the
+    final sum."""
+    cells = mid[0].size
+    peaks = np.abs(_field_stats(mid, (stat,))[0])
+    del mid
+    eps = 2.0 * (cells + 2) * 2.0**-53 * (2.0 * cells * vmax + widths + peaks)
+    peaks += widths
+    peaks += eps
+    return peaks
 
 
 def _field_stats(fields: np.ndarray, stats: tuple) -> tuple:

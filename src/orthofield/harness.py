@@ -20,12 +20,12 @@ only the per-replica statistics it reads: deviation the maximum |S_k|,
 verify-bound the one bounds.verify_values names for its bound, fdd the
 total S_n, induction-check the maximum and the last-slab maximum, and
 tightness the maximum, once per dyadic level.  deviation, verify-bound
-and tightness count exceedances in one table (_exceedances), and when
-they read the maximum hand replica_stats the smallest of their
-thresholds as its floor: a maximum raised to that floor exceeds each
-threshold exactly when the maximum does, so the counts are the same,
-and an iid Rademacher field skips the prefix sums of replicas that
-cannot reach it.
+and tightness count exceedances in one table (_exceedances) and hand
+replica_stats the smallest of their thresholds as its floor: the
+maximum, or verify-bound's |S_n|, raised to that floor exceeds each
+threshold exactly when the statistic does, so the counts are the same,
+and an iid field skips the value map and the prefix sums of replicas
+whose screen bound shows they cannot reach it.
 
 Reports separate the reproducible payload (config echo, rows, verdicts,
 constants trace, tolerances) from the timing block (timestamp, wall
@@ -139,10 +139,9 @@ def _verify_bound(config: ExperimentConfig) -> dict:
     but cannot fail."""
     stat, scale, consts, values = bounds.verify_values(config.bound, config.shape, config.x_grid)
     thresholds = [x * scale for x in config.x_grid]
-    # replica_stats floors the maximum alone
-    floor = min(thresholds) if stat == "max" else None
-    samples = np.abs(replica_stats(config.generator, config.shape, config.seed, 0,
-                                   config.replicas, (stat,), config.threads, floor=floor)[0])
+    # with a floor, replica_stats returns the lone statistic's magnitude
+    samples, = replica_stats(config.generator, config.shape, config.seed, 0, config.replicas,
+                             (stat,), config.threads, floor=min(thresholds))
     rows = _exceedances(samples, thresholds)
     for row, x, bv in zip(rows, config.x_grid, values):
         row.update(x=x, bound=bv.value, exp_term=bv.exp_term, integral_term=bv.integral_term,

@@ -8,10 +8,11 @@ first.
 
 The prefix array S has S[i] = sum over the box [1, i].  batch_prefix
 is the one prefix routine: its cumulative passes run axis by axis in
-axis order, accumulating in float64, so a given field always produces
-the bit-identical prefix array, and batch_total its far corner S_n
-without building it, in one np.add.reduce per leading lattice axis,
-which adds that axis's slabs in index order as cumsum does.
+axis order (skipping axes of extent 1), accumulating in float64, so
+a given field always produces the bit-identical prefix array, and
+batch_total its far corner S_n without building it, in one
+np.add.reduce per leading lattice axis, which adds that axis's slabs in
+index order as cumsum does.
 
 Every weighted sum over the corners of a box or cell of a padded
 prefix array runs through _corner_sum: sumprocess.eval_W_grid, and in
@@ -107,9 +108,12 @@ def volume(shape) -> int:
 
 def batch_prefix(fields: np.ndarray) -> np.ndarray:
     """Prefix sums of a batch of fields, replica axis first, computed in
-    place: fields[r, i] becomes the sum of fields[r] over the box [1, i]."""
+    place: fields[r, i] becomes the sum of fields[r] over the box [1, i].
+    Lattice axes of extent 1 are skipped, as in batch_total: a cumulative
+    sum over one changes nothing."""
     for axis in range(1, fields.ndim):
-        np.cumsum(fields, axis=axis, out=fields)
+        if fields.shape[axis] > 1:
+            np.cumsum(fields, axis=axis, out=fields)
     return fields
 
 

@@ -22,7 +22,7 @@ from orthofield import (
     weibull_tail_sample,
     zero_field,
 )
-from orthofield import generators
+from orthofield import _rng, generators
 from orthofield.lattice import _block_size, batch_prefix
 from single_field import orthomartingale_check
 
@@ -50,6 +50,15 @@ def float_path_stats(spec, shape, seed, start, count):
     absp = np.abs(prefix)
     return {"max": absp.reshape(count, -1).max(axis=1), "total": total,
             "slab": absp[..., -1].reshape(count, -1).max(axis=1)}
+
+
+def screen_bounds(spec, shape, seed, start, count, stat):
+    """The screen's per-replica bounds on the float path's max |S_k|
+    (stat "max") or |S_n| ("total"), from the rows replica_stats hashes."""
+    coords = generators._axis_coords(shape, None)
+    reps = np.arange(start, start + count, dtype=np.int64)
+    rows = _rng.row_words(generators._base_key(spec, seed, 0), reps, coords[:-1])
+    return generators._screen_bound(spec, rows, _rng.last_word(coords), stat)
 
 
 def test_weibull_inverse_map_pinned_median():
@@ -344,12 +353,17 @@ _SCREEN_SHAPES = [(64, 64), (4096,), (4096, 1), (8, 8, 8), (2, 3)]
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("shape", _SCREEN_SHAPES, ids=lambda s: "x".join(map(str, s)))
-def test_floored_max_is_the_max_raised_to_the_floor(shape, threads):
-    spec, start, count = iid_rademacher(len(shape)), 11, 300
+@pytest.mark.parametrize("make,shape", [
+    pytest.param(make, shape, id=prefix + "x".join(map(str, shape)))
+    for make, prefix in [(iid_rademacher, ""), (lambda d: iid_weibull(d, 1.0), "weibull-")]
+    for shape in _SCREEN_SHAPES])
+def test_floored_max_is_the_max_raised_to_the_floor(make, shape, threads):
+    spec, start, count = make(len(shape)), 11, 300
     plain, total = generators.replica_stats(spec, shape, 8, start, count, ("max", "total"),
                                             threads)
-    bound = (math.prod(shape) + np.abs(total)) / 2
+    bound = screen_bounds(spec, shape, 8, start, count, "max")
+    if spec.param("dist") == "rademacher":
+        assert np.array_equal(bound, (math.prod(shape) + np.abs(total)) / 2)
     assert np.all(plain <= bound)
     # floors that leave every replica open, some of them, and none
     floors = [bound.min() - 1.0, float(np.median(bound)), bound.max(), float(np.median(plain))]
@@ -360,9 +374,12 @@ def test_floored_max_is_the_max_raised_to_the_floor(shape, threads):
         assert np.array_equal(got, np.maximum(floor, plain)), floor
 
 
-@pytest.mark.parametrize("spec", [product_rademacher(2), iid_gaussian(2), moving_average(2),
-                                  zero_field(2), iid_rademacher(2)],
-                         ids=["product", "gaussian", "moving-average", "zero", "rademacher"])
+_ROUTES = [product_rademacher(2), iid_gaussian(2), moving_average(2), zero_field(2),
+           iid_rademacher(2), iid_weibull(2, 1.0)]
+_ROUTE_IDS = ["product", "gaussian", "moving-average", "zero", "rademacher", "weibull"]
+
+
+@pytest.mark.parametrize("spec", _ROUTES, ids=_ROUTE_IDS)
 def test_floor_raises_only_the_max_column_on_every_route(spec):
     stats = ("slab", "max", "total")
     plain = generators.replica_stats(spec, (6, 5), 8, 3, 40, stats)
@@ -371,6 +388,16 @@ def test_floor_raises_only_the_max_column_on_every_route(spec):
     for name, want, values in zip(stats, plain, got):
         want = np.maximum(floor, want) if name == "max" else want
         assert np.array_equal(values, want), name
+
+
+@pytest.mark.parametrize("spec", _ROUTES, ids=_ROUTE_IDS)
+def test_floored_total_is_its_magnitude_raised_to_the_floor(spec):
+    # a lone total with a floor f is max(f, |S_n|) on every route, the
+    # sign count's and the bracket screen's among them
+    plain, = generators.replica_stats(spec, (6, 5), 8, 3, 40, ("total",))
+    for floor in (float(np.median(np.abs(plain))), 0.0):
+        got, = generators.replica_stats(spec, (6, 5), 8, 3, 40, ("total",), floor=floor)
+        assert np.array_equal(got, np.maximum(floor, np.abs(plain))), floor
 
 
 def test_screened_rademacher_blocks_skip_the_prefix_sums(monkeypatch):

@@ -115,6 +115,33 @@ def test_floor_keeps_exceedance_payloads(monkeypatch):
     assert None not in floors and len(floors) == 4, floors
 
 
+@pytest.mark.parametrize("generator", [iid_gaussian(2), iid_weibull(2, 1.0), iid_rademacher(2)],
+                         ids=["gaussian", "weibull", "rademacher"])
+def test_large_deviation_floor_keeps_exceedance_payloads(monkeypatch, generator):
+    # verify-bound's large-deviation kind counts |S_n| > x |n| and hands
+    # replica_stats its smallest threshold, 4 on 4x4, as the floor of the
+    # lone total; the bracket screen clears some replicas and not others,
+    # and the payload is the one the unfloored magnitudes give
+    config = ExperimentConfig(experiment="verify-bound", generator=generator, shape=(4, 4),
+                              x_grid=(0.25, 0.5), replicas=400, seed=5,
+                              bound={"kind": "large-deviation", "gamma": 1.0})
+    floors = []
+
+    def recording(*args, floor=None):
+        floors.append(floor)
+        return replica_stats(*args, floor=floor)
+
+    def unfloored(*args, floor=None):
+        return tuple(np.abs(column) for column in replica_stats(*args))
+
+    monkeypatch.setattr(harness, "replica_stats", recording)
+    floored = run_experiment(config).canonical_json()
+    monkeypatch.setattr(harness, "replica_stats", unfloored)
+    assert floored == run_experiment(config).canonical_json()
+    assert floors == [4.0]
+    assert all(0 < row["hits"] < 400 for row in json.loads(floored)["rows"]), floored
+
+
 def test_thread_count_does_not_change_payload(monkeypatch):
     # neither the thread count nor the replica block size may move a byte
     modulus = {"c": math.exp(4.0), "L": {"kind": "iter_log"}}

@@ -129,6 +129,29 @@ def test_batch_total_is_the_prefix_far_corner_bit_for_bit(law, shape):
         assert np.array_equal(total, lattice.batch_prefix(fields)[corner])
 
 
+@pytest.mark.parametrize("shape", [(1, 256), (64, 1), (2, 1, 3), (1, 1, 1), (1, 4, 1, 5)],
+                         ids=lambda s: "x".join(map(str, s)))
+def test_batch_prefix_skips_axes_of_extent_1(monkeypatch, shape):
+    # a cumulative sum over an axis of extent 1 changes nothing, so
+    # batch_prefix runs none there, and its bits are those of a cumsum
+    # over every lattice axis
+    fields = generate_batch(iid_gaussian(len(shape)), shape, 5, 0, 9)
+    want = fields.copy()
+    for axis in range(1, want.ndim):
+        want = np.cumsum(want, axis=axis)
+    axes = []
+    cumsum = np.cumsum
+
+    def recording(a, axis, out):
+        axes.append(axis)
+        return cumsum(a, axis=axis, out=out)
+
+    monkeypatch.setattr(lattice.np, "cumsum", recording)
+    got = lattice.batch_prefix(fields)
+    assert got is fields and np.array_equal(got, want)
+    assert axes == [q + 1 for q, n in enumerate(shape) if n > 1]
+
+
 def test_prefix_round_trip():
     rng = np.random.default_rng(8)
     field = rng.standard_normal((4, 3, 5))

@@ -106,3 +106,26 @@ def test_the_package_holds_one_finalizer():
              if "0xbf58476d1ce4e5b9" in line.lower()]
     assert lines == [("_rng.py", "_M1 = 0xBF58476D1CE4E5B9")]
     assert not hasattr(_rng, "_mix64_int") and not hasattr(_rng, "_fold_int")
+
+
+def test_uniform01_keeps_the_largest_words_below_one():
+    # (k + 0.5) 2^-53 with k = h >> 11 rounds to 1.0 for k = 2^53 - 1, the
+    # top 2^11 words; those map to the double below 1.0, and the words
+    # under them keep (k + 0.5) 2^-53
+    below_one = 1.0 - 2.0**-53
+    top = [2**64 - 1, 2**64 - 2**10, 2**64 - 2**11]
+    under = [2**64 - 2**11 - 1, 2**64 - 2**12, 2**63, 2**62 + 2**11, 2**11 - 1, 0]
+    u = _rng.uniform01(np.array(top + under, dtype=np.uint64))
+    assert u[:3].tolist() == [below_one] * 3
+    assert u[3:].tolist() == [((w >> 11) + 0.5) * 2.0**-53 for w in under]
+    assert np.all((u > 0.0) & (u < 1.0)) and np.all(np.diff(u[::-1]) >= 0)
+    # so the largest words give finite Gaussian and Weibull values, and
+    # a node draw 1 + floor(u res) stays on its sheet
+    from scipy.special import ndtri
+    from orthofield.generators import _weibull_values
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.all(np.isfinite(ndtri(u)))
+        assert np.all(np.isfinite(_weibull_values(u.copy(), 1.0)))
+    for res in [1, 2, 3, 5, 7, 96, 1000, 2**21 - 1, 2**21]:
+        assert 1 + math.floor(below_one * res) == res
