@@ -35,16 +35,16 @@ them to values (_rng.sign_total).  Every partial sum of +-1 terms is
 an integer below 2^53, so the count equals batch_total's sum bit for
 bit.
 
-A caller that only asks whether max_k |S_k|, or |S_n|, exceeds
-thresholds t >= f may pass the floor f: the "max" column is then
-max(f, max_k |S_k|) on every route, and a lone "total" is
-max(f, |S_n|), each of which exceeds every such t exactly when its
-statistic does.  An iid field's lone "max" or "total" uses the floor as
-a screen.  A block hashes top-bit words only (see _rng), bounds each
-replica's statistic from them, and writes f for every replica whose
-bound is at most f; only the replicas left open hash their row words
-again and take the float path, so every value keeps its bits.  Each law
-has its own bound:
+The floor.  A caller that asks for a lone "max" or "total" and reads
+only whether it exceeds thresholds t >= f may pass the floor f.  The
+column then holds max(f, max_k |S_k|) or max(f, |S_n|) on every route,
+which exceeds every such t exactly when the statistic does; a floor
+with any other request is an InvalidInputError.  An iid field uses
+the floor as a screen.  A block hashes top-bit words only (see _rng),
+bounds each replica's statistic from them, and writes f for every
+replica whose bound is at most f; only the replicas left open hash
+their row words again and take the float path, so every value keeps
+its bits.  Each law has its own bound:
 
 - Rademacher maximum: with P_n and M_n the counts of +1 and -1 sites,
   every box sum lies in [-M_n, P_n], so max_k |S_k| <= max(P_n, M_n)
@@ -77,7 +77,8 @@ products of per-axis ones, multiplied in axis order:
 which costs O(sum n_q) per replica instead of O(prod n_q).  With +-1
 factors every term is an exact integer, so Rademacher products give the
 float path's values bit for bit; Gaussian and Weibull decoupled products
-round differently, by a few 1e-15 x max |S| per replica.
+round differently, by a few 1e-15 x max |S| per replica.  The zero
+field's statistics are zero arrays, with no block built.
 
 generate_batch is the one way to draw fields: a single replica is
 generate_batch(spec, shape, seed, r, 1)[0].  zero_field, the all-zero
@@ -405,25 +406,13 @@ def generate_batch(
 
     if spec.variant in _PRODUCTS:
         words = _factor_words(spec, master_seed, coords)
-        out = np.ones((count,) + shape, dtype=np.float64)
-        for q, vals in enumerate(_factor_streams(spec, words, reps)):
-            shape_q = [1] * (spec.d + 1)
-            shape_q[0] = count
-            shape_q[q + 1] = shape[q]
-            out *= vals.reshape(shape_q)
-        return out
+        axes = [vals.reshape((count,) + (1,) * q + (-1,) + (1,) * (spec.d - q - 1))
+                for q, vals in enumerate(_factor_streams(spec, words, reps))]
+        return functools.reduce(np.multiply, axes)
 
     coords = _site_coords(spec, coords)
     return _draw(_rng.row_words(_base_key(spec, master_seed, 0), reps, coords[:-1]),
                  _rng.last_word(coords), spec)
-
-
-def _axis_product(factors) -> np.ndarray:
-    """The product of per-replica arrays, multiplied in axis order."""
-    out = factors[0].copy()
-    for f in factors[1:]:
-        out *= f
-    return out
 
 
 def replica_stats(spec: GeneratorSpec, shape, seed: int, start: int, count: int,
@@ -438,13 +427,13 @@ def replica_stats(spec: GeneratorSpec, shape, seed: int, start: int, count: int,
     field's task is a span of blocks (lattice._span_size), which hashes
     its row words once and then runs each block's last fold and
     reduction.  The key, the coordinate words and the checks are taken
-    once per call.  With a floor (a number, not NaN) the "max" column
-    holds max(floor, max_k |S_k|), and a lone "total" max(floor, |S_n|),
-    each of which exceeds any threshold t >= floor exactly when its
-    statistic does.  An iid field's lone "max" or "total" then skips the
-    value map and the prefix sums of every replica whose screen bound is
-    at most the floor (the module docstring's screen).  The bound is
-    sound: per replica, with fl S_k the float path's prefix sums,
+    once per call.  A floor (a number, not NaN) needs a lone "max" or
+    "total", whose column it raises to max(floor, |statistic|); the
+    module docstring's floor states the rule.  An iid field then skips
+    the value map and the prefix sums of every replica whose screen
+    bound is at most the floor (the module docstring's screen).  The
+    bound is sound: per replica, with fl S_k the float path's prefix
+    sums,
 
         max_k |fl S_k| <= (|n| + |S_n|) / 2               (Rademacher)
         max_k |fl S_k(x)| <= max_k |fl S_k(c)| + W + eps  (Gaussian, Weibull)
@@ -456,8 +445,9 @@ def replica_stats(spec: GeneratorSpec, shape, seed: int, start: int, count: int,
     if not stats or any(name not in _STATS for name in stats):
         raise InvalidInputError("stats must name some of %r, got %r" % (_STATS, stats))
     if floor is not None and (isinstance(floor, bool) or not isinstance(floor, numbers.Real)
-                              or math.isnan(floor)):
-        raise InvalidInputError("floor must be a number, not %r" % (floor,))
+                              or math.isnan(floor) or stats not in (("max",), ("total",))):
+        raise InvalidInputError("a floor is a number with a lone 'max' or 'total', not %r with %r"
+                                % (floor, stats))
     shape = _check_block(spec, shape, start, count)
     coords = _axis_coords(shape, None)
     if spec.variant in _PRODUCTS:
@@ -465,8 +455,8 @@ def replica_stats(spec: GeneratorSpec, shape, seed: int, start: int, count: int,
         tasks = range(start, start + count, _block_size(sum(shape), "lattice"))
         run = lambda first, size: _product_stats(spec, words, first, size, stats)
     elif spec.variant == "zero":
-        tasks = range(start, start + count, _block_size(volume(shape), "lattice"))
-        run = lambda first, size: _field_stats(np.zeros((size,) + shape), stats)
+        tasks = range(start, start + count, count)
+        run = lambda first, size: tuple(np.zeros(size) for _ in stats)
     else:
         coords = _site_coords(spec, coords)
         key, last = _base_key(spec, seed, 0), _rng.last_word(coords)
@@ -477,10 +467,9 @@ def replica_stats(spec: GeneratorSpec, shape, seed: int, start: int, count: int,
                                               first, size, stats, floor)
     parts = _map_blocks(run, tasks, threads)
     columns = tuple(np.concatenate(column) for column in zip(*parts))
-    if floor is not None and ("max" in stats or stats == ("total",)):
-        peaks = columns[stats.index("max") if "max" in stats else 0]
-        np.abs(peaks, out=peaks)  # the total's magnitude; the maximum has its own
-        np.maximum(peaks, floor, out=peaks)
+    if floor is not None:
+        np.abs(columns[0], out=columns[0])
+        np.maximum(columns[0], floor, out=columns[0])
     return columns
 
 
@@ -492,7 +481,7 @@ def _product_stats(spec: GeneratorSpec, words, start: int, count: int, stats: tu
     peaks = [np.abs(p).max(axis=1) for p in prefixes]
     ends = [p[:, -1] for p in prefixes]
     factors = {"max": peaks, "total": ends, "slab": peaks[:-1] + [np.abs(ends[-1])]}
-    return tuple(_axis_product(factors[name]) for name in stats)
+    return tuple(functools.reduce(np.multiply, factors[name]) for name in stats)
 
 
 def _span_stats(spec: GeneratorSpec, key, lead, last, block: int, start: int, count: int,
@@ -501,10 +490,10 @@ def _span_stats(spec: GeneratorSpec, key, lead, last, block: int, start: int, co
     moving-average field: its row words once, then per block of `block`
     replicas the last fold, the values and their reduction.  An iid
     Rademacher field's lone "total" is the sign count of the module
-    docstring, read off the top-bit words.  With a floor, any other lone
-    "max" or "total" of an iid field is screened: _screen_bound bounds
-    each replica's statistic from its top-bit words, and _screened takes
-    the float path only for the replicas whose bound passes the floor.
+    docstring, read off the top-bit words.  With a floor, any other iid
+    field is screened: _screen_bound bounds each replica's statistic
+    from its top-bit words, and _screened takes the float path only for
+    the replicas whose bound passes the floor.
     An open replica pays for the screen and the float path, so once a
     block clears fewer than 3/4 of its replicas, the rest of the span
     takes the float path alone; the values are the same either way.
@@ -515,7 +504,7 @@ def _span_stats(spec: GeneratorSpec, key, lead, last, block: int, start: int, co
     del rows
     iid = spec.variant == "iid_symmetric"
     signs = iid and spec.param("dist") == "rademacher" and stats == ("total",)
-    screen = iid and not signs and floor is not None and stats in (("max",), ("total",))
+    screen = iid and not signs and floor is not None
     parts = []
     for first in range(start, start + count, block):
         if signs:

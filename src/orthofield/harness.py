@@ -20,12 +20,12 @@ only the per-replica statistics it reads: deviation the maximum |S_k|,
 verify-bound the one bounds.verify_values names for its bound, fdd the
 total S_n, induction-check the maximum and the last-slab maximum, and
 tightness the maximum, once per dyadic level.  deviation, verify-bound
-and tightness count exceedances in one table (_exceedances) and hand
-replica_stats the smallest of their thresholds as its floor: the
-maximum, or verify-bound's |S_n|, raised to that floor exceeds each
-threshold exactly when the statistic does, so the counts are the same,
-and an iid field skips the value map and the prefix sums of replicas
-whose screen bound shows they cannot reach it.
+and tightness count exceedances through _exceedances, the one caller
+that hands replica_stats a floor: the smallest threshold, under the
+floor rule of the generators module docstring, so an iid field skips
+the value map and the prefix sums of replicas that cannot reach it.
+A row number that is not finite, which strict JSON cannot hold, is an
+InvalidRangeError naming the experiment, the row and the key.
 
 Reports separate the reproducible payload (config echo, rows, verdicts,
 constants trace, tolerances) from the timing block (timestamp, wall
@@ -104,9 +104,13 @@ class Report:
         return json.dumps(obj, sort_keys=True, indent=2)
 
 
-def _exceedances(values: np.ndarray, thresholds) -> list:
-    """Per threshold, the replicas whose value exceeds it: a row of
-    their count, their share and its Wilson interval."""
+def _exceedances(config: ExperimentConfig, shape, stat: str, thresholds, start: int = 0) -> list:
+    """Per threshold, the replicas [start, start + config.replicas) of
+    config's generator on the lattice shape whose lone statistic stat
+    exceeds it: a row of their count, their share and its Wilson
+    interval.  replica_stats gets the smallest threshold as its floor."""
+    values, = replica_stats(config.generator, shape, config.seed, start, config.replicas,
+                            (stat,), config.threads, floor=min(thresholds))
     rows = []
     for threshold in thresholds:
         hits = int(np.count_nonzero(values > threshold))
@@ -121,10 +125,7 @@ def _exceedances(values: np.ndarray, thresholds) -> list:
 def _deviation(config: ExperimentConfig) -> dict:
     """Estimate P{max |S_i| > x sqrt(|n|)} over the configured x grid."""
     scale = math.sqrt(volume(config.shape))
-    thresholds = [x * scale for x in config.x_grid]
-    m_all, = replica_stats(config.generator, config.shape, config.seed, 0, config.replicas,
-                           ("max",), config.threads, floor=min(thresholds))
-    rows = _exceedances(m_all, thresholds)
+    rows = _exceedances(config, config.shape, "max", [x * scale for x in config.x_grid])
     for row, x in zip(rows, config.x_grid):
         row["x"] = x
     return {"rows": rows}
@@ -138,11 +139,7 @@ def _verify_bound(config: ExperimentConfig) -> dict:
     or when the point is vacuous (bound >= 1): vacuous points are echoed
     but cannot fail."""
     stat, scale, consts, values = bounds.verify_values(config.bound, config.shape, config.x_grid)
-    thresholds = [x * scale for x in config.x_grid]
-    # with a floor, replica_stats returns the lone statistic's magnitude
-    samples, = replica_stats(config.generator, config.shape, config.seed, 0, config.replicas,
-                             (stat,), config.threads, floor=min(thresholds))
-    rows = _exceedances(samples, thresholds)
+    rows = _exceedances(config, config.shape, stat, [x * scale for x in config.x_grid])
     for row, x, bv in zip(rows, config.x_grid, values):
         row.update(x=x, bound=bv.value, exp_term=bv.exp_term, integral_term=bv.integral_term,
                    vacuous=bv.vacuous, ok=bv.vacuous or row["ci_hi"] <= bv.value)
@@ -174,9 +171,10 @@ def _induction_check(config: ExperimentConfig) -> dict:
         hits = int(np.count_nonzero(m_all > x * scale))
         p_lhs = hits / n
         se_lhs = math.sqrt(max(p_lhs * (1 - p_lhs), 0.0) / n) + 1.0 / n
-        integrand = np.maximum(0.0, 2.0 * m_slab / (x * scale) - 1.0)
-        rhs = float(np.mean(integrand))
-        se_rhs = float(np.std(integrand)) / math.sqrt(n)
+        with np.errstate(over="ignore", invalid="ignore"):  # run_experiment refuses inf
+            integrand = np.maximum(0.0, 2.0 * m_slab / (x * scale) - 1.0)
+            rhs = float(np.mean(integrand))
+            se_rhs = float(np.std(integrand)) / math.sqrt(n)
         ok = p_lhs <= rhs + 2.0 * (se_lhs + se_rhs)
         rows.append({"x": x, "p_lhs": p_lhs, "se_lhs": se_lhs, "rhs": rhs,
                      "se_rhs": se_rhs, "ok": ok})
@@ -321,9 +319,7 @@ def _tightness(config: ExperimentConfig) -> dict:
     for j in range(j_from, m[q - 1] + 1):
         shape = tuple(2 ** (mu - j) if u == q - 1 else 2**mu for u, mu in enumerate(m))
         threshold = config.eps * holder.modulus_eval(rho, 2.0**-j) * sqrt_full
-        peaks, = replica_stats(config.generator, shape, config.seed, j * n, n, ("max",),
-                               config.threads, floor=threshold)
-        row, = _exceedances(peaks, [threshold])
+        row, = _exceedances(config, shape, "max", [threshold], j * n)
         lo, hi = row.pop("ci_lo"), row.pop("ci_hi")
         rows.append({"j": j, "shape": list(shape), "threshold": threshold, **row,
                      "scaled": 2.0**j * row["p_hat"], "scaled_se": 2.0**j * 0.5 * (hi - lo)})
@@ -535,6 +531,13 @@ def run_experiment(config: ExperimentConfig) -> Report:
     t0 = time.perf_counter()
     parts = {"counts": {"replicas": config.replicas}, **_SCHEMA[config.experiment][0](config)}
     rows = tuple(parts.pop("rows"))
+    for index, row in enumerate(rows):
+        for key, value in row.items():
+            try:  # strict JSON has no Infinity or NaN
+                json.dumps(value, allow_nan=False)
+            except ValueError:
+                raise InvalidRangeError("experiment %r: row %d's %r holds a number that is not "
+                                        "finite" % (config.experiment, index, key)) from None
     if "verdict" not in parts:
         decided = [row["ok"] for row in rows if "ok" in row]
         parts["verdict"] = "INFO" if not decided else "PASS" if all(decided) else "FAIL"

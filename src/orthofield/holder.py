@@ -146,7 +146,12 @@ def modulus_eval(rho: Modulus, h) -> float:
     h_arr = _finite_array("modulus argument h", h)
     if np.any(h_arr <= 0.0) or np.any(h_arr > 1.0):
         raise InvalidRangeError("modulus is defined on h in (0, 1]")
-    out = np.sqrt(h_arr) * np.log(rho.c / h_arr) ** (rho.d / 2.0) * rho.L(1.0 / h_arr)
+    with np.errstate(over="ignore"):
+        ratio, inverse = rho.c / h_arr, 1.0 / h_arr
+    if not np.isfinite((ratio, inverse)).all():
+        raise InvalidRangeError("modulus argument h = %r is so small that c/h or 1/h overflows"
+                                % (float(np.min(h_arr)),))
+    out = np.sqrt(h_arr) * np.log(ratio) ** (rho.d / 2.0) * rho.L(inverse)
     return out if out.ndim else float(out)
 
 

@@ -184,6 +184,17 @@ EXPONENT_FIT = {"experiment": "exponent-fit", "d": 1, "replicas": 2000}
         # a band no fit can sit in, and a t that rounds to lattice node 0
         ("exponent-fit", dict(EXPONENT_FIT, d=2, replicas=5000, seed=101, band=[1.5, 0.5])),
         ("fdd", dict(FDD, shape=[4, 4], t_point=[1e-12, 1.0])),
+        # row numbers JSON cannot hold: an x so small that the Doob step's
+        # integral overflows, and a threshold eps rho(h) 2^(|m| / 2) past
+        # the float range; then a level h = 2^-j whose c/h and 1/h overflow
+        ("induction-check", {"experiment": "induction-check", "generator": _gen("gaussian"),
+                             "shape": [4, 4], "x_grid": [1e-308, 1.0], "replicas": 10}),
+        ("induction-check", {"experiment": "induction-check", "generator": _gen("gaussian"),
+                             "shape": [4, 4], "x_grid": [1e-300, 1.0], "replicas": 10}),
+        ("tightness", dict(TIGHTNESS, exponents=[4, 4], eps=1e308, j_from=0, replicas=10,
+                           modulus={"c": 55})),
+        ("tightness", dict(TIGHTNESS, generator=dict(_gen("gaussian"), d=1), exponents=[1070],
+                           j_from=1060, replicas=10, modulus={"c": 55})),
     ],
     ids=["top-level-list", "replicas-string", "shape-int", "x-grid-string",
          "two-term-without-y", "weibull-tail-without-gamma",
@@ -206,7 +217,8 @@ EXPONENT_FIT = {"experiment": "exponent-fit", "d": 1, "replicas": 2000}
          "fdd-weibull-gamma-0.01", "fdd-moving-average-gamma-0.005", "fdd-one-replica",
          "sheet-cov-one-replica", "generator-json-text", "induction-x-zero",
          "deviation-x-negative", "verify-bound-x-zero", "exponent-fit-band-reversed",
-         "fdd-t-at-node-0"],
+         "fdd-t-at-node-0", "induction-x-1e-308", "induction-x-1e-300", "tightness-eps-1e308",
+         "tightness-level-1060"],
 )
 def test_malformed_config_is_one_line_exit_1(tmp_path, capsys, experiment, payload):
     cfg = write_config(tmp_path, "bad.json", payload)
@@ -264,6 +276,15 @@ def test_harness_leaves_bound_kinds_and_norms_to_their_modules():
                and node.attr.startswith("_")}
     assert not private, private
     assert "_BOUND_KINDS" not in {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_harness_passes_a_floor_only_in_exceedances():
+    # the floor rule has one owner in harness: _exceedances alone hands
+    # replica_stats a floor (the generators module docstring states it)
+    tree = ast.parse((pathlib.Path(cli.__file__).parent / "harness.py").read_text(encoding="utf-8"))
+    owners = [getattr(top, "name", None) for top in tree.body for node in ast.walk(top)
+              if isinstance(node, ast.keyword) and node.arg == "floor"]
+    assert owners == ["_exceedances"], owners
 
 
 def test_one_function_builds_reports_and_derives_verdicts():
@@ -334,6 +355,18 @@ def test_cli_import_leaves_out_scipy_integrate():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_readme_library_use_runs():
+    # README's "Library use" block, in a fresh interpreter with src on the path
+    src = pathlib.Path(cli.__file__).parents[1]
+    readme = (src.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    code = "import sys; sys.path.insert(0, %r)\n%s" % (str(src), block)
+    out = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-2] == "PASS"
 
 
 def test_parser_is_built_once_and_parses_each_call_afresh():

@@ -380,14 +380,21 @@ _ROUTE_IDS = ["product", "gaussian", "moving-average", "zero", "rademacher", "we
 
 
 @pytest.mark.parametrize("spec", _ROUTES, ids=_ROUTE_IDS)
-def test_floor_raises_only_the_max_column_on_every_route(spec):
-    stats = ("slab", "max", "total")
-    plain = generators.replica_stats(spec, (6, 5), 8, 3, 40, stats)
-    floor = float(np.median(plain[1]))
-    got = generators.replica_stats(spec, (6, 5), 8, 3, 40, stats, floor=floor)
-    for name, want, values in zip(stats, plain, got):
-        want = np.maximum(floor, want) if name == "max" else want
-        assert np.array_equal(values, want), name
+def test_floored_max_is_the_max_raised_to_the_floor_on_every_route(spec):
+    # a lone max with a floor f is max(f, max_k |S_k|) on every route,
+    # the screens' and the float path's alike
+    plain, = generators.replica_stats(spec, (6, 5), 8, 3, 40, ("max",))
+    for floor in (float(np.median(plain)), 0.0):
+        got, = generators.replica_stats(spec, (6, 5), 8, 3, 40, ("max",), floor=floor)
+        assert np.array_equal(got, np.maximum(floor, plain)), floor
+
+
+@pytest.mark.parametrize("stats", [("max", "total"), ("slab", "max", "total"), ("slab",),
+                                   ("total", "max")])
+def test_floor_needs_a_lone_max_or_total(stats):
+    for spec in _ROUTES:
+        with pytest.raises(InvalidInputError, match="lone"):
+            generators.replica_stats(spec, (6, 5), 8, 3, 40, stats, floor=1.0)
 
 
 @pytest.mark.parametrize("spec", _ROUTES, ids=_ROUTE_IDS)

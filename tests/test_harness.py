@@ -665,11 +665,17 @@ _PINNED = {
 }
 
 
+def _refuse_constant(token):
+    raise ValueError("%s is not strict JSON" % token)
+
+
 @pytest.mark.parametrize("name", sorted(_PINNED))
 def test_payload_and_verdict_are_pinned(name):
     base, verdict, digest = _PINNED[name]
     rep = run_experiment(ExperimentConfig(**base))
     assert hashlib.sha256(rep.canonical_json().encode()).hexdigest() == digest
+    # strict JSON: no bare Infinity or NaN token
+    json.loads(rep.to_json(), parse_constant=_refuse_constant)
     assert rep.verdict == verdict
     # the one rule, which constants alone overrides with its stated PASS
     decided = [row["ok"] for row in rep.rows if "ok" in row]
