@@ -40,31 +40,59 @@ only whether it exceeds thresholds t >= f may pass the floor f.  The
 column then holds max(f, max_k |S_k|) or max(f, |S_n|) on every route,
 which exceeds every such t exactly when the statistic does; a floor
 with any other request is an InvalidInputError.  An iid field uses
-the floor as a screen.  A block hashes top-bit words only (see _rng),
-bounds each replica's statistic from them, and writes f for every
-replica whose bound is at most f; only the replicas left open hash
-their row words again and take the float path, so every value keeps
-its bits.  Each law has its own bound:
+the floor as a screen.  A block hashes top-bit words only (see _rng)
+and bounds each replica's statistic from them in stages, coarse to
+fine, each run only for the replicas the one before leaves above f; it
+writes f for every replica whose bound is at most f, and only the
+replicas left open hash their row words again and take the float path,
+so every value keeps its bits.  Each law has its own bounds:
 
-- Rademacher maximum: with P_n and M_n the counts of +1 and -1 sites,
-  every box sum lies in [-M_n, P_n], so max_k |S_k| <= max(P_n, M_n)
-  = (|n| + |S_n|) / 2, with S_n the sign count.  (A lone total is the
-  sign count itself.)
+- Rademacher maximum: among any m sites, with P and M the counts of
+  +1 and -1 sites and S_m their sum, those sites add between -M and P
+  to any box sum, and the other |n| - m add at most |n| - m in
+  magnitude, so
+
+      max_k |S_k| <= max(P, M) + (|n| - m) = (m + |S_m|) / 2 + (|n| - m).
+
+  The coarse stage counts the signs of a leading slab of whole rows of
+  the last axis, about m = 2 (|n| - f) + 4 sqrt(|n|) sites
+  (_sign_slab): a replica stays open only if |S_m| passes four
+  standard deviations of the full count.  The fine stage hashes the
+  open replicas' other words, for m = |n|.  A floor f >= |n| hashes
+  nothing, and a lone total is the sign count itself.
 - Gaussian and Weibull: a bracket table (_brackets), built once per
-  spec, holds for each bucket of words, their top _BUCKET_BITS bits, a
-  midpoint c and a half-width h with |x - c| <= h for the value x of
-  every word in it.  A block gathers each site's c and h, and with W
-  the replica's sum of h and v the table's largest |c| + h,
+  spec, holds for each bucket of words, their top _BUCKET_BITS bits,
+  one complex entry c + i h: a midpoint c and a half-width h with
+  |x - c| <= h for the value x of every word in it.  A block gathers
+  each site's entry once, and with W the replica's sum of h, v the
+  table's largest |c| + h, and fl S_k a prefix sum as batch_prefix
+  rounds it, the fine bound is
 
-      max_k |fl S_k(x)| <= max_k |fl S_k(c)| + W + eps,
-      eps = 2 g (2 |n| v + W + max_k |fl S_k(c)|),  g = (|n| + 2) 2^-53,
+      max_k |fl S_k(x)| <= M + W + eps_2,  M = max_k |fl S_k(c)|,
+      eps_k = 2 g (k |n| v + W + M),  g = (|n| + 2) 2^-53,
 
-  where fl S_k is a prefix sum as batch_prefix rounds it, and the same
-  holds for |S_n| as batch_total rounds it.  eps covers the rounding of
-  both prefix computations: any summation of |n| terms errs by at most
-  gamma_(|n|-1) times the sum of their magnitudes (Higham 2002, 4.2),
-  and |n| v bounds that sum for x and for c.  The screen costs a bucket
-  gather and a prefix sum of the midpoints, in place of ndtri or log.
+  and the same holds for |S_n| as batch_total rounds it, with M the
+  magnitude of the real part of the entries' complex sum, whose
+  imaginary part is W.  eps_k covers the rounding of k sums of at most
+  |n| terms: any summation of them errs by at most gamma_(|n|-1) times
+  the sum of their magnitudes (Higham 2002, 4.2), which |n| v bounds
+  for x, c and |c| alike; the factor 2 spares g (W + M) for the
+  rounding of W, of eps and of the final additions.  The coarse stage
+  of a maximum cuts the last axis of extent > 1 into chunks of up to
+  _CHUNK sites.  With T and A the chunk sums of the midpoints and of
+  their magnitudes, P_T the prefix array of T, and i' the sites of the
+  other axes, a box ends inside some chunk a, and its part there lies
+  in that chunk's strip, whose mass is sum_i' A(i', a), so
+
+      max_k |fl S_k(x)| <= M + W + eps_3,
+      M = max |fl P_T| + max_a fl sum_i' A(i', a).
+
+  P_T sums a box's midpoints in another order, and the strip masses
+  are sums of nonnegative terms, so with the float path's own sum the
+  coarse bound carries three roundings.  It costs one gather per site,
+  strided adds, and a prefix sum over one entry per chunk; only the
+  replicas it leaves open gather their midpoints again for the fine
+  bound's full prefix sums.
 
 Product fields factorize, S_k = prod_q P^(q)_(k_q) with P^(q) the
 cumulative sum of axis q's factor stream, so their statistics are
@@ -114,7 +142,7 @@ import numpy as np
 from scipy.special import gammaincc
 from scipy.special import ndtri
 
-from . import _rng
+from . import _rng, lattice
 from .errors import InvalidInputError, InvalidRangeError, check_number, check_object
 from .lattice import (
     _block_size,
@@ -139,12 +167,13 @@ _DIST_TAG = {name: 201 + k for k, name in enumerate(_DISTS)}
 # The bracket screen's buckets are the top 12 bits of a hash word; any
 # of the top 31 would be exact (see _rng: top-bit words keep bits 33-63).
 # The sum W of a replica's half-widths shrinks about fourfold per two
-# bits, and the two tables grow fourfold: at 10, 12 and 14 bits W is
-# about 132, 33 and 8 on a 64x256 Gaussian replica, with tables of 16,
+# bits, and the table grows fourfold: at 10, 12 and 14 bits W is about
+# 132, 33 and 8 on a 64x256 Gaussian replica, with complex tables of 16,
 # 64 and 256 KiB.  At 12, W is small beside max_k |S_k| itself, and the
-# tables sit in L2 beside a block's 1 MiB arrays.
+# table sits in L2 beside a block's 1 MiB arrays.
 _BUCKET_BITS = 12
 _BRACKET_ULPS = 16  # the half-widths' margin for value maps rounded out of order
+_CHUNK = 8  # sites of the last axis per chunk of the chunk bound, at most
 
 
 @dataclass(frozen=True, eq=True)
@@ -432,15 +461,19 @@ def replica_stats(spec: GeneratorSpec, shape, seed: int, start: int, count: int,
     module docstring's floor states the rule.  An iid field then skips
     the value map and the prefix sums of every replica whose screen
     bound is at most the floor (the module docstring's screen).  The
-    bound is sound: per replica, with fl S_k the float path's prefix
-    sums,
+    bound of each stage is sound: per replica, with fl S_k the float
+    path's prefix sums,
 
-        max_k |fl S_k| <= (|n| + |S_n|) / 2               (Rademacher)
-        max_k |fl S_k(x)| <= max_k |fl S_k(c)| + W + eps  (Gaussian, Weibull)
+        max_k |fl S_k| <= (m + |S_m|) / 2 + (|n| - m)        (Rademacher)
+        max_k |fl S_k(x)| <= max_k |fl S_k(c)| + W + eps_2   (fine)
+        max_k |fl S_k(x)| <= max |fl P_T| + max_a fl sum_i' A(i', a)
+                             + W + eps_3                      (coarse)
 
-    and |fl S_n(x)| <= |fl S_n(c)| + W + eps for a lone total, with the
-    bracket midpoints c, their half-widths' sum W and the rounding term
-    eps of the module docstring."""
+    and |fl S_n(x)| <= |fl S_n(c)| + W + eps_2 for a lone total, with
+    S_m the sign count of m of the sites (the coarse stage's slab, or
+    all of them), the bracket midpoints c, their chunk sums T and A,
+    their half-widths' sum W and the rounding terms eps_k of the module
+    docstring."""
     stats = tuple(stats)
     if not stats or any(name not in _STATS for name in stats):
         raise InvalidInputError("stats must name some of %r, got %r" % (_STATS, stats))
@@ -492,52 +525,215 @@ def _span_stats(spec: GeneratorSpec, key, lead, last, block: int, start: int, co
     Rademacher field's lone "total" is the sign count of the module
     docstring, read off the top-bit words.  With a floor, any other iid
     field is screened: _screen_bound bounds each replica's statistic
-    from its top-bit words, and _screened takes the float path only for
-    the replicas whose bound passes the floor.
-    An open replica pays for the screen and the float path, so once a
-    block clears fewer than 3/4 of its replicas, the rest of the span
-    takes the float path alone; the values are the same either way.
-    The span drops its own reference to the rows, so a span of one block
-    hands them over to the block with its one view (see _draw)."""
+    from its top-bit words, coarse stage first, and _screened takes the
+    float path only for the replicas whose bound passes the floor.
+    An open replica pays for every stage it ran, so one rule cuts each
+    stage short: once a block's coarse stage clears fewer than 3/4 of
+    its replicas, the span's later blocks skip it, and once a block's
+    screen as a whole does, they take the float path alone; the values
+    are the same either way.  The span drops its own reference to the
+    rows, so a span of one block hands them over to the block with its
+    one view (see _draw)."""
     rows = _rng.row_words(key, np.arange(start, start + count, dtype=np.int64), lead)
     views = [rows[lo:lo + block] for lo in range(0, count, block)]
     del rows
     iid = spec.variant == "iid_symmetric"
     signs = iid and spec.param("dist") == "rademacher" and stats == ("total",)
-    screen = iid and not signs and floor is not None
+    screen = coarse = iid and not signs and floor is not None
     parts = []
     for first in range(start, start + count, block):
         if signs:
             parts.append((_rng.sign_total(_rng.last_fold(views.pop(0), last, True)),))
         elif screen:
-            bound = _screen_bound(spec, views.pop(0), last, stats[0])
+            bound, cleared = _screen_bound(spec, views.pop(0), last, stats[0],
+                                           floor if coarse else None)
             parts.append((_screened(spec, key, lead, last, first, bound, stats[0], floor),))
+            coarse = 4 * cleared >= 3 * len(bound)
             screen = 4 * np.count_nonzero(bound <= floor) >= 3 * len(bound)
         else:
             parts.append(_field_stats(_draw(views.pop(0), last, spec), stats))
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
-def _screen_bound(spec: GeneratorSpec, rows: np.ndarray, last, stat: str) -> np.ndarray:
+def _screen_bound(spec: GeneratorSpec, rows: np.ndarray, last, stat: str, floor=None) -> tuple:
     """Per replica of a block of an iid field, from its handed-over rows,
     an upper bound on the float path's max_k |S_k| (stat "max") or |S_n|
-    ("total"), read off its top-bit words: the sign count's
-    (|n| + |S_n|) / 2 for a Rademacher maximum, and otherwise the bracket
-    bound of the module docstring.  The words' buckets are the top
-    _BUCKET_BITS bits, read as int64 so that np.take copies no index
-    array; each gather is dropped before the next block-sized array."""
+    ("total"), read off its top-bit words, and the number of replicas
+    the coarse stage cleared.  Given a floor, a maximum's coarse stage
+    runs first, the partial sign count or the chunk bound of the module
+    docstring, and the fine one, the full sign count or the bracket
+    bound, only for the replicas whose coarse bound passes the floor;
+    without one, every replica takes the fine stage.  A Gaussian or
+    Weibull total has the bracket bound alone.  The words' buckets are
+    their top _BUCKET_BITS bits, read as int64 in place."""
+    if spec.param("dist") == "rademacher":
+        return _sign_bound(rows, last, floor)
     h = _rng.last_fold(rows, last, True)
     del rows
-    if spec.param("dist") == "rademacher":
-        return 0.5 * (h[0].size + np.abs(_rng.sign_total(h)))
-    mids, halves, vmax = _brackets(spec)
     h >>= 64 - _BUCKET_BITS
     buckets = h.view(np.int64)
     del h
-    widths = np.take(halves, buckets).reshape(len(buckets), -1).sum(axis=1)
-    mid = np.take(mids, buckets)
-    del buckets
-    return _bracket_bound(mid, widths, vmax, stat)
+    return _bracket_screen(*_brackets(spec), buckets, stat, floor)
+
+
+def _sign_slab(cells: int, floor) -> int:
+    """The sites m of a Rademacher maximum's partial sign count at the
+    floor f: 2 (|n| - f) + 4 sqrt(|n|), so that a replica stays open
+    only if |S_m| passes 4 sqrt(|n|), four standard deviations of the
+    full count; |n|, the full count, without a floor or where m would
+    reach it, and none once f >= |n|, which no maximum exceeds."""
+    if floor is None:
+        return cells
+    if floor >= cells:
+        return 0
+    m = 2.0 * (cells - floor) + 4.0 * math.sqrt(cells)
+    return cells if m >= cells else math.ceil(m)
+
+
+def _sign_bound(rows: np.ndarray, last, floor) -> tuple:
+    """_screen_bound of an iid Rademacher maximum: the partial sign
+    count's bound (m + |S_m|) / 2 + (|n| - m) over a leading slab of
+    about _sign_slab(|n|, floor) cells (whole rows of the last axis, or
+    a head of it when every other axis has extent 1), and for the
+    replicas it leaves above the floor the full count's
+    (|n| + |S_n|) / 2, with the rest of their words hashed."""
+    count, lead, width = len(rows), rows[0].size, last.size
+    cells = lead * width
+    m = _sign_slab(cells, floor)
+    if m == 0:
+        return np.full(count, float(cells)), count
+    rows = rows.reshape(count, lead, 1)
+    last = last.reshape(1, 1, width)
+    if lead > 1:  # the slab's and the rest's rows, and all of the last axis
+        k = min(lead, -(-m // width))
+        m, head, tail = k * width, (slice(0, k), slice(None)), (slice(k, None), slice(None))
+    else:
+        head, tail = (slice(None), slice(0, m)), (slice(None), slice(m, None))
+
+    def count_signs(reps, part):
+        return _rng.sign_total(_rng.last_fold(rows[reps, part[0]], last[..., part[1]], True))
+
+    sums = count_signs(slice(None), head)
+    bound = 0.5 * (m + np.abs(sums)) + (cells - m)
+    if m == cells:
+        return bound, 0
+    open_ = np.flatnonzero(bound > floor)
+    if open_.size:
+        sums = sums[open_] + count_signs(open_, tail)
+        bound[open_] = 0.5 * (cells + np.abs(sums))
+    return bound, count - open_.size
+
+
+def _bracket_screen(table: np.ndarray, vmax: float, buckets: np.ndarray, stat: str,
+                    floor) -> tuple:
+    """_screen_bound of an iid Gaussian or Weibull field from its bracket
+    table and the buckets (count, *shape) of a block, which it
+    overwrites.  Each site's entry c + i h is gathered once, in pieces.
+    A total's bound is |S_n(c)| + W + eps from the gathered sums alone.
+    A maximum takes the chunk bound, given a floor and a last axis (of
+    extent > 1) that cuts into chunks of _CHUNK // 2 sites or more, and
+    the full midpoint prefix only for the replicas the chunk bound
+    leaves open, whose entries are gathered again.  The fine stage's
+    midpoints overwrite its buckets as they are gathered."""
+    shape, count, cells = buckets.shape[1:], len(buckets), buckets[0].size
+    buckets = buckets.reshape(count, cells)
+    if stat == "total":
+        sums = _bracket_sums(table, buckets)
+        return _bracket_bound(np.abs(sums.real), sums.imag, cells, vmax, 2), 0
+    dims = [n for n in shape if n > 1] or [1]
+    width = max(k for k in range(1, _CHUNK + 1) if dims[-1] % k == 0)
+    bound, open_ = np.empty(count), np.arange(count)
+    if floor is not None and 2 * width >= _CHUNK:
+        chunks, strips = _chunk_sums(table, buckets.reshape(-1), width)
+        widths = np.add.reduce(chunks.imag.reshape(count, -1), axis=1)
+        bound = _bracket_bound(_chunk_peaks(chunks.real, strips, count, dims, width), widths,
+                               cells, vmax, 3)
+        del chunks, strips
+        open_ = np.flatnonzero(~(bound <= floor))
+        if open_.size < count:  # the open replicas' buckets move to the front
+            buckets[:open_.size] = buckets[open_]
+    if open_.size:
+        mids = buckets[:open_.size].view(np.float64)
+        widths = _bracket_sums(table, buckets[:open_.size], mids).imag
+        bound[open_] = _bracket_bound(_midpoint_peaks(mids, shape), widths, cells, vmax, 2)
+    return bound, count - open_.size
+
+
+def _bracket_sums(table: np.ndarray, buckets: np.ndarray, mids=None) -> np.ndarray:
+    """Per replica (row of buckets), the complex sum of its table entries,
+    S_n(c) + i W, gathered in pieces of at most _piece_cells() entries
+    (whole replicas, or pieces of one).  With mids (buckets's buffer as
+    float64), each piece's midpoints overwrite its buckets once they are
+    gathered.  np.take's clip mode leaves out the bounds check of every
+    index, all of which, top _BUCKET_BITS bits, are in range."""
+    count, cells = buckets.shape
+    size = _piece_cells()
+    if cells <= size:
+        step = size // cells
+        pieces = [(slice(r, r + step), slice(None)) for r in range(0, count, step)]
+    else:
+        pieces = [(r, slice(c, c + size)) for r in range(count) for c in range(0, cells, size)]
+    sums = np.zeros(count, dtype=np.complex128)
+    for piece in pieces:
+        values = np.take(table, buckets[piece], mode="clip")
+        sums[piece[0]] += np.add.reduce(values, axis=-1)
+        if mids is not None:
+            mids[piece] = values.real
+        del values
+    return sums
+
+
+def _chunk_sums(table: np.ndarray, buckets: np.ndarray, width: int) -> tuple:
+    """Per chunk of `width` sites of a block's flat buckets, the complex
+    sum T + i W_a of its table entries and the sum A of its midpoints'
+    magnitudes, by strided adds over pieces of whole chunks, at most
+    _piece_cells() entries each, a piece's magnitudes taken in one call
+    (fewer calls, less time at two threads).  T and A take 3 / width of
+    a block's bytes, so beside the buckets the stage holds at most 1.5
+    block arrays for any width from 4 to 8."""
+    chunks = np.empty(len(buckets) // width, dtype=np.complex128)
+    strips = np.empty(len(chunks))
+    step = max(width, _piece_cells() // width * width)
+    for lo in range(0, len(buckets), step):
+        values = np.take(table, buckets[lo:lo + step], mode="clip")
+        t = chunks[lo // width:(lo + step) // width]
+        a = strips[lo // width:(lo + step) // width]
+        np.add(values[0::width], values[1::width], out=t)
+        for k in range(2, width):
+            t += values[k::width]
+        magnitudes = np.abs(values.real)
+        del values
+        np.add(magnitudes[0::width], magnitudes[1::width], out=a)
+        for k in range(2, width):
+            a += magnitudes[k::width]
+        del magnitudes
+    return chunks, strips
+
+
+def _piece_cells() -> int:
+    """The entries the bracket screen gathers at once, a quarter of a
+    block's cells: at 16 bytes each, half a block's float64 array."""
+    return max(1, lattice._BLOCK_CELLS // 4)
+
+
+def _chunk_peaks(t: np.ndarray, a: np.ndarray, count: int, dims: list, width: int) -> np.ndarray:
+    """The chunk bound's max |fl P_T| + max_a fl sum_i' A(i', a) per
+    replica of a block, from its chunk sums T and A (flat, in lattice
+    order) on the lattice dims (the axes of extent > 1): P_T is T's
+    prefix array, and the strip of chunk a sums A over every other
+    axis."""
+    chunks = dims[-1] // width
+    peaks = batch_prefix(t.reshape(count, *dims[:-1], chunks))
+    np.abs(peaks, out=peaks)
+    peaks = peaks.reshape(count, -1).max(axis=1)
+    peaks += np.add.reduce(a.reshape(count, -1, chunks), axis=1).max(axis=1)
+    return peaks
+
+
+def _midpoint_peaks(mids: np.ndarray, shape) -> np.ndarray:
+    """max_k |fl S_k(c)| per replica of a block of midpoints (count, |n|)
+    on the lattice shape, as batch_prefix rounds it, in place."""
+    return _field_stats(mids.reshape(len(mids), *shape), ("max",))[0]
 
 
 def _screened(spec: GeneratorSpec, key, lead, last, first: int, bound: np.ndarray, stat: str,
@@ -560,40 +756,42 @@ def _screened(spec: GeneratorSpec, key, lead, last, first: int, bound: np.ndarra
 @functools.lru_cache(maxsize=32)
 def _brackets(spec: GeneratorSpec) -> tuple:
     """The bracket table of an iid Gaussian or Weibull spec: for each
-    bucket of words (their top _BUCKET_BITS bits), a midpoint and a
-    half-width whose interval holds the value of every word in it, and
-    the largest magnitude v of any such interval.  The law's own value
-    map, nondecreasing in the word, is evaluated at the bucket's two
-    extreme words; the half-width gains _BRACKET_ULPS ulps of the larger
-    end's magnitude, times 1 / gamma for a Weibull law, whose power
-    multiplies the relative error of its log by 1 / gamma, so a value map
-    that rounds a few ulps out of order stays inside."""
+    bucket of words (their top _BUCKET_BITS bits), one complex entry
+    c + i h, a midpoint c and a half-width h whose interval holds the
+    value of every word in it, and the largest magnitude v of any such
+    interval.  The law's own value map, nondecreasing in the word, is
+    evaluated at the bucket's two extreme words; the half-width gains
+    _BRACKET_ULPS ulps of the larger end's magnitude, times 1 / gamma for
+    a Weibull law, whose power multiplies the relative error of its log
+    by 1 / gamma, so a value map that rounds a few ulps out of order
+    stays inside.  The parts are written apart, so an infinite half-width
+    leaves the midpoint as it is."""
     buckets = np.arange(1 << _BUCKET_BITS, dtype=np.uint64) << np.uint64(64 - _BUCKET_BITS)
     slack = _BRACKET_ULPS * 2.0**-52 * max(1.0, 1.0 / float(spec.param("gamma", 1.0)))
+    table = np.empty(len(buckets), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
         lo = _law_values(_rng.uniform01(buckets.copy()), spec)
         hi = _law_values(_rng.uniform01(buckets | np.uint64((1 << (64 - _BUCKET_BITS)) - 1)),
                          spec)
-        mid = 0.5 * (lo + hi)
+        table.real = mid = 0.5 * (lo + hi)
         half = np.maximum(hi - mid, mid - lo)
         half += slack * np.maximum(np.abs(lo), np.abs(hi))
+        table.imag = half
         vmax = float(np.max(np.abs(mid) + half))
-    mid.flags.writeable = half.flags.writeable = False  # every caller shares the cached table
-    return mid, half, vmax
+    table.flags.writeable = False  # every caller shares the cached table
+    return table, vmax
 
 
-def _bracket_bound(mid: np.ndarray, widths: np.ndarray, vmax: float, stat: str) -> np.ndarray:
-    """The bracket bound M + W + eps of the module docstring for each
-    replica of a block, from its midpoints (count, *shape), which it
-    overwrites, their half-widths' per-replica sums W, and the table's
-    largest magnitude v.  M is |S_n| for stat "total" as batch_total
-    rounds it, and max_k |S_k| as batch_prefix rounds it otherwise.
-    eps has a factor 2 to spare for the rounding of W, of eps and of the
-    final sum."""
-    cells = mid[0].size
-    peaks = np.abs(_field_stats(mid, (stat,))[0])
-    del mid
-    eps = 2.0 * (cells + 2) * 2.0**-53 * (2.0 * cells * vmax + widths + peaks)
+def _bracket_bound(peaks: np.ndarray, widths: np.ndarray, cells: int, vmax: float,
+                   roundings: int) -> np.ndarray:
+    """A bracket bound M + W + eps of the module docstring, in place on
+    the per-replica M (peaks) of a block of |n| = cells sites, from their
+    half-widths' sums W and the table's largest magnitude v, with
+    eps = 2 g (k |n| v + W + M): k = roundings counts the sums of at most
+    |n| terms, each bounded by |n| v, whose rounding separates M from
+    the float path's statistic, and the factor 2 spares g (W + M) for the
+    rounding of W, of M's last addition, of eps and of the final sum."""
+    eps = 2.0 * (cells + 2) * 2.0**-53 * (roundings * cells * vmax + widths + peaks)
     peaks += widths
     peaks += eps
     return peaks

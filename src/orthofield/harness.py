@@ -174,7 +174,12 @@ def _induction_check(config: ExperimentConfig) -> dict:
         with np.errstate(over="ignore", invalid="ignore"):  # run_experiment refuses inf
             integrand = np.maximum(0.0, 2.0 * m_slab / (x * scale) - 1.0)
             rhs = float(np.mean(integrand))
-            se_rhs = float(np.std(integrand)) / math.sqrt(n)
+            # the spread of the integrand scaled by the power of two at its
+            # largest value, so its squares stay in range; a power of two
+            # keeps every bit of a spread whose squares were in range
+            top = float(np.max(integrand))
+            shift = math.frexp(top)[1] if 0.0 < top < math.inf else 0
+            se_rhs = math.ldexp(float(np.std(np.ldexp(integrand, -shift))), shift) / math.sqrt(n)
         ok = p_lhs <= rhs + 2.0 * (se_lhs + se_rhs)
         rows.append({"x": x, "p_lhs": p_lhs, "se_lhs": se_lhs, "rhs": rhs,
                      "se_rhs": se_rhs, "ok": ok})
@@ -299,9 +304,6 @@ def _tightness(config: ExperimentConfig) -> dict:
     honest width."""
     m, q, j_from, n = config.exponents, config.axis_q, config.j_from, config.replicas
     rho = holder.modulus_from_dict(config.modulus, len(m))
-    if len(m) != config.generator.d:
-        raise InvalidInputError("exponents %r do not match generator dimension %d"
-                                % (m, config.generator.d))
     if q > len(m):
         raise InvalidRangeError("axis_q=%d outside 1..%d" % (q, len(m)))
     if j_from > m[q - 1]:
@@ -497,6 +499,15 @@ def _validate(config):
             raise InvalidInputError("experiment %r needs %r" % (config.experiment, name))
         object.__setattr__(config, name, check(name, given[name]) if name in given else default)
     object.__setattr__(config, "given", tuple(given))
+    # every lattice has the generator's axes, checked before any runner
+    # builds something of the lattice's dimension, such as a modulus
+    if config.generator is not None:
+        lattices = [("shape", config.shape), ("exponents", config.exponents)]
+        lattices += [("shapes entry", shape) for shape in config.shapes or ()]
+        for name, lattice in lattices:
+            if lattice is not None and len(lattice) != config.generator.d:
+                raise InvalidInputError("%s %r: %d axes, but the generator has d=%d"
+                                        % (name, list(lattice), len(lattice), config.generator.d))
 
 
 def _to_dict(config) -> dict:

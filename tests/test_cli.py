@@ -78,6 +78,13 @@ TIGHTNESS = {"experiment": "tightness", "generator": _gen("gaussian"), "exponent
 LEMMA = {"experiment": "lemma-checks", "svarying": {"kind": "log_power", "beta": 2.0},
          "tail": {"kind": "weibull", "gamma": 1.0}, "k_max": 10, "j_max": 10}
 EXPONENT_FIT = {"experiment": "exponent-fit", "d": 1, "replicas": 2000}
+# d = 3 lattices for a d = 2 generator, where a modulus of d = 3 with this
+# c is not increasing
+DIMENSION_MISMATCHES = [
+    dict(TIGHTNESS, exponents=[3, 3, 3], modulus={"c": math.exp(4.0)}),
+    {"experiment": "holder-norm", "generator": _gen("gaussian"), "shapes": [[4, 4], [4, 4, 4]],
+     "modulus": {"c": math.exp(4.0)}, "replicas": 8},
+]
 
 
 @pytest.mark.parametrize(
@@ -189,12 +196,14 @@ EXPONENT_FIT = {"experiment": "exponent-fit", "d": 1, "replicas": 2000}
         # the float range; then a level h = 2^-j whose c/h and 1/h overflow
         ("induction-check", {"experiment": "induction-check", "generator": _gen("gaussian"),
                              "shape": [4, 4], "x_grid": [1e-308, 1.0], "replicas": 10}),
-        ("induction-check", {"experiment": "induction-check", "generator": _gen("gaussian"),
-                             "shape": [4, 4], "x_grid": [1e-300, 1.0], "replicas": 10}),
         ("tightness", dict(TIGHTNESS, exponents=[4, 4], eps=1e308, j_from=0, replicas=10,
                            modulus={"c": 55})),
         ("tightness", dict(TIGHTNESS, generator=dict(_gen("gaussian"), d=1), exponents=[1070],
                            j_from=1060, replicas=10, modulus={"c": 55})),
+        # a lattice of another dimension than the generator's, named before
+        # a modulus of the lattice's dimension is built
+        ("tightness", DIMENSION_MISMATCHES[0]),
+        ("holder-norm", DIMENSION_MISMATCHES[1]),
     ],
     ids=["top-level-list", "replicas-string", "shape-int", "x-grid-string",
          "two-term-without-y", "weibull-tail-without-gamma",
@@ -217,8 +226,8 @@ EXPONENT_FIT = {"experiment": "exponent-fit", "d": 1, "replicas": 2000}
          "fdd-weibull-gamma-0.01", "fdd-moving-average-gamma-0.005", "fdd-one-replica",
          "sheet-cov-one-replica", "generator-json-text", "induction-x-zero",
          "deviation-x-negative", "verify-bound-x-zero", "exponent-fit-band-reversed",
-         "fdd-t-at-node-0", "induction-x-1e-308", "induction-x-1e-300", "tightness-eps-1e308",
-         "tightness-level-1060"],
+         "fdd-t-at-node-0", "induction-x-1e-308", "tightness-eps-1e308",
+         "tightness-level-1060", "tightness-exponents-of-d-3", "holder-shape-of-d-3"],
 )
 def test_malformed_config_is_one_line_exit_1(tmp_path, capsys, experiment, payload):
     cfg = write_config(tmp_path, "bad.json", payload)
@@ -226,6 +235,31 @@ def test_malformed_config_is_one_line_exit_1(tmp_path, capsys, experiment, paylo
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1 and "error" in err, err
+
+
+@pytest.mark.parametrize("payload", DIMENSION_MISMATCHES, ids=["tightness", "holder-norm"])
+def test_a_lattice_of_another_dimension_is_named(tmp_path, capsys, payload):
+    cfg = write_config(tmp_path, "bad.json", payload)
+    assert main([payload["experiment"], "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "[3, 3, 3]: 3 axes" in err or "[4, 4, 4]: 3 axes" in err, err
+    assert "generator has d=2" in err and "modulus" not in err, err
+
+
+@pytest.mark.parametrize("payload", [
+    {"experiment": "induction-check", "generator": _gen("gaussian", sigma=1e300),
+     "shape": [64, 64], "x_grid": [1.0], "replicas": 10},
+    {"experiment": "induction-check", "generator": _gen("gaussian"), "shape": [4, 4],
+     "x_grid": [1e-300, 1.0], "replicas": 10}], ids=["sigma-1e300", "x-1e-300"])
+def test_induction_spread_of_huge_values_is_finite(tmp_path, capsys, payload):
+    # the Doob-step integrand of a sigma = 1e300 field, or at x = 1e-300,
+    # passes 1e154, whose square overflows; the spread is taken on the
+    # integrand scaled to at most 1, so se_rhs is finite beside the
+    # finite rhs
+    cfg = write_config(tmp_path, "induction.json", payload)
+    assert main(["induction-check", "--config", cfg]) == 0
+    row = json.loads(capsys.readouterr().out)["rows"][0]
+    assert 1e299 < row["se_rhs"] < math.inf and 1e299 < row["rhs"] < math.inf, row
 
 
 def test_no_module_reads_the_environment():
@@ -285,6 +319,26 @@ def test_harness_passes_a_floor_only_in_exceedances():
     owners = [getattr(top, "name", None) for top in tree.body for node in ast.walk(top)
               if isinstance(node, ast.keyword) and node.arg == "floor"]
     assert owners == ["_exceedances"], owners
+
+
+def test_block_modules_make_no_blas_call():
+    # _rng, generators and lattice run inside a worker's block, where a
+    # BLAS call would start BLAS's own threads beside the bounded worker
+    # threads and take first-use resident memory (see
+    # bounds._gauss_legendre01): no @, dot, matmul, einsum or linalg
+    package = pathlib.Path(cli.__file__).parent
+    blas = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "linalg"}
+    for name in ("_rng.py", "generators.py", "lattice.py"):
+        tree = ast.parse((package / name).read_text(encoding="utf-8"))
+        matmul = [node for node in ast.walk(tree) if isinstance(node, (ast.BinOp, ast.AugAssign))
+                  and isinstance(node.op, ast.MatMult)]
+        names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names |= {alias.name for alias in node.names} | set((node.module or "").split("."))
+            elif isinstance(node, ast.Import):
+                names |= {part for alias in node.names for part in alias.name.split(".")}
+        assert not matmul and not names & blas, (name, sorted(names & blas))
 
 
 def test_one_function_builds_reports_and_derives_verdicts():

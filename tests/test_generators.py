@@ -52,13 +52,15 @@ def float_path_stats(spec, shape, seed, start, count):
             "slab": absp[..., -1].reshape(count, -1).max(axis=1)}
 
 
-def screen_bounds(spec, shape, seed, start, count, stat):
+def screen_bounds(spec, shape, seed, start, count, stat, floor=None):
     """The screen's per-replica bounds on the float path's max |S_k|
-    (stat "max") or |S_n| ("total"), from the rows replica_stats hashes."""
+    (stat "max") or |S_n| ("total"), from the rows replica_stats hashes:
+    the fine stage's without a floor, and with one the coarse stage's
+    where it clears the replica and the fine stage's elsewhere."""
     coords = generators._axis_coords(shape, None)
     reps = np.arange(start, start + count, dtype=np.int64)
     rows = _rng.row_words(generators._base_key(spec, seed, 0), reps, coords[:-1])
-    return generators._screen_bound(spec, rows, _rng.last_word(coords), stat)
+    return generators._screen_bound(spec, rows, _rng.last_word(coords), stat, floor)[0]
 
 
 def test_weibull_inverse_map_pinned_median():
@@ -408,15 +410,29 @@ def test_floored_total_is_its_magnitude_raised_to_the_floor(spec):
 
 
 def test_screened_rademacher_blocks_skip_the_prefix_sums(monkeypatch):
-    # a +-1 field's maximum is at most (|n| + |S_n|) / 2, which for 64x64
-    # stays far below verify-bound's smallest threshold 48 * 64
+    # a +-1 field's maximum is at most (m + |S_m|) / 2 + (|n| - m) for
+    # the sign count S_m of any m sites; at verify-bound's smallest
+    # threshold 48 * 64 on 64x64 a slab of 36 rows of 64 sites, about
+    # 2 (|n| - f) + 4 sqrt(|n|), clears every replica, so no block
+    # hashes more than 60 % of its words or runs batch_prefix
+    hashed = []
+    last_fold = _rng.last_fold
+
     def no_prefix(fields):
         raise AssertionError("a screened block ran batch_prefix")
 
+    def counting_fold(rows, last, top):
+        words = last_fold(rows, last, top)
+        hashed.append((len(words), words[0].size))
+        return words
+
     monkeypatch.setattr(generators, "batch_prefix", no_prefix)
+    monkeypatch.setattr(_rng, "last_fold", counting_fold)
     got, = generators.replica_stats(iid_rademacher(2), (64, 64), 3, 0, 512, ("max",), 2,
                                     floor=3072.0)
     assert np.array_equal(got, np.full(512, 3072.0))
+    assert sum(replicas for replicas, _ in hashed) == 512
+    assert {words for _, words in hashed} == {36 * 64} and 36 * 64 <= 0.6 * 64 * 64
 
 
 def test_replica_stats_rejects_bad_requests():

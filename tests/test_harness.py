@@ -250,7 +250,10 @@ def test_block_budget_bounds_memory_and_keeps_payloads(monkeypatch, peak_bytes):
     # its words and one scratch array, a value map the words and the
     # values, and no step holds more block-sized arrays at once.  A
     # sixteenth of the budget covers per-replica results, the report,
-    # and the one extra row of a moving average's extended axis.
+    # and the one extra row of a moving average's extended axis.  The
+    # last two screen every replica: a Weibull total by its bracket sums,
+    # and a Rademacher maximum by a partial sign count (a floor of 10240
+    # over |n| = 16384 sites).
     modulus = {"c": math.exp(6.0), "L": {"kind": "iter_log"}}
     cases = [
         dict(experiment="deviation", generator=iid_rademacher(2), shape=(128, 128),
@@ -269,6 +272,11 @@ def test_block_budget_bounds_memory_and_keeps_payloads(monkeypatch, peak_bytes):
         dict(experiment="deviation", generator=moving_average(2, dist="weibull_symmetric",
                                                               gamma=1.0),
              shape=(128, 128), x_grid=(0.5, 1.0, 2.0), replicas=100, seed=4),
+        dict(experiment="verify-bound", generator=iid_weibull(2, 1.0), shape=(128, 128),
+             x_grid=(0.25, 0.5), bound={"kind": "large-deviation", "gamma": 1.0}, replicas=100,
+             seed=4),
+        dict(experiment="deviation", generator=iid_rademacher(2), shape=(128, 128),
+             x_grid=(80.0, 96.0), replicas=100, seed=4),
     ]
     wants = [run_experiment(ExperimentConfig(**base)).canonical_json() for base in cases]
     budget = 2 << 20
@@ -296,6 +304,15 @@ _BLOCK_CASES = {
     "verify-bound": (dict(experiment="verify-bound", generator=product_rademacher(2),
                           shape=(64, 64), x_grid=(48.0, 96.0),
                           bound={"kind": "bounded", "K": 1.0}), 64 + 64, 3),
+    # the screens' stages: a Weibull total's bracket sums, and a
+    # Rademacher maximum's partial sign count at a floor of 2560 > |n| / 2
+    "verify-bound-large-deviation": (dict(experiment="verify-bound",
+                                          generator=iid_weibull(2, 1.0), shape=(64, 64),
+                                          x_grid=(0.25, 0.5),
+                                          bound={"kind": "large-deviation", "gamma": 1.0}),
+                                     64 * 64, 3),
+    "deviation-partial-sign-count": (dict(experiment="deviation", generator=iid_rademacher(2),
+                                          shape=(64, 64), x_grid=(40.0, 48.0)), 64 * 64, 3),
     "induction-check": (dict(experiment="induction-check", generator=iid_weibull(3, 1.0),
                              shape=(16, 16, 16), x_grid=(0.5, 1.0)), 16**3, 3),
     "tightness": (dict(experiment="tightness", generator=iid_gaussian(2), exponents=(6, 6),

@@ -1,5 +1,6 @@
-"""The bracket screen of iid Gaussian and Weibull fields: its table holds
-every word's value, and its bound holds the float path's statistic."""
+"""The screen of iid fields: its bracket table holds every word's value,
+and each of its stages, coarse and fine, bounds the float path's
+statistic."""
 
 import math
 import warnings
@@ -7,8 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
-from orthofield import _rng, generators, iid_gaussian, iid_weibull
-from orthofield.lattice import _block_size
+from orthofield import _rng, generators, iid_gaussian, iid_rademacher, iid_weibull
+from orthofield.lattice import _block_size, batch_prefix
 from test_generators import float_path_stats, screen_bounds
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -33,7 +34,8 @@ def test_bracket_table_holds_the_words_around_each_switch(spec):
     # and where sqrt(-2 log y) crosses 8 (u = e^-32 and 1 - e^-32); the
     # Weibull map changes sign at u = 0.5.  Each bucket's two ends and
     # the words next to them are checked too.
-    mids, halves, vmax = generators._brackets(spec)
+    table, vmax = generators._brackets(spec)
+    mids, halves = table.real, table.imag
     ends = np.arange(1 << generators._BUCKET_BITS, dtype=np.uint64) << np.uint64(_BUCKET_SHIFT)
     last = np.uint64((1 << _BUCKET_SHIFT) - 1)
     words = np.concatenate(
@@ -47,20 +49,49 @@ def test_bracket_table_holds_the_words_around_each_switch(spec):
     assert np.all(np.abs(values) <= vmax)
 
 
+def _stage_bounds(table, buckets, stat):
+    """The bounds and cleared counts of _bracket_screen on hand-made
+    buckets of a hand-made table whose largest |c| + h is 1: the fine
+    stage alone (no floor), and the coarse stage first (an infinite
+    floor, which clears every replica the coarse stage bounds)."""
+    return [generators._bracket_screen(table, 1.0, buckets.copy(), stat, floor)
+            for floor in (None, math.inf)]
+
+
 def test_bracket_bound_covers_the_rounding_of_both_prefix_sums():
-    # the field [1, 2^-53 + 2^-60] sums to 1 + 2^-52, its midpoints
-    # [1, 2^-53] to 1 (a tie rounded to even), and their half-width
-    # 2^-60 vanishes beside 1: only the rounding term eps lifts the
-    # bound over the field's statistic (both calls overwrite their input)
-    field = np.array([[1.0, 2.0**-53 + 2.0**-60]])
-    mid = np.array([[1.0, 2.0**-53]])
-    widths = np.array([2.0**-60])
-    for stat in ("max", "total"):
-        for shape in ((1, 2), (1, 1, 2), (1, 2, 1)):
+    # the field [1, 2^-53 + 2^-60, 0, ...] sums to 1 + 2^-52, its
+    # midpoints [1, 2^-53, 0, ...] to 1 (a tie rounded to even), and the
+    # half-width 2^-60 vanishes beside 1: only the rounding term eps
+    # lifts the fine bound over the field's statistic.  The chunk bound
+    # (a maximum's coarse stage, with chunks of 8 or 4 sites here) and
+    # the total's complex sum cover it too.
+    table = np.array([1.0, 2.0**-53 + 2.0**-60 * 1j, 0.0])
+    field = np.zeros(8)
+    field[:2] = [1.0, 2.0**-53 + 2.0**-60]
+    for shape in ((1, 8), (1, 1, 8), (1, 8, 1), (1, 2, 4)):
+        buckets = np.array([0, 1, 2, 2, 2, 2, 2, 2]).reshape(shape)
+        for stat in ("max", "total"):
             value = np.abs(generators._field_stats(field.reshape(shape).copy(), (stat,))[0])
             assert value.tolist() == [1.0 + 2.0**-52]
-            bound = generators._bracket_bound(mid.reshape(shape).copy(), widths, 1.0, stat)
-            assert bound[0] >= value[0], (stat, shape)
+            for (bound, cleared), coarse in zip(_stage_bounds(table, buckets, stat), (0, 1)):
+                assert bound[0] >= value[0], (shape, stat, coarse)
+                assert cleared == (coarse if stat == "max" else 0), (shape, stat, coarse)
+
+
+@pytest.mark.parametrize("shape", [(4, 8), (8,), (3, 2, 16), (16, 1), (5, 24)])
+def test_chunk_bound_counts_the_mass_inside_a_chunk(shape):
+    # +-1 midpoints alternating along the last axis sum to 0 over every
+    # chunk, so the chunk sums' prefix is 0 throughout; the maximum, up to
+    # the number of rows, is all inside the chunks, and only their strip
+    # mass bounds it.  The second replica has the signs reversed.
+    table = np.array([1.0, -1.0], dtype=np.complex128)
+    buckets = np.stack([np.arange(math.prod(shape)) % 2,
+                        1 - np.arange(math.prod(shape)) % 2]).reshape((2,) + shape)
+    value = np.abs(batch_prefix(table.real[buckets])).reshape(2, -1).max(axis=1)
+    assert value.tolist() == [math.prod(shape) // shape[-1] if shape[-1] > 1 else 1] * 2
+    (fine, _), (coarse, cleared) = _stage_bounds(table, buckets, "max")
+    assert cleared == 2
+    assert np.all(fine >= value) and np.all(coarse >= value), (fine, coarse, value)
 
 
 @pytest.mark.parametrize("spec,shape,stat,floor", [
@@ -69,61 +100,147 @@ def test_bracket_bound_covers_the_rounding_of_both_prefix_sums():
 def test_screened_gaussian_and_weibull_blocks_skip_the_value_map(monkeypatch, spec, shape,
                                                                   stat, floor):
     # tightness's first level and the large-deviation verify-bound of the
-    # 2-thread Monte Carlo benchmark: the bucket sums of every replica
-    # stay far below the floor, so no word goes through ndtri or log
+    # 2-thread Monte Carlo benchmark: every replica clears at the first
+    # stage that runs, so no word goes through ndtri or log, no replica
+    # takes the full midpoint prefix, and each site is gathered once
     generators._brackets(spec)  # the table maps its bucket ends once, first
+    cells, count = math.prod(shape), 256
+    gathered = []
+    take = np.take
 
-    def no_values(u, spec):
-        raise AssertionError("a screened block ran the value map")
+    def refuse(*args):
+        raise AssertionError("a screened block ran the fine stage or the value map")
 
-    monkeypatch.setattr(generators, "_law_values", no_values)
-    got, = generators.replica_stats(spec, shape, 3, 0, 256, (stat,), 2, floor=floor)
-    assert np.array_equal(got, np.full(256, floor))
+    def counting_take(table, indices, *args, **kwargs):
+        gathered.append(np.size(indices))
+        return take(table, indices, *args, **kwargs)
+
+    for name in ("_law_values", "_midpoint_peaks"):
+        monkeypatch.setattr(generators, name, refuse)
+    monkeypatch.setattr(np, "take", counting_take)
+    got, = generators.replica_stats(spec, shape, 3, 0, count, (stat,), 2, floor=floor)
+    assert np.array_equal(got, np.full(count, floor))
+    assert sum(gathered) == count * cells
+
+
+def test_a_floor_at_or_above_the_cells_hashes_no_rademacher_word(monkeypatch):
+    # no maximum of +-1 terms exceeds |n|, so a floor of |n| decides
+    # every replica without a word
+    def no_fold(*args):
+        raise AssertionError("a block hashed a word")
+
+    monkeypatch.setattr(_rng, "last_fold", no_fold)
+    for floor in (4096.0, 1e300):
+        got, = generators.replica_stats(iid_rademacher(2), (64, 64), 3, 0, 100, ("max",),
+                                        floor=floor)
+        assert np.array_equal(got, np.full(100, floor))
+
+
+@pytest.mark.parametrize("shape", [(64, 64), (4096,), (4096, 1), (24, 40), (8, 8, 8)])
+def test_partial_sign_count_bounds_the_maximum(monkeypatch, shape):
+    # whatever the slab the floor asks for, each replica's coarse bound
+    # is (m + |S_m|) / 2 + (|n| - m) over the first m sites in lattice
+    # order, whole rows of the last axis (all of the last axis's
+    # sites when it is the only one of extent > 1), and it holds the
+    # float path's maximum; an infinite floor keeps every coarse bound
+    spec, count = iid_rademacher(len(shape)), 150
+    cells = math.prod(shape)
+    want = float_path_stats(spec, shape, 5, 7, count)["max"]
+    field = generators.generate_batch(spec, shape, 5, 7, count).reshape(count, -1)
+    for m in (1, 100, cells // 2, cells - 1):
+        monkeypatch.setattr(generators, "_sign_slab", lambda cells, floor: m)
+        rows = cells // shape[-1]
+        seen = m if rows == 1 else min(cells, -(-m // shape[-1]) * shape[-1])
+        bound = screen_bounds(spec, shape, 5, 7, count, "max", math.inf)
+        partial = field[:, :seen].sum(axis=1)
+        assert np.array_equal(bound, 0.5 * (seen + np.abs(partial)) + (cells - seen)), m
+        assert np.all(bound >= want), m
 
 
 def test_a_table_that_overflows_leaves_every_replica_open():
     # gamma = 0.004 takes the outer buckets' values past the largest
     # double: the table is built without a warning, its inf and NaN
-    # entries make every bound NaN, and every replica takes the float path
+    # entries make every stage's bound NaN, and every replica takes the
+    # float path
     spec = iid_weibull(1, 0.004)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        mids, halves, vmax = generators._brackets(spec)
+        table, vmax = generators._brackets(spec)
     assert math.isnan(vmax)
     with np.errstate(over="ignore", invalid="ignore"):
         plain = float_path_stats(spec, (64,), 1, 0, 20)
         for stat in ("max", "total"):
-            assert np.all(np.isnan(screen_bounds(spec, (64,), 1, 0, 20, stat)))
+            for floor in (None, math.inf):
+                assert np.all(np.isnan(screen_bounds(spec, (64,), 1, 0, 20, stat, floor)))
             got, = generators.replica_stats(spec, (64,), 1, 0, 20, (stat,), floor=10.0)
             assert np.array_equal(got, np.maximum(10.0, np.abs(plain[stat])), equal_nan=True)
 
 
-def test_a_span_stops_screening_after_a_block_that_clears_too_few(monkeypatch):
-    # 2048 replicas of 64x64 run in 8 spans of 8 blocks; a floor of 0
-    # clears no replica, so each span screens its first block alone, and
-    # a floor above every bound screens all 64 blocks.  The values are
-    # the same either way.
-    spec, shape, count = iid_gaussian(2), (64, 64), 2048
-    block = _block_size(math.prod(shape), "lattice")
-    calls = []
+def _count_stages(monkeypatch, spec):
+    """Lists that record each block the screen bounds, and each coarse
+    and fine stage run: for a Gaussian field the chunk sums and the full
+    midpoint prefix, for a Rademacher field the sign counts of a one-row
+    slab (its _sign_slab is fixed at 64 sites given a floor) and of more
+    words."""
+    calls = {"screen": [], "coarse": [], "fine": []}
     screen_bound = generators._screen_bound
 
-    def counting(*args):
-        calls.append(len(args[1]))
+    def counting_screen(*args):
+        calls["screen"].append(len(args[1]))
         return screen_bound(*args)
 
-    monkeypatch.setattr(generators, "_screen_bound", counting)
-    want = float_path_stats(spec, shape, 3, 0, count)["max"]
-    for floor, blocks in ((0.0, 8), (1e9, count // block)):
-        calls.clear()
-        got, = generators.replica_stats(spec, shape, 3, 0, count, ("max",), floor=floor)
-        assert calls == [block] * blocks, floor
-        assert np.array_equal(got, np.maximum(floor, want)), floor
+    monkeypatch.setattr(generators, "_screen_bound", counting_screen)
+    if spec.param("dist") == "rademacher":  # the float path maps signs, never counts them
+        sign_total = _rng.sign_total
+
+        def counting_signs(h):
+            calls["coarse" if h[0].size == 64 else "fine"].append(len(h))
+            return sign_total(h)
+
+        monkeypatch.setattr(_rng, "sign_total", counting_signs)
+        monkeypatch.setattr(generators, "_sign_slab",
+                            lambda cells, floor: cells if floor is None else 64)
+        return calls
+    for name, fn in (("coarse", "_chunk_sums"), ("fine", "_midpoint_peaks")):
+        def counting(*args, name=name, wrapped=getattr(generators, fn)):
+            calls[name].append(len(args[0]))
+            return wrapped(*args)
+
+        monkeypatch.setattr(generators, fn, counting)
+    return calls
+
+
+def test_a_span_stops_screening_after_a_block_that_clears_too_few(monkeypatch):
+    # 2048 replicas of 64x64 run in 8 spans of 8 blocks.  A floor of 0
+    # clears no replica, so each span runs its first block through both
+    # stages and the rest through the float path alone.  At the middle
+    # floor the coarse stage clears none (the chunk bound's strip mass
+    # alone is about 430, and a one-row slab leaves 4032 sites unseen)
+    # while the fine one clears them all: each span runs its first
+    # block through the coarse stage and every block through the fine
+    # one.  At the top floor every replica clears at the coarse stage.
+    # The values are the same every way.
+    shape, count = (64, 64), 2048
+    block = _block_size(math.prod(shape), "lattice")
+    screens = count // block
+    for spec, middle, top in ((iid_gaussian(2), 350.0, 1e9), (iid_rademacher(2), 2200.0, 4095.0)):
+        with monkeypatch.context() as patch:
+            calls = _count_stages(patch, spec)
+            want = float_path_stats(spec, shape, 3, 0, count)["max"]
+            plans = {0.0: (8, 8, 8), middle: (screens, 8, screens), top: (screens, screens, 0)}
+            for floor, (screened, coarse, fine) in plans.items():
+                for name in calls:
+                    calls[name].clear()
+                got, = generators.replica_stats(spec, shape, 3, 0, count, ("max",), floor=floor)
+                assert np.array_equal(got, np.maximum(floor, want)), floor
+                assert calls["screen"] == [block] * screened, floor
+                assert (len(calls["coarse"]), len(calls["fine"])) == (coarse, fine), floor
 
 
 _LAWS = {"gaussian": lambda d, sigma: iid_gaussian(d, sigma),
          "weibull-1": lambda d, sigma: iid_weibull(d, 1.0),
-         "weibull-0.5": lambda d, sigma: iid_weibull(d, 0.5)}
+         "weibull-0.5": lambda d, sigma: iid_weibull(d, 0.5),
+         "rademacher": lambda d, sigma: iid_rademacher(d)}
 
 
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
@@ -132,18 +249,26 @@ _LAWS = {"gaussian": lambda d, sigma: iid_gaussian(d, sigma),
        seed=st.integers(0, 2**64 - 1), start=st.integers(0, 2**40),
        threads=st.sampled_from([1, 2]))
 def test_screen_bound_holds_the_float_path(law, sigma, shape, seed, start, threads):
-    # the soundness inequality of replica_stats, per replica: the bound
-    # is at least the float path's max |S_k| and |S_n|.  Two blocks and
+    # the soundness inequalities of replica_stats, per replica: every
+    # stage's bound is at least the float path's max |S_k| and |S_n|.  No
+    # floor gives every replica's fine bound, an infinite one its coarse
+    # bound, and for a Rademacher maximum floors between |n| / 2 and |n|
+    # partial sign counts over slabs of several sizes.  Two blocks and
     # three replicas, so two threads share the work; the floor at the
     # median bound screens some replicas and leaves the others open.
     spec = _LAWS[law](len(shape), sigma)
-    count = 2 * _block_size(math.prod(shape), "lattice") + 3
+    cells = math.prod(shape)
+    count = 2 * _block_size(cells, "lattice") + 3
     want = float_path_stats(spec, shape, seed, start, count)
-    for stat in ("max", "total"):
+    floors = [None, math.inf]
+    if law == "rademacher":
+        floors += [0.5 * cells + 2 * math.sqrt(cells), 0.75 * cells, cells - 1.0]
+    for stat in ("max",) if law == "rademacher" else ("max", "total"):
         value = np.abs(want[stat])
-        bound = screen_bounds(spec, shape, seed, start, count, stat)
-        assert np.all(bound >= value), stat
-        floor = float(np.median(bound))
+        for floor in floors:
+            bound = screen_bounds(spec, shape, seed, start, count, stat, floor)
+            assert np.all(bound >= value), (stat, floor)
+        floor = float(np.median(screen_bounds(spec, shape, seed, start, count, stat)))
         got, = generators.replica_stats(spec, shape, seed, start, count, (stat,), threads,
                                         floor=floor)
         assert np.array_equal(got, np.maximum(floor, value)), stat
