@@ -78,7 +78,7 @@ so every value keeps its bits.  Each law has its own bounds:
   the sum of their magnitudes (Higham 2002, 4.2), which |n| v bounds
   for x, c and |c| alike; the factor 2 spares g (W + M) for the
   rounding of W, of eps and of the final additions.  The coarse stage
-  of a maximum cuts the last axis of extent > 1 into chunks of up to
+  of a maximum cuts a last axis that _CHUNK divides into chunks of
   _CHUNK sites.  With T and A the chunk sums of the midpoints and of
   their magnitudes, P_T the prefix array of T, and i' the sites of the
   other axes, a box ends inside some chunk a, and its part there lies
@@ -92,7 +92,11 @@ so every value keeps its bits.  Each law has its own bounds:
   coarse bound carries three roundings.  It costs one gather per site,
   strided adds, and a prefix sum over one entry per chunk; only the
   replicas it leaves open gather their midpoints again for the fine
-  bound's full prefix sums.
+  bound's full prefix sums.  The strip mass keeps the chunk bound well
+  above the fine one, so a block runs the coarse stage only where the
+  floor passes the chunk bound of an average replica, read off the
+  table's means (_bracket_screen); below that it would clear too few
+  replicas to pay for itself.
 
 Product fields factorize, S_k = prod_q P^(q)_(k_q) with P^(q) the
 cumulative sum of axis q's factor stream, so their statistics are
@@ -173,7 +177,7 @@ _DIST_TAG = {name: 201 + k for k, name in enumerate(_DISTS)}
 # table sits in L2 beside a block's 1 MiB arrays.
 _BUCKET_BITS = 12
 _BRACKET_ULPS = 16  # the half-widths' margin for value maps rounded out of order
-_CHUNK = 8  # sites of the last axis per chunk of the chunk bound, at most
+_CHUNK = 8  # sites of the last axis per chunk of the chunk bound
 
 
 @dataclass(frozen=True, eq=True)
@@ -593,9 +597,8 @@ def _sign_slab(cells: int, floor) -> int:
 def _sign_bound(rows: np.ndarray, last, floor) -> tuple:
     """_screen_bound of an iid Rademacher maximum: the partial sign
     count's bound (m + |S_m|) / 2 + (|n| - m) over a leading slab of
-    about _sign_slab(|n|, floor) cells (whole rows of the last axis, or
-    a head of it when every other axis has extent 1), and for the
-    replicas it leaves above the floor the full count's
+    whole rows of the last axis, about _sign_slab(|n|, floor) cells,
+    and for the replicas it leaves above the floor the full count's
     (|n| + |S_n|) / 2, with the rest of their words hashed."""
     count, lead, width = len(rows), rows[0].size, last.size
     cells = lead * width
@@ -604,49 +607,52 @@ def _sign_bound(rows: np.ndarray, last, floor) -> tuple:
         return np.full(count, float(cells)), count
     rows = rows.reshape(count, lead, 1)
     last = last.reshape(1, 1, width)
-    if lead > 1:  # the slab's and the rest's rows, and all of the last axis
-        k = min(lead, -(-m // width))
-        m, head, tail = k * width, (slice(0, k), slice(None)), (slice(k, None), slice(None))
-    else:
-        head, tail = (slice(None), slice(0, m)), (slice(None), slice(m, None))
+    k = min(lead, -(-m // width))
+    m = k * width
 
     def count_signs(reps, part):
-        return _rng.sign_total(_rng.last_fold(rows[reps, part[0]], last[..., part[1]], True))
+        return _rng.sign_total(_rng.last_fold(rows[reps, part], last, True))
 
-    sums = count_signs(slice(None), head)
+    sums = count_signs(slice(None), slice(0, k))
     bound = 0.5 * (m + np.abs(sums)) + (cells - m)
     if m == cells:
         return bound, 0
     open_ = np.flatnonzero(bound > floor)
     if open_.size:
-        sums = sums[open_] + count_signs(open_, tail)
+        sums = sums[open_] + count_signs(open_, slice(k, None))
         bound[open_] = 0.5 * (cells + np.abs(sums))
     return bound, count - open_.size
 
 
-def _bracket_screen(table: np.ndarray, vmax: float, buckets: np.ndarray, stat: str,
-                    floor) -> tuple:
+def _bracket_screen(table: np.ndarray, vmax: float, means: tuple, buckets: np.ndarray,
+                    stat: str, floor) -> tuple:
     """_screen_bound of an iid Gaussian or Weibull field from its bracket
     table and the buckets (count, *shape) of a block, which it
     overwrites.  Each site's entry c + i h is gathered once, in pieces.
     A total's bound is |S_n(c)| + W + eps from the gathered sums alone.
-    A maximum takes the chunk bound, given a floor and a last axis (of
-    extent > 1) that cuts into chunks of _CHUNK // 2 sites or more, and
-    the full midpoint prefix only for the replicas the chunk bound
-    leaves open, whose entries are gathered again.  The fine stage's
-    midpoints overwrite its buckets as they are gathered."""
+    A maximum takes the chunk bound, given a floor and a last axis that
+    _CHUNK divides, only where the floor passes an average replica's
+    chunk bound as the table's means E|c|, E h and E c^2 put it: a strip
+    mass of rows * _CHUNK * E|c|, a W of |n| E h, and for max |P_T| two
+    standard deviations of S_n, 2 sqrt(|n| E c^2).  Below that floor
+    the chunk stage clears fewer than the two thirds of a block it
+    needs to pay for itself (measured on 1x256, 8x256, 64x64 and 64x256
+    Gaussian lattices).  The full midpoint prefix then runs only for
+    the replicas the chunk bound leaves open, whose entries are gathered
+    again; its midpoints overwrite its buckets as they are gathered."""
     shape, count, cells = buckets.shape[1:], len(buckets), buckets[0].size
     buckets = buckets.reshape(count, cells)
     if stat == "total":
         sums = _bracket_sums(table, buckets)
         return _bracket_bound(np.abs(sums.real), sums.imag, cells, vmax, 2), 0
-    dims = [n for n in shape if n > 1] or [1]
-    width = max(k for k in range(1, _CHUNK + 1) if dims[-1] % k == 0)
     bound, open_ = np.empty(count), np.arange(count)
-    if floor is not None and 2 * width >= _CHUNK:
-        chunks, strips = _chunk_sums(table, buckets.reshape(-1), width)
+    mass, half, square = means
+    typical = (cells // shape[-1] * _CHUNK * mass + cells * half
+               + 2.0 * math.sqrt(cells * square))
+    if floor is not None and shape[-1] % _CHUNK == 0 and typical < floor:
+        chunks, strips = _chunk_sums(table, buckets.reshape(-1))
         widths = np.add.reduce(chunks.imag.reshape(count, -1), axis=1)
-        bound = _bracket_bound(_chunk_peaks(chunks.real, strips, count, dims, width), widths,
+        bound = _bracket_bound(_chunk_peaks(chunks.real, strips, count, shape), widths,
                                cells, vmax, 3)
         del chunks, strips
         open_ = np.flatnonzero(~(bound <= floor))
@@ -683,29 +689,29 @@ def _bracket_sums(table: np.ndarray, buckets: np.ndarray, mids=None) -> np.ndarr
     return sums
 
 
-def _chunk_sums(table: np.ndarray, buckets: np.ndarray, width: int) -> tuple:
-    """Per chunk of `width` sites of a block's flat buckets, the complex
+def _chunk_sums(table: np.ndarray, buckets: np.ndarray) -> tuple:
+    """Per chunk of _CHUNK sites of a block's flat buckets, the complex
     sum T + i W_a of its table entries and the sum A of its midpoints'
     magnitudes, by strided adds over pieces of whole chunks, at most
     _piece_cells() entries each, a piece's magnitudes taken in one call
-    (fewer calls, less time at two threads).  T and A take 3 / width of
+    (fewer calls, less time at two threads).  T and A take 3 / _CHUNK of
     a block's bytes, so beside the buckets the stage holds at most 1.5
-    block arrays for any width from 4 to 8."""
-    chunks = np.empty(len(buckets) // width, dtype=np.complex128)
+    block arrays."""
+    chunks = np.empty(len(buckets) // _CHUNK, dtype=np.complex128)
     strips = np.empty(len(chunks))
-    step = max(width, _piece_cells() // width * width)
+    step = max(_CHUNK, _piece_cells() // _CHUNK * _CHUNK)
     for lo in range(0, len(buckets), step):
         values = np.take(table, buckets[lo:lo + step], mode="clip")
-        t = chunks[lo // width:(lo + step) // width]
-        a = strips[lo // width:(lo + step) // width]
-        np.add(values[0::width], values[1::width], out=t)
-        for k in range(2, width):
-            t += values[k::width]
+        t = chunks[lo // _CHUNK:(lo + step) // _CHUNK]
+        a = strips[lo // _CHUNK:(lo + step) // _CHUNK]
+        np.add(values[0::_CHUNK], values[1::_CHUNK], out=t)
+        for k in range(2, _CHUNK):
+            t += values[k::_CHUNK]
         magnitudes = np.abs(values.real)
         del values
-        np.add(magnitudes[0::width], magnitudes[1::width], out=a)
-        for k in range(2, width):
-            a += magnitudes[k::width]
+        np.add(magnitudes[0::_CHUNK], magnitudes[1::_CHUNK], out=a)
+        for k in range(2, _CHUNK):
+            a += magnitudes[k::_CHUNK]
         del magnitudes
     return chunks, strips
 
@@ -716,14 +722,13 @@ def _piece_cells() -> int:
     return max(1, lattice._BLOCK_CELLS // 4)
 
 
-def _chunk_peaks(t: np.ndarray, a: np.ndarray, count: int, dims: list, width: int) -> np.ndarray:
+def _chunk_peaks(t: np.ndarray, a: np.ndarray, count: int, shape) -> np.ndarray:
     """The chunk bound's max |fl P_T| + max_a fl sum_i' A(i', a) per
     replica of a block, from its chunk sums T and A (flat, in lattice
-    order) on the lattice dims (the axes of extent > 1): P_T is T's
-    prefix array, and the strip of chunk a sums A over every other
-    axis."""
-    chunks = dims[-1] // width
-    peaks = batch_prefix(t.reshape(count, *dims[:-1], chunks))
+    order) on the lattice shape: P_T is T's prefix array, and the strip
+    of chunk a sums A over every other axis."""
+    chunks = shape[-1] // _CHUNK
+    peaks = batch_prefix(t.reshape(count, *shape[:-1], chunks))
     np.abs(peaks, out=peaks)
     peaks = peaks.reshape(count, -1).max(axis=1)
     peaks += np.add.reduce(a.reshape(count, -1, chunks), axis=1).max(axis=1)
@@ -758,8 +763,9 @@ def _brackets(spec: GeneratorSpec) -> tuple:
     """The bracket table of an iid Gaussian or Weibull spec: for each
     bucket of words (their top _BUCKET_BITS bits), one complex entry
     c + i h, a midpoint c and a half-width h whose interval holds the
-    value of every word in it, and the largest magnitude v of any such
-    interval.  The law's own value map, nondecreasing in the word, is
+    value of every word in it, the largest magnitude v of any such
+    interval, and the means E|c|, E h and E c^2 of a site's entry (every
+    bucket is equally likely).  The law's own value map, nondecreasing in the word, is
     evaluated at the bucket's two extreme words; the half-width gains
     _BRACKET_ULPS ulps of the larger end's magnitude, times 1 / gamma for
     a Weibull law, whose power multiplies the relative error of its log
@@ -778,8 +784,9 @@ def _brackets(spec: GeneratorSpec) -> tuple:
         half += slack * np.maximum(np.abs(lo), np.abs(hi))
         table.imag = half
         vmax = float(np.max(np.abs(mid) + half))
+        means = (float(np.mean(np.abs(mid))), float(np.mean(half)), float(np.mean(mid * mid)))
     table.flags.writeable = False  # every caller shares the cached table
-    return table, vmax
+    return table, vmax, means
 
 
 def _bracket_bound(peaks: np.ndarray, widths: np.ndarray, cells: int, vmax: float,

@@ -200,10 +200,6 @@ DIMENSION_MISMATCHES = [
                            modulus={"c": 55})),
         ("tightness", dict(TIGHTNESS, generator=dict(_gen("gaussian"), d=1), exponents=[1070],
                            j_from=1060, replicas=10, modulus={"c": 55})),
-        # a lattice of another dimension than the generator's, named before
-        # a modulus of the lattice's dimension is built
-        ("tightness", DIMENSION_MISMATCHES[0]),
-        ("holder-norm", DIMENSION_MISMATCHES[1]),
     ],
     ids=["top-level-list", "replicas-string", "shape-int", "x-grid-string",
          "two-term-without-y", "weibull-tail-without-gamma",
@@ -227,7 +223,7 @@ DIMENSION_MISMATCHES = [
          "sheet-cov-one-replica", "generator-json-text", "induction-x-zero",
          "deviation-x-negative", "verify-bound-x-zero", "exponent-fit-band-reversed",
          "fdd-t-at-node-0", "induction-x-1e-308", "tightness-eps-1e308",
-         "tightness-level-1060", "tightness-exponents-of-d-3", "holder-shape-of-d-3"],
+         "tightness-level-1060"],
 )
 def test_malformed_config_is_one_line_exit_1(tmp_path, capsys, experiment, payload):
     cfg = write_config(tmp_path, "bad.json", payload)
@@ -242,6 +238,7 @@ def test_a_lattice_of_another_dimension_is_named(tmp_path, capsys, payload):
     cfg = write_config(tmp_path, "bad.json", payload)
     assert main([payload["experiment"], "--config", cfg]) == 1
     err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "error" in err, err
     assert "[3, 3, 3]: 3 axes" in err or "[4, 4, 4]: 3 axes" in err, err
     assert "generator has d=2" in err and "modulus" not in err, err
 

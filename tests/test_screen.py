@@ -34,7 +34,7 @@ def test_bracket_table_holds_the_words_around_each_switch(spec):
     # and where sqrt(-2 log y) crosses 8 (u = e^-32 and 1 - e^-32); the
     # Weibull map changes sign at u = 0.5.  Each bucket's two ends and
     # the words next to them are checked too.
-    table, vmax = generators._brackets(spec)
+    table, vmax, means = generators._brackets(spec)
     mids, halves = table.real, table.imag
     ends = np.arange(1 << generators._BUCKET_BITS, dtype=np.uint64) << np.uint64(_BUCKET_SHIFT)
     last = np.uint64((1 << _BUCKET_SHIFT) - 1)
@@ -47,6 +47,7 @@ def test_bracket_table_holds_the_words_around_each_switch(spec):
     assert np.all(np.isfinite(values)) and np.all(halves > 0)
     assert np.all(np.abs(values - mids[buckets]) <= halves[buckets])
     assert np.all(np.abs(values) <= vmax)
+    assert means == (np.mean(np.abs(mids)), np.mean(halves), np.mean(mids * mids))
 
 
 def _stage_bounds(table, buckets, stat):
@@ -54,7 +55,8 @@ def _stage_bounds(table, buckets, stat):
     buckets of a hand-made table whose largest |c| + h is 1: the fine
     stage alone (no floor), and the coarse stage first (an infinite
     floor, which clears every replica the coarse stage bounds)."""
-    return [generators._bracket_screen(table, 1.0, buckets.copy(), stat, floor)
+    return [generators._bracket_screen(table, 1.0, (0.0, 0.0, 0.0), buckets.copy(), stat,
+                                       floor)
             for floor in (None, math.inf)]
 
 
@@ -63,12 +65,12 @@ def test_bracket_bound_covers_the_rounding_of_both_prefix_sums():
     # midpoints [1, 2^-53, 0, ...] to 1 (a tie rounded to even), and the
     # half-width 2^-60 vanishes beside 1: only the rounding term eps
     # lifts the fine bound over the field's statistic.  The chunk bound
-    # (a maximum's coarse stage, with chunks of 8 or 4 sites here) and
-    # the total's complex sum cover it too.
+    # (a maximum's coarse stage, one chunk of 8 sites here) and the
+    # total's complex sum cover it too.
     table = np.array([1.0, 2.0**-53 + 2.0**-60 * 1j, 0.0])
     field = np.zeros(8)
     field[:2] = [1.0, 2.0**-53 + 2.0**-60]
-    for shape in ((1, 8), (1, 1, 8), (1, 8, 1), (1, 2, 4)):
+    for shape in ((1, 8), (1, 1, 8)):
         buckets = np.array([0, 1, 2, 2, 2, 2, 2, 2]).reshape(shape)
         for stat in ("max", "total"):
             value = np.abs(generators._field_stats(field.reshape(shape).copy(), (stat,))[0])
@@ -78,7 +80,7 @@ def test_bracket_bound_covers_the_rounding_of_both_prefix_sums():
                 assert cleared == (coarse if stat == "max" else 0), (shape, stat, coarse)
 
 
-@pytest.mark.parametrize("shape", [(4, 8), (8,), (3, 2, 16), (16, 1), (5, 24)])
+@pytest.mark.parametrize("shape", [(4, 8), (8,), (3, 2, 16), (16, 1, 8), (5, 24)])
 def test_chunk_bound_counts_the_mass_inside_a_chunk(shape):
     # +-1 midpoints alternating along the last axis sum to 0 over every
     # chunk, so the chunk sums' prefix is 0 throughout; the maximum, up to
@@ -88,7 +90,7 @@ def test_chunk_bound_counts_the_mass_inside_a_chunk(shape):
     buckets = np.stack([np.arange(math.prod(shape)) % 2,
                         1 - np.arange(math.prod(shape)) % 2]).reshape((2,) + shape)
     value = np.abs(batch_prefix(table.real[buckets])).reshape(2, -1).max(axis=1)
-    assert value.tolist() == [math.prod(shape) // shape[-1] if shape[-1] > 1 else 1] * 2
+    assert value.tolist() == [math.prod(shape) // shape[-1]] * 2
     (fine, _), (coarse, cleared) = _stage_bounds(table, buckets, "max")
     assert cleared == 2
     assert np.all(fine >= value) and np.all(coarse >= value), (fine, coarse, value)
@@ -140,17 +142,16 @@ def test_a_floor_at_or_above_the_cells_hashes_no_rademacher_word(monkeypatch):
 def test_partial_sign_count_bounds_the_maximum(monkeypatch, shape):
     # whatever the slab the floor asks for, each replica's coarse bound
     # is (m + |S_m|) / 2 + (|n| - m) over the first m sites in lattice
-    # order, whole rows of the last axis (all of the last axis's
-    # sites when it is the only one of extent > 1), and it holds the
-    # float path's maximum; an infinite floor keeps every coarse bound
+    # order, rounded up to whole rows of the last axis (so all of them
+    # on a lattice of one row), and it holds the float path's maximum;
+    # an infinite floor keeps every coarse bound
     spec, count = iid_rademacher(len(shape)), 150
     cells = math.prod(shape)
     want = float_path_stats(spec, shape, 5, 7, count)["max"]
     field = generators.generate_batch(spec, shape, 5, 7, count).reshape(count, -1)
     for m in (1, 100, cells // 2, cells - 1):
         monkeypatch.setattr(generators, "_sign_slab", lambda cells, floor: m)
-        rows = cells // shape[-1]
-        seen = m if rows == 1 else min(cells, -(-m // shape[-1]) * shape[-1])
+        seen = min(cells, -(-m // shape[-1]) * shape[-1])
         bound = screen_bounds(spec, shape, 5, 7, count, "max", math.inf)
         partial = field[:, :seen].sum(axis=1)
         assert np.array_equal(bound, 0.5 * (seen + np.abs(partial)) + (cells - seen)), m
@@ -165,7 +166,7 @@ def test_a_table_that_overflows_leaves_every_replica_open():
     spec = iid_weibull(1, 0.004)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        table, vmax = generators._brackets(spec)
+        table, vmax, means = generators._brackets(spec)
     assert math.isnan(vmax)
     with np.errstate(over="ignore", invalid="ignore"):
         plain = float_path_stats(spec, (64,), 1, 0, 20)
@@ -212,22 +213,32 @@ def _count_stages(monkeypatch, spec):
 
 def test_a_span_stops_screening_after_a_block_that_clears_too_few(monkeypatch):
     # 2048 replicas of 64x64 run in 8 spans of 8 blocks.  A floor of 0
-    # clears no replica, so each span runs its first block through both
-    # stages and the rest through the float path alone.  At the middle
-    # floor the coarse stage clears none (the chunk bound's strip mass
-    # alone is about 430, and a one-row slab leaves 4032 sites unseen)
-    # while the fine one clears them all: each span runs its first
-    # block through the coarse stage and every block through the fine
-    # one.  At the top floor every replica clears at the coarse stage.
-    # The values are the same every way.
+    # clears no replica, so each span runs its first block through the
+    # screen and the rest through the float path alone.  At the middle
+    # floor the fine stage clears every replica and the coarse one none
+    # (the chunk bound's strip mass alone is about 430, and a one-row
+    # slab leaves 4032 sites unseen): where the coarse stage runs, each
+    # span runs it on its first block only.  A Gaussian block runs it
+    # only where the floor passes an average replica's chunk bound,
+    # about 546 here, so at 350 only with the table's means taken as 0.
+    # At the top floor every replica clears at the coarse stage.  The
+    # values are the same every way.
     shape, count = (64, 64), 2048
     block = _block_size(math.prod(shape), "lattice")
     screens = count // block
-    for spec, middle, top in ((iid_gaussian(2), 350.0, 1e9), (iid_rademacher(2), 2200.0, 4095.0)):
+    gaussian = iid_gaussian(2)
+    table, vmax, _ = generators._brackets(gaussian)
+    runs = [(gaussian, False, {0.0: (8, 0, 8), 350.0: (screens, 0, screens),
+                               1e9: (screens, screens, 0)}),
+            (gaussian, True, {350.0: (screens, 8, screens)}),
+            (iid_rademacher(2), False, {0.0: (8, 8, 8), 2200.0: (screens, 8, screens),
+                                        4095.0: (screens, screens, 0)})]
+    for spec, zero_means, plans in runs:
         with monkeypatch.context() as patch:
             calls = _count_stages(patch, spec)
+            if zero_means:
+                patch.setattr(generators, "_brackets", lambda spec: (table, vmax, (0.0,) * 3))
             want = float_path_stats(spec, shape, 3, 0, count)["max"]
-            plans = {0.0: (8, 8, 8), middle: (screens, 8, screens), top: (screens, screens, 0)}
             for floor, (screened, coarse, fine) in plans.items():
                 for name in calls:
                     calls[name].clear()
