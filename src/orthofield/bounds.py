@@ -205,7 +205,8 @@ def tail_eval(model: TailModel, s):
     if model.kind == "bounded":
         out = np.where(arr < model.value, 1.0, 0.0)
     elif model.kind == "weibull":
-        out = np.minimum(1.0, 2.0 * np.exp(-np.maximum(arr, 0.0) ** model.value))
+        with np.errstate(over="ignore"):  # s^gamma = inf has the exact tail exp(-inf) = 0
+            out = np.minimum(1.0, 2.0 * np.exp(-np.maximum(arr, 0.0) ** model.value))
     elif model.kind == "unit":
         out = np.ones_like(arr)
     elif model.kind == "gaussian_product":
@@ -590,6 +591,9 @@ def _tail_integral(model: TailModel, scale: float, g, where: str) -> float:
     knots = _tail_log_knots(model)
     if knots[-1] == math.inf:
         raise InvalidInputError("tail model %r has no integrable support" % model.kind)
+    if not scale > 0.0:
+        raise InvalidRangeError("tail integral at scale=%g, %s: the scale underflows to 0"
+                                % (scale, where))
     x_max = 0.0
     for _ in range(_CUTOFF_STEPS):
         x = max(x_max, 0.0)

@@ -41,11 +41,14 @@ column then holds max(f, max_k |S_k|) or max(f, |S_n|) on every route,
 which exceeds every such t exactly when the statistic does; a floor
 with any other request is an InvalidInputError.  An iid field uses
 the floor as a screen.  A block hashes top-bit words only (see _rng)
-and bounds each replica's statistic from them in stages, coarse to
-fine, each run only for the replicas the one before leaves above f; it
-writes f for every replica whose bound is at most f, and only the
-replicas left open hash their row words again and take the float path,
-so every value keeps its bits.  Each law has its own bounds:
+and bounds each replica's statistic from them; it writes f for every
+replica whose bound is at most f, and only the replicas left open hash
+their row words again and take the float path, so every value keeps
+its bits.  Each screen decision has one rule: the floor sizes a
+Rademacher maximum's sign count, the table's means alone decide
+whether a Gaussian or Weibull block runs the chunk stage, and a span
+stops screening after a block that clears fewer than 3/4 of its
+replicas.  Each law has its own bounds:
 
 - Rademacher maximum: among any m sites, with P and M the counts of
   +1 and -1 sites and S_m their sum, those sites add between -M and P
@@ -54,12 +57,13 @@ so every value keeps its bits.  Each law has its own bounds:
 
       max_k |S_k| <= max(P, M) + (|n| - m) = (m + |S_m|) / 2 + (|n| - m).
 
-  The coarse stage counts the signs of a leading slab of whole rows of
-  the last axis, about m = 2 (|n| - f) + 4 sqrt(|n|) sites
-  (_sign_slab): a replica stays open only if |S_m| passes four
-  standard deviations of the full count.  The fine stage hashes the
-  open replicas' other words, for m = |n|.  A floor f >= |n| hashes
-  nothing, and a lone total is the sign count itself.
+  The screen counts the signs of a leading slab of whole rows of the
+  last axis, about m = 2 (|n| - f) + 4 sqrt(|n|) sites (_sign_slab),
+  all of them where that reaches |n|.  A replica stays open, and takes
+  the float path, only if |S_m| passes 4 sqrt(|n|); below |n| sites
+  that is at least four standard deviations of S_m, at most about 6e-5
+  of replicas.  A floor f >= |n| hashes nothing, and a lone total is
+  the sign count itself.
 - Gaussian and Weibull: a bracket table (_brackets), built once per
   spec, holds for each bucket of words, their top _BUCKET_BITS bits,
   one complex entry c + i h: a midpoint c and a half-width h with
@@ -77,7 +81,7 @@ so every value keeps its bits.  Each law has its own bounds:
   |n| terms: any summation of them errs by at most gamma_(|n|-1) times
   the sum of their magnitudes (Higham 2002, 4.2), which |n| v bounds
   for x, c and |c| alike; the factor 2 spares g (W + M) for the
-  rounding of W, of eps and of the final additions.  The coarse stage
+  rounding of W, of eps and of the final additions.  The chunk stage
   of a maximum cuts a last axis that _CHUNK divides into chunks of
   _CHUNK sites.  With T and A the chunk sums of the midpoints and of
   their magnitudes, P_T the prefix array of T, and i' the sites of the
@@ -89,11 +93,11 @@ so every value keeps its bits.  Each law has its own bounds:
 
   P_T sums a box's midpoints in another order, and the strip masses
   are sums of nonnegative terms, so with the float path's own sum the
-  coarse bound carries three roundings.  It costs one gather per site,
+  chunk bound carries three roundings.  It costs one gather per site,
   strided adds, and a prefix sum over one entry per chunk; only the
   replicas it leaves open gather their midpoints again for the fine
   bound's full prefix sums.  The strip mass keeps the chunk bound well
-  above the fine one, so a block runs the coarse stage only where the
+  above the fine one, so a block runs the chunk stage only where the
   floor passes the chunk bound of an average replica, read off the
   table's means (_bracket_screen); below that it would clear too few
   replicas to pay for itself.
@@ -115,8 +119,8 @@ field's statistics are zero arrays, with no block built.
 generate_batch is the one way to draw fields: a single replica is
 generate_batch(spec, shape, seed, r, 1)[0].  zero_field, the all-zero
 control a config can name, has no caller in the package.  The Monte
-Carlo conditional-centering screen behind the field classes below is a
-test oracle (tests/single_field.py).
+Carlo conditional-centering battery the variants below pass or fail is
+a test oracle (tests/single_field.py), not part of the replica screen.
 
 Variants
 --------
@@ -126,7 +130,7 @@ product_rademacher  X_i = prod_q eps^(q)_{i_q} with +-1 axis streams
 decoupled_product   same product structure with a configurable base law
 moving_average      X_i = eps_i + eps_{i-e_axis}; deliberately fails the
                     one-sided conditional-centering battery on that axis
-                    (the screen's negative control)
+                    (the battery's negative control)
 zero                degenerate all-zero field (testing hook)
 
 The weibull_symmetric law has survival P{|X| > s} = min(1, 2 exp(-s^gamma)),
@@ -406,10 +410,20 @@ def _factor_streams(spec: GeneratorSpec, words, reps: np.ndarray) -> list:
 
 def _check_block(spec: GeneratorSpec, shape, start: int, count: int) -> tuple:
     """The validated shape of a block of count >= 1 replicas from start >= 0
-    (a negative index would alias replica 2^64 + start in the hash)."""
+    (a negative index would alias replica 2^64 + start in the hash), on
+    which no sum of site values passes the float range: a site's value
+    is at most the bracket table's largest magnitude v, 2 v for a moving
+    average and v^d for a product field."""
     shape = validate_shape(shape)
     if len(shape) != spec.d:
         raise InvalidInputError("spec has d=%d but shape is %r" % (spec.d, shape))
+    v = 1.0 if spec.param("dist", "rademacher") == "rademacher" else _brackets(spec)[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        top = np.float64(v) ** (spec.d if spec.variant in _PRODUCTS else 1) * volume(shape)
+        top *= 2 if spec.variant == "moving_average" else 1
+    if not top < math.inf:
+        raise InvalidRangeError("%s: its site values can sum past the float range on lattice %r"
+                                % (spec_to_json(spec), list(shape)))
     if start < 0:
         raise InvalidInputError("replica start must be >= 0, got %r" % (start,))
     if count < 1:
@@ -464,20 +478,19 @@ def replica_stats(spec: GeneratorSpec, shape, seed: int, start: int, count: int,
     "total", whose column it raises to max(floor, |statistic|); the
     module docstring's floor states the rule.  An iid field then skips
     the value map and the prefix sums of every replica whose screen
-    bound is at most the floor (the module docstring's screen).  The
-    bound of each stage is sound: per replica, with fl S_k the float
-    path's prefix sums,
+    bound is at most the floor (the module docstring's screen), and
+    only the replicas left open take the float path.  Each bound is
+    sound: per replica, with fl S_k the float path's prefix sums,
 
         max_k |fl S_k| <= (m + |S_m|) / 2 + (|n| - m)        (Rademacher)
         max_k |fl S_k(x)| <= max_k |fl S_k(c)| + W + eps_2   (fine)
         max_k |fl S_k(x)| <= max |fl P_T| + max_a fl sum_i' A(i', a)
-                             + W + eps_3                      (coarse)
+                             + W + eps_3                      (chunk)
 
     and |fl S_n(x)| <= |fl S_n(c)| + W + eps_2 for a lone total, with
-    S_m the sign count of m of the sites (the coarse stage's slab, or
-    all of them), the bracket midpoints c, their chunk sums T and A,
-    their half-widths' sum W and the rounding terms eps_k of the module
-    docstring."""
+    S_m the sign count of the slab's m sites, the bracket midpoints c,
+    their chunk sums T and A, their half-widths' sum W and the rounding
+    terms eps_k of the module docstring."""
     stats = tuple(stats)
     if not stats or any(name not in _STATS for name in stats):
         raise InvalidInputError("stats must name some of %r, got %r" % (_STATS, stats))
@@ -529,47 +542,42 @@ def _span_stats(spec: GeneratorSpec, key, lead, last, block: int, start: int, co
     Rademacher field's lone "total" is the sign count of the module
     docstring, read off the top-bit words.  With a floor, any other iid
     field is screened: _screen_bound bounds each replica's statistic
-    from its top-bit words, coarse stage first, and _screened takes the
-    float path only for the replicas whose bound passes the floor.
-    An open replica pays for every stage it ran, so one rule cuts each
-    stage short: once a block's coarse stage clears fewer than 3/4 of
-    its replicas, the span's later blocks skip it, and once a block's
-    screen as a whole does, they take the float path alone; the values
-    are the same either way.  The span drops its own reference to the
-    rows, so a span of one block hands them over to the block with its
-    one view (see _draw)."""
+    from its top-bit words, and _screened takes the float path only for
+    the replicas whose bound passes the floor.  An open replica pays
+    for the screen and the float path both, so once a block's screen
+    clears fewer than 3/4 of its replicas, the span's later blocks take
+    the float path alone; the values are the same either way.  The span
+    drops its own reference to the rows, so a span of one block hands
+    them over to the block with its one view (see _draw)."""
     rows = _rng.row_words(key, np.arange(start, start + count, dtype=np.int64), lead)
     views = [rows[lo:lo + block] for lo in range(0, count, block)]
     del rows
     iid = spec.variant == "iid_symmetric"
     signs = iid and spec.param("dist") == "rademacher" and stats == ("total",)
-    screen = coarse = iid and not signs and floor is not None
+    screen = iid and not signs and floor is not None
     parts = []
     for first in range(start, start + count, block):
         if signs:
             parts.append((_rng.sign_total(_rng.last_fold(views.pop(0), last, True)),))
         elif screen:
-            bound, cleared = _screen_bound(spec, views.pop(0), last, stats[0],
-                                           floor if coarse else None)
+            bound = _screen_bound(spec, views.pop(0), last, stats[0], floor)
             parts.append((_screened(spec, key, lead, last, first, bound, stats[0], floor),))
-            coarse = 4 * cleared >= 3 * len(bound)
             screen = 4 * np.count_nonzero(bound <= floor) >= 3 * len(bound)
         else:
             parts.append(_field_stats(_draw(views.pop(0), last, spec), stats))
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
-def _screen_bound(spec: GeneratorSpec, rows: np.ndarray, last, stat: str, floor=None) -> tuple:
+def _screen_bound(spec: GeneratorSpec, rows: np.ndarray, last, stat: str,
+                  floor: float) -> np.ndarray:
     """Per replica of a block of an iid field, from its handed-over rows,
     an upper bound on the float path's max_k |S_k| (stat "max") or |S_n|
-    ("total"), read off its top-bit words, and the number of replicas
-    the coarse stage cleared.  Given a floor, a maximum's coarse stage
-    runs first, the partial sign count or the chunk bound of the module
-    docstring, and the fine one, the full sign count or the bracket
-    bound, only for the replicas whose coarse bound passes the floor;
-    without one, every replica takes the fine stage.  A Gaussian or
-    Weibull total has the bracket bound alone.  The words' buckets are
-    their top _BUCKET_BITS bits, read as int64 in place."""
+    ("total"), read off its top-bit words at the floor: a Rademacher
+    maximum's partial sign count, or a Gaussian or Weibull field's
+    bracket bound (chunk stage first where the floor admits it, see
+    _bracket_screen).  A floor of -inf asks for the fine bound of every
+    replica.  The words' buckets are their top _BUCKET_BITS bits, read
+    as int64 in place."""
     if spec.param("dist") == "rademacher":
         return _sign_bound(rows, last, floor)
     h = _rng.last_fold(rows, last, True)
@@ -580,60 +588,43 @@ def _screen_bound(spec: GeneratorSpec, rows: np.ndarray, last, stat: str, floor=
     return _bracket_screen(*_brackets(spec), buckets, stat, floor)
 
 
-def _sign_slab(cells: int, floor) -> int:
+def _sign_slab(cells: int, floor: float) -> int:
     """The sites m of a Rademacher maximum's partial sign count at the
     floor f: 2 (|n| - f) + 4 sqrt(|n|), so that a replica stays open
     only if |S_m| passes 4 sqrt(|n|), four standard deviations of the
-    full count; |n|, the full count, without a floor or where m would
-    reach it, and none once f >= |n|, which no maximum exceeds."""
-    if floor is None:
-        return cells
+    full count; |n|, the full count, where m would reach it, and none
+    once f >= |n|, which no maximum exceeds."""
     if floor >= cells:
         return 0
     m = 2.0 * (cells - floor) + 4.0 * math.sqrt(cells)
     return cells if m >= cells else math.ceil(m)
 
 
-def _sign_bound(rows: np.ndarray, last, floor) -> tuple:
+def _sign_bound(rows: np.ndarray, last, floor: float) -> np.ndarray:
     """_screen_bound of an iid Rademacher maximum: the partial sign
     count's bound (m + |S_m|) / 2 + (|n| - m) over a leading slab of
-    whole rows of the last axis, about _sign_slab(|n|, floor) cells,
-    and for the replicas it leaves above the floor the full count's
-    (|n| + |S_n|) / 2, with the rest of their words hashed."""
+    whole rows of the last axis, about _sign_slab(|n|, floor) cells.
+    The replicas it leaves above the floor take the float path."""
     count, lead, width = len(rows), rows[0].size, last.size
     cells = lead * width
-    m = _sign_slab(cells, floor)
-    if m == 0:
-        return np.full(count, float(cells)), count
-    rows = rows.reshape(count, lead, 1)
-    last = last.reshape(1, 1, width)
-    k = min(lead, -(-m // width))
+    k = min(lead, -(-_sign_slab(cells, floor) // width))
     m = k * width
-
-    def count_signs(reps, part):
-        return _rng.sign_total(_rng.last_fold(rows[reps, part], last, True))
-
-    sums = count_signs(slice(None), slice(0, k))
-    bound = 0.5 * (m + np.abs(sums)) + (cells - m)
-    if m == cells:
-        return bound, 0
-    open_ = np.flatnonzero(bound > floor)
-    if open_.size:
-        sums = sums[open_] + count_signs(open_, slice(k, None))
-        bound[open_] = 0.5 * (cells + np.abs(sums))
-    return bound, count - open_.size
+    if m == 0:
+        return np.full(count, float(cells))
+    h = _rng.last_fold(rows.reshape(count, lead, 1)[:, :k], last.reshape(1, 1, width), True)
+    return 0.5 * (m + np.abs(_rng.sign_total(h))) + (cells - m)
 
 
 def _bracket_screen(table: np.ndarray, vmax: float, means: tuple, buckets: np.ndarray,
-                    stat: str, floor) -> tuple:
+                    stat: str, floor: float) -> np.ndarray:
     """_screen_bound of an iid Gaussian or Weibull field from its bracket
     table and the buckets (count, *shape) of a block, which it
     overwrites.  Each site's entry c + i h is gathered once, in pieces.
     A total's bound is |S_n(c)| + W + eps from the gathered sums alone.
-    A maximum takes the chunk bound, given a floor and a last axis that
-    _CHUNK divides, only where the floor passes an average replica's
-    chunk bound as the table's means E|c|, E h and E c^2 put it: a strip
-    mass of rows * _CHUNK * E|c|, a W of |n| E h, and for max |P_T| two
+    A maximum takes the chunk bound, given a last axis that _CHUNK
+    divides, only where the floor passes an average replica's chunk
+    bound as the table's means E|c|, E h and E c^2 put it: a strip mass
+    of rows * _CHUNK * E|c|, a W of |n| E h, and for max |P_T| two
     standard deviations of S_n, 2 sqrt(|n| E c^2).  Below that floor
     the chunk stage clears fewer than the two thirds of a block it
     needs to pay for itself (measured on 1x256, 8x256, 64x64 and 64x256
@@ -644,12 +635,12 @@ def _bracket_screen(table: np.ndarray, vmax: float, means: tuple, buckets: np.nd
     buckets = buckets.reshape(count, cells)
     if stat == "total":
         sums = _bracket_sums(table, buckets)
-        return _bracket_bound(np.abs(sums.real), sums.imag, cells, vmax, 2), 0
+        return _bracket_bound(np.abs(sums.real), sums.imag, cells, vmax, 2)
     bound, open_ = np.empty(count), np.arange(count)
     mass, half, square = means
     typical = (cells // shape[-1] * _CHUNK * mass + cells * half
                + 2.0 * math.sqrt(cells * square))
-    if floor is not None and shape[-1] % _CHUNK == 0 and typical < floor:
+    if shape[-1] % _CHUNK == 0 and typical < floor:
         chunks, strips = _chunk_sums(table, buckets.reshape(-1))
         widths = np.add.reduce(chunks.imag.reshape(count, -1), axis=1)
         bound = _bracket_bound(_chunk_peaks(chunks.real, strips, count, shape), widths,
@@ -662,7 +653,7 @@ def _bracket_screen(table: np.ndarray, vmax: float, means: tuple, buckets: np.nd
         mids = buckets[:open_.size].view(np.float64)
         widths = _bracket_sums(table, buckets[:open_.size], mids).imag
         bound[open_] = _bracket_bound(_midpoint_peaks(mids, shape), widths, cells, vmax, 2)
-    return bound, count - open_.size
+    return bound
 
 
 def _bracket_sums(table: np.ndarray, buckets: np.ndarray, mids=None) -> np.ndarray:

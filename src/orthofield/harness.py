@@ -244,9 +244,10 @@ def _fdd(config: ExperimentConfig) -> dict:
         raise InvalidInputError("t must have one coordinate per axis")
     k = []
     for t_q, n_q in zip(point, shape):
-        # the box [1, k] needs a node k_q >= 1 on every axis
-        k_q = round(t_q * n_q)
-        if abs(t_q * n_q - k_q) > 1e-9 or not (k_q >= 1 and t_q <= 1):
+        # the box [1, k] needs a node k_q >= 1 on every axis; t_q is
+        # checked before t_q n_q is rounded, which a huge t_q overflows
+        k_q = round(t_q * n_q) if 0.0 < t_q <= 1.0 else 0
+        if k_q < 1 or abs(t_q * n_q - k_q) > 1e-9:
             raise InvalidInputError("t must be grid aligned with 1 / n_q <= t_q <= 1, not %r"
                                     % (list(point),))
         k.append(k_q)

@@ -128,16 +128,17 @@ MODULUS_LEVELS = 40  # the finest dyadic level at which the package evaluates a 
 
 
 def modulus(c: float, d: int, L: SlowlyVarying) -> Modulus:
-    """Build a modulus, verifying it increases along the dyadic grid
-    h = 2^-j, j = 0..MODULUS_LEVELS."""
+    """Build a modulus, verifying it is finite and increases along the
+    dyadic grid h = 2^-j, j = 0..MODULUS_LEVELS."""
     # c > 1 so that ln(c/h) > 0 on (0, 1]
     rho = Modulus(float(check_number("modulus c", c, lo=1, above=True)),
                   int(check_number("modulus dimension d", d, lo=1, integer=True)), L)
     values = [modulus_eval(rho, 2.0**-j) for j in range(MODULUS_LEVELS + 1)]
     for a, b in zip(values[1:], values[:-1]):
-        if not a < b:
+        if not a < b < np.inf:
             raise DegenerateModulusError(
-                "modulus is not increasing on the dyadic grid (c=%g too small?)" % c
+                "modulus is not finite and increasing on the dyadic grid (c=%g too small, "
+                "or L past the float range?)" % c
             )
     return rho
 
@@ -151,7 +152,8 @@ def modulus_eval(rho: Modulus, h) -> float:
     if not np.isfinite((ratio, inverse)).all():
         raise InvalidRangeError("modulus argument h = %r is so small that c/h or 1/h overflows"
                                 % (float(np.min(h_arr)),))
-    out = np.sqrt(h_arr) * np.log(ratio) ** (rho.d / 2.0) * rho.L(inverse)
+    with np.errstate(over="ignore"):  # inf, which modulus() rejects
+        out = np.sqrt(h_arr) * np.log(ratio) ** (rho.d / 2.0) * rho.L(inverse)
     return out if out.ndim else float(out)
 
 

@@ -200,6 +200,15 @@ DIMENSION_MISMATCHES = [
                            modulus={"c": 55})),
         ("tightness", dict(TIGHTNESS, generator=dict(_gen("gaussian"), d=1), exponents=[1070],
                            j_from=1060, replicas=10, modulus={"c": 55})),
+        # a coordinate whose t_q n_q overflows before it is rounded, and
+        # tail integrals whose scale, y C or L(2^j) c, underflows to 0
+        ("fdd", dict(FDD, t_point=[1e308, 1.0])),
+        ("verify-bound", dict(TWO_TERM, bound=dict(TWO_TERM["bound"], y=5e-324))),
+        ("lemma-checks", dict(LEMMA, svarying={"kind": "const", "c0": 1e-160}, c=1e-170,
+                              k_max=5, j_max=5)),
+        # a modulus that overflows at h = 1 alone, finite and increasing below
+        ("holder-norm", {"experiment": "holder-norm", "generator": _gen(), "shapes": [[8, 8]],
+                         "modulus": {"c": 55, "L": {"kind": "const", "c0": 5e307}}}),
     ],
     ids=["top-level-list", "replicas-string", "shape-int", "x-grid-string",
          "two-term-without-y", "weibull-tail-without-gamma",
@@ -223,7 +232,8 @@ DIMENSION_MISMATCHES = [
          "sheet-cov-one-replica", "generator-json-text", "induction-x-zero",
          "deviation-x-negative", "verify-bound-x-zero", "exponent-fit-band-reversed",
          "fdd-t-at-node-0", "induction-x-1e-308", "tightness-eps-1e308",
-         "tightness-level-1060"],
+         "tightness-level-1060", "fdd-t-1e308", "two-term-y-5e-324",
+         "lemma-scale-underflow", "holder-modulus-inf-at-h-1"],
 )
 def test_malformed_config_is_one_line_exit_1(tmp_path, capsys, experiment, payload):
     cfg = write_config(tmp_path, "bad.json", payload)
@@ -231,6 +241,17 @@ def test_malformed_config_is_one_line_exit_1(tmp_path, capsys, experiment, paylo
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1 and "error" in err, err
+
+
+def test_a_weibull_tail_past_the_float_range_is_zero(tmp_path, capsys):
+    # at gamma = 1e20, s^gamma overflows for every s > 1, where the tail
+    # 2 exp(-s^gamma) is exactly 0: the run prints its verdict line and
+    # no RuntimeWarning, which pytest would raise as an error
+    cfg = write_config(tmp_path, "lemma.json", dict(LEMMA, tail={"kind": "weibull",
+                                                                 "gamma": 1e20}))
+    assert main(["lemma-checks", "--config", cfg]) in (0, 2)
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("verdict:"), err
 
 
 @pytest.mark.parametrize("payload", DIMENSION_MISMATCHES, ids=["tightness", "holder-norm"])

@@ -39,9 +39,11 @@ SMALL = {
     "holder-norm": {"generator": GAUSSIAN, "shapes": [[4, 4]], "modulus": MODULUS, "j_max": 2,
                     "replicas": 8},
     "constants": {"d": 2, "seed": 3},
+    # a = 2 takes the conditional-WIP check's tail past s = 1, where a
+    # large gamma meets s^gamma's overflow
     "lemma-checks": {"svarying": {"kind": "const", "c0": 1.0},
-                     "tail": {"kind": "bounded", "K": 1.0}, "k_max": 5, "j_max": 5,
-                     "a": 1.0, "c": 1.0},
+                     "tail": {"kind": "weibull", "gamma": 1.0}, "k_max": 5, "j_max": 5,
+                     "a": 2.0, "c": 1.0},
     "exponent-fit": {"d": 2, "replicas": 2000, "window": [0.9, 0.99], "grid_points": 8,
                      "band": [0.5, 1.5]},
 }
@@ -57,6 +59,9 @@ ABOVE_RANGE = 2**64
 # what json.load, which the command line reads configs with, makes of
 # NaN, Infinity and -Infinity
 NON_FINITE = [math.nan, math.inf, -math.inf]
+# finite floats at the ends of the double range, whose products and
+# powers overflow or underflow
+EXTREME = [1e308, -1e308, 1e-300, 5e-324]
 
 
 def _paths(value, path=()):
@@ -92,7 +97,7 @@ def _run(experiment, config):
 @settings(max_examples=150, deadline=None, database=None, derandomize=True)
 @given(experiment=st.sampled_from(sorted(SMALL)),
        mutation=st.sampled_from(["drop", "wrong-type", "unread", "out-of-range",
-                                 "above-range", "non-finite"]),
+                                 "above-range", "non-finite", "extreme"]),
        data=st.data())
 def test_mutated_config_never_escapes(experiment, mutation, data):
     config = json.loads(json.dumps(SMALL[experiment]))
@@ -115,6 +120,13 @@ def test_mutated_config_never_escapes(experiment, mutation, data):
         floats = [p for p in _paths(config) if type(_get(config, p)) is float]
         assume(floats)
         _set(config, data.draw(st.sampled_from(floats)), data.draw(st.sampled_from(NON_FINITE)))
+    elif mutation == "extreme":
+        # any nonempty set of float fields, since two small factors can
+        # underflow where one does not
+        floats = [p for p in _paths(config) if type(_get(config, p)) is float]
+        assume(floats)
+        for path in data.draw(st.lists(st.sampled_from(floats), min_size=1, unique=True)):
+            _set(config, path, data.draw(st.sampled_from(EXTREME)))
     else:
         ints = [p for p in _paths(config) if type(_get(config, p)) is int]
         value = ABOVE_RANGE if mutation == "above-range" else data.draw(
@@ -127,6 +139,21 @@ def test_mutated_config_never_escapes(experiment, mutation, data):
         assert rc == 1, (config, err)
     if rc == 1:
         assert out == "" and len(err.splitlines()) == 1, (config, err)
+
+
+@pytest.mark.parametrize("experiment", sorted(SMALL))
+def test_every_extreme_float_runs_or_exits_with_one_line(experiment):
+    # every float field swapped alone for every EXTREME value: the
+    # property test's derandomized draws reach only some of these swaps
+    floats = [p for p in _paths(SMALL[experiment]) if type(_get(SMALL[experiment], p)) is float]
+    for path in floats:
+        for value in EXTREME:
+            config = json.loads(json.dumps(SMALL[experiment]))
+            _set(config, path, value)
+            rc, out, err = _run(experiment, config)
+            assert rc in (0, 1, 2), (path, value)
+            if rc == 1:
+                assert out == "" and len(err.splitlines()) == 1, (path, value, err)
 
 
 @pytest.mark.parametrize("experiment", sorted(SMALL))

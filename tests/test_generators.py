@@ -52,15 +52,18 @@ def float_path_stats(spec, shape, seed, start, count):
             "slab": absp[..., -1].reshape(count, -1).max(axis=1)}
 
 
-def screen_bounds(spec, shape, seed, start, count, stat, floor=None):
+def screen_bounds(spec, shape, seed, start, count, stat, floor=-math.inf):
     """The screen's per-replica bounds on the float path's max |S_k|
-    (stat "max") or |S_n| ("total"), from the rows replica_stats hashes:
-    the fine stage's without a floor, and with one the coarse stage's
-    where it clears the replica and the fine stage's elsewhere."""
+    (stat "max") or |S_n| ("total") at the floor, from the rows
+    replica_stats hashes: at the default -inf a Gaussian or Weibull
+    field's fine bound and a Rademacher maximum's full sign count; at a
+    floor the chunk gate admits, the chunk bound where it clears the
+    replica and the fine one elsewhere; at a higher floor a Rademacher
+    maximum's partial count over the slab _sign_slab sizes."""
     coords = generators._axis_coords(shape, None)
     reps = np.arange(start, start + count, dtype=np.int64)
     rows = _rng.row_words(generators._base_key(spec, seed, 0), reps, coords[:-1])
-    return generators._screen_bound(spec, rows, _rng.last_word(coords), stat, floor)[0]
+    return generators._screen_bound(spec, rows, _rng.last_word(coords), stat, floor)
 
 
 def test_weibull_inverse_map_pinned_median():
@@ -433,6 +436,25 @@ def test_screened_rademacher_blocks_skip_the_prefix_sums(monkeypatch):
     assert np.array_equal(got, np.full(512, 3072.0))
     assert sum(replicas for replicas, _ in hashed) == 512
     assert {words for _, words in hashed} == {36 * 64} and 36 * 64 <= 0.6 * 64 * 64
+
+
+@pytest.mark.parametrize("spec,fits", [
+    (iid_gaussian(2, 1e306), True), (moving_average(2, dist="gaussian", sigma=1e306), False),
+    (decoupled_product(2, "gaussian", sigma=1e152), True),
+    (decoupled_product(2, "gaussian", sigma=1e153), False)],
+    ids=["iid", "moving-average", "product", "product-past-the-range"])
+def test_a_lattice_whose_sums_can_pass_the_float_range_is_refused(spec, fits):
+    # a site's value is at most the bracket table's largest magnitude v,
+    # about 8.29 sigma, times 2 for a moving average and to the power d
+    # for a product: 16 times that must stay below the largest double on
+    # 4x4, where the prefix sums then run without an overflow warning
+    if fits:
+        assert np.all(np.isfinite(batch_prefix(generate_batch(spec, (4, 4), 1, 0, 3))))
+        return
+    for run in (lambda: generate_batch(spec, (4, 4), 1, 0, 3),
+                lambda: generators.replica_stats(spec, (4, 4), 1, 0, 3, ("max",))):
+        with pytest.raises(InvalidRangeError, match="sum past the float range"):
+            run()
 
 
 def test_replica_stats_rejects_bad_requests():

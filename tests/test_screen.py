@@ -1,6 +1,6 @@
 """The screen of iid fields: its bracket table holds every word's value,
-and each of its stages, coarse and fine, bounds the float path's
-statistic."""
+and each of its bounds, the sign count, the chunk bound and the fine
+bracket bound, holds the float path's statistic."""
 
 import math
 import warnings
@@ -8,7 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
-from orthofield import _rng, generators, iid_gaussian, iid_rademacher, iid_weibull
+from orthofield import (InvalidRangeError, _rng, generators, iid_gaussian, iid_rademacher,
+                        iid_weibull)
 from orthofield.lattice import _block_size, batch_prefix
 from test_generators import float_path_stats, screen_bounds
 
@@ -51,13 +52,14 @@ def test_bracket_table_holds_the_words_around_each_switch(spec):
 
 
 def _stage_bounds(table, buckets, stat):
-    """The bounds and cleared counts of _bracket_screen on hand-made
-    buckets of a hand-made table whose largest |c| + h is 1: the fine
-    stage alone (no floor), and the coarse stage first (an infinite
-    floor, which clears every replica the coarse stage bounds)."""
+    """The bounds of _bracket_screen on hand-made buckets of a hand-made
+    table whose largest |c| + h is 1 and whose means are 0: the fine
+    stage alone (a floor of -inf, which no chunk bound passes), and for
+    a maximum the chunk stage (an infinite floor, which clears every
+    replica the chunk stage bounds)."""
     return [generators._bracket_screen(table, 1.0, (0.0, 0.0, 0.0), buckets.copy(), stat,
                                        floor)
-            for floor in (None, math.inf)]
+            for floor in (-math.inf, math.inf)]
 
 
 def test_bracket_bound_covers_the_rounding_of_both_prefix_sums():
@@ -65,8 +67,9 @@ def test_bracket_bound_covers_the_rounding_of_both_prefix_sums():
     # midpoints [1, 2^-53, 0, ...] to 1 (a tie rounded to even), and the
     # half-width 2^-60 vanishes beside 1: only the rounding term eps
     # lifts the fine bound over the field's statistic.  The chunk bound
-    # (a maximum's coarse stage, one chunk of 8 sites here) and the
-    # total's complex sum cover it too.
+    # (a maximum's first stage, one chunk of 8 sites here, which its
+    # strip mass lifts above the fine bound) and the total's complex sum
+    # cover it too.
     table = np.array([1.0, 2.0**-53 + 2.0**-60 * 1j, 0.0])
     field = np.zeros(8)
     field[:2] = [1.0, 2.0**-53 + 2.0**-60]
@@ -75,9 +78,9 @@ def test_bracket_bound_covers_the_rounding_of_both_prefix_sums():
         for stat in ("max", "total"):
             value = np.abs(generators._field_stats(field.reshape(shape).copy(), (stat,))[0])
             assert value.tolist() == [1.0 + 2.0**-52]
-            for (bound, cleared), coarse in zip(_stage_bounds(table, buckets, stat), (0, 1)):
-                assert bound[0] >= value[0], (shape, stat, coarse)
-                assert cleared == (coarse if stat == "max" else 0), (shape, stat, coarse)
+            fine, chunk = _stage_bounds(table, buckets, stat)
+            assert fine[0] >= value[0] and chunk[0] >= value[0], (shape, stat)
+            assert (chunk[0] > fine[0]) == (stat == "max"), (shape, stat)
 
 
 @pytest.mark.parametrize("shape", [(4, 8), (8,), (3, 2, 16), (16, 1, 8), (5, 24)])
@@ -91,9 +94,9 @@ def test_chunk_bound_counts_the_mass_inside_a_chunk(shape):
                         1 - np.arange(math.prod(shape)) % 2]).reshape((2,) + shape)
     value = np.abs(batch_prefix(table.real[buckets])).reshape(2, -1).max(axis=1)
     assert value.tolist() == [math.prod(shape) // shape[-1]] * 2
-    (fine, _), (coarse, cleared) = _stage_bounds(table, buckets, "max")
-    assert cleared == 2
-    assert np.all(fine >= value) and np.all(coarse >= value), (fine, coarse, value)
+    fine, chunk = _stage_bounds(table, buckets, "max")
+    assert np.all(chunk > fine), (fine, chunk)
+    assert np.all(fine >= value) and np.all(chunk >= value), (fine, chunk, value)
 
 
 @pytest.mark.parametrize("spec,shape,stat,floor", [
@@ -140,11 +143,10 @@ def test_a_floor_at_or_above_the_cells_hashes_no_rademacher_word(monkeypatch):
 
 @pytest.mark.parametrize("shape", [(64, 64), (4096,), (4096, 1), (24, 40), (8, 8, 8)])
 def test_partial_sign_count_bounds_the_maximum(monkeypatch, shape):
-    # whatever the slab the floor asks for, each replica's coarse bound
-    # is (m + |S_m|) / 2 + (|n| - m) over the first m sites in lattice
+    # whatever the slab the floor asks for, each replica's bound is
+    # (m + |S_m|) / 2 + (|n| - m) over the first m sites in lattice
     # order, rounded up to whole rows of the last axis (so all of them
-    # on a lattice of one row), and it holds the float path's maximum;
-    # an infinite floor keeps every coarse bound
+    # on a lattice of one row), and it holds the float path's maximum
     spec, count = iid_rademacher(len(shape)), 150
     cells = math.prod(shape)
     want = float_path_stats(spec, shape, 5, 7, count)["max"]
@@ -158,32 +160,33 @@ def test_partial_sign_count_bounds_the_maximum(monkeypatch, shape):
         assert np.all(bound >= want), m
 
 
-def test_a_table_that_overflows_leaves_every_replica_open():
+def test_a_table_that_overflows_is_refused_on_every_lattice():
     # gamma = 0.004 takes the outer buckets' values past the largest
-    # double: the table is built without a warning, its inf and NaN
-    # entries make every stage's bound NaN, and every replica takes the
-    # float path
+    # double: the table is built without a warning, and its inf and NaN
+    # entries make every bound NaN, so no replica would clear.  The
+    # field's own sums would pass the float range, so replica_stats and
+    # generate_batch refuse the spec before any block is built.
     spec = iid_weibull(1, 0.004)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         table, vmax, means = generators._brackets(spec)
     assert math.isnan(vmax)
     with np.errstate(over="ignore", invalid="ignore"):
-        plain = float_path_stats(spec, (64,), 1, 0, 20)
         for stat in ("max", "total"):
-            for floor in (None, math.inf):
+            for floor in (-math.inf, math.inf):
                 assert np.all(np.isnan(screen_bounds(spec, (64,), 1, 0, 20, stat, floor)))
-            got, = generators.replica_stats(spec, (64,), 1, 0, 20, (stat,), floor=10.0)
-            assert np.array_equal(got, np.maximum(10.0, np.abs(plain[stat])), equal_nan=True)
+    for run in (lambda: generators.replica_stats(spec, (1,), 1, 0, 20, ("max",), floor=10.0),
+                lambda: generators.generate_batch(spec, (1,), 1, 0, 20)):
+        with pytest.raises(InvalidRangeError, match="float range"):
+            run()
 
 
 def _count_stages(monkeypatch, spec):
-    """Lists that record each block the screen bounds, and each coarse
-    and fine stage run: for a Gaussian field the chunk sums and the full
-    midpoint prefix, for a Rademacher field the sign counts of a one-row
-    slab (its _sign_slab is fixed at 64 sites given a floor) and of more
-    words."""
-    calls = {"screen": [], "coarse": [], "fine": []}
+    """Lists that record each block the screen bounds and each stage it
+    runs: for a Gaussian field the chunk sums ("chunk") and the full
+    midpoint prefix ("fine"), for a Rademacher field the sites per
+    replica of each sign count ("signs")."""
+    calls = {"screen": [], "chunk": [], "fine": [], "signs": []}
     screen_bound = generators._screen_bound
 
     def counting_screen(*args):
@@ -195,14 +198,12 @@ def _count_stages(monkeypatch, spec):
         sign_total = _rng.sign_total
 
         def counting_signs(h):
-            calls["coarse" if h[0].size == 64 else "fine"].append(len(h))
+            calls["signs"].append(h[0].size)
             return sign_total(h)
 
         monkeypatch.setattr(_rng, "sign_total", counting_signs)
-        monkeypatch.setattr(generators, "_sign_slab",
-                            lambda cells, floor: cells if floor is None else 64)
         return calls
-    for name, fn in (("coarse", "_chunk_sums"), ("fine", "_midpoint_peaks")):
+    for name, fn in (("chunk", "_chunk_sums"), ("fine", "_midpoint_peaks")):
         def counting(*args, name=name, wrapped=getattr(generators, fn)):
             calls[name].append(len(args[0]))
             return wrapped(*args)
@@ -214,15 +215,15 @@ def _count_stages(monkeypatch, spec):
 def test_a_span_stops_screening_after_a_block_that_clears_too_few(monkeypatch):
     # 2048 replicas of 64x64 run in 8 spans of 8 blocks.  A floor of 0
     # clears no replica, so each span runs its first block through the
-    # screen and the rest through the float path alone.  At the middle
-    # floor the fine stage clears every replica and the coarse one none
-    # (the chunk bound's strip mass alone is about 430, and a one-row
-    # slab leaves 4032 sites unseen): where the coarse stage runs, each
-    # span runs it on its first block only.  A Gaussian block runs it
-    # only where the floor passes an average replica's chunk bound,
-    # about 546 here, so at 350 only with the table's means taken as 0.
-    # At the top floor every replica clears at the coarse stage.  The
-    # values are the same every way.
+    # screen and the rest through the float path alone.  A Gaussian
+    # block runs the chunk stage only where the floor passes an average
+    # replica's chunk bound, about 546 here: at 350 the fine stage alone
+    # clears every replica, and with the table's means taken as 0 every
+    # block runs the chunk stage too, which clears none (its strip mass
+    # alone is about 430).  At the top floor every replica clears at the
+    # chunk stage.  A Rademacher block counts the signs of the slab its
+    # floor sizes once: all 4096 sites at 0 and 2200, and 5 rows of 64 at
+    # 4095.  The values are the same every way.
     shape, count = (64, 64), 2048
     block = _block_size(math.prod(shape), "lattice")
     screens = count // block
@@ -230,22 +231,54 @@ def test_a_span_stops_screening_after_a_block_that_clears_too_few(monkeypatch):
     table, vmax, _ = generators._brackets(gaussian)
     runs = [(gaussian, False, {0.0: (8, 0, 8), 350.0: (screens, 0, screens),
                                1e9: (screens, screens, 0)}),
-            (gaussian, True, {350.0: (screens, 8, screens)}),
-            (iid_rademacher(2), False, {0.0: (8, 8, 8), 2200.0: (screens, 8, screens),
-                                        4095.0: (screens, screens, 0)})]
+            (gaussian, True, {350.0: (screens, screens, screens)}),
+            (iid_rademacher(2), False, {0.0: (8, [4096] * 8), 2200.0: (screens, [4096] * screens),
+                                        4095.0: (screens, [320] * screens)})]
     for spec, zero_means, plans in runs:
         with monkeypatch.context() as patch:
             calls = _count_stages(patch, spec)
             if zero_means:
                 patch.setattr(generators, "_brackets", lambda spec: (table, vmax, (0.0,) * 3))
             want = float_path_stats(spec, shape, 3, 0, count)["max"]
-            for floor, (screened, coarse, fine) in plans.items():
+            for floor, (screened, *stages) in plans.items():
                 for name in calls:
                     calls[name].clear()
                 got, = generators.replica_stats(spec, shape, 3, 0, count, ("max",), floor=floor)
                 assert np.array_equal(got, np.maximum(floor, want)), floor
                 assert calls["screen"] == [block] * screened, floor
-                assert (len(calls["coarse"]), len(calls["fine"])) == (coarse, fine), floor
+                if spec.param("dist") == "rademacher":
+                    assert calls["signs"] == stages[0], floor
+                else:
+                    assert (len(calls["chunk"]), len(calls["fine"])) == tuple(stages), floor
+
+
+def test_a_rademacher_slab_sends_the_replicas_it_leaves_open_to_the_float_path(monkeypatch):
+    # a one-row slab of 64 sites bounds a 64x64 maximum by
+    # (64 + |S_64|) / 2 + 4032, which passes the floor 4076 where
+    # |S_64| > 20, for about 1 % of replicas: each block counts the
+    # slab's signs once and hashes no other word for its screen, and
+    # exactly the replicas the slab leaves open are drawn again and take
+    # the float path
+    spec, shape, count, floor = iid_rademacher(2), (64, 64), 512, 4076.0
+    block = _block_size(math.prod(shape), "lattice")
+    want = float_path_stats(spec, shape, 3, 0, count)["max"]
+    monkeypatch.setattr(generators, "_sign_slab", lambda cells, floor: 64)
+    slab = screen_bounds(spec, shape, 3, 0, count, "max", floor)
+    open_ = np.flatnonzero(slab > floor)
+    assert 0 < open_.size < count // 8
+    calls = _count_stages(monkeypatch, spec)
+    drawn, draw = [], generators._draw
+
+    def counting_draw(rows, last, spec):
+        drawn.append(len(rows))
+        return draw(rows, last, spec)
+
+    monkeypatch.setattr(generators, "_draw", counting_draw)
+    got, = generators.replica_stats(spec, shape, 3, 0, count, ("max",), floor=floor)
+    assert np.array_equal(got, np.maximum(floor, want))
+    assert calls["screen"] == [block] * (count // block)
+    assert calls["signs"] == [64] * (count // block)
+    assert sum(drawn) == open_.size
 
 
 _LAWS = {"gaussian": lambda d, sigma: iid_gaussian(d, sigma),
@@ -261,17 +294,18 @@ _LAWS = {"gaussian": lambda d, sigma: iid_gaussian(d, sigma),
        threads=st.sampled_from([1, 2]))
 def test_screen_bound_holds_the_float_path(law, sigma, shape, seed, start, threads):
     # the soundness inequalities of replica_stats, per replica: every
-    # stage's bound is at least the float path's max |S_k| and |S_n|.  No
-    # floor gives every replica's fine bound, an infinite one its coarse
-    # bound, and for a Rademacher maximum floors between |n| / 2 and |n|
-    # partial sign counts over slabs of several sizes.  Two blocks and
+    # bound is at least the float path's max |S_k| and |S_n|.  A floor of
+    # -inf gives every replica's fine bound (a Rademacher maximum's full
+    # sign count), an infinite one its chunk bound where the last axis
+    # allows one, and for a Rademacher maximum floors between |n| / 2 and
+    # |n| partial sign counts over slabs of several sizes.  Two blocks and
     # three replicas, so two threads share the work; the floor at the
     # median bound screens some replicas and leaves the others open.
     spec = _LAWS[law](len(shape), sigma)
     cells = math.prod(shape)
     count = 2 * _block_size(cells, "lattice") + 3
     want = float_path_stats(spec, shape, seed, start, count)
-    floors = [None, math.inf]
+    floors = [-math.inf, math.inf]
     if law == "rademacher":
         floors += [0.5 * cells + 2 * math.sqrt(cells), 0.75 * cells, cells - 1.0]
     for stat in ("max",) if law == "rademacher" else ("max", "total"):
