@@ -3,8 +3,9 @@
 One subcommand per experiment; the experiment payload comes from a JSON
 config file, with --seed and --threads as overrides.  Exit codes: 0 when
 every verdict is PASS (or the experiment is purely informational), 2
-when a verdict is FAIL, 1 for anything that prevented a verdict
-(malformed config, missing file, invalid arguments, numeric failure).
+when a verdict is FAIL, 1 with one "error: " line on stderr for anything
+that prevented a verdict or its report (an unreadable, undecodable or
+invalid config, a usage error, a numeric failure, an unwritable report).
 
 Before the first experiment runs, main sets the process allocator
 policy once, where the C library is glibc (elsewhere it does nothing;
@@ -30,12 +31,13 @@ freed memory stays resident, so the smaller value is kept.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
 import functools
-import json
+import os
 import sys
 
-from .errors import OrthofieldError
+from .errors import InvalidInputError, OrthofieldError, check_object, read_json
 from .harness import EXPERIMENTS, config_from_dict, run_experiment
 from .lattice import _BLOCK_BYTES
 
@@ -70,11 +72,11 @@ def _set_allocator_policy() -> bool:
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on usage errors, which this CLI
-    reserves for FAIL verdicts; remap usage problems to status 1."""
+    reserves for FAIL verdicts; a usage error is an InvalidInputError
+    with argparse's own message, which names the argument."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        raise SystemExit(1)
+        raise InvalidInputError(message)
 
 
 @functools.cache  # parse_args leaves the parser as it was, so one serves every main call
@@ -93,47 +95,30 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-
-    data = {}
-    if args.config is not None:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print("config error: %s" % exc, file=sys.stderr)
-            return 1
-        if not isinstance(data, dict):
-            print("config error: the top level must be a JSON object", file=sys.stderr)
-            return 1
-    if data.get("experiment", args.experiment) != args.experiment:
-        print("config is for experiment %r, not %r" % (data["experiment"], args.experiment),
-              file=sys.stderr)
-        return 1
-    data["experiment"] = args.experiment
-    if args.seed is not None:
-        data["seed"] = args.seed
-    if args.threads is not None:
-        data["threads"] = args.threads
-
-    _set_allocator_policy()
-    try:
+        data = {}
+        if args.config is not None:
+            with open(args.config, "rb") as fh:
+                data = read_json("config %r" % args.config, fh.read())
+        check_object("config", data)
+        if data.setdefault("experiment", args.experiment) != args.experiment:
+            raise InvalidInputError("config is for experiment %r, not %r"
+                                    % (data["experiment"], args.experiment))
+        for key in ("seed", "threads"):  # the command line's overrides
+            if getattr(args, key) is not None:
+                data[key] = getattr(args, key)
+        _set_allocator_policy()
         report = run_experiment(config_from_dict(data))
-    except OrthofieldError as exc:
+        with (contextlib.nullcontext(sys.stdout) if args.out is None
+              else open(args.out, "w", encoding="utf-8")) as fh:
+            fh.write(report.to_json() + "\n")
+            fh.flush()
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
+    except (OrthofieldError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError):  # stdout's reader left: exit flushes to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("error: %s" % exc, file=sys.stderr)
         return 1
-
-    text = report.to_json()
-    if args.out is not None:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            print("output error: %s" % exc, file=sys.stderr)
-            return 1
-    else:
-        print(text)
     print("verdict: %s (%.2fs)" % (report.verdict, report.wall_clock_s), file=sys.stderr)
     return 0 if report.verdict in ("PASS", "INFO") else 2
 

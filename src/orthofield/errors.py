@@ -1,4 +1,5 @@
-"""Exception taxonomy shared across the package, and the checks of every input field.
+"""Exception taxonomy shared across the package, the one reader of JSON
+text, and the checks of every input field.
 
 Every error raised on purpose derives from OrthofieldError so callers
 (and the command line driver) can separate "the input was bad" from a
@@ -7,8 +8,10 @@ site errors of the single-field test oracle (tests/single_field.py)
 derive from OrthofieldError there.
 """
 
+import json
 import math
 import numbers
+import reprlib
 import sys
 
 
@@ -41,12 +44,23 @@ class DegenerateModulusError(OrthofieldError, ValueError):
     """Modulus is not increasing on (0, 1] at the checked resolution."""
 
 
+def read_json(what: str, text):
+    """The value a JSON text (a str, or bytes in UTF-8) holds.  A text
+    that is not UTF-8 or not JSON, nests past the recursion limit or
+    holds an integer past the digit limit is one InvalidInputError that
+    names what and gives the decoder's one-line reason, not the text."""
+    try:
+        return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except (ValueError, RecursionError) as exc:
+        raise InvalidInputError("%s is not JSON: %s" % (what, exc)) from exc
+
+
 def check_object(what: str, data, required=(), optional=None) -> dict:
     """data itself once it is a JSON object that holds every required
     key and, unless optional is None, no key outside required and
     optional."""
     if not isinstance(data, dict):
-        raise InvalidInputError("%s must be a JSON object, not %r" % (what, data))
+        raise InvalidInputError("%s must be a JSON object, not %s" % (what, reprlib.repr(data)))
     missing = [key for key in required if key not in data]
     if missing:
         raise InvalidInputError("%s needs %s" % (what, ", ".join(map(repr, missing))))
@@ -62,7 +76,7 @@ def check_kind(what: str, data, kinds: dict, optional=False) -> str:
     lists: all of them, or any of them when optional is set."""
     kind = check_object(what, data).get("kind")
     if not isinstance(kind, str) or kind not in kinds:
-        raise InvalidInputError("unknown %s kind %r" % (what, kind))
+        raise InvalidInputError("unknown %s kind %s" % (what, reprlib.repr(kind)))
     keys = ("kind",) + tuple(kinds[kind])
     check_object("%s %r" % (what, kind), data, keys[:1] if optional else keys, keys)
     return kind
@@ -85,8 +99,8 @@ def check_number(what: str, value, lo=-math.inf, hi=math.inf, integer=False, abo
     kind = numbers.Integral if integer else numbers.Real
     if (isinstance(value, bool) or not isinstance(value, kind)
             or not abs(value) <= sys.float_info.max):  # nan, inf and huge integers
-        raise InvalidInputError("%s must be %s, not %r"
-                                % (what, "an integer" if integer else "a finite number", value))
+        raise InvalidInputError("%s must be %s, not %s" % (
+            what, "an integer" if integer else "a finite number", reprlib.repr(value)))
     if not (lo < value if above else lo <= value) or value > hi:
         raise InvalidRangeError("%s must be in %s%s, %s], not %r"
                                 % (what, "(" if above else "[", lo, hi, value))

@@ -151,7 +151,7 @@ from scipy.special import gammaincc
 from scipy.special import ndtri
 
 from . import _rng, lattice
-from .errors import InvalidInputError, InvalidRangeError, check_number, check_object
+from .errors import InvalidInputError, InvalidRangeError, check_number, check_object, read_json
 from .lattice import (
     _block_size,
     _map_blocks,
@@ -258,10 +258,7 @@ def spec_to_json(spec: GeneratorSpec) -> str:
 
 def spec_from_json(text) -> GeneratorSpec:
     """The spec a JSON text (or an already decoded object) describes."""
-    try:
-        raw = json.loads(text) if isinstance(text, str) else text
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError("malformed generator spec: %r" % (text,)) from exc
+    raw = read_json("generator spec", text) if isinstance(text, str) else text
     check_object("generator", raw, ("variant", "d"), ("params",))
     params = check_object("generator params", raw.get("params", {}))
     return _make_spec(raw["variant"], raw["d"], **params)
@@ -347,10 +344,7 @@ def _axis_coords(shape, offset):
     """Absolute 1-based coordinates per axis, shifted by the offset."""
     if offset is None:
         offset = (0,) * len(shape)
-    offset = tuple(int(k) for k in offset)
-    if len(offset) != len(shape):
-        raise InvalidInputError("offset %r does not match shape %r" % (offset, shape))
-    return [np.arange(1, n + 1, dtype=np.int64) + k for n, k in zip(shape, offset)]
+    return [np.arange(1, n + 1, dtype=np.int64) + int(k) for n, k in zip(shape, offset)]
 
 
 def _site_coords(spec: GeneratorSpec, coords) -> list:
@@ -408,12 +402,14 @@ def _factor_streams(spec: GeneratorSpec, words, reps: np.ndarray) -> list:
     return [_draw(_rng.row_words(key, reps, []), last, spec) for key, last in words]
 
 
-def _check_block(spec: GeneratorSpec, shape, start: int, count: int) -> tuple:
-    """The validated shape of a block of count >= 1 replicas from start >= 0
-    (a negative index would alias replica 2^64 + start in the hash), on
-    which no sum of site values passes the float range: a site's value
-    is at most the bracket table's largest magnitude v, 2 v for a moving
-    average and v^d for a product field."""
+def _check_block(spec: GeneratorSpec, shape, seed: int, start: int, count: int,
+                 offset=None) -> tuple:
+    """The validated shape of a block of count >= 1 replicas from start >=
+    0 of seed 0 <= seed < 2^64 (others alias in the hash), with start +
+    count <= 2^63 for the int64 replica axis, an offset (if any) of one
+    integer per axis, and on which no sum of site values passes the
+    float range: a site's value is at most the bracket table's largest
+    magnitude v, 2 v for a moving average and v^d for a product field."""
     shape = validate_shape(shape)
     if len(shape) != spec.d:
         raise InvalidInputError("spec has d=%d but shape is %r" % (spec.d, shape))
@@ -424,10 +420,14 @@ def _check_block(spec: GeneratorSpec, shape, start: int, count: int) -> tuple:
     if not top < math.inf:
         raise InvalidRangeError("%s: its site values can sum past the float range on lattice %r"
                                 % (spec_to_json(spec), list(shape)))
-    if start < 0:
-        raise InvalidInputError("replica start must be >= 0, got %r" % (start,))
-    if count < 1:
-        raise InvalidInputError("count must be >= 1")
+    check_number("master seed", seed, lo=0, hi=2**64 - 1, integer=True)
+    check_number("replica start", start, lo=0, hi=2**63 - 1, integer=True)
+    check_number("replica count", count, lo=1, hi=2**63 - start, integer=True)
+    if offset is not None:
+        if len(offset) != len(shape):
+            raise InvalidInputError("offset %r does not match shape %r" % (offset, shape))
+        for n, k in zip(shape, offset):  # the window's coordinates k + 1 to k + n are int64
+            check_number("offset entry", k, lo=-2**63, hi=2**63 - 1 - n, integer=True)
     if spec.variant not in _VARIANTS:
         raise InvalidInputError("unknown generator variant %r" % (spec.variant,))
     return shape
@@ -444,7 +444,7 @@ def generate_batch(
     """Fields for replicas [replica_start, replica_start + count) as an
     array of shape (count, n_1, ..., n_d).  With an offset k (one integer
     per axis) the window is [1 + k, n + k] of the same infinite field."""
-    shape = _check_block(spec, shape, replica_start, count)
+    shape = _check_block(spec, shape, master_seed, replica_start, count, offset)
     reps = np.arange(replica_start, replica_start + count, dtype=np.int64)
     coords = _axis_coords(shape, offset)
 
@@ -498,7 +498,7 @@ def replica_stats(spec: GeneratorSpec, shape, seed: int, start: int, count: int,
                               or math.isnan(floor) or stats not in (("max",), ("total",))):
         raise InvalidInputError("a floor is a number with a lone 'max' or 'total', not %r with %r"
                                 % (floor, stats))
-    shape = _check_block(spec, shape, start, count)
+    shape = _check_block(spec, shape, seed, start, count)
     coords = _axis_coords(shape, None)
     if spec.variant in _PRODUCTS:
         words = _factor_words(spec, seed, coords)

@@ -3,6 +3,7 @@ import ctypes
 import importlib
 import json
 import math
+import os
 import pathlib
 import subprocess
 import sys
@@ -31,14 +32,64 @@ DEVIATION = {
 
 def test_missing_config_file_is_exit_1(capsys):
     assert main(["deviation", "--config", "/no/such/file.json"]) == 1
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "/no/such/file.json" in err, err
 
 
 def test_malformed_json_is_exit_1(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not valid json")
     assert main(["deviation", "--config", str(path)]) == 1
-    assert "config error" in capsys.readouterr().err
+    assert "bad.json' is not JSON" in capsys.readouterr().err
+
+
+# a config file's raw bytes, or the command line around a valid config,
+# that must end in exit 1 with one line on stderr and nothing on stdout
+RAW_INPUTS = {
+    "non-utf-8": (b"\xff\xfe" + json.dumps({"d": 2}).encode(), []),
+    "deep-nesting": (b"[" * 10**5 + b"]" * 10**5, []),
+    "huge-integer": (b'{"d": 2, "seed": ' + b"7" * 5000 + b"}", []),
+    "empty-file": (b"", []),
+    "directory-path": (None, []),
+    "top-level-list": (b"[1, 2]", []),
+    # the message quotes a value in brief, not whole
+    "long-top-level-list": (json.dumps([0] * 10**5).encode(), []),
+    "long-list-for-a-number": (json.dumps({"d": [0] * 10**5}).encode(), []),
+    "threads-not-an-integer": (json.dumps({"d": 2}).encode(), ["--threads", "x"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RAW_INPUTS))
+def test_raw_config_bytes_are_one_line_exit_1(tmp_path, capsys, name):
+    text, extra = RAW_INPUTS[name]
+    path = tmp_path / "config.json"
+    if text is None:
+        path = tmp_path
+    else:
+        path.write_bytes(text)
+    assert main(["constants", "--config", str(path)] + extra) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert len(err) < 300, err
+    if extra:
+        assert "--threads" in err and "'x'" in err, err
+
+
+def test_a_closed_stdout_is_one_line_exit_1(tmp_path):
+    # stdout's reader is gone before the run starts: the report's write
+    # fails with a broken pipe, which is one error line, and the
+    # interpreter's own flush at exit finds stdout pointed at os.devnull,
+    # so it adds no "Exception ignored" line
+    cfg = write_config(tmp_path, "constants.json", {"d": 2})
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "orthofield.cli", "constants", "--config", cfg],
+                              stdout=write, stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["error: [Errno 32] Broken pipe"], proc.stderr
 
 
 def test_experiment_mismatch_is_exit_1(tmp_path, capsys):
@@ -339,6 +390,30 @@ def test_harness_passes_a_floor_only_in_exceedances():
     assert owners == ["_exceedances"], owners
 
 
+def test_one_json_reader_and_one_cli_failure_handler():
+    # errors.read_json alone decodes JSON text, and cli.main parses,
+    # reads, checks, runs and writes inside one try whose one failure
+    # handler prints the error line; --help's exit keeps its own handler
+    package = pathlib.Path(cli.__file__).parent
+    decoders = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        decoders += [(path.name, getattr(top, "name", None)) for top in tree.body
+                     for node in ast.walk(top)
+                     if isinstance(node, ast.Attribute) and node.attr in ("load", "loads")
+                     and isinstance(node.value, ast.Name) and node.value.id == "json"
+                     or isinstance(node, ast.ImportFrom) and node.module == "json"]
+    assert decoders == [("errors.py", "read_json")], decoders
+    tree = ast.parse((package / "cli.py").read_text(encoding="utf-8"))
+    body = next(top for top in tree.body if getattr(top, "name", None) == "main")
+    tries = [node for node in ast.walk(body) if isinstance(node, ast.Try)]
+    assert len(tries) == 1 and [ast.unparse(h.type) for h in tries[0].handlers] == [
+        "SystemExit", "(OrthofieldError, OSError)"]
+    called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+              for stmt in tries[0].body for node in ast.walk(stmt) if isinstance(node, ast.Call)}
+    assert {"parse_args", "open", "read_json", "run_experiment", "write"} <= called, called
+
+
 def test_block_modules_make_no_blas_call():
     # _rng, generators and lattice run inside a worker's block, where a
     # BLAS call would start BLAS's own threads beside the bounded worker
@@ -527,7 +602,7 @@ def test_unwritable_out_file_is_exit_1(tmp_path, capsys):
     assert main(["deviation", "--config", cfg, "--out", str(out_path)]) == 1
     out, err = capsys.readouterr()
     assert out == "" and not out_path.exists()
-    assert len(err.splitlines()) == 1 and err.startswith("output error"), err
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
 
 
 def test_seed_override_changes_numbers_threads_do_not(tmp_path, capsys):

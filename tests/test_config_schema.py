@@ -56,12 +56,18 @@ OUT_OF_RANGE = [-1, -(2**70)]
 # above every integer field's upper limit, or over the block budget, but
 # for threads, which only caps the worker count
 ABOVE_RANGE = 2**64
-# what json.load, which the command line reads configs with, makes of
+# what errors.read_json, which the command line reads configs with, makes of
 # NaN, Infinity and -Infinity
 NON_FINITE = [math.nan, math.inf, -math.inf]
 # finite floats at the ends of the double range, whose products and
 # powers overflow or underflow
 EXTREME = [1e308, -1e308, 1e-300, 5e-324]
+# the byte-level changes to a config's JSON text, none of which leaves a
+# text the reader decodes: a cut, since the closing brace comes last; a
+# byte 0xff, which no UTF-8 text holds; nesting past the recursion
+# limit; an integer past the digit limit, written where the sentinel was
+BYTE_CHANGES = ["truncate", "0xff", "brackets", "digits"]
+SENTINEL = 314159265358979323
 
 
 def _paths(value, path=()):
@@ -83,11 +89,28 @@ def _set(config, path, value):
     _get(config, path[:-1])[path[-1]] = value
 
 
+def _changed_bytes(config, data):
+    """config's JSON text with one of BYTE_CHANGES drawn from data."""
+    text = json.dumps(config).encode()
+    change = data.draw(st.sampled_from(BYTE_CHANGES))
+    if change == "truncate":
+        return text[:data.draw(st.integers(0, len(text) - 1))]
+    if change == "0xff":
+        at = data.draw(st.integers(0, len(text) - 1))
+        return text[:at] + b"\xff" + text[at + 1:]
+    if change == "brackets":
+        return b"[" * 10**5 + text + b"]" * 10**5
+    ints = [p for p in _paths(config) if type(_get(config, p)) is int]
+    _set(config, data.draw(st.sampled_from(ints)), SENTINEL)
+    return json.dumps(config).encode().replace(str(SENTINEL).encode(), b"7" * 5000)
+
+
 def _run(experiment, config):
+    """main on config, a JSON value or the raw bytes of a config file."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(config, fh)
+        with open(path, "wb") as fh:
+            fh.write(config if isinstance(config, bytes) else json.dumps(config).encode())
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             rc = main([experiment, "--config", path])
@@ -97,7 +120,7 @@ def _run(experiment, config):
 @settings(max_examples=150, deadline=None, database=None, derandomize=True)
 @given(experiment=st.sampled_from(sorted(SMALL)),
        mutation=st.sampled_from(["drop", "wrong-type", "unread", "out-of-range",
-                                 "above-range", "non-finite", "extreme"]),
+                                 "above-range", "non-finite", "extreme", "bytes"]),
        data=st.data())
 def test_mutated_config_never_escapes(experiment, mutation, data):
     config = json.loads(json.dumps(SMALL[experiment]))
@@ -127,6 +150,8 @@ def test_mutated_config_never_escapes(experiment, mutation, data):
         assume(floats)
         for path in data.draw(st.lists(st.sampled_from(floats), min_size=1, unique=True)):
             _set(config, path, data.draw(st.sampled_from(EXTREME)))
+    elif mutation == "bytes":
+        config = _changed_bytes(config, data)
     else:
         ints = [p for p in _paths(config) if type(_get(config, p)) is int]
         value = ABOVE_RANGE if mutation == "above-range" else data.draw(
@@ -135,7 +160,7 @@ def test_mutated_config_never_escapes(experiment, mutation, data):
 
     rc, out, err = _run(experiment, config)
     assert rc in (0, 1, 2)
-    if mutation in ("unread", "out-of-range", "non-finite"):
+    if mutation in ("unread", "out-of-range", "non-finite", "bytes"):
         assert rc == 1, (config, err)
     if rc == 1:
         assert out == "" and len(err.splitlines()) == 1, (config, err)

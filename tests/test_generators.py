@@ -205,6 +205,15 @@ def test_spec_from_json_rejects_malformed():
         spec_from_json(json.dumps({"variant": "no_such_variant", "d": 2}))
 
 
+@pytest.mark.parametrize("text", ["[" * 10**5 + "]" * 10**5,
+                                  '{"variant": "iid_symmetric", "d": %s}' % ("7" * 5000)],
+                         ids=["deep-array", "5000-digit-integer"])
+def test_spec_from_json_refuses_texts_past_the_decoders_limits(text):
+    # nesting past the recursion limit, an integer past the digit limit
+    with pytest.raises(InvalidInputError, match="generator spec is not JSON"):
+        spec_from_json(text)
+
+
 def test_spec_variance_against_quadrature():
     # E X^2 = int_0^inf 2 s P{|X| > s} ds for the symmetric stretched
     # exponential tail.
@@ -468,17 +477,47 @@ def test_replica_stats_rejects_bad_requests():
         generators.replica_stats(product_rademacher(2), (4,), 1, 0, 3, ("max",))
     # replica -1 would alias replica 2^64 - 1 in the hash
     for spec in (product_rademacher(2), iid_rademacher(2)):
-        with pytest.raises(InvalidInputError, match="replica start"):
+        with pytest.raises(InvalidRangeError, match="replica start"):
             generators.replica_stats(spec, (4, 4), 1, -1, 1, ("max",))
 
 
 def test_generate_shape_mismatch():
     with pytest.raises(InvalidInputError):
         generate_batch(iid_rademacher(2), (4,), 1, 0, 1)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidRangeError):
         generate_batch(iid_rademacher(1), (4,), 1, 0, 0)
-    with pytest.raises(InvalidInputError, match="replica start"):
+    with pytest.raises(InvalidRangeError, match="replica start"):
         generate_batch(iid_rademacher(1), (4,), 1, -1, 1)
     # only a hand-built spec reaches an unknown variant
     with pytest.raises(InvalidInputError, match="'no_such'"):
         generate_batch(generators.GeneratorSpec("no_such", 1), (4,), 1, 0, 1)
+
+
+# replica numbers that were taken unchecked: a count of 2.5 made 3
+# replicas and True made 1, seed -1 aliased seed 2^64 - 1, an offset of
+# 1.5 was truncated to 1, and replica_stats ended in a TypeError or an
+# OverflowError; each is now one error naming the number
+BAD_REPLICA_NUMBERS = [
+    (generate_batch, {"count": 2.5}, InvalidInputError, "replica count"),
+    (generate_batch, {"count": True}, InvalidInputError, "replica count"),
+    (generate_batch, {"seed": -1}, InvalidRangeError, "master seed"),
+    (generate_batch, {"seed": 2**64}, InvalidRangeError, "master seed"),
+    (generate_batch, {"offset": (1.5,)}, InvalidInputError, "offset entry"),
+    (generate_batch, {"offset": (2**63,)}, InvalidRangeError, "offset entry"),
+    (generators.replica_stats, {"count": 2.5}, InvalidInputError, "replica count"),
+    (generators.replica_stats, {"seed": 2**70}, InvalidRangeError, "master seed"),
+    (generators.replica_stats, {"start": 2**70}, InvalidRangeError, "replica start"),
+    (generators.replica_stats, {"start": 2**63 - 1}, InvalidRangeError, "replica count"),
+]
+
+
+@pytest.mark.parametrize("run,change,error,name", BAD_REPLICA_NUMBERS,
+                         ids=["batch-count-2.5", "batch-count-true", "batch-seed-negative",
+                              "batch-seed-2^64", "batch-offset-1.5", "batch-offset-2^63",
+                              "stats-count-2.5", "stats-seed-2^70", "stats-start-2^70",
+                              "stats-past-int64"])
+def test_replica_numbers_are_checked(run, change, error, name):
+    args = {"seed": 1, "start": 0, "count": 2} | change
+    extra = {"offset": args.get("offset")} if run is generate_batch else {"stats": ("max",)}
+    with pytest.raises(error, match=name):
+        run(iid_rademacher(1), (4,), args["seed"], args["start"], args["count"], **extra)
