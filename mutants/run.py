@@ -1,11 +1,11 @@
 """Run the committed mutants of mutants/table.py.
 
-    python mutants/run.py [name ...]
+    python mutants/run.py
 
-For each row (or each named row) the runner copies src/, tests/,
-pyproject.toml and README.md to a temporary directory, replaces the
-row's old text, which must match its file exactly once, and runs the
-row's tests there with -x.  The mutant is killed when pytest reports a
+For each row the runner copies src/, tests/, pyproject.toml and
+README.md to a temporary directory, replaces the row's old text, which
+must match its file exactly once, and runs the row's tests there with
+-x.  The mutant is killed when pytest reports a
 failing test (exit status 1); any other status (a test id that no
 longer exists, a collection error) counts as not killed.  One line per
 row gives the verdict and the seconds taken; the exit status is 1
@@ -51,16 +51,9 @@ def run_mutant(row: dict) -> str:
         return {0: "survived", 1: "killed"}.get(done.returncode, "error")
 
 
-def main(names) -> int:
-    rows = runpy.run_path(str(ROOT / "mutants" / "table.py"))["MUTANTS"]
-    unknown = set(names) - {row["name"] for row in rows}
-    if unknown:
-        print("no such mutant: %s" % ", ".join(sorted(unknown)), file=sys.stderr)
-        return 1
+def main() -> int:
     verdicts = []
-    for row in rows:
-        if names and row["name"] not in names:
-            continue
+    for row in runpy.run_path(str(ROOT / "mutants" / "table.py"))["MUTANTS"]:
         t0 = time.perf_counter()
         verdicts.append(run_mutant(row))
         print("%-45s %-8s %6.1f s" % (row["name"], verdicts[-1], time.perf_counter() - t0),
@@ -69,4 +62,4 @@ def main(names) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

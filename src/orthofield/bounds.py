@@ -541,7 +541,7 @@ def recurse_constants(d: int) -> BoundConstants:
 
     with K_d realized numerically and M_d in closed form, both recorded
     per level.  Each level is computed once per process."""
-    return _constants(int(check_number("constants dimension d", d, lo=1, hi=6, integer=True)))
+    return _constants(check_number("constants dimension d", d, lo=1, hi=6, integer=True))
 
 
 @functools.lru_cache(maxsize=None)

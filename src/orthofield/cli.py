@@ -37,7 +37,7 @@ import functools
 import os
 import sys
 
-from .errors import InvalidInputError, OrthofieldError, check_object, read_json
+from .errors import InvalidInputError, OrthofieldError, check_object, quote, read_json
 from .harness import EXPERIMENTS, config_from_dict, run_experiment
 from .lattice import _BLOCK_BYTES
 
@@ -101,8 +101,8 @@ def main(argv=None) -> int:
                 data = read_json("config %r" % args.config, fh.read())
         check_object("config", data)
         if data.setdefault("experiment", args.experiment) != args.experiment:
-            raise InvalidInputError("config is for experiment %r, not %r"
-                                    % (data["experiment"], args.experiment))
+            raise InvalidInputError("config is for experiment %s, not %r"
+                                    % (quote(data["experiment"]), args.experiment))
         for key in ("seed", "threads"):  # the command line's overrides
             if getattr(args, key) is not None:
                 data[key] = getattr(args, key)

@@ -55,12 +55,22 @@ def read_json(what: str, text):
         raise InvalidInputError("%s is not JSON: %s" % (what, exc)) from exc
 
 
+def quote(value) -> str:
+    """value in brief for an error message: reprlib's bounded repr, or
+    an integer's size when it is past repr's digit limit."""
+    try:
+        return reprlib.repr(value)
+    except ValueError:  # int to str's digit limit, maybe inside a container
+        return ("an integer of %d bits" % value.bit_length() if isinstance(value, int)
+                else "a value too long to quote")
+
+
 def check_object(what: str, data, required=(), optional=None) -> dict:
     """data itself once it is a JSON object that holds every required
     key and, unless optional is None, no key outside required and
     optional."""
     if not isinstance(data, dict):
-        raise InvalidInputError("%s must be a JSON object, not %s" % (what, reprlib.repr(data)))
+        raise InvalidInputError("%s must be a JSON object, not %s" % (what, quote(data)))
     missing = [key for key in required if key not in data]
     if missing:
         raise InvalidInputError("%s needs %s" % (what, ", ".join(map(repr, missing))))
@@ -76,7 +86,7 @@ def check_kind(what: str, data, kinds: dict, optional=False) -> str:
     lists: all of them, or any of them when optional is set."""
     kind = check_object(what, data).get("kind")
     if not isinstance(kind, str) or kind not in kinds:
-        raise InvalidInputError("unknown %s kind %s" % (what, reprlib.repr(kind)))
+        raise InvalidInputError("unknown %s kind %s" % (what, quote(kind)))
     keys = ("kind",) + tuple(kinds[kind])
     check_object("%s %r" % (what, kind), data, keys[:1] if optional else keys, keys)
     return kind
@@ -94,14 +104,14 @@ def build_kind(what: str, data, kinds: dict, default=None):
 
 
 def check_number(what: str, value, lo=-math.inf, hi=math.inf, integer=False, above=False):
-    """value itself once it is a finite JSON number (an integer if asked)
+    """value (an int if integer is set) once it is a finite JSON number
     with lo <= value <= hi, or lo < value <= hi when above is set."""
     kind = numbers.Integral if integer else numbers.Real
     if (isinstance(value, bool) or not isinstance(value, kind)
             or not abs(value) <= sys.float_info.max):  # nan, inf and huge integers
         raise InvalidInputError("%s must be %s, not %s" % (
-            what, "an integer" if integer else "a finite number", reprlib.repr(value)))
+            what, "an integer" if integer else "a finite number", quote(value)))
     if not (lo < value if above else lo <= value) or value > hi:
         raise InvalidRangeError("%s must be in %s%s, %s], not %r"
                                 % (what, "(" if above else "[", lo, hi, value))
-    return value
+    return int(value) if integer else value

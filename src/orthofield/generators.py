@@ -214,8 +214,8 @@ def _make_spec(variant: str, d: int, **params) -> GeneratorSpec:
             read["gamma"] = float(check_number(
                 "weibull_symmetric gamma", params.pop("gamma", None), lo=0, above=True))
     if variant == "moving_average":
-        read["axis"] = int(check_number(
-            "moving_average axis", params.pop("axis", 1), lo=1, hi=d, integer=True))
+        read["axis"] = check_number(
+            "moving_average axis", params.pop("axis", 1), lo=1, hi=d, integer=True)
     check_object("generator %r params" % variant, params, optional=())
     return GeneratorSpec(variant, int(d), tuple(sorted(read.items())))
 
@@ -404,12 +404,13 @@ def _factor_streams(spec: GeneratorSpec, words, reps: np.ndarray) -> list:
 
 def _check_block(spec: GeneratorSpec, shape, seed: int, start: int, count: int,
                  offset=None) -> tuple:
-    """The validated shape of a block of count >= 1 replicas from start >=
-    0 of seed 0 <= seed < 2^64 (others alias in the hash), with start +
-    count <= 2^63 for the int64 replica axis, an offset (if any) of one
-    integer per axis, and on which no sum of site values passes the
-    float range: a site's value is at most the bracket table's largest
-    magnitude v, 2 v for a moving average and v^d for a product field."""
+    """The validated shape, and seed, start and count as ints, of a
+    block of count >= 1 replicas from start >= 0 of seed 0 <= seed <
+    2^64 (others alias in the hash), with start + count <= 2^63 for the
+    int64 replica axis, an offset (if any) of one integer per axis, and
+    on which no sum of site values passes the float range: a site's
+    value is at most the bracket table's largest magnitude v, 2 v for a
+    moving average and v^d for a product field."""
     shape = validate_shape(shape)
     if len(shape) != spec.d:
         raise InvalidInputError("spec has d=%d but shape is %r" % (spec.d, shape))
@@ -420,9 +421,9 @@ def _check_block(spec: GeneratorSpec, shape, seed: int, start: int, count: int,
     if not top < math.inf:
         raise InvalidRangeError("%s: its site values can sum past the float range on lattice %r"
                                 % (spec_to_json(spec), list(shape)))
-    check_number("master seed", seed, lo=0, hi=2**64 - 1, integer=True)
-    check_number("replica start", start, lo=0, hi=2**63 - 1, integer=True)
-    check_number("replica count", count, lo=1, hi=2**63 - start, integer=True)
+    seed = check_number("master seed", seed, lo=0, hi=2**64 - 1, integer=True)
+    start = check_number("replica start", start, lo=0, hi=2**63 - 1, integer=True)
+    count = check_number("replica count", count, lo=1, hi=2**63 - start, integer=True)
     if offset is not None:
         if len(offset) != len(shape):
             raise InvalidInputError("offset %r does not match shape %r" % (offset, shape))
@@ -430,7 +431,7 @@ def _check_block(spec: GeneratorSpec, shape, seed: int, start: int, count: int,
             check_number("offset entry", k, lo=-2**63, hi=2**63 - 1 - n, integer=True)
     if spec.variant not in _VARIANTS:
         raise InvalidInputError("unknown generator variant %r" % (spec.variant,))
-    return shape
+    return shape, seed, start, count
 
 
 def generate_batch(
@@ -444,7 +445,8 @@ def generate_batch(
     """Fields for replicas [replica_start, replica_start + count) as an
     array of shape (count, n_1, ..., n_d).  With an offset k (one integer
     per axis) the window is [1 + k, n + k] of the same infinite field."""
-    shape = _check_block(spec, shape, master_seed, replica_start, count, offset)
+    shape, master_seed, replica_start, count = _check_block(
+        spec, shape, master_seed, replica_start, count, offset)
     reps = np.arange(replica_start, replica_start + count, dtype=np.int64)
     coords = _axis_coords(shape, offset)
 
@@ -498,7 +500,7 @@ def replica_stats(spec: GeneratorSpec, shape, seed: int, start: int, count: int,
                               or math.isnan(floor) or stats not in (("max",), ("total",))):
         raise InvalidInputError("a floor is a number with a lone 'max' or 'total', not %r with %r"
                                 % (floor, stats))
-    shape = _check_block(spec, shape, seed, start, count)
+    shape, seed, start, count = _check_block(spec, shape, seed, start, count)
     coords = _axis_coords(shape, None)
     if spec.variant in _PRODUCTS:
         words = _factor_words(spec, seed, coords)

@@ -132,7 +132,7 @@ def modulus(c: float, d: int, L: SlowlyVarying) -> Modulus:
     dyadic grid h = 2^-j, j = 0..MODULUS_LEVELS."""
     # c > 1 so that ln(c/h) > 0 on (0, 1]
     rho = Modulus(float(check_number("modulus c", c, lo=1, above=True)),
-                  int(check_number("modulus dimension d", d, lo=1, integer=True)), L)
+                  check_number("modulus dimension d", d, lo=1, integer=True), L)
     values = [modulus_eval(rho, 2.0**-j) for j in range(MODULUS_LEVELS + 1)]
     for a, b in zip(values[1:], values[:-1]):
         if not a < b < np.inf:

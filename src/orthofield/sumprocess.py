@@ -54,7 +54,7 @@ def eval_W_grid(padded: np.ndarray, J: int) -> np.ndarray:
     place; padded is left as it was.  J is an integer in 0.._MAX_J,
     checked before the grid's (2^J + 1)^d nodes are counted, and one
     replica's grid must fit the block budget (lattice._block_size)."""
-    J = int(check_number("level J", J, lo=0, hi=_MAX_J, integer=True))
+    J = check_number("level J", J, lo=0, hi=_MAX_J, integer=True)
     dims = padded.shape[1:]
     _block_size(((1 << J) + 1) ** len(dims), "level grid")
     nodes = np.arange((1 << J) + 1)

@@ -55,6 +55,7 @@ RAW_INPUTS = {
     # the message quotes a value in brief, not whole
     "long-top-level-list": (json.dumps([0] * 10**5).encode(), []),
     "long-list-for-a-number": (json.dumps({"d": [0] * 10**5}).encode(), []),
+    "long-experiment": (json.dumps({"experiment": [0] * 10**5}).encode(), []),
     "threads-not-an-integer": (json.dumps({"d": 2}).encode(), ["--threads", "x"]),
 }
 

@@ -496,12 +496,14 @@ def test_generate_shape_mismatch():
 # replica numbers that were taken unchecked: a count of 2.5 made 3
 # replicas and True made 1, seed -1 aliased seed 2^64 - 1, an offset of
 # 1.5 was truncated to 1, and replica_stats ended in a TypeError or an
-# OverflowError; each is now one error naming the number
+# OverflowError; each is now one error naming the number, and one too
+# long to print is named by its size
 BAD_REPLICA_NUMBERS = [
     (generate_batch, {"count": 2.5}, InvalidInputError, "replica count"),
     (generate_batch, {"count": True}, InvalidInputError, "replica count"),
     (generate_batch, {"seed": -1}, InvalidRangeError, "master seed"),
     (generate_batch, {"seed": 2**64}, InvalidRangeError, "master seed"),
+    (generate_batch, {"seed": 10**5000}, InvalidInputError, "master seed .* 16610 bits"),
     (generate_batch, {"offset": (1.5,)}, InvalidInputError, "offset entry"),
     (generate_batch, {"offset": (2**63,)}, InvalidRangeError, "offset entry"),
     (generators.replica_stats, {"count": 2.5}, InvalidInputError, "replica count"),
@@ -513,7 +515,7 @@ BAD_REPLICA_NUMBERS = [
 
 @pytest.mark.parametrize("run,change,error,name", BAD_REPLICA_NUMBERS,
                          ids=["batch-count-2.5", "batch-count-true", "batch-seed-negative",
-                              "batch-seed-2^64", "batch-offset-1.5", "batch-offset-2^63",
+                              "batch-seed-2^64", "batch-seed-5001-digits", "batch-offset-1.5", "batch-offset-2^63",
                               "stats-count-2.5", "stats-seed-2^70", "stats-start-2^70",
                               "stats-past-int64"])
 def test_replica_numbers_are_checked(run, change, error, name):
@@ -521,3 +523,14 @@ def test_replica_numbers_are_checked(run, change, error, name):
     extra = {"offset": args.get("offset")} if run is generate_batch else {"stats": ("max",)}
     with pytest.raises(error, match=name):
         run(iid_rademacher(1), (4,), args["seed"], args["start"], args["count"], **extra)
+
+
+@pytest.mark.parametrize("start", [0, 2**63 - 2], ids=["start-0", "start-2^63-2"])
+def test_numpy_replica_numbers_act_as_python_ints(start):
+    # a numpy seed, start and count give the replicas their values name,
+    # also where start + count reaches 2^63, past np.int64
+    spec, numpy_args = iid_rademacher(1), (np.uint64(7), np.int64(start), np.int64(2))
+    fields = generate_batch(spec, (4,), 7, start, 2)
+    assert np.array_equal(generate_batch(spec, (4,), *numpy_args), fields)
+    peaks = np.abs(batch_prefix(fields)).max(axis=1)
+    assert np.array_equal(generators.replica_stats(spec, (4,), *numpy_args, ("max",))[0], peaks)

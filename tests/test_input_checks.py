@@ -129,6 +129,16 @@ def test_modulus_from_dict_builds_what_its_constructor_does(data, d, want):
     assert modulus_from_dict(data, d) == want
 
 
+# repr of an integer past int to str's digit limit raises ValueError, so
+# such a value, alone or inside a container, is quoted by its size
+@pytest.mark.parametrize("data, quoted", [({"kind": 10**5000}, "an integer of 16610 bits"),
+                                          ([10**5000], "a value too long to quote")],
+                         ids=["kind", "list"])
+def test_a_value_too_long_to_print_is_quoted_by_its_size(data, quoted):
+    with pytest.raises(InvalidInputError, match=quoted):
+        tail_from_dict(data)
+
+
 def test_eval_W_grid_rejects_bad_levels():
     for J in (-1, 2.5):
         with pytest.raises(OrthofieldError):
