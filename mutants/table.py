@@ -42,4 +42,20 @@ MUTANTS = [
      "kills": ["tests/test_cli.py::test_raw_config_bytes_are_one_line_exit_1[deep-nesting]",
                "tests/test_generators.py::"
                "test_spec_from_json_refuses_texts_past_the_decoders_limits[deep-array]"]},
+    # the block driver handing its drain to w helpers besides the caller,
+    # so w + 1 blocks run at once and the pool outgrows _MAX_THREADS - 1;
+    # killed by a behavioural test
+    {"name": "block-driver-one-helper-too-many",
+     "file": "src/orthofield/lattice.py",
+     "old": "    helpers = _hand_to_helpers(drain, workers - 1)\n",
+     "new": "    helpers = _hand_to_helpers(drain, workers)\n",
+     "kills": ["tests/test_lattice.py::test_map_blocks_bounds_the_blocks_running_at_once"]},
+    # the hash mixing the first slice of a large result only, leaving the
+    # rest half mixed; killed by the payload pins and the reference test
+    {"name": "mix-first-slice-only",
+     "file": "src/orthofield/_rng.py",
+     "old": "        parts = (x[i:i + rows] for i in range(0, len(x), rows)) if rows else x\n",
+     "new": "        parts = (x[i:i + rows] for i in range(0, rows, rows)) if rows else x\n",
+     "kills": ["tests/test_harness.py::test_payload_and_verdict_are_pinned",
+               "tests/test_rng.py::test_mix_equals_the_one_scratch_reference"]},
 ]

@@ -18,7 +18,9 @@ x ^= x >> 30 distributes over the xor: with a = h + gamma,
 x ^ (x >> 30) = (a ^ (a >> 30)) ^ (word ^ (word >> 30)).  So the two
 sides are premixed apart, on their own shapes, and only the xor that
 broadcasts them and the steps after it (_mix) run over the whole
-result, in place with one scratch array.
+result, in place, with a scratch array of at most a quarter of a
+replica block (lattice._BLOCK_CELLS // 4 words) that _mix reuses over
+slices of the result along its leading axis.
 
 This module owns the hash of a replica block and its three contracts.
 Premix: fold premixes its two sides itself, while row_words (the
@@ -42,6 +44,8 @@ import operator
 
 import numpy as np
 
+from .lattice import _BLOCK_CELLS
+
 _MASK = (1 << 64) - 1
 _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
@@ -50,6 +54,7 @@ _TOP = np.uint64(1 << 63)
 _ONE = np.uint64(0x3FF0000000000000)  # the bits of 1.0
 _INV53 = float(2.0**-53)
 _BELOW_ONE = 1.0 - _INV53  # the largest double below 1.0
+_MIX_WORDS = _BLOCK_CELLS // 4  # words of _mix's scratch at most
 
 
 def _as_words(x) -> np.ndarray:
@@ -90,8 +95,18 @@ def _premix_word(word):
 
 
 def _mix(x: np.ndarray, top: bool) -> np.ndarray:
-    """The finalizer's steps after the xor, in place on x with one
-    scratch array; top=True leaves out the last one (top-bit words)."""
+    """The finalizer's steps after the xor, in place on x with a scratch
+    array of at most _MIX_WORDS words; top=True leaves out the last one
+    (top-bit words).  A larger x is mixed over views sliced along its
+    leading axis (or, where one of its rows is larger, row by row), so a
+    view that a caller hands over, contiguous or not, is written in place
+    like any other array."""
+    if x.size > _MIX_WORDS:
+        rows = _MIX_WORDS // (x.size // len(x))  # 0 when one row is larger
+        parts = (x[i:i + rows] for i in range(0, len(x), rows)) if rows else x
+        for part in parts:
+            _mix(part, top)
+        return x
     t = np.empty_like(x)
     x *= np.uint64(_M1)
     np.right_shift(x, 27, out=t)

@@ -151,7 +151,14 @@ from scipy.special import gammaincc
 from scipy.special import ndtri
 
 from . import _rng, lattice
-from .errors import InvalidInputError, InvalidRangeError, check_number, check_object, read_json
+from .errors import (
+    InvalidInputError,
+    InvalidRangeError,
+    check_number,
+    check_object,
+    quote,
+    read_json,
+)
 from .lattice import (
     _block_size,
     _map_blocks,
@@ -200,13 +207,14 @@ class GeneratorSpec:
 def _make_spec(variant: str, d: int, **params) -> GeneratorSpec:
     """The spec of one variant; a param the variant does not read is an error."""
     if variant not in _VARIANTS:
-        raise InvalidInputError("unknown generator variant %r" % (variant,))
+        raise InvalidInputError("unknown generator variant %s" % quote(variant))
     check_number("field dimension d", d, lo=1, integer=True)
     read = {}
     if variant in ("iid_symmetric", "decoupled_product", "moving_average"):
         read["dist"] = dist = params.pop("dist", None)
         if dist not in _DISTS:
-            raise InvalidInputError("variant %r needs dist in %r, got %r" % (variant, _DISTS, dist))
+            raise InvalidInputError("variant %r needs dist in %r, got %s"
+                                    % (variant, _DISTS, quote(dist)))
         if dist == "gaussian":
             read["sigma"] = float(check_number(
                 "gaussian sigma", params.pop("sigma", 1.0), lo=0, above=True))

@@ -47,7 +47,7 @@ from scipy.special import ndtri
 
 from . import bounds, holder
 from ._rng import fold, stream_key, uniform01
-from .errors import InvalidInputError, InvalidRangeError, check_number, check_object
+from .errors import InvalidInputError, InvalidRangeError, check_number, check_object, quote
 from .generators import (
     GeneratorSpec,
     generate_batch,
@@ -314,8 +314,8 @@ def _tightness(config: ExperimentConfig) -> dict:
     # cells, is the largest one built; the sum is compared first, so the
     # cell count is never a huge integer
     if sum(m) >= 2048:
-        raise InvalidRangeError("exponents %r sum to %d; the normalizer 2^(sum / 2) needs "
-                                "a sum below 2048" % (m, sum(m)))
+        raise InvalidRangeError("exponents %s sum to %d; the normalizer 2^(sum / 2) needs "
+                                "a sum below 2048" % (quote(m), sum(m)))
     _block_size(2 ** (sum(m) - j_from), "lattice")
     sqrt_full = math.prod(2.0 ** (mu / 2.0) for mu in m)
     rows = []
@@ -411,8 +411,8 @@ def _budgeted(check, what):
 def _list_of(item, n=None):
     def check(name, value):
         if not isinstance(value, (list, tuple)) or not value or n not in (None, len(value)):
-            raise InvalidInputError("%s must be a list of %s, not %r"
-                                    % (name, n or "1 or more", value))
+            raise InvalidInputError("%s must be a list of %s, not %s"
+                                    % (name, n or "1 or more", quote(value)))
         return tuple(item(name, v) for v in value)
     return check
 
@@ -507,8 +507,9 @@ def _validate(config):
         lattices += [("shapes entry", shape) for shape in config.shapes or ()]
         for name, lattice in lattices:
             if lattice is not None and len(lattice) != config.generator.d:
-                raise InvalidInputError("%s %r: %d axes, but the generator has d=%d"
-                                        % (name, list(lattice), len(lattice), config.generator.d))
+                raise InvalidInputError("%s %s: %d axes, but the generator has d=%d"
+                                        % (name, quote(list(lattice)), len(lattice),
+                                           config.generator.d))
 
 
 def _to_dict(config) -> dict:

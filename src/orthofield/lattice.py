@@ -23,11 +23,14 @@ corners added in mask order as into a zeroed total), so callers that
 pass the same weights get the same bits.
 
 Every Monte Carlo replica loop runs through _map_blocks, with results
-in block order whatever the threads.  Blocks are sized by cells:
+in block order whatever the threads.  It runs the blocks on the calling
+thread and on helpers of one process-wide pool, started as calls need
+them (at most _MAX_THREADS - 1) and kept, idle, until the process exits;
+a forked child starts its own.  Blocks are sized by cells:
 _block_size turns a caller's cells per replica into replicas per block,
 max(1, _BLOCK_CELLS // cells), so a block's largest float64 array
-holds about _BLOCK_CELLS cells (1 MiB; with the fold's scratch array
-it fits one core's 2 MiB L2 cache) whatever the lattice, and a lattice
+holds about _BLOCK_CELLS cells (1 MiB, and the hash's scratch at most a
+quarter of that: _rng._mix) whatever the lattice, and a lattice
 larger than that runs one replica per block.  A loop whose blocks share
 work across the replicas may group them into spans of whole blocks
 (_span_size): generators.replica_stats hashes the words of every axis
@@ -51,7 +54,10 @@ import itertools
 import math
 import numbers
 import operator
-from concurrent.futures import ThreadPoolExecutor
+import os
+import queue
+import threading
+from concurrent.futures import Future
 
 import numpy as np
 
@@ -59,7 +65,7 @@ from .errors import InvalidInputError, TooLargeError
 
 _BLOCK_CELLS = 1 << 17  # float64 cells of the largest array of one block, one replica at least
 _BLOCK_BYTES = 16 << 20  # bytes of the largest float64 array of one replica
-_MAX_THREADS = 32  # worker threads one driver call starts at most
+_MAX_THREADS = 32  # threads one driver call runs blocks on at most, its caller's among them
 _MIN_SPANS = 8  # spans a loop of that many blocks or more is cut into at least
 
 
@@ -143,6 +149,45 @@ def padded_prefix(prefix: np.ndarray, lead: int = 0) -> np.ndarray:
     return out
 
 
+def _helper(tasks) -> None:
+    """A helper thread of _map_blocks: runs every drain handed to it
+    whose future was not cancelled, until the process exits."""
+    while True:
+        future, drain = tasks.get()
+        if future.set_running_or_notify_cancel():
+            drain()
+            future.set_result(None)
+        del future, drain  # an idle helper holds nothing of the last call
+
+
+def _forget_helpers() -> None:
+    """The helpers of _map_blocks, none at first, and again in a forked
+    child, which has none of its parent's threads."""
+    global _tasks, _helpers, _helpers_lock
+    _tasks, _helpers, _helpers_lock = queue.SimpleQueue(), [], threading.Lock()
+
+
+_forget_helpers()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helpers)
+
+
+def _hand_to_helpers(drain, count: int) -> list:
+    """count futures of drain, queued for the helpers, once at least
+    count helpers exist (at most _MAX_THREADS - 1 are ever started)."""
+    with _helpers_lock:
+        while len(_helpers) < count:
+            helper = threading.Thread(target=_helper, args=(_tasks,), daemon=True,
+                                      name="orthofield-block-%d" % (len(_helpers) + 1))
+            helper.start()
+            _helpers.append(helper)
+        tasks = _tasks
+    futures = [Future() for _ in range(count)]
+    for future in futures:
+        tasks.put((future, drain))
+    return futures
+
+
 def _map_blocks(fn, blocks: range, threads: int) -> list:
     """Run fn(start, count) over the blocks whose starts `blocks` lists,
     range(first, stop, _block_size(cells, what)) for replicas
@@ -151,20 +196,51 @@ def _map_blocks(fn, blocks: range, threads: int) -> list:
     (every partial-sum statistic: a block per task for product fields, a
     span for the others) and the harness's sheet-cov and holder-norm
     blocks.  Results come back in block order regardless of
-    thread scheduling.  At most _MAX_THREADS threads run, and never more
-    than there are blocks.  The plan travels in the three positional
+    thread scheduling.  The plan travels in the three positional
     arguments because the tracer of perfbench/spans.py wraps _map_blocks
     as (fn, total, threads) and forwards exactly those three.  threads
-    must be an integer of at least 1, whoever calls."""
+    must be an integer of at least 1, whoever calls.
+
+    w = min(threads, blocks, _MAX_THREADS) workers drain the blocks: the
+    calling thread and w - 1 helpers of one process-wide pool.  Each
+    drain claims the next block from a shared counter and stores its
+    result by index.  The pool starts a helper only when a call needs
+    more than it has, so it never holds more than _MAX_THREADS - 1, and
+    its idle helpers wait until the process exits; a forked child
+    starts its own.  A block that raises stops further claims, and the
+    call raises its exception once the helpers that started have
+    finished.  A helper's drain that has not started when the caller
+    runs out of blocks is cancelled, so a busy pool (a nested or a
+    concurrent call) slows a call down but cannot hang it."""
     if isinstance(threads, bool) or not isinstance(threads, numbers.Integral) or threads < 1:
         raise InvalidInputError("threads must be an integer >= 1, not %r" % (threads,))
     plan = [(start, min(blocks.step, blocks.stop - start)) for start in blocks]
     workers = min(threads, len(plan), _MAX_THREADS)
     if workers <= 1:
         return [fn(start, count) for start, count in plan]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, start, count) for start, count in plan]
-        return [f.result() for f in futures]
+    results = [None] * len(plan)
+    failed = []
+    claims, lock = iter(range(len(plan))), threading.Lock()
+
+    def drain():
+        while not failed:
+            with lock:
+                i = next(claims, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(*plan[i])
+            except BaseException as exc:  # raised by the caller, below
+                failed.append(exc)
+
+    helpers = _hand_to_helpers(drain, workers - 1)
+    drain()
+    for future in helpers:
+        if not future.cancel():
+            future.result()
+    if failed:
+        raise failed[0]
+    return results
 
 
 def _corner_sum(padded: np.ndarray, corners) -> np.ndarray:

@@ -56,19 +56,31 @@ RAW_INPUTS = {
     "long-top-level-list": (json.dumps([0] * 10**5).encode(), []),
     "long-list-for-a-number": (json.dumps({"d": [0] * 10**5}).encode(), []),
     "long-experiment": (json.dumps({"experiment": [0] * 10**5}).encode(), []),
+    "long-x-grid": (dict(DEVIATION, x_grid="a" * 10**5), []),
+    "long-variant": (dict(DEVIATION, generator={"variant": "a" * 10**5, "d": 2}), []),
+    "long-dist": (dict(DEVIATION, generator={"variant": "iid_symmetric", "d": 2,
+                                             "params": {"dist": "a" * 10**5}}), []),
+    "long-exponents": ({"experiment": "tightness", "generator": DEVIATION["generator"],
+                        "exponents": [1024, 1024] + [0] * 10**5, "eps": 1.0, "axis_q": 1,
+                        "j_from": 1, "replicas": 8, "modulus": {"c": 100.0}}, []),
     "threads-not-an-integer": (json.dumps({"d": 2}).encode(), ["--threads", "x"]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(RAW_INPUTS))
 def test_raw_config_bytes_are_one_line_exit_1(tmp_path, capsys, name):
+    # a row holds bytes for the constants experiment, or the config of
+    # the experiment it names
     text, extra = RAW_INPUTS[name]
+    experiment = "constants"
+    if isinstance(text, dict):
+        experiment, text = text["experiment"], json.dumps(text).encode()
     path = tmp_path / "config.json"
     if text is None:
         path = tmp_path
     else:
         path.write_bytes(text)
-    assert main(["constants", "--config", str(path)] + extra) == 1
+    assert main([experiment, "--config", str(path)] + extra) == 1
     out, err = capsys.readouterr()
     assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: "), err
     assert len(err) < 300, err

@@ -1,5 +1,7 @@
+import multiprocessing
+import sys
 import threading
-from concurrent.futures import Future
+import time
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from orthofield import (
     validate_shape,
     volume,
 )
+from orthofield.generators import replica_stats
 from orthofield.lattice import batch_prefix
 from single_field import dominated, rect_sum, validate_index
 
@@ -191,33 +194,107 @@ def test_map_blocks_returns_block_order_under_threads():
     assert lattice._map_blocks(work, range(0, 10, 3), 4) == plan
     assert finished == [9, 6, 3, 0]
 
+    # two workers over eight blocks whose durations fall with the index
+    def slower_first(start, count):
+        time.sleep(0.002 * (8 - start))
+        return start, count
 
-def test_map_blocks_caps_worker_threads(monkeypatch):
-    # a synchronous stand-in for the pool records the worker count it is
-    # asked for and starts no thread
-    requested = []
+    assert lattice._map_blocks(slower_first, range(0, 8), 2) == [(start, 1) for start in range(8)]
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            requested.append(max_workers)
 
-        def __enter__(self):
-            return self
+def _helper_threads() -> set:
+    return {t.ident for t in threading.enumerate() if t.name.startswith("orthofield-block-")}
 
-        def __exit__(self, *exc):
-            return False
 
-        def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            return future
+def test_map_blocks_bounds_the_blocks_running_at_once():
+    # at most min(threads, blocks, _MAX_THREADS) blocks run at once, each
+    # exactly once even under a short switch interval, the pool never
+    # holds more than _MAX_THREADS - 1 helpers, and a call that needs no
+    # more helpers than the pool has starts none
+    lock = threading.Lock()
+    running, peak, ran = [0], [0], []
 
-    monkeypatch.setattr(lattice, "ThreadPoolExecutor", RecordingPool)
-    counts = lattice._map_blocks(lambda start, count: count, range(0, 100000, 64), 100000)
-    assert len(counts) == 1563 and sum(counts) == 100000
-    assert requested == [lattice._MAX_THREADS] and lattice._MAX_THREADS < 1563
-    assert len(lattice._map_blocks(lambda start, count: count, range(0, 192, 64), 100000)) == 3
-    assert requested[-1] == 3
+    def work(start, count):
+        with lock:
+            running[0] += 1
+            peak[0] = max(peak[0], running[0])
+            ran.append(start)
+        time.sleep(0.005)
+        with lock:
+            running[0] -= 1
+        return start
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads, blocks in [(3, 2), (2, 12), (3, 12), (3, 12), (3, 12), (100, 96),
+                                (100, 1563), (100, 96)]:
+            peak[0] = 0
+            ran.clear()
+            before = _helper_threads()
+            starts = range(0, 4 * blocks, 4)
+            assert lattice._map_blocks(work, starts, threads) == list(starts)
+            assert sorted(ran) == list(starts)
+            assert peak[0] <= min(threads, blocks, lattice._MAX_THREADS), (threads, blocks, peak)
+            assert len(_helper_threads()) <= lattice._MAX_THREADS - 1
+            if len(before) >= min(threads, blocks) - 1:
+                assert _helper_threads() == before, (threads, blocks)
+    finally:
+        sys.setswitchinterval(interval)
+    assert peak[0] > 1 and lattice._MAX_THREADS < 1563
+
+
+def test_map_blocks_raises_a_helpers_exception_in_the_caller():
+    # the caller's first block waits until a helper's block has raised;
+    # the call then stops claiming blocks and raises the same exception
+    class Boom(Exception):
+        pass
+
+    raised = threading.Event()
+    ran = []
+
+    def work(start, count):
+        ran.append(start)
+        if threading.current_thread() is threading.main_thread():
+            assert raised.wait(timeout=10)
+            return start
+        raised.set()
+        raise Boom(start)
+
+    with pytest.raises(Boom):
+        lattice._map_blocks(work, range(0, 100), 2)
+    assert raised.is_set() and len(ran) < 100
+
+
+def _stats_at(threads):
+    return replica_stats(iid_gaussian(2), (16, 16), 5, 0, 600, ("max", "total"), threads)
+
+
+def _send_stats_at_two_threads(conn):
+    conn.send(_stats_at(2))
+    conn.close()
+
+
+def test_map_blocks_runs_in_a_forked_child():
+    # the parent's helpers are not in a forked child, which starts its
+    # own: a 2-thread call there finishes and gives the 1-thread result
+    _stats_at(2)
+    assert _helper_threads()
+    context = multiprocessing.get_context("fork")
+    read, write = context.Pipe(duplex=False)
+    child = context.Process(target=_send_stats_at_two_threads, args=(write,))
+    child.start()
+    write.close()
+    try:
+        assert read.poll(60), "the forked child's 2-thread call did not finish"
+        got = read.recv()
+        child.join(10)
+        assert not child.is_alive() and child.exitcode == 0
+    finally:
+        if child.is_alive():
+            child.kill()
+    want = _stats_at(1)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want)) and len(got) == len(want)
 
 
 def test_volume_and_dominated():

@@ -74,6 +74,38 @@ def test_last_fold_runs_in_place_exactly_when_rows_have_the_result_shape(
         assert np.array_equal(rows, before)
 
 
+def _mix_one_scratch(x: np.ndarray, top: bool) -> np.ndarray:
+    """_mix's steps over the whole of x with one scratch array of its
+    size, the reference for the sliced scratch."""
+    t = np.empty_like(x)
+    x *= np.uint64(_rng._M1)
+    np.right_shift(x, 27, out=t)
+    x ^= t
+    x *= np.uint64(_rng._M2)
+    if not top:
+        np.right_shift(x, 31, out=t)
+        x ^= t
+    return x
+
+
+@pytest.mark.parametrize("shape", [(), (1, 2 * _rng._MIX_WORDS + 3), (3, 2, _rng._MIX_WORDS - 1),
+                                   (7, _rng._MIX_WORDS // 3), (3 * _rng._MIX_WORDS + 1,)],
+                         ids=["0-d", "one-replica-past-the-scratch", "rows-past-the-scratch",
+                              "slices-not-dividing-the-replicas", "one-axis"])
+@pytest.mark.parametrize("top", [False, True])
+def test_mix_equals_the_one_scratch_reference(shape, top):
+    words = np.random.default_rng(11).integers(0, 2**64 - 1, size=shape, dtype=np.uint64,
+                                               endpoint=True)
+    x = words.copy()
+    assert _rng._mix(x, top) is x
+    assert np.array_equal(x, _mix_one_scratch(words.copy(), top))
+    if words.ndim > 1:  # a non-contiguous view is mixed in place too
+        view = words[:, ::-1][..., 1:]
+        want = _mix_one_scratch(view.copy(), top)
+        assert np.array_equal(_rng._mix(view, top), want)
+        assert np.array_equal(words[:, ::-1][..., 1:], want)
+
+
 @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
 def test_stream_key_equals_the_reference(seed):
     for labels in [(), (3,), ("sheet-pairs", 7, "exponent-fit"), (101, 201, 2**64 - 1)]:
