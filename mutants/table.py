@@ -58,4 +58,82 @@ MUTANTS = [
      "new": "        parts = (x[i:i + rows] for i in range(0, rows, rows)) if rows else x\n",
      "kills": ["tests/test_harness.py::test_payload_and_verdict_are_pinned",
                "tests/test_rng.py::test_mix_equals_the_one_scratch_reference"]},
+    # one Halley step instead of three leaves the level-set roots short of
+    # rounding; killed by every pinned-root case
+    {"name": "halley-one-step",
+     "file": "src/orthofield/bounds.py",
+     "old": "_HALLEY_STEPS = 3\n",
+     "new": "_HALLEY_STEPS = 1\n",
+     "kills": ["tests/test_bounds.py::test_level_v_matches_pinned_roots"]},
+    # bracket half-widths of 0 let the screen bound fall below the values
+    # of a bucket; killed by the table test (and by the floor and payload
+    # pins)
+    {"name": "brackets-without-half-widths",
+     "file": "src/orthofield/generators.py",
+     "old": "        table.imag = half\n",
+     "new": "        table.imag = 0.0\n",
+     "kills": ["tests/test_screen.py::test_bracket_table_holds_the_words_around_each_switch"]},
+    # the bracket bound without its rounding term; killed by the
+    # hand-built rounding case
+    {"name": "bracket-bound-without-eps",
+     "file": "src/orthofield/generators.py",
+     "old": "    peaks += eps\n",
+     "new": "",
+     "kills": ["tests/test_screen.py::"
+               "test_bracket_bound_covers_the_rounding_of_both_prefix_sums"]},
+    # a verdict that passes when any row is ok; killed by the lemma-checks
+    # pins
+    {"name": "verdict-any-row",
+     "file": "src/orthofield/harness.py",
+     "old": '"PASS" if all(decided)',
+     "new": '"PASS" if any(decided)',
+     "kills": ["tests/test_harness.py::test_payload_and_verdict_are_pinned",
+               "tests/test_harness.py::test_lemma_checks_pass_and_fail"]},
 ]
+
+# each check a spec type runs when it is built, taken out, as (name,
+# module, old, new); killed by the hand-built spec cases
+_SPEC_CHECKS = [
+    ("generator-spec-without-variant-check", "generators",
+     "        if self.variant not in _VARIANTS:\n", "        if False:\n"),
+    ("generator-spec-without-d-check", "generators",
+     'check_number("field dimension d", self.d, lo=1, integer=True)', "self.d"),
+    ("generator-spec-without-pairs-check", "generators",
+     "        except (TypeError, ValueError):\n", "        except ():\n"),
+    ("generator-spec-without-dist-check", "generators",
+     "            if dist not in _DISTS:\n", "            if False:\n"),
+    ("generator-spec-without-sigma-check", "generators",
+     '"sigma", 1.0), lo=0,', '"sigma", 1.0), lo=-1,'),
+    ("generator-spec-without-gamma-check", "generators",
+     '"gamma", None), lo=0,', '"gamma", None), lo=-2,'),
+    ("generator-spec-without-axis-check", "generators",
+     '"axis", 1), lo=1, hi=d,', '"axis", 1), lo=1, hi=d + 1,'),
+    ("generator-spec-without-unread-param-check", "generators",
+     '        check_object("generator %r params" % variant, params, optional=())\n', ""),
+    ("tail-model-without-kind-check", "bounds",
+     " or self.kind not in _TAIL_VALUES:\n", ":\n"),
+    ("tail-model-without-k-check", "bounds",
+     '"bounded": ("K", {"lo": 0, "above": True})', '"bounded": ("K", {})'),
+    ("tail-model-without-gamma-check", "bounds",
+     '"weibull": ("gamma", {"lo": 0, "above": True})', '"weibull": ("gamma", {})'),
+    ("tail-model-without-integer-m-check", "bounds",
+     '_MAX_FACTORS, "integer": True}', "_MAX_FACTORS}"),
+    ("slowly-varying-without-kind-check", "holder",
+     '        elif self.kind != "iter_log":\n', "        elif False:\n"),
+    ("slowly-varying-without-beta-check", "holder",
+     '"log_power beta", self.beta, lo=0)', '"log_power beta", self.beta, lo=-2)'),
+    ("slowly-varying-without-c0-check", "holder",
+     '"const factor c0", self.c0, lo=0,', '"const factor c0", self.c0, lo=-1,'),
+    ("modulus-without-c-check", "holder",
+     '"modulus c", self.c, lo=1,', '"modulus c", self.c, lo=0,'),
+    ("modulus-without-d-check", "holder",
+     '        d = check_number("modulus dimension d", self.d, lo=1, integer=True)\n',
+     "        d = self.d\n"),
+    ("modulus-without-l-check", "holder",
+     "        if not isinstance(self.L, SlowlyVarying):\n", "        if False:\n"),
+    ("modulus-without-increasing-check", "holder",
+     "all(a < b < np.inf for", "all(b < np.inf for"),
+]
+MUTANTS += [{"name": name, "file": "src/orthofield/%s.py" % module, "old": old, "new": new,
+             "kills": ["tests/test_input_checks.py::test_hand_built_specs_check_themselves"]}
+            for name, module, old, new in _SPEC_CHECKS]

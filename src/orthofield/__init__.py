@@ -45,7 +45,6 @@ from .generators import (
     spec_from_json,
     spec_to_json,
     spec_variance,
-    weibull_tail_sample,
     zero_field,
 )
 from .harness import (

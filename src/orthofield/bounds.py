@@ -55,7 +55,9 @@ Meijer-G form of the product's distribution (Springer and Thompson,
 "The distribution of products of Beta, Gamma and Gaussian random
 variables", SIAM J. Appl. Math. 1970).
 
-Everything here evaluates formulas; only exponent_fit fits data.
+A TailModel checks itself when it is built, so tail_eval and the tail
+integrals take every model as valid.  Everything here evaluates
+formulas; only exponent_fit fits data.
 verify_values is the one parser of the verify-bound experiment's bound
 object, and names the replica statistic and scale it is read on.  Logs
 are natural throughout.  unit_tail, whose moment integrals diverge, is
@@ -77,9 +79,9 @@ from .errors import (
     InvalidInputError,
     InvalidRangeError,
     NumericFailureError,
-    build_kind,
     check_kind,
     check_number,
+    quote,
 )
 from .lattice import _block_size, volume
 
@@ -114,30 +116,43 @@ def _converged(rule, n: int, what: str, where):
 # ------------------------------------------------------------ tail models
 
 
-@dataclass(frozen=True)
-class TailModel:
-    """Survival function model for |X|; tail_eval evaluates P{|X| > s}."""
-
-    kind: str
-    value: float = 0.0
-
-
-def bounded_by(k: float) -> TailModel:
-    return TailModel("bounded", value=float(check_number("tail K", k, lo=0, above=True)))
-
-
-def weibull_envelope(gamma: float) -> TailModel:
-    return TailModel("weibull", value=float(check_number("tail gamma", gamma, lo=0, above=True)))
-
-
 # with m <= 16 the grid of ln|X_1...X_(m-1)| in _gauss_prod_tail stays
 # above -675, so e^-Y is finite
 _MAX_FACTORS = 16
 
+# each kind's value: its JSON key, which names it in messages, and its limits
+_TAIL_VALUES = {"bounded": ("K", {"lo": 0, "above": True}),
+                "weibull": ("gamma", {"lo": 0, "above": True}),
+                "gaussian_product": ("m", {"lo": 1, "hi": _MAX_FACTORS, "integer": True}),
+                "unit": ()}
+
+
+@dataclass(frozen=True)
+class TailModel:
+    """Survival model for |X|, checked when built; tail_eval evaluates P{|X| > s}."""
+
+    kind: str
+    value: float = 0.0
+
+    def __post_init__(self):
+        if not isinstance(self.kind, str) or self.kind not in _TAIL_VALUES:
+            raise InvalidInputError("unknown tail model kind %s" % quote(self.kind))
+        if _TAIL_VALUES[self.kind]:
+            key, limits = _TAIL_VALUES[self.kind]
+            value = check_number("tail " + key, self.value, **limits)
+            object.__setattr__(self, "value", value if limits.get("integer") else float(value))
+
+
+def bounded_by(k: float) -> TailModel:
+    return TailModel("bounded", k)
+
+
+def weibull_envelope(gamma: float) -> TailModel:
+    return TailModel("weibull", gamma)
+
 
 def gaussian_product(m: int) -> TailModel:
-    return TailModel("gaussian_product",
-                     value=float(check_number("tail m", m, lo=1, hi=_MAX_FACTORS, integer=True)))
+    return TailModel("gaussian_product", m)
 
 
 def unit_tail() -> TailModel:
@@ -145,16 +160,12 @@ def unit_tail() -> TailModel:
     return TailModel("unit")
 
 
-# each kind's constructor, then the JSON keys of its arguments
-_TAIL_KINDS = {"bounded": (bounded_by, "K"), "weibull": (weibull_envelope, "gamma"),
-               "gaussian_product": (gaussian_product, "m"), "unit": (unit_tail,)}
-
-
 def tail_from_dict(data: dict) -> TailModel:
     """The model a JSON object describes: {"kind": "bounded", "K": k},
     {"kind": "weibull", "gamma": g}, {"kind": "gaussian_product", "m": m}
     or {"kind": "unit"}."""
-    return build_kind("tail model", data, _TAIL_KINDS)
+    kind = check_kind("tail model", data, {k: v[:1] for k, v in _TAIL_VALUES.items()})
+    return TailModel(kind, *(data[key] for key in _TAIL_VALUES[kind][:1]))
 
 
 _LN_Y_LO, _LN_Y_HI = -45.0, 3.0  # ln|X| for a standard normal X lies here but for e^-45 mass
@@ -207,12 +218,10 @@ def tail_eval(model: TailModel, s):
     elif model.kind == "weibull":
         with np.errstate(over="ignore"):  # s^gamma = inf has the exact tail exp(-inf) = 0
             out = np.minimum(1.0, 2.0 * np.exp(-np.maximum(arr, 0.0) ** model.value))
-    elif model.kind == "unit":
-        out = np.ones_like(arr)
     elif model.kind == "gaussian_product":
-        out = _gauss_prod_tail(int(model.value), arr)
-    else:
-        raise InvalidInputError("unknown tail model %r" % model.kind)
+        out = _gauss_prod_tail(model.value, arr)
+    else:  # unit
+        out = np.ones_like(arr)
     out = np.asarray(out, dtype=np.float64)
     return out if out.ndim else float(out)
 
@@ -233,7 +242,7 @@ def _tail_log_knots(model: TailModel, level: float = _LN_NEGLIGIBLE) -> list:
         return [math.log(math.log(2.0)) / model.value,
                 math.log(math.log(2.0) - level) / model.value]
     if model.kind == "gaussian_product":
-        m = int(model.value)
+        m = model.value
         # the product tail's exponent is -m s^(2/m) / 2; its prefactor,
         # at most e^2.6 (m = 16), is inside the e^-4 margin of _LN_NEGLIGIBLE
         return [0.5 * m * math.log(-2.0 * level / m)]
@@ -478,7 +487,7 @@ def I_integral(t, dprev: int):
     check_number("dprev", dprev, lo=1, hi=5, integer=True)
     ts = np.asarray(t)
     if ts.dtype.kind not in "iuf":
-        raise InvalidInputError("t must be a number or an array of numbers, not %r" % (t,))
+        raise InvalidInputError("t must be a number or an array of numbers, not %s" % quote(t))
     ts = ts.astype(np.float64)
     if not np.all((ts > 0) & (ts < math.inf)):
         raise InvalidRangeError("t must be positive and finite")
@@ -670,8 +679,7 @@ def thm2_rhs(x: float, shape, gamma: float) -> BoundValue:
     which balances the two terms and yields the advertised stretched
     exponent gamma/(2 + d gamma) in |N|."""
     check_number("x", x, lo=0, above=True)
-    # weibull_envelope(gamma), with gamma checked as the bound's
-    envelope = TailModel("weibull", float(check_number("bound gamma", gamma, lo=0, above=True)))
+    envelope = weibull_envelope(check_number("bound gamma", gamma, lo=0, above=True))
     shape = tuple(check_number("shape extent", n, lo=1, integer=True) for n in shape)
     d = len(shape)
     n_cells = math.prod(shape)

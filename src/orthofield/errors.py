@@ -68,16 +68,17 @@ def quote(value) -> str:
 def check_object(what: str, data, required=(), optional=None) -> dict:
     """data itself once it is a JSON object that holds every required
     key and, unless optional is None, no key outside required and
-    optional."""
+    optional (its error names three of those at most)."""
     if not isinstance(data, dict):
         raise InvalidInputError("%s must be a JSON object, not %s" % (what, quote(data)))
     missing = [key for key in required if key not in data]
     if missing:
         raise InvalidInputError("%s needs %s" % (what, ", ".join(map(repr, missing))))
     allowed = set(required) | set(data if optional is None else optional)
-    unread = sorted(map(repr, set(data) - allowed))
+    unread = sorted(set(data) - allowed, key=repr)
     if unread:
-        raise InvalidInputError("%s does not read %s" % (what, ", ".join(unread)))
+        raise InvalidInputError("%s does not read %s%s" % (what, ", ".join(map(quote, unread[:3])),
+                                "" if len(unread) < 4 else " and %d more" % (len(unread) - 3)))
     return data
 
 
@@ -90,17 +91,6 @@ def check_kind(what: str, data, kinds: dict, optional=False) -> str:
     keys = ("kind",) + tuple(kinds[kind])
     check_object("%s %r" % (what, kind), data, keys[:1] if optional else keys, keys)
     return kind
-
-
-def build_kind(what: str, data, kinds: dict, default=None):
-    """What a JSON object of one of several kinds describes: kinds[kind]
-    is its constructor, then the keys of the constructor's arguments,
-    which it checks itself.  With a default every key may be left out,
-    and reads as the default."""
-    kind = check_kind(what, data, {k: keys for k, (_, *keys) in kinds.items()},
-                      optional=default is not None)
-    make, *keys = kinds[kind]
-    return make(*(data.get(key, default) for key in keys))
 
 
 def check_number(what: str, value, lo=-math.inf, hi=math.inf, integer=False, above=False):

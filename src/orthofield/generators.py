@@ -116,6 +116,9 @@ float path's values bit for bit; Gaussian and Weibull decoupled products
 round differently, by a few 1e-15 x max |S| per replica.  The zero
 field's statistics are zero arrays, with no block built.
 
+A GeneratorSpec checks itself when it is built, so everything here
+takes a spec as valid; _per_site alone scales a law to a variant's site.
+
 generate_batch is the one way to draw fields: a single replica is
 generate_batch(spec, shape, seed, r, 1)[0].  zero_field, the all-zero
 control a config can name, has no caller in the package.  The Monte
@@ -193,67 +196,71 @@ _CHUNK = 8  # sites of the last axis per chunk of the chunk bound
 
 @dataclass(frozen=True, eq=True)
 class GeneratorSpec:
+    """A variant, its dimension d and the params it reads (a mapping or
+    (key, value) pairs), checked when built; params become sorted pairs."""
+
     variant: str
     d: int
     params: tuple = field(default=())  # sorted (key, value) pairs
 
+    def __post_init__(self):
+        if self.variant not in _VARIANTS:
+            raise InvalidInputError("unknown generator variant %s" % quote(self.variant))
+        variant, d = self.variant, check_number("field dimension d", self.d, lo=1, integer=True)
+        try:
+            params = dict(self.params)
+        except (TypeError, ValueError):
+            raise InvalidInputError("generator %r params must be (key, value) pairs, not %s"
+                                    % (variant, quote(self.params))) from None
+        read = {}
+        if variant in ("iid_symmetric", "decoupled_product", "moving_average"):
+            read["dist"] = dist = params.pop("dist", None)
+            if dist not in _DISTS:
+                raise InvalidInputError("variant %r needs dist in %r, got %s"
+                                        % (variant, _DISTS, quote(dist)))
+            if dist == "gaussian":
+                read["sigma"] = float(check_number(
+                    "gaussian sigma", params.pop("sigma", 1.0), lo=0, above=True))
+            if dist == "weibull_symmetric":
+                read["gamma"] = float(check_number(
+                    "weibull_symmetric gamma", params.pop("gamma", None), lo=0, above=True))
+        if variant == "moving_average":
+            read["axis"] = check_number(
+                "moving_average axis", params.pop("axis", 1), lo=1, hi=d, integer=True)
+        check_object("generator %r params" % variant, params, optional=())
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "params", tuple(sorted(read.items())))
+
     def param(self, key, default=None):
-        for k, v in self.params:
-            if k == key:
-                return v
-        return default
-
-
-def _make_spec(variant: str, d: int, **params) -> GeneratorSpec:
-    """The spec of one variant; a param the variant does not read is an error."""
-    if variant not in _VARIANTS:
-        raise InvalidInputError("unknown generator variant %s" % quote(variant))
-    check_number("field dimension d", d, lo=1, integer=True)
-    read = {}
-    if variant in ("iid_symmetric", "decoupled_product", "moving_average"):
-        read["dist"] = dist = params.pop("dist", None)
-        if dist not in _DISTS:
-            raise InvalidInputError("variant %r needs dist in %r, got %s"
-                                    % (variant, _DISTS, quote(dist)))
-        if dist == "gaussian":
-            read["sigma"] = float(check_number(
-                "gaussian sigma", params.pop("sigma", 1.0), lo=0, above=True))
-        if dist == "weibull_symmetric":
-            read["gamma"] = float(check_number(
-                "weibull_symmetric gamma", params.pop("gamma", None), lo=0, above=True))
-    if variant == "moving_average":
-        read["axis"] = check_number(
-            "moving_average axis", params.pop("axis", 1), lo=1, hi=d, integer=True)
-    check_object("generator %r params" % variant, params, optional=())
-    return GeneratorSpec(variant, int(d), tuple(sorted(read.items())))
+        return dict(self.params).get(key, default)
 
 
 def iid_rademacher(d: int) -> GeneratorSpec:
-    return _make_spec("iid_symmetric", d, dist="rademacher")
+    return GeneratorSpec("iid_symmetric", d, {"dist": "rademacher"})
 
 
 def iid_gaussian(d: int, sigma: float = 1.0) -> GeneratorSpec:
-    return _make_spec("iid_symmetric", d, dist="gaussian", sigma=sigma)
+    return GeneratorSpec("iid_symmetric", d, {"dist": "gaussian", "sigma": sigma})
 
 
 def iid_weibull(d: int, gamma: float) -> GeneratorSpec:
-    return _make_spec("iid_symmetric", d, dist="weibull_symmetric", gamma=gamma)
+    return GeneratorSpec("iid_symmetric", d, {"dist": "weibull_symmetric", "gamma": gamma})
 
 
 def product_rademacher(d: int) -> GeneratorSpec:
-    return _make_spec("product_rademacher", d)
+    return GeneratorSpec("product_rademacher", d)
 
 
 def decoupled_product(d: int, dist: str = "rademacher", **params) -> GeneratorSpec:
-    return _make_spec("decoupled_product", d, dist=dist, **params)
+    return GeneratorSpec("decoupled_product", d, dict(params, dist=dist))
 
 
 def moving_average(d: int, axis: int = 1, dist: str = "rademacher", **params) -> GeneratorSpec:
-    return _make_spec("moving_average", d, axis=axis, dist=dist, **params)
+    return GeneratorSpec("moving_average", d, dict(params, axis=axis, dist=dist))
 
 
 def zero_field(d: int) -> GeneratorSpec:
-    return _make_spec("zero", d)
+    return GeneratorSpec("zero", d)
 
 
 def spec_to_dict(spec: GeneratorSpec) -> dict:
@@ -269,25 +276,13 @@ def spec_from_json(text) -> GeneratorSpec:
     raw = read_json("generator spec", text) if isinstance(text, str) else text
     check_object("generator", raw, ("variant", "d"), ("params",))
     params = check_object("generator params", raw.get("params", {}))
-    return _make_spec(raw["variant"], raw["d"], **params)
-
-
-def weibull_tail_sample(gamma: float, u):
-    """Inverse-CDF map from uniform(0,1) to the symmetric law with
-    P{|X| > s} = min(1, 2 exp(-s^gamma)).  Accepts arrays."""
-    if not gamma > 0:
-        raise InvalidRangeError("gamma must be positive, got %r" % gamma)
-    arr = np.array(u, dtype=np.float64)
-    if not np.all((arr > 0.0) & (arr < 1.0)):
-        raise InvalidRangeError("u must lie strictly inside (0, 1)")
-    out = _weibull_values(arr.reshape(-1), float(gamma)).reshape(arr.shape)
-    return out if out.ndim else float(out)
+    return GeneratorSpec(raw["variant"], raw["d"], params)
 
 
 def _weibull_values(u: np.ndarray, gamma: float) -> np.ndarray:
-    """weibull_tail_sample of the uniforms u, unchecked and in place:
-    the magnitude (-log min(u, 1 - u))^(1/gamma) takes one new array,
-    and u, shifted to u - 0.5, gives it its sign."""
+    """The weibull_symmetric law's inverse-CDF map of the uniforms u in
+    (0, 1), unchecked and in place: the magnitude (-log min(u, 1 - u))^(1/gamma)
+    takes one new array, and u, shifted to u - 0.5, gives it its sign."""
     m = np.subtract(1.0, u)
     np.minimum(u, m, out=m)
     np.log(m, out=m)
@@ -308,25 +303,17 @@ def _law_values(u: np.ndarray, spec: GeneratorSpec) -> np.ndarray:
 
 
 def spec_variance(spec: GeneratorSpec) -> float:
-    """Site variance of the field (product variants multiply across axes),
-    a positive float.  InvalidRangeError names the parameter when the
+    """Site variance of the field (_per_site of its law's variance), a
+    positive float.  InvalidRangeError names the parameter when the
     variance is 0 (the zero field) or not a positive float (a Gaussian
     sigma whose square under- or overflows, or a Weibull gamma below
     about 0.0117, where Gamma(1 + 2/gamma) overflows)."""
-    dist = spec.param("dist")
     if spec.variant == "zero":
         raise InvalidRangeError("generator variant 'zero' has site variance 0: "
                                 "its normal limit is degenerate")
-    if spec.variant == "product_rademacher":
-        return 1.0
-    if spec.variant not in ("iid_symmetric", "decoupled_product", "moving_average"):
-        raise InvalidInputError("unknown variant %r" % spec.variant)
+    dist = spec.param("dist", "rademacher")  # product_rademacher names no law
     try:
-        var = _dist_variance(dist, spec)
-        if spec.variant == "decoupled_product":
-            var = var**spec.d
-        elif spec.variant == "moving_average":
-            var = 2.0 * var
+        var = _per_site(spec, _dist_variance(dist, spec))
     except OverflowError:
         var = math.inf
     if not 0.0 < var < math.inf:
@@ -334,6 +321,13 @@ def spec_variance(spec: GeneratorSpec) -> float:
         raise InvalidRangeError("%s %s %r gives a site variance of %r, not a positive float"
                                 % (dist, name, spec.param(name), var))
     return var
+
+
+def _per_site(spec: GeneratorSpec, x):
+    """A law's variance or largest magnitude x at one site of spec's field."""
+    if spec.variant in _PRODUCTS:
+        return x**spec.d
+    return 2 * x if spec.variant == "moving_average" else x
 
 
 def _dist_variance(dist: str, spec: GeneratorSpec) -> float:
@@ -417,28 +411,26 @@ def _check_block(spec: GeneratorSpec, shape, seed: int, start: int, count: int,
     2^64 (others alias in the hash), with start + count <= 2^63 for the
     int64 replica axis, an offset (if any) of one integer per axis, and
     on which no sum of site values passes the float range: a site's
-    value is at most the bracket table's largest magnitude v, 2 v for a
-    moving average and v^d for a product field."""
+    value is at most _per_site of the bracket table's largest magnitude
+    v (1 for a Rademacher law)."""
     shape = validate_shape(shape)
     if len(shape) != spec.d:
-        raise InvalidInputError("spec has d=%d but shape is %r" % (spec.d, shape))
+        raise InvalidInputError("spec has d=%d but shape is %s" % (spec.d, quote(shape)))
     v = 1.0 if spec.param("dist", "rademacher") == "rademacher" else _brackets(spec)[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        top = np.float64(v) ** (spec.d if spec.variant in _PRODUCTS else 1) * volume(shape)
-        top *= 2 if spec.variant == "moving_average" else 1
+        top = _per_site(spec, np.float64(v)) * volume(shape)
     if not top < math.inf:
-        raise InvalidRangeError("%s: its site values can sum past the float range on lattice %r"
-                                % (spec_to_json(spec), list(shape)))
+        raise InvalidRangeError("%s: its site values can sum past the float range on lattice %s"
+                                % (spec_to_json(spec), quote(list(shape))))
     seed = check_number("master seed", seed, lo=0, hi=2**64 - 1, integer=True)
     start = check_number("replica start", start, lo=0, hi=2**63 - 1, integer=True)
     count = check_number("replica count", count, lo=1, hi=2**63 - start, integer=True)
     if offset is not None:
         if len(offset) != len(shape):
-            raise InvalidInputError("offset %r does not match shape %r" % (offset, shape))
+            raise InvalidInputError("offset %s does not match shape %s"
+                                    % (quote(offset), quote(shape)))
         for n, k in zip(shape, offset):  # the window's coordinates k + 1 to k + n are int64
             check_number("offset entry", k, lo=-2**63, hi=2**63 - 1 - n, integer=True)
-    if spec.variant not in _VARIANTS:
-        raise InvalidInputError("unknown generator variant %r" % (spec.variant,))
     return shape, seed, start, count
 
 
@@ -503,11 +495,11 @@ def replica_stats(spec: GeneratorSpec, shape, seed: int, start: int, count: int,
     terms eps_k of the module docstring."""
     stats = tuple(stats)
     if not stats or any(name not in _STATS for name in stats):
-        raise InvalidInputError("stats must name some of %r, got %r" % (_STATS, stats))
+        raise InvalidInputError("stats must name some of %r, got %s" % (_STATS, quote(stats)))
     if floor is not None and (isinstance(floor, bool) or not isinstance(floor, numbers.Real)
                               or math.isnan(floor) or stats not in (("max",), ("total",))):
-        raise InvalidInputError("a floor is a number with a lone 'max' or 'total', not %r with %r"
-                                % (floor, stats))
+        raise InvalidInputError("a floor is a number with a lone 'max' or 'total', not %s with %s"
+                                % (quote(floor), quote(stats)))
     shape, seed, start, count = _check_block(spec, shape, seed, start, count)
     coords = _axis_coords(shape, None)
     if spec.variant in _PRODUCTS:

@@ -248,8 +248,8 @@ def _fdd(config: ExperimentConfig) -> dict:
         # checked before t_q n_q is rounded, which a huge t_q overflows
         k_q = round(t_q * n_q) if 0.0 < t_q <= 1.0 else 0
         if k_q < 1 or abs(t_q * n_q - k_q) > 1e-9:
-            raise InvalidInputError("t must be grid aligned with 1 / n_q <= t_q <= 1, not %r"
-                                    % (list(point),))
+            raise InvalidInputError("t must be grid aligned with 1 / n_q <= t_q <= 1, not %s"
+                                    % quote(list(point)))
         k.append(k_q)
     sigma2 = spec_variance(config.generator) * math.prod(point)
     # counter-mode sites: the box [1, k] alone holds the same values as
@@ -267,17 +267,17 @@ def _holder_norm(config: ExperimentConfig) -> dict:
     """Distribution of the sequential norm of W_n across replicas, per
     lattice size; quantile stability across growing n is the tightness
     proxy reported."""
+    rho = holder.modulus_from_dict(config.modulus, config.generator.d)
     rows = []
     for shape in config.shapes:
-        rho_s = holder.modulus_from_dict(config.modulus, len(shape))
         finest = max(int(math.ceil(math.log2(max(shape)))), 1)
         levels = finest if config.j_max is None else config.j_max
 
-        def work(start, count, shape=shape, rho_s=rho_s, levels=levels):
+        def work(start, count, shape=shape, levels=levels):
             # the padded prefix is handed over, so grid_seq_norms frees it
             # once the grid is built
             return holder.grid_seq_norms(padded_prefix(batch_prefix(generate_batch(
-                config.generator, shape, config.seed, start, count)), lead=1), rho_s, levels)
+                config.generator, shape, config.seed, start, count)), lead=1), rho, levels)
 
         # a block holds its padded prefix arrays and their level-j_max grids
         cells = max(volume(n + 1 for n in shape), holder.full_grid_count(levels, len(shape)))

@@ -1,7 +1,8 @@
 """Holder-scale moduli and the dyadic pyramid expansion on [0, 1]^d.
 
 A modulus here is rho(h) = h^(1/2) (ln(c/h))^(d/2) L(1/h) with L one of
-a small family of slowly varying factors.  Functions on [0, 1]^d are
+a small family of slowly varying factors, each type checked when it is
+built.  Functions on [0, 1]^d are
 measured through the coefficient seminorm
 
     sup_j rho(2^-j)^{-1} max_{v in V_j} |lambda_{j,v}(x)|,
@@ -44,9 +45,10 @@ from .errors import (
     DegenerateModulusError,
     InvalidInputError,
     InvalidRangeError,
-    build_kind,
+    check_kind,
     check_number,
     check_object,
+    quote,
 )
 from .sumprocess import eval_W_grid
 
@@ -66,9 +68,21 @@ def _finite_array(what: str, x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SlowlyVarying:
+    """L(t) on t >= 1: (1 + ln(1 + t))^beta ("log_power"),
+    1 + ln(1 + ln(1 + t)) ("iter_log") or c0 ("const")."""
+
     kind: str
     beta: float = 1.0
     c0: float = 1.0
+
+    def __post_init__(self):
+        if self.kind == "log_power":
+            object.__setattr__(self, "beta", float(check_number("log_power beta", self.beta, lo=0)))
+        elif self.kind == "const":
+            object.__setattr__(self, "c0", float(check_number("const factor c0", self.c0, lo=0,
+                                                              above=True)))
+        elif self.kind != "iter_log":
+            raise InvalidInputError("unknown slowly varying factor kind %s" % quote(self.kind))
 
     def __call__(self, t):
         t = _finite_array("slowly varying factor argument t", t)
@@ -78,15 +92,13 @@ class SlowlyVarying:
             out = (1.0 + np.log1p(t)) ** self.beta
         elif self.kind == "iter_log":
             out = 1.0 + np.log1p(np.log1p(t))
-        elif self.kind == "const":
+        else:  # const
             out = np.full_like(t, self.c0)
-        else:
-            raise InvalidInputError("unknown slowly varying kind %r" % self.kind)
         return out if out.ndim else float(out)
 
 
 def log_power(beta: float) -> SlowlyVarying:
-    return SlowlyVarying("log_power", beta=float(check_number("log_power beta", beta, lo=0)))
+    return SlowlyVarying("log_power", beta=beta)
 
 
 def iter_log() -> SlowlyVarying:
@@ -94,53 +106,52 @@ def iter_log() -> SlowlyVarying:
 
 
 def const_factor(c0: float) -> SlowlyVarying:
-    return SlowlyVarying("const", c0=float(check_number("const factor c0", c0, lo=0, above=True)))
+    return SlowlyVarying("const", c0=c0)
+
+
+MODULUS_LEVELS = 40  # the finest dyadic level at which the package evaluates a modulus
 
 
 @dataclass(frozen=True)
 class Modulus:
+    """rho(h) = h^(1/2) (ln(c/h))^(d/2) L(1/h), with c > 1 so that ln(c/h) > 0,
+    finite and increasing along the dyadic grid h = 2^-j, j <= MODULUS_LEVELS."""
+
     c: float
     d: int
     L: SlowlyVarying
 
+    def __post_init__(self):
+        c = check_number("modulus c", self.c, lo=1, above=True)
+        d = check_number("modulus dimension d", self.d, lo=1, integer=True)
+        if not isinstance(self.L, SlowlyVarying):
+            raise InvalidInputError("modulus L must be a SlowlyVarying, not %s" % quote(self.L))
+        object.__setattr__(self, "c", float(c))
+        object.__setattr__(self, "d", d)
+        values = [modulus_eval(self, 2.0**-j) for j in range(MODULUS_LEVELS + 1)]
+        if not all(a < b < np.inf for a, b in zip(values[1:], values[:-1])):
+            raise DegenerateModulusError("modulus is not finite and increasing on the dyadic grid "
+                                         "(c=%g too small, or L past the float range?)" % self.c)
 
-# each kind's constructor, then the JSON keys of its arguments
-_SVARYING_KINDS = {"log_power": (log_power, "beta"), "iter_log": (iter_log,),
-                   "const": (const_factor, "c0")}
+
+def modulus(c: float, d: int, L: SlowlyVarying) -> Modulus:
+    return Modulus(c, d, L)
 
 
 def svarying_from_dict(data: dict) -> SlowlyVarying:
     """The factor a JSON object describes: {"kind": "log_power", "beta": b},
     {"kind": "iter_log"} or {"kind": "const", "c0": c}, b and c
     defaulting to 1."""
-    return build_kind("slowly varying factor", data, _SVARYING_KINDS, default=1.0)
+    check_kind("slowly varying factor", data, {"log_power": ["beta"], "iter_log": [],
+                                               "const": ["c0"]}, optional=True)
+    return SlowlyVarying(**data)
 
 
 def modulus_from_dict(data: dict, d: int) -> Modulus:
     """The modulus in dimension d (the field's) that a JSON object
     describes: {"c": c, "L": factor}, L defaulting to the constant 1."""
     check_object("modulus", data, ("c",), ("L",))
-    L = svarying_from_dict(data.get("L", {"kind": "const", "c0": 1.0}))
-    return modulus(data["c"], d, L)
-
-
-MODULUS_LEVELS = 40  # the finest dyadic level at which the package evaluates a modulus
-
-
-def modulus(c: float, d: int, L: SlowlyVarying) -> Modulus:
-    """Build a modulus, verifying it is finite and increases along the
-    dyadic grid h = 2^-j, j = 0..MODULUS_LEVELS."""
-    # c > 1 so that ln(c/h) > 0 on (0, 1]
-    rho = Modulus(float(check_number("modulus c", c, lo=1, above=True)),
-                  check_number("modulus dimension d", d, lo=1, integer=True), L)
-    values = [modulus_eval(rho, 2.0**-j) for j in range(MODULUS_LEVELS + 1)]
-    for a, b in zip(values[1:], values[:-1]):
-        if not a < b < np.inf:
-            raise DegenerateModulusError(
-                "modulus is not finite and increasing on the dyadic grid (c=%g too small, "
-                "or L past the float range?)" % c
-            )
-    return rho
+    return Modulus(data["c"], d, svarying_from_dict(data.get("L", {"kind": "const"})))
 
 
 def modulus_eval(rho: Modulus, h) -> float:
@@ -152,7 +163,7 @@ def modulus_eval(rho: Modulus, h) -> float:
     if not np.isfinite((ratio, inverse)).all():
         raise InvalidRangeError("modulus argument h = %r is so small that c/h or 1/h overflows"
                                 % (float(np.min(h_arr)),))
-    with np.errstate(over="ignore"):  # inf, which modulus() rejects
+    with np.errstate(over="ignore"):  # inf, which building a Modulus rejects
         out = np.sqrt(h_arr) * np.log(ratio) ** (rho.d / 2.0) * rho.L(inverse)
     return out if out.ndim else float(out)
 

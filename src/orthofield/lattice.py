@@ -61,7 +61,7 @@ from concurrent.futures import Future
 
 import numpy as np
 
-from .errors import InvalidInputError, TooLargeError
+from .errors import InvalidInputError, TooLargeError, quote
 
 _BLOCK_CELLS = 1 << 17  # float64 cells of the largest array of one block, one replica at least
 _BLOCK_BYTES = 16 << 20  # bytes of the largest float64 array of one replica
@@ -99,11 +99,11 @@ def validate_shape(shape) -> tuple:
     try:
         shape = tuple(operator.index(n) for n in shape)
     except TypeError as exc:
-        raise InvalidInputError("axis extents must be integers: %r" % (shape,)) from exc
+        raise InvalidInputError("axis extents must be integers: %s" % quote(shape)) from exc
     if len(shape) == 0:
         raise InvalidInputError("lattice needs at least one axis")
     if any(n < 1 for n in shape):
-        raise InvalidInputError("every axis extent must be >= 1, got %r" % (shape,))
+        raise InvalidInputError("every axis extent must be >= 1, got %s" % quote(shape))
     _block_size(volume(shape), "lattice")
     return shape
 
@@ -202,7 +202,8 @@ def _map_blocks(fn, blocks: range, threads: int) -> list:
     must be an integer of at least 1, whoever calls.
 
     w = min(threads, blocks, _MAX_THREADS) workers drain the blocks: the
-    calling thread and w - 1 helpers of one process-wide pool.  Each
+    calling thread and w - 1 helpers of one process-wide pool, so a
+    1-thread call drains on the calling thread alone.  Each
     drain claims the next block from a shared counter and stores its
     result by index.  The pool starts a helper only when a call needs
     more than it has, so it never holds more than _MAX_THREADS - 1, and
@@ -216,8 +217,6 @@ def _map_blocks(fn, blocks: range, threads: int) -> list:
         raise InvalidInputError("threads must be an integer >= 1, not %r" % (threads,))
     plan = [(start, min(blocks.step, blocks.stop - start)) for start in blocks]
     workers = min(threads, len(plan), _MAX_THREADS)
-    if workers <= 1:
-        return [fn(start, count) for start, count in plan]
     results = [None] * len(plan)
     failed = []
     claims, lock = iter(range(len(plan))), threading.Lock()

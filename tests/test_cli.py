@@ -63,6 +63,18 @@ RAW_INPUTS = {
     "long-exponents": ({"experiment": "tightness", "generator": DEVIATION["generator"],
                         "exponents": [1024, 1024] + [0] * 10**5, "eps": 1.0, "axis_q": 1,
                         "j_from": 1, "replicas": 8, "modulus": {"c": 100.0}}, []),
+    # keys the config, the generator params or the lattice hold by the 10^5
+    "many-unread-keys": (json.dumps(dict({"k%d" % i: 0 for i in range(10**5)}, d=2)).encode(),
+                         []),
+    "many-unread-params": (dict(DEVIATION, generator={
+        "variant": "iid_symmetric", "d": 2,
+        "params": dict({"k%d" % i: 0 for i in range(10**5)}, dist="gaussian")}), []),
+    "long-t-point": ({"experiment": "fdd", "generator": {
+        "variant": "iid_symmetric", "d": 10**5, "params": {"dist": "rademacher"}},
+        "shape": [1] * 10**5, "t_point": [1.0] * (10**5 - 1) + [0.5], "replicas": 2}, []),
+    "long-shape-past-the-float-range": (dict(DEVIATION, generator={
+        "variant": "iid_symmetric", "d": 10**5 + 1,
+        "params": {"dist": "gaussian", "sigma": 1e308}}, shape=[1] * 10**5 + [4]), []),
     "threads-not-an-integer": (json.dumps({"d": 2}).encode(), ["--threads", "x"]),
 }
 

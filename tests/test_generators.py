@@ -19,7 +19,6 @@ from orthofield import (
     spec_to_json,
     spec_variance,
     validate_shape,
-    weibull_tail_sample,
     zero_field,
 )
 from orthofield import _rng, generators
@@ -66,6 +65,15 @@ def screen_bounds(spec, shape, seed, start, count, stat, floor=-math.inf):
     return generators._screen_bound(spec, rows, _rng.last_word(coords), stat, floor)
 
 
+def weibull_tail_sample(gamma, u):
+    """The generators' inverse-CDF map of the weibull_symmetric law
+    (generators._weibull_values) on a copy of the uniforms u, which
+    may be a number or an array."""
+    arr = np.array(u, dtype=np.float64)
+    out = generators._weibull_values(arr.reshape(-1), float(gamma)).reshape(arr.shape)
+    return out if out.ndim else float(out)
+
+
 def test_weibull_inverse_map_pinned_median():
     # P{|X| > ln 4} = 2 exp(-ln 4) = 1/2 when gamma = 1, checked on a
     # deterministic quantile grid rather than random draws.
@@ -83,19 +91,6 @@ def test_weibull_tail_matches_envelope():
             want = min(1.0, 2.0 * math.exp(-(s**gamma)))
             got = float(np.mean(x > s))
             assert got == pytest.approx(want, abs=2e-4)
-
-
-def test_weibull_sample_rejects_bad_input():
-    with pytest.raises(InvalidRangeError):
-        weibull_tail_sample(0.0, 0.5)
-    with pytest.raises(InvalidRangeError):
-        weibull_tail_sample(1.0, 0.0)
-    with pytest.raises(InvalidRangeError):
-        weibull_tail_sample(1.0, np.array([0.3, 1.0]))
-    with pytest.raises(InvalidRangeError):
-        weibull_tail_sample(1.0, [0.3, math.nan])
-    with pytest.raises(InvalidRangeError):
-        weibull_tail_sample(math.nan, 0.3)
 
 
 def test_weibull_sample_leaves_its_input_alone():
@@ -488,9 +483,9 @@ def test_generate_shape_mismatch():
         generate_batch(iid_rademacher(1), (4,), 1, 0, 0)
     with pytest.raises(InvalidRangeError, match="replica start"):
         generate_batch(iid_rademacher(1), (4,), 1, -1, 1)
-    # only a hand-built spec reaches an unknown variant
+    # a hand-built spec checks its variant when it is built
     with pytest.raises(InvalidInputError, match="'no_such'"):
-        generate_batch(generators.GeneratorSpec("no_such", 1), (4,), 1, 0, 1)
+        generators.GeneratorSpec("no_such", 1)
 
 
 # replica numbers that were taken unchecked: a count of 2.5 made 3

@@ -49,9 +49,10 @@ def process_evaluator(process):
 
 
 def test_modulus_pinned_value():
-    rho = Modulus(math.e, 2, const_factor(1.0))  # outside the increasing class
-    # sqrt(1) * ln(e/1)^(2/2) * 1 = 1
-    assert modulus_eval(rho, 1.0) == pytest.approx(1.0, rel=1e-15)
+    rho = Modulus(math.exp(4.0), 2, const_factor(1.0))
+    # sqrt(1) * ln(e^4/1)^(2/2) * 1 = 4, and at h = 1/4, sqrt(1/4) ln(4 e^4) = 2 + ln 2
+    assert modulus_eval(rho, 1.0) == pytest.approx(4.0, rel=1e-15)
+    assert modulus_eval(rho, 0.25) == pytest.approx(2.0 + math.log(2.0), rel=1e-15)
 
 
 def test_modulus_increasing_check_needs_large_c():

@@ -1,7 +1,10 @@
 """Every constructor and evaluator of the bound, modulus and grid layers
 checks its own scalar arguments, once, with errors.check_number: bad
 values end in InvalidInputError or InvalidRangeError before any array
-is built, and the JSON parsers build exactly what the constructors do."""
+is built, and the JSON parsers build exactly what the constructors do.
+Each spec type (GeneratorSpec, TailModel, SlowlyVarying, Modulus)
+checks itself when it is built, so a hand-built spec is refused as its
+constructor would refuse it."""
 
 import math
 
@@ -9,10 +12,15 @@ import numpy as np
 import pytest
 
 from orthofield import (
+    DegenerateModulusError,
+    GeneratorSpec,
     InvalidInputError,
     InvalidRangeError,
     I_integral,
+    Modulus,
     OrthofieldError,
+    SlowlyVarying,
+    TailModel,
     TooLargeError,
     bounded_by,
     bounded_rhs,
@@ -20,12 +28,15 @@ from orthofield import (
     const_factor,
     exponent_fit,
     gaussian_product,
+    generate_batch,
     grid_seq_norms,
+    iid_gaussian,
     iter_log,
     lemma3_moment_sum,
     lemma_svarying_partial_sum,
     log_power,
     modulus,
+    moving_average,
     modulus_eval,
     modulus_from_dict,
     recurse_constants,
@@ -35,6 +46,7 @@ from orthofield import (
     weibull_envelope,
 )
 from orthofield.bounds import tail_from_dict
+from orthofield.generators import replica_stats
 from orthofield.holder import svarying_from_dict
 from orthofield.lattice import batch_prefix, padded_prefix
 from orthofield.sumprocess import eval_W_grid
@@ -173,3 +185,84 @@ def test_evaluators_reject_arrays_with_a_bad_entry():
 def test_thm2_rhs_rejects_a_lattice_past_the_float_range():
     with pytest.raises(InvalidRangeError, match="float range"):
         thm2_rhs(1.0, (10**200, 10**200), 1.0)
+
+
+# each spec type built directly with a field its constructor refuses:
+# the call, the error and a part of its message
+HAND_BUILT = {
+    "generator variant": (lambda: GeneratorSpec("no_such", 1), InvalidInputError,
+                          "unknown generator variant 'no_such'"),
+    "generator d": (lambda: GeneratorSpec("iid_symmetric", "2", (("dist", "rademacher"),)),
+                    InvalidInputError, "field dimension d must be an integer"),
+    "generator dist": (lambda: GeneratorSpec("iid_symmetric", 2, ()), InvalidInputError,
+                       "needs dist in"),
+    "generator pairs": (lambda: GeneratorSpec("iid_symmetric", 2, "ab"), InvalidInputError,
+                        "params must be .key, value. pairs, not 'ab'"),
+    "generator sigma": (lambda: GeneratorSpec("iid_symmetric", 1, {"dist": "gaussian",
+                                                                   "sigma": 0.0}),
+                        InvalidRangeError, "gaussian sigma"),
+    "generator gamma": (lambda: GeneratorSpec("iid_symmetric", 1, {"dist": "weibull_symmetric",
+                                                                   "gamma": -1.0}),
+                        InvalidRangeError, "weibull_symmetric gamma"),
+    "generator axis": (lambda: GeneratorSpec("moving_average", 2, {"dist": "rademacher",
+                                                                   "axis": 3}),
+                       InvalidRangeError, "moving_average axis"),
+    "generator unread param": (lambda: GeneratorSpec("zero", 1, {"dist": "gaussian"}),
+                               InvalidInputError, "does not read 'dist'"),
+    "tail kind": (lambda: TailModel("mystery", 1.0), InvalidInputError,
+                  "unknown tail model kind 'mystery'"),
+    "tail K": (lambda: TailModel("bounded", 0.0), InvalidRangeError, "tail K"),
+    "tail gamma": (lambda: TailModel("weibull", -1.0), InvalidRangeError, "tail gamma"),
+    "tail m": (lambda: TailModel("gaussian_product", 2.5), InvalidInputError,
+               "tail m must be an integer"),
+    "svarying kind": (lambda: SlowlyVarying("mystery"), InvalidInputError,
+                      "unknown slowly varying factor kind 'mystery'"),
+    "svarying beta": (lambda: SlowlyVarying("log_power", beta=-1.0), InvalidRangeError,
+                      "log_power beta"),
+    "svarying c0": (lambda: SlowlyVarying("const", c0=0.0), InvalidRangeError,
+                    "const factor c0"),
+    "modulus c": (lambda: Modulus(0.5, 2, iter_log()), InvalidRangeError, "modulus c"),
+    "modulus d": (lambda: Modulus(math.exp(4.0), "2", iter_log()), InvalidInputError,
+                  "modulus dimension d must be an integer"),
+    "modulus L": (lambda: Modulus(E9, 2, "iter_log"), InvalidInputError, "modulus L"),
+    "modulus increasing": (lambda: Modulus(math.e, 2, const_factor(1.0)),
+                           DegenerateModulusError, "not finite and increasing"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT))
+def test_hand_built_specs_check_themselves(name):
+    build, error, message = HAND_BUILT[name]
+    with pytest.raises(error, match=message) as caught:
+        build()
+    assert "\n" not in str(caught.value)
+
+
+def test_a_hand_built_spec_is_the_one_its_constructor_builds():
+    assert GeneratorSpec("iid_symmetric", 2, {"dist": "gaussian"}) == iid_gaussian(2)
+    assert GeneratorSpec("iid_symmetric", 2, [("dist", "gaussian")]).params == (
+        ("dist", "gaussian"), ("sigma", 1.0))
+    assert GeneratorSpec("moving_average", 2, {"dist": "rademacher"}) == moving_average(2)
+    assert TailModel("gaussian_product", 3) == gaussian_product(3)
+    assert SlowlyVarying("const", c0=2) == const_factor(2.0)
+    assert Modulus(E9, 2, iter_log()) == RHO
+
+
+# a library call's error quotes a long value in brief, as the CLI's do
+LONG_VALUES = {
+    "replica_stats stats": lambda: replica_stats(iid_gaussian(1), (4,), 1, 0, 1, ["x"] * 10**5),
+    "replica_stats floor": lambda: replica_stats(iid_gaussian(1), (4,), 1, 0, 1, ["max"] * 10**5,
+                                                 floor=1.0),
+    "I_integral t": lambda: I_integral(["a"] * 10**5, 1),
+    "shape extents": lambda: generate_batch(iid_gaussian(2), [0] * 10**5, 1, 0, 1),
+    "shape integers": lambda: generate_batch(iid_gaussian(2), ["a"] * 10**5, 1, 0, 1),
+    "shape axes": lambda: generate_batch(iid_gaussian(2), [1] * 10**5, 1, 0, 1),
+    "offset": lambda: generate_batch(iid_gaussian(2), (4, 4), 1, 0, 1, offset=[0] * 10**5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LONG_VALUES))
+def test_a_library_error_quotes_a_long_value_in_brief(name):
+    with pytest.raises(InvalidInputError) as caught:
+        LONG_VALUES[name]()
+    assert len(str(caught.value)) < 300, name

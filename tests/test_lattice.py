@@ -266,6 +266,33 @@ def test_map_blocks_raises_a_helpers_exception_in_the_caller():
     assert raised.is_set() and len(ran) < 100
 
 
+def test_map_blocks_at_one_thread_drains_on_the_caller_alone():
+    # the one path of the driver: a 1-thread call claims its blocks on
+    # the calling thread, starts no helper, and raises the exception of
+    # the block that failed, after which no block is claimed
+    class Boom(Exception):
+        pass
+
+    def helpers():
+        return {t for t in threading.enumerate() if t.name.startswith("orthofield-block-")}
+
+    before = helpers()
+    threads, ran = set(), []
+
+    def work(start, count):
+        threads.add(threading.current_thread())
+        ran.append(start)
+        if start == 3:
+            raise Boom(start)
+        return start
+
+    assert lattice._map_blocks(work, range(0, 3), 1) == [0, 1, 2]
+    with pytest.raises(Boom) as caught:
+        lattice._map_blocks(work, range(0, 10), 1)
+    assert caught.value.args == (3,) and ran == [0, 1, 2, 0, 1, 2, 3]
+    assert threads == {threading.current_thread()} and helpers() == before
+
+
 def _stats_at(threads):
     return replica_stats(iid_gaussian(2), (16, 16), 5, 0, 600, ("max", "total"), threads)
 
