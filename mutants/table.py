@@ -54,10 +54,45 @@ MUTANTS = [
     # rest half mixed; killed by the payload pins and the reference test
     {"name": "mix-first-slice-only",
      "file": "src/orthofield/_rng.py",
-     "old": "        parts = (x[i:i + rows] for i in range(0, len(x), rows)) if rows else x\n",
-     "new": "        parts = (x[i:i + rows] for i in range(0, rows, rows)) if rows else x\n",
+     "old": "    for part in _slices(x):\n",
+     "new": "    for part in _slices(x)[:1]:\n",
      "kills": ["tests/test_harness.py::test_payload_and_verdict_are_pinned",
                "tests/test_rng.py::test_mix_equals_the_one_scratch_reference"]},
+    # uniform01 converting the whole block with one astype again, which
+    # holds a second block array; killed by the tightened block test
+    {"name": "uniform01-one-astype",
+     "file": "src/orthofield/_rng.py",
+     "old": "    for part in _slices(h):\n"
+            "        u = part.view(np.float64)\n"
+            "        u[...] = np.right_shift(part, 11).view(np.int64)\n"
+            "        u += 0.5\n"
+            "        u *= _INV53\n"
+            "        np.minimum(u, _BELOW_ONE, out=u)\n"
+            "    return h.view(np.float64)\n",
+     "new": "    h >>= 11\n"
+            "    u = h.view(np.int64).astype(np.float64)\n"
+            "    u += 0.5\n"
+            "    u *= _INV53\n"
+            "    return np.minimum(u, _BELOW_ONE, out=u)\n",
+     "kills": ["tests/test_generation_bits.py::"
+               "test_a_block_holds_at_most_three_block_arrays[iid_gaussian-64x64]"]},
+    # the Weibull map writing its first slice only, leaving the rest as
+    # uniforms; killed by the sliced-map bit test
+    {"name": "weibull-first-slice-only",
+     "file": "src/orthofield/generators.py",
+     "old": "    for part in lattice._slices(u):\n",
+     "new": "    for part in lattice._slices(u)[:1]:\n",
+     "kills": ["tests/test_rng.py::test_sliced_value_maps_equal_the_one_shot_formulas[flat]"]},
+    # holder-norm's block sized for one of the two arrays it holds at once;
+    # killed by the holder-norm block cases
+    {"name": "holder-norm-block-for-one-array",
+     "file": "src/orthofield/harness.py",
+     "old": "        cells = (volume(n + 1 for n in shape), holder.full_grid_count(levels, len(shape)))\n",
+     "new": "        cells = max(volume(n + 1 for n in shape), holder.full_grid_count(levels, len(shape)))\n",
+     "kills": ["tests/test_harness.py::"
+               "test_every_experiment_block_holds_at_most_three_block_arrays[holder-norm-8x8]",
+               "tests/test_harness.py::"
+               "test_every_experiment_block_holds_at_most_three_block_arrays[holder-norm-32x32]"]},
     # one Halley step instead of three leaves the level-set roots short of
     # rounding; killed by every pinned-root case
     {"name": "halley-one-step",

@@ -18,9 +18,9 @@ x ^= x >> 30 distributes over the xor: with a = h + gamma,
 x ^ (x >> 30) = (a ^ (a >> 30)) ^ (word ^ (word >> 30)).  So the two
 sides are premixed apart, on their own shapes, and only the xor that
 broadcasts them and the steps after it (_mix) run over the whole
-result, in place, with a scratch array of at most a quarter of a
-replica block (lattice._BLOCK_CELLS // 4 words) that _mix reuses over
-slices of the result along its leading axis.
+result, in place, slice by slice (lattice._slices), with a scratch
+array of one slice, at most a quarter of a replica block
+(lattice._SCRATCH_CELLS words).
 
 This module owns the hash of a replica block and its three contracts.
 Premix: fold premixes its two sides itself, while row_words (the
@@ -35,7 +35,9 @@ exact in those bits alone: sign_pm1 and sign_total read bit 63, and the
 bracket screen of generators reads a bucket off the top 12 bits; they
 never go to uniform01.  The value maps overwrite the words they are
 given: sign_pm1 turns them into +-1.0 in the last fold's buffer, and
-uniform01 shifts them in place before its one conversion to float64.
+uniform01 writes its doubles over them slice by slice, each slice's
+shifted words held in a scratch of its size, so a block holds one
+block array and a quarter at most.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import operator
 
 import numpy as np
 
-from .lattice import _BLOCK_CELLS
+from .lattice import _slices
 
 _MASK = (1 << 64) - 1
 _M1 = 0xBF58476D1CE4E5B9
@@ -54,7 +56,6 @@ _TOP = np.uint64(1 << 63)
 _ONE = np.uint64(0x3FF0000000000000)  # the bits of 1.0
 _INV53 = float(2.0**-53)
 _BELOW_ONE = 1.0 - _INV53  # the largest double below 1.0
-_MIX_WORDS = _BLOCK_CELLS // 4  # words of _mix's scratch at most
 
 
 def _as_words(x) -> np.ndarray:
@@ -82,9 +83,11 @@ def _int_word(x) -> int:
 
 def _premix_hash(h, out=None):
     """The fold's first step on the running hash alone: a ^ (a >> 30)
-    with a = h + gamma, written into out when it is given."""
-    a = np.add(_as_words(h), np.uint64(_GAMMA), out=out)
-    a ^= a >> 30
+    with a = h + gamma, written into out when it is given, the shift over
+    slices of a (lattice._slices)."""
+    a = np.asarray(np.add(_as_words(h), np.uint64(_GAMMA), out=out))
+    for part in _slices(a):
+        part ^= part >> 30
     return a
 
 
@@ -95,26 +98,19 @@ def _premix_word(word):
 
 
 def _mix(x: np.ndarray, top: bool) -> np.ndarray:
-    """The finalizer's steps after the xor, in place on x with a scratch
-    array of at most _MIX_WORDS words; top=True leaves out the last one
-    (top-bit words).  A larger x is mixed over views sliced along its
-    leading axis (or, where one of its rows is larger, row by row), so a
-    view that a caller hands over, contiguous or not, is written in place
-    like any other array."""
-    if x.size > _MIX_WORDS:
-        rows = _MIX_WORDS // (x.size // len(x))  # 0 when one row is larger
-        parts = (x[i:i + rows] for i in range(0, len(x), rows)) if rows else x
-        for part in parts:
-            _mix(part, top)
-        return x
-    t = np.empty_like(x)
-    x *= np.uint64(_M1)
-    np.right_shift(x, 27, out=t)
-    x ^= t
-    x *= np.uint64(_M2)
-    if not top:
-        np.right_shift(x, 31, out=t)
-        x ^= t
+    """The finalizer's steps after the xor, in place on x, slice by slice
+    (lattice._slices) with a scratch array of one slice; top=True leaves
+    out the last one (top-bit words)."""
+    for part in _slices(x):
+        t = np.empty_like(part)
+        part *= np.uint64(_M1)
+        np.right_shift(part, 27, out=t)
+        part ^= t
+        part *= np.uint64(_M2)
+        if not top:
+            np.right_shift(part, 31, out=t)
+            part ^= t
+        del t  # the next slice's scratch must not meet this one alive
     return x
 
 
@@ -181,12 +177,19 @@ def uniform01(h: np.ndarray) -> np.ndarray:
     runs faster than uint64's.  (k + 0.5) 2^-53 rounds k + 0.5 to even
     from k = 2^52 on, so k = 2^53 - 1, the top 2^11 words, would give
     1.0; the clamp maps them to the double below 1.0 and moves no other
-    word."""
-    h >>= 11
-    u = h.view(np.int64).astype(np.float64)
-    u += 0.5
-    u *= _INV53
-    return np.minimum(u, _BELOW_ONE, out=u)
+    word.  The doubles are written over the words, a float64 view of h,
+    slice by slice (lattice._slices): each slice's shifted words go to a
+    scratch of its size, whose int64 view is converted into the slice.
+    (A conversion from h's own int64 view into its float64 view would
+    overlap, and numpy would copy all of h first; an add that converts
+    as it goes holds numpy's cast buffers too.)"""
+    for part in _slices(h):
+        u = part.view(np.float64)
+        u[...] = np.right_shift(part, 11).view(np.int64)
+        u += 0.5
+        u *= _INV53
+        np.minimum(u, _BELOW_ONE, out=u)
+    return h.view(np.float64)
 
 
 def sign_pm1(h: np.ndarray) -> np.ndarray:

@@ -281,15 +281,20 @@ def spec_from_json(text) -> GeneratorSpec:
 
 def _weibull_values(u: np.ndarray, gamma: float) -> np.ndarray:
     """The weibull_symmetric law's inverse-CDF map of the uniforms u in
-    (0, 1), unchecked and in place: the magnitude (-log min(u, 1 - u))^(1/gamma)
-    takes one new array, and u, shifted to u - 0.5, gives it its sign."""
-    m = np.subtract(1.0, u)
-    np.minimum(u, m, out=m)
-    np.log(m, out=m)
-    np.negative(m, out=m)
-    m **= 1.0 / gamma
-    u -= 0.5
-    return np.copysign(m, u, out=m)
+    (0, 1), unchecked and in place, slice by slice (lattice._slices): a
+    slice's magnitudes (-log min(u, 1 - u))^(1/gamma) take a scratch of
+    its size, and the slice, shifted to u - 0.5, gives them their sign
+    as they are copied back over it."""
+    for part in lattice._slices(u):
+        m = np.subtract(1.0, part)
+        np.minimum(part, m, out=m)
+        np.log(m, out=m)
+        np.negative(m, out=m)
+        m **= 1.0 / gamma
+        part -= 0.5
+        np.copysign(m, part, out=part)
+        del m  # the next slice's scratch must not meet this one alive
+    return u
 
 
 def _law_values(u: np.ndarray, spec: GeneratorSpec) -> np.ndarray:
@@ -358,34 +363,38 @@ def _site_coords(spec: GeneratorSpec, coords) -> list:
     return coords[:q] + [np.concatenate(([coords[q][0] - 1], coords[q]))] + coords[q + 1:]
 
 
-def _draw(rows: np.ndarray, last: np.ndarray, spec: GeneratorSpec) -> np.ndarray:
+def _signs(spec: GeneratorSpec) -> bool:
+    """Whether spec's law is Rademacher, whose draw reads only the top bit
+    of its words, so that its last fold makes top-bit words (see _rng)."""
+    return spec.param("dist", "rademacher") == "rademacher"  # product_rademacher names no law
+
+
+def _draw(h: np.ndarray, spec: GeneratorSpec) -> np.ndarray:
     """A block of spec's iid or moving-average fields, or of one product
-    axis's factor streams, from its row words and last word: the last
-    fold, then the value map of the law, in place on the words.  A
-    Rademacher draw reads only the top bit, so its words are top-bit
-    words (see _rng).  The caller hands the rows over: where the fold
-    runs in place on them (a last axis of extent 1), this frame then
-    holds the words alone, and the del frees them before the Gaussian or
-    Weibull map makes its array.  A moving average adds each site's
-    value to the one before it on the extended axis."""
-    dist = spec.param("dist", "rademacher")  # product_rademacher names no law
-    h = _rng.last_fold(rows, last, dist == "rademacher")
-    del rows
-    if dist == "rademacher":
-        vals = _rng.sign_pm1(h)
-    else:
-        vals = _rng.uniform01(h)
-        del h
-        vals = _law_values(vals, spec)
+    axis's factor streams, from its words h, which the caller's last fold
+    makes (_rng.last_fold, top-bit words where _signs(spec)): the value
+    map of the law, in place on the words, with a scratch of at most a
+    quarter block (lattice._slices).  The caller folds the rows it hands
+    over inline, so no frame keeps them alive once the fold has read
+    them.  A moving average adds each site's value to the one before it
+    on the extended axis, in place over the row slices of the values
+    (lattice._row_slices), each with a copy of its lagged values; the
+    result is the view of its last n sites."""
+    vals = _rng.sign_pm1(h) if _signs(spec) else _law_values(_rng.uniform01(h), spec)
     if spec.variant != "moving_average":
         return vals
     axis = int(spec.param("axis"))
     lead = (slice(None),) * axis + (slice(1, None),)
     lag = (slice(None),) * axis + (slice(0, -1),)
-    return vals[lead] + vals[lag]
+    for part in lattice._row_slices(vals):
+        part[lead] += part[lag].copy()
+    return vals[lead]
 
 
+@functools.lru_cache(maxsize=64)
 def _base_key(spec: GeneratorSpec, master_seed: int, axis: int):
+    """The stream key of spec's fields (axis 0) or of a product's axis
+    factors, hashed once per spec, seed and axis rather than per block."""
     dist = spec.param("dist")
     dist_tag = _DIST_TAG.get(dist, 0)
     return _rng.stream_key(master_seed, _VARIANT_TAG[spec.variant], dist_tag, axis)
@@ -401,7 +410,8 @@ def _factor_words(spec: GeneratorSpec, master_seed: int, coords) -> list:
 def _factor_streams(spec: GeneratorSpec, words, reps: np.ndarray) -> list:
     """The per-axis factors of a product variant, one (count, n_q) array
     per axis from its _factor_words; the field is their outer product."""
-    return [_draw(_rng.row_words(key, reps, []), last, spec) for key, last in words]
+    return [_draw(_rng.last_fold(_rng.row_words(key, reps, []), last, _signs(spec)), spec)
+            for key, last in words]
 
 
 def _check_block(spec: GeneratorSpec, shape, seed: int, start: int, count: int,
@@ -457,11 +467,18 @@ def generate_batch(
         words = _factor_words(spec, master_seed, coords)
         axes = [vals.reshape((count,) + (1,) * q + (-1,) + (1,) * (spec.d - q - 1))
                 for q, vals in enumerate(_factor_streams(spec, words, reps))]
-        return functools.reduce(np.multiply, axes)
+        return functools.reduce(_times, axes)
 
     coords = _site_coords(spec, coords)
-    return _draw(_rng.row_words(_base_key(spec, master_seed, 0), reps, coords[:-1]),
-                 _rng.last_word(coords), spec)
+    key, last = _base_key(spec, master_seed, 0), _rng.last_word(coords)
+    return _draw(_rng.last_fold(_rng.row_words(key, reps, coords[:-1]), last, _signs(spec)), spec)
+
+
+def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b, in place on whichever of them already has the product's
+    shape (a product field's factors, multiplied in axis order)."""
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    return np.multiply(a, b, out=a if a.shape == shape else b if b.shape == shape else None)
 
 
 def replica_stats(spec: GeneratorSpec, shape, seed: int, start: int, count: int,
@@ -530,8 +547,8 @@ def _product_stats(spec: GeneratorSpec, words, start: int, count: int, stats: tu
     prefixes of its factor streams."""
     reps = np.arange(start, start + count, dtype=np.int64)
     prefixes = [batch_prefix(vals) for vals in _factor_streams(spec, words, reps)]
-    peaks = [np.abs(p).max(axis=1) for p in prefixes]
-    ends = [p[:, -1] for p in prefixes]
+    ends = [p[:, -1].copy() for p in prefixes]
+    peaks = [np.abs(p, out=p).max(axis=1) for p in prefixes]
     factors = {"max": peaks, "total": ends, "slab": peaks[:-1] + [np.abs(ends[-1])]}
     return tuple(functools.reduce(np.multiply, factors[name]) for name in stats)
 
@@ -550,7 +567,8 @@ def _span_stats(spec: GeneratorSpec, key, lead, last, block: int, start: int, co
     clears fewer than 3/4 of its replicas, the span's later blocks take
     the float path alone; the values are the same either way.  The span
     drops its own reference to the rows, so a span of one block hands
-    them over to the block with its one view (see _draw)."""
+    them over to the block's last fold with its one view, and a view the
+    fold has read is freed before its words are mixed (see _draw)."""
     rows = _rng.row_words(key, np.arange(start, start + count, dtype=np.int64), lead)
     views = [rows[lo:lo + block] for lo in range(0, count, block)]
     del rows
@@ -566,7 +584,9 @@ def _span_stats(spec: GeneratorSpec, key, lead, last, block: int, start: int, co
             parts.append((_screened(spec, key, lead, last, first, bound, stats[0], floor),))
             screen = 4 * np.count_nonzero(bound <= floor) >= 3 * len(bound)
         else:
-            parts.append(_field_stats(_draw(views.pop(0), last, spec), stats))
+            h = _rng.last_fold(views.pop(0), last, _signs(spec))
+            parts.append(_field_stats(_draw(h, spec), stats))
+            del h  # the next block's words must not meet these alive
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
@@ -663,10 +683,14 @@ def _bracket_sums(table: np.ndarray, buckets: np.ndarray, mids=None) -> np.ndarr
     S_n(c) + i W, gathered in pieces of at most _piece_cells() entries
     (whole replicas, or pieces of one).  With mids (buckets's buffer as
     float64), each piece's midpoints overwrite its buckets once they are
-    gathered.  np.take's clip mode leaves out the bounds check of every
-    index, all of which, top _BUCKET_BITS bits, are in range."""
+    gathered, and the pieces are half as large, so that the fine bound of
+    a maximum, which runs the float path's prefix sums on the midpoints,
+    holds a block and a quarter like the float path; a total's sums alone
+    take the larger pieces, which cost fewer calls.  np.take's clip mode
+    leaves out the bounds check of every index, all of which, top
+    _BUCKET_BITS bits, are in range."""
     count, cells = buckets.shape
-    size = _piece_cells()
+    size = _piece_cells() if mids is None else max(1, _piece_cells() // 2)
     if cells <= size:
         step = size // cells
         pieces = [(slice(r, r + step), slice(None)) for r in range(0, count, step)]
@@ -746,7 +770,8 @@ def _screened(spec: GeneratorSpec, key, lead, last, first: int, bound: np.ndarra
     open_ = np.flatnonzero(~(bound <= floor))
     if open_.size:
         reps = first + open_.astype(np.int64)
-        values, = _field_stats(_draw(_rng.row_words(key, reps, lead), last, spec), (stat,))
+        h = _rng.last_fold(_rng.row_words(key, reps, lead), last, _signs(spec))
+        values, = _field_stats(_draw(h, spec), (stat,))
         out[open_] = values
     return out
 

@@ -214,8 +214,9 @@ def _sheet_cov(config: ExperimentConfig) -> dict:
     def work(start, count):
         return _sheet_block(res, config.seed, start, count)[sites]
 
-    # a block holds its padded sheets, then their (count, pairs, 2) node values
-    cells = max(volume(n + 1 for n in res), 2 * config.pairs)
+    # a block holds its padded sheets with the sheets they pad, and then
+    # with their (count, pairs, 2) node values
+    cells = (volume(n + 1 for n in res), max(volume(res), 2 * config.pairs))
     blocks = range(0, config.replicas, _block_size(cells, "sheet block"))
     values = np.concatenate(_map_blocks(work, blocks, config.threads))
     rows = []
@@ -279,8 +280,8 @@ def _holder_norm(config: ExperimentConfig) -> dict:
             return holder.grid_seq_norms(padded_prefix(batch_prefix(generate_batch(
                 config.generator, shape, config.seed, start, count)), lead=1), rho, levels)
 
-        # a block holds its padded prefix arrays and their level-j_max grids
-        cells = max(volume(n + 1 for n in shape), holder.full_grid_count(levels, len(shape)))
+        # a block holds its padded prefix arrays and their level-j_max grids at once
+        cells = (volume(n + 1 for n in shape), holder.full_grid_count(levels, len(shape)))
         blocks = range(0, config.replicas, _block_size(cells, "level grid"))
         norms = np.concatenate(_map_blocks(work, blocks, config.threads))
         qs = np.quantile(norms, [0.25, 0.5, 0.75, 0.9])

@@ -30,13 +30,18 @@ slice's in one buffer.  The tests check it bit for bit against the
 site-by-site seminorm, whose evaluator of W shares eval_W_grid's
 corner-sum kernel.  A level grid is held to the block budget of the
 lattice layer (lattice._block_size) like a lattice, and grid_seq_norms
-evaluates the whole block it is given at once.  It drops its reference
-to the padded prefix arrays once the grid is built, so a caller that
-hands them over holds about two arrays at the peak, not three.
+evaluates the whole block it is given at once.  The padded prefix
+arrays and the grid are alive together, so a caller sizes the block
+for both (holder-norm gives _block_size their two cells); once the
+grid is built grid_seq_norms drops its reference to the padded arrays,
+which a caller that hands them over frees there.  A grid read straight
+off the prefix is one gather; an interpolated one adds a quarter-block
+corner at most (lattice._corner_sum).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -215,7 +220,8 @@ def grid_seq_norms(padded, rho: Modulus, j_max: int) -> np.ndarray:
     aligned axis straight off the prefix), into a new array: padded is
     left as it was, and freed before the coefficients are built when
     the caller keeps no reference to it.  A caller sizes the block so
-    that its grid fits the block budget (lattice._block_size)."""
+    that its padded arrays and its grid together fit the block budget
+    (lattice._block_size with the cells of both)."""
     padded = np.asarray(padded, dtype=np.float64)
     d = padded.ndim - 1
     if d != rho.d:
@@ -224,5 +230,12 @@ def grid_seq_norms(padded, rho: Modulus, j_max: int) -> np.ndarray:
     check_number("j_max", j_max, hi=MODULUS_LEVELS)
     grid = eval_W_grid(padded, j_max)
     del padded
-    scales = [modulus_eval(rho, 2.0**-j) for j in range(j_max + 1)]
-    return np.max([_grid_peaks(grid, j, j_max) / s for j, s in enumerate(scales)], axis=0)
+    return np.max([_grid_peaks(grid, j, j_max) / s for j, s in enumerate(_scales(rho, j_max))],
+                  axis=0)
+
+
+@functools.lru_cache(maxsize=32)
+def _scales(rho: Modulus, j_max: int) -> tuple:
+    """rho(2^-j) for the levels j = 0..j_max, evaluated once per modulus
+    and level rather than once per block."""
+    return tuple(modulus_eval(rho, 2.0**-j) for j in range(j_max + 1))

@@ -29,9 +29,17 @@ them (at most _MAX_THREADS - 1) and kept, idle, until the process exits;
 a forked child starts its own.  Blocks are sized by cells:
 _block_size turns a caller's cells per replica into replicas per block,
 max(1, _BLOCK_CELLS // cells), so a block's largest float64 array
-holds about _BLOCK_CELLS cells (1 MiB, and the hash's scratch at most a
-quarter of that: _rng._mix) whatever the lattice, and a lattice
-larger than that runs one replica per block.  A loop whose blocks share
+holds about _BLOCK_CELLS cells (1 MiB) whatever the lattice, and a
+lattice larger than that runs one replica per block.  A block that
+holds two such arrays at once (holder-norm's padded prefix and level
+grid, sheet-cov's sheet and padded sheet) gives _block_size the cells
+of both, so the two together hold about _BLOCK_CELLS.  Every in-place
+step of a block (the hash's mix, the value maps, a moving average's
+sum, a lone total's running sum, an interpolated grid's corners) runs
+over slices of at most _SCRATCH_CELLS = _BLOCK_CELLS // 4 cells
+(_slices, _row_slices) with a scratch of one slice, so a block holds
+one block array and a quarter of one at most on the float path.  A
+loop whose blocks share
 work across the replicas may group them into spans of whole blocks
 (_span_size): generators.replica_stats hashes the words of every axis
 but the last once per span, at most _BLOCK_CELLS // 8 words (an eighth
@@ -64,22 +72,49 @@ import numpy as np
 from .errors import InvalidInputError, TooLargeError, quote
 
 _BLOCK_CELLS = 1 << 17  # float64 cells of the largest array of one block, one replica at least
+_SCRATCH_CELLS = _BLOCK_CELLS // 4  # cells of a block's scratch array at most
 _BLOCK_BYTES = 16 << 20  # bytes of the largest float64 array of one replica
 _MAX_THREADS = 32  # threads one driver call runs blocks on at most, its caller's among them
 _MIN_SPANS = 8  # spans a loop of that many blocks or more is cut into at least
 
 
-def _block_size(cells: int, what: str) -> int:
+def _block_size(cells, what: str) -> int:
     """Replicas per block when the largest array of a block holds `cells`
-    float64 values per replica: max(1, _BLOCK_CELLS // cells).  The plan
-    depends on cells alone, so threading cannot regroup it.  Raises
-    TooLargeError when one replica's array alone exceeds _BLOCK_BYTES;
-    `what` names that array in the message."""
-    if 8 * cells > _BLOCK_BYTES:
-        count = "%d" % cells if cells < 1 << 64 else "about 2^%.0f" % math.log2(cells)
+    float64 values per replica, or, for a tuple of cells, when a block
+    holds an array of each at once: max(1, _BLOCK_CELLS // their sum).
+    The plan depends on cells alone, so threading cannot regroup it.
+    Raises TooLargeError when one replica's array alone exceeds
+    _BLOCK_BYTES; `what` names that array in the message."""
+    arrays = cells if isinstance(cells, tuple) else (cells,)
+    largest = max(arrays)
+    if 8 * largest > _BLOCK_BYTES:
+        count = "%d" % largest if largest < 1 << 64 else "about 2^%.0f" % math.log2(largest)
         raise TooLargeError("%s of %s cells exceeds the block budget of %d cells (%d MiB)"
                             % (what, count, _BLOCK_BYTES // 8, _BLOCK_BYTES >> 20))
-    return max(1, _BLOCK_CELLS // cells)
+    return max(1, _BLOCK_CELLS // sum(arrays))
+
+
+def _row_slices(x: np.ndarray, cells: int = 0) -> list:
+    """Views of x along its leading axis that cover it in order, each of
+    as many rows as hold at most _SCRATCH_CELLS cells, or of one row
+    where a row holds more: the slices in which a block's row-wise
+    steps run with a scratch of one slice.  The cells of a row are x's
+    own, or `cells` where a step's scratch holds that many per row."""
+    rows = max(1, _SCRATCH_CELLS // max(1, cells or x[:1].size))
+    return [x[i:i + rows] for i in range(0, len(x), rows)]
+
+
+def _slices(x: np.ndarray) -> list:
+    """Views of x that cover it once, each of at most _SCRATCH_CELLS
+    cells: x itself when it is that small, else its row slices, a row
+    that holds more being cut into its own.  The in-place maps of a
+    block (the hash's mix, the value maps) run over them with a scratch
+    of one slice, so a view that a caller hands over, contiguous or
+    not, is written in place like any other array."""
+    if x.size <= _SCRATCH_CELLS:
+        return [x]
+    return [part for rows in _row_slices(x)
+            for part in (_slices(rows[0]) if rows.size > _SCRATCH_CELLS else [rows])]
 
 
 def _span_size(block: int, rows: int, count: int) -> int:
@@ -131,12 +166,25 @@ def batch_total(fields: np.ndarray) -> np.ndarray:
     lattice axis is summed by one np.add.reduce over it, which runs
     along the axes after it and so adds its slabs one after another;
     the last axis by cumsum.  Lattice axes of extent 1 are dropped
-    first, as summing over one changes nothing; the result is a copy, so
-    no block-sized array outlives the call."""
+    first, as summing over one changes nothing.  The sums run over row
+    slices of the batch (_row_slices) sized by their first new array,
+    the first sum or the running sum, so beside the batch they hold a
+    quarter block at most, and the result is a copy, so no block-sized
+    array outlives the call."""
     fields = fields.reshape(len(fields), *([n for n in fields.shape[1:] if n > 1] or [1]))
+    first = fields[:1].size // (fields.shape[1] if fields.ndim > 2 else 1)
+    return np.concatenate([_slice_total(rows) for rows in _row_slices(fields, first)])
+
+
+def _slice_total(fields: np.ndarray) -> np.ndarray:
+    """batch_total of a row slice whose lattice axes all exceed 1; the
+    running sum of the last axis is taken in place on a sum of the axes
+    before it, never on the fields given."""
+    if fields.ndim == 2:
+        return np.cumsum(fields, axis=1)[:, -1].copy()
     while fields.ndim > 2:
         fields = np.add.reduce(fields, axis=1)
-    return np.cumsum(fields, axis=1)[:, -1].copy()
+    return np.cumsum(fields, axis=1, out=fields)[:, -1].copy()
 
 
 def padded_prefix(prefix: np.ndarray, lead: int = 0) -> np.ndarray:
@@ -250,20 +298,38 @@ def _corner_sum(padded: np.ndarray, corners) -> np.ndarray:
     integer arrays (so each gather is a copy, never a view of padded)
     that broadcast with the weights.  Weights multiply in axis order from
     1.0, and corners add in mask order (bit q set takes axis q's second
-    pair) as into a zeroed total.  Each corner is scaled in place and
-    freed before the next gather, so at most two result-sized arrays are
-    alive, and one when no axis has two pairs."""
-    total = None
-    for choice in itertools.product(*corners[::-1]):  # axis 0 varies fastest
-        w = 1.0
-        for _, weight in reversed(choice):
-            w = w * weight
-        corner = padded[(slice(None),) + tuple(index for index, _ in reversed(choice))]
-        corner *= w
-        if total is None:
-            total = corner
-            total += 0.0  # as if added to zeros: -0.0 becomes +0.0
-        else:
-            total += corner
-        del corner  # the next gather must not meet this one alive
+    pair) as into a zeroed total.  With one corner (every axis read
+    straight off the lattice) its gather, scaled in place, is the total,
+    laid out as numpy lays out a gather of padded: replica axis
+    innermost, which the per-replica reductions of its callers run along
+    fastest.  Otherwise the total is summed over its row slices
+    (_row_slices), each corner of a slice gathered, scaled in place and
+    freed before the next, so beside the total at most one slice's
+    corner is alive."""
+    choices = list(itertools.product(*corners[::-1]))  # axis 0 varies fastest
+    if len(choices) == 1:  # the one corner's gather is the total
+        total = _corner(padded, slice(None), choices[0])
+        total += 0.0  # as if added to zeros: -0.0 becomes +0.0
+        return total
+    cell = np.broadcast_shapes(*(np.shape(index) for choice in choices for index, _ in choice))
+    total = np.empty((len(padded),) + cell)
+    lo = 0
+    for part in _row_slices(total):
+        rows = slice(lo, lo + len(part))
+        lo = rows.stop
+        np.add(_corner(padded, rows, choices[0]), 0.0, out=part)  # as into zeros
+        for choice in choices[1:]:  # each corner is freed before the next gather
+            part += _corner(padded, rows, choice)
     return total
+
+
+def _corner(padded: np.ndarray, rows: slice, choice) -> np.ndarray:
+    """One corner of _corner_sum on the rows of padded: the gather at its
+    indices, scaled in place by its weights multiplied in axis order
+    from 1.0."""
+    w = 1.0
+    for _, weight in reversed(choice):
+        w = w * weight
+    corner = padded[(rows,) + tuple(index for index, _ in reversed(choice))]
+    corner *= w
+    return corner

@@ -293,49 +293,60 @@ _MODULUS = {"c": math.exp(6.0), "L": {"kind": "iter_log"}}
 # Every Monte Carlo experiment, with the cells per replica of its block
 # arrays as README's Memory section counts them: the lattice, the sum of
 # the axis extents for a product field, the fdd box [1, k], the level
-# lattice of tightness (one level, as j_from = m_q), the padded sheet,
-# and for holder-norm the larger of the padded lattice and the level
-# grid.  Its bound in block arrays: README's three, and for holder-norm
-# 2.25 where every axis is aligned and the grid is read off the prefix,
-# and 2.58 on 24x40, whose grid is interpolated along both axes.
+# lattice of tightness (one level, as j_from = m_q), and for the blocks
+# that hold two arrays at once the sum of both: the sheet and the padded
+# sheet of sheet-cov, the padded lattice and the level grid of
+# holder-norm.  Its bound in block arrays: README's 1.5, and 2.25 for the
+# screen stages that gather bracket entries a quarter block at a time, 16
+# bytes a cell, beside a block's buckets: a total's bracket sums, and the
+# chunk stage of tightness with its chunk sums.
 _BLOCK_CASES = {
     "deviation": (dict(experiment="deviation", generator=iid_gaussian(2), shape=(64, 64),
-                       x_grid=(0.5, 1.0)), 64 * 64, 3),
+                       x_grid=(0.5, 1.0)), 64 * 64, 1.5),
     "verify-bound": (dict(experiment="verify-bound", generator=product_rademacher(2),
                           shape=(64, 64), x_grid=(48.0, 96.0),
-                          bound={"kind": "bounded", "K": 1.0}), 64 + 64, 3),
+                          bound={"kind": "bounded", "K": 1.0}), 64 + 64, 1.5),
     # the screens' stages: a Weibull total's bracket sums, and a
     # Rademacher maximum's partial sign count at a floor of 2560 > |n| / 2
     "verify-bound-large-deviation": (dict(experiment="verify-bound",
                                           generator=iid_weibull(2, 1.0), shape=(64, 64),
                                           x_grid=(0.25, 0.5),
                                           bound={"kind": "large-deviation", "gamma": 1.0}),
-                                     64 * 64, 3),
+                                     64 * 64, 2.25),
     "deviation-partial-sign-count": (dict(experiment="deviation", generator=iid_rademacher(2),
-                                          shape=(64, 64), x_grid=(40.0, 48.0)), 64 * 64, 3),
+                                          shape=(64, 64), x_grid=(40.0, 48.0)), 64 * 64, 1.5),
     "induction-check": (dict(experiment="induction-check", generator=iid_weibull(3, 1.0),
-                             shape=(16, 16, 16), x_grid=(0.5, 1.0)), 16**3, 3),
+                             shape=(16, 16, 16), x_grid=(0.5, 1.0)), 16**3, 1.5),
+    "induction-check-gaussian-32x32": (dict(experiment="induction-check",
+                                            generator=iid_gaussian(2), shape=(32, 32),
+                                            x_grid=(0.5, 1.0)), 32 * 32, 1.5),
     "tightness": (dict(experiment="tightness", generator=iid_gaussian(2), exponents=(6, 6),
-                       eps=0.3, axis_q=1, j_from=6, modulus=_MODULUS), 64, 3),
+                       eps=0.3, axis_q=1, j_from=6, modulus=_MODULUS), 64, 2.25),
     "fdd": (dict(experiment="fdd", generator=iid_rademacher(2), shape=(64, 64),
-                 t_point=(0.5, 1.0)), 32 * 64, 3),
-    "sheet-cov": (dict(experiment="sheet-cov", shape=(63, 63), pairs=10), 64 * 64, 3),
+                 t_point=(0.5, 1.0)), 32 * 64, 1.5),
+    "fdd-gaussian-16x16": (dict(experiment="fdd", generator=iid_gaussian(2), shape=(16, 16),
+                                t_point=(1.0, 1.0)), 16 * 16, 1.5),
+    "fdd-weibull-16x16": (dict(experiment="fdd", generator=iid_weibull(2, 1.0), shape=(16, 16),
+                               t_point=(1.0, 1.0)), 16 * 16, 1.5),
+    "sheet-cov": (dict(experiment="sheet-cov", shape=(63, 63), pairs=10), 63 * 63 + 64 * 64, 1.5),
     "holder-norm-8x8": (dict(experiment="holder-norm", generator=iid_gaussian(2),
-                             shapes=((8, 8),), modulus=_MODULUS), 9 * 9, 2.25),
+                             shapes=((8, 8),), modulus=_MODULUS), 2 * 9 * 9, 1.5),
     "holder-norm-32x32": (dict(experiment="holder-norm", generator=iid_gaussian(2),
-                               shapes=((32, 32),), modulus=_MODULUS), 33 * 33, 2.25),
+                               shapes=((32, 32),), modulus=_MODULUS), 2 * 33 * 33, 1.5),
     "holder-norm-24x40": (dict(experiment="holder-norm", generator=iid_gaussian(2),
-                               shapes=((24, 40),), modulus=_MODULUS), 65 * 65, 2.58),
+                               shapes=((24, 40),), modulus=_MODULUS), 25 * 41 + 65 * 65, 1.5),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_BLOCK_CASES))
 def test_every_experiment_block_holds_at_most_three_block_arrays(name, peak_bytes):
-    # one block of replicas, so per-replica results are small beside it
+    # two blocks of replicas, so a block sized for fewer arrays than it
+    # holds shows, and per-replica results are small beside them
     base, cells, bound = _BLOCK_CASES[name]
-    config = ExperimentConfig(replicas=lattice._block_size(cells, "lattice"), seed=3, **base)
+    block = lattice._block_size(cells, "lattice")
+    config = ExperimentConfig(replicas=2 * block, seed=3, **base)
     run_experiment(config)  # the first run fills caches, such as the constants table
-    arrays = peak_bytes(lambda: run_experiment(config)) / (8 * cells * config.replicas)
+    arrays = peak_bytes(lambda: run_experiment(config)) / (8 * cells * block)
     assert arrays <= bound, arrays
 
 

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from orthofield import _rng
+from orthofield.generators import _weibull_values
+from orthofield.lattice import _SCRATCH_CELLS
 import scalar_hash as ref
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -88,8 +90,8 @@ def _mix_one_scratch(x: np.ndarray, top: bool) -> np.ndarray:
     return x
 
 
-@pytest.mark.parametrize("shape", [(), (1, 2 * _rng._MIX_WORDS + 3), (3, 2, _rng._MIX_WORDS - 1),
-                                   (7, _rng._MIX_WORDS // 3), (3 * _rng._MIX_WORDS + 1,)],
+@pytest.mark.parametrize("shape", [(), (1, 2 * _SCRATCH_CELLS + 3), (3, 2, _SCRATCH_CELLS - 1),
+                                   (7, _SCRATCH_CELLS // 3), (3 * _SCRATCH_CELLS + 1,)],
                          ids=["0-d", "one-replica-past-the-scratch", "rows-past-the-scratch",
                               "slices-not-dividing-the-replicas", "one-axis"])
 @pytest.mark.parametrize("top", [False, True])
@@ -154,10 +156,55 @@ def test_uniform01_keeps_the_largest_words_below_one():
     # so the largest words give finite Gaussian and Weibull values, and
     # a node draw 1 + floor(u res) stays on its sheet
     from scipy.special import ndtri
-    from orthofield.generators import _weibull_values
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert np.all(np.isfinite(ndtri(u)))
         assert np.all(np.isfinite(_weibull_values(u.copy(), 1.0)))
     for res in [1, 2, 3, 5, 7, 96, 1000, 2**21 - 1, 2**21]:
         assert 1 + math.floor(below_one * res) == res
+
+
+def _uniform01_one_shot(h: np.ndarray) -> np.ndarray:
+    """uniform01 as one conversion of the whole array, the reference for
+    the map written slice by slice over the words."""
+    u = ((h >> np.uint64(11)).view(np.int64).astype(np.float64) + 0.5) * 2.0**-53
+    return np.minimum(u, 1.0 - 2.0**-53)
+
+
+def _weibull_one_shot(u: np.ndarray, gamma: float) -> np.ndarray:
+    """_weibull_values as one expression over the whole array, the
+    reference for the map written slice by slice over the uniforms."""
+    return np.copysign((-np.log(np.minimum(u, 1.0 - u))) ** (1.0 / gamma), u - 0.5)
+
+
+def _bits(x: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+@pytest.mark.parametrize("layout", ["flat", "leading-axis-view"])
+def test_sliced_value_maps_equal_the_one_shot_formulas(layout):
+    # three scratches and 5 words, or every other row of an array whose
+    # rows hold a scratch and 2 words each (a view that is not
+    # contiguous, each row cut in two); among the words 0, 2^64 - 1 and
+    # the top 2^11, so 2^11 + 1 words that uniform01 clamps below 1.0
+    words = np.random.default_rng(13).integers(0, 2**64 - 1, size=3 * _SCRATCH_CELLS + 6,
+                                               dtype=np.uint64, endpoint=True)
+    words[:2] = [0, 2**64 - 1]
+    words[2:2 + 2**11] = np.arange(2**64 - 2**11, 2**64, dtype=np.uint64)
+    if layout == "flat":
+        base = view = words[:-1]
+    else:
+        base = np.zeros((6, _SCRATCH_CELLS + 2), dtype=np.uint64)
+        view = base[::2]
+        view[...] = words.reshape(view.shape)
+    u = _uniform01_one_shot(view)
+    assert np.count_nonzero(u == 1.0 - 2.0**-53) == 2**11 + 1
+    got = _rng.uniform01(view)
+    assert np.shares_memory(got, view) and np.array_equal(_bits(got), _bits(u))
+    for gamma in (0.5, 1.0, 2.0):
+        assert np.array_equal(_bits(_weibull_values(got.copy(), gamma)),
+                              _bits(_weibull_one_shot(u, gamma)))
+    assert _weibull_values(got, 1.0) is got  # in place on the view too
+    assert np.array_equal(_bits(got), _bits(_weibull_one_shot(u, 1.0)))
+    if layout != "flat":
+        assert not np.any(base[1::2])  # the rows between are left as they were

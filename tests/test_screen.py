@@ -269,9 +269,9 @@ def test_a_rademacher_slab_sends_the_replicas_it_leaves_open_to_the_float_path(m
     calls = _count_stages(monkeypatch, spec)
     drawn, draw = [], generators._draw
 
-    def counting_draw(rows, last, spec):
-        drawn.append(len(rows))
-        return draw(rows, last, spec)
+    def counting_draw(h, spec):
+        drawn.append(len(h))
+        return draw(h, spec)
 
     monkeypatch.setattr(generators, "_draw", counting_draw)
     got, = generators.replica_stats(spec, shape, 3, 0, count, ("max",), floor=floor)
