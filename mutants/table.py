@@ -130,17 +130,15 @@ MUTANTS = [
 # module, old, new); killed by the hand-built spec cases
 _SPEC_CHECKS = [
     ("generator-spec-without-variant-check", "generators",
-     "        if self.variant not in _VARIANTS:\n", "        if False:\n"),
+     "        if not isinstance(self.variant, str) or self.variant not in _VARIANT_TABLE:\n",
+     "        if False:\n"),
     ("generator-spec-without-d-check", "generators",
      'check_number("field dimension d", self.d, lo=1, integer=True)', "self.d"),
     ("generator-spec-without-pairs-check", "generators",
      "        except (TypeError, ValueError):\n", "        except ():\n"),
     ("generator-spec-without-dist-check", "generators",
-     "            if dist not in _DISTS:\n", "            if False:\n"),
-    ("generator-spec-without-sigma-check", "generators",
-     '"sigma", 1.0), lo=0,', '"sigma", 1.0), lo=-1,'),
-    ("generator-spec-without-gamma-check", "generators",
-     '"gamma", None), lo=0,', '"gamma", None), lo=-2,'),
+     "            if not isinstance(dist, str) or dist not in _LAW_TABLE:\n",
+     "            if False:\n"),
     ("generator-spec-without-axis-check", "generators",
      '"axis", 1), lo=1, hi=d,', '"axis", 1), lo=1, hi=d + 1,'),
     ("generator-spec-without-unread-param-check", "generators",
@@ -172,3 +170,61 @@ _SPEC_CHECKS = [
 MUTANTS += [{"name": name, "file": "src/orthofield/%s.py" % module, "old": old, "new": new,
              "kills": ["tests/test_input_checks.py::test_hand_built_specs_check_themselves"]}
             for name, module, old, new in _SPEC_CHECKS]
+
+# the law parameter's check, one statement for sigma and gamma alike:
+# each of the two hand-built cases fails on its own (run apart, as
+# pytest -x stops at the first)
+MUTANTS.append(
+    {"name": "generator-spec-without-law-parameter-check",
+     "file": "src/orthofield/generators.py",
+     "old": "read[law.param] = check_number(name, value, lo=0, above=True)",
+     "new": "read[law.param] = check_number(name, value, lo=-2, above=True)",
+     "kills": ["tests/test_input_checks.py::"
+               "test_hand_built_specs_check_themselves[generator %s]" % name
+               for name in ("sigma", "gamma")]})
+
+# the rows of the variant and law tables, each changed in one field
+MUTANTS += [
+    # iid_symmetric and product_rademacher trading stream tags; killed by
+    # the generation-bit pins
+    {"name": "variant-tags-swapped",
+     "file": "src/orthofield/generators.py",
+     "old": '"iid_symmetric": _Variant(101, True, lambda x, d: x, False, None, "spans"),\n'
+            '    "product_rademacher": _Variant(102,',
+     "new": '"iid_symmetric": _Variant(102, True, lambda x, d: x, False, None, "spans"),\n'
+            '    "product_rademacher": _Variant(101,',
+     "kills": ["tests/test_generation_bits.py::test_generation_bits_are_pinned"]},
+    # product_rademacher's axis streams keyed with the rademacher law's
+    # tag 201 instead of 0; killed by the generation-bit pins
+    {"name": "signs-law-tag-201",
+     "file": "src/orthofield/generators.py",
+     "old": '_SIGNS = _LAW_TABLE["rademacher"]._replace(tag=0)',
+     "new": '_SIGNS = _LAW_TABLE["rademacher"]._replace(tag=201)',
+     "kills": ["tests/test_generation_bits.py::test_generation_bits_are_pinned"]},
+    # a moving average's site scaled as one site (x, not 2x); killed by
+    # the variance and float-range tests
+    {"name": "moving-average-scale-x",
+     "file": "src/orthofield/generators.py",
+     "old": "lambda x, d: 2 * x,",
+     "new": "lambda x, d: x,",
+     "kills": ["tests/test_generators.py::test_spec_variance_against_quadrature",
+               "tests/test_generators.py::"
+               "test_a_lattice_whose_sums_can_pass_the_float_range_is_refused[moving-average]"]},
+    # the product variants' site scaled as one factor (x, not x^d);
+    # killed by the quadrature test's decoupled cases
+    {"name": "product-scale-x",
+     "file": "src/orthofield/generators.py",
+     "old": 'lambda x, d: x**d, False, None, "product"),\n'
+            '    "decoupled_product": _Variant(103, True, lambda x, d: x**d,',
+     "new": 'lambda x, d: x, False, None, "product"),\n'
+            '    "decoupled_product": _Variant(103, True, lambda x, d: x,',
+     "kills": ["tests/test_generators.py::test_spec_variance_against_quadrature"]},
+    # a product field's slab taking its last factor from axis 1 instead of
+    # axis d; killed by the exact Rademacher product oracle
+    {"name": "product-slab-from-axis-1",
+     "file": "src/orthofield/generators.py",
+     "old": '"slab": peaks[:-1] + [np.abs(ends[-1])]}',
+     "new": '"slab": peaks[:-1] + [np.abs(ends[0])]}',
+     "kills": ["tests/test_generators.py::"
+               "test_product_stats_equal_float_path_exactly_for_rademacher"]},
+]

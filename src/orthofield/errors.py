@@ -94,14 +94,18 @@ def check_kind(what: str, data, kinds: dict, optional=False) -> str:
 
 
 def check_number(what: str, value, lo=-math.inf, hi=math.inf, integer=False, above=False):
-    """value (an int if integer is set) once it is a finite JSON number
-    with lo <= value <= hi, or lo < value <= hi when above is set."""
+    """value as a Python int (integer set) or float once it is a finite
+    JSON number with lo <= value <= hi, or lo < value <= hi when above is
+    set.  A NumPy number is read as the Python number of its value first:
+    a narrow float's own type would round the largest double to inf."""
     kind = numbers.Integral if integer else numbers.Real
-    if (isinstance(value, bool) or not isinstance(value, kind)
-            or not abs(value) <= sys.float_info.max):  # nan, inf and huge integers
+    number = isinstance(value, kind) and not isinstance(value, bool)
+    if number and type(value) not in (int, float):
+        value = int(value) if isinstance(value, numbers.Integral) else float(value)
+    if not number or not abs(value) <= sys.float_info.max:  # nan, inf and huge integers
         raise InvalidInputError("%s must be %s, not %s" % (
             what, "an integer" if integer else "a finite number", quote(value)))
     if not (lo < value if above else lo <= value) or value > hi:
         raise InvalidRangeError("%s must be in %s%s, %s], not %r"
                                 % (what, "(" if above else "[", lo, hi, value))
-    return int(value) if integer else value
+    return value if integer else float(value)

@@ -65,12 +65,12 @@ replicas.  Each law has its own bounds:
   of replicas.  A floor f >= |n| hashes nothing, and a lone total is
   the sign count itself.
 - Gaussian and Weibull: a bracket table (_brackets), built once per
-  spec, holds for each bucket of words, their top _BUCKET_BITS bits,
-  one complex entry c + i h: a midpoint c and a half-width h with
-  |x - c| <= h for the value x of every word in it.  A block gathers
-  each site's entry once, and with W the replica's sum of h, v the
-  table's largest |c| + h, and fl S_k a prefix sum as batch_prefix
-  rounds it, the fine bound is
+  law and parameter, holds for each bucket of words, their top
+  _BUCKET_BITS bits, one complex entry c + i h: a midpoint c and a
+  half-width h with |x - c| <= h for the value x of every word in it.
+  A block gathers each site's entry once, and with W the replica's sum
+  of h, v the table's largest |c| + h, and fl S_k a prefix sum as
+  batch_prefix rounds it, the fine bound is
 
       max_k |fl S_k(x)| <= M + W + eps_2,  M = max_k |fl S_k(c)|,
       eps_k = 2 g (k |n| v + W + M),  g = (|n| + 2) 2^-53,
@@ -116,33 +116,32 @@ float path's values bit for bit; Gaussian and Weibull decoupled products
 round differently, by a few 1e-15 x max |S| per replica.  The zero
 field's statistics are zero arrays, with no block built.
 
-A GeneratorSpec checks itself when it is built, so everything here
-takes a spec as valid; _per_site alone scales a law to a variant's site.
-
 generate_batch is the one way to draw fields: a single replica is
 generate_batch(spec, shape, seed, r, 1)[0].  zero_field, the all-zero
 control a config can name, has no caller in the package.  The Monte
 Carlo conditional-centering battery the variants below pass or fail is
 a test oracle (tests/single_field.py), not part of the replica screen.
 
-Variants
---------
-iid_symmetric       independent symmetric values at every site
-                    (rademacher, gaussian(sigma), weibull_symmetric(gamma))
-product_rademacher  X_i = prod_q eps^(q)_{i_q} with +-1 axis streams
-decoupled_product   same product structure with a configurable base law
-moving_average      X_i = eps_i + eps_{i-e_axis}; deliberately fails the
-                    one-sided conditional-centering battery on that axis
-                    (the battery's negative control)
-zero                degenerate all-zero field (testing hook)
-
-The weibull_symmetric law has survival P{|X| > s} = min(1, 2 exp(-s^gamma)),
-so sup_s exp(s^gamma) P{|X| > s} = 2 exactly: it sits on the boundary of
-the envelope class used by the large-deviation bound.
+A GeneratorSpec checks itself when it is built, so everything here
+takes a spec as valid.  A spec is a plain value: its variant and its
+dist name rows of the two tables below, _VARIANT_TABLE and _LAW_TABLE,
+which hold all that sets a variant or a law apart, and no code outside
+them compares those names.  The variants: iid_symmetric, independent
+values of a law at every site; product_rademacher, X_i = prod_q
+eps^(q)_{i_q} with +-1 axis streams; decoupled_product, the same
+product of a law's axis streams; moving_average, X_i = eps_i +
+eps_{i-e_axis}, which deliberately fails the one-sided
+conditional-centering battery on that axis (the battery's negative
+control); and zero, the all-zero field (a testing hook).  The laws:
+rademacher, gaussian(sigma) and weibull_symmetric(gamma), whose
+survival P{|X| > s} = min(1, 2 exp(-s^gamma)) gives sup_s exp(s^gamma)
+P{|X| > s} = 2 exactly: it sits on the boundary of the envelope class
+used by the large-deviation bound.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import json
 import math
@@ -172,15 +171,7 @@ from .lattice import (
     volume,
 )
 
-_VARIANTS = ("iid_symmetric", "product_rademacher", "decoupled_product", "moving_average", "zero")
-_PRODUCTS = ("product_rademacher", "decoupled_product")
 _STATS = ("max", "total", "slab")
-_DISTS = ("rademacher", "gaussian", "weibull_symmetric")
-
-# stream labels folded into every key; distinct per (variant, dist) so
-# different generators at the same master seed are not coupled
-_VARIANT_TAG = {name: 101 + k for k, name in enumerate(_VARIANTS)}
-_DIST_TAG = {name: 201 + k for k, name in enumerate(_DISTS)}
 
 # The bracket screen's buckets are the top 12 bits of a hash word; any
 # of the top 31 would be exact (see _rng: top-bit words keep bits 33-63).
@@ -194,6 +185,71 @@ _BRACKET_ULPS = 16  # the half-widths' margin for value maps rounded out of orde
 _CHUNK = 8  # sites of the last axis per chunk of the chunk bound
 
 
+def _weibull_values(u: np.ndarray, gamma: float) -> np.ndarray:
+    """The weibull_symmetric law's inverse-CDF map of the uniforms u in
+    (0, 1), unchecked and in place, slice by slice (lattice._slices): a
+    slice's magnitudes (-log min(u, 1 - u))^(1/gamma) take a scratch of
+    its size, and the slice, shifted to u - 0.5, gives them their sign
+    as they are copied back over it."""
+    for part in lattice._slices(u):
+        m = np.subtract(1.0, part)
+        np.minimum(part, m, out=m)
+        np.log(m, out=m)
+        np.negative(m, out=m)
+        m **= 1.0 / gamma
+        part -= 0.5
+        np.copysign(m, part, out=part)
+        del m  # the next slice's scratch must not meet this one alive
+    return u
+
+
+def _weibull_variance(gamma: float) -> float:
+    # |X| = (ln 2 + E)^(1/gamma) with E ~ Exp(1), so
+    # E X^2 = 2 Gamma(1 + 2/gamma) Q(1 + 2/gamma, ln 2)
+    a = 1.0 + 2.0 / gamma
+    return float(2.0 * math.gamma(a) * gammaincc(a, math.log(2.0)))
+
+
+def _lag_sum(vals: np.ndarray, spec: GeneratorSpec) -> np.ndarray:
+    """A moving average from the values of its extended axis: each site's
+    value plus the one before it, in place over row slices of the values
+    (lattice._row_slices), each lag copied; the view of its last n sites."""
+    axis = spec.param("axis")
+    lead = (slice(None),) * axis + (slice(1, None),)
+    lag = (slice(None),) * axis + (slice(0, -1),)
+    for part in lattice._row_slices(vals):
+        part[lead] += part[lag].copy()
+    return vals[lead]
+
+
+# The law table: each law's stream tag, its one parameter and default
+# (None: required), and of that parameter p its variance, its value map
+# of uniforms (None: a draw of top bits alone) and its bracket slack.
+_Law = collections.namedtuple("_Law", "tag param default variance values slack")
+_LAW_TABLE = {
+    "rademacher": _Law(201, None, None, lambda p: 1.0, None, None),
+    "gaussian": _Law(202, "sigma", 1.0, lambda p: p**2,
+                     lambda u, p: np.multiply(ndtri(u, out=u), p, out=u), lambda p: 1.0),
+    "weibull_symmetric": _Law(203, "gamma", None, _weibull_variance, _weibull_values,
+                              lambda p: max(1.0, 1.0 / p)),
+}
+_SIGNS = _LAW_TABLE["rademacher"]._replace(tag=0)  # drawn where a variant reads no law
+
+# The variant table: each variant's stream tag, whether it reads a law,
+# its scale of a law's variance or magnitude x at a site of its field,
+# whether it reads an axis (hashed from the site before its first), its
+# post-map of the values drawn (or None) and its statistics' route.
+# Streams depend on the tags: a new row takes a new one, none is renumbered.
+_Variant = collections.namedtuple("_Variant", "tag law scale axis post route")
+_VARIANT_TABLE = {
+    "iid_symmetric": _Variant(101, True, lambda x, d: x, False, None, "spans"),
+    "product_rademacher": _Variant(102, False, lambda x, d: x**d, False, None, "product"),
+    "decoupled_product": _Variant(103, True, lambda x, d: x**d, False, None, "product"),
+    "moving_average": _Variant(104, True, lambda x, d: 2 * x, True, _lag_sum, "spans"),
+    "zero": _Variant(105, False, lambda x, d: 0 * x, False, None, "zeros"),
+}
+
+
 @dataclass(frozen=True, eq=True)
 class GeneratorSpec:
     """A variant, its dimension d and the params it reads (a mapping or
@@ -204,7 +260,7 @@ class GeneratorSpec:
     params: tuple = field(default=())  # sorted (key, value) pairs
 
     def __post_init__(self):
-        if self.variant not in _VARIANTS:
+        if not isinstance(self.variant, str) or self.variant not in _VARIANT_TABLE:
             raise InvalidInputError("unknown generator variant %s" % quote(self.variant))
         variant, d = self.variant, check_number("field dimension d", self.d, lo=1, integer=True)
         try:
@@ -212,27 +268,25 @@ class GeneratorSpec:
         except (TypeError, ValueError):
             raise InvalidInputError("generator %r params must be (key, value) pairs, not %s"
                                     % (variant, quote(self.params))) from None
-        read = {}
-        if variant in ("iid_symmetric", "decoupled_product", "moving_average"):
+        read, row = {}, _VARIANT_TABLE[variant]
+        if row.law:
             read["dist"] = dist = params.pop("dist", None)
-            if dist not in _DISTS:
+            if not isinstance(dist, str) or dist not in _LAW_TABLE:
                 raise InvalidInputError("variant %r needs dist in %r, got %s"
-                                        % (variant, _DISTS, quote(dist)))
-            if dist == "gaussian":
-                read["sigma"] = float(check_number(
-                    "gaussian sigma", params.pop("sigma", 1.0), lo=0, above=True))
-            if dist == "weibull_symmetric":
-                read["gamma"] = float(check_number(
-                    "weibull_symmetric gamma", params.pop("gamma", None), lo=0, above=True))
-        if variant == "moving_average":
+                                        % (variant, tuple(_LAW_TABLE), quote(dist)))
+            law = _LAW_TABLE[dist]
+            if law.param:
+                name, value = "%s %s" % (dist, law.param), params.pop(law.param, law.default)
+                read[law.param] = check_number(name, value, lo=0, above=True)
+        if row.axis:
             read["axis"] = check_number(
-                "moving_average axis", params.pop("axis", 1), lo=1, hi=d, integer=True)
+                "%s axis" % variant, params.pop("axis", 1), lo=1, hi=d, integer=True)
         check_object("generator %r params" % variant, params, optional=())
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "params", tuple(sorted(read.items())))
 
-    def param(self, key, default=None):
-        return dict(self.params).get(key, default)
+    def param(self, key):
+        return dict(self.params).get(key)
 
 
 def iid_rademacher(d: int) -> GeneratorSpec:
@@ -279,72 +333,30 @@ def spec_from_json(text) -> GeneratorSpec:
     return GeneratorSpec(raw["variant"], raw["d"], params)
 
 
-def _weibull_values(u: np.ndarray, gamma: float) -> np.ndarray:
-    """The weibull_symmetric law's inverse-CDF map of the uniforms u in
-    (0, 1), unchecked and in place, slice by slice (lattice._slices): a
-    slice's magnitudes (-log min(u, 1 - u))^(1/gamma) take a scratch of
-    its size, and the slice, shifted to u - 0.5, gives them their sign
-    as they are copied back over it."""
-    for part in lattice._slices(u):
-        m = np.subtract(1.0, part)
-        np.minimum(part, m, out=m)
-        np.log(m, out=m)
-        np.negative(m, out=m)
-        m **= 1.0 / gamma
-        part -= 0.5
-        np.copysign(m, part, out=part)
-        del m  # the next slice's scratch must not meet this one alive
-    return u
-
-
-def _law_values(u: np.ndarray, spec: GeneratorSpec) -> np.ndarray:
-    """The value map of spec's Gaussian or Weibull law on the uniforms u,
-    which it overwrites: sigma ndtri(u), or _weibull_values."""
-    if spec.param("dist") == "gaussian":
-        ndtri(u, out=u)
-        u *= float(spec.param("sigma"))
-        return u
-    return _weibull_values(u, float(spec.param("gamma")))
+def _law(spec: GeneratorSpec) -> _Law:
+    """The law row of spec's draws: the one its dist names, or _SIGNS,
+    +-1 under law tag 0, for a variant that reads no law."""
+    return _LAW_TABLE[spec.param("dist")] if _VARIANT_TABLE[spec.variant].law else _SIGNS
 
 
 def spec_variance(spec: GeneratorSpec) -> float:
-    """Site variance of the field (_per_site of its law's variance), a
-    positive float.  InvalidRangeError names the parameter when the
-    variance is 0 (the zero field) or not a positive float (a Gaussian
-    sigma whose square under- or overflows, or a Weibull gamma below
-    about 0.0117, where Gamma(1 + 2/gamma) overflows)."""
-    if spec.variant == "zero":
-        raise InvalidRangeError("generator variant 'zero' has site variance 0: "
-                                "its normal limit is degenerate")
-    dist = spec.param("dist", "rademacher")  # product_rademacher names no law
+    """Site variance of the field (its variant's scale of its law's
+    variance), a positive float.  InvalidRangeError names the parameter
+    when the variance is 0 (the zero field) or not a positive float (a
+    Gaussian sigma whose square under- or overflows, or a Weibull gamma
+    below about 0.0117, where Gamma(1 + 2/gamma) overflows)."""
+    law = _law(spec)
+    p = spec.param(law.param)
     try:
-        var = _per_site(spec, _dist_variance(dist, spec))
+        var = _VARIANT_TABLE[spec.variant].scale(law.variance(p), spec.d)
     except OverflowError:
         var = math.inf
     if not 0.0 < var < math.inf:
-        name = "sigma" if dist == "gaussian" else "gamma"
         raise InvalidRangeError("%s %s %r gives a site variance of %r, not a positive float"
-                                % (dist, name, spec.param(name), var))
+                                % (spec.param("dist"), law.param, p, var) if law.param else
+                                "generator variant %r has site variance 0: its normal limit "
+                                "is degenerate" % spec.variant)
     return var
-
-
-def _per_site(spec: GeneratorSpec, x):
-    """A law's variance or largest magnitude x at one site of spec's field."""
-    if spec.variant in _PRODUCTS:
-        return x**spec.d
-    return 2 * x if spec.variant == "moving_average" else x
-
-
-def _dist_variance(dist: str, spec: GeneratorSpec) -> float:
-    if dist == "rademacher":
-        return 1.0
-    if dist == "gaussian":
-        return float(spec.param("sigma")) ** 2
-    # |X| = (ln 2 + E)^(1/gamma) with E ~ Exp(1), so
-    # E X^2 = 2 Gamma(1 + 2/gamma) Q(1 + 2/gamma, ln 2)
-    gamma = float(spec.param("gamma"))
-    a = 1.0 + 2.0 / gamma
-    return float(2.0 * math.gamma(a) * gammaincc(a, math.log(2.0)))
 
 
 def _axis_coords(shape, offset):
@@ -354,50 +366,35 @@ def _axis_coords(shape, offset):
     return [np.arange(1, n + 1, dtype=np.int64) + int(k) for n, k in zip(shape, offset)]
 
 
-def _site_coords(spec: GeneratorSpec, coords) -> list:
-    """The coordinates of the sites a block of spec's fields hashes: a
-    moving average's axis gains the site before its first one."""
-    if spec.variant != "moving_average":
-        return coords
-    q = int(spec.param("axis")) - 1
-    return coords[:q] + [np.concatenate(([coords[q][0] - 1], coords[q]))] + coords[q + 1:]
-
-
-def _signs(spec: GeneratorSpec) -> bool:
-    """Whether spec's law is Rademacher, whose draw reads only the top bit
-    of its words, so that its last fold makes top-bit words (see _rng)."""
-    return spec.param("dist", "rademacher") == "rademacher"  # product_rademacher names no law
+def _site_words(spec: GeneratorSpec, master_seed: int, coords) -> tuple:
+    """The stream key, the other axes' coordinates and the premixed last
+    word of the sites a block of spec's iid or moving-average fields
+    hashes: the axis its variant reads gains the site before its first."""
+    if _VARIANT_TABLE[spec.variant].axis:
+        q = spec.param("axis") - 1
+        coords = coords[:q] + [np.concatenate(([coords[q][0] - 1], coords[q]))] + coords[q + 1:]
+    return _base_key(spec, master_seed, 0), coords[:-1], _rng.last_word(coords)
 
 
 def _draw(h: np.ndarray, spec: GeneratorSpec) -> np.ndarray:
     """A block of spec's iid or moving-average fields, or of one product
-    axis's factor streams, from its words h, which the caller's last fold
-    makes (_rng.last_fold, top-bit words where _signs(spec)): the value
-    map of the law, in place on the words, with a scratch of at most a
-    quarter block (lattice._slices).  The caller folds the rows it hands
-    over inline, so no frame keeps them alive once the fold has read
-    them.  A moving average adds each site's value to the one before it
-    on the extended axis, in place over the row slices of the values
-    (lattice._row_slices), each with a copy of its lagged values; the
-    result is the view of its last n sites."""
-    vals = _rng.sign_pm1(h) if _signs(spec) else _law_values(_rng.uniform01(h), spec)
-    if spec.variant != "moving_average":
-        return vals
-    axis = int(spec.param("axis"))
-    lead = (slice(None),) * axis + (slice(1, None),)
-    lag = (slice(None),) * axis + (slice(0, -1),)
-    for part in lattice._row_slices(vals):
-        part[lead] += part[lag].copy()
-    return vals[lead]
+    axis's factor streams, from its words h, made by the caller's last
+    fold (top-bit words where spec's law has no value map): the law's
+    values in place on the words, with a scratch of at most a quarter
+    block (lattice._slices), then its variant's post-map.  The caller
+    folds the rows it hands over inline, so no frame keeps them alive."""
+    law, post = _law(spec), _VARIANT_TABLE[spec.variant].post
+    vals = (_rng.sign_pm1(h) if law.values is None
+            else law.values(_rng.uniform01(h), spec.param(law.param)))
+    return vals if post is None else post(vals, spec)
 
 
 @functools.lru_cache(maxsize=64)
 def _base_key(spec: GeneratorSpec, master_seed: int, axis: int):
     """The stream key of spec's fields (axis 0) or of a product's axis
-    factors, hashed once per spec, seed and axis rather than per block."""
-    dist = spec.param("dist")
-    dist_tag = _DIST_TAG.get(dist, 0)
-    return _rng.stream_key(master_seed, _VARIANT_TAG[spec.variant], dist_tag, axis)
+    factors, from its variant's and its law's tags, hashed once per spec,
+    seed and axis rather than per block."""
+    return _rng.stream_key(master_seed, _VARIANT_TABLE[spec.variant].tag, _law(spec).tag, axis)
 
 
 def _factor_words(spec: GeneratorSpec, master_seed: int, coords) -> list:
@@ -410,7 +407,8 @@ def _factor_words(spec: GeneratorSpec, master_seed: int, coords) -> list:
 def _factor_streams(spec: GeneratorSpec, words, reps: np.ndarray) -> list:
     """The per-axis factors of a product variant, one (count, n_q) array
     per axis from its _factor_words; the field is their outer product."""
-    return [_draw(_rng.last_fold(_rng.row_words(key, reps, []), last, _signs(spec)), spec)
+    top = _law(spec).values is None
+    return [_draw(_rng.last_fold(_rng.row_words(key, reps, []), last, top), spec)
             for key, last in words]
 
 
@@ -421,14 +419,15 @@ def _check_block(spec: GeneratorSpec, shape, seed: int, start: int, count: int,
     2^64 (others alias in the hash), with start + count <= 2^63 for the
     int64 replica axis, an offset (if any) of one integer per axis, and
     on which no sum of site values passes the float range: a site's
-    value is at most _per_site of the bracket table's largest magnitude
-    v (1 for a Rademacher law)."""
+    value is at most its variant's scale of the bracket table's largest
+    magnitude v (1 for a law without a value map)."""
     shape = validate_shape(shape)
     if len(shape) != spec.d:
         raise InvalidInputError("spec has d=%d but shape is %s" % (spec.d, quote(shape)))
-    v = 1.0 if spec.param("dist", "rademacher") == "rademacher" else _brackets(spec)[1]
+    law = _law(spec)
+    v = 1.0 if law.values is None else _brackets(law, spec.param(law.param))[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        top = _per_site(spec, np.float64(v)) * volume(shape)
+        top = _VARIANT_TABLE[spec.variant].scale(np.float64(v), spec.d) * volume(shape)
     if not top < math.inf:
         raise InvalidRangeError("%s: its site values can sum past the float range on lattice %s"
                                 % (spec_to_json(spec), quote(list(shape))))
@@ -457,21 +456,19 @@ def generate_batch(
     per axis) the window is [1 + k, n + k] of the same infinite field."""
     shape, master_seed, replica_start, count = _check_block(
         spec, shape, master_seed, replica_start, count, offset)
+    route = _VARIANT_TABLE[spec.variant].route
+    if route == "zeros":
+        return np.zeros((count,) + shape, dtype=np.float64)
     reps = np.arange(replica_start, replica_start + count, dtype=np.int64)
     coords = _axis_coords(shape, offset)
-
-    if spec.variant == "zero":
-        return np.zeros((count,) + shape, dtype=np.float64)
-
-    if spec.variant in _PRODUCTS:
+    if route == "product":
         words = _factor_words(spec, master_seed, coords)
         axes = [vals.reshape((count,) + (1,) * q + (-1,) + (1,) * (spec.d - q - 1))
                 for q, vals in enumerate(_factor_streams(spec, words, reps))]
         return functools.reduce(_times, axes)
-
-    coords = _site_coords(spec, coords)
-    key, last = _base_key(spec, master_seed, 0), _rng.last_word(coords)
-    return _draw(_rng.last_fold(_rng.row_words(key, reps, coords[:-1]), last, _signs(spec)), spec)
+    key, lead, last = _site_words(spec, master_seed, coords)
+    return _draw(_rng.last_fold(_rng.row_words(key, reps, lead), last,
+                                _law(spec).values is None), spec)
 
 
 def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -518,22 +515,20 @@ def replica_stats(spec: GeneratorSpec, shape, seed: int, start: int, count: int,
         raise InvalidInputError("a floor is a number with a lone 'max' or 'total', not %s with %s"
                                 % (quote(floor), quote(stats)))
     shape, seed, start, count = _check_block(spec, shape, seed, start, count)
-    coords = _axis_coords(shape, None)
-    if spec.variant in _PRODUCTS:
+    coords, route = _axis_coords(shape, None), _VARIANT_TABLE[spec.variant].route
+    if route == "product":
         words = _factor_words(spec, seed, coords)
         tasks = range(start, start + count, _block_size(sum(shape), "lattice"))
         run = lambda first, size: _product_stats(spec, words, first, size, stats)
-    elif spec.variant == "zero":
+    elif route == "zeros":
         tasks = range(start, start + count, count)
         run = lambda first, size: tuple(np.zeros(size) for _ in stats)
     else:
-        coords = _site_coords(spec, coords)
-        key, last = _base_key(spec, seed, 0), _rng.last_word(coords)
+        key, lead, last = _site_words(spec, seed, coords)
         block = _block_size(volume(shape), "lattice")
-        rows = volume(len(c) for c in coords[:-1])
-        tasks = range(start, start + count, _span_size(block, rows, count))
-        run = lambda first, size: _span_stats(spec, key, coords[:-1], last, block,
-                                              first, size, stats, floor)
+        tasks = range(start, start + count, _span_size(block, volume(map(len, lead)), count))
+        run = lambda first, size: _span_stats(spec, key, lead, last, block, first, size, stats,
+                                              floor)
     parts = _map_blocks(run, tasks, threads)
     columns = tuple(np.concatenate(column) for column in zip(*parts))
     if floor is not None:
@@ -572,9 +567,10 @@ def _span_stats(spec: GeneratorSpec, key, lead, last, block: int, start: int, co
     rows = _rng.row_words(key, np.arange(start, start + count, dtype=np.int64), lead)
     views = [rows[lo:lo + block] for lo in range(0, count, block)]
     del rows
-    iid = spec.variant == "iid_symmetric"
-    signs = iid and spec.param("dist") == "rademacher" and stats == ("total",)
-    screen = iid and not signs and floor is not None
+    top = _law(spec).values is None
+    plain = _VARIANT_TABLE[spec.variant].post is None  # iid: its values are its law's draws
+    signs = plain and top and stats == ("total",)
+    screen = plain and not signs and floor is not None
     parts = []
     for first in range(start, start + count, block):
         if signs:
@@ -584,7 +580,7 @@ def _span_stats(spec: GeneratorSpec, key, lead, last, block: int, start: int, co
             parts.append((_screened(spec, key, lead, last, first, bound, stats[0], floor),))
             screen = 4 * np.count_nonzero(bound <= floor) >= 3 * len(bound)
         else:
-            h = _rng.last_fold(views.pop(0), last, _signs(spec))
+            h = _rng.last_fold(views.pop(0), last, top)
             parts.append(_field_stats(_draw(h, spec), stats))
             del h  # the next block's words must not meet these alive
     return tuple(np.concatenate(column) for column in zip(*parts))
@@ -600,14 +596,15 @@ def _screen_bound(spec: GeneratorSpec, rows: np.ndarray, last, stat: str,
     _bracket_screen).  A floor of -inf asks for the fine bound of every
     replica.  The words' buckets are their top _BUCKET_BITS bits, read
     as int64 in place."""
-    if spec.param("dist") == "rademacher":
+    law = _law(spec)
+    if law.values is None:
         return _sign_bound(rows, last, floor)
     h = _rng.last_fold(rows, last, True)
     del rows
     h >>= 64 - _BUCKET_BITS
     buckets = h.view(np.int64)
     del h
-    return _bracket_screen(*_brackets(spec), buckets, stat, floor)
+    return _bracket_screen(*_brackets(law, spec.param(law.param)), buckets, stat, floor)
 
 
 def _sign_slab(cells: int, floor: float) -> int:
@@ -770,33 +767,33 @@ def _screened(spec: GeneratorSpec, key, lead, last, first: int, bound: np.ndarra
     open_ = np.flatnonzero(~(bound <= floor))
     if open_.size:
         reps = first + open_.astype(np.int64)
-        h = _rng.last_fold(_rng.row_words(key, reps, lead), last, _signs(spec))
+        h = _rng.last_fold(_rng.row_words(key, reps, lead), last, _law(spec).values is None)
         values, = _field_stats(_draw(h, spec), (stat,))
         out[open_] = values
     return out
 
 
 @functools.lru_cache(maxsize=32)
-def _brackets(spec: GeneratorSpec) -> tuple:
-    """The bracket table of an iid Gaussian or Weibull spec: for each
-    bucket of words (their top _BUCKET_BITS bits), one complex entry
-    c + i h, a midpoint c and a half-width h whose interval holds the
-    value of every word in it, the largest magnitude v of any such
-    interval, and the means E|c|, E h and E c^2 of a site's entry (every
-    bucket is equally likely).  The law's own value map, nondecreasing in the word, is
-    evaluated at the bucket's two extreme words; the half-width gains
-    _BRACKET_ULPS ulps of the larger end's magnitude, times 1 / gamma for
-    a Weibull law, whose power multiplies the relative error of its log
-    by 1 / gamma, so a value map that rounds a few ulps out of order
-    stays inside.  The parts are written apart, so an infinite half-width
+def _brackets(law: _Law, p: float) -> tuple:
+    """The bracket table of a Gaussian or Weibull law at parameter p, of
+    any variant: for each bucket of words (their top _BUCKET_BITS bits),
+    one complex entry c + i h, a midpoint c and a half-width h whose
+    interval holds the value of every word in it, the largest magnitude v
+    of any such interval, and the means E|c|, E h and E c^2 of a site's
+    entry (every bucket is equally likely).  The law's own value map,
+    nondecreasing in the word, is evaluated at the bucket's two extreme
+    words; the half-width gains _BRACKET_ULPS ulps of the larger end's
+    magnitude times the law's slack, 1 / gamma for a Weibull law below
+    gamma = 1, whose power multiplies the relative error of its log by
+    1 / gamma, so a value map that rounds a few ulps out of order stays
+    inside.  The parts are written apart, so an infinite half-width
     leaves the midpoint as it is."""
     buckets = np.arange(1 << _BUCKET_BITS, dtype=np.uint64) << np.uint64(64 - _BUCKET_BITS)
-    slack = _BRACKET_ULPS * 2.0**-52 * max(1.0, 1.0 / float(spec.param("gamma", 1.0)))
+    slack = _BRACKET_ULPS * 2.0**-52 * law.slack(p)
     table = np.empty(len(buckets), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
-        lo = _law_values(_rng.uniform01(buckets.copy()), spec)
-        hi = _law_values(_rng.uniform01(buckets | np.uint64((1 << (64 - _BUCKET_BITS)) - 1)),
-                         spec)
+        lo = law.values(_rng.uniform01(buckets.copy()), p)
+        hi = law.values(_rng.uniform01(buckets | np.uint64((1 << (64 - _BUCKET_BITS)) - 1)), p)
         table.real = mid = 0.5 * (lo + hi)
         half = np.maximum(hi - mid, mid - lo)
         half += slack * np.maximum(np.abs(lo), np.abs(hi))

@@ -9,6 +9,7 @@ import hashlib
 import itertools
 import json
 import os
+import pickle
 import subprocess
 import sys
 
@@ -25,8 +26,8 @@ from orthofield import (
     product_rademacher,
     zero_field,
 )
-from orthofield import _rng
-from orthofield.generators import replica_stats
+from orthofield import _rng, generators
+from orthofield.generators import replica_stats, spec_to_dict, spec_to_json
 from orthofield.lattice import _block_size
 import scalar_hash
 
@@ -43,6 +44,24 @@ _MAKERS = {
     "moving_average_weibull": lambda d: moving_average(d, axis=d, dist="weibull_symmetric",
                                                        gamma=1.0),
     "zero": zero_field,
+}
+# each maker's spec at d = 2 as spec_to_dict gives it, and the variant
+# and law tags its stream keys fold in
+_VALUES = {
+    "iid_rademacher": ("iid_symmetric", {"dist": "rademacher"}, 101, 201),
+    "iid_gaussian": ("iid_symmetric", {"dist": "gaussian", "sigma": 1.5}, 101, 202),
+    "iid_weibull": ("iid_symmetric", {"dist": "weibull_symmetric", "gamma": 0.7}, 101, 203),
+    "product_rademacher": ("product_rademacher", {}, 102, 0),
+    "decoupled_rademacher": ("decoupled_product", {"dist": "rademacher"}, 103, 201),
+    "decoupled_gaussian": ("decoupled_product", {"dist": "gaussian", "sigma": 0.5}, 103, 202),
+    "decoupled_weibull": ("decoupled_product", {"dist": "weibull_symmetric", "gamma": 2.0},
+                          103, 203),
+    "moving_average_rademacher": ("moving_average", {"axis": 2, "dist": "rademacher"}, 104, 201),
+    "moving_average_gaussian": ("moving_average", {"axis": 1, "dist": "gaussian", "sigma": 2.0},
+                                104, 202),
+    "moving_average_weibull": ("moving_average", {"axis": 2, "dist": "weibull_symmetric",
+                                                  "gamma": 1.0}, 104, 203),
+    "zero": ("zero", {}, 105, 0),
 }
 # odd extents, an axis of extent 1, and negative offsets
 _SHAPES = {1: ((7,), (-4,)), 2: ((5, 3), (-3, 2)), 3: ((3, 1, 5), (1, -2, -7))}
@@ -83,6 +102,24 @@ def _digest(name: str) -> str:
 @pytest.mark.parametrize("name", sorted(_MAKERS))
 def test_generation_bits_are_pinned(name):
     assert _digest(name) == _PINNED[name]
+
+
+@pytest.mark.parametrize("name", sorted(_MAKERS))
+def test_specs_stay_values(name):
+    # a spec is a plain value: it survives pickling, equals and hashes
+    # as a fresh one (so _base_key's cache meets it again), and its
+    # params, dict, JSON and stream keys are those of its variant's and
+    # law's names (product_rademacher names no law: no params, law tag 0)
+    variant, params, variant_tag, law_tag = _VALUES[name]
+    spec, fresh = _MAKERS[name](2), _MAKERS[name](2)
+    copy = pickle.loads(pickle.dumps(spec))
+    assert copy == spec == fresh and hash(copy) == hash(spec) == hash(fresh)
+    assert copy.params == tuple(sorted(params.items()))
+    want = {"variant": variant, "d": 2, "params": params}
+    assert spec_to_dict(copy) == want and spec_to_json(copy) == json.dumps(want, sort_keys=True)
+    for axis in (0, 1, 2):
+        assert generators._base_key(copy, 9, axis) == _rng.stream_key(9, variant_tag, law_tag,
+                                                                       axis)
 
 
 def _log_power_digest() -> str:

@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from orthofield import (
+    GeneratorSpec,
     InvalidInputError,
     InvalidRangeError,
     decoupled_product,
@@ -381,6 +382,39 @@ def test_floored_max_is_the_max_raised_to_the_floor(make, shape, threads):
         got, = generators.replica_stats(spec, shape, 8, start, count, ("max",), threads,
                                         floor=floor)
         assert np.array_equal(got, np.maximum(floor, plain)), floor
+
+
+def _negated(vals, spec):
+    return np.negative(vals, out=vals)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("law", ["rademacher", "gaussian"])
+def test_a_variant_is_one_row(monkeypatch, law, threads):
+    # a test-only variant is one row of the variant table: iid_symmetric's
+    # row, tags and all, with a negating post-map.  Its fields are the iid
+    # ones negated bit for bit, on the float path with or without a floor
+    # (where the iid field takes the screen or the sign count).
+    row = generators._VARIANT_TABLE["iid_symmetric"]._replace(post=_negated)
+    monkeypatch.setitem(generators._VARIANT_TABLE, "negated_iid", row)
+    spec, iid = (GeneratorSpec(variant, 2, {"dist": law})
+                 for variant in ("negated_iid", "iid_symmetric"))
+    shape = (12, 16)
+    count = 2 * _block_size(math.prod(shape), "lattice") + 3
+    assert spec_variance(spec) == spec_variance(iid)
+    assert np.array_equal(generate_batch(spec, shape, 4, 7, 30).view(np.uint64),
+                          (-generate_batch(iid, shape, 4, 7, 30)).view(np.uint64))
+    stats = ("max", "total", "slab")
+    got = generators.replica_stats(spec, shape, 4, 7, count, stats, threads)
+    want = generators.replica_stats(iid, shape, 4, 7, count, stats, threads)
+    assert np.array_equal(got[0].view(np.uint64), want[0].view(np.uint64))
+    assert np.array_equal(got[1], -want[1])  # a total of 0 is +0.0 either way
+    assert np.array_equal(got[2].view(np.uint64), want[2].view(np.uint64))
+    for stat, column in (("max", want[0]), ("total", np.abs(want[1]))):
+        floor = float(np.median(column))
+        negated, plain = (generators.replica_stats(s, shape, 4, 7, count, (stat,), threads,
+                                                   floor=floor)[0] for s in (spec, iid))
+        assert np.array_equal(negated.view(np.uint64), plain.view(np.uint64)), stat
 
 
 _ROUTES = [product_rademacher(2), iid_gaussian(2), moving_average(2), zero_field(2),

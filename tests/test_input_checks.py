@@ -7,6 +7,7 @@ checks itself when it is built, so a hand-built spec is refused as its
 constructor would refuse it."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -46,6 +47,7 @@ from orthofield import (
     weibull_envelope,
 )
 from orthofield.bounds import tail_from_dict
+from orthofield.errors import check_number
 from orthofield.generators import replica_stats
 from orthofield.holder import svarying_from_dict
 from orthofield.lattice import batch_prefix, padded_prefix
@@ -109,6 +111,28 @@ def test_bad_scalar_is_rejected_before_any_array(name, value, peak_bytes):
 
     # a block array alone holds 1 MiB
     assert peak_bytes(attempt) < 64 << 10
+
+
+@pytest.mark.parametrize("kind", [np.float16, np.float32, np.float64], ids=lambda k: k.__name__)
+def test_numpy_floats_are_checked_as_python_floats(kind):
+    # a narrow float's own type rounds the largest double to inf, and
+    # casting it there warns: a finite one passes without a warning as
+    # the Python float of its value, and its infinities and NaN are
+    # refused, by check_number and by a spec built from them alike
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for got in (check_number("x", kind(2.0), lo=0),
+                    iid_gaussian(2, kind(2.0)).param("sigma")):
+            assert got == 2.0 and type(got) is float
+        for bad in (kind("inf"), kind("-inf"), kind("nan")):
+            with pytest.raises(InvalidInputError, match="x must be a finite number"):
+                check_number("x", bad, lo=0)
+            with pytest.raises(InvalidInputError, match="sigma must be a finite number"):
+                iid_gaussian(2, bad)
+    # a real field gives a float for an integer too, as an integer field
+    # gives an int for a NumPy integer
+    assert type(check_number("x", 2)) is float
+    assert type(check_number("n", np.int8(2), integer=True)) is int
 
 
 # one JSON object of every kind, with the object its constructor builds:
@@ -243,6 +267,7 @@ def test_a_hand_built_spec_is_the_one_its_constructor_builds():
     assert GeneratorSpec("iid_symmetric", 2, [("dist", "gaussian")]).params == (
         ("dist", "gaussian"), ("sigma", 1.0))
     assert GeneratorSpec("moving_average", 2, {"dist": "rademacher"}) == moving_average(2)
+    assert moving_average(2).params == (("axis", 1), ("dist", "rademacher"))  # filled in
     assert TailModel("gaussian_product", 3) == gaussian_product(3)
     assert SlowlyVarying("const", c0=2) == const_factor(2.0)
     assert Modulus(E9, 2, iter_log()) == RHO

@@ -19,6 +19,13 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 _BUCKET_SHIFT = 64 - generators._BUCKET_BITS
 
 
+def _brackets(spec):
+    """The bracket table of spec's law at its parameter, as replica_stats
+    takes it."""
+    law = generators._law(spec)
+    return generators._brackets(law, spec.param(law.param))
+
+
 def _words_near(u0, span=1 << 15):
     """Words whose uniforms lie within span steps of 2^-53 of u0 on either
     side, with both settings of the 11 low bits uniform01 drops."""
@@ -35,7 +42,7 @@ def test_bracket_table_holds_the_words_around_each_switch(spec):
     # and where sqrt(-2 log y) crosses 8 (u = e^-32 and 1 - e^-32); the
     # Weibull map changes sign at u = 0.5.  Each bucket's two ends and
     # the words next to them are checked too.
-    table, vmax, means = generators._brackets(spec)
+    table, vmax, means = _brackets(spec)
     mids, halves = table.real, table.imag
     ends = np.arange(1 << generators._BUCKET_BITS, dtype=np.uint64) << np.uint64(_BUCKET_SHIFT)
     last = np.uint64((1 << _BUCKET_SHIFT) - 1)
@@ -43,7 +50,8 @@ def test_bracket_table_holds_the_words_around_each_switch(spec):
         [_words_near(u0) for u0 in (math.exp(-2), 1 - math.exp(-2), math.exp(-32),
                                     1 - math.exp(-32), 0.5)]
         + [ends, ends | last, ends + np.uint64(1 << 11), (ends | last) - np.uint64(1 << 11)])
-    values = generators._law_values(_rng.uniform01(words.copy()), spec)
+    law = generators._law(spec)
+    values = law.values(_rng.uniform01(words.copy()), spec.param(law.param))
     buckets = (words >> np.uint64(_BUCKET_SHIFT)).astype(np.int64)
     assert np.all(np.isfinite(values)) and np.all(halves > 0)
     assert np.all(np.abs(values - mids[buckets]) <= halves[buckets])
@@ -106,9 +114,10 @@ def test_screened_gaussian_and_weibull_blocks_skip_the_value_map(monkeypatch, sp
                                                                   stat, floor):
     # tightness's first level and the large-deviation verify-bound of the
     # 2-thread Monte Carlo benchmark: every replica clears at the first
-    # stage that runs, so no word goes through ndtri or log, no replica
-    # takes the full midpoint prefix, and each site is gathered once
-    generators._brackets(spec)  # the table maps its bucket ends once, first
+    # stage that runs, so no block draws its values (no word goes through
+    # ndtri or log), no replica takes the full midpoint prefix, and each
+    # site is gathered once
+    _brackets(spec)  # the table maps its bucket ends once, first
     cells, count = math.prod(shape), 256
     gathered = []
     take = np.take
@@ -120,7 +129,7 @@ def test_screened_gaussian_and_weibull_blocks_skip_the_value_map(monkeypatch, sp
         gathered.append(np.size(indices))
         return take(table, indices, *args, **kwargs)
 
-    for name in ("_law_values", "_midpoint_peaks"):
+    for name in ("_draw", "_midpoint_peaks"):
         monkeypatch.setattr(generators, name, refuse)
     monkeypatch.setattr(np, "take", counting_take)
     got, = generators.replica_stats(spec, shape, 3, 0, count, (stat,), 2, floor=floor)
@@ -169,7 +178,7 @@ def test_a_table_that_overflows_is_refused_on_every_lattice():
     spec = iid_weibull(1, 0.004)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        table, vmax, means = generators._brackets(spec)
+        table, vmax, means = _brackets(spec)
     assert math.isnan(vmax)
     with np.errstate(over="ignore", invalid="ignore"):
         for stat in ("max", "total"):
@@ -228,7 +237,7 @@ def test_a_span_stops_screening_after_a_block_that_clears_too_few(monkeypatch):
     block = _block_size(math.prod(shape), "lattice")
     screens = count // block
     gaussian = iid_gaussian(2)
-    table, vmax, _ = generators._brackets(gaussian)
+    table, vmax, _ = _brackets(gaussian)
     runs = [(gaussian, False, {0.0: (8, 0, 8), 350.0: (screens, 0, screens),
                                1e9: (screens, screens, 0)}),
             (gaussian, True, {350.0: (screens, screens, screens)}),
@@ -238,7 +247,7 @@ def test_a_span_stops_screening_after_a_block_that_clears_too_few(monkeypatch):
         with monkeypatch.context() as patch:
             calls = _count_stages(patch, spec)
             if zero_means:
-                patch.setattr(generators, "_brackets", lambda spec: (table, vmax, (0.0,) * 3))
+                patch.setattr(generators, "_brackets", lambda law, p: (table, vmax, (0.0,) * 3))
             want = float_path_stats(spec, shape, 3, 0, count)["max"]
             for floor, (screened, *stages) in plans.items():
                 for name in calls:
