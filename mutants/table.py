@@ -177,8 +177,8 @@ MUTANTS += [{"name": name, "file": "src/orthofield/%s.py" % module, "old": old, 
 MUTANTS.append(
     {"name": "generator-spec-without-law-parameter-check",
      "file": "src/orthofield/generators.py",
-     "old": "read[law.param] = check_number(name, value, lo=0, above=True)",
-     "new": "read[law.param] = check_number(name, value, lo=-2, above=True)",
+     "old": "read[law.param] = float(check_number(name, value, lo=0, above=True))",
+     "new": "read[law.param] = float(check_number(name, value, lo=-2, above=True))",
      "kills": ["tests/test_input_checks.py::"
                "test_hand_built_specs_check_themselves[generator %s]" % name
                for name in ("sigma", "gamma")]})

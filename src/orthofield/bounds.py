@@ -139,7 +139,8 @@ class TailModel:
             raise InvalidInputError("unknown tail model kind %s" % quote(self.kind))
         if _TAIL_VALUES[self.kind]:
             key, limits = _TAIL_VALUES[self.kind]
-            object.__setattr__(self, "value", check_number("tail " + key, self.value, **limits))
+            value = check_number("tail " + key, self.value, **limits)
+            object.__setattr__(self, "value", value if limits.get("integer") else float(value))
 
 
 def bounded_by(k: float) -> TailModel:
@@ -811,7 +812,7 @@ def exponent_fit(samples, window=(0.90, 0.999), grid_points: int = 24) -> Expone
     x grid between the two window quantiles.  Deeper windows are less
     biased when -log P carries slowly varying corrections; the caller
     chooses the depth its sample size supports."""
-    lo_q, hi_q = (check_number("window", window[i]) for i in (0, 1))
+    lo_q, hi_q = (float(check_number("window", window[i])) for i in (0, 1))
     if not 0.5 <= lo_q < hi_q < 1.0:
         raise InvalidRangeError("window must satisfy 0.5 <= lo < hi < 1")
     _block_size(check_number("grid_points", grid_points, lo=4, integer=True), "exponent-fit grid")

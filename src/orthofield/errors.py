@@ -94,10 +94,10 @@ def check_kind(what: str, data, kinds: dict, optional=False) -> str:
 
 
 def check_number(what: str, value, lo=-math.inf, hi=math.inf, integer=False, above=False):
-    """value as a Python int (integer set) or float once it is a finite
-    JSON number with lo <= value <= hi, or lo < value <= hi when above is
-    set.  A NumPy number is read as the Python number of its value first:
-    a narrow float's own type would round the largest double to inf."""
+    """value (an int if integer is set) once it is a finite JSON number
+    with lo <= value <= hi, or lo < value <= hi when above is set.  A
+    NumPy number is read as the Python number of its value first: a
+    narrow float's own type would round the largest double to inf."""
     kind = numbers.Integral if integer else numbers.Real
     number = isinstance(value, kind) and not isinstance(value, bool)
     if number and type(value) not in (int, float):
@@ -108,4 +108,4 @@ def check_number(what: str, value, lo=-math.inf, hi=math.inf, integer=False, abo
     if not (lo < value if above else lo <= value) or value > hi:
         raise InvalidRangeError("%s must be in %s%s, %s], not %r"
                                 % (what, "(" if above else "[", lo, hi, value))
-    return value if integer else float(value)
+    return value

@@ -223,14 +223,14 @@ def _lag_sum(vals: np.ndarray, spec: GeneratorSpec) -> np.ndarray:
 
 
 # The law table: each law's stream tag, its one parameter and default
-# (None: required), and of that parameter p its variance, its value map
-# of uniforms (None: a draw of top bits alone) and its bracket slack.
-_Law = collections.namedtuple("_Law", "tag param default variance values slack")
+# (None: required), and of that parameter p its variance, whether it maps
+# top-bit words, its value map of those or else of uniforms, its slack.
+_Law = collections.namedtuple("_Law", "tag param default variance top values slack")
 _LAW_TABLE = {
-    "rademacher": _Law(201, None, None, lambda p: 1.0, None, None),
-    "gaussian": _Law(202, "sigma", 1.0, lambda p: p**2,
+    "rademacher": _Law(201, None, None, lambda p: 1.0, True, lambda h, p: _rng.sign_pm1(h), None),
+    "gaussian": _Law(202, "sigma", 1.0, lambda p: p**2, False,
                      lambda u, p: np.multiply(ndtri(u, out=u), p, out=u), lambda p: 1.0),
-    "weibull_symmetric": _Law(203, "gamma", None, _weibull_variance, _weibull_values,
+    "weibull_symmetric": _Law(203, "gamma", None, _weibull_variance, False, _weibull_values,
                               lambda p: max(1.0, 1.0 / p)),
 }
 _SIGNS = _LAW_TABLE["rademacher"]._replace(tag=0)  # drawn where a variant reads no law
@@ -277,7 +277,7 @@ class GeneratorSpec:
             law = _LAW_TABLE[dist]
             if law.param:
                 name, value = "%s %s" % (dist, law.param), params.pop(law.param, law.default)
-                read[law.param] = check_number(name, value, lo=0, above=True)
+                read[law.param] = float(check_number(name, value, lo=0, above=True))
         if row.axis:
             read["axis"] = check_number(
                 "%s axis" % variant, params.pop("axis", 1), lo=1, hi=d, integer=True)
@@ -333,10 +333,11 @@ def spec_from_json(text) -> GeneratorSpec:
     return GeneratorSpec(raw["variant"], raw["d"], params)
 
 
-def _law(spec: GeneratorSpec) -> _Law:
-    """The law row of spec's draws: the one its dist names, or _SIGNS,
-    +-1 under law tag 0, for a variant that reads no law."""
-    return _LAW_TABLE[spec.param("dist")] if _VARIANT_TABLE[spec.variant].law else _SIGNS
+def _law(spec: GeneratorSpec) -> tuple:
+    """The law row of spec's draws, the one its dist names or _SIGNS, +-1
+    under law tag 0, for a variant that reads no law; and its parameter."""
+    law = _LAW_TABLE[spec.param("dist")] if _VARIANT_TABLE[spec.variant].law else _SIGNS
+    return law, spec.param(law.param)
 
 
 def spec_variance(spec: GeneratorSpec) -> float:
@@ -345,8 +346,7 @@ def spec_variance(spec: GeneratorSpec) -> float:
     when the variance is 0 (the zero field) or not a positive float (a
     Gaussian sigma whose square under- or overflows, or a Weibull gamma
     below about 0.0117, where Gamma(1 + 2/gamma) overflows)."""
-    law = _law(spec)
-    p = spec.param(law.param)
+    law, p = _law(spec)
     try:
         var = _VARIANT_TABLE[spec.variant].scale(law.variance(p), spec.d)
     except OverflowError:
@@ -376,16 +376,16 @@ def _site_words(spec: GeneratorSpec, master_seed: int, coords) -> tuple:
     return _base_key(spec, master_seed, 0), coords[:-1], _rng.last_word(coords)
 
 
-def _draw(h: np.ndarray, spec: GeneratorSpec) -> np.ndarray:
+def _draw(h: np.ndarray, spec: GeneratorSpec, law: _Law, p) -> np.ndarray:
     """A block of spec's iid or moving-average fields, or of one product
     axis's factor streams, from its words h, made by the caller's last
-    fold (top-bit words where spec's law has no value map): the law's
-    values in place on the words, with a scratch of at most a quarter
-    block (lattice._slices), then its variant's post-map.  The caller
-    folds the rows it hands over inline, so no frame keeps them alive."""
-    law, post = _law(spec), _VARIANT_TABLE[spec.variant].post
-    vals = (_rng.sign_pm1(h) if law.values is None
-            else law.values(_rng.uniform01(h), spec.param(law.param)))
+    fold (top-bit words where law.top): spec's _law, law at p, mapped in
+    place on the words (their uniforms unless top), with a scratch of at
+    most a quarter block (lattice._slices), then its variant's post-map.
+    The caller folds the rows it hands over inline, so no frame keeps
+    them alive."""
+    vals = law.values(h if law.top else _rng.uniform01(h), p)
+    post = _VARIANT_TABLE[spec.variant].post
     return vals if post is None else post(vals, spec)
 
 
@@ -394,7 +394,7 @@ def _base_key(spec: GeneratorSpec, master_seed: int, axis: int):
     """The stream key of spec's fields (axis 0) or of a product's axis
     factors, from its variant's and its law's tags, hashed once per spec,
     seed and axis rather than per block."""
-    return _rng.stream_key(master_seed, _VARIANT_TABLE[spec.variant].tag, _law(spec).tag, axis)
+    return _rng.stream_key(master_seed, _VARIANT_TABLE[spec.variant].tag, _law(spec)[0].tag, axis)
 
 
 def _factor_words(spec: GeneratorSpec, master_seed: int, coords) -> list:
@@ -407,8 +407,8 @@ def _factor_words(spec: GeneratorSpec, master_seed: int, coords) -> list:
 def _factor_streams(spec: GeneratorSpec, words, reps: np.ndarray) -> list:
     """The per-axis factors of a product variant, one (count, n_q) array
     per axis from its _factor_words; the field is their outer product."""
-    top = _law(spec).values is None
-    return [_draw(_rng.last_fold(_rng.row_words(key, reps, []), last, top), spec)
+    law, p = _law(spec)
+    return [_draw(_rng.last_fold(_rng.row_words(key, reps, []), last, law.top), spec, law, p)
             for key, last in words]
 
 
@@ -420,12 +420,12 @@ def _check_block(spec: GeneratorSpec, shape, seed: int, start: int, count: int,
     int64 replica axis, an offset (if any) of one integer per axis, and
     on which no sum of site values passes the float range: a site's
     value is at most its variant's scale of the bracket table's largest
-    magnitude v (1 for a law without a value map)."""
+    magnitude v (1 for a top-bit law); then spec's _law, read once."""
     shape = validate_shape(shape)
     if len(shape) != spec.d:
         raise InvalidInputError("spec has d=%d but shape is %s" % (spec.d, quote(shape)))
-    law = _law(spec)
-    v = 1.0 if law.values is None else _brackets(law, spec.param(law.param))[1]
+    law, p = _law(spec)
+    v = 1.0 if law.top else _brackets(law, p)[1]
     with np.errstate(over="ignore", invalid="ignore"):
         top = _VARIANT_TABLE[spec.variant].scale(np.float64(v), spec.d) * volume(shape)
     if not top < math.inf:
@@ -440,7 +440,7 @@ def _check_block(spec: GeneratorSpec, shape, seed: int, start: int, count: int,
                                     % (quote(offset), quote(shape)))
         for n, k in zip(shape, offset):  # the window's coordinates k + 1 to k + n are int64
             check_number("offset entry", k, lo=-2**63, hi=2**63 - 1 - n, integer=True)
-    return shape, seed, start, count
+    return shape, seed, start, count, law, p
 
 
 def generate_batch(
@@ -454,7 +454,7 @@ def generate_batch(
     """Fields for replicas [replica_start, replica_start + count) as an
     array of shape (count, n_1, ..., n_d).  With an offset k (one integer
     per axis) the window is [1 + k, n + k] of the same infinite field."""
-    shape, master_seed, replica_start, count = _check_block(
+    shape, master_seed, replica_start, count, law, p = _check_block(
         spec, shape, master_seed, replica_start, count, offset)
     route = _VARIANT_TABLE[spec.variant].route
     if route == "zeros":
@@ -467,8 +467,7 @@ def generate_batch(
                 for q, vals in enumerate(_factor_streams(spec, words, reps))]
         return functools.reduce(_times, axes)
     key, lead, last = _site_words(spec, master_seed, coords)
-    return _draw(_rng.last_fold(_rng.row_words(key, reps, lead), last,
-                                _law(spec).values is None), spec)
+    return _draw(_rng.last_fold(_rng.row_words(key, reps, lead), last, law.top), spec, law, p)
 
 
 def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -514,7 +513,7 @@ def replica_stats(spec: GeneratorSpec, shape, seed: int, start: int, count: int,
                               or math.isnan(floor) or stats not in (("max",), ("total",))):
         raise InvalidInputError("a floor is a number with a lone 'max' or 'total', not %s with %s"
                                 % (quote(floor), quote(stats)))
-    shape, seed, start, count = _check_block(spec, shape, seed, start, count)
+    shape, seed, start, count, law, p = _check_block(spec, shape, seed, start, count)
     coords, route = _axis_coords(shape, None), _VARIANT_TABLE[spec.variant].route
     if route == "product":
         words = _factor_words(spec, seed, coords)
@@ -527,8 +526,8 @@ def replica_stats(spec: GeneratorSpec, shape, seed: int, start: int, count: int,
         key, lead, last = _site_words(spec, seed, coords)
         block = _block_size(volume(shape), "lattice")
         tasks = range(start, start + count, _span_size(block, volume(map(len, lead)), count))
-        run = lambda first, size: _span_stats(spec, key, lead, last, block, first, size, stats,
-                                              floor)
+        run = lambda first, size: _span_stats(spec, law, p, key, lead, last, block, first, size,
+                                              stats, floor)
     parts = _map_blocks(run, tasks, threads)
     columns = tuple(np.concatenate(column) for column in zip(*parts))
     if floor is not None:
@@ -548,8 +547,8 @@ def _product_stats(spec: GeneratorSpec, words, start: int, count: int, stats: tu
     return tuple(functools.reduce(np.multiply, factors[name]) for name in stats)
 
 
-def _span_stats(spec: GeneratorSpec, key, lead, last, block: int, start: int, count: int,
-                stats: tuple, floor=None) -> tuple:
+def _span_stats(spec: GeneratorSpec, law: _Law, p, key, lead, last, block: int, start: int,
+                count: int, stats: tuple, floor=None) -> tuple:
     """replica_stats of the span [start, start + count) of an iid or
     moving-average field: its row words once, then per block of `block`
     replicas the last fold, the values and their reduction.  An iid
@@ -567,9 +566,8 @@ def _span_stats(spec: GeneratorSpec, key, lead, last, block: int, start: int, co
     rows = _rng.row_words(key, np.arange(start, start + count, dtype=np.int64), lead)
     views = [rows[lo:lo + block] for lo in range(0, count, block)]
     del rows
-    top = _law(spec).values is None
     plain = _VARIANT_TABLE[spec.variant].post is None  # iid: its values are its law's draws
-    signs = plain and top and stats == ("total",)
+    signs = plain and law.top and stats == ("total",)
     screen = plain and not signs and floor is not None
     parts = []
     for first in range(start, start + count, block):
@@ -577,11 +575,12 @@ def _span_stats(spec: GeneratorSpec, key, lead, last, block: int, start: int, co
             parts.append((_rng.sign_total(_rng.last_fold(views.pop(0), last, True)),))
         elif screen:
             bound = _screen_bound(spec, views.pop(0), last, stats[0], floor)
-            parts.append((_screened(spec, key, lead, last, first, bound, stats[0], floor),))
+            parts.append((_screened(spec, law, p, key, lead, last, first, bound, stats[0],
+                                    floor),))
             screen = 4 * np.count_nonzero(bound <= floor) >= 3 * len(bound)
         else:
-            h = _rng.last_fold(views.pop(0), last, top)
-            parts.append(_field_stats(_draw(h, spec), stats))
+            h = _rng.last_fold(views.pop(0), last, law.top)
+            parts.append(_field_stats(_draw(h, spec, law, p), stats))
             del h  # the next block's words must not meet these alive
     return tuple(np.concatenate(column) for column in zip(*parts))
 
@@ -596,15 +595,15 @@ def _screen_bound(spec: GeneratorSpec, rows: np.ndarray, last, stat: str,
     _bracket_screen).  A floor of -inf asks for the fine bound of every
     replica.  The words' buckets are their top _BUCKET_BITS bits, read
     as int64 in place."""
-    law = _law(spec)
-    if law.values is None:
+    law, p = _law(spec)
+    if law.top:
         return _sign_bound(rows, last, floor)
     h = _rng.last_fold(rows, last, True)
     del rows
     h >>= 64 - _BUCKET_BITS
     buckets = h.view(np.int64)
     del h
-    return _bracket_screen(*_brackets(law, spec.param(law.param)), buckets, stat, floor)
+    return _bracket_screen(*_brackets(law, p), buckets, stat, floor)
 
 
 def _sign_slab(cells: int, floor: float) -> int:
@@ -755,8 +754,8 @@ def _midpoint_peaks(mids: np.ndarray, shape) -> np.ndarray:
     return _field_stats(mids.reshape(len(mids), *shape), ("max",))[0]
 
 
-def _screened(spec: GeneratorSpec, key, lead, last, first: int, bound: np.ndarray, stat: str,
-              floor) -> np.ndarray:
+def _screened(spec: GeneratorSpec, law: _Law, p, key, lead, last, first: int,
+              bound: np.ndarray, stat: str, floor) -> np.ndarray:
     """The lone stat of a block of iid replicas first, first + 1, ...:
     the floor wherever their bound is at most the floor, and the float
     path's value for the replicas left open, a NaN bound among them
@@ -767,8 +766,8 @@ def _screened(spec: GeneratorSpec, key, lead, last, first: int, bound: np.ndarra
     open_ = np.flatnonzero(~(bound <= floor))
     if open_.size:
         reps = first + open_.astype(np.int64)
-        h = _rng.last_fold(_rng.row_words(key, reps, lead), last, _law(spec).values is None)
-        values, = _field_stats(_draw(h, spec), (stat,))
+        h = _rng.last_fold(_rng.row_words(key, reps, lead), last, law.top)
+        values, = _field_stats(_draw(h, spec, law, p), (stat,))
         out[open_] = values
     return out
 

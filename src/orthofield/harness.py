@@ -240,7 +240,7 @@ def _fdd(config: ExperimentConfig) -> dict:
     sampled value is an exact normalized partial sum; interpolated
     points would mix lattice cells and bias the test."""
     shape = config.shape
-    point = config.t_point
+    point = tuple(float(v) for v in config.t_point)
     if len(point) != len(shape):
         raise InvalidInputError("t must have one coordinate per axis")
     k = []
@@ -434,7 +434,7 @@ def _band(name, value):
 
 
 def _x_grid(name, value):
-    grid = _list_of(_positive)(name, value)
+    grid = tuple(float(x) for x in _list_of(_positive)(name, value))
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise InvalidInputError("x_grid must be strictly increasing")
     return grid

@@ -82,10 +82,10 @@ class SlowlyVarying:
 
     def __post_init__(self):
         if self.kind == "log_power":
-            object.__setattr__(self, "beta", check_number("log_power beta", self.beta, lo=0))
+            object.__setattr__(self, "beta", float(check_number("log_power beta", self.beta, lo=0)))
         elif self.kind == "const":
-            object.__setattr__(self, "c0", check_number("const factor c0", self.c0, lo=0,
-                                                        above=True))
+            object.__setattr__(self, "c0", float(check_number("const factor c0", self.c0, lo=0,
+                                                              above=True)))
         elif self.kind != "iter_log":
             raise InvalidInputError("unknown slowly varying factor kind %s" % quote(self.kind))
 
@@ -131,7 +131,7 @@ class Modulus:
         d = check_number("modulus dimension d", self.d, lo=1, integer=True)
         if not isinstance(self.L, SlowlyVarying):
             raise InvalidInputError("modulus L must be a SlowlyVarying, not %s" % quote(self.L))
-        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "c", float(c))
         object.__setattr__(self, "d", d)
         values = [modulus_eval(self, 2.0**-j) for j in range(MODULUS_LEVELS + 1)]
         if not all(a < b < np.inf for a, b in zip(values[1:], values[:-1])):

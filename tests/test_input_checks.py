@@ -129,10 +129,12 @@ def test_numpy_floats_are_checked_as_python_floats(kind):
                 check_number("x", bad, lo=0)
             with pytest.raises(InvalidInputError, match="sigma must be a finite number"):
                 iid_gaussian(2, bad)
-    # a real field gives a float for an integer too, as an integer field
-    # gives an int for a NumPy integer
-    assert type(check_number("x", 2)) is float
+    # a Python number passes as given, so a config echoes it as it was
+    # read, and a NumPy integer as the Python int of its value
+    assert type(check_number("x", 2)) is int
     assert type(check_number("n", np.int8(2), integer=True)) is int
+    # a spec stores its law parameter as a float, so it echoes 2.0 either way
+    assert type(iid_gaussian(2, 2).param("sigma")) is float
 
 
 # one JSON object of every kind, with the object its constructor builds:

@@ -22,8 +22,7 @@ _BUCKET_SHIFT = 64 - generators._BUCKET_BITS
 def _brackets(spec):
     """The bracket table of spec's law at its parameter, as replica_stats
     takes it."""
-    law = generators._law(spec)
-    return generators._brackets(law, spec.param(law.param))
+    return generators._brackets(*generators._law(spec))
 
 
 def _words_near(u0, span=1 << 15):
@@ -50,8 +49,8 @@ def test_bracket_table_holds_the_words_around_each_switch(spec):
         [_words_near(u0) for u0 in (math.exp(-2), 1 - math.exp(-2), math.exp(-32),
                                     1 - math.exp(-32), 0.5)]
         + [ends, ends | last, ends + np.uint64(1 << 11), (ends | last) - np.uint64(1 << 11)])
-    law = generators._law(spec)
-    values = law.values(_rng.uniform01(words.copy()), spec.param(law.param))
+    law, p = generators._law(spec)
+    values = law.values(_rng.uniform01(words.copy()), p)
     buckets = (words >> np.uint64(_BUCKET_SHIFT)).astype(np.int64)
     assert np.all(np.isfinite(values)) and np.all(halves > 0)
     assert np.all(np.abs(values - mids[buckets]) <= halves[buckets])
@@ -117,13 +116,24 @@ def test_screened_gaussian_and_weibull_blocks_skip_the_value_map(monkeypatch, sp
     # stage that runs, so no block draws its values (no word goes through
     # ndtri or log), no replica takes the full midpoint prefix, and each
     # site is gathered once
-    _brackets(spec)  # the table maps its bucket ends once, first
     cells, count = math.prod(shape), 256
-    gathered = []
+    gathered, armed = [], []
     take = np.take
+    law, p = generators._law(spec)
 
     def refuse(*args):
         raise AssertionError("a screened block ran the fine stage or the value map")
+
+    def values(u, p):
+        return refuse() if armed else law.values(u, p)
+
+    # the law's row maps through values, which refuses once the bracket
+    # table has mapped its bucket ends, first: no later call, cached or
+    # not, maps a word
+    monkeypatch.setitem(generators._LAW_TABLE, spec.param("dist"), law._replace(values=values))
+    _brackets(spec)
+    armed.append(True)
+    misses = generators._brackets.cache_info().misses
 
     def counting_take(table, indices, *args, **kwargs):
         gathered.append(np.size(indices))
@@ -135,6 +145,7 @@ def test_screened_gaussian_and_weibull_blocks_skip_the_value_map(monkeypatch, sp
     got, = generators.replica_stats(spec, shape, 3, 0, count, (stat,), 2, floor=floor)
     assert np.array_equal(got, np.full(count, floor))
     assert sum(gathered) == count * cells
+    assert generators._brackets.cache_info().misses == misses
 
 
 def test_a_floor_at_or_above_the_cells_hashes_no_rademacher_word(monkeypatch):
@@ -278,9 +289,9 @@ def test_a_rademacher_slab_sends_the_replicas_it_leaves_open_to_the_float_path(m
     calls = _count_stages(monkeypatch, spec)
     drawn, draw = [], generators._draw
 
-    def counting_draw(h, spec):
+    def counting_draw(h, *args):
         drawn.append(len(h))
-        return draw(h, spec)
+        return draw(h, *args)
 
     monkeypatch.setattr(generators, "_draw", counting_draw)
     got, = generators.replica_stats(spec, shape, 3, 0, count, ("max",), floor=floor)
