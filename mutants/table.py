@@ -3,8 +3,9 @@ file and the tests that must fail once it is applied.
 
 A row names the mutant, the file (relative to the repository root), the
 old text, which must occur in that file exactly once, the new text that
-replaces it, and the pytest ids expected to kill it.  mutants/run.py
-applies one row at a time to a copy of the tree and runs its tests;
+replaces it, and the pytest ids expected to kill it, each on its own.
+mutants/run.py applies one row at a time to a copy of the tree and runs
+each of its tests alone;
 tests/test_mutants.py checks, in the tier-1 suite, that every row's old
 text still matches once and every named test still exists.  A change
 that claims a kill adds its row here.
@@ -172,8 +173,7 @@ MUTANTS += [{"name": name, "file": "src/orthofield/%s.py" % module, "old": old, 
             for name, module, old, new in _SPEC_CHECKS]
 
 # the law parameter's check, one statement for sigma and gamma alike:
-# each of the two hand-built cases fails on its own (run apart, as
-# pytest -x stops at the first)
+# each of the two hand-built cases fails on its own
 MUTANTS.append(
     {"name": "generator-spec-without-law-parameter-check",
      "file": "src/orthofield/generators.py",
@@ -183,7 +183,12 @@ MUTANTS.append(
                "test_hand_built_specs_check_themselves[generator %s]" % name
                for name in ("sigma", "gamma")]})
 
-# the rows of the variant and law tables, each changed in one field
+_SCREENED_BLOCKS = ["tests/test_screen.py::"
+                    "test_screened_gaussian_and_weibull_blocks_skip_the_value_map[%s]" % case
+                    for case in ("tightness-level", "large-deviation")]
+
+# the rows of the variant and law tables, each changed in one field, and
+# the draw path's screen, bracket cache and plan
 MUTANTS += [
     # iid_symmetric and product_rademacher trading stream tags; killed by
     # the generation-bit pins
@@ -227,4 +232,27 @@ MUTANTS += [
      "new": '"slab": peaks[:-1] + [np.abs(ends[0])]}',
      "kills": ["tests/test_generators.py::"
                "test_product_stats_equal_float_path_exactly_for_rademacher"]},
+    # a span that never screens runs every Gaussian or Weibull block
+    # through the value map; killed by each case of the screened-block
+    # test
+    {"name": "span-stats-without-screen",
+     "file": "src/orthofield/generators.py",
+     "old": "    screen = plain and not signs and floor is not None\n",
+     "new": "    screen = False\n",
+     "kills": _SCREENED_BLOCKS},
+    # a bracket table rebuilt on every call maps every bucket's words
+    # again; killed by each case of the screened-block test
+    {"name": "brackets-uncached",
+     "file": "src/orthofield/generators.py",
+     "old": "@functools.lru_cache(maxsize=32)\ndef _brackets(",
+     "new": "@functools.lru_cache(maxsize=0)\ndef _brackets(",
+     "kills": _SCREENED_BLOCKS},
+    # a draw plan without the site before a moving average's axis, whose
+    # lag sum then drops a site of that axis; killed by the generation-bit
+    # pins
+    {"name": "plan-without-moving-average-site",
+     "file": "src/orthofield/generators.py",
+     "old": "        coords[q] = np.concatenate(([coords[q][0] - 1], coords[q]))\n",
+     "new": "",
+     "kills": ["tests/test_generation_bits.py::test_generation_bits_are_pinned"]},
 ]

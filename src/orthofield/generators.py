@@ -15,12 +15,14 @@ sums S_k its caller reads, out of max_k |S_k| ("max"), the signed S_n
 ("total") and max |S_k| over the last slab k_d = n_d ("slab").  It runs
 any replica range in budgeted blocks, threaded or not through
 lattice._map_blocks, so a direct call holds no more memory than one
-block and one span's row words.  The words of a block come from _rng,
-which owns the premix, in-place and top-bit contracts of the hash:
-_rng.row_words folds the replica and every lattice axis but the last,
-and _rng.last_fold spreads them over the last axis.  Since
-every word is a pure function of its counters, an iid or moving-average
-field's blocks run in spans of whole blocks (lattice._span_size): a
+block and one span's row words.  Its route is spans (iid, moving-average
+and zero fields) or product factors, and each call checks its arguments
+once into one draw plan (_plan): the law row, stream key and site words.
+The words of a block come from _rng, which owns the premix, in-place
+and top-bit contracts of the hash: _rng.row_words folds the replica and
+every lattice axis but the last, and _rng.last_fold spreads them over
+the last axis.  Since every word is a pure function of its counters, a
+spans field's blocks run in spans of whole blocks (lattice._span_size): a
 span folds the row words of all its replicas once, at most
 _BLOCK_CELLS // 8 of them, and each block then runs only its last fold,
 its value map and its reduction, so a block's numpy calls work on
@@ -114,7 +116,8 @@ which costs O(sum n_q) per replica instead of O(prod n_q).  With +-1
 factors every term is an exact integer, so Rademacher products give the
 float path's values bit for bit; Gaussian and Weibull decoupled products
 round differently, by a few 1e-15 x max |S| per replica.  The zero
-field's statistics are zero arrays, with no block built.
+field takes the spans route like any other: its variant's post-map
+writes +0.0 over the values its blocks draw.
 
 generate_batch is the one way to draw fields: a single replica is
 generate_batch(spec, shape, seed, r, 1)[0].  zero_field, the all-zero
@@ -238,7 +241,8 @@ _SIGNS = _LAW_TABLE["rademacher"]._replace(tag=0)  # drawn where a variant reads
 # The variant table: each variant's stream tag, whether it reads a law,
 # its scale of a law's variance or magnitude x at a site of its field,
 # whether it reads an axis (hashed from the site before its first), its
-# post-map of the values drawn (or None) and its statistics' route.
+# post-map of the values drawn in place (or None; x - x is +0.0 for the
+# zero field's) and its statistics' route.
 # Streams depend on the tags: a new row takes a new one, none is renumbered.
 _Variant = collections.namedtuple("_Variant", "tag law scale axis post route")
 _VARIANT_TABLE = {
@@ -246,7 +250,8 @@ _VARIANT_TABLE = {
     "product_rademacher": _Variant(102, False, lambda x, d: x**d, False, None, "product"),
     "decoupled_product": _Variant(103, True, lambda x, d: x**d, False, None, "product"),
     "moving_average": _Variant(104, True, lambda x, d: 2 * x, True, _lag_sum, "spans"),
-    "zero": _Variant(105, False, lambda x, d: 0 * x, False, None, "zeros"),
+    "zero": _Variant(105, False, lambda x, d: 0 * x, False,
+                     lambda v, spec: np.subtract(v, v, out=v), "spans"),
 }
 
 
@@ -359,34 +364,30 @@ def spec_variance(spec: GeneratorSpec) -> float:
     return var
 
 
-def _axis_coords(shape, offset):
-    """Absolute 1-based coordinates per axis, shifted by the offset."""
-    if offset is None:
-        offset = (0,) * len(shape)
-    return [np.arange(1, n + 1, dtype=np.int64) + int(k) for n, k in zip(shape, offset)]
+# A call's draw plan (_plan): spec, _law row and parameter, and the words
+# its blocks fold: a spans field's stream key, coordinates of all axes but
+# the last (lead) and premixed last word, or a product's per axis (lead None).
+_Plan = collections.namedtuple("_Plan", "spec law p key lead last")
 
 
-def _site_words(spec: GeneratorSpec, master_seed: int, coords) -> tuple:
-    """The stream key, the other axes' coordinates and the premixed last
-    word of the sites a block of spec's iid or moving-average fields
-    hashes: the axis its variant reads gains the site before its first."""
-    if _VARIANT_TABLE[spec.variant].axis:
-        q = spec.param("axis") - 1
-        coords = coords[:q] + [np.concatenate(([coords[q][0] - 1], coords[q]))] + coords[q + 1:]
-    return _base_key(spec, master_seed, 0), coords[:-1], _rng.last_word(coords)
-
-
-def _draw(h: np.ndarray, spec: GeneratorSpec, law: _Law, p) -> np.ndarray:
-    """A block of spec's iid or moving-average fields, or of one product
+def _draw(h: np.ndarray, plan: _Plan) -> np.ndarray:
+    """A block of a plan's fields on the spans route, or of one product
     axis's factor streams, from its words h, made by the caller's last
-    fold (top-bit words where law.top): spec's _law, law at p, mapped in
-    place on the words (their uniforms unless top), with a scratch of at
-    most a quarter block (lattice._slices), then its variant's post-map.
-    The caller folds the rows it hands over inline, so no frame keeps
-    them alive."""
-    vals = law.values(h if law.top else _rng.uniform01(h), p)
-    post = _VARIANT_TABLE[spec.variant].post
-    return vals if post is None else post(vals, spec)
+    fold (top-bit words where the plan's law maps them): the plan's law
+    at its parameter, mapped in place on the words (their uniforms
+    unless top), with a scratch of at most a quarter block
+    (lattice._slices), then its variant's post-map, which for the zero
+    field writes +0.0 over the values.  The caller folds the rows it
+    hands over inline, so no frame keeps them alive."""
+    vals = plan.law.values(h if plan.law.top else _rng.uniform01(h), plan.p)
+    post = _VARIANT_TABLE[plan.spec.variant].post
+    return vals if post is None else post(vals, plan.spec)
+
+
+def _draw_block(plan: _Plan, reps: np.ndarray) -> np.ndarray:
+    """The plan's fields of the replicas reps on the spans route."""
+    return _draw(_rng.last_fold(_rng.row_words(plan.key, reps, plan.lead), plan.last,
+                                plan.law.top), plan)
 
 
 @functools.lru_cache(maxsize=64)
@@ -397,37 +398,29 @@ def _base_key(spec: GeneratorSpec, master_seed: int, axis: int):
     return _rng.stream_key(master_seed, _VARIANT_TABLE[spec.variant].tag, _law(spec)[0].tag, axis)
 
 
-def _factor_words(spec: GeneratorSpec, master_seed: int, coords) -> list:
-    """The stream key and premixed last word of each axis of a product
-    variant, as _factor_streams takes them."""
-    return [(_base_key(spec, master_seed, q + 1), _rng.last_word([c]))
-            for q, c in enumerate(coords)]
-
-
-def _factor_streams(spec: GeneratorSpec, words, reps: np.ndarray) -> list:
+def _factor_streams(plan: _Plan, reps: np.ndarray) -> list:
     """The per-axis factors of a product variant, one (count, n_q) array
-    per axis from its _factor_words; the field is their outer product."""
-    law, p = _law(spec)
-    return [_draw(_rng.last_fold(_rng.row_words(key, reps, []), last, law.top), spec, law, p)
-            for key, last in words]
+    per axis of its plan; the field is their outer product."""
+    return [_draw(_rng.last_fold(_rng.row_words(key, reps, []), last, plan.law.top), plan)
+            for key, last in zip(plan.key, plan.last)]
 
 
-def _check_block(spec: GeneratorSpec, shape, seed: int, start: int, count: int,
-                 offset=None) -> tuple:
-    """The validated shape, and seed, start and count as ints, of a
+def _plan(spec: GeneratorSpec, shape, seed: int, start: int, count: int, offset=None) -> tuple:
+    """The validated shape, start and count as ints, and the _Plan of a
     block of count >= 1 replicas from start >= 0 of seed 0 <= seed <
     2^64 (others alias in the hash), with start + count <= 2^63 for the
     int64 replica axis, an offset (if any) of one integer per axis, and
     on which no sum of site values passes the float range: a site's
     value is at most its variant's scale of the bracket table's largest
-    magnitude v (1 for a top-bit law); then spec's _law, read once."""
+    magnitude v (1 for a top-bit law).  The axis a variant reads gains
+    the site before its first."""
     shape = validate_shape(shape)
     if len(shape) != spec.d:
         raise InvalidInputError("spec has d=%d but shape is %s" % (spec.d, quote(shape)))
-    law, p = _law(spec)
+    (law, p), row = _law(spec), _VARIANT_TABLE[spec.variant]
     v = 1.0 if law.top else _brackets(law, p)[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        top = _VARIANT_TABLE[spec.variant].scale(np.float64(v), spec.d) * volume(shape)
+        top = row.scale(np.float64(v), spec.d) * volume(shape)
     if not top < math.inf:
         raise InvalidRangeError("%s: its site values can sum past the float range on lattice %s"
                                 % (spec_to_json(spec), quote(list(shape))))
@@ -440,7 +433,17 @@ def _check_block(spec: GeneratorSpec, shape, seed: int, start: int, count: int,
                                     % (quote(offset), quote(shape)))
         for n, k in zip(shape, offset):  # the window's coordinates k + 1 to k + n are int64
             check_number("offset entry", k, lo=-2**63, hi=2**63 - 1 - n, integer=True)
-    return shape, seed, start, count, law, p
+    coords = [np.arange(1, n + 1, dtype=np.int64) + int(k)  # 1-based, shifted by the offset
+              for n, k in zip(shape, (0,) * len(shape) if offset is None else offset)]
+    if row.route == "product":
+        keys = [_base_key(spec, seed, q + 1) for q in range(spec.d)]
+        return shape, start, count, _Plan(spec, law, p, keys, None,
+                                          [_rng.last_word([c]) for c in coords])
+    if row.axis:
+        q = spec.param("axis") - 1
+        coords[q] = np.concatenate(([coords[q][0] - 1], coords[q]))
+    return shape, start, count, _Plan(spec, law, p, _base_key(spec, seed, 0), coords[:-1],
+                                      _rng.last_word(coords))
 
 
 def generate_batch(
@@ -454,20 +457,14 @@ def generate_batch(
     """Fields for replicas [replica_start, replica_start + count) as an
     array of shape (count, n_1, ..., n_d).  With an offset k (one integer
     per axis) the window is [1 + k, n + k] of the same infinite field."""
-    shape, master_seed, replica_start, count, law, p = _check_block(
+    shape, replica_start, count, plan = _plan(
         spec, shape, master_seed, replica_start, count, offset)
-    route = _VARIANT_TABLE[spec.variant].route
-    if route == "zeros":
-        return np.zeros((count,) + shape, dtype=np.float64)
     reps = np.arange(replica_start, replica_start + count, dtype=np.int64)
-    coords = _axis_coords(shape, offset)
-    if route == "product":
-        words = _factor_words(spec, master_seed, coords)
-        axes = [vals.reshape((count,) + (1,) * q + (-1,) + (1,) * (spec.d - q - 1))
-                for q, vals in enumerate(_factor_streams(spec, words, reps))]
-        return functools.reduce(_times, axes)
-    key, lead, last = _site_words(spec, master_seed, coords)
-    return _draw(_rng.last_fold(_rng.row_words(key, reps, lead), last, law.top), spec, law, p)
+    if _VARIANT_TABLE[spec.variant].route == "spans":
+        return _draw_block(plan, reps)
+    axes = [vals.reshape((count,) + (1,) * q + (-1,) + (1,) * (spec.d - q - 1))
+            for q, vals in enumerate(_factor_streams(plan, reps))]
+    return functools.reduce(_times, axes)
 
 
 def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -485,11 +482,11 @@ def replica_stats(spec: GeneratorSpec, shape, seed: int, start: int, count: int,
     order, gathered in block order from tasks run on up to `threads`
     threads.  A block is sized by its largest array per replica: sum n_q
     cells for the per-axis streams of a product field, |n| otherwise.
-    A product field's task is one block; an iid or moving-average
-    field's task is a span of blocks (lattice._span_size), which hashes
-    its row words once and then runs each block's last fold and
-    reduction.  The key, the coordinate words and the checks are taken
-    once per call.  A floor (a number, not NaN) needs a lone "max" or
+    A product field's task is one block; any other field's task is a
+    span of blocks (lattice._span_size), which hashes its row words once
+    and then runs each block's last fold and reduction.  The checks, the
+    law row, the key and the coordinate words are taken once per call,
+    in its draw plan.  A floor (a number, not NaN) needs a lone "max" or
     "total", whose column it raises to max(floor, |statistic|); the
     module docstring's floor states the rule.  An iid field then skips
     the value map and the prefix sums of every replica whose screen
@@ -513,21 +510,14 @@ def replica_stats(spec: GeneratorSpec, shape, seed: int, start: int, count: int,
                               or math.isnan(floor) or stats not in (("max",), ("total",))):
         raise InvalidInputError("a floor is a number with a lone 'max' or 'total', not %s with %s"
                                 % (quote(floor), quote(stats)))
-    shape, seed, start, count, law, p = _check_block(spec, shape, seed, start, count)
-    coords, route = _axis_coords(shape, None), _VARIANT_TABLE[spec.variant].route
-    if route == "product":
-        words = _factor_words(spec, seed, coords)
+    shape, start, count, plan = _plan(spec, shape, seed, start, count)
+    if _VARIANT_TABLE[spec.variant].route == "product":
         tasks = range(start, start + count, _block_size(sum(shape), "lattice"))
-        run = lambda first, size: _product_stats(spec, words, first, size, stats)
-    elif route == "zeros":
-        tasks = range(start, start + count, count)
-        run = lambda first, size: tuple(np.zeros(size) for _ in stats)
+        run = lambda first, size: _product_stats(plan, first, size, stats)
     else:
-        key, lead, last = _site_words(spec, seed, coords)
         block = _block_size(volume(shape), "lattice")
-        tasks = range(start, start + count, _span_size(block, volume(map(len, lead)), count))
-        run = lambda first, size: _span_stats(spec, law, p, key, lead, last, block, first, size,
-                                              stats, floor)
+        tasks = range(start, start + count, _span_size(block, volume(map(len, plan.lead)), count))
+        run = lambda first, size: _span_stats(plan, block, first, size, stats, floor)
     parts = _map_blocks(run, tasks, threads)
     columns = tuple(np.concatenate(column) for column in zip(*parts))
     if floor is not None:
@@ -536,21 +526,21 @@ def replica_stats(spec: GeneratorSpec, shape, seed: int, start: int, count: int,
     return columns
 
 
-def _product_stats(spec: GeneratorSpec, words, start: int, count: int, stats: tuple) -> tuple:
+def _product_stats(plan: _Plan, start: int, count: int, stats: tuple) -> tuple:
     """replica_stats of one block of a product field, from the per-axis
     prefixes of its factor streams."""
     reps = np.arange(start, start + count, dtype=np.int64)
-    prefixes = [batch_prefix(vals) for vals in _factor_streams(spec, words, reps)]
+    prefixes = [batch_prefix(vals) for vals in _factor_streams(plan, reps)]
     ends = [p[:, -1].copy() for p in prefixes]
     peaks = [np.abs(p, out=p).max(axis=1) for p in prefixes]
     factors = {"max": peaks, "total": ends, "slab": peaks[:-1] + [np.abs(ends[-1])]}
     return tuple(functools.reduce(np.multiply, factors[name]) for name in stats)
 
 
-def _span_stats(spec: GeneratorSpec, law: _Law, p, key, lead, last, block: int, start: int,
-                count: int, stats: tuple, floor=None) -> tuple:
-    """replica_stats of the span [start, start + count) of an iid or
-    moving-average field: its row words once, then per block of `block`
+def _span_stats(plan: _Plan, block: int, start: int, count: int, stats: tuple,
+                floor=None) -> tuple:
+    """replica_stats of the span [start, start + count) of a spans
+    field's plan: its row words once, then per block of `block`
     replicas the last fold, the values and their reduction.  An iid
     Rademacher field's lone "total" is the sign count of the module
     docstring, read off the top-bit words.  With a floor, any other iid
@@ -563,30 +553,28 @@ def _span_stats(spec: GeneratorSpec, law: _Law, p, key, lead, last, block: int, 
     drops its own reference to the rows, so a span of one block hands
     them over to the block's last fold with its one view, and a view the
     fold has read is freed before its words are mixed (see _draw)."""
-    rows = _rng.row_words(key, np.arange(start, start + count, dtype=np.int64), lead)
+    rows = _rng.row_words(plan.key, np.arange(start, start + count, dtype=np.int64), plan.lead)
     views = [rows[lo:lo + block] for lo in range(0, count, block)]
     del rows
-    plain = _VARIANT_TABLE[spec.variant].post is None  # iid: its values are its law's draws
-    signs = plain and law.top and stats == ("total",)
+    plain = _VARIANT_TABLE[plan.spec.variant].post is None  # iid: its values are its law's draws
+    signs = plain and plan.law.top and stats == ("total",)
     screen = plain and not signs and floor is not None
     parts = []
     for first in range(start, start + count, block):
         if signs:
-            parts.append((_rng.sign_total(_rng.last_fold(views.pop(0), last, True)),))
+            parts.append((_rng.sign_total(_rng.last_fold(views.pop(0), plan.last, True)),))
         elif screen:
-            bound = _screen_bound(spec, views.pop(0), last, stats[0], floor)
-            parts.append((_screened(spec, law, p, key, lead, last, first, bound, stats[0],
-                                    floor),))
+            bound = _screen_bound(plan, views.pop(0), stats[0], floor)
+            parts.append((_screened(plan, first, bound, stats[0], floor),))
             screen = 4 * np.count_nonzero(bound <= floor) >= 3 * len(bound)
         else:
-            h = _rng.last_fold(views.pop(0), last, law.top)
-            parts.append(_field_stats(_draw(h, spec, law, p), stats))
+            h = _rng.last_fold(views.pop(0), plan.last, plan.law.top)
+            parts.append(_field_stats(_draw(h, plan), stats))
             del h  # the next block's words must not meet these alive
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
-def _screen_bound(spec: GeneratorSpec, rows: np.ndarray, last, stat: str,
-                  floor: float) -> np.ndarray:
+def _screen_bound(plan: _Plan, rows: np.ndarray, stat: str, floor: float) -> np.ndarray:
     """Per replica of a block of an iid field, from its handed-over rows,
     an upper bound on the float path's max_k |S_k| (stat "max") or |S_n|
     ("total"), read off its top-bit words at the floor: a Rademacher
@@ -595,15 +583,14 @@ def _screen_bound(spec: GeneratorSpec, rows: np.ndarray, last, stat: str,
     _bracket_screen).  A floor of -inf asks for the fine bound of every
     replica.  The words' buckets are their top _BUCKET_BITS bits, read
     as int64 in place."""
-    law, p = _law(spec)
-    if law.top:
-        return _sign_bound(rows, last, floor)
-    h = _rng.last_fold(rows, last, True)
+    if plan.law.top:
+        return _sign_bound(rows, plan.last, floor)
+    h = _rng.last_fold(rows, plan.last, True)
     del rows
     h >>= 64 - _BUCKET_BITS
     buckets = h.view(np.int64)
     del h
-    return _bracket_screen(*_brackets(law, p), buckets, stat, floor)
+    return _bracket_screen(*_brackets(plan.law, plan.p), buckets, stat, floor)
 
 
 def _sign_slab(cells: int, floor: float) -> int:
@@ -754,8 +741,7 @@ def _midpoint_peaks(mids: np.ndarray, shape) -> np.ndarray:
     return _field_stats(mids.reshape(len(mids), *shape), ("max",))[0]
 
 
-def _screened(spec: GeneratorSpec, law: _Law, p, key, lead, last, first: int,
-              bound: np.ndarray, stat: str, floor) -> np.ndarray:
+def _screened(plan: _Plan, first: int, bound: np.ndarray, stat: str, floor) -> np.ndarray:
     """The lone stat of a block of iid replicas first, first + 1, ...:
     the floor wherever their bound is at most the floor, and the float
     path's value for the replicas left open, a NaN bound among them
@@ -765,9 +751,7 @@ def _screened(spec: GeneratorSpec, law: _Law, p, key, lead, last, first: int,
     out = np.full(len(bound), floor, dtype=np.float64)
     open_ = np.flatnonzero(~(bound <= floor))
     if open_.size:
-        reps = first + open_.astype(np.int64)
-        h = _rng.last_fold(_rng.row_words(key, reps, lead), last, law.top)
-        values, = _field_stats(_draw(h, spec, law, p), (stat,))
+        values, = _field_stats(_draw_block(plan, first + open_.astype(np.int64)), (stat,))
         out[open_] = values
     return out
 

@@ -19,7 +19,6 @@ from orthofield import (
     spec_from_json,
     spec_to_json,
     spec_variance,
-    validate_shape,
     zero_field,
 )
 from orthofield import _rng, generators
@@ -29,16 +28,14 @@ from single_field import orthomartingale_check
 
 def product_factor_streams(spec, shape, seed, replica, offset=None):
     """Per-axis factor streams of one replica of a product variant, from
-    the routine generate_batch multiplies out; their outer product is
-    exactly that replica's field."""
+    the routine generate_batch multiplies out, on the keys and words of
+    the call's draw plan; their outer product is exactly that replica's
+    field."""
     if spec.variant not in ("product_rademacher", "decoupled_product"):
         raise InvalidInputError("kernel is defined for product variants, not %r" % spec.variant)
-    shape = validate_shape(shape)
-    if len(shape) != spec.d:
-        raise InvalidInputError("spec has d=%d but shape is %r" % (spec.d, shape))
+    plan = generators._plan(spec, shape, seed, replica, 1, offset)[-1]
     reps = np.asarray([replica], dtype=np.int64)
-    words = generators._factor_words(spec, seed, generators._axis_coords(shape, offset))
-    return [vals[0] for vals in generators._factor_streams(spec, words, reps)]
+    return [vals[0] for vals in generators._factor_streams(plan, reps)]
 
 
 def float_path_stats(spec, shape, seed, start, count):
@@ -60,10 +57,15 @@ def screen_bounds(spec, shape, seed, start, count, stat, floor=-math.inf):
     floor the chunk gate admits, the chunk bound where it clears the
     replica and the fine one elsewhere; at a higher floor a Rademacher
     maximum's partial count over the slab _sign_slab sizes."""
-    coords = generators._axis_coords(shape, None)
-    reps = np.arange(start, start + count, dtype=np.int64)
-    rows = _rng.row_words(generators._base_key(spec, seed, 0), reps, coords[:-1])
-    return generators._screen_bound(spec, rows, _rng.last_word(coords), stat, floor)
+    plan = generators._plan(spec, shape, seed, start, count)[-1]
+    return plan_bounds(plan, start, count, stat, floor)
+
+
+def plan_bounds(plan, start, count, stat, floor=-math.inf):
+    """screen_bounds of the replicas [start, start + count) of a draw
+    plan, whose key and site words hash their rows."""
+    rows = _rng.row_words(plan.key, np.arange(start, start + count, dtype=np.int64), plan.lead)
+    return generators._screen_bound(plan, rows, stat, floor)
 
 
 def weibull_tail_sample(gamma, u):
@@ -141,8 +143,9 @@ def test_shift_field_is_window_slice(spec):
 
 
 def test_zero_field_generates_zeros():
-    arr = generate_batch(zero_field(3), (2, 3, 2), 1, 0, 1)
-    assert np.all(arr == 0.0)
+    # +0.0 at every site, as its post-map writes over the signs it draws
+    arr = generate_batch(zero_field(3), (2, 3, 2), 1, 0, 3)
+    assert np.all(arr == 0.0) and not np.any(np.signbit(arr))
 
 
 def test_batch_centering():
@@ -284,6 +287,29 @@ def test_orthomartingale_check_input_validation():
 def test_orthomartingale_check_rejects_shape_of_other_dimension():
     with pytest.raises(InvalidInputError, match="d=3.*d=2"):
         orthomartingale_check(iid_rademacher(3), (4, 4), 1, replicas=1000)
+
+
+@pytest.mark.parametrize("spec,floor", [(iid_gaussian(2), 350.0), (product_rademacher(2), None)],
+                         ids=["screened-gaussian", "product"])
+def test_a_call_reads_the_law_row_as_often_whatever_its_blocks(monkeypatch, spec, floor):
+    # a call reads its law row in its draw plan, and its stream keys'
+    # cache misses read it too, never once per block: 64 and 128 blocks
+    # of 64x64 Gaussian replicas screened at a floor, 2 and 4 blocks of a
+    # product field, each call with a cold key cache
+    calls, law = [], generators._law
+
+    def counting_law(spec):
+        calls.append(spec)
+        return law(spec)
+
+    monkeypatch.setattr(generators, "_law", counting_law)
+    counts = []
+    for count in (2048, 4096):
+        generators._base_key.cache_clear()
+        calls.clear()
+        generators.replica_stats(spec, (64, 64), 3, 0, count, ("max",), floor=floor)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= spec.d + 1, counts
 
 
 _SHAPES = [(17,), (13, 7), (3, 4, 5), (64, 64)]

@@ -11,7 +11,7 @@ import pytest
 from orthofield import (InvalidRangeError, _rng, generators, iid_gaussian, iid_rademacher,
                         iid_weibull)
 from orthofield.lattice import _block_size, batch_prefix
-from test_generators import float_path_stats, screen_bounds
+from test_generators import float_path_stats, plan_bounds, screen_bounds
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -185,16 +185,19 @@ def test_a_table_that_overflows_is_refused_on_every_lattice():
     # double: the table is built without a warning, and its inf and NaN
     # entries make every bound NaN, so no replica would clear.  The
     # field's own sums would pass the float range, so replica_stats and
-    # generate_batch refuse the spec before any block is built.
+    # generate_batch refuse the spec before any block is built (_plan
+    # refuses it too, so the screen's plan is built by hand).
     spec = iid_weibull(1, 0.004)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         table, vmax, means = _brackets(spec)
     assert math.isnan(vmax)
+    plan = generators._Plan(spec, *generators._law(spec), generators._base_key(spec, 1, 0), [],
+                            _rng.last_word([np.arange(1, 65, dtype=np.int64)]))
     with np.errstate(over="ignore", invalid="ignore"):
         for stat in ("max", "total"):
             for floor in (-math.inf, math.inf):
-                assert np.all(np.isnan(screen_bounds(spec, (64,), 1, 0, 20, stat, floor)))
+                assert np.all(np.isnan(plan_bounds(plan, 0, 20, stat, floor)))
     for run in (lambda: generators.replica_stats(spec, (1,), 1, 0, 20, ("max",), floor=10.0),
                 lambda: generators.generate_batch(spec, (1,), 1, 0, 20)):
         with pytest.raises(InvalidRangeError, match="float range"):
