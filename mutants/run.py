@@ -2,8 +2,9 @@
 
     python mutants/run.py
 
-For each row the runner copies src/, tests/, pyproject.toml and
-README.md to a temporary directory, replaces the row's old text, which
+For each row the runner copies src/, tests/, mutants/, pyproject.toml
+and README.md to a temporary directory (tests/test_mutants.py reads the
+copy's mutants/table.py), replaces the row's old text, which
 must match its file exactly once, and runs each of the row's test ids
 there on its own, with -x.  An id kills the mutant when pytest reports
 a failing test (exit status 1); any other status (a test id that no
@@ -24,7 +25,7 @@ import tempfile
 import time
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-COPIED = ("src", "tests", "pyproject.toml", "README.md")
+COPIED = ("src", "tests", "mutants", "pyproject.toml", "README.md")
 TIMEOUT_S = 300
 
 

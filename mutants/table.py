@@ -145,19 +145,21 @@ _SPEC_CHECKS = [
     ("generator-spec-without-unread-param-check", "generators",
      '        check_object("generator %r params" % variant, params, optional=())\n', ""),
     ("tail-model-without-kind-check", "bounds",
-     " or self.kind not in _TAIL_VALUES:\n", ":\n"),
+     " or self.kind not in _TAIL_TABLE:\n", ":\n"),
     ("tail-model-without-k-check", "bounds",
-     '"bounded": ("K", {"lo": 0, "above": True})', '"bounded": ("K", {})'),
+     '"bounded": _Row(keys=("K",), limits={"lo": 0, "above": True}',
+     '"bounded": _Row(keys=("K",), limits={}'),
     ("tail-model-without-gamma-check", "bounds",
-     '"weibull": ("gamma", {"lo": 0, "above": True})', '"weibull": ("gamma", {})'),
+     '"weibull": _Row(keys=("gamma",), limits={"lo": 0, "above": True}',
+     '"weibull": _Row(keys=("gamma",), limits={}'),
     ("tail-model-without-integer-m-check", "bounds",
      '_MAX_FACTORS, "integer": True}', "_MAX_FACTORS}"),
     ("slowly-varying-without-kind-check", "holder",
-     '        elif self.kind != "iter_log":\n', "        elif False:\n"),
+     " or self.kind not in _FACTOR_TABLE:\n", ":\n"),
     ("slowly-varying-without-beta-check", "holder",
-     '"log_power beta", self.beta, lo=0)', '"log_power beta", self.beta, lo=-2)'),
+     'name="log_power beta", limits={"lo": 0}', 'name="log_power beta", limits={"lo": -2}'),
     ("slowly-varying-without-c0-check", "holder",
-     '"const factor c0", self.c0, lo=0,', '"const factor c0", self.c0, lo=-1,'),
+     'name="const factor c0", limits={"lo": 0,', 'name="const factor c0", limits={"lo": -1,'),
     ("modulus-without-c-check", "holder",
      '"modulus c", self.c, lo=1,', '"modulus c", self.c, lo=0,'),
     ("modulus-without-d-check", "holder",
@@ -255,4 +257,33 @@ MUTANTS += [
      "old": "        coords[q] = np.concatenate(([coords[q][0] - 1], coords[q]))\n",
      "new": "",
      "kills": ["tests/test_generation_bits.py::test_generation_bits_are_pinned"]},
+]
+
+# the tail and factor tables' rows, each changed in one field, and the
+# block driver's fork reset
+MUTANTS += [
+    # the Weibull tail's negligible point put at its switch point, so its
+    # tail integrals stop where the tail leaves 1; killed by the quadrature
+    # oracle and the Lemma 3 closed form
+    {"name": "weibull-knot-without-level",
+     "file": "src/orthofield/bounds.py",
+     "old": "math.log(math.log(2.0) - level) / g",
+     "new": "math.log(math.log(2.0)) / g",
+     "kills": ["tests/test_bounds.py::test_tail_integral_against_adaptive_quad",
+               "tests/test_bounds.py::test_lemma3_term_matches_the_weibull_closed_form"]},
+    # iter_log as 1 + ln(1 + t), one log1p short; killed by the factor's
+    # value test
+    {"name": "iter-log-one-log1p",
+     "file": "src/orthofield/holder.py",
+     "old": "1.0 + np.log1p(np.log1p(t))",
+     "new": "1.0 + np.log1p(t)",
+     "kills": ["tests/test_holder.py::test_slowly_varying_factors"]},
+    # a forked child that keeps its parent's helper list, whose threads it
+    # does not have, so its caller drains every block alone; killed by the
+    # forked-child test
+    {"name": "block-driver-without-fork-reset",
+     "file": "src/orthofield/lattice.py",
+     "old": "    os.register_at_fork(after_in_child=_forget_helpers)\n",
+     "new": "    pass\n",
+     "kills": ["tests/test_lattice.py::test_map_blocks_runs_in_a_forked_child"]},
 ]

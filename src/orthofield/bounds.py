@@ -56,12 +56,15 @@ Meijer-G form of the product's distribution (Springer and Thompson,
 variables", SIAM J. Appl. Math. 1970).
 
 A TailModel checks itself when it is built, so tail_eval and the tail
-integrals take every model as valid.  Everything here evaluates
-formulas; only exponent_fit fits data.
-verify_values is the one parser of the verify-bound experiment's bound
-object, and names the replica statistic and scale it is read on.  Logs
-are natural throughout.  unit_tail, whose moment integrals diverge, is
-kept as the lemma-checks tail kind "unit".
+integrals take every model as valid.  A tail kind is one row of
+_TAIL_TABLE (its key and limits, survival and log-knots), and a bound
+kind one row of _BOUND_TABLE (its keys, replica statistic, scale of x
+and evaluator), which verify_values, the one parser of the verify-bound
+experiment's bound object, reads.  No code outside a table compares a
+kind's name, so a new kind is one row.  Everything here evaluates
+formulas; only exponent_fit fits data.  Logs are natural throughout.
+unit_tail, whose moment integrals diverge, is kept as the lemma-checks
+tail kind "unit".
 """
 
 from __future__ import annotations
@@ -70,6 +73,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass, replace
+from types import SimpleNamespace as _Row
 
 import numpy as np
 from scipy.special import erfc
@@ -120,13 +124,6 @@ def _converged(rule, n: int, what: str, where):
 # above -675, so e^-Y is finite
 _MAX_FACTORS = 16
 
-# each kind's value: its JSON key, which names it in messages, and its limits
-_TAIL_VALUES = {"bounded": ("K", {"lo": 0, "above": True}),
-                "weibull": ("gamma", {"lo": 0, "above": True}),
-                "gaussian_product": ("m", {"lo": 1, "hi": _MAX_FACTORS, "integer": True}),
-                "unit": ()}
-
-
 @dataclass(frozen=True)
 class TailModel:
     """Survival model for |X|, checked when built; tail_eval evaluates P{|X| > s}."""
@@ -135,12 +132,12 @@ class TailModel:
     value: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.kind, str) or self.kind not in _TAIL_VALUES:
+        if not isinstance(self.kind, str) or self.kind not in _TAIL_TABLE:
             raise InvalidInputError("unknown tail model kind %s" % quote(self.kind))
-        if _TAIL_VALUES[self.kind]:
-            key, limits = _TAIL_VALUES[self.kind]
-            value = check_number("tail " + key, self.value, **limits)
-            object.__setattr__(self, "value", value if limits.get("integer") else float(value))
+        row = _TAIL_TABLE[self.kind]
+        for key in row.keys:  # the value's, for a kind that reads one
+            value = check_number("tail " + key, self.value, **row.limits)
+            object.__setattr__(self, "value", value if row.limits.get("integer") else float(value))
 
 
 def bounded_by(k: float) -> TailModel:
@@ -164,8 +161,8 @@ def tail_from_dict(data: dict) -> TailModel:
     """The model a JSON object describes: {"kind": "bounded", "K": k},
     {"kind": "weibull", "gamma": g}, {"kind": "gaussian_product", "m": m}
     or {"kind": "unit"}."""
-    kind = check_kind("tail model", data, {k: v[:1] for k, v in _TAIL_VALUES.items()})
-    return TailModel(kind, *(data[key] for key in _TAIL_VALUES[kind][:1]))
+    kind = check_kind("tail model", data, {k: row.keys for k, row in _TAIL_TABLE.items()})
+    return TailModel(kind, *(data[key] for key in _TAIL_TABLE[kind].keys))
 
 
 _LN_Y_LO, _LN_Y_HI = -45.0, 3.0  # ln|X| for a standard normal X lies here but for e^-45 mass
@@ -210,18 +207,37 @@ def _gauss_prod_tail(m: int, s):
                                       lambda i: "s=%g, m=%d" % (s.flat[i], m)))
 
 
+def _weibull_tail(gamma: float, s):
+    """min(1, 2 exp(-s^gamma)), and 1 for s <= 0."""
+    with np.errstate(over="ignore"):  # s^gamma = inf has the exact tail exp(-inf) = 0
+        return np.minimum(1.0, 2.0 * np.exp(-np.maximum(s, 0.0) ** gamma))
+
+
+# The tail table: each kind's JSON keys (its value's, or none) and the
+# limits of that value v, its survival P{|X| > s} of v and an array s,
+# and its log-knots of v and a level (see _tail_log_knots).  Rows are
+# namespaces: a namedtuple class per table raised peak RSS by 0.1 MB.
+_TAIL_TABLE = {
+    "bounded": _Row(keys=("K",), limits={"lo": 0, "above": True},
+                    survival=lambda k, s: np.where(s < k, 1.0, 0.0),
+                    knots=lambda k, level: [math.log(k)]),
+    # 2 exp(-s^gamma) = 1, and = e^level
+    "weibull": _Row(keys=("gamma",), limits={"lo": 0, "above": True}, survival=_weibull_tail,
+                    knots=lambda g, level: [math.log(math.log(2.0)) / g,
+                                            math.log(math.log(2.0) - level) / g]),
+    # the product tail's exponent is -m s^(2/m) / 2; its prefactor, at
+    # most e^2.6 (m = 16), is inside the e^-4 margin of _LN_NEGLIGIBLE
+    "gaussian_product": _Row(keys=("m",), limits={"lo": 1, "hi": _MAX_FACTORS, "integer": True},
+                             survival=_gauss_prod_tail,
+                             knots=lambda m, level: [0.5 * m * math.log(-2.0 * level / m)]),
+    "unit": _Row(keys=(), limits={}, survival=lambda v, s: np.ones_like(s),
+                 knots=lambda v, level: [math.inf]),
+}
+
+
 def tail_eval(model: TailModel, s):
     """P{|X| > s}; accepts scalars or arrays, clipped to [0, 1]."""
-    arr = np.asarray(s, dtype=np.float64)
-    if model.kind == "bounded":
-        out = np.where(arr < model.value, 1.0, 0.0)
-    elif model.kind == "weibull":
-        with np.errstate(over="ignore"):  # s^gamma = inf has the exact tail exp(-inf) = 0
-            out = np.minimum(1.0, 2.0 * np.exp(-np.maximum(arr, 0.0) ** model.value))
-    elif model.kind == "gaussian_product":
-        out = _gauss_prod_tail(model.value, arr)
-    else:  # unit
-        out = np.ones_like(arr)
+    out = _TAIL_TABLE[model.kind].survival(model.value, np.asarray(s, dtype=np.float64))
     out = np.asarray(out, dtype=np.float64)
     return out if out.ndim else float(out)
 
@@ -235,18 +251,7 @@ def _tail_log_knots(model: TailModel, level: float = _LN_NEGLIGIBLE) -> list:
     """ln s where the tail's min(1, .) switches, if it does, then ln s
     where ln tail(s) has fallen to `level`: ln K for bounded, whose tail
     is 0 beyond K, and inf for unit, which never falls."""
-    if model.kind == "bounded":
-        return [math.log(model.value)]
-    if model.kind == "weibull":
-        # 2 exp(-s^gamma) = 1, and = e^level
-        return [math.log(math.log(2.0)) / model.value,
-                math.log(math.log(2.0) - level) / model.value]
-    if model.kind == "gaussian_product":
-        m = model.value
-        # the product tail's exponent is -m s^(2/m) / 2; its prefactor,
-        # at most e^2.6 (m = 16), is inside the e^-4 margin of _LN_NEGLIGIBLE
-        return [0.5 * m * math.log(-2.0 * level / m)]
-    return [math.inf]
+    return _TAIL_TABLE[model.kind].knots(model.value, level)
 
 
 # --------------------------------------------------------- the constants
@@ -262,14 +267,8 @@ class BoundConstants:
     K_levels: tuple = ()  # rows (level, K, M, t_at_sup, last_decade_drift)
 
     def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "A": self.A,
-            "B": self.B,
-            "C": self.C,
-            "p": self.p,
-            "K_levels": [list(row) for row in self.K_levels],
-        }
+        return {"d": self.d, "A": self.A, "B": self.B, "C": self.C, "p": self.p,
+                "K_levels": [list(row) for row in self.K_levels]}
 
 
 def base_constants() -> BoundConstants:
@@ -692,8 +691,20 @@ def thm2_rhs(x: float, shape, gamma: float) -> BoundValue:
     return replace(thm1_rhs(x_equiv, y_star, envelope, consts), y_star=y_star, x_equiv=x_equiv)
 
 
-# the keys each kind of bound reads: its evaluator's number, then two-term's tail
-_BOUND_KINDS = {"bounded": ("K",), "two-term": ("y", "tail"), "large-deviation": ("gamma",)}
+# The bound table: each kind's keys, its replica statistic, the scale of
+# x in that statistic on a lattice of |n| cells, and its evaluator of the
+# bound object, the shape, the shape's constants and the x grid.
+_BOUND_TABLE = {
+    "bounded": _Row(keys=("K",), stat="max", scale=math.sqrt, values=lambda b, shape, consts, xs: [
+        bounded_rhs(x, b["K"], consts) for x in xs]),
+    # one call, so the integral term (x-free) is taken once
+    "two-term": _Row(keys=("y", "tail"), stat="max", scale=math.sqrt,
+                     values=lambda b, shape, consts, xs: thm1_rhs(
+                         xs, b["y"], tail_from_dict(b["tail"]), consts)),
+    "large-deviation": _Row(keys=("gamma",), stat="total", scale=lambda n: n,
+                            values=lambda b, shape, consts, xs: [
+                                thm2_rhs(x, shape, b["gamma"]) for x in xs]),
+}
 
 
 def verify_values(bound: dict, shape, x_grid) -> tuple:
@@ -704,17 +715,9 @@ def verify_values(bound: dict, shape, x_grid) -> tuple:
     and sqrt(|n|); "total", S_n, and |n| for the large-deviation kind), the
     constants of d = len(shape), and one BoundValue per x in x_grid from
     the evaluator of the kind, which checks the bound's numbers."""
-    kind = check_kind("bound", bound, _BOUND_KINDS)
-    param = bound[_BOUND_KINDS[kind][0]]
-    model = tail_from_dict(bound["tail"]) if kind == "two-term" else None
-    consts = recurse_constants(len(shape))
-    if kind == "large-deviation":
-        return "total", volume(shape), consts, [thm2_rhs(x, shape, param) for x in x_grid]
-    if kind == "bounded":
-        values = [bounded_rhs(x, param, consts) for x in x_grid]
-    else:  # one call, so the integral term (x-free) is taken once
-        values = thm1_rhs(x_grid, param, model, consts)
-    return "max", math.sqrt(volume(shape)), consts, values
+    kind = check_kind("bound", bound, {k: row.keys for k, row in _BOUND_TABLE.items()})
+    row, consts = _BOUND_TABLE[kind], recurse_constants(len(shape))
+    return row.stat, row.scale(volume(shape)), consts, row.values(bound, shape, consts, x_grid)
 
 
 # ------------------------------------------------ summability diagnostics
@@ -741,19 +744,14 @@ def cond_wip_check(L: "SlowlyVarying", model: TailModel, a: float, j_max: int) -
     ten levels contribute below 1e-12 of the total."""
     check_number("a", a, lo=0, above=True)
     check_number("j_max", j_max, lo=1, hi=_MAX_LEVEL, integer=True)
-    terms = []
-    for j in range(1, j_max + 1):
-        terms.append(2.0**j * float(tail_eval(model, _factor_at_level(L, j) * a)))
+    terms = [2.0**j * float(tail_eval(model, _factor_at_level(L, j) * a))
+             for j in range(1, j_max + 1)]
     partial = np.cumsum(terms)
     total = float(partial[-1])
     tail_part = float(sum(terms[-min(10, len(terms)) :]))
     converged = total > 0 and tail_part <= 1e-12 * total or total == 0.0
-    return {
-        "terms": [float(t) for t in terms],
-        "partial_sums": [float(s) for s in partial],
-        "total": total,
-        "converged": bool(converged),
-    }
+    return {"terms": [float(t) for t in terms], "partial_sums": [float(s) for s in partial],
+            "total": total, "converged": bool(converged)}
 
 
 def lemma_svarying_partial_sum(L: "SlowlyVarying", k_max: int) -> dict:
@@ -787,12 +785,8 @@ def lemma3_moment_sum(L: "SlowlyVarying", model: TailModel, c: float, j_max: int
     if math.isinf(total):
         raise InvalidRangeError("the moment sum exceeds the float range by j=%d" % j_max)
     tail_part = sum(terms[-min(10, len(terms)):])
-    return {
-        "terms": terms,
-        "total": total,
-        "diverged_levels": [],
-        "converged": total == 0.0 or tail_part <= 1e-9 * total,
-    }
+    return {"terms": terms, "total": total, "diverged_levels": [],
+            "converged": total == 0.0 or tail_part <= 1e-9 * total}
 
 
 # ------------------------------------------------------- tail exponent fit

@@ -85,15 +85,9 @@ class Report:
     timestamp: str = ""
 
     def payload(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "config": self.config,
-            "verdict": self.verdict,
-            "rows": [dict(r) for r in self.rows],
-            "constants": self.constants,
-            "tolerances": self.tolerances,
-            "counts": self.counts,
-        }
+        return {"experiment": self.experiment, "config": self.config, "verdict": self.verdict,
+                "rows": [dict(r) for r in self.rows], "constants": self.constants,
+                "tolerances": self.tolerances, "counts": self.counts}
 
     def canonical_json(self) -> str:
         return json.dumps(self.payload(), sort_keys=True)
@@ -322,7 +316,9 @@ def _tightness(config: ExperimentConfig) -> dict:
     rows = []
     for j in range(j_from, m[q - 1] + 1):
         shape = tuple(2 ** (mu - j) if u == q - 1 else 2**mu for u, mu in enumerate(m))
-        threshold = config.eps * holder.modulus_eval(rho, 2.0**-j) * sqrt_full
+        # rho(2^-j) as the modulus keeps it, on the levels it is checked on
+        scale = rho._levels[j] if j <= holder.MODULUS_LEVELS else holder.modulus_eval(rho, 2.0**-j)
+        threshold = config.eps * scale * sqrt_full
         row, = _exceedances(config, shape, "max", [threshold], j * n)
         lo, hi = row.pop("ci_lo"), row.pop("ci_hi")
         rows.append({"j": j, "shape": list(shape), "threshold": threshold, **row,

@@ -2,7 +2,11 @@
 
 A modulus here is rho(h) = h^(1/2) (ln(c/h))^(d/2) L(1/h) with L one of
 a small family of slowly varying factors, each type checked when it is
-built.  Functions on [0, 1]^d are
+built.  A factor kind is one row of _FACTOR_TABLE (its parameter, that
+parameter's name in messages and limits, and L), and no code outside it
+compares a kind's name, so a new kind is one row.  A Modulus keeps the
+values rho(2^-j), j <= MODULUS_LEVELS, that its check computes, and
+grid_seq_norms and tightness read them.  Functions on [0, 1]^d are
 measured through the coefficient seminorm
 
     sup_j rho(2^-j)^{-1} max_{v in V_j} |lambda_{j,v}(x)|,
@@ -41,8 +45,8 @@ corner at most (lattice._corner_sum).
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import SimpleNamespace as _Row
 
 import numpy as np
 
@@ -71,6 +75,20 @@ def _finite_array(what: str, x) -> np.ndarray:
     return arr.astype(np.float64)
 
 
+# The factor table: each kind's parameters (a field of SlowlyVarying, or
+# none), the parameter's name in messages and its limits, and L(t) of an
+# array t >= 1 and the parameter's value.  Rows are namespaces, as in
+# bounds' tables.
+_FACTOR_TABLE = {
+    "log_power": _Row(params=("beta",), name="log_power beta", limits={"lo": 0},
+                      factor=lambda t, beta: (1.0 + np.log1p(t)) ** beta),
+    "iter_log": _Row(params=(), name=None, limits={},
+                     factor=lambda t: 1.0 + np.log1p(np.log1p(t))),
+    "const": _Row(params=("c0",), name="const factor c0", limits={"lo": 0, "above": True},
+                  factor=lambda t, c0: np.full_like(t, c0)),
+}
+
+
 @dataclass(frozen=True)
 class SlowlyVarying:
     """L(t) on t >= 1: (1 + ln(1 + t))^beta ("log_power"),
@@ -81,24 +99,19 @@ class SlowlyVarying:
     c0: float = 1.0
 
     def __post_init__(self):
-        if self.kind == "log_power":
-            object.__setattr__(self, "beta", float(check_number("log_power beta", self.beta, lo=0)))
-        elif self.kind == "const":
-            object.__setattr__(self, "c0", float(check_number("const factor c0", self.c0, lo=0,
-                                                              above=True)))
-        elif self.kind != "iter_log":
+        if not isinstance(self.kind, str) or self.kind not in _FACTOR_TABLE:
             raise InvalidInputError("unknown slowly varying factor kind %s" % quote(self.kind))
+        row = _FACTOR_TABLE[self.kind]
+        for param in row.params:
+            value = check_number(row.name, getattr(self, param), **row.limits)
+            object.__setattr__(self, param, float(value))
 
     def __call__(self, t):
         t = _finite_array("slowly varying factor argument t", t)
         if np.any(t < 1.0):
             raise InvalidRangeError("slowly varying factors are evaluated on t >= 1")
-        if self.kind == "log_power":
-            out = (1.0 + np.log1p(t)) ** self.beta
-        elif self.kind == "iter_log":
-            out = 1.0 + np.log1p(np.log1p(t))
-        else:  # const
-            out = np.full_like(t, self.c0)
+        row = _FACTOR_TABLE[self.kind]
+        out = row.factor(t, *(getattr(self, param) for param in row.params))
         return out if out.ndim else float(out)
 
 
@@ -125,6 +138,8 @@ class Modulus:
     c: float
     d: int
     L: SlowlyVarying
+    # rho(2^-j) for j = 0..MODULUS_LEVELS, as __post_init__ checked them
+    _levels: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = check_number("modulus c", self.c, lo=1, above=True)
@@ -133,10 +148,11 @@ class Modulus:
             raise InvalidInputError("modulus L must be a SlowlyVarying, not %s" % quote(self.L))
         object.__setattr__(self, "c", float(c))
         object.__setattr__(self, "d", d)
-        values = [modulus_eval(self, 2.0**-j) for j in range(MODULUS_LEVELS + 1)]
+        values = tuple(modulus_eval(self, 2.0**-j) for j in range(MODULUS_LEVELS + 1))
         if not all(a < b < np.inf for a, b in zip(values[1:], values[:-1])):
             raise DegenerateModulusError("modulus is not finite and increasing on the dyadic grid "
                                          "(c=%g too small, or L past the float range?)" % self.c)
+        object.__setattr__(self, "_levels", values)
 
 
 def modulus(c: float, d: int, L: SlowlyVarying) -> Modulus:
@@ -147,8 +163,8 @@ def svarying_from_dict(data: dict) -> SlowlyVarying:
     """The factor a JSON object describes: {"kind": "log_power", "beta": b},
     {"kind": "iter_log"} or {"kind": "const", "c0": c}, b and c
     defaulting to 1."""
-    check_kind("slowly varying factor", data, {"log_power": ["beta"], "iter_log": [],
-                                               "const": ["c0"]}, optional=True)
+    check_kind("slowly varying factor", data,
+               {k: row.params for k, row in _FACTOR_TABLE.items()}, optional=True)
     return SlowlyVarying(**data)
 
 
@@ -230,12 +246,6 @@ def grid_seq_norms(padded, rho: Modulus, j_max: int) -> np.ndarray:
     check_number("j_max", j_max, hi=MODULUS_LEVELS)
     grid = eval_W_grid(padded, j_max)
     del padded
-    return np.max([_grid_peaks(grid, j, j_max) / s for j, s in enumerate(_scales(rho, j_max))],
+    return np.max([_grid_peaks(grid, j, j_max) / s for j, s in enumerate(rho._levels[:j_max + 1])],
                   axis=0)
 
-
-@functools.lru_cache(maxsize=32)
-def _scales(rho: Modulus, j_max: int) -> tuple:
-    """rho(2^-j) for the levels j = 0..j_max, evaluated once per modulus
-    and level rather than once per block."""
-    return tuple(modulus_eval(rho, 2.0**-j) for j in range(j_max + 1))

@@ -1,4 +1,5 @@
 import decimal
+import json
 import math
 from decimal import Decimal
 
@@ -32,7 +33,7 @@ from orthofield import (
     verify_values,
     weibull_envelope,
 )
-from orthofield import bounds, lattice
+from orthofield import bounds, cli, lattice
 from orthofield.bounds import _level_v, _level_x, _shape_fn_min
 
 E9 = math.exp(9.0)
@@ -590,6 +591,57 @@ def test_tail_integral_against_adaptive_quad(d):
             assert got == pytest.approx(want, rel=1e-10), (model, y)
             checked += 1
     assert checked >= 20
+
+
+
+def _exponential_tail(rate, s):
+    return np.exp(-rate * np.maximum(s, 0.0))
+
+
+def test_a_tail_model_is_one_row(monkeypatch, tmp_path, capsys):
+    # a test-only tail kind is one row of the tail table: P{|X| > s} =
+    # exp(-rate s), which never leaves min(1, .), with its one log-knot
+    # where rate s = -level.  It parses from JSON, is refused with the
+    # usual one-line message, and runs through tail_eval, thm1_rhs and the
+    # verify-bound and lemma-checks experiments as a built-in kind does
+    row = bounds._Row(keys=("rate",), limits={"lo": 0, "above": True}, survival=_exponential_tail,
+                      knots=lambda rate, level: [math.log(-level / rate)])
+    monkeypatch.setitem(bounds._TAIL_TABLE, "exponential", row)
+    tail = {"kind": "exponential", "rate": 2}
+    model = bounds.tail_from_dict(tail)
+    assert model == bounds.TailModel("exponential", 2.0) and type(model.value) is float
+    s = np.array([-1.0, 0.0, 0.5, 3.0])
+    assert np.array_equal(tail_eval(model, s), np.exp(-2.0 * np.maximum(s, 0.0)))
+    assert tail_eval(model, 0.5) == math.exp(-1.0)
+    # y = 16 at d = 2 puts the tail at scale y C = 1
+    consts = recurse_constants(2)
+    want, _ = quad(lambda u: math.exp(-2.0 * u) * u * math.log1p(u) ** consts.p, 1.0, math.inf,
+                   epsabs=0.0, epsrel=1e-12, limit=200)
+    got = thm1_rhs([40.0, 80.0], 16.0, model, consts)
+    assert got[0].integral_term == pytest.approx(consts.B * want, rel=1e-10)
+    L = log_power(2.0)
+    want = {"verify-bound": [{"bound": v.value, "integral_term": v.integral_term} for v in got],
+            "lemma-checks": [{"total": cond_wip_check(L, model, 1.0, 10)["total"]},
+                             {"total": lemma3_moment_sum(L, model, 1.0, 10)["total"]}]}
+    path = tmp_path / "run.json"
+    for rate in (2, 0):
+        tail = {"kind": "exponential", "rate": rate}
+        for payload in ({"experiment": "verify-bound", "shape": [8, 8], "x_grid": [40.0, 80.0],
+                         "generator": {"variant": "iid_symmetric", "d": 2,
+                                       "params": {"dist": "rademacher"}},
+                         "replicas": 20, "bound": {"kind": "two-term", "y": 16.0, "tail": tail}},
+                        {"experiment": "lemma-checks", "tail": tail, "k_max": 10, "j_max": 10,
+                         "svarying": {"kind": "log_power", "beta": 2.0}}):
+            path.write_text(json.dumps(payload))
+            status = cli.main([payload["experiment"], "--config", str(path)])
+            out, err = capsys.readouterr()
+            if rate == 0:
+                assert status == 1 and out == "", err
+                assert err == "error: tail rate must be in (0, inf], not 0\n", err
+                continue
+            rows = want[payload["experiment"]]
+            report = json.loads(out)["rows"][-len(rows):]
+            assert status in (0, 2) and [{k: r[k] for k in w} for r, w in zip(report, rows)] == rows
 
 
 def test_gaussian_product_tail_integral_reaches_its_negligible_point(monkeypatch):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from orthofield import bounds, generators, harness, lattice
+from orthofield import bounds, generators, harness, holder, lattice
 from orthofield import (
     ExperimentConfig,
     InvalidInputError,
@@ -578,6 +578,28 @@ def _tightness(**fields):
                 modulus={"c": math.exp(4.0), "L": {"kind": "iter_log"}})
     return run_experiment(ExperimentConfig(**{**base, **fields}))
 
+
+
+def test_a_run_evaluates_its_modulus_only_when_it_builds_it(monkeypatch):
+    # a Modulus keeps rho(2^-j) from the check it runs when built, and
+    # tightness and holder-norm read the kept values: each run calls
+    # modulus_eval once per checked level, all while building the modulus
+    calls = []
+    modulus_eval = holder.modulus_eval
+
+    def counted(rho, h):
+        calls.append(h)
+        return modulus_eval(rho, h)
+
+    monkeypatch.setattr(holder, "modulus_eval", counted)
+    built = [2.0**-j for j in range(holder.MODULUS_LEVELS + 1)]
+    _tightness(exponents=(5, 5), eps=0.3, replicas=20, seed=1)
+    assert calls == built
+    calls.clear()
+    run_experiment(ExperimentConfig(
+        experiment="holder-norm", generator=iid_gaussian(2), shapes=((8, 8),), replicas=8,
+        seed=1, modulus={"c": math.exp(5.5), "L": {"kind": "iter_log"}}, j_max=3))
+    assert calls == built
 
 def test_tightness_zero_generator():
     rep = _tightness(generator=zero_field(2), exponents=(4, 4), eps=1.0, replicas=50, seed=1)

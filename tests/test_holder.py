@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from orthofield import (
     InvalidInputError,
     InvalidRangeError,
     Modulus,
+    SlowlyVarying,
     TooLargeError,
     const_factor,
     full_grid_count,
@@ -22,6 +24,8 @@ from orthofield import (
     modulus_eval,
     modulus_from_dict,
 )
+from orthofield import cli, holder
+from orthofield.holder import svarying_from_dict
 from orthofield.lattice import batch_prefix, padded_prefix
 from orthofield.sumprocess import eval_W_grid
 import single_field
@@ -89,6 +93,44 @@ def test_slowly_varying_factors():
     with pytest.raises(InvalidRangeError):
         iter_log()(0.5)
 
+
+
+def test_a_slowly_varying_factor_is_one_row(monkeypatch, tmp_path, capsys):
+    # a test-only factor is one row of the factor table: c0 (1 + ln(1 + t)),
+    # which at c0 = 2 is log_power(1) doubled, bit for bit, since doubling
+    # is exact.  It parses from JSON, is refused with the usual one-line
+    # message, and runs through SlowlyVarying, a Modulus and the
+    # holder-norm and lemma-checks experiments as a built-in kind does
+    row = holder._Row(params=("c0",), name="scaled_log c0", limits={"lo": 0, "above": True},
+                      factor=lambda t, c0: c0 * (1.0 + np.log1p(t)))
+    monkeypatch.setitem(holder._FACTOR_TABLE, "scaled_log", row)
+    L = svarying_from_dict({"kind": "scaled_log", "c0": 2})
+    assert L == SlowlyVarying("scaled_log", c0=2.0) and type(L.c0) is float
+    assert svarying_from_dict({"kind": "scaled_log"}) == SlowlyVarying("scaled_log")
+    t = np.array([1.0, 10.0, 1e6])
+    assert np.array_equal(L(t), 2.0 * log_power(1.0)(t))
+    doubled, plain = (modulus(math.exp(6.0), 2, f) for f in (L, log_power(1.0)))
+    h = 2.0 ** -np.arange(41.0)
+    assert np.array_equal(modulus_eval(doubled, h), 2.0 * modulus_eval(plain, h))
+    assert doubled._levels == tuple(2.0 * v for v in plain._levels)
+    path = tmp_path / "run.json"
+    base = {"experiment": "holder-norm", "shapes": [[8, 8]], "replicas": 16, "j_max": 3,
+            "generator": {"variant": "iid_symmetric", "d": 2, "params": {"dist": "gaussian"}}}
+    reports = []
+    for factor in ({"kind": "scaled_log", "c0": 2.0}, {"kind": "log_power", "beta": 1.0}):
+        path.write_text(json.dumps(dict(base, modulus={"c": math.exp(6.0), "L": factor})))
+        assert cli.main(["holder-norm", "--config", str(path)]) == 0
+        reports.append(json.loads(capsys.readouterr().out)["rows"][0])
+    halved, norms = reports
+    for key in ("q25", "median", "q75", "q90", "max"):
+        assert 2.0 * halved[key] == norms[key] > 0.0, key
+    for payload in (dict(base, modulus={"c": math.exp(6.0), "L": {"kind": "scaled_log", "c0": 0}}),
+                    {"experiment": "lemma-checks", "tail": {"kind": "bounded", "K": 1.0},
+                     "svarying": {"kind": "scaled_log", "c0": 0}}):
+        path.write_text(json.dumps(payload))
+        assert cli.main([payload["experiment"], "--config", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: scaled_log c0 must be in (0, inf], not 0\n", err
 
 def test_modulus_dict_round_trip():
     for data, rho in (

@@ -4,9 +4,14 @@ values end in InvalidInputError or InvalidRangeError before any array
 is built, and the JSON parsers build exactly what the constructors do.
 Each spec type (GeneratorSpec, TailModel, SlowlyVarying, Modulus)
 checks itself when it is built, so a hand-built spec is refused as its
-constructor would refuse it."""
+constructor would refuse it.  What sets a kind of spec apart is one row
+of its type's table, and no statement of the package compares a kind's
+name."""
 
+import ast
 import math
+import pathlib
+import pickle
 import warnings
 
 import numpy as np
@@ -46,6 +51,8 @@ from orthofield import (
     unit_tail,
     weibull_envelope,
 )
+import orthofield
+from orthofield import bounds, generators, holder
 from orthofield.bounds import tail_from_dict
 from orthofield.errors import check_number
 from orthofield.generators import replica_stats
@@ -273,6 +280,13 @@ def test_a_hand_built_spec_is_the_one_its_constructor_builds():
     assert TailModel("gaussian_product", 3) == gaussian_product(3)
     assert SlowlyVarying("const", c0=2) == const_factor(2.0)
     assert Modulus(E9, 2, iter_log()) == RHO
+    # a modulus's kept level values are no part of its value: equality,
+    # hash and repr read its fields alone, and a pickle keeps the values
+    for spec in (gaussian_product(3), const_factor(2.0), RHO):
+        copy = pickle.loads(pickle.dumps(spec))
+        assert copy == spec and hash(copy) == hash(spec) and repr(copy) == repr(spec)
+    assert pickle.loads(pickle.dumps(RHO))._levels == RHO._levels
+    assert "_levels" not in repr(RHO) and len(RHO._levels) == 41
 
 
 # a library call's error quotes a long value in brief, as the CLI's do
@@ -293,3 +307,22 @@ def test_a_library_error_quotes_a_long_value_in_brief(name):
     with pytest.raises(InvalidInputError) as caught:
         LONG_VALUES[name]()
     assert len(str(caught.value)) < 300, name
+
+
+def test_no_statement_compares_a_spec_kind_name():
+    # a tail model, slowly varying factor, bound, generator variant or law
+    # is told apart by its table row alone: no comparison anywhere in the
+    # package spells one of their names
+    names = set()
+    for table in (bounds._TAIL_TABLE, holder._FACTOR_TABLE, bounds._BOUND_TABLE,
+                  generators._VARIANT_TABLE, generators._LAW_TABLE):
+        names |= set(table)
+    found = []
+    for path in sorted(pathlib.Path(orthofield.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Compare):
+                spelled = {leaf.value for operand in [node.left, *node.comparators]
+                           for leaf in ast.walk(operand) if isinstance(leaf, ast.Constant)}
+                found += ["%s:%d %s" % (path.name, node.lineno, name)
+                          for name in sorted(spelled & names, key=str)]
+    assert len(names) == 17 and not found, found  # "bounded" names a tail and a bound

@@ -298,13 +298,27 @@ def _stats_at(threads):
 
 
 def _send_stats_at_two_threads(conn):
-    conn.send(_stats_at(2))
+    # the 2-thread result, then the names of the threads that ran 64
+    # blocks of a 2-thread call; the caller's first block waits for a
+    # helper's, so a helper that exists runs at least one
+    helper_ran, names = threading.Event(), []
+
+    def work(start, count):
+        if threading.current_thread() is not threading.main_thread():
+            helper_ran.set()
+        elif start == 0:
+            helper_ran.wait(timeout=10)
+        names.append(threading.current_thread().name)
+
+    lattice._map_blocks(work, range(0, 64), 2)
+    conn.send((_stats_at(2), names))
     conn.close()
 
 
 def test_map_blocks_runs_in_a_forked_child():
     # the parent's helpers are not in a forked child, which starts its
-    # own: a 2-thread call there finishes and gives the 1-thread result
+    # own: a 2-thread call there finishes and gives the 1-thread result,
+    # and a helper the child starts runs at least one of its blocks
     _stats_at(2)
     assert _helper_threads()
     context = multiprocessing.get_context("fork")
@@ -314,7 +328,7 @@ def test_map_blocks_runs_in_a_forked_child():
     write.close()
     try:
         assert read.poll(60), "the forked child's 2-thread call did not finish"
-        got = read.recv()
+        got, names = read.recv()
         child.join(10)
         assert not child.is_alive() and child.exitcode == 0
     finally:
@@ -322,6 +336,7 @@ def test_map_blocks_runs_in_a_forked_child():
             child.kill()
     want = _stats_at(1)
     assert all(np.array_equal(a, b) for a, b in zip(got, want)) and len(got) == len(want)
+    assert len(names) == 64 and "orthofield-block-1" in names, names
 
 
 def test_volume_and_dominated():
