@@ -230,8 +230,8 @@ MUTANTS += [
     # axis d; killed by the exact Rademacher product oracle
     {"name": "product-slab-from-axis-1",
      "file": "src/orthofield/generators.py",
-     "old": '"slab": peaks[:-1] + [np.abs(ends[-1])]}',
-     "new": '"slab": peaks[:-1] + [np.abs(ends[0])]}',
+     "old": '"slab": peaks[:-1] + [np.abs(e) for e in ends[-1:]]}',
+     "new": '"slab": peaks[:-1] + [np.abs(e) for e in ends[:1]]}',
      "kills": ["tests/test_generators.py::"
                "test_product_stats_equal_float_path_exactly_for_rademacher"]},
     # a span that never screens runs every Gaussian or Weibull block
@@ -286,4 +286,43 @@ MUTANTS += [
      "old": "    os.register_at_fork(after_in_child=_forget_helpers)\n",
      "new": "    pass\n",
      "kills": ["tests/test_lattice.py::test_map_blocks_runs_in_a_forked_child"]},
+]
+
+# the one-site product total that exponent-fit samples, and older
+# checks of the hash, the sum process and the Holder coefficients
+MUTANTS += [
+    # a product field's total taking every factor's end from axis 1, so a
+    # one-site Gaussian product is |X_1|^d; killed by the exact product
+    # law at d = 2 and 3
+    {"name": "product-total-ends-from-axis-1",
+     "file": "src/orthofield/generators.py",
+     "old": "    ends = [p[:, -1].copy() for p in prefixes]",
+     "new": "    ends = [prefixes[0][:, -1].copy() for p in prefixes]",
+     "kills": ["tests/test_exact_laws.py::"
+               "test_one_site_gaussian_product_total_follows_the_product_law[%d]" % d
+               for d in (2, 3)]},
+    # sign_pm1 keeping bit 62 instead of the top bit, which with the bits
+    # of 1.0 gives 1.0 or inf; killed by the exact Rademacher laws' support
+    {"name": "sign-top-bit-62",
+     "file": "src/orthofield/_rng.py",
+     "old": "_TOP = np.uint64(1 << 63)\n",
+     "new": "_TOP = np.uint64(1 << 62)\n",
+     "kills": ["tests/test_exact_laws.py::"
+               "test_iid_rademacher_total_follows_the_binomial_law[float-3x5]",
+               "tests/test_exact_laws.py::"
+               "test_product_rademacher_stats_follow_the_walk_laws[6x6]"]},
+    # W normalized by the padded lattice's volume instead of the
+    # lattice's; killed by the grid oracle
+    {"name": "eval-w-grid-padded-volume",
+     "file": "src/orthofield/sumprocess.py",
+     "old": "    total /= math.sqrt(volume(m - 1 for m in dims))\n",
+     "new": "    total /= math.sqrt(volume(dims))\n",
+     "kills": ["tests/test_holder.py::test_grid_seq_norms_match_callable_oracle_bit_for_bit"]},
+    # a coefficient's upper parent read as its lower one, which leaves
+    # c - lo; killed by the grid oracle
+    {"name": "grid-peaks-hi-as-lo",
+     "file": "src/orthofield/holder.py",
+     "old": "        hi = (slice(None),) + tuple(slice(2, None, 2) if o else even for o in odd)\n",
+     "new": "        hi = lo\n",
+     "kills": ["tests/test_holder.py::test_grid_seq_norms_match_callable_oracle_bit_for_bit"]},
 ]

@@ -810,12 +810,12 @@ def exponent_fit(samples, window=(0.90, 0.999), grid_points: int = 24) -> Expone
     if not 0.5 <= lo_q < hi_q < 1.0:
         raise InvalidRangeError("window must satisfy 0.5 <= lo < hi < 1")
     _block_size(check_number("grid_points", grid_points, lo=4, integer=True), "exponent-fit grid")
-    mags = np.sort(np.abs(np.asarray(samples, dtype=np.float64)))
+    mags = np.abs(np.asarray(samples, dtype=np.float64))
     n = mags.size
     if n < 1000:
         raise InsufficientDataError("exponent fit needs at least 1000 samples")
-    x_lo = float(np.quantile(mags, lo_q))
-    x_hi = float(np.quantile(mags, hi_q))
+    x_lo, x_hi = np.quantile(mags, (lo_q, hi_q), overwrite_input=True).tolist()  # partitions mags
+    mags.sort()
     if not 0.0 < x_lo < x_hi:
         raise InsufficientDataError("degenerate sample window [%g, %g]" % (x_lo, x_hi))
     grid = np.geomspace(x_lo, x_hi, grid_points)

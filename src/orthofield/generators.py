@@ -119,11 +119,12 @@ round differently, by a few 1e-15 x max |S| per replica.  The zero
 field takes the spans route like any other: its variant's post-map
 writes +0.0 over the values its blocks draw.
 
-generate_batch is the one way to draw fields: a single replica is
+generate_batch and replica_stats are the one way to draw fields,
+exponent-fit's normal products too: a single replica is
 generate_batch(spec, shape, seed, r, 1)[0].  zero_field, the all-zero
 control a config can name, has no caller in the package.  The Monte
-Carlo conditional-centering battery the variants below pass or fail is
-a test oracle (tests/single_field.py), not part of the replica screen.
+Carlo conditional-centering battery the variants below pass or fail is a
+test oracle (tests/single_field.py), not part of the replica screen.
 
 A GeneratorSpec checks itself when it is built, so everything here
 takes a spec as valid.  A spec is a plain value: its variant and its
@@ -528,12 +529,13 @@ def replica_stats(spec: GeneratorSpec, shape, seed: int, start: int, count: int,
 
 def _product_stats(plan: _Plan, start: int, count: int, stats: tuple) -> tuple:
     """replica_stats of one block of a product field, from the per-axis
-    prefixes of its factor streams."""
+    prefixes of its factor streams: only the ends or maxima stats read."""
     reps = np.arange(start, start + count, dtype=np.int64)
     prefixes = [batch_prefix(vals) for vals in _factor_streams(plan, reps)]
-    ends = [p[:, -1].copy() for p in prefixes]
-    peaks = [np.abs(p, out=p).max(axis=1) for p in prefixes]
-    factors = {"max": peaks, "total": ends, "slab": peaks[:-1] + [np.abs(ends[-1])]}
+    asked = set(stats)
+    ends = [p[:, -1].copy() for p in prefixes] if asked & {"total", "slab"} else []
+    peaks = [np.abs(p, out=p).max(axis=1) for p in prefixes] if asked & {"max", "slab"} else []
+    factors = {"max": peaks, "total": ends, "slab": peaks[:-1] + [np.abs(e) for e in ends[-1:]]}
     return tuple(functools.reduce(np.multiply, factors[name]) for name in stats)
 
 

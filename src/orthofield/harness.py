@@ -17,15 +17,16 @@ index order and a row's "ok" only looks at precomputed intervals.  Each
 experiment asks the generator layer's one replica reduction
 (replica_stats, which plans, threads and gathers its own blocks) for
 only the per-replica statistics it reads: deviation the maximum |S_k|,
-verify-bound the one bounds.verify_values names for its bound, fdd the
-total S_n, induction-check the maximum and the last-slab maximum, and
-tightness the maximum, once per dyadic level.  deviation, verify-bound
-and tightness count exceedances through _exceedances, the one caller
-that hands replica_stats a floor: the smallest threshold, under the
-floor rule of the generators module docstring, so an iid field skips
-the value map and the prefix sums of replicas that cannot reach it.
-A row number that is not finite, which strict JSON cannot hold, is an
-InvalidRangeError naming the experiment, the row and the key.
+verify-bound the one bounds.verify_values names for its bound, fdd and
+exponent-fit (of a one-site decoupled Gaussian product) the total S_n,
+induction-check the maximum and the last-slab maximum, and tightness the
+maximum, once per dyadic level.  deviation, verify-bound and tightness
+count exceedances through _exceedances, the one caller that hands
+replica_stats a floor: the smallest threshold, under the floor rule of
+the generators module docstring, so an iid field skips the value map and
+the prefix sums of replicas that cannot reach it.  A row number that is
+not finite, which strict JSON cannot hold, is an InvalidRangeError
+naming the experiment, the row and the key.
 
 Reports separate the reproducible payload (config echo, rows, verdicts,
 constants trace, tolerances) from the timing block (timestamp, wall
@@ -43,13 +44,13 @@ from dataclasses import dataclass, field as dc_field, make_dataclass
 from datetime import datetime, timezone
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import bounds, holder
 from ._rng import fold, stream_key, uniform01
 from .errors import InvalidInputError, InvalidRangeError, check_number, check_object, quote
 from .generators import (
     GeneratorSpec,
+    decoupled_product,
     generate_batch,
     iid_gaussian,
     replica_stats,
@@ -363,15 +364,12 @@ def _lemma_checks(config: ExperimentConfig) -> dict:
 
 
 def _exponent_fit(config: ExperimentConfig) -> dict:
-    """Tail-exponent fit for the product of d independent standard
-    normal magnitudes; the stretched-exponential rate should sit near
-    2/d, and the optional band gives the row its "ok"."""
+    """Tail-exponent fit for |X_1 ... X_d|, d independent standard
+    normals drawn as a one-site decoupled Gaussian product; the exponent
+    should sit near 2/d, and the optional band gives the row its "ok"."""
     d = config.d
-    prod = np.ones(config.replicas)
-    for axis in range(d):
-        h = fold(stream_key(config.seed, "exponent-fit", axis),
-                 np.arange(config.replicas, dtype=np.uint64))
-        prod *= np.abs(ndtri(uniform01(h)))
+    prod, = replica_stats(decoupled_product(d, "gaussian"), (1,) * d, config.seed, 0,
+                          config.replicas, ("total",), config.threads)
     fit = bounds.exponent_fit(prod, window=config.window, grid_points=config.grid_points)
     row = {"d": d, "gamma_hat": fit.gamma_hat, "target": 2.0 / d,
            "window": list(fit.window)}

@@ -1,4 +1,5 @@
-"""Replica statistics of Rademacher fields against their exact laws.
+"""Replica statistics of Rademacher and Gaussian product fields against
+their exact laws.
 
 An iid Rademacher field on N cells has the total S_n = 2 Bin(N, 1/2) - N.
 A product Rademacher field has S_k = prod_q P^(q)_(k_q) with independent
@@ -8,9 +9,13 @@ joint law comes from a dynamic program over (position, running
 maximum).  Every histogram is drawn through generators.replica_stats at
 fixed seeds, must stay inside the law's support, and must pass a
 chi-square test at level 1e-6 (bins pooled until each expects at least
-5 replicas).  On correct code a check fails for a fresh seed with
-probability at most 1e-6, so the 20 checks below raise a false alarm
-for at most 2e-5 of seed choices.
+5 replicas).  The total of a decoupled Gaussian product on one site is
+X_1 ... X_d for independent standard normals, whose magnitude has the
+tail bounds.gaussian_product(d); its sample, drawn the same way, must
+pass a Kolmogorov-Smirnov test against that law at level 1e-6.  On
+correct code a check fails for a fresh seed with probability at most
+1e-6, so the 26 checks below raise a false alarm for at most 2.6e-5 of
+seed choices.
 
 The same exact laws also pin two things without sampling: the KS
 distance of the binomial total to its normal limit, against the
@@ -26,9 +31,17 @@ from collections import defaultdict
 import numpy as np
 import pytest
 from scipy.special import chdtrc, ndtr
-from scipy.stats import binom
+from scipy.stats import binom, kstwo
 
-from orthofield import bounded_rhs, iid_rademacher, product_rademacher, recurse_constants
+from orthofield import (
+    bounded_rhs,
+    decoupled_product,
+    gaussian_product,
+    iid_rademacher,
+    product_rademacher,
+    recurse_constants,
+    tail_eval,
+)
 from orthofield.generators import replica_stats
 from orthofield.harness import _KS_ALLOWANCE
 from orthofield.stats import wilson_interval
@@ -117,6 +130,21 @@ def test_product_rademacher_stats_follow_the_walk_laws(shape):
         got = replica_stats(spec, shape, seed, 0, _REPLICAS, tuple(laws))
         for (name, law), values in zip(laws.items(), got):
             assert _chi_square_pvalue(values, law) > _ALPHA, (seed, name)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_one_site_gaussian_product_total_follows_the_product_law(d):
+    # |X_1 ... X_d| is the sample exponent-fit reads; the KS distance is
+    # the larger gap of the empirical CDF's two sides to the exact one
+    law = gaussian_product(d)
+    for seed in _SEEDS:
+        total, = replica_stats(decoupled_product(d, "gaussian"), (1,) * d, seed, 0, _REPLICAS,
+                               ("total",))
+        mags = np.sort(np.abs(total))
+        cdf = 1.0 - tail_eval(law, mags)
+        steps = np.arange(mags.size + 1) / mags.size
+        distance = max(np.max(steps[1:] - cdf), np.max(cdf - steps[:-1]))
+        assert kstwo.sf(distance, mags.size) > _ALPHA, (seed, distance)
 
 
 def test_rademacher_fdd_points_sit_inside_the_ks_allowance():

@@ -173,6 +173,8 @@ def test_thread_count_does_not_change_payload(monkeypatch):
              x_grid=(1.5, 2.0), replicas=256, seed=9),
         dict(experiment="tightness", generator=product_rademacher(2), exponents=(5, 5),
              eps=0.3, axis_q=1, j_from=1, replicas=150, seed=9, modulus=modulus),
+        # the lone total of a one-site decoupled Gaussian product
+        dict(experiment="exponent-fit", d=3, replicas=2000, seed=9),
     ]
     # the block plans each case runs, as (replicas per block, blocks, threads)
     plans = []
@@ -348,6 +350,23 @@ def test_every_experiment_block_holds_at_most_three_block_arrays(name, peak_byte
     run_experiment(config)  # the first run fills caches, such as the constants table
     arrays = peak_bytes(lambda: run_experiment(config)) / (8 * cells * block)
     assert arrays <= bound, arrays
+
+
+def test_exponent_fit_holds_its_samples_twice(peak_bytes):
+    # the replica column and one copy of its magnitudes, which the
+    # quantiles partition and the sort orders in place: 2 x 8R bytes.  The
+    # blocks reach that only while the column is gathered: the last of
+    # four runs beside the three columns before it, 2.5 x 8R at 2^18
+    # replicas (a one-site product's block peaks at 3.5 block arrays),
+    # which one block of 8 x _BLOCK_CELLS bytes covers; a sixteenth of 8R
+    # covers the report.  A second copy of the magnitudes, such as
+    # np.sort's or np.quantile's, reads 3 x 8R.
+    replicas = 1 << 18
+    config = ExperimentConfig(experiment="exponent-fit", d=2, replicas=replicas, seed=3)
+    run_experiment(ExperimentConfig(experiment="exponent-fit", d=2, replicas=1000, seed=3))
+    peak = peak_bytes(lambda: run_experiment(config))
+    bound = 2 * 8 * replicas + 8 * lattice._BLOCK_CELLS + replicas // 2
+    assert peak <= bound, peak / (8 * replicas)
 
 
 @pytest.mark.parametrize("threads", [0, -3, 2.5, True, "2"])
@@ -705,13 +724,13 @@ _PINNED = {
              tail={"kind": "unit"}, k_max=20, j_max=20),
         "FAIL", "a4dd44afa69d597bb7f09f1b02d7bba61026f1f155136b1e2f342923ac59b412"),
     "exponent-fit": (dict(experiment="exponent-fit", d=2, replicas=5000, seed=101), "INFO",
-                     "b8a8e27e6edbce8715d03ff97761a0c236906f48b8ae613fde26a6e0b9e1d206"),
+                     "5ec3ca8d3c2d81559d41fe25e3270438de9a7c53dd5aade99612fd634d7dfd56"),
     "exponent-fit-in-band": (
         dict(experiment="exponent-fit", d=2, replicas=5000, seed=101, band=(0.5, 1.5)),
-        "PASS", "86e1d718ca42645ea41f81a54af1e808d1679e23b3bc46d96f1d3833312a2edd"),
+        "PASS", "43e4cc9058fc4763a9a84cd3fadf5c57420c1d4e8e03c1b58a740dc634c0abc3"),
     "exponent-fit-off-band": (
         dict(experiment="exponent-fit", d=2, replicas=5000, seed=101, band=(1.5, 2.5)),
-        "FAIL", "918cf988f0171679f8a76adab8317c14dc6f62ec307b993f60272c785147b019"),
+        "FAIL", "43fe142680eb2876da0d8723600d6f65b25c76a593af1eb9665e7a969bbdaf2d"),
 }
 
 
