@@ -84,16 +84,43 @@ MUTANTS = [
      "old": "    for part in lattice._slices(u):\n",
      "new": "    for part in lattice._slices(u)[:1]:\n",
      "kills": ["tests/test_rng.py::test_sliced_value_maps_equal_the_one_shot_formulas[flat]"]},
-    # holder-norm's block sized for one of the two arrays it holds at once;
-    # killed by the holder-norm block cases
-    {"name": "holder-norm-block-for-one-array",
+    # the W-block loop sizing its blocks by the padded arrays alone, not
+    # by what they hold beside them; killed by the sheet-cov and
+    # holder-norm block cases
+    {"name": "w-blocks-sized-by-padded-alone",
      "file": "src/orthofield/harness.py",
-     "old": "        cells = (volume(n + 1 for n in shape), holder.full_grid_count(levels, len(shape)))\n",
-     "new": "        cells = max(volume(n + 1 for n in shape), holder.full_grid_count(levels, len(shape)))\n",
+     "old": "    cells = (volume(n + 1 for n in shape), max(volume(shape), held))\n",
+     "new": "    cells = volume(n + 1 for n in shape)\n",
      "kills": ["tests/test_harness.py::"
-               "test_every_experiment_block_holds_at_most_three_block_arrays[holder-norm-8x8]",
-               "tests/test_harness.py::"
-               "test_every_experiment_block_holds_at_most_three_block_arrays[holder-norm-32x32]"]},
+               "test_every_experiment_block_holds_at_most_three_block_arrays[%s]" % case
+               for case in ("sheet-cov", "holder-norm-8x8", "holder-norm-32x32",
+                            "holder-norm-24x40")]},
+    # holder-norm binding the padded prefix to a name of its own, which
+    # keeps it alive beside the level grid and the coefficients; killed by
+    # the behavioural test
+    {"name": "holder-norm-keeps-its-padded-prefix",
+     "file": "src/orthofield/harness.py",
+     "old": "lambda draw: holder.grid_seq_norms(draw(), rho, levels))",
+     "new": "lambda draw: (lambda padded: holder.grid_seq_norms(padded, rho, levels))(draw()))",
+     "kills": ["tests/test_harness.py::"
+               "test_holder_norm_frees_each_padded_prefix_before_its_coefficients"]},
+    # the tail counter pairing each row's hits with the mirrored row's
+    # threshold; killed by the induction-check and deviation pins
+    {"name": "tail-rows-mirrored-thresholds",
+     "file": "src/orthofield/harness.py",
+     "old": "    for threshold in thresholds:\n",
+     "new": "    for threshold in thresholds[::-1]:\n",
+     "kills": ["tests/test_harness.py::test_payload_and_verdict_are_pinned[%s]" % case
+               for case in ("induction-check", "deviation")]},
+    # product blocks sized by their streams alone, so a one-site product's
+    # per-replica vectors overrun the block; killed by the exponent-fit
+    # block case
+    {"name": "product-blocks-without-vectors",
+     "file": "src/orthofield/generators.py",
+     "old": "_block_size((sum(shape), vectors), \"lattice\")",
+     "new": "_block_size(sum(shape), \"lattice\")",
+     "kills": ["tests/test_harness.py::"
+               "test_every_experiment_block_holds_at_most_three_block_arrays[exponent-fit]"]},
     # one Halley step instead of three leaves the level-set roots short of
     # rounding; killed by every pinned-root case
     {"name": "halley-one-step",

@@ -121,7 +121,9 @@ writes +0.0 over the values its blocks draw.
 
 generate_batch and replica_stats are the one way to draw fields,
 exponent-fit's normal products too: a single replica is
-generate_batch(spec, shape, seed, r, 1)[0].  zero_field, the all-zero
+generate_batch(spec, shape, seed, r, 1)[0].  Draws that belong to no
+field (sheet-cov's node pairs) come from stream_uniforms, so no other
+module hashes words of _rng.  zero_field, the all-zero
 control a config can name, has no caller in the package.  The Monte
 Carlo conditional-centering battery the variants below pass or fail is a
 test oracle (tests/single_field.py), not part of the replica screen.
@@ -468,6 +470,13 @@ def generate_batch(
     return functools.reduce(_times, axes)
 
 
+def stream_uniforms(seed: int, label: str, count: int) -> np.ndarray:
+    """count uniforms in (0, 1) of the stream label of seed, the fold of
+    each counter 0 .. count - 1 into its key: the draws that belong to
+    no field, such as the node pairs of sheet-cov."""
+    return _rng.uniform01(_rng.fold(_rng.stream_key(seed, label), np.arange(count)))
+
+
 def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a * b, in place on whichever of them already has the product's
     shape (a product field's factors, multiplied in axis order)."""
@@ -481,8 +490,9 @@ def replica_stats(spec: GeneratorSpec, shape, seed: int, start: int, count: int,
     "total" and "slab", see the module docstring) of replicas
     [start, start + count), one array of count values per name in that
     order, gathered in block order from tasks run on up to `threads`
-    threads.  A block is sized by its largest array per replica: sum n_q
-    cells for the per-axis streams of a product field, |n| otherwise.
+    threads.  A block is sized by what it holds per replica: |n| cells,
+    or for a product field the sum n_q of its per-axis streams beside
+    its per-replica vectors (lattice._block_size of both).
     A product field's task is one block; any other field's task is a
     span of blocks (lattice._span_size), which hashes its row words once
     and then runs each block's last fold and reduction.  The checks, the
@@ -513,7 +523,9 @@ def replica_stats(spec: GeneratorSpec, shape, seed: int, start: int, count: int,
                                 % (quote(floor), quote(stats)))
     shape, start, count, plan = _plan(spec, shape, seed, start, count)
     if _VARIANT_TABLE[spec.variant].route == "product":
-        tasks = range(start, start + count, _block_size(sum(shape), "lattice"))
+        # per replica: its index, each axis's words and ends or peaks, a product per statistic
+        vectors = 1 + 2 * spec.d + len(stats)
+        tasks = range(start, start + count, _block_size((sum(shape), vectors), "lattice"))
         run = lambda first, size: _product_stats(plan, first, size, stats)
     else:
         block = _block_size(volume(shape), "lattice")

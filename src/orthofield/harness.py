@@ -20,13 +20,18 @@ only the per-replica statistics it reads: deviation the maximum |S_k|,
 verify-bound the one bounds.verify_values names for its bound, fdd and
 exponent-fit (of a one-site decoupled Gaussian product) the total S_n,
 induction-check the maximum and the last-slab maximum, and tightness the
-maximum, once per dyadic level.  deviation, verify-bound and tightness
-count exceedances through _exceedances, the one caller that hands
-replica_stats a floor: the smallest threshold, under the floor rule of
-the generators module docstring, so an iid field skips the value map and
-the prefix sums of replicas that cannot reach it.  A row number that is
-not finite, which strict JSON cannot hold, is an InvalidRangeError
-naming the experiment, the row and the key.
+maximum, once per dyadic level.  Tails are counted in one function,
+_tail_rows (hits, share and Wilson interval per threshold), which
+induction-check calls on its maxima and deviation, verify-bound and
+tightness through _exceedances, the one caller that hands replica_stats
+a floor: the smallest threshold, under the floor rule of the generators
+module docstring, so an iid field skips the value map and the prefix
+sums of replicas that cannot reach it.  The partial-sum process W itself
+is sampled in one loop, _w_blocks, which draws, pads, sizes and drives
+the blocks of padded prefix arrays that sheet-cov gathers its nodes
+from and holder-norm takes its norms of.  A row number that is not
+finite, which strict JSON cannot hold, is an InvalidRangeError naming
+the experiment, the row and the key.
 
 Reports separate the reproducible payload (config echo, rows, verdicts,
 constants trace, tolerances) from the timing block (timestamp, wall
@@ -46,7 +51,6 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import bounds, holder
-from ._rng import fold, stream_key, uniform01
 from .errors import InvalidInputError, InvalidRangeError, check_number, check_object, quote
 from .generators import (
     GeneratorSpec,
@@ -57,6 +61,7 @@ from .generators import (
     spec_from_json,
     spec_to_dict,
     spec_variance,
+    stream_uniforms,
 )
 from .lattice import (
     _block_size,
@@ -99,19 +104,43 @@ class Report:
         return json.dumps(obj, sort_keys=True, indent=2)
 
 
-def _exceedances(config: ExperimentConfig, shape, stat: str, thresholds, start: int = 0) -> list:
-    """Per threshold, the replicas [start, start + config.replicas) of
-    config's generator on the lattice shape whose lone statistic stat
-    exceeds it: a row of their count, their share and its Wilson
-    interval.  replica_stats gets the smallest threshold as its floor."""
-    values, = replica_stats(config.generator, shape, config.seed, start, config.replicas,
-                            (stat,), config.threads, floor=min(thresholds))
+def _tail_rows(values: np.ndarray, thresholds) -> list:
+    """Per threshold, the values that exceed it: a row of their count,
+    their share and its Wilson interval."""
     rows = []
     for threshold in thresholds:
         hits = int(np.count_nonzero(values > threshold))
         lo, hi = wilson_interval(hits, values.size)
         rows.append({"hits": hits, "p_hat": hits / values.size, "ci_lo": lo, "ci_hi": hi})
     return rows
+
+
+def _exceedances(config: ExperimentConfig, shape, stat: str, thresholds, start: int = 0) -> list:
+    """_tail_rows of the lone statistic stat of the replicas [start,
+    start + config.replicas) of config's generator on the lattice shape;
+    replica_stats gets the smallest threshold as its floor."""
+    values, = replica_stats(config.generator, shape, config.seed, start, config.replicas,
+                            (stat,), config.threads, floor=min(thresholds))
+    return _tail_rows(values, thresholds)
+
+
+def _w_blocks(config: ExperimentConfig, spec: GeneratorSpec, shape, held: int, reduce):
+    """The per-replica values that reduce returns for the blocks of W
+    of config's replicas of spec on the lattice shape, concatenated in
+    block order: the padded prefix arrays of each block's fields
+    (generate_batch, batch_prefix, padded_prefix with lead=1).  reduce
+    gets the call draw() that makes them, so a reduce that hands draw()
+    straight on holds them only as an argument, and grid_seq_norms frees
+    them once its grid is built.  A block holds the padded arrays beside
+    the larger of the lattice they are copied from and the `held` cells
+    per replica that reduce keeps, and is sized for both."""
+    def block(start, count):
+        return reduce(lambda: padded_prefix(batch_prefix(generate_batch(
+            spec, shape, config.seed, start, count)), lead=1))
+
+    cells = (volume(n + 1 for n in shape), max(volume(shape), held))
+    blocks = range(0, config.replicas, _block_size(cells, "largest W block array"))
+    return np.concatenate(_map_blocks(block, blocks, config.threads))
 
 
 # --------------------------------------------------------- experiments
@@ -162,9 +191,8 @@ def _induction_check(config: ExperimentConfig) -> dict:
     scale = math.sqrt(volume(shape))
     n = config.replicas
     rows = []
-    for x in config.x_grid:
-        hits = int(np.count_nonzero(m_all > x * scale))
-        p_lhs = hits / n
+    for x, tail in zip(config.x_grid, _tail_rows(m_all, [x * scale for x in config.x_grid])):
+        p_lhs = tail["p_hat"]
         se_lhs = math.sqrt(max(p_lhs * (1 - p_lhs), 0.0) / n) + 1.0 / n
         with np.errstate(over="ignore", invalid="ignore"):  # run_experiment refuses inf
             integrand = np.maximum(0.0, 2.0 * m_slab / (x * scale) - 1.0)
@@ -181,39 +209,24 @@ def _induction_check(config: ExperimentConfig) -> dict:
     return {"rows": rows, "tolerances": {"margin": "2 * (se_lhs + se_rhs)"}}
 
 
-def _sheet_block(res, seed: int, start: int, count: int) -> np.ndarray:
-    """Brownian sheets of replicas [start, start + count) at the grid
-    nodes k/res, padded with the zero face (k_q = 0).
-
-    Cell increments are independent centered Gaussians with variance
-    equal to the cell volume, prefix-summed, so E[W(t) W(t')] =
-    prod min(t_q, t'_q) at the nodes."""
-    spec = iid_gaussian(len(res), sigma=math.sqrt(1.0 / volume(res)))
-    return padded_prefix(batch_prefix(generate_batch(spec, res, seed, start, count)), lead=1)
-
-
 def _sheet_cov(config: ExperimentConfig) -> dict:
-    """Empirical node covariance of simulated sheets against the product
-    of coordinate minima; a pair is ok within 3 standard errors.  The
-    node pairs are drawn first, and each block of sheets keeps only its
-    values at those nodes."""
+    """Empirical node covariance of simulated Brownian sheets against the
+    product of coordinate minima; a pair is ok within 3 standard errors.
+
+    The sheets at the grid nodes k/res are W blocks of independent
+    centered Gaussian cells of variance 1/|res|, the cell volume, so
+    E[W(t) W(t')] = prod min(t_q, t'_q) at the nodes, and the zero face
+    holds k_q = 0.  The node pairs are drawn first, and each block keeps
+    only its (count, pairs, 2) values at those nodes."""
     res = config.shape
     d = len(res)
     _block_size(2 * d * config.pairs, "node pair draws")
     _block_size(2 * config.pairs * config.replicas, "sheet-cov node values")
-    key = stream_key(config.seed, "sheet-pairs")
-    draws = uniform01(fold(key, np.arange(2 * d * config.pairs, dtype=np.uint64)))
+    draws = stream_uniforms(config.seed, "sheet-pairs", 2 * d * config.pairs)
     nodes = 1 + (draws.reshape(config.pairs, 2, d) * np.array(res)).astype(np.int64)
     sites = (slice(None),) + tuple(nodes[:, :, q] for q in range(d))
-
-    def work(start, count):
-        return _sheet_block(res, config.seed, start, count)[sites]
-
-    # a block holds its padded sheets with the sheets they pad, and then
-    # with their (count, pairs, 2) node values
-    cells = (volume(n + 1 for n in res), max(volume(res), 2 * config.pairs))
-    blocks = range(0, config.replicas, _block_size(cells, "sheet block"))
-    values = np.concatenate(_map_blocks(work, blocks, config.threads))
+    spec = iid_gaussian(d, sigma=math.sqrt(1.0 / volume(res)))
+    values = _w_blocks(config, spec, res, 2 * config.pairs, lambda draw: draw()[sites])
     rows = []
     for idx in range(config.pairs):
         k1, k2 = (tuple(int(k) for k in nodes[idx, side]) for side in range(2))
@@ -266,24 +279,13 @@ def _holder_norm(config: ExperimentConfig) -> dict:
     rho = holder.modulus_from_dict(config.modulus, config.generator.d)
     rows = []
     for shape in config.shapes:
-        finest = max(int(math.ceil(math.log2(max(shape)))), 1)
-        levels = finest if config.j_max is None else config.j_max
-
-        def work(start, count, shape=shape, levels=levels):
-            # the padded prefix is handed over, so grid_seq_norms frees it
-            # once the grid is built
-            return holder.grid_seq_norms(padded_prefix(batch_prefix(generate_batch(
-                config.generator, shape, config.seed, start, count)), lead=1), rho, levels)
-
-        # a block holds its padded prefix arrays and their level-j_max grids at once
-        cells = (volume(n + 1 for n in shape), holder.full_grid_count(levels, len(shape)))
-        blocks = range(0, config.replicas, _block_size(cells, "level grid"))
-        norms = np.concatenate(_map_blocks(work, blocks, config.threads))
+        levels = max(math.ceil(math.log2(max(shape))), 1) if config.j_max is None else config.j_max
+        norms = _w_blocks(config, config.generator, shape,
+                          holder.full_grid_count(levels, len(shape)),
+                          lambda draw: holder.grid_seq_norms(draw(), rho, levels))
         qs = np.quantile(norms, [0.25, 0.5, 0.75, 0.9])
-        rows.append({"shape": list(shape), "j_max": levels,
-                     "q25": float(qs[0]), "median": float(qs[1]),
-                     "q75": float(qs[2]), "q90": float(qs[3]),
-                     "max": float(np.max(norms))})
+        rows.append({"shape": list(shape), "j_max": levels, "max": float(np.max(norms)),
+                     **{key: float(q) for key, q in zip(("q25", "median", "q75", "q90"), qs)}})
     return {"rows": rows}
 
 

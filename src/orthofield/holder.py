@@ -36,7 +36,7 @@ corner-sum kernel.  A level grid is held to the block budget of the
 lattice layer (lattice._block_size) like a lattice, and grid_seq_norms
 evaluates the whole block it is given at once.  The padded prefix
 arrays and the grid are alive together, so a caller sizes the block
-for both (holder-norm gives _block_size their two cells); once the
+for both (harness._w_blocks gives _block_size their two cells); once the
 grid is built grid_seq_norms drops its reference to the padded arrays,
 which a caller that hands them over frees there.  A grid read straight
 off the prefix is one gather; an interpolated one adds a quarter-block

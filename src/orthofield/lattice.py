@@ -31,9 +31,10 @@ _block_size turns a caller's cells per replica into replicas per block,
 max(1, _BLOCK_CELLS // cells), so a block's largest float64 array
 holds about _BLOCK_CELLS cells (1 MiB) whatever the lattice, and a
 lattice larger than that runs one replica per block.  A block that
-holds two such arrays at once (holder-norm's padded prefix and level
-grid, sheet-cov's sheet and padded sheet) gives _block_size the cells
-of both, so the two together hold about _BLOCK_CELLS.  Every in-place
+holds two such arrays at once (a W block's padded prefix beside its
+lattice or level grid, a product field's streams beside its
+per-replica vectors) gives _block_size the cells of both, so the two
+together hold about _BLOCK_CELLS.  Every in-place
 step of a block (the hash's mix, the value maps, a moving average's
 sum, a lone total's running sum, an interpolated grid's corners) runs
 over slices of at most _SCRATCH_CELLS = _BLOCK_CELLS // 4 cells
@@ -242,8 +243,8 @@ def _map_blocks(fn, blocks: range, threads: int) -> list:
     [first, stop), or spans of blocks (_span_size); each but the last
     holds blocks.step replicas.  Its callers: generators.replica_stats
     (every partial-sum statistic: a block per task for product fields, a
-    span for the others) and the harness's sheet-cov and holder-norm
-    blocks.  Results come back in block order regardless of
+    span for the others) and harness._w_blocks (the W blocks of sheet-cov
+    and holder-norm).  Results come back in block order regardless of
     thread scheduling.  The plan travels in the three positional
     arguments because the tracer of perfbench/spans.py wraps _map_blocks
     as (fn, total, threads) and forwards exactly those three.  threads

@@ -18,7 +18,6 @@ Not a test module (no test_ prefix): the test modules import it.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -31,8 +30,7 @@ from orthofield.errors import (
     OrthofieldError,
     TooLargeError,
 )
-from orthofield.generators import GeneratorSpec, generate_batch
-from orthofield.harness import _sheet_block
+from orthofield.generators import GeneratorSpec, generate_batch, iid_gaussian
 from orthofield.holder import Modulus, full_grid_count, modulus_eval
 from orthofield.lattice import (
     _block_size,
@@ -515,8 +513,15 @@ def orthomartingale_check(
 
 
 def brownian_sheet_sim(resolution, seed: int, replicas: int = 1, threads: int = 1) -> np.ndarray:
-    """Sheets sampled at grid nodes k/res, one per replica (_sheet_block)."""
+    """Brownian sheets at the grid nodes k/res, one per replica, padded
+    with the zero face (k_q = 0): prefix sums of independent centered
+    Gaussian cells whose variance is the cell volume 1/|res|, the field
+    sheet-cov draws."""
     res = validate_shape(resolution)
-    work = functools.partial(_sheet_block, res, seed)
+    spec = iid_gaussian(len(res), sigma=math.sqrt(1.0 / volume(res)))
+
+    def work(start, count):
+        return padded_prefix(batch_prefix(generate_batch(spec, res, seed, start, count)), lead=1)
+
     blocks = range(0, replicas, _block_size(volume(n + 1 for n in res), "padded lattice"))
     return np.concatenate(_map_blocks(work, blocks, threads))

@@ -415,6 +415,39 @@ def test_harness_passes_a_floor_only_in_exceedances():
     assert owners == ["_exceedances"], owners
 
 
+def _harness_callers(name: str) -> list:
+    """The top-level functions of harness that call name, once per call."""
+    tree = ast.parse((pathlib.Path(cli.__file__).parent / "harness.py").read_text(encoding="utf-8"))
+    return [getattr(top, "name", None) for top in tree.body for node in ast.walk(top)
+            if isinstance(node, ast.Call) and name == getattr(node.func, "id",
+                                                              getattr(node.func, "attr", None))]
+
+
+def test_harness_runs_blocks_only_in_the_w_block_loop():
+    # replica_stats runs the statistics' blocks, and _w_blocks those of W
+    # for sheet-cov and holder-norm: no runner drives blocks of its own
+    assert _harness_callers("_map_blocks") == ["_w_blocks"]
+
+
+def test_harness_counts_tails_in_one_function():
+    # deviation, verify-bound, tightness and induction-check take their
+    # hits from _tail_rows
+    assert _harness_callers("count_nonzero") == ["_tail_rows"]
+
+
+def test_only_generators_imports_the_hash():
+    # every draw, a field's or sheet-cov's node pairs, goes through
+    # generators, so no other module of the package hashes words of _rng
+    package = pathlib.Path(cli.__file__).parent
+    importers = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        importers += [path.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                      and (node.module == "_rng" or node.module is None
+                           and any(alias.name == "_rng" for alias in node.names))]
+    assert importers == ["generators.py"], importers
+
+
 def test_one_json_reader_and_one_cli_failure_handler():
     # errors.read_json alone decodes JSON text, and cli.main parses,
     # reads, checks, runs and writes inside one try whose one failure

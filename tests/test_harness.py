@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -293,12 +294,14 @@ def test_block_budget_bounds_memory_and_keeps_payloads(monkeypatch, peak_bytes):
 
 _MODULUS = {"c": math.exp(6.0), "L": {"kind": "iter_log"}}
 # Every Monte Carlo experiment, with the cells per replica of its block
-# arrays as README's Memory section counts them: the lattice, the sum of
-# the axis extents for a product field, the fdd box [1, k], the level
-# lattice of tightness (one level, as j_from = m_q), and for the blocks
-# that hold two arrays at once the sum of both: the sheet and the padded
-# sheet of sheet-cov, the padded lattice and the level grid of
-# holder-norm.  Its bound in block arrays: README's 1.5, and 2.25 for the
+# arrays as README's Memory section counts them: the lattice, the fdd box
+# [1, k], the level lattice of tightness (one level, as j_from = m_q),
+# for a product field the sum of the axis extents beside its 2 d + 2
+# per-replica vectors of a lone statistic (the replica index, each
+# axis's words and ends or peaks, the product), and for the W blocks the
+# padded lattice beside the larger of the lattice and what the block
+# keeps: the sheet-cov node values, the level grid of holder-norm.  Its
+# bound in block arrays: README's 1.5, and 2.25 for the
 # screen stages that gather bracket entries a quarter block at a time, 16
 # bytes a cell, beside a block's buckets: a total's bracket sums, and the
 # chunk stage of tightness with its chunk sums.
@@ -307,7 +310,9 @@ _BLOCK_CASES = {
                        x_grid=(0.5, 1.0)), 64 * 64, 1.5),
     "verify-bound": (dict(experiment="verify-bound", generator=product_rademacher(2),
                           shape=(64, 64), x_grid=(48.0, 96.0),
-                          bound={"kind": "bounded", "K": 1.0}), 64 + 64, 1.5),
+                          bound={"kind": "bounded", "K": 1.0}), 64 + 64 + 6, 1.5),
+    # a one-site product, whose per-replica vectors outweigh its streams
+    "exponent-fit": (dict(experiment="exponent-fit", d=2), 2 + 6, 1.5),
     # the screens' stages: a Weibull total's bracket sums, and a
     # Rademacher maximum's partial sign count at a floor of 2560 > |n| / 2
     "verify-bound-large-deviation": (dict(experiment="verify-bound",
@@ -352,15 +357,38 @@ def test_every_experiment_block_holds_at_most_three_block_arrays(name, peak_byte
     assert arrays <= bound, arrays
 
 
+def test_holder_norm_frees_each_padded_prefix_before_its_coefficients(monkeypatch):
+    # the W-block loop hands grid_seq_norms the block's padded prefix as
+    # its one reference, so the prefix is gone once the level grid is
+    # built, before any coefficient buffer
+    prefixes, alive = [], []
+    eval_grid, grid_peaks = holder.eval_W_grid, holder._grid_peaks
+
+    def eval_W_grid(padded, j_max):
+        prefixes.append(weakref.ref(padded))
+        return eval_grid(padded, j_max)
+
+    def peaks(*args):
+        alive.append(prefixes[-1]() is not None)
+        return grid_peaks(*args)
+
+    monkeypatch.setattr(holder, "eval_W_grid", eval_W_grid)
+    monkeypatch.setattr(holder, "_grid_peaks", peaks)
+    run_experiment(ExperimentConfig(experiment="holder-norm", generator=iid_gaussian(2),
+                                    shapes=((8, 8), (5, 7)), modulus=_MODULUS, replicas=50,
+                                    seed=1, threads=2))
+    assert len(prefixes) >= 2 and alive and not any(alive), alive
+
+
 def test_exponent_fit_holds_its_samples_twice(peak_bytes):
     # the replica column and one copy of its magnitudes, which the
     # quantiles partition and the sort orders in place: 2 x 8R bytes.  The
     # blocks reach that only while the column is gathered: the last of
-    # four runs beside the three columns before it, 2.5 x 8R at 2^18
-    # replicas (a one-site product's block peaks at 3.5 block arrays),
-    # which one block of 8 x _BLOCK_CELLS bytes covers; a sixteenth of 8R
-    # covers the report.  A second copy of the magnitudes, such as
-    # np.sort's or np.quantile's, reads 3 x 8R.
+    # sixteen runs beside the fifteen columns before it, under 8R and one
+    # block of 8 x _BLOCK_CELLS bytes (a one-site product's block is sized
+    # for its per-replica vectors); a sixteenth of 8R covers the report.
+    # A second copy of the magnitudes, such as np.sort's or np.quantile's,
+    # reads 3 x 8R.
     replicas = 1 << 18
     config = ExperimentConfig(experiment="exponent-fit", d=2, replicas=replicas, seed=3)
     run_experiment(ExperimentConfig(experiment="exponent-fit", d=2, replicas=1000, seed=3))
